@@ -72,12 +72,28 @@ func (q *skipList[V]) Insert(pri int, v V) {
 	q.ensureThreaded(pri)
 }
 
-// ensureThreaded links pri's node into the skip list if no one has yet.
+// ensureThreaded links pri's node into the skip list if no one has yet,
+// and returns only once the bin just filled is reachable: it waits out
+// another goroutine's slThreading, since until that goroutine links level
+// 0 a delete can find the list and the delete bin empty and report an
+// empty queue over a completed insert. slUnlinking needs no wait — the
+// unlinker holds delMu, only the delMu holder may conclude emptiness, and
+// it publishes this link as the delete bin before releasing it.
 func (q *skipList[V]) ensureThreaded(pri int) {
 	l := &q.links[pri]
-	if l.state.Load() == slUnthreaded && l.state.CompareAndSwap(slUnthreaded, slThreading) {
-		q.thread(pri)
-		l.state.Store(slThreaded)
+	for {
+		switch l.state.Load() {
+		case slUnthreaded:
+			if l.state.CompareAndSwap(slUnthreaded, slThreading) {
+				q.thread(pri)
+				l.state.Store(slThreaded)
+				return
+			}
+		case slThreading:
+			runtime.Gosched()
+		default:
+			return
+		}
 	}
 }
 

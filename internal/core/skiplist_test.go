@@ -122,3 +122,34 @@ func TestSkipListHeavyRethreadChurn(t *testing.T) {
 		t.Fatalf("inserted %d, recovered %d (items lost or duplicated)", ins, rem)
 	}
 }
+
+// TestSkipListInsertVisibleOnReturn pins that an item is reachable the
+// moment its Insert returns. Every goroutine inserts and then deletes, so
+// at any instant at least as many inserts have completed as deletes have
+// begun and no delete may report empty. An Insert that returned while
+// another goroutine was still threading the link broke exactly this: the
+// item sat in an unreachable bin until that goroutine was rescheduled.
+func TestSkipListInsertVisibleOnReturn(t *testing.T) {
+	q := newSkip(t, 4)
+	const goroutines = 8
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				q.Insert((i+g)%2, uint64(g*rounds+i))
+				if _, ok := q.DeleteMin(); !ok {
+					t.Errorf("goroutine %d round %d: DeleteMin reported empty after its own Insert returned", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

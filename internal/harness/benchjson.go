@@ -145,42 +145,54 @@ func RunBenchSuiteAlgs(algs []simpq.Algorithm, procs, pris int, scale float64, b
 	if batch > 1 {
 		batches = append(batches, batch)
 	}
-	results := make([]simpq.Result, 0, len(algs)*len(batches))
+	type point struct {
+		result simpq.Result
+		run    BenchRun
+	}
+	var s sweep[point]
 	for _, b := range batches {
 		runCfg := cfg
 		runCfg.Batch = b
 		for _, alg := range algs {
-			if progress != nil {
-				progress(fmt.Sprintf("bench %s procs=%d batch=%d", alg, procs, b))
-			}
-			r, err := simpq.RunWorkload(alg, procs, pris, runCfg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench %s: %w", alg, err)
-			}
-			results = append(results, r)
-			run := BenchRun{
-				Algorithm:     string(alg),
-				Batch:         b,
-				Inserts:       r.Inserts,
-				Deletes:       r.Deletes,
-				FailedDeletes: r.FailedDeletes,
-				Insert:        LatencyFromSummary(r.InsertSummary),
-				Delete:        LatencyFromSummary(r.DeleteSummary),
-				Internals:     r.Internals,
-				Sim: BenchSim{
-					FinalTime:   r.Stats.FinalTime,
-					Events:      r.Stats.Events,
-					MemOps:      r.Stats.MemOps,
-					StallCycles: r.Stats.StallCycles,
-					WordsUsed:   r.Stats.WordsUsed,
-				},
-			}
-			if r.Stats.FinalTime > 0 {
-				run.ThroughputOpsPerKCycle =
-					float64(r.Inserts+r.Deletes) / float64(r.Stats.FinalTime) * 1000
-			}
-			bf.Runs = append(bf.Runs, run)
+			s.label(fmt.Sprintf("bench %s procs=%d batch=%d", alg, procs, b))
+			s.add(func() (point, error) {
+				r, err := simpq.RunWorkload(alg, procs, pris, runCfg)
+				if err != nil {
+					return point{}, fmt.Errorf("bench %s: %w", alg, err)
+				}
+				run := BenchRun{
+					Algorithm:     string(alg),
+					Batch:         b,
+					Inserts:       r.Inserts,
+					Deletes:       r.Deletes,
+					FailedDeletes: r.FailedDeletes,
+					Insert:        LatencyFromSummary(r.InsertSummary),
+					Delete:        LatencyFromSummary(r.DeleteSummary),
+					Internals:     r.Internals,
+					Sim: BenchSim{
+						FinalTime:   r.Stats.FinalTime,
+						Events:      r.Stats.Events,
+						MemOps:      r.Stats.MemOps,
+						StallCycles: r.Stats.StallCycles,
+						WordsUsed:   r.Stats.WordsUsed,
+					},
+				}
+				if r.Stats.FinalTime > 0 {
+					run.ThroughputOpsPerKCycle =
+						float64(r.Inserts+r.Deletes) / float64(r.Stats.FinalTime) * 1000
+				}
+				return point{r, run}, nil
+			})
 		}
+	}
+	points, err := s.run(progress)
+	if err != nil {
+		return nil, nil, err
+	}
+	results := make([]simpq.Result, len(points))
+	for i, pt := range points {
+		results[i] = pt.result
+		bf.Runs = append(bf.Runs, pt.run)
 	}
 	return bf, results, nil
 }

@@ -128,37 +128,43 @@ func scaleFaultTimes(plan *sim.FaultPlan, scale float64) *sim.FaultPlan {
 func RunChaos(scale float64, progress func(string)) (*ChaosReport, error) {
 	cfg := simpq.DefaultWorkload()
 	cfg.OpsPerProc = scaleOps(40, scale)
-	rep := &ChaosReport{Procs: chaosProcs, Pris: chaosPris}
+	var s sweep[ChaosCell]
 	for _, plan := range ChaosPlans() {
 		for _, alg := range simpq.All() {
-			progress(fmt.Sprintf("%s / %s", plan.Name, alg))
-			simCfg := sim.DefaultConfig(chaosProcs)
-			simCfg.Faults = scaleFaultTimes(plan.Plan, scale)
-			simCfg.WatchdogCycles = chaosWatchdog
-			r, err := simpq.ChaosWorkload(alg, chaosPris, cfg, simCfg)
-			if err != nil {
-				return nil, fmt.Errorf("chaos %s/%s: %w", plan.Name, alg, err)
-			}
-			cell := ChaosCell{
-				Plan:      plan.Name,
-				Algorithm: string(alg),
-				Outcome:   ClassifyChaos(r, chaosProcs),
-				Ops:       r.Latency.Inserts + r.Latency.Deletes,
-				MeanAll:   r.Latency.MeanAll,
-				Crashed:   len(r.Crashed),
-			}
-			for _, v := range order.CheckTruncated(r.History, r.Pending) {
-				switch v.Rule {
-				case "uniqueness", "precedence", "well-formed":
-					cell.SafetyViolations++
-				default:
-					cell.Inversions++
+			s.label(fmt.Sprintf("%s / %s", plan.Name, alg))
+			s.add(func() (ChaosCell, error) {
+				simCfg := sim.DefaultConfig(chaosProcs)
+				simCfg.Faults = scaleFaultTimes(plan.Plan, scale)
+				simCfg.WatchdogCycles = chaosWatchdog
+				r, err := simpq.ChaosWorkload(alg, chaosPris, cfg, simCfg)
+				if err != nil {
+					return ChaosCell{}, fmt.Errorf("chaos %s/%s: %w", plan.Name, alg, err)
 				}
-			}
-			rep.Cells = append(rep.Cells, cell)
+				cell := ChaosCell{
+					Plan:      plan.Name,
+					Algorithm: string(alg),
+					Outcome:   ClassifyChaos(r, chaosProcs),
+					Ops:       r.Latency.Inserts + r.Latency.Deletes,
+					MeanAll:   r.Latency.MeanAll,
+					Crashed:   len(r.Crashed),
+				}
+				for _, v := range order.CheckTruncated(r.History, r.Pending) {
+					switch v.Rule {
+					case "uniqueness", "precedence", "well-formed":
+						cell.SafetyViolations++
+					default:
+						cell.Inversions++
+					}
+				}
+				return cell, nil
+			})
 		}
 	}
-	return rep, nil
+	cells, err := s.run(progress)
+	if err != nil {
+		return nil, err
+	}
+	return &ChaosReport{Procs: chaosProcs, Pris: chaosPris, Cells: cells}, nil
 }
 
 // labelClass buckets a blocked-address label into the structure family

@@ -22,38 +22,34 @@ func Fairness() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, fifo := range []bool{false, true} {
 				name := "LIFO bins"
 				if fifo {
 					name = "hybrid FIFO bins"
 				}
-				progress(name)
+				s.label(name)
 				for _, procs := range []int{16, 64, 256} {
-					m, err := sim.New(sim.DefaultConfig(procs))
-					if err != nil {
-						return nil, err
-					}
-					maxItems := procs*cfg.OpsPerProc + 1
-					q := simpq.NewFunnelTreeDiscipline(m, 16, maxItems,
-						simpq.DefaultFunnelParams(procs), simpq.DefaultFunnelCutoff, fifo)
-					r, err := simpq.SojournWorkload(m, q, cfg)
-					if err != nil {
-						return nil, err
-					}
-					res := r.Latency
-					// Smuggle the sojourn stats through the generic Point:
-					// mean in MeanInsert, p99 in MeanDelete (labeled by the
-					// renderer below).
-					res.MeanInsert = r.Sojourn.Mean
-					res.MeanDelete = r.Sojourn.P99
-					pts = append(pts, Point{
-						Algorithm: name, Procs: procs, Pris: 16,
-						X: float64(procs), Result: res,
+					s.add(func() (Point, error) {
+						m, err := sim.New(sim.DefaultConfig(procs))
+						if err != nil {
+							return Point{}, err
+						}
+						maxItems := procs*cfg.OpsPerProc + 1
+						q := simpq.NewFunnelTreeDiscipline(m, 16, maxItems,
+							simpq.DefaultFunnelParams(procs), simpq.DefaultFunnelCutoff, fifo)
+						r, err := simpq.SojournWorkload(m, q, cfg)
+						res := r.Latency
+						// Smuggle the sojourn stats through the generic Point:
+						// mean in MeanInsert, p99 in MeanDelete (labeled by the
+						// renderer below).
+						res.MeanInsert = r.Sojourn.Mean
+						res.MeanDelete = r.Sojourn.P99
+						return Point{Algorithm: name, Procs: procs, Pris: 16, X: float64(procs), Result: res}, err
 					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			head := []string{"procs", "bins", "access latency", "mean sojourn", "p99 sojourn"}

@@ -41,18 +41,14 @@ func Fig6() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, alg := range simpq.Algorithms {
-				progress(string(alg))
+				s.label(string(alg))
 				for _, procs := range procSweepLow {
-					pt, err := queuePoint(alg, procs, 16, cfg, float64(procs))
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, pt)
+					s.add(func() (Point, error) { return queuePoint(alg, procs, 16, cfg, float64(procs)) })
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			seriesTable(w, pts, "procs", func(x float64) string { return fmt.Sprintf("%.0f", x) })
@@ -70,18 +66,14 @@ func Fig7() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, alg := range fastAlgorithms {
-				progress(string(alg))
+				s.label(string(alg))
 				for _, procs := range procSweepHigh {
-					pt, err := queuePoint(alg, procs, 16, cfg, float64(procs))
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, pt)
+					s.add(func() (Point, error) { return queuePoint(alg, procs, 16, cfg, float64(procs)) })
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			seriesTable(w, pts, "procs", func(x float64) string { return fmt.Sprintf("%.0f", x) })
@@ -99,20 +91,16 @@ func Fig8() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, procs := range []int{16, 64, 256} {
 				for _, npri := range []int{16, 128} {
-					progress(fmt.Sprintf("P=%d N=%d", procs, npri))
+					s.label(fmt.Sprintf("P=%d N=%d", procs, npri))
 					for _, alg := range fastAlgorithms {
-						pt, err := queuePoint(alg, procs, npri, cfg, float64(procs))
-						if err != nil {
-							return nil, err
-						}
-						pts = append(pts, pt)
+						s.add(func() (Point, error) { return queuePoint(alg, procs, npri, cfg, float64(procs)) })
 					}
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			head := []string{"P", "N"}
@@ -148,7 +136,7 @@ func Fig9() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, procs := range []int{64, 256} {
 				for _, alg := range fastAlgorithms {
 					if procs == 256 && alg == simpq.AlgSimpleTree {
@@ -156,18 +144,13 @@ func Fig9() *Experiment {
 						// was off the graph").
 						continue
 					}
-					progress(fmt.Sprintf("%s P=%d", alg, procs))
+					s.label(fmt.Sprintf("%s P=%d", alg, procs))
 					for _, npri := range priSweep {
-						pt, err := queuePoint(alg, procs, npri, cfg, float64(npri))
-						if err != nil {
-							return nil, err
-						}
-						pt.X = float64(npri)
-						pts = append(pts, pt)
+						s.add(func() (Point, error) { return queuePoint(alg, procs, npri, cfg, float64(npri)) })
 					}
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			for _, procs := range []int{64, 256} {
@@ -194,22 +177,21 @@ func Fig5Left() *Experiment {
 		PaperRef: "Figure 5 (left)",
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			ops := scaleOps(60, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, bounded := range []bool{false, true} {
 				name := "Fetch-and-add"
 				if bounded {
 					name = "BFaD with elimination"
 				}
-				progress(name)
+				s.label(name)
 				for _, procs := range []int{4, 8, 16, 32, 64, 128, 256} {
-					r, err := simpq.CounterWorkload(procs, ops, 0.5, bounded, 50)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, Point{Algorithm: name, Procs: procs, X: float64(procs), Result: r})
+					s.add(func() (Point, error) {
+						r, err := simpq.CounterWorkload(procs, ops, 0.5, bounded, 50)
+						return Point{Algorithm: name, Procs: procs, X: float64(procs), Result: r}, err
+					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			seriesTable(w, pts, "procs", func(x float64) string { return fmt.Sprintf("%.0f", x) })
@@ -226,22 +208,21 @@ func Fig5Right() *Experiment {
 		PaperRef: "Figure 5 (right)",
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			ops := scaleOps(40, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, bounded := range []bool{false, true} {
 				name := "Fetch-and-add"
 				if bounded {
 					name = "BFaD with elimination"
 				}
-				progress(name)
+				s.label(name)
 				for dec := 0; dec <= 100; dec += 20 {
-					r, err := simpq.CounterWorkload(256, ops, float64(dec)/100, bounded, 50)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, Point{Algorithm: name, Procs: 256, X: float64(dec), Result: r})
+					s.add(func() (Point, error) {
+						r, err := simpq.CounterWorkload(256, ops, float64(dec)/100, bounded, 50)
+						return Point{Algorithm: name, Procs: 256, X: float64(dec), Result: r}, err
+					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			seriesTable(w, pts, "% dec", func(x float64) string { return fmt.Sprintf("%.0f", x) })
@@ -261,25 +242,22 @@ func AblateCutoff() *Experiment {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
 			const procs, npri = 256, 128
-			var pts []Point
+			var s sweep[Point]
 			for _, cutoff := range []int{0, 2, 4, 8} {
-				progress(fmt.Sprintf("cutoff=%d", cutoff))
-				m, err := sim.New(sim.DefaultConfig(procs))
-				if err != nil {
-					return nil, err
-				}
-				maxItems := procs*cfg.OpsPerProc + 1
-				q := simpq.NewFunnelTreeCutoff(m, npri, maxItems, simpq.DefaultFunnelParams(procs), cutoff)
-				r, err := simpq.DriveWorkload(m, q, cfg)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, Point{
-					Algorithm: fmt.Sprintf("cutoff=%d", cutoff),
-					Procs:     procs, Pris: npri, X: float64(cutoff), Result: r,
+				name := fmt.Sprintf("cutoff=%d", cutoff)
+				s.label(name)
+				s.add(func() (Point, error) {
+					m, err := sim.New(sim.DefaultConfig(procs))
+					if err != nil {
+						return Point{}, err
+					}
+					maxItems := procs*cfg.OpsPerProc + 1
+					q := simpq.NewFunnelTreeCutoff(m, npri, maxItems, simpq.DefaultFunnelParams(procs), cutoff)
+					r, err := simpq.DriveWorkload(m, q, cfg)
+					return Point{Algorithm: name, Procs: procs, Pris: npri, X: float64(cutoff), Result: r}, err
 				})
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			head := []string{"cutoff levels", "latency", "insert", "delete"}
@@ -307,30 +285,29 @@ func AblateAdaption() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, adaptive := range []bool{true, false} {
 				name := "adaptive"
 				if !adaptive {
 					name = "fixed-width"
 				}
-				progress(name)
+				s.label(name)
 				for _, procs := range []int{4, 16, 64, 256} {
-					m, err := sim.New(sim.DefaultConfig(procs))
-					if err != nil {
-						return nil, err
-					}
-					params := simpq.DefaultFunnelParams(procs)
-					params.Adaptive = adaptive
-					maxItems := procs*cfg.OpsPerProc + 1
-					q := simpq.NewFunnelTree(m, 16, maxItems, params)
-					r, err := simpq.DriveWorkload(m, q, cfg)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, Point{Algorithm: name, Procs: procs, Pris: 16, X: float64(procs), Result: r})
+					s.add(func() (Point, error) {
+						m, err := sim.New(sim.DefaultConfig(procs))
+						if err != nil {
+							return Point{}, err
+						}
+						params := simpq.DefaultFunnelParams(procs)
+						params.Adaptive = adaptive
+						maxItems := procs*cfg.OpsPerProc + 1
+						q := simpq.NewFunnelTree(m, 16, maxItems, params)
+						r, err := simpq.DriveWorkload(m, q, cfg)
+						return Point{Algorithm: name, Procs: procs, Pris: 16, X: float64(procs), Result: r}, err
+					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			seriesTable(w, pts, "procs", func(x float64) string { return fmt.Sprintf("%.0f", x) })

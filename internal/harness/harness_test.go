@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -102,5 +103,40 @@ func TestSeriesTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "-") {
 		t.Fatalf("missing gap marker for B at x=2:\n%s", out)
+	}
+}
+
+func TestSweepKeepsAddOrderAndEarliestError(t *testing.T) {
+	var s sweep[int]
+	for i := range 50 {
+		s.add(func() (int, error) { return i * i, nil })
+	}
+	got, err := s.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result %d = %d, want %d: results are not in add order", i, v, i*i)
+		}
+	}
+
+	var failing sweep[int]
+	var labels []string
+	for i := range 50 {
+		failing.label(fmt.Sprint(i))
+		failing.add(func() (int, error) {
+			if i >= 7 {
+				return 0, fmt.Errorf("point %d", i)
+			}
+			return i, nil
+		})
+	}
+	_, err = failing.run(func(msg string) { labels = append(labels, msg) })
+	if err == nil || err.Error() != "point 7" {
+		t.Fatalf("err = %v, want the earliest failing point's", err)
+	}
+	if len(labels) < 8 || len(labels) == 50 {
+		t.Fatalf("%d points started, want the sweep to stop soon after the first failure", len(labels))
 	}
 }

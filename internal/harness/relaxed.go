@@ -68,24 +68,32 @@ func RunRelaxedFrontier(cs, procsList []int, pris int, scale float64, progress f
 	}
 	cfg := simpq.DefaultWorkload()
 	cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-	rep := &FrontierReport{Pris: pris, Cs: cs, Procs: procsList}
+	var s sweep[FrontierPoint]
 	for _, procs := range procsList {
-		progress(fmt.Sprintf("frontier FunnelTree procs=%d", procs))
-		r, err := simpq.RunWorkload(simpq.AlgFunnelTree, procs, pris, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("frontier FunnelTree procs=%d: %w", procs, err)
-		}
-		rep.Points = append(rep.Points, frontierPoint(string(simpq.AlgFunnelTree), 0, procs, r))
-		for _, c := range cs {
-			progress(fmt.Sprintf("frontier MultiQueue c=%d procs=%d", c, procs))
-			r, err := runFrontierMultiQueue(c, procs, pris, cfg)
+		s.label(fmt.Sprintf("frontier FunnelTree procs=%d", procs))
+		s.add(func() (FrontierPoint, error) {
+			r, err := simpq.RunWorkload(simpq.AlgFunnelTree, procs, pris, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("frontier MultiQueue c=%d procs=%d: %w", c, procs, err)
+				return FrontierPoint{}, fmt.Errorf("frontier FunnelTree procs=%d: %w", procs, err)
 			}
-			rep.Points = append(rep.Points, frontierPoint(string(simpq.AlgMultiQueue), c, procs, r))
+			return frontierPoint(string(simpq.AlgFunnelTree), 0, procs, r), nil
+		})
+		for _, c := range cs {
+			s.label(fmt.Sprintf("frontier MultiQueue c=%d procs=%d", c, procs))
+			s.add(func() (FrontierPoint, error) {
+				r, err := runFrontierMultiQueue(c, procs, pris, cfg)
+				if err != nil {
+					return FrontierPoint{}, fmt.Errorf("frontier MultiQueue c=%d procs=%d: %w", c, procs, err)
+				}
+				return frontierPoint(string(simpq.AlgMultiQueue), c, procs, r), nil
+			})
 		}
 	}
-	return rep, nil
+	points, err := s.run(progress)
+	if err != nil {
+		return nil, err
+	}
+	return &FrontierReport{Pris: pris, Cs: cs, Procs: procsList, Points: points}, nil
 }
 
 // runFrontierMultiQueue drives the standard workload against a

@@ -22,28 +22,24 @@ func Sensitivity() *Experiment {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
 			algs := []simpq.Algorithm{simpq.AlgSimpleLinear, simpq.AlgSimpleTree, simpq.AlgFunnelTree}
-			var pts []Point
+			var s sweep[Point]
 			grid := []struct{ remote, occ int64 }{
 				{20, 5}, {20, 20}, {40, 10}, {40, 40}, {80, 10}, {80, 40},
 			}
 			for gi, g := range grid {
-				progress(fmt.Sprintf("remote=%d occupancy=%d", g.remote, g.occ))
+				s.label(fmt.Sprintf("remote=%d occupancy=%d", g.remote, g.occ))
 				for _, alg := range algs {
-					simCfg := sim.DefaultConfig(256)
-					simCfg.RemoteCost = g.remote
-					simCfg.Occupancy = g.occ
-					r, _, err := simpq.WorkloadOnMachine(alg, 16, cfg, simCfg, 0)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, Point{
-						Algorithm: string(alg), Procs: 256, Pris: 16,
+					s.add(func() (Point, error) {
+						simCfg := sim.DefaultConfig(256)
+						simCfg.RemoteCost = g.remote
+						simCfg.Occupancy = g.occ
+						r, _, err := simpq.WorkloadOnMachine(alg, 16, cfg, simCfg, 0)
 						// Encode the grid cell in X; the renderer decodes.
-						X: float64(gi), Result: r,
+						return Point{Algorithm: string(alg), Procs: 256, Pris: 16, X: float64(gi), Result: r}, err
 					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			grid := []struct{ remote, occ int64 }{

@@ -20,25 +20,18 @@ func SteadyState() *Experiment {
 		Run: func(scale float64, progress func(string)) ([]Point, error) {
 			base := simpq.DefaultWorkload()
 			base.OpsPerProc = scaleOps(base.OpsPerProc, scale)
-			var pts []Point
+			var s sweep[Point]
 			for _, alg := range fastAlgorithms {
-				progress(string(alg))
+				s.label(string(alg))
 				for _, procs := range []int{64, 256} {
 					for _, prefill := range []int{0, 1} {
 						cfg := base
 						cfg.Prefill = prefill * 4 * procs
-						r, err := simpq.RunWorkload(alg, procs, 16, cfg)
-						if err != nil {
-							return nil, err
-						}
-						pts = append(pts, Point{
-							Algorithm: string(alg), Procs: procs, Pris: 16,
-							X: float64(prefill), Result: r,
-						})
+						s.add(func() (Point, error) { return queuePoint(alg, procs, 16, cfg, float64(prefill)) })
 					}
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			head := []string{"algorithm", "procs", "empty start", "failed dels", "prefilled", "failed dels"}

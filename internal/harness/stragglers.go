@@ -50,23 +50,19 @@ func Stragglers() *Experiment {
 			base := simpq.DefaultWorkload()
 			base.OpsPerProc = scaleOps(base.OpsPerProc, scale)
 			modes := stragglerModes()
-			var pts []Point
+			var s sweep[Point]
 			for _, alg := range fastAlgorithms {
-				progress(string(alg))
+				s.label(string(alg))
 				for mi, mode := range modes {
-					simCfg := sim.DefaultConfig(64)
-					simCfg.Faults = mode.plan
-					r, _, err := simpq.WorkloadOnMachine(alg, 16, base, simCfg, 0)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, Point{
-						Algorithm: string(alg), Procs: 64, Pris: 16,
-						X: float64(mi), Result: r,
+					s.add(func() (Point, error) {
+						simCfg := sim.DefaultConfig(64)
+						simCfg.Faults = mode.plan
+						r, _, err := simpq.WorkloadOnMachine(alg, 16, base, simCfg, 0)
+						return Point{Algorithm: string(alg), Procs: 64, Pris: 16, X: float64(mi), Result: r}, err
 					})
 				}
 			}
-			return pts, nil
+			return s.run(progress)
 		},
 		Render: func(w io.Writer, pts []Point) {
 			modes := stragglerModes()

@@ -113,6 +113,74 @@ func TestQuiescentViolationAcrossQuiescence(t *testing.T) {
 	requireRule(t, vs, "emptiness")
 }
 
+func TestQuiescentToleratesBorrowedCounterUnit(t *testing.T) {
+	// The two histories a counter tree produces that no sequential order
+	// of the busy period explains. Item 1 (pri 2) and item 2 (pri 4) are
+	// settled. Late increment: item 3's insert has filled its bin but not
+	// yet reached the root counter when the first delete spends item 1's
+	// unit on item 3; the root reads zero and the second delete walks
+	// past item 1. Held unit: a slow delete takes item 1's unit, the fast
+	// delete finds the root at zero, and the slow one ends up at item 3,
+	// inserted after the fast delete returned.
+	settled := []Op{
+		{Kind: Insert, Pri: 2, Val: 1, OK: true, Start: 0, End: 1},
+		{Kind: Insert, Pri: 4, Val: 2, OK: true, Start: 2, End: 3},
+	}
+	lateIncrement := append(settled[:2:2],
+		Op{Kind: Insert, Pri: 1, Val: 3, OK: true, Start: 10, End: 20},
+		Op{Kind: DeleteMin, Pri: 1, Val: 3, OK: true, Start: 11, End: 13},
+		Op{Kind: DeleteMin, Pri: 4, Val: 2, OK: true, Start: 14, End: 16},
+	)
+	heldUnit := append(settled[:2:2],
+		Op{Kind: DeleteMin, Pri: 1, Val: 3, OK: true, Start: 10, End: 30},
+		Op{Kind: DeleteMin, Pri: 4, Val: 2, OK: true, Start: 12, End: 14},
+		Op{Kind: Insert, Pri: 1, Val: 3, OK: true, Start: 20, End: 22},
+	)
+	for name, h := range map[string][]Op{"late increment": lateIncrement, "held unit": heldUnit} {
+		requireRule(t, Check(h), "priority")
+		if vs := CheckQuiescent(h); len(vs) != 0 {
+			t.Errorf("%s: quiescent check flagged a borrowed counter unit: %v", name, vs)
+		}
+	}
+}
+
+func TestQuiescentOverlapExcusesOnlyBetterAndConcurrent(t *testing.T) {
+	// The allowance must not swallow genuine misordering: an overlapping
+	// operation on a worse item cannot have borrowed the settled item's
+	// unit, a better insert that finished before the delete began has
+	// already booked its own, and one overlapping operation excuses one
+	// settled item, not two.
+	settled := []Op{
+		{Kind: Insert, Pri: 0, Val: 1, OK: true, Start: 0, End: 1},
+		{Kind: Insert, Pri: 5, Val: 2, OK: true, Start: 2, End: 3},
+	}
+	worseOverlap := append(settled[:2:2],
+		Op{Kind: Insert, Pri: 7, Val: 3, OK: true, Start: 10, End: 20},
+		Op{Kind: DeleteMin, Pri: 5, Val: 2, OK: true, Start: 12, End: 14},
+	)
+	requireRule(t, CheckQuiescent(worseOverlap), "priority")
+
+	betterButEarlier := append(settled[:2:2],
+		Op{Kind: Insert, Pri: 1, Val: 3, OK: true, Start: 10, End: 12},
+		Op{Kind: Insert, Pri: 7, Val: 4, OK: true, Start: 11, End: 30}, // chains the busy period
+		Op{Kind: DeleteMin, Pri: 5, Val: 2, OK: true, Start: 20, End: 25},
+	)
+	requireRule(t, CheckQuiescent(betterButEarlier), "priority")
+
+	twoSettledOneExcuse := append(settled[:2:2],
+		Op{Kind: Insert, Pri: 0, Val: 5, OK: true, Start: 4, End: 5},
+		Op{Kind: Insert, Pri: 1, Val: 3, OK: true, Start: 10, End: 20},
+		Op{Kind: DeleteMin, Pri: 5, Val: 2, OK: true, Start: 12, End: 14},
+	)
+	requireRule(t, CheckQuiescent(twoSettledOneExcuse), "priority")
+
+	dry := append(settled[:2:2],
+		Op{Kind: Insert, Pri: 7, Val: 3, OK: true, Start: 10, End: 12},
+		Op{Kind: DeleteMin, OK: false, Start: 20, End: 21},
+	)
+	requireRule(t, CheckQuiescent(dry), "emptiness")
+}
+
 func TestQuiescentIgnoresBatchRules(t *testing.T) {
 	// A quiescently consistent queue may interleave a batch with
 	// overlapping ops, so decreasing priorities within a batch are legal

@@ -27,12 +27,12 @@ type RelaxedBound struct {
 // while marginal ones may go undetected.
 func CheckRelaxed(history []Op, bound RelaxedBound) []Violation {
 	out := checkBatches(history, false)
-	return append(out, checkCore(history, nil, bound.MaxRank)...)
+	return append(out, checkCore(history, nil, bound.MaxRank, nil)...)
 }
 
 // CheckRelaxedTruncated is CheckRelaxed for crash-truncated histories,
 // treating pending operations exactly as CheckTruncated does.
 func CheckRelaxedTruncated(history []Op, pending []PendingOp, bound RelaxedBound) []Violation {
 	out := checkBatches(history, false)
-	return append(out, checkCore(history, pending, bound.MaxRank)...)
+	return append(out, checkCore(history, pending, bound.MaxRank, nil)...)
 }

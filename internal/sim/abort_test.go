@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
 
 func TestAbortReleasesParkedProcs(t *testing.T) {
 	// Some processors livelock, others park forever; when the event limit
-	// trips, Run must return and every processor goroutine must exit
-	// (Run's WaitGroup would hang otherwise and the test would time out).
+	// trips, Run must return with every program aborted.
 	cfg := DefaultConfig(4)
 	cfg.MaxEvents = 500
 	m, err := New(cfg)
@@ -111,5 +112,183 @@ func TestWaitWhileManyWaitersSerializeOnWake(t *testing.T) {
 			t.Errorf("two waiters woke at the same cycle %d (no serialization)", woke[i])
 		}
 		seen[woke[i]] = true
+	}
+}
+
+// TestRunReleasesEveryProgram pins the engine's exit contract: however Run
+// ends, every started program has been unwound (its deferred functions
+// ran) and no coroutine goroutine outlives the call.
+func TestRunReleasesEveryProgram(t *testing.T) {
+	const procs = 4
+	spin := func(p *Proc, a Addr) {
+		for {
+			p.Read(a)
+		}
+	}
+	tests := []struct {
+		name    string
+		cfg     func(*Config)
+		program func(p *Proc, a Addr)
+		check   func(t *testing.T, err error)
+	}{
+		{"normal", func(*Config) {}, func(p *Proc, a Addr) { p.FetchAdd(a, 1) },
+			func(t *testing.T, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{"deadlock", func(*Config) {}, func(p *Proc, a Addr) { p.WaitWhile(a, 0) },
+			func(t *testing.T, err error) {
+				if err != ErrDeadlock {
+					t.Fatalf("err = %v, want ErrDeadlock", err)
+				}
+			}},
+		{"event limit", func(c *Config) { c.MaxEvents = 300 }, spin,
+			func(t *testing.T, err error) {
+				if err != ErrEventLimit {
+					t.Fatalf("err = %v, want ErrEventLimit", err)
+				}
+			}},
+		{"watchdog", func(c *Config) { c.WatchdogCycles = 1000 }, spin,
+			func(t *testing.T, err error) {
+				var wd *WatchdogError
+				if !errors.As(err, &wd) {
+					t.Fatalf("err = %v, want *WatchdogError", err)
+				}
+			}},
+		{"crashed", func(c *Config) {
+			c.Faults = &FaultPlan{Crashes: []Crash{{Proc: 1, At: 100}, {Proc: 2, At: 200}}}
+		}, func(p *Proc, a Addr) {
+			if p.ID() == 2 {
+				p.WaitWhile(a, 0) // parked when its crash is enacted
+			}
+			for i := 0; i < 100; i++ {
+				p.Read(a + 1)
+			}
+		}, func(t *testing.T, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig(procs)
+			tt.cfg(&cfg)
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := m.Alloc(2)
+			before := runtime.NumGoroutine()
+			unwound := 0
+			_, err = m.Run(func(p *Proc) {
+				defer func() { unwound++ }()
+				tt.program(p, a)
+			})
+			tt.check(t, err)
+			if unwound != procs {
+				t.Errorf("%d of %d programs ran their deferred functions", unwound, procs)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("goroutines: %d before Run, %d after", before, after)
+			}
+		})
+	}
+}
+
+func TestProgramPanicSurfacesFromRun(t *testing.T) {
+	m, err := New(DefaultConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.Alloc(1)
+	before := runtime.NumGoroutine()
+	unwound := 0
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.Run(func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Read(a)
+			if p.ID() == 1 {
+				panic("boom")
+			}
+			p.WaitWhile(a, 0)
+		})
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v from Run, want the program's panic value", got)
+	}
+	if unwound != 3 {
+		t.Errorf("%d of 3 programs ran their deferred functions", unwound)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before Run, %d after", before, after)
+	}
+}
+
+func TestProcCallAfterAbortPanicsAgain(t *testing.T) {
+	m, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.Alloc(1)
+	var got any
+	_, err = m.Run(func(p *Proc) {
+		defer func() {
+			defer func() { got = recover() }()
+			p.Write(a, 1) // must not block: nobody will resume it
+		}()
+		p.WaitWhile(a, 0)
+	})
+	if err != ErrDeadlock {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	if got != errAborted {
+		t.Fatalf("Proc call from a deferred function after abort recovered %v, want errAborted", got)
+	}
+	if m.Word(a) != 0 {
+		t.Error("the aborted program's write reached memory")
+	}
+}
+
+// TestRunAllocationsIndependentOfEvents pins that the engine's per-event
+// path allocates nothing: a run a hundred times longer may allocate no
+// more than a few objects beyond a short one.
+func TestRunAllocationsIndependentOfEvents(t *testing.T) {
+	const procs = 8
+	mallocs := func(opsPerProc int) (uint64, int64) {
+		m, err := New(DefaultConfig(procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := m.Alloc(procs)
+		m.SetWord(a, 0) // materialize the page outside the measurement
+		program := func(p *Proc) {
+			for i := 0; i < opsPerProc; i++ {
+				p.FetchAdd(a+Addr(p.Rand(procs)), 1)
+				p.LocalWork(3)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats, err := m.Run(program)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, stats.Events
+	}
+	short, shortEvents := mallocs(10)
+	long, longEvents := mallocs(1000)
+	if longEvents < 50*shortEvents {
+		t.Fatalf("events: %d short, %d long — the long run is not long enough to tell", shortEvents, longEvents)
+	}
+	if short > 64*procs {
+		t.Errorf("short run: %d allocations for %d processors", short, procs)
+	}
+	if long > short+16 {
+		t.Errorf("allocations grow with events: %d for %d events, %d for %d", short, shortEvents, long, longEvents)
 	}
 }

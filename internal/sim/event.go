@@ -9,18 +9,29 @@ const (
 
 // event is a scheduled resumption of a processor at a simulated time. val
 // carries the result of the memory operation the processor is blocked on.
-// kind distinguishes resumptions from fault-plan crash enactments.
+// kind distinguishes resumptions from fault-plan crash enactments. The
+// field order keeps the struct at 32 bytes; the heap copies it on every
+// sift step.
 type event struct {
 	time int64
 	seq  uint64
-	proc int32
 	val  uint64
+	proc int32
 	kind uint8
+}
+
+// before reports whether e pops ahead of o.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	return e.seq < o.seq
 }
 
 // eventHeap is a binary min-heap of events ordered by (time, seq). seq is a
 // strictly increasing tag assigned at push time, which makes the pop order
-// deterministic for simultaneous events.
+// deterministic for simultaneous events. Both sifts move a hole instead of
+// swapping, so each level copies one event rather than two.
 type eventHeap struct {
 	a []event
 }
@@ -32,41 +43,38 @@ func (h *eventHeap) push(e event) {
 	i := len(h.a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !e.before(&h.a[parent]) {
 			break
 		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
+		h.a[i] = h.a[parent]
 		i = parent
 	}
+	h.a[i] = e
 }
 
 func (h *eventHeap) pop() event {
 	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+	n := len(h.a) - 1
+	e := h.a[n]
+	h.a = h.a[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < last && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.a[i], h.a[smallest] = h.a[smallest], h.a[i]
-		i = smallest
+		if c+1 < n && h.a[c+1].before(&h.a[c]) {
+			c++
+		}
+		if !h.a[c].before(&e) {
+			break
+		}
+		h.a[i] = h.a[c]
+		i = c
 	}
+	h.a[i] = e
 	return top
-}
-
-func (h *eventHeap) less(i, j int) bool {
-	if h.a[i].time != h.a[j].time {
-		return h.a[i].time < h.a[j].time
-	}
-	return h.a[i].seq < h.a[j].seq
 }

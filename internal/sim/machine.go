@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // word is one word of simulated shared memory.
@@ -38,15 +37,12 @@ type Machine struct {
 	pages  [][]word
 	nalloc int
 
-	evq     eventHeap
-	seq     uint64
-	now     int64
-	procs   []*Proc
-	events  int64
-	stop    chan struct{}
-	stopped bool
-	wg      sync.WaitGroup
-	ran     bool
+	evq    eventHeap
+	seq    uint64
+	now    int64
+	procs  []*Proc
+	events int64
+	ran    bool
 
 	// profiling state (nil unless Config.Profile)
 	profile map[Addr]*wordStats
@@ -72,7 +68,6 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:   cfg,
 		pages: make([][]word, (cfg.MemoryWords+pageWords-1)/pageWords),
-		stop:  make(chan struct{}),
 	}
 	if cfg.Profile {
 		m.profile = make(map[Addr]*wordStats)
@@ -169,7 +164,8 @@ var ErrEventLimit = errors.New("sim: event limit exceeded (possible livelock)")
 
 // Run executes program on every processor until all of them return. It may
 // be called only once per Machine. The engine resumes exactly one processor
-// at a time, so programs need no synchronization beyond the Proc API.
+// at a time, so programs need no synchronization beyond the Proc API. A
+// panic in program propagates out of Run.
 func (m *Machine) Run(program func(p *Proc)) (Stats, error) {
 	if m.ran {
 		return Stats{}, errors.New("sim: Run called twice on the same Machine")
@@ -177,20 +173,15 @@ func (m *Machine) Run(program func(p *Proc)) (Stats, error) {
 	m.ran = true
 
 	for _, p := range m.procs {
-		p := p
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			defer func() {
-				if r := recover(); r != nil && r != errAborted {
-					panic(r)
-				}
-			}()
-			p.await() // initial resume
-			program(p)
-			p.send(request{kind: reqDone})
-		}()
+		p.start(program)
 	}
+	// However Run ends, abort every program still suspended so that its
+	// deferred functions run and its coroutine is released.
+	defer func() {
+		for _, p := range m.procs {
+			p.stop()
+		}
+	}()
 	// Seed the fault plan's crash enactments first, then one start event
 	// per processor at time zero; seq ordering makes a crash at cycle t
 	// take effect before any resumption scheduled for the same cycle.
@@ -208,7 +199,6 @@ func (m *Machine) Run(program func(p *Proc)) (Stats, error) {
 
 	running := len(m.procs)
 	var err error
-loop:
 	for running > 0 {
 		if m.evq.len() == 0 {
 			err = ErrDeadlock
@@ -230,12 +220,12 @@ loop:
 		if fs := m.faults; fs != nil {
 			if e.kind == evCrash {
 				// Enact a crash-stop: the processor executes nothing
-				// further. Its goroutine is released via its dead
-				// channel; a parked processor is dropped from its
-				// waiter list lazily by wakeWaiters.
+				// further. Its program is aborted here; a parked
+				// processor is dropped from its waiter list lazily by
+				// wakeWaiters.
 				if !fs.crashed[e.proc] && !m.doneProcs[e.proc] {
 					fs.crashed[e.proc] = true
-					close(m.procs[e.proc].dead)
+					m.procs[e.proc].stop()
 					running--
 				}
 				continue
@@ -247,25 +237,14 @@ loop:
 		m.procEvents[e.proc]++
 		p := m.procs[e.proc]
 		p.now = m.now
-		select {
-		case p.resp <- e.val:
-		case <-m.stop:
-			break loop
-		}
-		r := <-p.req
-		switch r.kind {
-		case reqDone:
+		p.val = e.val
+		if r, ok := p.next(); ok {
+			m.handle(p, r)
+		} else {
 			m.doneProcs[e.proc] = true
 			running--
-		default:
-			m.handle(p, r)
 		}
 	}
-	if !m.stopped {
-		m.stopped = true
-		close(m.stop)
-	}
-	m.wg.Wait()
 	procOps := make([]int64, len(m.procs))
 	for i, p := range m.procs {
 		procOps[i] = p.ops
@@ -291,8 +270,8 @@ func (m *Machine) schedule(t int64, proc int32, val uint64) {
 }
 
 // noteProgress records the completion of one tracked application-level
-// operation (Proc.OpDone). Called from the processor goroutine while it
-// holds the execution baton, so no locking is needed.
+// operation (Proc.OpDone). Called from the program while it holds the
+// execution baton, so no locking is needed.
 func (m *Machine) noteProgress(p *Proc) {
 	if p.now > m.lastProgress {
 		m.lastProgress = p.now
@@ -396,7 +375,7 @@ func (m *Machine) handle(p *Proc, r request) {
 	case reqWaitWhile:
 		w := m.word(r.addr)
 		if w.val != r.a {
-			// The probe observes a changed value: charge one read.
+			// The probe observes a new value: charge one read.
 			if w.cached(p.id) {
 				done := m.now + c.LocalCost
 				m.span(p.id, done, PhaseLocalAccess, TraceWaitWhile, r.addr)

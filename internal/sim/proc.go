@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"iter"
 	"math/rand"
 )
 
@@ -15,7 +16,6 @@ const (
 	reqFetchAdd
 	reqWaitWhile
 	reqLocalWork
-	reqDone
 )
 
 type request struct {
@@ -28,19 +28,22 @@ type request struct {
 var errAborted = errors.New("sim: run aborted")
 
 // Proc is the handle a simulated program uses to execute on one processor.
-// All methods block the calling goroutine until the engine completes the
-// operation at the simulated cost; programs are otherwise ordinary Go code.
+// All methods suspend the program until the engine completes the operation
+// at the simulated cost; programs are otherwise ordinary Go code.
 type Proc struct {
-	id   int32
-	m    *Machine
-	req  chan request
-	resp chan uint64
-	rng  *rand.Rand
-	now  int64
+	id  int32
+	m   *Machine
+	rng *rand.Rand
+	now int64
 
-	// dead is closed when the fault plan crash-stops this processor;
-	// the next engine interaction then aborts the goroutine.
-	dead chan struct{}
+	// The program runs as an iter.Pull coroutine: it yields each request
+	// to the engine, which resumes it through next with the result in
+	// val. stop aborts it — a fault-plan crash or the end of the run —
+	// by making yield return false.
+	yield func(request) bool
+	next  func() (request, bool)
+	stop  func()
+	val   uint64
 
 	// watchdog bookkeeping: the last issued request (for diagnostic
 	// snapshots) and tracked-operation completions (OpDone).
@@ -52,12 +55,9 @@ type Proc struct {
 
 func newProc(m *Machine, id int, seed int64) *Proc {
 	return &Proc{
-		id:   int32(id),
-		m:    m,
-		req:  make(chan request),
-		resp: make(chan uint64),
-		dead: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(seed*1_000_003 + int64(id)*7919 + 12345)),
+		id:  int32(id),
+		m:   m,
+		rng: rand.New(rand.NewSource(seed*1_000_003 + int64(id)*7919 + 12345)),
 	}
 }
 
@@ -75,36 +75,31 @@ func (p *Proc) Rand64() uint64 { return p.rng.Uint64() }
 
 // Read returns the value of a shared word.
 func (p *Proc) Read(a Addr) uint64 {
-	p.send(request{kind: reqRead, addr: a})
-	return p.await()
+	return p.do(request{kind: reqRead, addr: a})
 }
 
 // Write stores v into a shared word.
 func (p *Proc) Write(a Addr, v uint64) {
-	p.send(request{kind: reqWrite, addr: a, a: v})
-	p.await()
+	p.do(request{kind: reqWrite, addr: a, a: v})
 }
 
 // Swap atomically stores v and returns the previous value
 // (register-to-memory swap).
 func (p *Proc) Swap(a Addr, v uint64) uint64 {
-	p.send(request{kind: reqSwap, addr: a, a: v})
-	return p.await()
+	return p.do(request{kind: reqSwap, addr: a, a: v})
 }
 
 // CAS atomically replaces old with new if the word equals old, reporting
 // whether it did (compare-and-swap).
 func (p *Proc) CAS(a Addr, old, new uint64) bool {
-	p.send(request{kind: reqCAS, addr: a, a: old, b: new})
-	return p.await() != 0
+	return p.do(request{kind: reqCAS, addr: a, a: old, b: new}) != 0
 }
 
 // FetchAdd atomically adds delta and returns the previous value. The paper
 // assumes machines without hardware fetch-and-add (it is built in software
 // from combining funnels); this primitive exists for baseline ablations.
 func (p *Proc) FetchAdd(a Addr, delta uint64) uint64 {
-	p.send(request{kind: reqFetchAdd, addr: a, a: delta})
-	return p.await()
+	return p.do(request{kind: reqFetchAdd, addr: a, a: delta})
 }
 
 // WaitWhile blocks while the shared word equals v and returns the first
@@ -113,8 +108,7 @@ func (p *Proc) FetchAdd(a Addr, delta uint64) uint64 {
 // invalidates the word. Callers must treat the returned value as a hint and
 // re-validate with an atomic operation where needed.
 func (p *Proc) WaitWhile(a Addr, v uint64) uint64 {
-	p.send(request{kind: reqWaitWhile, addr: a, a: v})
-	return p.await()
+	return p.do(request{kind: reqWaitWhile, addr: a, a: v})
 }
 
 // LocalWork advances this processor's clock by n cycles of private
@@ -123,8 +117,7 @@ func (p *Proc) LocalWork(n int64) {
 	if n <= 0 {
 		return
 	}
-	p.send(request{kind: reqLocalWork, cycles: n})
-	p.await()
+	p.do(request{kind: reqLocalWork, cycles: n})
 }
 
 // OpDone marks the completion of one application-level operation for the
@@ -152,26 +145,26 @@ func (p *Proc) OpSpan(kind string, start int64) {
 	}
 }
 
-func (p *Proc) send(r request) {
-	if r.kind != reqDone {
-		p.lastKind, p.lastAddr = r.kind, r.addr
-	}
-	select {
-	case p.req <- r:
-	case <-p.dead:
-		panic(errAborted)
-	case <-p.m.stop:
-		panic(errAborted)
-	}
+// start wraps program in the coroutine the engine drives. An abort
+// unwinds the program with errAborted, so its deferred functions run,
+// and is swallowed here; any other panic resurfaces from next or stop.
+func (p *Proc) start(program func(p *Proc)) {
+	p.next, p.stop = iter.Pull(func(yield func(request) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != errAborted {
+				panic(r)
+			}
+		}()
+		program(p)
+	})
 }
 
-func (p *Proc) await() uint64 {
-	select {
-	case v := <-p.resp:
-		return v
-	case <-p.dead:
-		panic(errAborted)
-	case <-p.m.stop:
+// do hands r to the engine and returns its result once resumed.
+func (p *Proc) do(r request) uint64 {
+	p.lastKind, p.lastAddr = r.kind, r.addr
+	if !p.yield(r) {
 		panic(errAborted)
 	}
+	return p.val
 }

@@ -16,11 +16,14 @@
 //     locally cached word: it costs nothing while the word is unchanged
 //     and pays an invalidation + re-fetch when a writer changes it.
 //
-// Execution is deterministic: simulated processors run as goroutines, but
-// the engine hands the execution baton to exactly one of them at a time,
-// ordered by (simulated time, event sequence number). All randomness comes
-// from per-processor PRNGs seeded from Config.Seed, so a run is a pure
-// function of the program and the configuration.
+// Execution is deterministic and single-threaded: each simulated processor
+// runs its program as an iter.Pull coroutine that yields one request per
+// memory access, and the engine resumes exactly one of them at a time,
+// ordered by (simulated time, event sequence number), on the goroutine
+// that called Run. All randomness comes from per-processor PRNGs seeded
+// from Config.Seed, so a run is a pure function of the program and the
+// configuration. A Machine shares nothing with other Machines; independent
+// runs may proceed on separate goroutines.
 package sim
 
 import "fmt"
@@ -74,8 +77,8 @@ type Config struct {
 	// that never call OpDone must leave it disabled.
 	WatchdogCycles int64
 	// Trace, when non-nil, receives every memory operation the engine
-	// services (it is called from the engine goroutine, in deterministic
-	// order, before the operation's effect is applied). Tracing costs no
+	// services (it is called on Run's goroutine, in deterministic order,
+	// before the operation's effect is applied). Tracing costs no
 	// simulated cycles.
 	Trace func(TraceEvent)
 	// Spans, when non-nil, receives phase-attributed time spans for every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -309,8 +310,20 @@ func TestRunTwiceFails(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, uint64) {
-		m, err := New(DefaultConfig(16))
+	type outcome struct {
+		final      int64
+		mem, trace uint64
+		procEvents string
+	}
+	run := func() outcome {
+		var o outcome
+		cfg := DefaultConfig(16)
+		cfg.Trace = func(e TraceEvent) {
+			for _, v := range []uint64{uint64(e.Time), uint64(e.Proc), uint64(e.Op), uint64(e.Addr)} {
+				o.trace = (o.trace ^ v) * 1099511628211
+			}
+		}
+		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,16 +341,15 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := uint64(0)
 		for i := Addr(0); i < 4; i++ {
-			sum = sum*31 + m.Word(a+i)
+			o.mem = o.mem*31 + m.Word(a+i)
 		}
-		return stats.FinalTime, sum
+		o.final = stats.FinalTime
+		o.procEvents = fmt.Sprint(m.ProcEvents())
+		return o
 	}
-	t1, s1 := run()
-	t2, s2 := run()
-	if t1 != t2 || s1 != s2 {
-		t.Fatalf("nondeterministic: run1=(%d,%d) run2=(%d,%d)", t1, s1, t2, s2)
+	if o1, o2 := run(), run(); o1 != o2 {
+		t.Fatalf("nondeterministic:\nrun1=%+v\nrun2=%+v", o1, o2)
 	}
 }
 

@@ -85,3 +85,21 @@ func TestBarrierPhases(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFig7Round is one round of bench/'s sim_fig7 workload — FunnelTree
+// at 256 processors, 16 priorities, the paper's 60 operations per
+// processor — for iterating on the engine's host speed in seconds.
+func BenchmarkFig7Round(b *testing.B) {
+	cfg := DefaultWorkload()
+	cfg.KeepLatencies = true
+	b.ReportAllocs()
+	var events int64
+	for b.Loop() {
+		r, err := RunWorkload(AlgFunnelTree, 256, 16, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += r.Stats.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "host-ns/event")
+}
