@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-relaxed bench-serve figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload loadtest-quick loadtest-durable loadtest-obs admin-smoke cluster-smoke
+.PHONY: all build test race bench bench-repo bench-json bench-relaxed figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload admin-smoke
 
 all: build test
 
@@ -24,14 +24,22 @@ lint: vet
 		echo "lint: staticcheck not installed, ran go vet only"; \
 	fi
 
+# bench/ is its own module, so ./... does not reach its tests.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's one benchmark (BENCHMARK.json): six workloads, end-to-end
+# and per-layer metrics, an exactly-once audit per workload. Serving-
+# stack changes are judged with its -compare; see bench/README.md.
+bench-repo:
+	bash bench/run.sh
 
 # Regenerate every table and figure of the paper at full scale.
 repro:
@@ -46,17 +54,12 @@ repro-quick:
 bench-json:
 	$(GO) run ./cmd/pqbench -json BENCH_$$(date +%Y-%m-%d).json -metrics
 
-# Serving hot-path gate: BenchmarkServeLoopback must report zero
-# allocs/op on the steady-state path and hold throughput within 10% of
-# scripts/bench_serve_baseline.json.
-bench-serve:
-	GO="$(GO)" sh ./scripts/bench_serve.sh
-
 # Relaxed frontier: MultiQueue throughput vs measured rank error over
 # c and processor count, with FunnelTree as the exact baseline. The
 # full-scale table lands in EXPERIMENTS.md; SCALE=0.25 for a quick run.
+SCALE ?= 1
 bench-relaxed:
-	GO="$(GO)" sh ./scripts/bench_relaxed.sh
+	$(GO) run ./cmd/pqbench -frontier -scale $(SCALE) -q
 
 # Every figure plus the internals metrics report and latency histograms.
 figures:
@@ -68,46 +71,18 @@ figures:
 chaos-quick:
 	$(GO) run ./cmd/pqbench -chaos -scale 0.25
 
-# The serving subsystem: the pqd daemon and its load generator.
+# The serving subsystem: the pqd daemon and its manual load tool.
 pqd:
 	$(GO) build -o bin/pqd ./cmd/pqd
 
 pqload:
 	$(GO) build -o bin/pqload ./cmd/pqload
 
-# Loopback service smoke: pqd serving a sharded FunnelTree under
-# pqload for 2s — clean drain, valid pq-bench/v1 JSON, observable
-# admission-control shedding, graceful SIGTERM exit (~seconds).
-loadtest-quick:
-	GO="$(GO)" sh ./scripts/loadtest_quick.sh
-
-# Durable vs in-memory comparison: the same pqload workload against an
-# in-memory pqd and a WAL-backed one (-fsync interval), merged into one
-# bench file; fails if durable throughput falls below half of memory.
-loadtest-durable:
-	GO="$(GO)" sh ./scripts/loadtest_durable.sh
-
-# Metrics overhead: the same workload with recording on and off; fails
-# if the metrics-on run lost more than MAX_LOSS throughput.
-loadtest-obs:
-	GO="$(GO)" sh ./scripts/loadtest_obs.sh
-
 # Admin endpoint smoke: boot pqd with -admin-addr, probe the health
-# endpoints, and assert every required /metrics family is present.
+# endpoints, assert every required /metrics family is present, and
+# require a clean exit on SIGTERM.
 admin-smoke:
 	GO="$(GO)" sh ./scripts/admin_smoke.sh
-
-# Cluster smoke: three pqd nodes sharing one cluster map under
-# cluster-routed pqload — zero lost/duplicated items cluster-wide,
-# valid per-node + aggregate pq-bench/v1 JSON, clean SIGTERM exits.
-cluster-smoke:
-	GO="$(GO)" sh ./scripts/cluster_smoke.sh
-
-# Cluster scaling curve: the same insert burst against 1-, 2- and
-# 3-node clusters of capacity-bounded nodes; fails unless the
-# aggregate burst goodput increases monotonically with node count.
-cluster-scaling:
-	GO="$(GO)" sh ./scripts/cluster_scaling.sh
 
 examples:
 	$(GO) run ./examples/quickstart

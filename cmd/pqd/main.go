@@ -86,7 +86,6 @@ func run(args []string) error {
 		adminAddr = fs.String("admin-addr", "", "admin HTTP listen address (/metrics, /healthz, /readyz, /statusz, /debug/pprof); empty disables")
 		slowOp    = fs.Duration("slow-op", 0, "warn-log queue ops slower than this (0 disables)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
-		metrics   = fs.Bool("metrics", true, "record server-side metrics (off measures recording overhead)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,14 +116,12 @@ func run(args []string) error {
 		handler = slog.DiscardHandler
 	}
 	logger := slog.New(handler)
-	logf := func(format string, a ...any) { logger.Info(fmt.Sprintf(format, a...)) }
 	srv := server.New(server.Config{
 		MaxBatch:         *maxBatch,
 		RetryAfterMillis: *retryMillis,
 		Concurrency:      *conc,
 		Logger:           logger,
 		SlowOp:           *slowOp,
-		NoMetrics:        !*metrics,
 		AllowRelaxed:     *relaxed,
 		DataDir:          *dataDir,
 		Fsync:            fsyncPolicy,
@@ -152,13 +149,13 @@ func run(args []string) error {
 		if err := srv.AddQueue(spec); err != nil {
 			return err
 		}
-		logf("pqd: queue %q: %s pris=%d shards=%d capacity=%d",
-			spec.Name, spec.Algorithm, spec.Priorities, spec.Shards, spec.Capacity)
+		logger.Info("queue added", "queue", spec.Name, "algorithm", spec.Algorithm,
+			"priorities", spec.Priorities, "shards", spec.Shards, "capacity", spec.Capacity)
 		if *dataDir != "" {
 			if st, ok := srv.QueueStats(spec.Name); ok && st.Durability != nil {
-				logf("pqd: queue %q: durable (fsync=%s, recovered=%d items, replayed=%d records, torn=%v)",
-					spec.Name, st.Durability.FsyncPolicy, st.Durability.RecoveredItems,
-					st.Durability.ReplayedRecords, st.Durability.TornTail)
+				logger.Info("queue durable", "queue", spec.Name, "fsync", st.Durability.FsyncPolicy,
+					"recovered_items", st.Durability.RecoveredItems,
+					"replayed_records", st.Durability.ReplayedRecords, "torn_tail", st.Durability.TornTail)
 			}
 		}
 	}
@@ -174,7 +171,7 @@ func run(args []string) error {
 		if err := srv.SetClusterMap(m, *clusterSelf); err != nil {
 			return err
 		}
-		logf("pqd: cluster mode: map v%d, %d nodes, self=%s", m.Version, len(m.Nodes), *clusterSelf)
+		logger.Info("cluster mode", "map_version", m.Version, "nodes", len(m.Nodes), "self", *clusterSelf)
 	} else if *clusterSelf != "" {
 		return fmt.Errorf("-cluster-self requires -cluster-map")
 	}
@@ -205,7 +202,7 @@ func run(args []string) error {
 		}
 		return err
 	case sig := <-sigs:
-		logf("pqd: %v: draining (timeout %v)", sig, *drainTimeout)
+		logger.Info("draining", "signal", sig.String(), "timeout", *drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		err := srv.Shutdown(ctx)
@@ -220,7 +217,7 @@ func run(args []string) error {
 		}
 		<-serveErr
 		if err == context.DeadlineExceeded {
-			logf("pqd: drain timeout: severed remaining connections")
+			logger.Info("drain timeout: severed remaining connections")
 			return nil
 		}
 		return err

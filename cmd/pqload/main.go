@@ -1,23 +1,23 @@
-// Command pqload is a load generator for pqd: closed-loop (every
+// Command pqload is a manual load tool for pqd: closed-loop (every
 // worker keeps one request in flight) or open-loop (a target arrival
 // rate, revealing queueing delay) insert/delete-min mixes over the
-// client library, with wall-clock latency histograms and machine-
-// readable pq-bench/v1 JSON so service runs join the same perf
-// trajectory as the simulator and native suites.
+// client library, reported as text: client-side latency summaries, the
+// server's own counters and service times, and durability and per-node
+// lines where they apply. Measured, comparable numbers come from the
+// repo benchmark (bash bench/run.sh), not from here.
 //
 // Usage:
 //
 //	pqload -addr 127.0.0.1:7070 -queue default -workers 16 -duration 5s
-//	pqload -rate 50000 -mix 0.6 -json load.json
+//	pqload -rate 50000 -mix 0.6
 //
 // With -drain (the default) pqload drains the queue after the timed
 // run and fails unless the server's insert and delete counters agree —
-// the "every admitted item came back out" smoke check CI runs.
+// every admitted item came back out.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"pq/internal/harness"
 	"pq/internal/stats"
 	"pq/pqclient"
 )
@@ -51,8 +50,6 @@ type options struct {
 	mix        float64
 	rate       float64
 	valueSize  int
-	jsonPath   string
-	appendJSON bool
 	drain      bool
 	cpuProfile string
 	memProfile string
@@ -70,8 +67,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.mix, "mix", 0.5, "insert fraction of the op mix (0..1)")
 	fs.Float64Var(&o.rate, "rate", 0, "target ops/sec across all workers (0 = closed loop)")
 	fs.IntVar(&o.valueSize, "value-size", 8, "value bytes per item (min 8; carries the item id)")
-	fs.StringVar(&o.jsonPath, "json", "", "write pq-bench/v1 JSON here (\"-\" = stdout)")
-	fs.BoolVar(&o.appendJSON, "append", false, "merge this run into an existing -json file (durable vs in-memory comparisons)")
 	fs.BoolVar(&o.drain, "drain", true, "drain the queue after the run and check conservation")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the load generator here")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocation profile here at exit")
@@ -188,8 +183,8 @@ func run(args []string, out *os.File) error {
 	}
 	pris := st0.Priorities
 
-	// Cluster mode: per-node counter baselines, so the per-node bench
-	// runs report only this run's traffic.
+	// Cluster mode: per-node counter baselines, so the per-node lines
+	// report only this run's traffic.
 	var nodeBase map[string]pqclient.QueueStats
 	if cluster != nil {
 		if nodeBase, err = cluster.NodeStats(context.Background(), o.queue); err != nil {
@@ -387,113 +382,6 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
-	if o.jsonPath != "" {
-		// A durable queue gets a distinct algorithm label ("+wal") so its
-		// run can share one service-suite file with the in-memory run —
-		// that merged file IS the durable-vs-memory comparison. A
-		// cluster run gets "pqd/cluster/..." for the aggregate plus one
-		// "@<addr>" run per node (server-side counters and service
-		// times), so the per-node balance is in the same document.
-		algLabel := "pqd/" + stFinal.Algorithm
-		if cluster != nil {
-			algLabel = "pqd/cluster/" + stFinal.Algorithm
-		}
-		internals := map[string]float64{
-			"client_sheds":       float64(total.sheds),
-			"drained":            float64(drained),
-			"server_retry_after": float64(stFinal.RetryAfter),
-			"server_shards":      float64(stFinal.Shards),
-			"server_capacity":    float64(stFinal.Capacity),
-		}
-		if l := stFinal.Latency; l != nil {
-			// The server times single and batch ops separately; report
-			// whichever path this run exercised (batch mode uses the
-			// batch frames exclusively).
-			ins, del := l.Insert, l.DeleteMin
-			if ins.Count == 0 {
-				ins = l.InsertBatch
-			}
-			if del.Count == 0 {
-				del = l.DeleteMinBatch
-			}
-			internals["server_insert_p50_ns"] = ins.P50
-			internals["server_insert_p99_ns"] = ins.P99
-			internals["server_delete_p50_ns"] = del.P50
-			internals["server_delete_p99_ns"] = del.P99
-		}
-		if d := stFinal.Durability; d != nil {
-			algLabel += "+wal"
-			internals["wal_appends"] = float64(d.Appends)
-			internals["wal_fsyncs"] = float64(d.Fsyncs)
-			internals["wal_bytes"] = float64(d.WALBytes)
-			internals["wal_segments"] = float64(d.Segments)
-			internals["wal_snapshots"] = float64(d.Snapshots)
-			if d.FsyncLatency != nil {
-				internals["wal_fsync_p99_ns"] = d.FsyncLatency.P99
-				internals["wal_group_commit_p50"] = d.GroupCommit.P50
-			}
-		}
-		if cluster != nil {
-			m := cluster.Map()
-			internals["cluster_nodes"] = float64(len(m.Nodes))
-			internals["cluster_map_version"] = float64(m.Version)
-			var mis int64
-			for _, e := range nodeEnd {
-				if e.Cluster != nil {
-					mis += e.Cluster.Misroutes
-				}
-			}
-			internals["cluster_misroutes"] = float64(mis)
-			internals["cluster_stash"] = float64(cluster.Stashed())
-		}
-		run := harness.BenchRun{
-			Algorithm:           algLabel,
-			Procs:               o.workers,
-			Inserts:             total.acked,
-			Deletes:             total.deletes,
-			FailedDeletes:       total.empties,
-			ThroughputOpsPerSec: thr,
-			Insert:              harness.LatencyFromSummary(insSum),
-			Delete:              harness.LatencyFromSummary(delSum),
-			Internals:           internals,
-		}
-		bf := &harness.BenchFile{
-			Schema:     harness.BenchSchema,
-			Suite:      harness.SuiteService,
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			Procs:      o.workers,
-			Priorities: pris,
-			Scale:      1,
-		}
-		if o.appendJSON && o.jsonPath != "-" {
-			if prev, err := os.ReadFile(o.jsonPath); err == nil {
-				if err := json.Unmarshal(prev, bf); err != nil {
-					return fmt.Errorf("-append: %s is not a bench file: %w", o.jsonPath, err)
-				}
-				bf.Generated = time.Now().UTC().Format(time.RFC3339)
-			} else if !os.IsNotExist(err) {
-				return fmt.Errorf("-append: %w", err)
-			}
-		}
-		bf.Runs = append(bf.Runs, run)
-		if cluster != nil {
-			bf.Runs = append(bf.Runs, clusterNodeRuns(cluster, nodeBase, nodeEnd, elapsed, o.workers)...)
-		}
-		if err := bf.Validate(); err != nil {
-			return fmt.Errorf("generated JSON does not validate: %w", err)
-		}
-		data, err := json.MarshalIndent(bf, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if o.jsonPath == "-" {
-			out.Write(data)
-		} else if err := os.WriteFile(o.jsonPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-
 	// Clean-drain assertion: after draining, everything the server
 	// admitted must have been deleted exactly once (count-level; the
 	// per-item check lives in the server's e2e test).
@@ -504,63 +392,6 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	return nil
-}
-
-// clusterNodeRuns builds one bench run per cluster node from the
-// server-side counter deltas of the timed phase. Op counts are the
-// node's admitted/served totals (which include cluster-client put-back
-// re-inserts — they are real server work); the latency quantiles are
-// the node's service-time distributions, with the record counts pinned
-// to the op counters so the document validates like any service run.
-func clusterNodeRuns(cluster *pqclient.ClusterClient, base, end map[string]pqclient.QueueStats, elapsed time.Duration, workers int) []harness.BenchRun {
-	var runs []harness.BenchRun
-	for _, n := range cluster.Map().Nodes {
-		b, e := base[n.Addr], end[n.Addr]
-		ins := int(e.Inserts - b.Inserts)
-		del := int(e.Deletes - b.Deletes)
-		emp := int(e.EmptyDeletes - b.EmptyDeletes)
-		if ins+del+emp == 0 {
-			continue // node saw no traffic; an empty run would not validate
-		}
-		insLat := harness.BenchLatency{Count: ins}
-		delLat := harness.BenchLatency{Count: del + emp}
-		if l := e.Latency; l != nil {
-			id, dd := l.Insert, l.DeleteMin
-			if id.Count == 0 {
-				id = l.InsertBatch
-			}
-			if dd.Count == 0 {
-				dd = l.DeleteMinBatch
-			}
-			insLat.Mean, insLat.P50, insLat.P90, insLat.P99 = id.Mean, id.P50, id.P90, id.P99
-			insLat.P95, insLat.Max = id.P99, id.P99
-			delLat.Mean, delLat.P50, delLat.P90, delLat.P99 = dd.Mean, dd.P50, dd.P90, dd.P99
-			delLat.P95, delLat.Max = dd.P99, dd.P99
-		}
-		internals := map[string]float64{
-			"server_retry_after": float64(e.RetryAfter - b.RetryAfter),
-			"server_shards":      float64(e.Shards),
-		}
-		if e.Cluster != nil {
-			internals["cluster_misroutes"] = float64(e.Cluster.Misroutes)
-		}
-		alg := e.Algorithm
-		if e.Durability != nil {
-			alg += "+wal"
-		}
-		runs = append(runs, harness.BenchRun{
-			Algorithm:           "pqd/" + alg + "@" + n.Addr,
-			Procs:               workers,
-			Inserts:             ins,
-			Deletes:             del,
-			FailedDeletes:       emp,
-			ThroughputOpsPerSec: float64(ins+del+emp) / elapsed.Seconds(),
-			Insert:              insLat,
-			Delete:              delLat,
-			Internals:           internals,
-		})
-	}
-	return runs
 }
 
 func putID(b []byte, id uint64) {

@@ -1,14 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"io"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pq"
-	"pq/internal/harness"
 	"pq/internal/server"
 )
 
@@ -36,8 +35,8 @@ func TestParseFlagsValidation(t *testing.T) {
 }
 
 // TestLoadAgainstLoopbackServer runs the whole generator against an
-// in-process server: timed phase, drain phase, JSON emission — the
-// same path the CI smoke step exercises through the built binaries.
+// in-process server — timed phase, drain phase, report — and checks
+// the report's lines and the clean-drain exit status.
 func TestLoadAgainstLoopbackServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed load run")
@@ -63,31 +62,36 @@ func TestLoadAgainstLoopbackServer(t *testing.T) {
 		t.Fatal("server did not start")
 	}
 
-	jsonPath := filepath.Join(t.TempDir(), "load.json")
-	err := run([]string{
-		"-addr", addr, "-workers", "4", "-conns", "2",
-		"-duration", "500ms", "-json", jsonPath,
-	}, os.Stdout)
+	report, err := os.CreateTemp(t.TempDir(), "report")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	data, err := os.ReadFile(jsonPath)
+	defer report.Close()
+	if err := run([]string{
+		"-addr", addr, "-workers", "4", "-conns", "2", "-duration", "500ms",
+	}, report); err != nil {
+		t.Fatalf("run = %v, want a clean drain", err)
+	}
+	if _, err := report.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(report)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := harness.ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{
+		"pqload: " + addr + " default: 4 workers",
+		"ops/sec", "closed-loop=true mix=0.50",
+		"inserts", "deletes", "insert ns", "delete ns",
+		"server       inserts=", "size=0",
+		"server ns    insert p50=",
+	} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("report lacks %q:\n%s", want, data)
+		}
 	}
-	if bf.Suite != harness.SuiteService {
-		t.Fatalf("suite = %q", bf.Suite)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw["suite"] != "service" {
-		t.Fatalf("serialized suite = %v", raw["suite"])
+	st, _ := srv.QueueStats("default")
+	if st.Inserts == 0 || st.Inserts != st.Deletes {
+		t.Fatalf("server after the run: inserts=%d deletes=%d, want equal and non-zero", st.Inserts, st.Deletes)
 	}
 }

@@ -9,23 +9,21 @@ import (
 )
 
 // BenchSchema identifies the machine-readable benchmark format emitted
-// by `pqbench -json`, `pqnative -json` and `pqload -json`. Bump the
+// by `pqbench -json` and `pqnative -json`. Bump the
 // version on any incompatible change so downstream tooling can fail
 // loudly instead of misreading fields.
 const BenchSchema = "pq-bench/v1"
 
 // Suite kinds: where a document's measurements come from. They share
-// the schema so service and native runs join the same perf trajectory
-// as the simulator's, but the validator holds each kind to the
-// invariants it can actually promise.
+// the schema so native runs join the same perf trajectory as the
+// simulator's, but the validator holds each kind to the invariants it
+// can actually promise. (Service measurements live in bench/.)
 const (
 	// SuiteSim is the deterministic simulator suite (`pqbench -json`,
 	// the default when the field is absent).
 	SuiteSim = "sim"
 	// SuiteNative is the wall-clock host suite (`pqnative -json`).
 	SuiteNative = "native"
-	// SuiteService is the pqd loopback/service suite (`pqload -json`).
-	SuiteService = "service"
 )
 
 // BenchFile is the top-level document: one standard-workload run per
@@ -200,8 +198,8 @@ func RunBenchSuiteAlgs(algs []simpq.Algorithm, procs, pris int, scale float64, b
 // Validate checks the document for structural problems: wrong schema
 // or suite, missing algorithms, or runs with impossible totals. Each
 // suite kind is held to the invariants it can promise: sim runs carry
-// simulator totals and cover every algorithm; native and service runs
-// carry wall-clock throughput instead.
+// simulator totals and cover every algorithm; native runs carry
+// wall-clock throughput instead.
 func (bf *BenchFile) Validate() error {
 	if bf.Schema != BenchSchema {
 		return fmt.Errorf("schema = %q, want %q", bf.Schema, BenchSchema)
@@ -211,7 +209,7 @@ func (bf *BenchFile) Validate() error {
 		suite = SuiteSim
 	}
 	switch suite {
-	case SuiteSim, SuiteNative, SuiteService:
+	case SuiteSim, SuiteNative:
 	default:
 		return fmt.Errorf("unknown suite %q", bf.Suite)
 	}

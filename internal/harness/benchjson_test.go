@@ -73,7 +73,7 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
-// TestValidateSuiteKinds exercises the native/service validation
+// TestValidateSuiteKinds exercises the native-suite validation
 // rules: per-run procs allow repeated algorithms, wall-clock
 // throughput is required, and sim-only checks are skipped.
 func TestValidateSuiteKinds(t *testing.T) {
@@ -118,13 +118,6 @@ func TestValidateSuiteKinds(t *testing.T) {
 	mismatch.Runs = []BenchRun{r}
 	if err := mismatch.Validate(); err == nil {
 		t.Error("latency/op count mismatch accepted")
-	}
-
-	svc := *bf
-	svc.Suite = SuiteService
-	svc.Runs = []BenchRun{run(8)}
-	if err := svc.Validate(); err != nil {
-		t.Fatalf("service suite rejected: %v", err)
 	}
 
 	bogus := *bf

@@ -89,13 +89,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // statuszDoc is the /statusz JSON shape.
 type statuszDoc struct {
-	Addr         string   `json:"addr,omitempty"`
-	Uptime       string   `json:"uptime"`
-	GoVersion    string   `json:"go_version"`
-	NumGoroutine int      `json:"num_goroutine"`
-	ConnsActive  int64    `json:"conns_active"`
-	Ready        bool     `json:"ready"`
-	ReadyErr     string   `json:"ready_err,omitempty"`
+	Addr         string `json:"addr,omitempty"`
+	Uptime       string `json:"uptime"`
+	GoVersion    string `json:"go_version"`
+	NumGoroutine int    `json:"num_goroutine"`
+	ConnsActive  int64  `json:"conns_active"`
+	Ready        bool   `json:"ready"`
+	ReadyErr     string `json:"ready_err,omitempty"`
 	// Cluster is present when the server runs with a cluster map: the
 	// full versioned map, this node's identity, and its misroute count.
 	Cluster *wire.ClusterStats `json:"cluster,omitempty"`
@@ -172,10 +172,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	sort.Slice(queues, func(i, j int) bool { return queues[i].spec.Name < queues[j].spec.Name })
 	for _, q := range queues {
-		qs := quStat{QueueStats: q.stats()}
-		if q.met != nil {
-			qs.SlowOps = q.met.slowOps.Load()
-		}
+		qs := quStat{QueueStats: q.stats(), SlowOps: q.met.slowOps.Load()}
 		for _, it := range q.peek(items) {
 			qs.Items = append(qs.Items, itemPreview{
 				Pri: it.Pri, Bytes: len(it.Value), Value: previewValue(it.Value)})

@@ -205,34 +205,6 @@ func TestAdminMetricsDurable(t *testing.T) {
 	}
 }
 
-func TestNoMetricsDisablesRecording(t *testing.T) {
-	srv, addr := startServerCfg(t, Config{Concurrency: 4, NoMetrics: true},
-		QueueSpec{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 4})
-	ctx := context.Background()
-	cl := dialClient(t, addr)
-	if err := cl.Insert(ctx, "q", 1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.Stats(ctx, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Latency != nil {
-		t.Fatalf("NoMetrics server still reports latency stats: %+v", st.Latency)
-	}
-
-	// The endpoint still serves; queue gauges survive.
-	ts := httptest.NewServer(srv.AdminHandler())
-	defer ts.Close()
-	code, body := adminGet(t, ts, "/metrics")
-	if code != 200 || !strings.Contains(body, `pq_queue_size{queue="q"} 1`) {
-		t.Fatalf("NoMetrics /metrics lost queue gauges: %d\n%s", code, body)
-	}
-	if strings.Contains(body, "pq_queue_op_latency_seconds_bucket") {
-		t.Fatal("NoMetrics /metrics still renders latency histograms")
-	}
-}
-
 // startServerCfg is startServer with a caller-supplied base config.
 func startServerCfg(t *testing.T, cfg Config, specs ...QueueSpec) (*Server, string) {
 	t.Helper()

@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"flag"
 	"io"
 	"net"
+	"runtime/debug"
 	"testing"
 
 	"pq"
@@ -16,8 +18,8 @@ import (
 // driver speaks raw, pre-encoded wire frames (no client library, no
 // per-op allocation on the driver side), so the reported allocs/op is
 // the serving path's own budget: reader, decode, queue mutation,
-// response encode, flush. `make bench-serve` gates on it staying at
-// zero for the in-memory insert/delete-min path.
+// response encode, flush. TestServeLoopbackZeroAlloc gates on it
+// staying at zero for the in-memory insert/delete-min path.
 //
 // Sub-benchmarks:
 //
@@ -25,10 +27,49 @@ import (
 //	pipelined16     depth-16 pipeline (8 inserts + 8 deletes per iter)
 //	pipelined16_4k  same, with 4 KiB values (exercises the zero-copy
 //	                large-value response path)
+var serveLoopbackCases = []struct {
+	name             string
+	pairs, valueSize int
+}{
+	{"insert_delete", 1, 16},
+	{"pipelined16", 8, 16},
+	{"pipelined16_4k", 8, 4096},
+}
+
 func BenchmarkServeLoopback(b *testing.B) {
-	b.Run("insert_delete", func(b *testing.B) { benchServeLoopback(b, 1, 16) })
-	b.Run("pipelined16", func(b *testing.B) { benchServeLoopback(b, 8, 16) })
-	b.Run("pipelined16_4k", func(b *testing.B) { benchServeLoopback(b, 8, 4096) })
+	for _, c := range serveLoopbackCases {
+		b.Run(c.name, func(b *testing.B) { benchServeLoopback(b, c.pairs, c.valueSize) })
+	}
+}
+
+// TestServeLoopbackZeroAlloc is the zero-allocation contract of the
+// serving path: every BenchmarkServeLoopback sub-benchmark must report
+// exactly 0 allocs/op. The race detector makes sync.Pool drop items at
+// random, so the count only means something without it.
+func TestServeLoopbackZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timed benchmark run")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under the race detector")
+			}
+		}
+	}
+	benchtime := flag.Lookup("test.benchtime").Value
+	defer benchtime.Set(benchtime.String())
+	benchtime.Set("300ms")
+	for _, c := range serveLoopbackCases {
+		r := testing.Benchmark(func(b *testing.B) { benchServeLoopback(b, c.pairs, c.valueSize) })
+		if r.N == 0 {
+			t.Fatalf("%s: benchmark failed", c.name)
+		}
+		t.Logf("%s: %d iterations, %d mallocs, %.0f ns/req", c.name, r.N, r.MemAllocs, r.Extra["ns/req"])
+		if r.AllocsPerOp() != 0 {
+			t.Errorf("%s: %d allocs/op (%d mallocs over %d iterations), want 0", c.name, r.AllocsPerOp(), r.MemAllocs, r.N)
+		}
+	}
 }
 
 // benchServeLoopback drives pairs insert/delete pairs per iteration

@@ -632,7 +632,7 @@ func TestCrossShardRankMerged(t *testing.T) {
 
 	// Popping shard 0 dry removes the better-band mass: later pops from
 	// shard 2 are charged only shard 1's occupancy.
-	q.rankPopped(0, 5)
+	q.occAdd(0, -5)
 	q.rankRecord(2, 1)
 	rs2, _ := q.relaxStats()
 	if got := rs2.RankSum - rs.RankSum; got != 2 {
@@ -642,13 +642,13 @@ func TestCrossShardRankMerged(t *testing.T) {
 	// The estimator reaches the wire: stats v4 of a real traffic run
 	// keeps RankSum >= the within-shard sum (never understates).
 	for i := 0; i < 64; i++ {
-		if st, err := q.insert(wire.Item{Pri: uint32(i % 32), Value: []byte{byte(i)}}); st != insOK || err != nil {
-			t.Fatalf("insert: %v %v", st, err)
+		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 32), Value: []byte{byte(i)}}}); n != 1 || err != nil {
+			t.Fatalf("insert: %v %v", n, err)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		if _, ok, err := q.deleteMin(); !ok || err != nil {
-			t.Fatalf("deleteMin %d: ok=%v err=%v", i, ok, err)
+		if envs, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
+			t.Fatalf("pop %d: %d items err=%v", i, len(envs), err)
 		}
 	}
 	within := int64(0)
@@ -660,6 +660,30 @@ func TestCrossShardRankMerged(t *testing.T) {
 	final, _ := q.relaxStats()
 	if final.RankSum < within {
 		t.Fatalf("merged RankSum %d below within-shard sum %d", final.RankSum, within)
+	}
+}
+
+// TestClusterCapacityAddsUp: admission is per node, so a cluster of n
+// capacity-bounded nodes admits n times what one node does before it
+// sheds — the property the insert-burst goodput curve rested on.
+func TestClusterCapacityAddsUp(t *testing.T) {
+	const pris, perNode = 48, 20
+	for n := 1; n <= 3; n++ {
+		spec := QueueSpec{Name: "jobs", Algorithm: pq.FunnelTree, Priorities: pris, Shards: 2, Capacity: perNode}
+		_, servers, _ := startCluster(t, n, spec)
+		cc := dialCluster(t, mustMap(t, servers[0]), func(cfg *pqclient.ClusterConfig) { cfg.MaxRetries = -1 })
+		admitted := 0
+		for i := 0; i < 3*n*perNode; i++ {
+			switch err := cc.Insert(context.Background(), "jobs", i%pris, []byte{byte(i)}); {
+			case err == nil:
+				admitted++
+			case !isOverload(err):
+				t.Fatalf("%d nodes: insert %d: %v", n, i, err)
+			}
+		}
+		if admitted != n*perNode {
+			t.Fatalf("%d nodes of capacity %d admitted %d items, want %d", n, perNode, admitted, n*perNode)
+		}
 	}
 }
 

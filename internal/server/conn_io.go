@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 
-	"pq/internal/obs"
 	"pq/internal/wire"
 )
 
@@ -40,16 +39,8 @@ const (
 	respChunkSize = 32 << 10
 )
 
-// buffersWriter is the vectored-write fast path a respWriter probes its
-// destination for. countingWriter implements it by forwarding, so the
-// metrics tap does not add a syscall per buffer.
-type buffersWriter interface {
-	WriteBuffers(*net.Buffers) (int64, error)
-}
-
 type respWriter struct {
-	dst  io.Writer
-	vdst buffersWriter // dst's vectored path, nil if it has none
+	dst *countingWriter
 
 	bufs    net.Buffers // completed iovecs, in write order
 	cur     []byte      // open scratch chunk (pooled), appended to in place
@@ -58,8 +49,8 @@ type respWriter struct {
 	done    int         // bytes across bufs (excludes cur)
 	flushes int64       // vectored flushes issued (the syscall count proxy)
 	err     error       // sticky write error
-	// vscratch is the reusable iovec copy handed to WriteTo/WriteBuffers,
-	// which consume the slice they're given. A struct field rather than a
+	// vscratch is the reusable iovec copy handed to WriteBuffers, which
+	// consumes the slice it is given. A struct field rather than a
 	// local so taking its address doesn't force a heap escape per flush.
 	vscratch net.Buffers
 	// spare holds scratch chunks retained across flushes. Splice-heavy
@@ -67,14 +58,17 @@ type respWriter struct {
 	// the writer makes that churn connection-local instead of a burst of
 	// same-class pool traffic.
 	spare [][]byte
+	// envs carries one pop's envelopes from the queue to the response
+	// encoder (handlePop); kept here so the path reuses one slice per
+	// connection.
+	envs [][]byte
 }
 
 var respWriterPool = sync.Pool{New: func() any { return new(respWriter) }}
 
-func getRespWriter(dst io.Writer) *respWriter {
+func getRespWriter(dst *countingWriter) *respWriter {
 	w := respWriterPool.Get().(*respWriter)
 	w.dst = dst
-	w.vdst, _ = dst.(buffersWriter)
 	w.err = nil
 	w.flushes = 0
 	return w
@@ -128,7 +122,7 @@ func (w *respWriter) release() {
 	}
 	w.bufs = w.bufs[:0]
 	w.done = 0
-	w.dst, w.vdst = nil, nil
+	w.dst = nil
 	respWriterPool.Put(w)
 }
 
@@ -251,12 +245,7 @@ func (w *respWriter) flush() error {
 	// save preserves the full-capacity header across that consumption.
 	w.vscratch = append(w.vscratch[:0], w.bufs...)
 	save := w.vscratch
-	var err error
-	if w.vdst != nil {
-		_, err = w.vdst.WriteBuffers(&w.vscratch)
-	} else {
-		_, err = w.vscratch.WriteTo(w.dst)
-	}
+	_, err := w.dst.WriteBuffers(&w.vscratch)
 	for i := range save {
 		save[i] = nil
 	}
@@ -296,96 +285,4 @@ func getConnReader(src io.Reader) *bufio.Reader {
 func putConnReader(br *bufio.Reader) {
 	br.Reset(nil) // drop the connection reference before pooling
 	connReaderPool.Put(br)
-}
-
-// envsPool recycles the envelope slices that carry DeleteMinBatch
-// results from the queue to the response encoder.
-var envsPool = sync.Pool{
-	New: func() any { s := make([][]byte, 0, 64); return &s },
-}
-
-func getEnvs() *[][]byte { return envsPool.Get().(*[][]byte) }
-
-func putEnvs(s *[][]byte) {
-	for i := range *s {
-		(*s)[i] = nil
-	}
-	*s = (*s)[:0]
-	envsPool.Put(s)
-}
-
-// Metric-tap fast-path forwarding (see countingReader/countingWriter in
-// server.go): the taps exist to count bytes, not to hide the runtime's
-// splice/sendfile/writev paths, so each forwards the corresponding
-// interface to the wrapped stream when it offers one.
-
-// WriteTo forwards the underlying reader's io.WriterTo (splice) when
-// present, counting the bytes moved.
-func (cr *countingReader) WriteTo(dst io.Writer) (int64, error) {
-	if wt, ok := cr.r.(io.WriterTo); ok {
-		n, err := wt.WriteTo(dst)
-		if n > 0 {
-			cr.n.Add(cr.hint, n)
-		}
-		return n, err
-	}
-	return copyCounted(dst, cr.r, cr.n, cr.hint)
-}
-
-// ReadFrom forwards the underlying writer's io.ReaderFrom (sendfile /
-// splice) when present, counting the bytes moved.
-func (cw *countingWriter) ReadFrom(src io.Reader) (int64, error) {
-	if rf, ok := cw.w.(io.ReaderFrom); ok {
-		n, err := rf.ReadFrom(src)
-		if n > 0 {
-			cw.n.Add(cw.hint, n)
-		}
-		return n, err
-	}
-	return copyCounted(cw.w, src, cw.n, cw.hint)
-}
-
-// WriteBuffers forwards a vectored write to the underlying connection —
-// net.Buffers' own writev fast path only triggers on a raw *net.TCPConn,
-// so the tap must pass the whole batch through rather than surface as a
-// plain io.Writer and degrade it to one syscall per buffer.
-func (cw *countingWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	n, err := bufs.WriteTo(cw.w)
-	if n > 0 {
-		cw.n.Add(cw.hint, n)
-	}
-	return n, err
-}
-
-// copyCounted is the fallback for wrapped streams with no fast path:
-// a plain copy loop through a pooled buffer, counted.
-func copyCounted(dst io.Writer, src io.Reader, c *obs.Counter, hint uint64) (int64, error) {
-	buf := wire.GetBuf(32 << 10)
-	b := buf[:cap(buf)]
-	var total int64
-	for {
-		n, rerr := src.Read(b)
-		if n > 0 {
-			wn, werr := dst.Write(b[:n])
-			if wn > 0 {
-				total += int64(wn)
-				c.Add(hint, int64(wn))
-			}
-			if werr != nil {
-				wire.PutBuf(buf)
-				return total, werr
-			}
-			if wn < n {
-				wire.PutBuf(buf)
-				return total, io.ErrShortWrite
-			}
-		}
-		if rerr != nil {
-			wire.PutBuf(buf)
-			if rerr == io.EOF {
-				rerr = nil
-			}
-			return total, rerr
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"pq"
 	"pq/internal/wal"
-	"pq/internal/wire"
 )
 
 // Durable serving: when a queue has a WAL attached, every mutation is
@@ -18,14 +17,14 @@ import (
 // hit the shards.
 //
 // Tagged-value layout: in-memory queues store pri(4)+value; durable
-// queues store pri(4)+id(8)+value. The priority prefix stays first so
-// the shared putBack/shardFor helpers work on either layout.
+// queues store pri(4)+id(8)+value (servedQueue.tag). The priority
+// prefix stays first so putBackN and shardFor work on either layout.
 //
 // Append failures: a write or fsync error poisons the log (wal.
 // ErrPoisoned) — the failed record's bytes may still reach disk via
-// the page cache, so its in-memory rollback below cannot be trusted to
-// match post-crash replay. The log therefore refuses every subsequent
-// append, which makes each durable path here fail from then on: the
+// the page cache, so the in-memory rollback in insertN/popN cannot be
+// trusted to match post-crash replay. The log therefore refuses every
+// subsequent append, which makes every mutation fail from then on: the
 // queue stops serving mutations and the divergence window collapses to
 // the NACKed (outcome-indeterminate) operations themselves. Rolled-back
 // items are never delivered afterwards, so no client observes state
@@ -37,9 +36,12 @@ const durTagLen = 12
 // attachWAL wires a recovered log into a freshly built queue: the
 // recovered live-item multiset is bulk-loaded into the shards (taking
 // admission slots, since those items occupy capacity) and subsequent
-// operations go through the durable paths. Must be called before the
-// queue serves traffic.
+// operations journal to it. Must be called before the queue serves
+// traffic.
 func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) error {
+	q.wal = l
+	q.tagLen = durTagLen
+	q.snapEvery = snapEvery
 	byShard := make(map[int][]pq.Item[[]byte])
 	for _, it := range rec.Items {
 		pri := int(it.Pri)
@@ -48,11 +50,8 @@ func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) err
 				q.spec.Name, it.ID, pri, q.spec.Priorities)
 		}
 		s := q.shardFor(pri)
-		byShard[s] = append(byShard[s], pq.Item[[]byte]{Pri: pri - q.bases[s], Val: durTag(it.ID, it.Pri, it.Value)})
+		byShard[s] = append(byShard[s], pq.Item[[]byte]{Pri: pri - q.bases[s], Val: q.tag(it.Pri, it.ID, it.Value)})
 	}
-	q.wal = l
-	q.tagLen = durTagLen
-	q.snapEvery = snapEvery
 	for s, batch := range byShard {
 		pq.InsertBatch(q.shards[s], batch)
 		q.occAdd(s, len(batch))
@@ -65,7 +64,7 @@ func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) err
 			// (since lowered) configured bound, the surplus is tracked as
 			// overflow debt: pops burn the debt before freeing counter
 			// slots, keeping admission closed until real occupancy drops
-			// below Capacity (see popCommit/popCommitN).
+			// below Capacity (see popCommitN).
 			q.admit.AddN(n)
 			if over := n - q.spec.Capacity; over > 0 {
 				q.admitOverflow.Store(over)
@@ -75,214 +74,15 @@ func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) err
 	return nil
 }
 
-// durTag builds the stored value for one durable item. The envelope is
-// a pooled buffer (recycled when the item is delivered); value may
-// alias a request payload, so the copy here is load-bearing.
-func durTag(id uint64, pri uint32, value []byte) []byte {
-	tagged := wire.GetBuf(durTagLen + len(value))
-	tagged = binary.BigEndian.AppendUint32(tagged, pri)
-	tagged = binary.BigEndian.AppendUint64(tagged, id)
-	return append(tagged, value...)
-}
+// envPri and durID read an envelope's tag (layout: servedQueue.tag).
+func envPri(env []byte) int   { return int(binary.BigEndian.Uint32(env)) }
+func durID(env []byte) uint64 { return binary.BigEndian.Uint64(env[4:12]) }
 
-func durID(tagged []byte) uint64 { return binary.BigEndian.Uint64(tagged[4:12]) }
-
-// insertDurable is the WAL insert path: reserve admission, log, then
-// store. The read-lock spans log append and shard insert so a snapshot
-// (which takes the write lock) never observes a logged-but-unstored or
-// stored-but-unlogged item.
-func (q *servedQueue) insertDurable(it wire.Item) (insertStatus, error) {
-	pri := int(it.Pri)
-	if pri < 0 || pri >= q.spec.Priorities {
-		return insBad, nil
-	}
-	if q.draining.Load() {
-		q.retryAfter.Add(1)
-		return insShed, nil
-	}
-	if q.admit != nil {
-		if prev := q.admit.BFaI(); prev >= q.spec.Capacity {
-			q.retryAfter.Add(1)
-			return insShed, nil
-		}
-	}
-	q.durMu.RLock()
-	defer q.durMu.RUnlock()
-	id := q.wal.AllocIDs(1)
-	if err := q.wal.AppendInsert([]wal.Item{{ID: id, Pri: it.Pri, Value: it.Value}}); err != nil {
-		if q.admit != nil {
-			q.admit.FaD() // release the reserved slot
-		}
-		return insErr, err
-	}
-	s := q.shardFor(pri)
-	q.shards[s].Insert(pri-q.bases[s], durTag(id, it.Pri, it.Value))
-	q.inserts.Add(1)
-	q.noteShardIns(s, 1)
-	q.occAdd(s, 1)
-	q.maybeSnapshot()
-	return insOK, nil
-}
-
-// insertBatchDurable logs the whole admitted prefix as one record, then
-// fans out to the shards' native batch inserts.
-func (q *servedQueue) insertBatchDurable(items []wire.Item) (int, error) {
-	if len(items) == 0 {
-		return 0, nil
-	}
-	if q.draining.Load() {
-		q.retryAfter.Add(int64(len(items)))
-		return 0, nil
-	}
-	accepted := len(items)
-	if q.admit != nil {
-		prev := q.admit.AddN(int64(len(items)))
-		granted := q.spec.Capacity - prev
-		if granted < 0 {
-			granted = 0
-		}
-		if granted > int64(len(items)) {
-			granted = int64(len(items))
-		}
-		accepted = int(granted)
-		if rej := len(items) - accepted; rej > 0 {
-			q.retryAfter.Add(int64(rej))
-		}
-		if accepted == 0 {
-			return 0, nil
-		}
-	}
-	q.durMu.RLock()
-	defer q.durMu.RUnlock()
-	first := q.wal.AllocIDs(accepted)
-	recs := make([]wal.Item, accepted)
-	for i, it := range items[:accepted] {
-		recs[i] = wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value}
-	}
-	if err := q.wal.AppendInsert(recs); err != nil {
-		if q.admit != nil {
-			q.admit.SubN(int64(accepted))
-		}
-		return 0, err
-	}
-	byShard := make(map[int][]pq.Item[[]byte])
-	for _, r := range recs {
-		pri := int(r.Pri)
-		s := q.shardFor(pri)
-		byShard[s] = append(byShard[s], pq.Item[[]byte]{Pri: pri - q.bases[s], Val: durTag(r.ID, r.Pri, r.Value)})
-	}
-	for s, batch := range byShard {
-		pq.InsertBatch(q.shards[s], batch)
-		q.noteShardIns(s, len(batch))
-		q.occAdd(s, len(batch))
-	}
-	q.inserts.Add(int64(accepted))
-	q.maybeSnapshot()
-	return accepted, nil
-}
-
-// deleteMinEnvDurable pops, logs the departure, then acknowledges. A
-// log failure puts the item back: nothing leaves the queue unrecorded,
-// and since the failure poisoned the log, the put-back item can never
-// be delivered later (every subsequent pop fails to log its departure).
-// Envelope ownership transfers to the caller (see deleteMinEnv).
-func (q *servedQueue) deleteMinEnvDurable() ([]byte, bool, error) {
-	q.durMu.RLock()
-	defer q.durMu.RUnlock()
-	v, si, ok := q.popRaw()
-	if !ok {
-		q.emptyDeletes.Add(1)
-		return nil, false, nil
-	}
-	if err := q.wal.AppendDelete([]uint64{durID(v)}); err != nil {
-		q.putBack(v)
-		return nil, false, err
-	}
-	q.popCommit()
-	q.noteShardDel(si, 1)
-	q.maybeSnapshot()
-	return v, true, nil
-}
-
-// deleteMinBatchDurable mirrors deleteMinBatch's shard scan and byte
-// budget, but defers the admission commit until a single delete record
-// covering every kept item is durable; a log failure puts everything
-// back un-popped. Kept envelopes are appended to envs; ownership
-// transfers to the caller exactly as with deleteMinBatch.
-func (q *servedQueue) deleteMinBatchDurable(max, budget int, envs [][]byte) ([][]byte, error) {
-	q.durMu.RLock()
-	defer q.durMu.RUnlock()
-	n0 := len(envs)
-	var (
-		ids       []uint64
-		keptShard []int             // shard index per kept item, for rollback
-		kept      []pq.Item[[]byte] // raw kept entries, aligned with keptShard
-		bytes     = 4               // item-count prefix
-	)
-	rollback := func() {
-		byShard := make(map[int][]pq.Item[[]byte])
-		for i, it := range kept {
-			byShard[keptShard[i]] = append(byShard[keptShard[i]], it)
-		}
-		for s, batch := range byShard {
-			q.putBackN(s, batch)
-		}
-	}
-	for si, sub := range q.shards {
-		want := max - (len(envs) - n0)
-		if want <= 0 {
-			break
-		}
-		got := pq.DeleteMinBatch(sub, want)
-		if len(got) == 0 {
-			continue
-		}
-		q.occAdd(si, -len(got)) // putBackN re-books anything returned
-		took := 0
-		for _, item := range got {
-			v := item.Val
-			sz := 8 + len(v) - durTagLen // pri(4) + bloblen(4) + value
-			if len(envs) > n0 && bytes+sz > budget {
-				break
-			}
-			bytes += sz
-			envs = append(envs, v)
-			ids = append(ids, durID(v))
-			kept = append(kept, item)
-			keptShard = append(keptShard, si)
-			took++
-		}
-		q.rankRecord(si, took)
-		if took < len(got) {
-			q.putBackN(si, got[took:])
-			break
-		}
-	}
-	if len(envs) == n0 {
-		q.emptyDeletes.Add(1)
-		return envs, nil
-	}
-	if err := q.wal.AppendDelete(ids); err != nil {
-		rollback()
-		return envs[:n0], err
-	}
-	q.popCommitN(len(envs) - n0)
-	for _, si := range keptShard {
-		q.noteShardDel(si, 1)
-	}
-	if len(envs)-n0 < max {
-		q.emptyDeletes.Add(1)
-	}
-	q.maybeSnapshot()
-	return envs, nil
-}
-
-// snapshot quiesces the queue (write lock: every durable operation
-// holds the read lock across its log append and shard mutation) and
-// writes the full live-item set through a non-destructive drain-style
-// iteration: each shard is popped dry via the native batch path and
-// every entry is put back, so the queue is byte-for-byte unchanged
-// afterwards.
+// snapshot quiesces the queue (write lock: insertN and popN hold the
+// read lock across their log append and shard mutation) and writes the
+// full live-item set through a non-destructive drain-style iteration:
+// each shard is popped dry via the native batch path and every entry
+// is put back, so the queue is byte-for-byte unchanged afterwards.
 // wait controls contention with an in-flight snapshot: background
 // callers skip (false), the seal path waits its turn (true) so the
 // final snapshot is never silently dropped.

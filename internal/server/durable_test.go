@@ -279,7 +279,7 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+		l, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,8 +290,8 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 	}
 	q, _, _ := open()
 	for i := 0; i < 7; i++ {
-		if st, err := q.insert(wire.Item{Pri: uint32(i % 4), Value: []byte{byte(i)}}); err != nil || st != insOK {
-			t.Fatalf("insert %d: status=%v err=%v", i, st, err)
+		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 4), Value: []byte{byte(i)}}}); err != nil || n != 1 {
+			t.Fatalf("insert %d: accepted=%d err=%v", i, n, err)
 		}
 	}
 	// Fake an in-flight background snapshot that finishes shortly; the
@@ -322,7 +322,7 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 // occupancy is back under the bound.
 func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever, Logf: t.Logf})
+	l2, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,31 +354,32 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 		t.Fatalf("admitOverflow = %d, want 2", got)
 	}
 
-	tryInsert := func() insertStatus {
+	// tryInsert reports whether one more item is admitted.
+	tryInsert := func() bool {
 		t.Helper()
-		st, err := q.insert(wire.Item{Pri: 0, Value: []byte("new")})
+		n, err := q.insertN([]wire.Item{{Pri: 0, Value: []byte("new")}})
 		if err != nil {
 			t.Fatalf("insert: %v", err)
 		}
-		return st
+		return n == 1
 	}
-	if st := tryInsert(); st != insShed {
-		t.Fatalf("insert at occupancy 5/3: status=%v, want shed", st)
+	if tryInsert() {
+		t.Fatal("insert at occupancy 5/3 admitted, want shed")
 	}
 	// A batch pop burns the two units of overflow debt without touching
 	// the counter: still 3 live, still full.
-	if items, err := q.deleteMinBatch(2, 1<<20, nil); err != nil || len(items) != 2 {
-		t.Fatalf("deleteMinBatch: %d items, err %v", len(items), err)
+	if items, err := q.popN(2, 1<<20, nil); err != nil || len(items) != 2 {
+		t.Fatalf("popN(2): %d items, err %v", len(items), err)
 	}
-	if st := tryInsert(); st != insShed {
-		t.Fatalf("insert at occupancy 3/3: status=%v, want shed", st)
+	if tryInsert() {
+		t.Fatal("insert at occupancy 3/3 admitted, want shed")
 	}
 	// One more pop drops real occupancy below the bound.
-	if _, ok, err := q.deleteMin(); err != nil || !ok {
-		t.Fatalf("deleteMin: ok=%v err=%v", ok, err)
+	if items, err := q.popN(1, 1<<20, nil); err != nil || len(items) != 1 {
+		t.Fatalf("popN(1): %d items, err %v", len(items), err)
 	}
-	if st := tryInsert(); st != insOK {
-		t.Fatalf("insert at occupancy 2/3: status=%v, want admitted", st)
+	if !tryInsert() {
+		t.Fatal("insert at occupancy 2/3 shed, want admitted")
 	}
 }
 
@@ -391,4 +392,60 @@ func TestDurableQueueNameValidation(t *testing.T) {
 			t.Errorf("durable queue name %q accepted", name)
 		}
 	}
+}
+
+// TestRolledBackPopLeavesNoRankCharge: a pop whose delete record could
+// not be logged is undone completely — the items are back in their
+// shards and the cross-shard rank estimator was never charged for a pop
+// nobody received.
+func TestRolledBackPopLeavesNoRankCharge(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, AllowRelaxed: true}
+	srv, addr, _ := startDurableServer(t, cfg, QueueSpec{
+		Name: "mq", Algorithm: pq.MultiQueue, Priorities: 32, Shards: 4})
+	c := dialRaw(t, addr)
+	for i := 0; i < 16; i++ {
+		if f := c.insert("mq", wire.Item{Pri: uint32(2 * i), Value: []byte{byte(i)}}); f.Type != wire.TInsertOK {
+			t.Fatalf("insert %d: %v", i, f.Type)
+		}
+	}
+	q := srv.lookup("mq")
+	if err := q.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rankBooks := func() [7]int64 {
+		r := q.rank
+		return [7]int64{r.pops.Load(), r.sum.Load(), r.max.Load(),
+			r.occ[0].Load(), r.occ[1].Load(), r.occ[2].Load(), r.occ[3].Load()}
+	}
+	before := rankBooks()
+	if f := c.deleteMin("mq"); f.Type != wire.TError {
+		t.Fatalf("DELETE_MIN on a closed log answered %v", f.Type)
+	}
+	if f := c.deleteMinBatch("mq", 8); f.Type != wire.TError {
+		t.Fatalf("DELETE_MIN_BATCH on a closed log answered %v", f.Type)
+	}
+	if after := rankBooks(); after != before {
+		t.Fatalf("rolled-back pops changed the rank estimator: before %v after %v", before, after)
+	}
+}
+
+// TestByteBudgetCutIsNotAnEmptyDelete: a batch pop that stops because
+// the response is full saw a non-empty queue, with or without a WAL.
+func TestByteBudgetCutIsNotAnEmptyDelete(t *testing.T) {
+	eachDurability(t, func(t *testing.T, durable bool) {
+		q, c := contractServer(t, durable, QueueSpec{
+			Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 8, Shards: 4})
+		for i := 0; i < 7; i++ {
+			it := wire.Item{Pri: uint32(i), Value: make([]byte, 300<<10)}
+			if f := c.insert("jobs", it); f.Type != wire.TInsertOK {
+				t.Fatalf("insert %d: %v", i, f.Type)
+			}
+		}
+		if got := len(c.itemsOf(c.deleteMinBatch("jobs", 64))); got == 0 || got == 7 {
+			t.Fatalf("first response delivered %d of 7 items; the byte budget never cut", got)
+		}
+		if n := q.emptyDeletes.Load(); n != 0 {
+			t.Fatalf("emptyDeletes = %d after a budget-cut pop, want 0", n)
+		}
+	})
 }

@@ -65,23 +65,42 @@ type servedQueue struct {
 	bases  []int // len Shards+1; shard i serves priorities [bases[i], bases[i+1])
 
 	// admit is the bounded fetch-and-decrement counter of the paper's
-	// Section 3.3 used as an admission semaphore: BFaI on insert (a
-	// return equal to Capacity means "full", shed), FaD on successful
-	// delete-min. nil when Capacity is 0. admitOverflow counts recovered
-	// items beyond Capacity that the clamped counter could not book
-	// (attachWAL); pops burn this debt before freeing counter slots.
+	// Section 3.3 used as an admission semaphore: a multi-unit BFaI on
+	// insert (a return equal to Capacity means "full", shed), a
+	// multi-unit FaD on successful delete-min. nil when Capacity is 0.
+	// admitOverflow counts recovered items beyond Capacity that the
+	// clamped counter could not book (attachWAL); pops burn this debt
+	// before freeing counter slots.
 	admit         *pq.Counter
 	admitOverflow atomic.Int64
 	draining      atomic.Bool
 
 	// wal, when non-nil, makes the queue durable (see durable.go).
 	// tagLen is the per-value tag prefix: 4 (priority) in memory, 12
-	// (priority + durable id) with a WAL. durMu lets snapshots quiesce
-	// the durable operation paths; snapEvery triggers automatic
+	// (priority + durable id) with a WAL. snapEvery triggers automatic
 	// snapshots every that many log records.
-	wal        *wal.Log
-	tagLen     int
-	snapEvery  int
+	wal       *wal.Log
+	tagLen    int
+	snapEvery int
+
+	// met holds the per-op latency histograms and shard counters.
+	// walMet, when non-nil, is the instrumentation hook handed to the
+	// queue's WAL.
+	met    *queueMetrics
+	walMet *obs.WALMetrics
+
+	// rank is the cross-shard rank-error estimator, allocated only for
+	// relaxed algorithms behind priority-range sharding (see crossRank).
+	rank *crossRank
+
+	// Everything above is read by every request and written at most at
+	// start-up or on rare events; everything below is written by every
+	// request. The gap keeps the two off each other's cache lines, so a
+	// counter bumped by one connection does not make another's reads of
+	// wal, tagLen or met miss.
+	_ [64]byte
+
+	// durMu lets snapshots quiesce the journal stage of insertN/popN.
 	durMu      sync.RWMutex
 	snapActive atomic.Bool
 
@@ -90,16 +109,6 @@ type servedQueue struct {
 	emptyDeletes atomic.Int64
 	retryAfter   atomic.Int64
 	durErrors    atomic.Int64
-
-	// met holds the per-op latency histograms and shard counters; nil
-	// when the server runs with Config.NoMetrics. walMet, when non-nil,
-	// is the instrumentation hook handed to the queue's WAL.
-	met    *queueMetrics
-	walMet *obs.WALMetrics
-
-	// rank is the cross-shard rank-error estimator, allocated only for
-	// relaxed algorithms behind priority-range sharding (see crossRank).
-	rank *crossRank
 }
 
 // crossRank corrects the documented understatement of per-shard rank
@@ -142,11 +151,11 @@ func (r *crossRank) extraBelow(shard int) int64 {
 }
 
 // rankRecord charges n pops served from shard with the current
-// better-band occupancy, without touching occupancy itself (for
-// callers that account occupancy separately, like the batch paths).
+// better-band occupancy. Occupancy itself is booked where items enter
+// and leave the shards (occAdd).
 func (q *servedQueue) rankRecord(shard, n int) {
 	r := q.rank
-	if r == nil || n <= 0 {
+	if r == nil {
 		return
 	}
 	extra := r.extraBelow(shard)
@@ -163,21 +172,11 @@ func (q *servedQueue) rankRecord(shard, n int) {
 	}
 }
 
-// rankPopped records n pops served from shard and removes them from
-// its occupancy, charging each with the current better-band occupancy.
-func (q *servedQueue) rankPopped(shard, n int) {
-	if q.rank == nil || n <= 0 {
-		return
-	}
-	q.rankRecord(shard, n)
-	q.rank.occ[shard].Add(int64(-n))
-}
-
 func newServedQueue(spec QueueSpec, concurrency int) (*servedQueue, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	q := &servedQueue{spec: spec, tagLen: 4}
+	q := &servedQueue{spec: spec, tagLen: 4, met: newQueueMetrics(concurrency, spec.Shards)}
 	q.bases = make([]int, spec.Shards+1)
 	for i := 0; i <= spec.Shards; i++ {
 		q.bases[i] = i * spec.Priorities / spec.Shards
@@ -219,86 +218,116 @@ func (q *servedQueue) shardFor(pri int) int {
 	return lo - 1
 }
 
-// insertStatus reports how one insert resolved.
-type insertStatus int
+// shardRun is n consecutive envelopes of a pop, all taken from shard.
+type shardRun struct{ shard, n int }
 
-const (
-	insOK   insertStatus = iota // admitted
-	insShed                     // shed by admission control or drain
-	insBad                      // priority out of range (protocol error)
-	insErr                      // durability failure (TError, not shed)
-)
+// shardGroups is insertN's reusable grouping scratch: one item list per
+// shard, every list empty between uses. One pool serves all queues: a
+// scratch grows to the widest queue that used it.
+type shardGroups struct{ by [][]pq.Item[[]byte] }
 
-// insert admits and stores one item. Values are stored with a 4-byte
-// global-priority tag so deleteMin can report the priority it served
-// (the native queues only return the value). The envelope comes from
-// the wire buffer pool — it.Value may alias a request payload that is
-// recycled the moment this returns, so the copy here is load-bearing.
-func (q *servedQueue) insert(it wire.Item) (insertStatus, error) {
-	if q.wal != nil {
-		return q.insertDurable(it)
+var groupsPool sync.Pool // *shardGroups
+
+// tag builds the envelope a shard stores for one item: the 4-byte
+// global priority (so a pop can report the priority it served — the
+// native queues only return the value), the 8-byte durable id on a
+// queue with a WAL, then the value. The envelope comes from the wire
+// buffer pool — value may alias a request payload that is recycled the
+// moment the request returns, so the copy here is load-bearing.
+func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
+	env := wire.GetBuf(q.tagLen + len(value))
+	env = binary.BigEndian.AppendUint32(env, pri)
+	if q.tagLen == durTagLen {
+		env = binary.BigEndian.AppendUint64(env, id)
 	}
-	pri := int(it.Pri)
-	if pri < 0 || pri >= q.spec.Priorities {
-		return insBad, nil
+	return append(env, value...)
+}
+
+// insertN admits and stores items, whose priorities the frame handler
+// has already validated, and reports how many were accepted; the rest
+// were shed. It is the one insert path — a single INSERT is n = 1 — run
+// as one pipeline: drain check → admit → journal → store → commit.
+//
+// Admit reserves slots with one multi-unit bounded increment, so the
+// accepted items are a prefix. Journal (queues with a WAL only) logs
+// that prefix as one record before anything is stored; the read-lock
+// spans the append and the shard inserts so a snapshot (which takes the
+// write lock) never observes a logged-but-unstored or
+// stored-but-unlogged item. If the append fails the reservation is
+// released and the queue is exactly as before the call. In-memory
+// queues take no lock and allocate nothing for n = 1.
+func (q *servedQueue) insertN(items []wire.Item) (int, error) {
+	n := len(items)
+	if n == 0 {
+		return 0, nil
 	}
 	if q.draining.Load() {
-		q.retryAfter.Add(1)
-		return insShed, nil
+		q.retryAfter.Add(int64(n))
+		return 0, nil
 	}
 	if q.admit != nil {
-		if prev := q.admit.BFaI(); prev >= q.spec.Capacity {
-			q.retryAfter.Add(1)
-			return insShed, nil
+		// AddN clamps at Capacity and returns the previous value, so the
+		// grant is exactly the slots the counter actually took.
+		granted := int(min(max(q.spec.Capacity-q.admit.AddN(int64(n)), 0), int64(n)))
+		if granted < n {
+			q.retryAfter.Add(int64(n - granted))
+		}
+		if n = granted; n == 0 {
+			return 0, nil
 		}
 	}
-	tagged := wire.GetBuf(4 + len(it.Value))
-	tagged = binary.BigEndian.AppendUint32(tagged, it.Pri)
-	tagged = append(tagged, it.Value...)
-	s := q.shardFor(pri)
-	q.shards[s].Insert(pri-q.bases[s], tagged)
-	q.inserts.Add(1)
-	q.noteShardIns(s, 1)
-	q.occAdd(s, 1)
-	return insOK, nil
-}
-
-// noteShardIns / noteShardDel feed the per-shard routing counters; both
-// are no-ops when metrics are off.
-func (q *servedQueue) noteShardIns(shard, n int) {
-	if q.met != nil && n > 0 {
-		q.met.shardIns[shard].Add(int64(n))
-	}
-}
-
-func (q *servedQueue) noteShardDel(shard, n int) {
-	if q.met != nil && n > 0 {
-		q.met.shardDel[shard].Add(int64(n))
-	}
-}
-
-// popRaw removes the most urgent tagged entry from the shards without
-// touching the admission counter or serving stats, reporting which
-// shard served it; callers either commit the removal with popCommit or
-// undo it with putBack.
-func (q *servedQueue) popRaw() ([]byte, int, bool) {
-	for si, sub := range q.shards {
-		if v, ok := sub.DeleteMin(); ok {
-			q.rankPopped(si, 1)
-			return v, si, true
+	var first uint64 // durable id of items[0]; the rest follow in order
+	if q.wal != nil {
+		q.durMu.RLock()
+		defer q.durMu.RUnlock()
+		first = q.wal.AllocIDs(n)
+		var buf [8]wal.Item
+		recs := buf[:0]
+		for i, it := range items[:n] {
+			recs = append(recs, wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value})
+		}
+		if err := q.wal.AppendInsert(recs); err != nil {
+			if q.admit != nil {
+				q.admit.SubN(int64(n))
+			}
+			return 0, err
 		}
 	}
-	return nil, 0, false
-}
-
-// putBack returns an entry taken by popRaw to its shard. Since popRaw
-// touched nothing but the shard, this fully reverses it — shards have
-// no capacity bound, so putBack cannot fail or be shed.
-func (q *servedQueue) putBack(tagged []byte) {
-	pri := int(binary.BigEndian.Uint32(tagged))
-	s := q.shardFor(pri)
-	q.shards[s].Insert(pri-q.bases[s], tagged)
-	q.occAdd(s, 1)
+	if n == 1 {
+		it := items[0]
+		s := q.shardFor(int(it.Pri))
+		q.shards[s].Insert(int(it.Pri)-q.bases[s], q.tag(it.Pri, first, it.Value))
+		q.met.shardIns[s].Add(1)
+		q.occAdd(s, 1)
+	} else {
+		// Each shard receives its share through the native InsertBatch.
+		g, _ := groupsPool.Get().(*shardGroups)
+		if g == nil {
+			g = new(shardGroups)
+		}
+		if len(g.by) < len(q.shards) {
+			g.by = make([][]pq.Item[[]byte], len(q.shards))
+		}
+		for i, it := range items[:n] {
+			s := q.shardFor(int(it.Pri))
+			g.by[s] = append(g.by[s], pq.Item[[]byte]{
+				Pri: int(it.Pri) - q.bases[s], Val: q.tag(it.Pri, first+uint64(i), it.Value)})
+		}
+		for s, batch := range g.by {
+			if len(batch) == 0 {
+				continue
+			}
+			pq.InsertBatch(q.shards[s], batch)
+			q.met.shardIns[s].Add(int64(len(batch)))
+			q.occAdd(s, len(batch))
+			clear(batch)
+			g.by[s] = batch[:0]
+		}
+		groupsPool.Put(g)
+	}
+	q.inserts.Add(int64(n))
+	q.maybeSnapshot()
+	return n, nil
 }
 
 // consumeOverflow takes up to n units of the recovered-beyond-capacity
@@ -321,112 +350,14 @@ func (q *servedQueue) consumeOverflow(n int64) int64 {
 	}
 }
 
-// popCommit records a popRaw whose item will be delivered: free the
-// admission slot and count the delete.
-func (q *servedQueue) popCommit() {
-	if q.admit != nil && q.consumeOverflow(1) == 0 {
-		q.admit.FaD()
-	}
-	q.deletes.Add(1)
-}
-
-// deleteMinEnv scans shards in priority order and removes the most
-// urgent item found, returning its raw tagged envelope (layout: 4-byte
-// priority, then tagLen-4 durable bytes, then the value). Ownership of
-// the envelope — a pooled buffer — transfers to the caller, which must
-// wire.PutBuf it once the bytes are no longer referenced.
-func (q *servedQueue) deleteMinEnv() ([]byte, bool, error) {
-	if q.wal != nil {
-		return q.deleteMinEnvDurable()
-	}
-	v, si, ok := q.popRaw()
-	if !ok {
-		q.emptyDeletes.Add(1)
-		return nil, false, nil
-	}
-	q.popCommit()
-	q.noteShardDel(si, 1)
-	return v, true, nil
-}
-
-// deleteMin is the copying convenience over deleteMinEnv: the returned
-// Item owns its value (tests and non-hot-path callers use this).
-func (q *servedQueue) deleteMin() (wire.Item, bool, error) {
-	env, ok, err := q.deleteMinEnv()
-	if err != nil || !ok {
-		return wire.Item{}, ok, err
-	}
-	it := wire.Item{
-		Pri:   binary.BigEndian.Uint32(env),
-		Value: append([]byte(nil), env[q.tagLen:]...),
-	}
-	wire.PutBuf(env)
-	return it, true, nil
-}
-
-// insertBatch admits and stores a whole batch: one multi-unit bounded
-// increment reserves admission slots for the accepted prefix, and each
-// shard receives its share through the queues' native InsertBatch fast
-// path. Priorities must already be validated (the frame handler checks
-// the whole batch up front). It reports how many items were accepted;
-// the remainder were shed.
-func (q *servedQueue) insertBatch(items []wire.Item) (int, error) {
-	if q.wal != nil {
-		return q.insertBatchDurable(items)
-	}
-	if len(items) == 0 {
-		return 0, nil
-	}
-	if q.draining.Load() {
-		q.retryAfter.Add(int64(len(items)))
-		return 0, nil
-	}
-	accepted := len(items)
-	if q.admit != nil {
-		// AddN clamps at Capacity and returns the previous value, so the
-		// grant is exactly the slots the counter actually took.
-		prev := q.admit.AddN(int64(len(items)))
-		granted := q.spec.Capacity - prev
-		if granted < 0 {
-			granted = 0
-		}
-		if granted > int64(len(items)) {
-			granted = int64(len(items))
-		}
-		accepted = int(granted)
-		if rej := len(items) - accepted; rej > 0 {
-			q.retryAfter.Add(int64(rej))
-		}
-		if accepted == 0 {
-			return 0, nil
-		}
-	}
-	byShard := make(map[int][]pq.Item[[]byte])
-	for _, it := range items[:accepted] {
-		pri := int(it.Pri)
-		tagged := wire.GetBuf(4 + len(it.Value))
-		tagged = binary.BigEndian.AppendUint32(tagged, it.Pri)
-		tagged = append(tagged, it.Value...)
-		s := q.shardFor(pri)
-		byShard[s] = append(byShard[s], pq.Item[[]byte]{Pri: pri - q.bases[s], Val: tagged})
-	}
-	for s, batch := range byShard {
-		pq.InsertBatch(q.shards[s], batch)
-		q.noteShardIns(s, len(batch))
-		q.occAdd(s, len(batch))
-	}
-	q.inserts.Add(int64(accepted))
-	return accepted, nil
-}
-
-// putBackN returns entries taken from a shard's DeleteMinBatch to that
-// shard in one native batch. Like putBack it touches nothing but the
-// shard, so every entry goes back exactly once and cannot be shed.
+// putBackN returns entries taken from a shard to that shard in one
+// native batch. It touches nothing but the shard (and its occupancy
+// estimate), so every entry goes back exactly once — shards have no
+// capacity bound, so it cannot fail or be shed.
 func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 	batch := make([]pq.Item[[]byte], len(got))
 	for i, it := range got {
-		pri := int(binary.BigEndian.Uint32(it.Val))
-		batch[i] = pq.Item[[]byte]{Pri: pri - q.bases[shard], Val: it.Val}
+		batch[i] = pq.Item[[]byte]{Pri: envPri(it.Val) - q.bases[shard], Val: it.Val}
 	}
 	pq.InsertBatch(q.shards[shard], batch)
 	q.occAdd(shard, len(got))
@@ -435,9 +366,6 @@ func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 // popCommitN records n pops whose items will be delivered: one
 // multi-unit decrement frees their admission slots and counts them.
 func (q *servedQueue) popCommitN(n int) {
-	if n <= 0 {
-		return
-	}
 	if q.admit != nil {
 		if rem := int64(n) - q.consumeOverflow(int64(n)); rem > 0 {
 			q.admit.SubN(rem)
@@ -446,58 +374,107 @@ func (q *servedQueue) popCommitN(n int) {
 	q.deletes.Add(int64(n))
 }
 
-// deleteMinBatch removes up to max items whose combined TItems encoding
-// stays within budget payload bytes, pulling from each shard through
-// the queues' native DeleteMinBatch fast path. Results are appended to
-// envs as raw tagged envelopes (pooled buffers — the caller takes
-// ownership exactly as with deleteMinEnv); pass a recycled scratch
-// slice to keep this path allocation-free. An item that would overflow
+// popN removes up to max of the most urgent items whose combined TItems
+// encoding stays within budget payload bytes, appending their raw
+// envelopes (layout: see tag) to envs. The envelopes are pooled
+// buffers whose ownership transfers to the caller, which must
+// wire.PutBuf each once its bytes are no longer referenced; pass a
+// recycled scratch slice to keep the path allocation-free. It is the
+// one pop path — a single DELETE_MIN is max = 1 — run as one pipeline:
+// take → journal → commit.
+//
+// Take scans the shards in priority order. An item that would overflow
 // the budget goes back to its shard un-popped, so a response frame
-// never exceeds the wire limit and no popped item is ever dropped. Any
+// never exceeds the wire limit and no popped item is ever dropped; any
 // single admitted item fits (values are capped at wire.MaxValue), so
-// progress is guaranteed: the first pop is always kept. A short result
-// means the queue ran dry or a shard declined under contention; the
-// client just asks again.
-func (q *servedQueue) deleteMinBatch(max, budget int, envs [][]byte) ([][]byte, error) {
+// the first pop is always kept and progress is guaranteed. A short
+// result means the queue ran dry or a shard declined under contention;
+// the client just asks again. Journal (queues with a WAL only) logs
+// the durable ids of exactly the items taken as one record, under the
+// snapshot read-lock like insertN; if the append fails everything taken
+// goes back and the queue is exactly as before the call — and since the
+// failure poisoned the log, no later pop can deliver those items.
+// Commit frees the admission slots and charges the serving counters,
+// cross-shard rank included, so a rolled-back pop leaves no trace.
+func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 	if q.wal != nil {
-		return q.deleteMinBatchDurable(max, budget, envs)
+		q.durMu.RLock()
+		defer q.durMu.RUnlock()
 	}
 	n0 := len(envs)
 	bytes := 4 // item-count prefix
+	cut := false
+	var one [1]pq.Item[[]byte]
+	// runs notes how many items each shard gave, for the commit stage:
+	// reading it back from the envelopes' tags would pull every envelope
+	// into this core's cache before the response encoder needs it.
+	var runBuf [4]shardRun
+	runs := runBuf[:0]
 	for si, sub := range q.shards {
 		want := max - (len(envs) - n0)
 		if want <= 0 {
-			return envs, nil
+			break
 		}
-		got := pq.DeleteMinBatch(sub, want)
+		var got []pq.Item[[]byte]
+		if want > 1 {
+			got = pq.DeleteMinBatch(sub, want)
+		} else if v, ok := sub.DeleteMin(); ok {
+			one[0].Val = v
+			got = one[:]
+		}
 		if len(got) == 0 {
 			continue // shard dry: move to the next priority band
 		}
+		q.occAdd(si, -len(got)) // putBackN re-books anything returned
 		kept := 0
-		for _, item := range got {
-			v := item.Val
+		for _, it := range got {
 			// Encoded size: pri(4) + bloblen(4) + value bytes.
-			sz := 8 + len(v) - q.tagLen
+			sz := 8 + len(it.Val) - q.tagLen
 			if len(envs) > n0 && bytes+sz > budget {
 				break
 			}
 			bytes += sz
-			envs = append(envs, v)
+			envs = append(envs, it.Val)
 			kept++
 		}
-		q.popCommitN(kept)
-		q.noteShardDel(si, kept)
-		q.rankRecord(si, kept)
-		q.occAdd(si, -len(got)) // putBackN below re-books the un-kept tail
+		if kept > 0 {
+			runs = append(runs, shardRun{si, kept})
+		}
 		if kept < len(got) {
 			// Budget exhausted: the remainder goes back exactly once.
 			q.putBackN(si, got[kept:])
-			return envs, nil
+			cut = true
+			break
 		}
 	}
-	if len(envs)-n0 < max {
+	taken := envs[n0:]
+	if len(taken) == 0 {
+		q.emptyDeletes.Add(1)
+		return envs, nil
+	}
+	if q.wal != nil {
+		var buf [8]uint64
+		ids := buf[:0]
+		for _, env := range taken {
+			ids = append(ids, durID(env))
+		}
+		if err := q.wal.AppendDelete(ids); err != nil {
+			for _, env := range taken {
+				q.putBackN(q.shardFor(envPri(env)), []pq.Item[[]byte]{{Val: env}})
+			}
+			clear(taken)
+			return envs[:n0], err
+		}
+	}
+	for _, r := range runs {
+		q.met.shardDel[r.shard].Add(int64(r.n))
+		q.rankRecord(r.shard, r.n)
+	}
+	q.popCommitN(len(taken))
+	if len(taken) < max && !cut {
 		q.emptyDeletes.Add(1)
 	}
+	q.maybeSnapshot()
 	return envs, nil
 }
 

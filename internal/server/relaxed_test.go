@@ -45,12 +45,12 @@ func TestRelaxedRankMetrics(t *testing.T) {
 	}
 	q := srv.queues["relaxed"]
 	for i := 0; i < 200; i++ {
-		if st, err := q.insert(wire.Item{Pri: uint32(i % 16), Value: []byte{byte(i)}}); st != insOK || err != nil {
-			t.Fatalf("insert %d: status %v err %v", i, st, err)
+		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 16), Value: []byte{byte(i)}}}); n != 1 || err != nil {
+			t.Fatalf("insert %d: accepted %d err %v", i, n, err)
 		}
 		if i%2 == 1 {
-			if _, ok, err := q.deleteMin(); !ok || err != nil {
-				t.Fatalf("deleteMin %d: ok=%v err=%v", i, ok, err)
+			if envs, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
+				t.Fatalf("pop %d: %d items err=%v", i, len(envs), err)
 			}
 		}
 	}

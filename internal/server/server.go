@@ -40,23 +40,14 @@ type Config struct {
 	// Concurrency sizes the funnel layers of the backing queues and
 	// admission counters; default GOMAXPROCS.
 	Concurrency int
-	// Logf receives serving diagnostics; nil discards them. Retained
-	// for compatibility — new code should set Logger. When only one of
-	// Logf/Logger is set, the other is bridged to it.
-	Logf func(format string, args ...any)
 	// Logger receives structured serving diagnostics (connection ids,
 	// queue names, WAL recovery and poison events, slow-op warnings).
-	// nil falls back to Logf, or discards when both are nil.
+	// nil discards them.
 	Logger *slog.Logger
 	// SlowOp logs any queue mutation that took longer than this at
 	// Warn level and counts it in pq_queue_slow_ops_total. 0 disables
 	// slow-op logging.
 	SlowOp time.Duration
-	// NoMetrics disables the server-side metrics recording (per-op
-	// latency histograms, protocol and shard counters). The admin
-	// endpoint still serves; histogram families are simply absent.
-	// Exists so the recording overhead can be measured.
-	NoMetrics bool
 	// AllowRelaxed permits queues backed by relaxed algorithms
 	// (pq.MultiQueue): delete-min may return an item while strictly
 	// better items remain queued. Off by default so a client that
@@ -93,61 +84,13 @@ func (c *Config) normalize() {
 	if c.Concurrency <= 0 {
 		c.Concurrency = runtime.GOMAXPROCS(0)
 	}
-	// Bridge the two logging surfaces: whichever the caller set feeds
-	// the other, so server internals can log structured while WAL code
-	// keeps its printf-style hook.
-	switch {
-	case c.Logger == nil && c.Logf != nil:
-		c.Logger = slog.New(logfHandler{f: c.Logf})
-	case c.Logger == nil:
+	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg.Enabled(context.Background(), slog.LevelInfo) {
-			c.Logf = func(format string, args ...any) {
-				lg.Info(fmt.Sprintf(format, args...))
-			}
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 100000
 	}
 }
-
-// logfHandler adapts a printf-style Logf sink into a slog.Handler, so
-// a Config that only sets Logf still sees the structured log stream.
-type logfHandler struct {
-	f     func(string, ...any)
-	attrs string
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	sb.WriteString(h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-		return true
-	})
-	h.f("server: %s", sb.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var sb strings.Builder
-	sb.WriteString(h.attrs)
-	for _, a := range attrs {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-	}
-	h.attrs = sb.String()
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // Server is a pqd serving instance.
 type Server struct {
@@ -162,11 +105,10 @@ type Server struct {
 	connsWG  sync.WaitGroup
 	shutdown atomic.Bool
 
-	// met aggregates protocol-level series; metricsOn gates every
-	// recording site (Config.NoMetrics). nextConnID numbers connections
-	// for log correlation and doubles as the metric stripe hint.
+	// met aggregates protocol-level series. nextConnID numbers
+	// connections for log correlation and doubles as the metric stripe
+	// hint.
 	met        *serverMetrics
-	metricsOn  bool
 	nextConnID atomic.Uint64
 
 	// cluster, when set (SetClusterMap), makes this server one node of
@@ -180,11 +122,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.normalize()
 	return &Server{
-		cfg:       cfg,
-		queues:    make(map[string]*servedQueue),
-		conns:     make(map[net.Conn]struct{}),
-		met:       newServerMetrics(cfg.Concurrency),
-		metricsOn: !cfg.NoMetrics,
+		cfg:    cfg,
+		queues: make(map[string]*servedQueue),
+		conns:  make(map[net.Conn]struct{}),
+		met:    newServerMetrics(cfg.Concurrency),
 	}
 }
 
@@ -210,23 +151,18 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 	if err != nil {
 		return err
 	}
-	if s.metricsOn {
-		q.met = newQueueMetrics(s.cfg.Concurrency, len(q.shards))
-	}
 	if s.cfg.DataDir != "" {
-		if s.metricsOn {
-			// One stripe: the wal writer goroutine is the only recorder.
-			q.walMet = &obs.WALMetrics{
-				FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
-				CommitRecords: obs.NewHistogram(1, 0, 20),
-			}
+		// One stripe: the wal writer goroutine is the only recorder.
+		q.walMet = &obs.WALMetrics{
+			FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
+			CommitRecords: obs.NewHistogram(1, 0, 20),
 		}
 		l, rec, err := wal.Open(wal.Options{
 			Dir:          filepath.Join(s.cfg.DataDir, spec.Name),
 			Policy:       s.cfg.Fsync,
 			Interval:     s.cfg.FsyncInterval,
 			SegmentBytes: s.cfg.SegmentBytes,
-			Logf:         s.cfg.Logf,
+			Logger:       s.cfg.Logger,
 			Metrics:      q.walMet,
 		})
 		if err != nil {
@@ -460,10 +396,14 @@ type countingWriter struct {
 	hint uint64
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
+// WriteBuffers is the writer tap's one path: a vectored write forwarded
+// to the underlying connection — net.Buffers' own writev fast path only
+// triggers on a raw *net.TCPConn, so the tap passes the whole batch
+// through instead of degrading it to one syscall per buffer.
+func (cw *countingWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	n, err := bufs.WriteTo(cw.w)
 	if n > 0 {
-		cw.n.Add(cw.hint, int64(n))
+		cw.n.Add(cw.hint, n)
 	}
 	return n, err
 }
@@ -486,11 +426,9 @@ func (s *Server) serveConn(c net.Conn) {
 
 	cs := connState{id: s.nextConnID.Add(1)}
 	cs.log = s.cfg.Logger.With("conn", cs.id, "remote", c.RemoteAddr().String())
-	if s.metricsOn {
-		s.met.connsAccepted.Add(1)
-		s.met.connsActive.Add(1)
-		defer s.met.connsActive.Add(-1)
-	}
+	s.met.connsAccepted.Add(1)
+	s.met.connsActive.Add(1)
+	defer s.met.connsActive.Add(-1)
 
 	// done tells the reader the processor is gone (write error), so a
 	// reader blocked sending into a full reqs channel doesn't leak.
@@ -500,11 +438,7 @@ func (s *Server) serveConn(c net.Conn) {
 	reqs := make(chan connReq, s.cfg.MaxBatch)
 	go func() {
 		defer close(reqs)
-		var src io.Reader = c
-		if s.metricsOn {
-			src = &countingReader{r: c, n: s.met.bytesRead, hint: cs.id}
-		}
-		br := getConnReader(src)
+		br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
 		defer putConnReader(br)
 		var fr wire.FrameReader
 		for {
@@ -515,11 +449,9 @@ func (s *Server) serveConn(c net.Conn) {
 				}
 				return
 			}
-			if s.metricsOn {
-				s.met.framesRead.Inc(cs.id)
-				if err != nil {
-					s.met.resyncs.Inc(cs.id)
-				}
+			s.met.framesRead.Inc(cs.id)
+			if err != nil {
+				s.met.resyncs.Inc(cs.id)
 			}
 			select {
 			case reqs <- connReq{f: f, protoErr: err}:
@@ -530,11 +462,7 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 	}()
 
-	var dst io.Writer = c
-	if s.metricsOn {
-		dst = &countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id}
-	}
-	w := getRespWriter(dst)
+	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id})
 	defer w.release()
 	var flushed int64
 	for r := range reqs {
@@ -566,12 +494,10 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := w.flush(); err != nil {
 			return
 		}
-		if s.metricsOn {
-			s.met.framesWritten.Add(cs.id, int64(n))
-			s.met.pipelineDepth.Observe(cs.id, int64(n))
-			s.met.flushes.Add(cs.id, w.flushes-flushed)
-			flushed = w.flushes
-		}
+		s.met.framesWritten.Add(cs.id, int64(n))
+		s.met.pipelineDepth.Observe(cs.id, int64(n))
+		s.met.flushes.Add(cs.id, w.flushes-flushed)
+		flushed = w.flushes
 	}
 	w.flush()
 }
@@ -604,9 +530,6 @@ func (s *Server) replyRetry(w *respWriter, id uint32) error {
 // latency, and log it when it crossed the slow-op threshold.
 func (s *Server) opDone(q *servedQueue, op qOp, t0 time.Time, cs connState) {
 	m := q.met
-	if m == nil {
-		return
-	}
 	m.ops[op].Inc(cs.id)
 	if m.lat[op] == nil {
 		return // counted but not timed (stats, drain)
@@ -617,15 +540,6 @@ func (s *Server) opDone(q *servedQueue, op qOp, t0 time.Time, cs connState) {
 		m.slowOps.Add(1)
 		cs.log.Warn("slow op", "queue", q.spec.Name, "op", qOpNames[op], "duration", d)
 	}
-}
-
-// opClock stamps the start of a timed operation; zero when metrics are
-// off so the fast path skips the clock read entirely.
-func (q *servedQueue) opClock() time.Time {
-	if q.met == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }
 
 // durFailed notes a mutation refused with a durability error — the
@@ -651,128 +565,29 @@ func (s *Server) handle(r connReq, w *respWriter, cs connState) error {
 		if err != nil {
 			return s.replyErr(w, f.ID, "bad INSERT: %v", err)
 		}
-		if len(m.Item.Value) > wire.MaxValue {
-			return s.replyErr(w, f.ID, "value %d bytes exceeds limit %d", len(m.Item.Value), wire.MaxValue)
-		}
-		q := s.lookupB(m.Queue)
-		if q == nil {
-			return s.replyErr(w, f.ID, "no such queue %q", m.Queue)
-		}
-		if cl := s.cluster.Load(); cl != nil &&
-			int(m.Item.Pri) < q.spec.Priorities && !cl.owns(int(m.Item.Pri)) {
-			return s.replyWrongNode(w, f.ID, cl, int(m.Item.Pri))
-		}
-		t0 := q.opClock()
-		st, err := q.insert(m.Item)
-		s.opDone(q, opInsert, t0, cs)
-		switch st {
-		case insOK:
-			buf, off := w.beginFrame(wire.TInsertOK, f.ID)
-			buf = wire.InsertOK{Accepted: 1}.Append(buf)
-			return w.endFrame(buf, off)
-		case insShed:
-			return s.replyRetry(w, f.ID)
-		case insErr:
-			q.durFailed(cs, "insert", err)
-			return s.replyErr(w, f.ID, "durability: %v", err)
-		default:
-			return s.replyErr(w, f.ID, "priority %d out of range [0,%d)", m.Item.Pri, q.spec.Priorities)
-		}
+		one := [1]wire.Item{m.Item}
+		return s.handleInsert(w, f.ID, cs, opInsert, m.Queue, one[:])
 
 	case wire.TInsertBatch:
 		m, err := wire.DecodeInsertBatchView(f.Payload, nil)
 		if err != nil {
 			return s.replyErr(w, f.ID, "bad INSERT_BATCH: %v", err)
 		}
-		q := s.lookupB(m.Queue)
-		if q == nil {
-			return s.replyErr(w, f.ID, "no such queue %q", m.Queue)
-		}
-		// Validate the whole batch before admitting any of it, so a
-		// batch is either a protocol error or an admitted prefix. The
-		// error names the offending index: a client that coalesced
-		// unrelated inserts can tell whose item was bad. A misrouted
-		// member NACKs the whole batch un-admitted: the batch is not a
-		// prefix-acceptance case, because every member needs re-routing
-		// by a client whose map is demonstrably stale.
-		cl := s.cluster.Load()
-		for i, it := range m.Items {
-			if int(it.Pri) >= q.spec.Priorities {
-				return s.replyErr(w, f.ID, "item %d: priority %d out of range [0,%d)", i, it.Pri, q.spec.Priorities)
-			}
-			if len(it.Value) > wire.MaxValue {
-				return s.replyErr(w, f.ID, "item %d: value %d bytes exceeds limit %d", i, len(it.Value), wire.MaxValue)
-			}
-			if cl != nil && !cl.owns(int(it.Pri)) {
-				return s.replyWrongNode(w, f.ID, cl, int(it.Pri))
-			}
-		}
-		t0 := q.opClock()
-		accepted, err := q.insertBatch(m.Items)
-		s.opDone(q, opInsertBatch, t0, cs)
-		if err != nil {
-			q.durFailed(cs, "insert_batch", err)
-			return s.replyErr(w, f.ID, "durability: %v", err)
-		}
-		ok := wire.InsertOK{Accepted: uint32(accepted), Rejected: uint32(len(m.Items) - accepted)}
-		if ok.Rejected > 0 {
-			ok.RetryAfterMillis = uint32(s.cfg.RetryAfterMillis)
-		}
-		buf, off := w.beginFrame(wire.TInsertOK, f.ID)
-		buf = ok.Append(buf)
-		return w.endFrame(buf, off)
+		return s.handleInsert(w, f.ID, cs, opInsertBatch, m.Queue, m.Items)
 
 	case wire.TDeleteMin:
 		m, err := wire.DecodeQueueReqView(f.Payload)
 		if err != nil {
 			return s.replyErr(w, f.ID, "bad DELETE_MIN: %v", err)
 		}
-		q := s.lookupB(m.Queue)
-		if q == nil {
-			return s.replyErr(w, f.ID, "no such queue %q", m.Queue)
-		}
-		t0 := q.opClock()
-		env, ok, err := q.deleteMinEnv()
-		s.opDone(q, opDeleteMin, t0, cs)
-		if err != nil {
-			q.durFailed(cs, "delete_min", err)
-			return s.replyErr(w, f.ID, "durability: %v", err)
-		}
-		if !ok {
-			buf, off := w.beginFrame(wire.TEmpty, f.ID)
-			return w.endFrame(buf, off)
-		}
-		return w.itemFrame(f.ID, env, q.tagLen)
+		return s.handlePop(w, f.ID, cs, opDeleteMin, m.Queue, 1)
 
 	case wire.TDeleteMinBatch:
 		m, err := wire.DecodeDeleteMinBatchView(f.Payload)
 		if err != nil {
 			return s.replyErr(w, f.ID, "bad DELETE_MIN_BATCH: %v", err)
 		}
-		q := s.lookupB(m.Queue)
-		if q == nil {
-			return s.replyErr(w, f.ID, "no such queue %q", m.Queue)
-		}
-		max := int(m.Max)
-		if max <= 0 || max > wire.MaxBatchItems {
-			return s.replyErr(w, f.ID, "bad DELETE_MIN_BATCH max %d", m.Max)
-		}
-		// The pop loop is bounded by encoded response bytes as well as
-		// max, so the TItems frame always fits under wire.MaxFrame; a
-		// short response just means the client should ask again.
-		scratch := getEnvs()
-		t0 := q.opClock()
-		envs, err := q.deleteMinBatch(max, wire.MaxPayload, (*scratch)[:0])
-		s.opDone(q, opDeleteMinBatch, t0, cs)
-		if err != nil {
-			putEnvs(scratch)
-			q.durFailed(cs, "delete_min_batch", err)
-			return s.replyErr(w, f.ID, "durability: %v", err)
-		}
-		werr := w.itemsFrame(f.ID, envs, q.tagLen)
-		*scratch = envs[:0]
-		putEnvs(scratch)
-		return werr
+		return s.handlePop(w, f.ID, cs, opDeleteMinBatch, m.Queue, int(m.Max))
 
 	case wire.TStats:
 		m, err := wire.DecodeQueueReqView(f.Payload)
@@ -815,6 +630,92 @@ func (s *Server) handle(r connReq, w *respWriter, cs connState) error {
 	default:
 		return s.replyErr(w, f.ID, "unknown request type %s", f.Type)
 	}
+}
+
+// handleInsert serves INSERT (op opInsert, one item) and INSERT_BATCH:
+// the frames differ only in how the reply is worded. All of a request
+// is validated before any of it is admitted, so a request is either a
+// protocol error or an admitted prefix. A batch error names the
+// offending index: a client that coalesced unrelated inserts can tell
+// whose item was bad. A misrouted member NACKs the whole request
+// un-admitted rather than admitting a prefix, because every member needs
+// re-routing by a client whose map is demonstrably stale.
+func (s *Server) handleInsert(w *respWriter, id uint32, cs connState, op qOp, name []byte, items []wire.Item) error {
+	q := s.lookupB(name)
+	if q == nil {
+		return s.replyErr(w, id, "no such queue %q", name)
+	}
+	cl := s.cluster.Load()
+	for i, it := range items {
+		var bad string
+		switch {
+		case int(it.Pri) >= q.spec.Priorities:
+			bad = fmt.Sprintf("priority %d out of range [0,%d)", it.Pri, q.spec.Priorities)
+		case len(it.Value) > wire.MaxValue:
+			bad = fmt.Sprintf("value %d bytes exceeds limit %d", len(it.Value), wire.MaxValue)
+		case cl != nil && !cl.owns(int(it.Pri)):
+			return s.replyWrongNode(w, id, cl, int(it.Pri))
+		default:
+			continue
+		}
+		if op == opInsertBatch {
+			bad = fmt.Sprintf("item %d: %s", i, bad)
+		}
+		return s.replyErr(w, id, "%s", bad)
+	}
+	t0 := time.Now()
+	accepted, err := q.insertN(items)
+	s.opDone(q, op, t0, cs)
+	if err != nil {
+		q.durFailed(cs, qOpNames[op], err)
+		return s.replyErr(w, id, "durability: %v", err)
+	}
+	if op == opInsert && accepted == 0 {
+		return s.replyRetry(w, id)
+	}
+	ok := wire.InsertOK{Accepted: uint32(accepted), Rejected: uint32(len(items) - accepted)}
+	if ok.Rejected > 0 {
+		ok.RetryAfterMillis = uint32(s.cfg.RetryAfterMillis)
+	}
+	buf, off := w.beginFrame(wire.TInsertOK, id)
+	buf = ok.Append(buf)
+	return w.endFrame(buf, off)
+}
+
+// handlePop serves DELETE_MIN (op opDeleteMin, max 1, answered with
+// ITEM or EMPTY) and DELETE_MIN_BATCH (answered with ITEMS). The pop is
+// bounded by encoded response bytes as well as max, so the reply always
+// fits under wire.MaxFrame; a short response just means the client
+// should ask again.
+func (s *Server) handlePop(w *respWriter, id uint32, cs connState, op qOp, name []byte, max int) error {
+	q := s.lookupB(name)
+	if q == nil {
+		return s.replyErr(w, id, "no such queue %q", name)
+	}
+	if max <= 0 || max > wire.MaxBatchItems {
+		return s.replyErr(w, id, "bad DELETE_MIN_BATCH max %d", max)
+	}
+	t0 := time.Now()
+	envs, err := q.popN(max, wire.MaxPayload, w.envs[:0])
+	s.opDone(q, op, t0, cs)
+	var werr error
+	switch {
+	case err != nil:
+		q.durFailed(cs, qOpNames[op], err)
+		werr = s.replyErr(w, id, "durability: %v", err)
+	case op == opDeleteMinBatch:
+		werr = w.itemsFrame(id, envs, q.tagLen)
+	case len(envs) == 0:
+		buf, off := w.beginFrame(wire.TEmpty, id)
+		werr = w.endFrame(buf, off)
+	default:
+		werr = w.itemFrame(id, envs[0], q.tagLen)
+	}
+	// The reply took ownership of the envelopes; the slice that carried
+	// them stays with the connection.
+	clear(envs)
+	w.envs = envs[:0]
+	return werr
 }
 
 // WaitDrained polls until every queue is empty or the timeout expires —

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -160,7 +161,7 @@ func listSnapshots(dir string) ([]uint64, error) {
 // loadNewestSnapshot reads the newest snapshot that validates, falling
 // back to older ones when the newest is damaged. With no usable
 // snapshot it returns lsn 0 and nextID 1 (durable ids start at 1).
-func loadNewestSnapshot(dir string, logf func(string, ...any)) (lsn, nextID uint64, items []Item) {
+func loadNewestSnapshot(dir string, logger *slog.Logger) (lsn, nextID uint64, items []Item) {
 	lsns, err := listSnapshots(dir)
 	if err != nil {
 		return 0, 1, nil
@@ -174,7 +175,7 @@ func loadNewestSnapshot(dir string, logf func(string, ...any)) (lsn, nextID uint
 			}
 			err = derr
 		}
-		logf("wal: snapshot %s unusable, falling back: %v", snapName(lsns[i]), err)
+		logger.Warn("wal: snapshot unusable, falling back", "snapshot", snapName(lsns[i]), "lsn", lsns[i], "err", err)
 	}
 	return 0, 1, nil
 }

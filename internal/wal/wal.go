@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -95,8 +96,9 @@ type Options struct {
 	// computed against the oldest retained one so boot can fall back to
 	// it if the newest is damaged. Default 2.
 	SnapshotRetain int
-	// Logf receives recovery and retention diagnostics; nil discards.
-	Logf func(format string, args ...any)
+	// Logger receives recovery, retention and poison diagnostics, with
+	// the segment, offset and lsn as attributes; nil discards.
+	Logger *slog.Logger
 	// Metrics, when non-nil, receives fsync wall time and group-commit
 	// batch sizes from the writer goroutine (see obs.WALMetrics). The
 	// recording path is allocation-free; nil disables it.
@@ -116,8 +118,8 @@ func (o *Options) normalize() error {
 	if o.SnapshotRetain < 1 {
 		o.SnapshotRetain = 2
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+	if o.Logger == nil {
+		o.Logger = slog.New(slog.DiscardHandler)
 	}
 	return nil
 }
@@ -257,7 +259,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 		}
 	}
 
-	snapLSN, nextID, snapItems := loadNewestSnapshot(opts.Dir, opts.Logf)
+	snapLSN, nextID, snapItems := loadNewestSnapshot(opts.Dir, opts.Logger)
 	live := make(map[uint64]Item, len(snapItems))
 	for _, it := range snapItems {
 		live[it.ID] = it
@@ -325,8 +327,8 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 			// everything after it are unreachable.
 			rec.Torn = true
 			for _, orphan := range segs[i:] {
-				l.opts.Logf("wal: dropping segment %s: lsn gap after %d",
-					filepath.Base(orphan.path), endLSN)
+				l.opts.Logger.Warn("wal: dropping segment: lsn gap",
+					"segment", filepath.Base(orphan.path), "lsn", endLSN)
 				os.Remove(orphan.path)
 			}
 			break
@@ -380,17 +382,17 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 		// lost ones) and are retired so appends continue from a
 		// consistent position.
 		if i+1 < len(segs) && expect <= segs[i+1].firstLSN && segs[i+1].firstLSN <= snapLSN+1 {
-			l.opts.Logf("wal: %s: damage at offset %d covered by snapshot lsn %d; keeping later segments",
-				filepath.Base(s.path), valid, snapLSN)
+			l.opts.Logger.Info("wal: damage covered by snapshot; keeping later segments",
+				"segment", filepath.Base(s.path), "offset", valid, "lsn", snapLSN)
 			continue
 		}
 		for _, orphan := range segs[i+1:] {
-			l.opts.Logf("wal: dropping segment %s orphaned by damage in %s",
-				filepath.Base(orphan.path), filepath.Base(s.path))
+			l.opts.Logger.Warn("wal: dropping segment orphaned by damage",
+				"segment", filepath.Base(orphan.path), "damaged", filepath.Base(s.path))
 			os.Remove(orphan.path)
 		}
-		l.opts.Logf("wal: %s: tail damage at offset %d, replay stops at lsn %d",
-			filepath.Base(s.path), valid, lastLSN)
+		l.opts.Logger.Warn("wal: tail damage, replay stops",
+			"segment", filepath.Base(s.path), "offset", valid, "lsn", lastLSN)
 		break
 	}
 
@@ -569,7 +571,7 @@ func (l *Log) poison(err error) {
 	}
 	l.failed = fmt.Errorf("%w: %v", ErrPoisoned, err)
 	l.poisoned.Store(true)
-	l.opts.Logf("wal: %v — refusing all further appends", l.failed)
+	l.opts.Logger.Warn("wal: poisoned, refusing all further appends", "err", l.failed)
 }
 
 // handleBatch processes one drained batch; it reports true once a
@@ -793,7 +795,7 @@ func (l *Log) retain() {
 		if covered {
 			l.walBytes.Add(-l.segs[i].bytes)
 			if err := os.Remove(l.segs[i].path); err != nil {
-				l.opts.Logf("wal: retention: %v", err)
+				l.opts.Logger.Warn("wal: retention", "segment", filepath.Base(l.segs[i].path), "err", err)
 			}
 		} else {
 			kept = append(kept, l.segs[i])

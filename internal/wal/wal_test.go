@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,9 +12,17 @@ import (
 	"time"
 )
 
+// tLog writes a logger's lines into the test log.
+type tLog struct{ t *testing.T }
+
+func (w tLog) Write(p []byte) (int, error) {
+	w.t.Log(string(bytes.TrimRight(p, "\n")))
+	return len(p), nil
+}
+
 func openT(t *testing.T, dir string, mod func(*Options)) (*Log, Recovery) {
 	t.Helper()
-	opts := Options{Dir: dir, Policy: SyncNever, Logf: t.Logf}
+	opts := Options{Dir: dir, Policy: SyncNever, Logger: slog.New(slog.NewTextHandler(tLog{t}, nil))}
 	if mod != nil {
 		mod(&opts)
 	}
