@@ -355,7 +355,7 @@ func run(args []string, out *os.File) error {
 		stFinal.Inserts, stFinal.Deletes, stFinal.RetryAfter, stFinal.Size)
 	if cluster != nil {
 		m := cluster.Map()
-		fmt.Fprintf(out, "  cluster      map v%d, %d nodes, stash=%d\n", m.Version, len(m.Nodes), cluster.Stashed())
+		fmt.Fprintf(out, "  cluster      map v%d, %d nodes\n", m.Version, len(m.Nodes))
 		for _, n := range m.Nodes {
 			b, e := nodeBase[n.Addr], nodeEnd[n.Addr]
 			var mis int64
@@ -370,7 +370,7 @@ func run(args []string, out *os.File) error {
 		fmt.Fprintf(out, "  durability   fsync=%s appends=%d fsyncs=%d wal_bytes=%d segments=%d snapshots=%d\n",
 			d.FsyncPolicy, d.Appends, d.Fsyncs, d.WALBytes, d.Segments, d.Snapshots)
 	}
-	// Server-side (stats_version 3) latencies exclude the network and
+	// Server-side latencies exclude the network and
 	// client stack; the gap to the client-observed numbers above is
 	// wire + scheduling cost.
 	if l := stFinal.Latency; l != nil {

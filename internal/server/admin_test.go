@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pq"
+	"pq/internal/wire"
 )
 
 // adminGet fetches one admin path and returns status + body.
@@ -192,7 +193,7 @@ func TestAdminMetricsDurable(t *testing.T) {
 		}
 	}
 
-	// STATS v3 carries the WAL distributions too.
+	// STATS carries the WAL distributions too.
 	st, err := cl.Stats(ctx, "dur")
 	if err != nil {
 		t.Fatal(err)
@@ -248,11 +249,11 @@ func TestStatsV3Latency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.StatsVersion < 3 {
-		t.Fatalf("stats_version = %d, want >= 3", st.StatsVersion)
+	if st.StatsVersion != wire.StatsVersion {
+		t.Fatalf("stats_version = %d, want %d", st.StatsVersion, wire.StatsVersion)
 	}
 	if st.Latency == nil {
-		t.Fatal("v3+ stats missing latency section")
+		t.Fatal("stats missing latency section")
 	}
 	if st.Latency.Insert.Count != 20 {
 		t.Fatalf("insert latency count = %d, want 20", st.Latency.Insert.Count)

@@ -16,8 +16,8 @@ import (
 // node serves pops from its own ranges only (it holds no other
 // items), and the cluster client merges pops across nodes.
 //
-// The map itself is served to clients inside STATS (stats_version 4)
-// and on /statusz, so any node can bootstrap a client's routing table.
+// The map itself is served to clients inside STATS and on /statusz,
+// so any node can bootstrap a client's routing table.
 
 // clusterState is the immutable per-map state; Server.cluster swaps
 // atomically so ownership checks never lock.
@@ -77,7 +77,7 @@ func (s *Server) ClusterMap() (*wire.ClusterMap, string) {
 	return cl.m, cl.self
 }
 
-// clusterStats builds the STATS v4 cluster block; nil when the server
+// clusterStats builds the STATS cluster block; nil when the server
 // is not in cluster mode.
 func (s *Server) clusterStats() *wire.ClusterStats {
 	cl := s.cluster.Load()

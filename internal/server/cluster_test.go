@@ -58,7 +58,7 @@ func evenClusterMap(version uint64, priorities int, addrs []string) *wire.Cluste
 
 func dialCluster(t *testing.T, m *wire.ClusterMap, tweak ...func(*pqclient.ClusterConfig)) *pqclient.ClusterClient {
 	t.Helper()
-	cfg := pqclient.ClusterConfig{Map: m, RequestTimeout: 10 * time.Second, Rand: 1}
+	cfg := pqclient.ClusterConfig{Map: m, RequestTimeout: 10 * time.Second}
 	for _, f := range tweak {
 		f(&cfg)
 	}
@@ -195,9 +195,6 @@ func TestClusterClientRouting(t *testing.T) {
 			t.Fatalf("drain out of order at %d: %d after %d", i, items[i].Pri, items[i-1].Pri)
 		}
 	}
-	if cc.Stashed() != 0 {
-		t.Fatalf("stash not empty after drain: %d", cc.Stashed())
-	}
 }
 
 func mustMap(t *testing.T, s *Server) *wire.ClusterMap {
@@ -211,7 +208,7 @@ func mustMap(t *testing.T, s *Server) *wire.ClusterMap {
 
 // TestClusterSingleNodeDegenerate pins the degenerate case: a one-node
 // map routes everything to that node and behaves exactly like a plain
-// client — no two-choice, no put-backs, no stash.
+// client.
 func TestClusterSingleNodeDegenerate(t *testing.T) {
 	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 16}
 	_, servers, _ := startCluster(t, 1, spec)
@@ -236,9 +233,6 @@ func TestClusterSingleNodeDegenerate(t *testing.T) {
 	}
 	if _, ok, err := cc.DeleteMin(ctx, "jobs"); ok || err != nil {
 		t.Fatalf("empty pop: ok=%v err=%v", ok, err)
-	}
-	if cc.Stashed() != 0 {
-		t.Fatalf("single-node cluster stashed %d items", cc.Stashed())
 	}
 	st, _ := servers[0].QueueStats("jobs")
 	if st.Cluster.Misroutes != 0 {
@@ -294,8 +288,8 @@ func TestClusterMapVersionBump(t *testing.T) {
 
 // TestClusterExactlyOnceE2E hammers a 3-node cluster with concurrent
 // cluster-client inserters and deleters, drains to empty, and proves
-// every acked insert came back exactly once — across node boundaries,
-// two-choice put-backs and the client stash. Run with -race.
+// every acked insert came back exactly once across node boundaries.
+// Run with -race.
 func TestClusterExactlyOnceE2E(t *testing.T) {
 	spec := QueueSpec{Name: "jobs", Algorithm: pq.FunnelTree, Priorities: 48, Shards: 2}
 	_, servers, _ := startCluster(t, 3, spec)
@@ -335,7 +329,7 @@ func TestClusterExactlyOnceE2E(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			cc := dialCluster(t, m, func(c *pqclient.ClusterConfig) { c.Rand = int64(p) + 100 })
+			cc := dialCluster(t, m)
 			for i := 0; i < perProd; i++ {
 				v := nextVal.Add(1)
 				if err := cc.Insert(ctx, "jobs", int(v%48), val(v)); err != nil {
@@ -349,13 +343,11 @@ func TestClusterExactlyOnceE2E(t *testing.T) {
 		}(p)
 	}
 
-	consumerClients := make([]*pqclient.ClusterClient, consumers)
 	for c := 0; c < consumers; c++ {
-		consumerClients[c] = dialCluster(t, m, func(cc *pqclient.ClusterConfig) { cc.Rand = int64(c) + 200 })
+		cc := dialCluster(t, m)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cc := consumerClients[c]
 			for !stop.Load() {
 				it, ok, err := cc.DeleteMin(ctx, "jobs")
 				if err != nil {
@@ -396,21 +388,6 @@ func TestClusterExactlyOnceE2E(t *testing.T) {
 			got[unval(it.Value)]++
 		}
 		mu.Unlock()
-	}
-	// Any items parked in consumer stashes count too.
-	for c, cc := range consumerClients {
-		for {
-			items, err := cc.DeleteMinBatch(ctx, "jobs", 256)
-			if err != nil {
-				t.Fatalf("consumer %d stash drain: %v", c, err)
-			}
-			if len(items) == 0 {
-				break
-			}
-			for _, it := range items {
-				got[unval(it.Value)]++
-			}
-		}
 	}
 
 	if len(acked) != producers*perProd {
@@ -495,14 +472,13 @@ func prefillStrictCluster(t *testing.T, k int) ([]order.Op, *wire.ClusterMap) {
 	return history, m
 }
 
-// TestClusterTwoChoiceRankBounded proves the cluster client's
-// two-choice delete-min keeps the rank error bounded on a 3-node strict
-// cluster: the winner of two sampled node tops can overtake at most the
-// occupancy of the one unsampled node, which never exceeds the per-node
-// prefill k. The full history (prefill + pop-to-empty) must satisfy
-// order.CheckRelaxed with MaxRank = k — uniqueness, precedence and
-// emptiness exact, priority within the rank budget.
-func TestClusterTwoChoiceRankBounded(t *testing.T) {
+// TestClusterDeleteMinStrict proves the cluster client's delete-min is
+// strict for one caller at quiescence on a 3-node strict cluster: the
+// sweep always pops the lowest-range non-empty node, which holds the
+// cluster minimum. The full history (prefill + pop-to-empty) must
+// satisfy order.Check — uniqueness, precedence, emptiness and priority
+// order all exact, no rank budget.
+func TestClusterDeleteMinStrict(t *testing.T) {
 	const k = 40
 	history, m := prefillStrictCluster(t, k)
 	cc := dialCluster(t, m)
@@ -521,21 +497,98 @@ func TestClusterTwoChoiceRankBounded(t *testing.T) {
 	if pops != 3*k {
 		t.Fatalf("popped %d items, want %d", pops, 3*k)
 	}
-	if vs := order.CheckRelaxed(history, order.RelaxedBound{MaxRank: k}); len(vs) != 0 {
-		t.Fatalf("two-choice cluster pull violated rank bound %d:\n%v", k, vs[0])
+	if vs := order.Check(history); len(vs) != 0 {
+		t.Fatalf("cluster delete-min is not strict:\n%v", vs[0])
 	}
-	if cc.Stashed() != 0 {
-		t.Fatalf("stash not empty after popping dry: %d", cc.Stashed())
+}
+
+// TestClusterDeleteMinNeverInserts pins the delete path's cost on a
+// prefilled 3-node cluster, counted on the nodes: no DeleteMin ever
+// admits an item (nothing is popped to be put back), and a pop costs
+// one request frame while band 0 is non-empty, then one more per dry
+// node below the band it is served from.
+func TestClusterDeleteMinNeverInserts(t *testing.T) {
+	const k = 20
+	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 30}
+	_, servers, _ := startCluster(t, 3, spec)
+	cc := dialCluster(t, mustMap(t, servers[0]))
+	ctx := context.Background()
+	for i := 0; i < 3*k; i++ {
+		if err := cc.Insert(ctx, "jobs", i%30, []byte{byte(i)}); err != nil {
+			t.Fatalf("prefill insert: %v", err)
+		}
+	}
+	counters := func() (inserts, frames int64) {
+		for _, s := range servers {
+			st, _ := s.QueueStats("jobs")
+			inserts += st.Inserts
+			frames += s.met.framesRead.Load()
+		}
+		return inserts, frames
+	}
+
+	for band := 0; band < 3; band++ {
+		i0, f0 := counters()
+		for i := 0; i < k; i++ {
+			if _, ok, err := cc.DeleteMin(ctx, "jobs"); err != nil || !ok {
+				t.Fatalf("band %d pop %d: ok=%v err=%v", band, i, ok, err)
+			}
+		}
+		i1, f1 := counters()
+		if i1 != i0 {
+			t.Fatalf("band %d: %d DeleteMins admitted %d items on the nodes, want 0", band, k, i1-i0)
+		}
+		if want := int64(k * (band + 1)); f1-f0 != want {
+			t.Fatalf("band %d: %d DeleteMins cost %d request frames, want %d", band, k, f1-f0, want)
+		}
+	}
+}
+
+// TestClusterDeleteMinNodeDown pins the rule that emptiness cannot be
+// certified with a band unreachable: with the lowest-range node down,
+// items on the other nodes are still delivered, and once they are gone
+// the answer is the dead node's error, never "empty".
+func TestClusterDeleteMinNodeDown(t *testing.T) {
+	const k = 5
+	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 30}
+	_, servers, _ := startCluster(t, 3, spec)
+	m := mustMap(t, servers[0])
+	ctx := context.Background()
+	filler := dialCluster(t, m)
+	for i := 0; i < 2*k; i++ {
+		if err := filler.Insert(ctx, "jobs", 10+i%20, []byte{byte(i)}); err != nil {
+			t.Fatalf("prefill insert: %v", err)
+		}
+	}
+	servers[0].Close()
+
+	cc := dialCluster(t, m)
+	seen := make(map[byte]bool)
+	for i := 0; i < 2*k; i++ {
+		it, ok, err := cc.DeleteMin(ctx, "jobs")
+		if err != nil || !ok {
+			t.Fatalf("pop %d with node 0 down: ok=%v err=%v", i, ok, err)
+		}
+		if seen[it.Value[0]] {
+			t.Fatalf("pop %d delivered item %d twice", i, it.Value[0])
+		}
+		seen[it.Value[0]] = true
+	}
+	if it, ok, err := cc.DeleteMin(ctx, "jobs"); err == nil {
+		t.Fatalf("DeleteMin with node 0 down and the rest dry: it=%+v ok=%v, want the node's error", it, ok)
+	}
+	if items, err := cc.DeleteMinBatch(ctx, "jobs", 8); err == nil {
+		t.Fatalf("DeleteMinBatch with node 0 down and the rest dry: %d items, want the node's error", len(items))
 	}
 }
 
 // TestClusterNaiveSinglePullUnbounded is the must-fail companion: a
 // naive client that drains nodes highest-band-first (node 2, then 1,
 // then 0) produces rank errors of up to 2k — its very first pop
-// overtakes every item on nodes 0 and 1 — so the same rank budget k
-// that the two-choice client meets must be violated. This is the test
-// that keeps the two-choice machinery honest: if CheckRelaxed ever
-// stopped catching this, the passing test above would prove nothing.
+// overtakes every item on nodes 0 and 1 — so even a rank budget of k,
+// far looser than the strict order the sweep meets, must be violated.
+// This is the test that keeps TestClusterDeleteMinStrict honest: if the
+// checker ever stopped catching this, that test would prove nothing.
 func TestClusterNaiveSinglePullUnbounded(t *testing.T) {
 	const k = 40
 	history, m := prefillStrictCluster(t, k)
@@ -639,7 +692,7 @@ func TestCrossShardRankMerged(t *testing.T) {
 		t.Fatalf("post-drain charge = %d, want 2 (only shard 1 remains better)", got)
 	}
 
-	// The estimator reaches the wire: stats v4 of a real traffic run
+	// The estimator reaches the wire: the stats of a real traffic run
 	// keeps RankSum >= the within-shard sum (never understates).
 	for i := 0; i < 64; i++ {
 		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 32), Value: []byte{byte(i)}}}); n != 1 || err != nil {

@@ -17,7 +17,7 @@ import (
 // free and always on (bench/ prices it as obs.counter_add_ns and
 // obs.hist_observe_ns). The numbers surface three ways: the Prometheus
 // /metrics endpoint (admin.go), the JSON /statusz snapshot, and the
-// STATS op's stats_version 3 latency sections.
+// STATS op's latency sections.
 
 // qOp enumerates the request kinds recorded per queue.
 type qOp int
@@ -113,7 +113,7 @@ func distFromHist(s obs.HistSnapshot) wire.Dist {
 	}
 }
 
-// latencyStats builds the STATS v3 latency section.
+// latencyStats builds the STATS latency section.
 func (q *servedQueue) latencyStats() *wire.ServerLatencyStats {
 	m := q.met
 	return &wire.ServerLatencyStats{

@@ -14,7 +14,7 @@ import (
 // all nodes must partition [0, Priorities) exactly — no overlaps, no
 // gaps — so every priority has exactly one owner and a client can
 // route an INSERT without asking anyone. The map is versioned: nodes
-// serve their map (version included) in STATS v4 and on /statusz, and
+// serve their map (version included) in STATS and on /statusz, and
 // a node that receives an insert outside its own ranges NACKs it with
 // TWrongNode carrying its map version, so a client holding a stale map
 // learns both the right owner and that it should refetch.
@@ -181,11 +181,10 @@ func LoadClusterMap(path string) (*ClusterMap, error) {
 	return m, nil
 }
 
-// ClusterStats is the cluster block attached to QueueStats from
-// stats_version 4 on a node running with a cluster map. It carries the
-// full map — a client can bootstrap or refresh its routing table from
-// any node's STATS — plus which node this is and how many misrouted
-// inserts it has NACKed.
+// ClusterStats is the cluster block attached to QueueStats on a node
+// running with a cluster map. It carries the full map — a client can
+// bootstrap or refresh its routing table from any node's STATS — plus
+// which node this is and how many misrouted inserts it has NACKed.
 type ClusterStats struct {
 	MapVersion uint64        `json:"map_version"`
 	Priorities int           `json:"priorities"`

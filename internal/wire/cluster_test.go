@@ -224,18 +224,9 @@ func TestWrongNodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsClusterBlockCompat: the cluster block is additive — a v3
-// document (no cluster key) unmarshals with Cluster nil, and a v4
-// document round-trips the full map through ClusterStats.Map.
+// TestStatsClusterBlockCompat: the cluster block round-trips the full
+// map through ClusterStats.Map.
 func TestStatsClusterBlockCompat(t *testing.T) {
-	var old QueueStats
-	if err := json.Unmarshal([]byte(`{"queue":"q","stats_version":3}`), &old); err != nil {
-		t.Fatal(err)
-	}
-	if old.Cluster != nil {
-		t.Fatal("v3 document grew a cluster block")
-	}
-
 	st := QueueStats{Queue: "q", StatsVersion: StatsVersion, Cluster: &ClusterStats{
 		MapVersion: 5, Priorities: 8, Self: "b:2", Misroutes: 3,
 		Nodes: []ClusterNode{

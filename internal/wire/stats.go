@@ -1,19 +1,10 @@
 package wire
 
-// StatsVersion is the QueueStats schema version this package emits.
-// Versioning is additive, mirroring the frame protocol's rollout
-// discipline: new fields only ever extend the JSON document, an old
-// client simply ignores unknown keys, and a new client reading an old
-// server treats the absent stats_version (0) as the original v1 shape
-// with no durability section. Nothing resyncs or disconnects over a
-// stats shape difference.
-//
-// v2 added the durability block; v3 adds server-measured latency
-// distributions (QueueStats.Latency) and the WAL's fsync-latency and
-// group-commit distributions inside the durability block; v4 adds the
-// cluster block (QueueStats.Cluster) on nodes running with a cluster
-// map, carrying the full versioned map so clients can bootstrap or
-// refresh routing from any node.
+// StatsVersion is the one QueueStats schema this package defines; the
+// server stamps it on every STATS reply. The optional sections
+// (Durability, Cluster) are absent when the feature behind them is off,
+// not when the peer is older: client and server are built from this
+// file.
 const StatsVersion = 4
 
 // QueueStats is the JSON document carried by a TStatsReply frame. It is
@@ -38,30 +29,28 @@ type QueueStats struct {
 	Size         int64  `json:"size"`
 	Draining     bool   `json:"draining"`
 
-	// StatsVersion reports the schema version of the emitting server
-	// (v2 added durability, v3 server latency); 0 means a
-	// pre-versioning (v1) server.
+	// StatsVersion is the constant StatsVersion, stamped by the server.
 	StatsVersion int `json:"stats_version,omitempty"`
 	// Durability is present only when the queue has a write-ahead log
 	// attached.
 	Durability *DurabilityStats `json:"durability,omitempty"`
 	// Latency carries server-measured per-op service-time
-	// distributions (stats_version >= 3; absent when the server runs
-	// with metrics disabled). Server-side numbers exclude the network
-	// and client stack, so comparing them with client-observed
-	// latencies separates queue cost from wire cost.
+	// distributions (nil only in ClusterClient's cross-node aggregate).
+	// Server-side numbers exclude the network and client stack, so
+	// comparing them with client-observed latencies separates queue
+	// cost from wire cost.
 	Latency *ServerLatencyStats `json:"latency,omitempty"`
-	// Cluster is present (stats_version >= 4) only when the server runs
-	// with a cluster map; it carries the full map plus this node's
-	// identity and misroute count. See ClusterStats.
+	// Cluster is present only when the server runs with a cluster map;
+	// it carries the full map plus this node's identity and misroute
+	// count. See ClusterStats.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
 // Dist is a compact distribution summary derived from a server-side
-// fixed-bucket histogram (stats_version >= 3). Units depend on the
-// field carrying it: nanoseconds for latencies, record counts for the
-// WAL group-commit distribution. Quantiles are bucket-interpolated, so
-// they carry power-of-two bucket resolution, not exact ranks.
+// fixed-bucket histogram. Units depend on the field carrying it:
+// nanoseconds for latencies, record counts for the WAL group-commit
+// distribution. Quantiles are bucket-interpolated, so they carry
+// power-of-two bucket resolution, not exact ranks.
 type Dist struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -80,8 +69,8 @@ type ServerLatencyStats struct {
 	DeleteMinBatch Dist `json:"delete_min_batch"`
 }
 
-// DurabilityStats describes one queue's write-ahead log (stats_version
-// >= 2; see internal/wal).
+// DurabilityStats describes one queue's write-ahead log (see
+// internal/wal).
 type DurabilityStats struct {
 	// FsyncPolicy is "always", "interval" or "never".
 	FsyncPolicy string `json:"fsync_policy"`
@@ -107,9 +96,8 @@ type DurabilityStats struct {
 	TornTail        bool `json:"torn_tail,omitempty"`
 
 	// FsyncLatency (nanoseconds per fsync) and GroupCommit (appended
-	// records made durable per fsync) are present from stats_version 3
-	// when the server records metrics; together they say whether
-	// commit latency is hardware fsync cost or queueing behind it.
+	// records made durable per fsync) together say whether commit
+	// latency is hardware fsync cost or queueing behind it.
 	FsyncLatency *Dist `json:"fsync_latency,omitempty"`
 	GroupCommit  *Dist `json:"group_commit_records,omitempty"`
 }

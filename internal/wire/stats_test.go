@@ -5,169 +5,6 @@ import (
 	"testing"
 )
 
-// legacyQueueStats is the v1 stats document exactly as a pre-durability
-// client defines it — no stats_version, no durability. The compat tests
-// below check both directions of the rollout: an old client pointed at
-// a new server, and a new client pointed at an old server.
-type legacyQueueStats struct {
-	Queue        string `json:"queue"`
-	Algorithm    string `json:"algorithm"`
-	Priorities   int    `json:"priorities"`
-	Shards       int    `json:"shards"`
-	Capacity     int64  `json:"capacity"`
-	Inserts      int64  `json:"inserts"`
-	Deletes      int64  `json:"deletes"`
-	EmptyDeletes int64  `json:"empty_deletes"`
-	RetryAfter   int64  `json:"retry_after"`
-	Size         int64  `json:"size"`
-	Draining     bool   `json:"draining"`
-}
-
-func TestOldClientReadsNewServerStats(t *testing.T) {
-	// A v2 server document, durability section and all.
-	doc, err := json.Marshal(QueueStats{
-		Queue:        "jobs",
-		Algorithm:    "FunnelTree",
-		Priorities:   64,
-		Shards:       4,
-		Inserts:      100,
-		Deletes:      40,
-		Size:         60,
-		StatsVersion: StatsVersion,
-		Durability: &DurabilityStats{
-			FsyncPolicy: "interval",
-			LastLSN:     123,
-			SnapshotLSN: 100,
-			Segments:    2,
-			WALBytes:    4096,
-			Appends:     140,
-			Fsyncs:      12,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old legacyQueueStats
-	if err := json.Unmarshal(doc, &old); err != nil {
-		t.Fatalf("old client failed on new server stats: %v", err)
-	}
-	if old.Queue != "jobs" || old.Inserts != 100 || old.Deletes != 40 || old.Size != 60 {
-		t.Fatalf("old client misread v2 document: %+v", old)
-	}
-}
-
-func TestNewClientReadsOldServerStats(t *testing.T) {
-	doc, err := json.Marshal(legacyQueueStats{
-		Queue:     "jobs",
-		Algorithm: "SingleLock",
-		Inserts:   7,
-		Size:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st QueueStats
-	if err := json.Unmarshal(doc, &st); err != nil {
-		t.Fatalf("new client failed on old server stats: %v", err)
-	}
-	if st.StatsVersion != 0 {
-		t.Fatalf("absent stats_version must decode as 0 (pre-versioning), got %d", st.StatsVersion)
-	}
-	if st.Durability != nil {
-		t.Fatalf("old server document grew a durability section: %+v", st.Durability)
-	}
-	if st.Queue != "jobs" || st.Inserts != 7 {
-		t.Fatalf("new client misread v1 document: %+v", st)
-	}
-}
-
-// legacyQueueStatsV2 is the stats document exactly as a PR 6-era (v2)
-// client defines it — durability block, no latency section and no
-// fsync-latency/group-commit distributions inside durability.
-type legacyQueueStatsV2 struct {
-	legacyQueueStats
-	StatsVersion int `json:"stats_version,omitempty"`
-	Durability   *struct {
-		FsyncPolicy          string `json:"fsync_policy"`
-		LastLSN              uint64 `json:"last_lsn"`
-		SnapshotLSN          uint64 `json:"snapshot_lsn"`
-		Segments             int    `json:"segments"`
-		WALBytes             int64  `json:"wal_bytes"`
-		Appends              uint64 `json:"appends"`
-		Fsyncs               uint64 `json:"fsyncs"`
-		Snapshots            uint64 `json:"snapshots"`
-		RecordsSinceSnapshot uint64 `json:"records_since_snapshot"`
-		RecoveredItems       int    `json:"recovered_items"`
-		ReplayedRecords      int    `json:"replayed_records"`
-		TornTail             bool   `json:"torn_tail,omitempty"`
-	} `json:"durability,omitempty"`
-}
-
-func TestV2ClientReadsV3ServerStats(t *testing.T) {
-	// A v3 server document with every new section populated.
-	doc, err := json.Marshal(QueueStats{
-		Queue:        "jobs",
-		Algorithm:    "FunnelTree",
-		Inserts:      100,
-		Deletes:      40,
-		Size:         60,
-		StatsVersion: StatsVersion,
-		Durability: &DurabilityStats{
-			FsyncPolicy:  "always",
-			Appends:      140,
-			Fsyncs:       12,
-			FsyncLatency: &Dist{Count: 12, Mean: 800_000, P50: 750_000, P99: 2_000_000},
-			GroupCommit:  &Dist{Count: 12, Mean: 11.6, P50: 8, P99: 30},
-		},
-		Latency: &ServerLatencyStats{
-			Insert:    Dist{Count: 100, Mean: 2100, P50: 1800, P90: 3000, P99: 9000},
-			DeleteMin: Dist{Count: 40, Mean: 2500, P50: 2000, P90: 4000, P99: 12000},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old legacyQueueStatsV2
-	if err := json.Unmarshal(doc, &old); err != nil {
-		t.Fatalf("v2 client failed on v3 server stats: %v", err)
-	}
-	if old.Queue != "jobs" || old.Inserts != 100 || old.Size != 60 {
-		t.Fatalf("v2 client misread v3 document: %+v", old)
-	}
-	if old.Durability == nil || old.Durability.Appends != 140 || old.Durability.Fsyncs != 12 {
-		t.Fatalf("v2 client lost the durability counters: %+v", old.Durability)
-	}
-}
-
-func TestNewClientReadsV2ServerStats(t *testing.T) {
-	// A v2 server document: stats_version 2, durability block without
-	// the v3 distributions, no latency section.
-	v2 := legacyQueueStatsV2{StatsVersion: 2}
-	v2.Queue = "jobs"
-	v2.Inserts = 9
-	v2.Deletes = 4
-	doc, err := json.Marshal(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st QueueStats
-	if err := json.Unmarshal(doc, &st); err != nil {
-		t.Fatalf("new client failed on v2 server stats: %v", err)
-	}
-	if st.StatsVersion != 2 {
-		t.Fatalf("stats_version = %d, want 2", st.StatsVersion)
-	}
-	if st.Latency != nil {
-		t.Fatalf("v2 document grew a latency section: %+v", st.Latency)
-	}
-	if st.Durability != nil {
-		t.Fatalf("v2 document without durability grew one: %+v", st.Durability)
-	}
-	if st.Queue != "jobs" || st.Inserts != 9 || st.Deletes != 4 {
-		t.Fatalf("new client misread v2 document: %+v", st)
-	}
-}
-
 func TestStatsRoundTripKeepsLatency(t *testing.T) {
 	in := QueueStats{Queue: "q", StatsVersion: StatsVersion,
 		Latency: &ServerLatencyStats{

@@ -7,36 +7,25 @@
 //     A WRONG_NODE NACK (stale map) triggers a map refresh from the
 //     NACKing node — it demonstrably has a map that disagrees — and a
 //     bounded re-route; batches are split per owner before sending.
-//   - DELETE_MIN mirrors the two-choice pull of relaxed MultiQueues at
-//     cluster scale: sample two distinct nodes, pop both tops
-//     concurrently, deliver the better (smaller priority) and put the
-//     loser back via its owner's insert path. A put-back the owner
-//     refuses (shed, draining, unreachable) is stashed client-side and
-//     delivered before any further network pop, so no popped item is
-//     ever dropped. Only when every node answers "empty" (a full sweep,
-//     not just the two samples) does DeleteMin report empty.
-//   - DELETE_MIN_BATCH pulls nodes in ascending order of their lowest
-//     owned priority — the drain-friendly path — and merges.
-//   - RETRY_AFTER hand-off: a node that sheds a put-back insert has it
-//     handed off to the local stash rather than retried against other
-//     nodes (no other node owns the range), and delete-min treats a
-//     node miss by moving on to the remaining nodes.
+//   - DELETE_MIN / DELETE_MIN_BATCH sweep the nodes in ascending order
+//     of their lowest owned priority. The map partitions by priority
+//     range, so the nodes are the bins of the paper's SimpleLinear and
+//     the minimum lives on the lowest-range non-empty node: pop it,
+//     move up one node on EMPTY, report empty only when every node said
+//     so. A node that fails is skipped; if nothing was delivered, its
+//     error is reported instead of "empty", because emptiness cannot be
+//     certified with a band unreachable. A delete costs 1 + (number of
+//     nodes below the lowest non-empty band) sequential frames.
 //
-// Exactly-once: the winner of a two-choice pop is delivered exactly
-// once; the loser either re-enters its owner node (acknowledged insert)
-// or sits in the stash until a later DeleteMin/DeleteMinBatch delivers
-// it. A put-back whose outcome is ambiguous (transport error after the
-// frame may have reached the node) is stashed too — favoring no-loss —
-// so a lost acknowledgement can at worst duplicate that item; callers
-// that need strict exactly-once across a node crash quiesce pops before
-// severing nodes, exactly like the single-node crash discipline.
+// Nothing is ever held client-side: a delete never inserts, an item is
+// either on its owner node or delivered, and exactly-once is the
+// node's own pop guarantee.
 package pqclient
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,7 +42,7 @@ type ClusterConfig struct {
 	// Seeds at dial time.
 	Map *wire.ClusterMap
 	// Seeds are node addresses to bootstrap the map from (any node of
-	// the cluster serves the full map in STATS v4). Unused when Map is
+	// the cluster serves the full map in STATS). Unused when Map is
 	// set.
 	Seeds []string
 	// BootstrapQueue is the queue name used for the STATS bootstrap
@@ -69,8 +58,10 @@ type ClusterConfig struct {
 	MaxRetries     int
 	RetryBase      time.Duration
 
-	// Rand seeds the two-choice sampling; 0 uses a global source. Tests
-	// set it for reproducible node picks.
+	// Rand is ignored: no operation samples nodes.
+	//
+	// Deprecated: kept only because bench/ still sets it; goes when
+	// bench/ next opens (ROADMAP item 9).
 	Rand int64
 }
 
@@ -90,27 +81,39 @@ func (c *ClusterConfig) nodeConfig(addr string) Config {
 // All methods are safe for concurrent use.
 type ClusterClient struct {
 	cfg ClusterConfig
-	m   atomic.Pointer[wire.ClusterMap]
+	r   atomic.Pointer[routing]
 
 	mu     sync.Mutex
 	nodes  map[string]*Client
-	stash  map[string][]Item // per queue: put-back items awaiting delivery
-	rng    *rand.Rand
 	closed bool
+}
+
+// routing is one adopted cluster map plus the order deletes sweep its
+// nodes in, published together so the delete path sorts nothing.
+type routing struct {
+	m     *wire.ClusterMap
+	sweep []string // node addresses by ascending lowest owned priority
+}
+
+func newRouting(m *wire.ClusterMap) *routing {
+	lo := make(map[string]int, len(m.Nodes))
+	sweep := make([]string, len(m.Nodes))
+	for i, n := range m.Nodes {
+		sweep[i] = n.Addr
+		lo[n.Addr] = m.Priorities
+		for _, r := range n.Ranges {
+			lo[n.Addr] = min(lo[n.Addr], r.Lo)
+		}
+	}
+	sort.SliceStable(sweep, func(a, b int) bool { return lo[sweep[a]] < lo[sweep[b]] })
+	return &routing{m: m, sweep: sweep}
 }
 
 // DialCluster builds a cluster client. With cfg.Map set no connection
 // is made until the first operation; otherwise the map is fetched from
 // the first reachable seed.
 func DialCluster(cfg ClusterConfig) (*ClusterClient, error) {
-	cc := &ClusterClient{
-		cfg:   cfg,
-		nodes: make(map[string]*Client),
-		stash: make(map[string][]Item),
-	}
-	if cfg.Rand != 0 {
-		cc.rng = rand.New(rand.NewSource(cfg.Rand))
-	}
+	cc := &ClusterClient{cfg: cfg, nodes: make(map[string]*Client)}
 	if cfg.Map != nil {
 		// Clone before validating: Validate builds the lookup index in
 		// place, and the caller may hand the same map to many clients.
@@ -118,7 +121,7 @@ func DialCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		if err := m.Validate(); err != nil {
 			return nil, err
 		}
-		cc.m.Store(m)
+		cc.r.Store(newRouting(m))
 		return cc, nil
 	}
 	if len(cfg.Seeds) == 0 {
@@ -142,13 +145,12 @@ func DialCluster(cfg ClusterConfig) (*ClusterClient, error) {
 }
 
 // Map returns the active cluster map.
-func (cc *ClusterClient) Map() *wire.ClusterMap { return cc.m.Load() }
+func (cc *ClusterClient) Map() *wire.ClusterMap { return cc.r.Load().m }
 
 // MapVersion returns the active map's version.
-func (cc *ClusterClient) MapVersion() uint64 { return cc.m.Load().Version }
+func (cc *ClusterClient) MapVersion() uint64 { return cc.Map().Version }
 
-// Close severs every node's connection pool. Stashed items (see
-// Stashed) are lost with the process; drain queues to zero first.
+// Close severs every node's connection pool.
 func (cc *ClusterClient) Close() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -159,17 +161,11 @@ func (cc *ClusterClient) Close() error {
 	return nil
 }
 
-// Stashed reports how many put-back items are currently parked
-// client-side across all queues (0 at quiescence after a full drain).
-func (cc *ClusterClient) Stashed() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	n := 0
-	for _, s := range cc.stash {
-		n += len(s)
-	}
-	return n
-}
+// Stashed returns 0: the client holds no items.
+//
+// Deprecated: kept only because bench/ still calls it; goes when bench/
+// next opens (ROADMAP item 9).
+func (cc *ClusterClient) Stashed() int { return 0 }
 
 // node returns (dialing if needed) the pooled client for addr.
 func (cc *ClusterClient) node(addr string) (*Client, error) {
@@ -220,12 +216,13 @@ func (cc *ClusterClient) refreshFrom(ctx context.Context, queue, addr string) er
 	if err != nil {
 		return fmt.Errorf("pqclient: node %s serves a bad cluster map: %w", addr, err)
 	}
+	next := newRouting(m)
 	for {
-		cur := cc.m.Load()
-		if cur != nil && cur.Version >= m.Version {
+		cur := cc.r.Load()
+		if cur != nil && cur.m.Version >= m.Version {
 			return nil // nothing newer
 		}
-		if cc.m.CompareAndSwap(cur, m) {
+		if cc.r.CompareAndSwap(cur, next) {
 			return nil
 		}
 	}
@@ -234,7 +231,7 @@ func (cc *ClusterClient) refreshFrom(ctx context.Context, queue, addr string) er
 // RefreshMap polls every node (best-effort) and adopts the newest map
 // it sees, returning the active version afterwards.
 func (cc *ClusterClient) RefreshMap(ctx context.Context, queue string) (uint64, error) {
-	m := cc.m.Load()
+	m := cc.Map()
 	var firstErr error
 	for _, n := range m.Nodes {
 		if err := cc.refreshFrom(ctx, queue, n.Addr); err != nil && firstErr == nil {
@@ -256,6 +253,20 @@ func ownerAddr(m *wire.ClusterMap, pri int) (string, error) {
 	return m.Nodes[n].Addr, nil
 }
 
+// splitByOwner groups items by the address of the node owning each
+// item's priority under m.
+func splitByOwner(m *wire.ClusterMap, items []Item) (map[string][]Item, error) {
+	byNode := make(map[string][]Item)
+	for _, it := range items {
+		addr, err := ownerAddr(m, it.Pri)
+		if err != nil {
+			return nil, err
+		}
+		byNode[addr] = append(byNode[addr], it)
+	}
+	return byNode, nil
+}
+
 // Insert routes one insert to the priority's owner, refreshing the map
 // and re-routing (bounded) when the addressed node NACKs with
 // WRONG_NODE.
@@ -266,7 +277,7 @@ func (cc *ClusterClient) Insert(ctx context.Context, queue string, pri int, valu
 	hint := ""
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		m := cc.m.Load()
+		m := cc.Map()
 		addr := hint
 		hint = ""
 		if addr == "" {
@@ -290,7 +301,7 @@ func (cc *ClusterClient) Insert(ctx context.Context, queue string, pri int, valu
 		// again. If the refreshed map still points at the same node,
 		// fall back to the NACK's owner hint once.
 		cc.refreshFrom(ctx, queue, addr)
-		if again, err2 := ownerAddr(cc.m.Load(), pri); err2 == nil && again == addr && wn.Owner != "" {
+		if again, err2 := ownerAddr(cc.Map(), pri); err2 == nil && again == addr && wn.Owner != "" {
 			hint = wn.Owner
 		}
 	}
@@ -306,14 +317,9 @@ func (cc *ClusterClient) InsertBatch(ctx context.Context, queue string, items []
 	if len(items) == 0 {
 		return 0, nil
 	}
-	m := cc.m.Load()
-	byNode := make(map[string][]Item)
-	for _, it := range items {
-		addr, err := ownerAddr(m, it.Pri)
-		if err != nil {
-			return 0, err
-		}
-		byNode[addr] = append(byNode[addr], it)
+	byNode, err := splitByOwner(cc.Map(), items)
+	if err != nil {
+		return 0, err
 	}
 	var (
 		mu      sync.Mutex
@@ -365,14 +371,9 @@ func (cc *ClusterClient) insertBatchNode(ctx context.Context, queue, addr string
 	// Stale map: nothing was admitted (misrouted batches are NACKed
 	// whole). Re-split the piece under the refreshed map and resend.
 	cc.refreshFrom(ctx, queue, addr)
-	m := cc.m.Load()
-	byNode := make(map[string][]Item)
-	for _, it := range part {
-		a, err := ownerAddr(m, it.Pri)
-		if err != nil {
-			return 0, err
-		}
-		byNode[a] = append(byNode[a], it)
+	byNode, err := splitByOwner(cc.Map(), part)
+	if err != nil {
+		return 0, err
 	}
 	total := 0
 	for a, p := range byNode {
@@ -389,226 +390,70 @@ func (cc *ClusterClient) insertBatchNode(ctx context.Context, queue, addr string
 	return total, nil
 }
 
-// pickTwo samples two distinct node indices.
-func (cc *ClusterClient) pickTwo(n int) (int, int) {
-	var i, j int
-	cc.mu.Lock()
-	if cc.rng != nil {
-		i = cc.rng.Intn(n)
-		j = cc.rng.Intn(n - 1)
-	} else {
-		i = rand.Intn(n)
-		j = rand.Intn(n - 1)
-	}
-	cc.mu.Unlock()
-	if j >= i {
-		j++
-	}
-	return i, j
-}
-
-// stashPop removes and returns the most urgent stashed item for queue.
-func (cc *ClusterClient) stashPop(queue string) (Item, bool) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	s := cc.stash[queue]
-	if len(s) == 0 {
-		return Item{}, false
-	}
-	best := 0
-	for i, it := range s {
-		if it.Pri < s[best].Pri {
-			best = i
-		}
-	}
-	it := s[best]
-	s[best] = s[len(s)-1]
-	cc.stash[queue] = s[:len(s)-1]
-	return it, true
-}
-
-func (cc *ClusterClient) stashPut(queue string, it Item) {
-	cc.mu.Lock()
-	cc.stash[queue] = append(cc.stash[queue], it)
-	cc.mu.Unlock()
-}
-
-// putBack hands a two-choice loser back to its owner node; any refusal
-// (shed, draining, unreachable, misroute churn) stashes it client-side
-// — the RETRY_AFTER hand-off — so the item is never lost and is served
-// before further network pops.
-func (cc *ClusterClient) putBack(ctx context.Context, queue string, it Item) {
-	addr, err := ownerAddr(cc.m.Load(), it.Pri)
-	if err == nil {
-		var c *Client
-		if c, err = cc.node(addr); err == nil {
-			err = c.Insert(ctx, queue, it.Pri, it.Value)
-		}
-	}
-	if err != nil {
-		cc.stashPut(queue, it)
-	}
-}
-
-// popResult is one node's answer in a multi-node pop.
-type popResult struct {
-	it  Item
-	ok  bool
-	err error
-}
-
-func (cc *ClusterClient) popNode(ctx context.Context, queue, addr string) popResult {
-	c, err := cc.node(addr)
-	if err != nil {
-		return popResult{err: err}
-	}
-	it, ok, err := c.DeleteMin(ctx, queue)
-	return popResult{it: it, ok: ok, err: err}
-}
-
-// DeleteMin removes and returns the cluster's (approximately) most
-// urgent item. Fast path: two-choice pull — sample two distinct nodes,
-// pop both concurrently, deliver the better and put the loser back.
-// The rank error this relaxation admits is bounded by the same
-// winner-of-two argument as MultiQueues (arXiv 2107.01350), with nodes
-// in place of internal queues. Slow path: when both samples miss, a
-// full sweep in priority order; only all-empty reports ok=false, so an
-// item present anywhere is never masked by sampling.
-func (cc *ClusterClient) DeleteMin(ctx context.Context, queue string) (it Item, ok bool, err error) {
-	if it, ok := cc.stashPop(queue); ok {
-		return it, true, nil
-	}
-	m := cc.m.Load()
-	n := len(m.Nodes)
-	if n == 1 {
-		c, err := cc.node(m.Nodes[0].Addr)
-		if err != nil {
-			return Item{}, false, err
-		}
-		return c.DeleteMin(ctx, queue)
-	}
-	i, j := cc.pickTwo(n)
-	var ri, rj popResult
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ri = cc.popNode(ctx, queue, m.Nodes[i].Addr)
-	}()
-	rj = cc.popNode(ctx, queue, m.Nodes[j].Addr)
-	wg.Wait()
-	switch {
-	case ri.ok && rj.ok:
-		win, lose := ri.it, rj.it
-		if rj.it.Pri < ri.it.Pri {
-			win, lose = rj.it, ri.it
-		}
-		cc.putBack(ctx, queue, lose)
-		return win, true, nil
-	case ri.ok:
-		return ri.it, true, nil
-	case rj.ok:
-		return rj.it, true, nil
-	}
-	// Both samples missed (empty or erred): sweep every node in
-	// ascending order of its lowest owned priority, so a genuinely
-	// non-empty cluster serves its best available band.
-	firstErr := ri.err
-	if firstErr == nil {
-		firstErr = rj.err
-	}
-	for _, ni := range nodesByLowestRange(m) {
-		r := cc.popNode(ctx, queue, m.Nodes[ni].Addr)
-		if r.ok {
-			return r.it, true, nil
-		}
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	// A concurrent put-back may have stashed during the sweep.
-	if it, ok := cc.stashPop(queue); ok {
-		return it, true, nil
-	}
-	if firstErr != nil {
-		// Some node was unreachable: emptiness cannot be certified.
-		return Item{}, false, firstErr
-	}
-	return Item{}, false, nil
-}
-
-// nodesByLowestRange orders node indices by the lowest priority each
-// owns — the sweep order that preserves cluster-level urgency.
-func nodesByLowestRange(m *wire.ClusterMap) []int {
-	type nodeLo struct{ idx, lo int }
-	nl := make([]nodeLo, len(m.Nodes))
-	for i, n := range m.Nodes {
-		lo := m.Priorities
-		for _, r := range n.Ranges {
-			if r.Lo < lo {
-				lo = r.Lo
+// sweep is the one delete loop: it visits the nodes in ascending order
+// of their lowest owned priority, calling pop on each until pop reports
+// it has all it wants. A node that fails (to dial or to answer) is
+// skipped; the first such error is returned for the caller to report
+// when it ended up with nothing.
+func (cc *ClusterClient) sweep(pop func(*Client) (done bool, err error)) error {
+	var firstErr error
+	for _, addr := range cc.r.Load().sweep {
+		c, err := cc.node(addr)
+		if err == nil {
+			var done bool
+			if done, err = pop(c); done {
+				return nil
 			}
 		}
-		nl[i] = nodeLo{idx: i, lo: lo}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	sort.Slice(nl, func(a, b int) bool { return nl[a].lo < nl[b].lo })
-	out := make([]int, len(nl))
-	for i, e := range nl {
-		out[i] = e.idx
-	}
-	return out
+	return firstErr
 }
 
-// DeleteMinBatch removes up to max items, serving the stash first and
-// then pulling nodes in ascending range order — the drain path. The
-// merged result is sorted by priority. A short (or empty) result means
-// every node (and the stash) ran dry.
+// DeleteMin removes and returns the cluster's most urgent item: the
+// head of the lowest-range non-empty node. ok=false means every node
+// answered EMPTY; if some node failed and no other had an item, the
+// result is that node's error, never ok=false. With one caller and no
+// concurrent inserts the order is strict (on a map where each node
+// owns one contiguous range); concurrent callers get what a sharded
+// servedQueue gives, for the same reason — an insert may land on a band
+// the sweep has already passed.
+func (cc *ClusterClient) DeleteMin(ctx context.Context, queue string) (it Item, ok bool, err error) {
+	err = cc.sweep(func(c *Client) (bool, error) {
+		var perr error
+		it, ok, perr = c.DeleteMin(ctx, queue)
+		return ok, perr
+	})
+	return it, ok, err
+}
+
+// DeleteMinBatch removes up to max items by the same sweep, taking as
+// much as each node has before moving up. The merged result is sorted
+// by priority. A short (or empty) result means every reachable node ran
+// dry; an error is returned only when nothing was delivered.
 func (cc *ClusterClient) DeleteMinBatch(ctx context.Context, queue string, max int) ([]Item, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("pqclient: DeleteMinBatch max must be >= 1, got %d", max)
 	}
 	var out []Item
-	for len(out) < max {
-		it, ok := cc.stashPop(queue)
-		if !ok {
-			break
-		}
-		out = append(out, it)
-	}
-	m := cc.m.Load()
-	var firstErr error
-	for _, ni := range nodesByLowestRange(m) {
-		want := max - len(out)
-		if want <= 0 {
-			break
-		}
-		c, err := cc.node(m.Nodes[ni].Addr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		items, err := c.DeleteMinBatch(ctx, queue, want)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
+	err := cc.sweep(func(c *Client) (bool, error) {
+		items, err := c.DeleteMinBatch(ctx, queue, max-len(out))
 		out = append(out, items...)
+		return len(out) >= max, err
+	})
+	if len(out) == 0 {
+		return nil, err
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Pri < out[b].Pri })
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
-	}
 	return out, nil
 }
 
 // NodeStats fetches every node's view of one queue, keyed by node
 // address.
 func (cc *ClusterClient) NodeStats(ctx context.Context, queue string) (map[string]QueueStats, error) {
-	m := cc.m.Load()
+	m := cc.Map()
 	out := make(map[string]QueueStats, len(m.Nodes))
 	for _, n := range m.Nodes {
 		c, err := cc.node(n.Addr)
@@ -628,7 +473,7 @@ func (cc *ClusterClient) NodeStats(ctx context.Context, queue string) (map[strin
 // Size sums, and the identity fields come from the map plus the first
 // node. The cluster block carries the active map.
 func (cc *ClusterClient) Stats(ctx context.Context, queue string) (QueueStats, error) {
-	m := cc.m.Load()
+	m := cc.Map()
 	per, err := cc.NodeStats(ctx, queue)
 	if err != nil {
 		return QueueStats{}, err
@@ -656,10 +501,9 @@ func (cc *ClusterClient) Stats(ctx context.Context, queue string) (QueueStats, e
 }
 
 // Drain tells every node to stop admitting inserts to the queue;
-// remaining sums what was still queued cluster-wide (including the
-// local stash).
+// remaining sums what was still queued cluster-wide.
 func (cc *ClusterClient) Drain(ctx context.Context, queue string) (remaining uint64, err error) {
-	m := cc.m.Load()
+	m := cc.Map()
 	var total uint64
 	for _, n := range m.Nodes {
 		c, err := cc.node(n.Addr)
@@ -672,8 +516,5 @@ func (cc *ClusterClient) Drain(ctx context.Context, queue string) (remaining uin
 		}
 		total += rem
 	}
-	cc.mu.Lock()
-	total += uint64(len(cc.stash[queue]))
-	cc.mu.Unlock()
 	return total, nil
 }
