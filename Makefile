@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-repo bench-json bench-relaxed figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload admin-smoke
+.PHONY: all build test race bench bench-repo bench-relaxed figures repro repro-quick chaos-quick examples vet fmt lint pqd pqload admin-smoke
 
 all: build test
 
@@ -48,11 +48,6 @@ repro:
 # Same, at a quarter of the per-processor operation count (~seconds).
 repro-quick:
 	$(GO) run ./cmd/pqbench -experiment all -scale 0.25
-
-# Machine-readable benchmark suite: the standard workload for every
-# algorithm with latency quantiles, internals metrics and sim totals.
-bench-json:
-	$(GO) run ./cmd/pqbench -json BENCH_$$(date +%Y-%m-%d).json -metrics
 
 # Relaxed frontier: MultiQueue throughput vs measured rank error over
 # c and processor count, with FunnelTree as the exact baseline. The

@@ -8,14 +8,12 @@
 //	pqbench -list                         # show available experiments
 //	pqbench -experiment fig8 -csv out.csv # also dump raw points as CSV
 //	pqbench -metrics                      # internals counters for all queues
-//	pqbench -json out.json                # machine-readable bench suite
-//	pqbench -json o.json -alg multiqueue  # restrict the suite to named queues
+//	pqbench -metrics -alg multiqueue      # restrict the suite to named queues
 //	pqbench -frontier                     # MultiQueue throughput-vs-rank-error sweep
 //	pqbench -trace t.json -alg FunnelTree # Chrome/Perfetto trace of one run
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -49,13 +47,12 @@ func run(args []string) error {
 		chaos      = fs.Bool("chaos", false, "run the chaos/fault-injection matrix over all algorithms instead of an experiment")
 		doPlot     = fs.Bool("plot", false, "also draw an ASCII chart of each experiment's series")
 		metrics    = fs.Bool("metrics", false, "run the standard workload for every algorithm and print internals metrics")
-		jsonPath   = fs.String("json", "", "write the bench suite as machine-readable JSON to this file")
 		tracePath  = fs.String("trace", "", "write a Chrome/Perfetto trace of one workload run to this file")
-		alg        = fs.String("alg", "", "comma-separated algorithms for -metrics/-json (default: the paper's seven exact queues), or the single algorithm for -trace (default FunnelTree)")
+		alg        = fs.String("alg", "", "comma-separated algorithms for -metrics (default: the paper's seven exact queues), or the single algorithm for -trace (default FunnelTree)")
 		frontier   = fs.Bool("frontier", false, "measure the relaxed frontier: MultiQueue throughput vs rank error over c and processor count, with FunnelTree as the exact baseline")
-		procs      = fs.Int("procs", 256, "processors for -contention, -metrics, -json and -trace")
-		pris       = fs.Int("pris", 16, "priorities for -contention, -metrics, -json and -trace")
-		batch      = fs.Int("batch", 0, "also measure -metrics/-json runs with this many operations per batched queue access (0 disables)")
+		procs      = fs.Int("procs", 256, "processors for -contention, -metrics and -trace")
+		pris       = fs.Int("pris", 16, "priorities for -contention, -metrics and -trace")
+		batch      = fs.Int("batch", 0, "also measure -metrics runs with this many operations per batched queue access (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,12 +98,12 @@ func run(args []string) error {
 		rep.Render(os.Stdout)
 		return nil
 	}
-	if *metrics || *jsonPath != "" {
+	if *metrics {
 		algs, err := parseAlgs(*alg)
 		if err != nil {
 			return err
 		}
-		return runBenchSuite(*jsonPath, algs, *procs, *pris, *scale, *batch, *metrics, *doPlot, progress)
+		return runMetrics(algs, *procs, *pris, *scale, *batch, *doPlot, progress)
 	}
 	if *chaos {
 		start := time.Now()
@@ -216,58 +213,40 @@ func renderPlot(w io.Writer, pts []harness.Point) {
 	plot.Render(w, plot.Config{Width: 72, Height: 18, LogX: logX, YLabel: "mean cycles/op"}, series)
 }
 
-// runBenchSuite runs the standard workload for every algorithm (or the
-// -alg subset), writes the machine-readable document when jsonPath is
-// set, and prints the human-readable metrics report when showMetrics is
-// set.
-func runBenchSuite(jsonPath string, algs []simpq.Algorithm, procs, pris int, scale float64, batch int, showMetrics, doPlot bool, progress func(string)) error {
-	bf, results, err := harness.RunBenchSuiteAlgs(algs, procs, pris, scale, batch, progress)
+// runMetrics runs the standard workload for every algorithm (or the
+// -alg subset) and prints the internals metrics report.
+func runMetrics(algs []simpq.Algorithm, procs, pris int, scale float64, batch int, doPlot bool, progress func(string)) error {
+	runs, err := harness.RunBenchSuite(algs, procs, pris, scale, batch, progress)
 	if err != nil {
 		return err
-	}
-	if jsonPath != "" {
-		bf.Generated = time.Now().UTC().Format(time.RFC3339)
-		data, err := json.MarshalIndent(bf, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d runs, schema %s)\n", jsonPath, len(bf.Runs), bf.Schema)
-	}
-	if !showMetrics {
-		return nil
 	}
 
 	fmt.Printf("== internals metrics: standard workload, %d procs, %d priorities, scale %g ==\n\n", procs, pris, scale)
 	fmt.Printf("%-14s %12s %10s %10s %10s %10s %10s %12s %12s\n",
 		"algorithm", "ops/kcycle", "ins p50", "ins p99", "del p50", "del p99", "failed", "mem ops", "stall cyc")
-	runName := func(r harness.BenchRun) string {
+	names := make([]string, len(runs))
+	internals := make([]map[string]float64, len(runs))
+	for i, r := range runs {
+		names[i] = string(r.Algorithm)
 		if r.Batch > 1 {
-			return fmt.Sprintf("%s(b%d)", r.Algorithm, r.Batch)
+			names[i] = fmt.Sprintf("%s(b%d)", r.Algorithm, r.Batch)
 		}
-		return r.Algorithm
-	}
-	for _, r := range bf.Runs {
+		internals[i] = r.Internals
+		var opsPerKCycle float64
+		if r.Stats.FinalTime > 0 {
+			opsPerKCycle = float64(r.Inserts+r.Deletes) / float64(r.Stats.FinalTime) * 1000
+		}
 		fmt.Printf("%-14s %12.3f %10.0f %10.0f %10.0f %10.0f %10d %12d %12d\n",
-			runName(r), r.ThroughputOpsPerKCycle,
-			r.Insert.P50, r.Insert.P99, r.Delete.P50, r.Delete.P99,
-			r.FailedDeletes, r.Sim.MemOps, r.Sim.StallCycles)
+			names[i], opsPerKCycle,
+			r.InsertSummary.P50, r.InsertSummary.P99, r.DeleteSummary.P50, r.DeleteSummary.P99,
+			r.FailedDeletes, r.Stats.MemOps, r.Stats.StallCycles)
 	}
 	fmt.Println()
-
-	names := make([]string, len(bf.Runs))
-	internals := make([]map[string]float64, len(bf.Runs))
-	for i, r := range bf.Runs {
-		names[i] = runName(r)
-		internals[i] = r.Internals
-	}
 	plot.MetricsTable(os.Stdout, names, internals)
 
 	if doPlot {
 		fmt.Println()
-		for i, r := range results {
+		for i, r := range runs {
 			if r.InsertHist != nil {
 				plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s insert latency", names[i]), r.InsertHist)
 			}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pq/internal/harness"
 )
 
 func TestRunList(t *testing.T) {
@@ -75,27 +73,6 @@ func TestRunWithPlot(t *testing.T) {
 	}
 	if err := run([]string{"-experiment", "fig6", "-scale", "0.01", "-q", "-plot"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-json", path, "-procs", "8", "-pris", "4", "-scale", "0.1", "-q"}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := harness.ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf.Generated == "" {
-		t.Error("Generated stamp missing from CLI output")
 	}
 }
 

@@ -67,7 +67,6 @@ func run(args []string) error {
 	var (
 		addr         = fs.String("addr", ":7070", "listen address")
 		queues       = fs.String("queues", "default:FunnelTree:64:4:0", "comma-separated queue specs name:alg:pris[:shards[:capacity]]")
-		maxBatch     = fs.Int("maxbatch", 64, "pipelined requests per response flush")
 		retryMillis  = fs.Int("retry-millis", 2, "RETRY_AFTER backoff hint (ms)")
 		conc         = fs.Int("concurrency", 0, "expected contending connections (sizes funnels; 0 = GOMAXPROCS)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget on SIGTERM")
@@ -117,7 +116,6 @@ func run(args []string) error {
 	}
 	logger := slog.New(handler)
 	srv := server.New(server.Config{
-		MaxBatch:         *maxBatch,
 		RetryAfterMillis: *retryMillis,
 		Concurrency:      *conc,
 		Logger:           logger,

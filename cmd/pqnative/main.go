@@ -6,22 +6,18 @@
 //
 //	pqnative                          # all algorithms, default sweep
 //	pqnative -algs FunnelTree,SimpleLinear -goroutines 1,4,16 -pris 16
-//	pqnative -json native.json        # machine-readable pq-bench/v1 suite
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"pq"
-	"pq/internal/harness"
 	"pq/internal/stats"
 )
 
@@ -39,7 +35,6 @@ func run(args []string) error {
 		gsFlag   = fs.String("goroutines", "1,2,4,8,16,32", "comma-separated goroutine counts")
 		pris     = fs.Int("pris", 16, "number of priorities")
 		ops      = fs.Int("ops", 100_000, "operations per goroutine")
-		jsonPath = fs.String("json", "", "write a pq-bench/v1 native-suite JSON here (\"-\" = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,14 +66,6 @@ func run(args []string) error {
 		gs = append(gs, n)
 	}
 
-	bf := &harness.BenchFile{
-		Schema:     harness.BenchSchema,
-		Suite:      harness.SuiteNative,
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		Procs:      runtime.GOMAXPROCS(0),
-		Priorities: *pris,
-		Scale:      float64(*ops) / 100_000,
-	}
 	fmt.Printf("%-14s %12s %14s %10s %10s %10s\n",
 		"algorithm", "goroutines", "ops/sec", "p50 ns", "p95 ns", "p99 ns")
 	for _, alg := range algs {
@@ -87,62 +74,24 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			all := stats.Summarize(m.allLats)
+			all := stats.Summarize(m.lats)
 			fmt.Printf("%-14s %12d %14.0f %10.0f %10.0f %10.0f\n",
 				alg, g, m.opsPerSec, all.P50, all.P95, all.P99)
-			run := harness.BenchRun{
-				Algorithm:           string(alg),
-				Procs:               g,
-				Inserts:             m.inserts,
-				Deletes:             m.deletes,
-				FailedDeletes:       m.failedDeletes,
-				ThroughputOpsPerSec: m.opsPerSec,
-				Insert:              harness.LatencyFromSummary(stats.Summarize(m.insLats)),
-				Delete:              harness.LatencyFromSummary(stats.Summarize(m.delLats)),
-				Internals:           m.internals,
-			}
-			if m.internals != nil {
+			if m.relaxed {
 				fmt.Printf("%-14s %12s rank mean %.2f  p99 %.0f  max %.0f\n",
-					"", "", m.internals["multiqueue.rank_mean"],
-					m.internals["multiqueue.rank_p99"], m.internals["multiqueue.rank_max"])
+					"", "", m.rank.Mean(), m.rank.Quantile(0.99), float64(m.rank.RankMax))
 			}
-			bf.Runs = append(bf.Runs, run)
 		}
-	}
-	if *jsonPath != "" {
-		if err := bf.Validate(); err != nil {
-			return fmt.Errorf("generated JSON does not validate: %w", err)
-		}
-		data, err := json.MarshalIndent(bf, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		if *jsonPath == "-" {
-			os.Stdout.Write(data)
-			return nil
-		}
-		return os.WriteFile(*jsonPath, data, 0o644)
 	}
 	return nil
 }
 
 type measurement struct {
-	opsPerSec     float64
-	inserts       int
-	deletes       int
-	failedDeletes int
-	insLats       []float64
-	delLats       []float64
-	allLats       []float64
-	// internals carries the rank-error distribution when the algorithm
-	// is relaxed; nil for the exact queues.
-	internals map[string]float64
-}
-
-type goroutineTally struct {
-	insLats, delLats []float64
-	deletes, failed  int
+	opsPerSec float64
+	lats      []float64 // every operation's latency, ns
+	// rank is the rank-error distribution when relaxed is set.
+	rank    pq.RelaxStats
+	relaxed bool
 }
 
 func measure(alg pq.Algorithm, goroutines, pris, ops int) (measurement, error) {
@@ -150,53 +99,31 @@ func measure(alg pq.Algorithm, goroutines, pris, ops int) (measurement, error) {
 	if err != nil {
 		return measurement{}, err
 	}
-	perG := make([]goroutineTally, goroutines)
+	perG := make([][]float64, goroutines)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for g := 0; g < goroutines; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t := &perG[g]
+			var lats []float64
 			for i := 0; i < ops; i++ {
 				t0 := time.Now()
 				if (i+g)%2 == 0 {
 					q.Insert((i*13+g)%pris, i)
-					t.insLats = append(t.insLats, float64(time.Since(t0).Nanoseconds()))
 				} else {
-					_, ok := q.DeleteMin()
-					t.delLats = append(t.delLats, float64(time.Since(t0).Nanoseconds()))
-					if ok {
-						t.deletes++
-					} else {
-						t.failed++
-					}
+					q.DeleteMin()
 				}
+				lats = append(lats, float64(time.Since(t0).Nanoseconds()))
 			}
+			perG[g] = lats
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	var m measurement
-	if rs, ok := pq.RelaxStatsOf(q); ok {
-		m.internals = map[string]float64{
-			"multiqueue.rank_pops": float64(rs.Pops),
-			"multiqueue.rank_mean": rs.Mean(),
-			"multiqueue.rank_p50":  rs.Quantile(0.50),
-			"multiqueue.rank_p99":  rs.Quantile(0.99),
-			"multiqueue.rank_max":  float64(rs.RankMax),
-		}
+	m := measurement{opsPerSec: float64(goroutines*ops) / time.Since(start).Seconds()}
+	m.rank, m.relaxed = pq.RelaxStatsOf(q)
+	for _, lats := range perG {
+		m.lats = append(m.lats, lats...)
 	}
-	for i := range perG {
-		t := &perG[i]
-		m.insLats = append(m.insLats, t.insLats...)
-		m.delLats = append(m.delLats, t.delLats...)
-		m.deletes += t.deletes
-		m.failedDeletes += t.failed
-	}
-	m.inserts = len(m.insLats)
-	m.allLats = append(append([]float64(nil), m.insLats...), m.delLats...)
-	m.opsPerSec = float64(goroutines*ops) / elapsed.Seconds()
 	return m, nil
 }

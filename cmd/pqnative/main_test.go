@@ -1,12 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-
-	"pq/internal/harness"
-)
+import "testing"
 
 func TestRunDefaults(t *testing.T) {
 	if testing.Short() {
@@ -35,42 +29,5 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-ops", "0"}); err == nil {
 		t.Fatal("ops=0 accepted")
-	}
-}
-
-// TestRunJSON checks the -json output is a valid pq-bench/v1 native
-// suite with one run per algorithm × goroutine count.
-func TestRunJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarks the host")
-	}
-	path := filepath.Join(t.TempDir(), "native.json")
-	if err := run([]string{
-		"-goroutines", "1,2", "-ops", "1000",
-		"-algs", "SimpleLinear,SimpleTree", "-json", path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := harness.ValidateBenchJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf.Suite != harness.SuiteNative {
-		t.Fatalf("suite = %q, want %q", bf.Suite, harness.SuiteNative)
-	}
-	if len(bf.Runs) != 4 {
-		t.Fatalf("runs = %d, want 4 (2 algs × 2 goroutine counts)", len(bf.Runs))
-	}
-	for _, r := range bf.Runs {
-		if r.Procs != 1 && r.Procs != 2 {
-			t.Errorf("%s: procs = %d", r.Algorithm, r.Procs)
-		}
-		if r.ThroughputOpsPerSec <= 0 {
-			t.Errorf("%s: no throughput", r.Algorithm)
-		}
 	}
 }

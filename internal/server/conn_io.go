@@ -286,3 +286,17 @@ func putConnReader(br *bufio.Reader) {
 	br.Reset(nil) // drop the connection reference before pooling
 	connReaderPool.Put(br)
 }
+
+// nextFrameBuffered reports whether br already holds the whole next
+// frame, so reading it cannot block. Only the 4-byte length prefix is
+// peeked, and only once it is buffered (Peek would otherwise wait).
+// ReadFrame consumes at least the 12-byte header even when a malformed
+// length claims less.
+func nextFrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	p, _ := br.Peek(4)
+	return n >= 4+max(int(binary.BigEndian.Uint32(p)), 8)
+}

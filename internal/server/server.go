@@ -3,8 +3,9 @@
 // of named queues, each backed by any pq.Algorithm with optional
 // priority-range sharding, admission control via the paper's bounded
 // fetch-and-decrement counter (shedding with RETRY_AFTER instead of
-// queueing unboundedly), per-connection read/process goroutine pairs
-// with micro-batched response flushing, and graceful drain.
+// queueing unboundedly), one goroutine per connection that reads,
+// handles and micro-batches response flushes in one loop, and graceful
+// drain.
 package server
 
 import (
@@ -30,10 +31,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// MaxBatch caps how many pipelined requests are processed between
-	// response flushes on one connection (micro-batching amortizes
-	// syscalls when clients pipeline). Default 64.
-	MaxBatch int
 	// RetryAfterMillis is the backoff hint sent with shed requests.
 	// Default 2.
 	RetryAfterMillis int
@@ -75,9 +72,6 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.RetryAfterMillis <= 0 {
 		c.RetryAfterMillis = 2
 	}
@@ -358,15 +352,6 @@ func (s *Server) dropConn(c net.Conn) {
 	s.connsWG.Done()
 }
 
-// connReq is one decoded frame handed from a connection's reader
-// goroutine to its processor. protoErr carries a recoverable per-frame
-// protocol error (bad version / bad flags): the frame was consumed from
-// the stream and the processor replies TError instead of dispatching.
-type connReq struct {
-	f        wire.Frame
-	protoErr error
-}
-
 // connState carries one connection's identity through the request
 // path: the id correlates log lines and picks metric stripes.
 type connState struct {
@@ -408,19 +393,27 @@ func (cw *countingWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
 	return n, err
 }
 
-// serveConn runs one connection: a reader goroutine decodes frames
-// into a channel and this goroutine processes them, flushing the
-// response writer only when the pipeline runs dry or MaxBatch requests
-// have been handled — the server-side micro-batch, which the
-// respWriter turns into one vectored write per flush.
+// maxFlushBatch caps the pipelined requests handled between response
+// flushes on one connection, so a client that keeps the read buffer
+// full still sees its responses in bounded batches.
+const maxFlushBatch = 64
+
+// serveConn runs one connection on one goroutine: read a frame, handle
+// it, recycle its payload, and flush the response writer when the read
+// buffer does not already hold the whole next frame or maxFlushBatch
+// requests have been handled since the last flush — the server-side
+// micro-batch, which the respWriter turns into one vectored write.
+// The flush test peeks the next frame's length prefix rather than
+// asking whether any byte is buffered: a client may send a request
+// plus part of the next and wait for the first response before sending
+// the rest, and reading that partial frame without flushing would
+// deadlock both ends.
 //
-// Buffer ownership along the path: the reader's FrameReader hands each
-// request a pooled payload buffer; the processor recycles it right
-// after handle() returns (everything a request retains — an inserted
-// item — was copied into a queue envelope by then, and everything a
-// response references is queue envelopes, never the request payload).
-// On the rare early-exit paths, payloads still queued in the channel
-// are simply dropped for the GC to take — a pool miss, not a leak.
+// Buffer ownership along the path: the FrameReader hands each request
+// a pooled payload buffer, recycled right after handle() returns
+// (everything a request retains — an inserted item — was copied into a
+// queue envelope by then, and everything a response references is
+// queue envelopes, never the request payload).
 func (s *Server) serveConn(c net.Conn) {
 	defer s.dropConn(c)
 
@@ -430,66 +423,36 @@ func (s *Server) serveConn(c net.Conn) {
 	s.met.connsActive.Add(1)
 	defer s.met.connsActive.Add(-1)
 
-	// done tells the reader the processor is gone (write error), so a
-	// reader blocked sending into a full reqs channel doesn't leak.
-	done := make(chan struct{})
-	defer close(done)
-
-	reqs := make(chan connReq, s.cfg.MaxBatch)
-	go func() {
-		defer close(reqs)
-		br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
-		defer putConnReader(br)
-		var fr wire.FrameReader
-		for {
-			f, err := fr.ReadFrame(br)
-			if err != nil && !errors.Is(err, wire.ErrBadVersion) && !errors.Is(err, wire.ErrBadFlags) {
-				if !errors.Is(err, net.ErrClosed) && !isEOF(err) {
-					cs.log.Warn("read failed", "err", err)
-				}
-				return
-			}
-			s.met.framesRead.Inc(cs.id)
-			if err != nil {
-				s.met.resyncs.Inc(cs.id)
-			}
-			select {
-			case reqs <- connReq{f: f, protoErr: err}:
-			case <-done:
-				wire.PutBuf(f.Payload)
-				return
-			}
-		}
-	}()
-
+	br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
+	defer putConnReader(br)
 	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id})
 	defer w.release()
-	var flushed int64
-	for r := range reqs {
-		n := 1
-		err := s.handle(r, w, cs)
-		wire.PutBuf(r.f.Payload)
+	var (
+		fr      wire.FrameReader
+		n       int   // requests handled since the last flush
+		flushed int64 // w.flushes already counted
+	)
+	for {
+		f, perr := fr.ReadFrame(br)
+		if perr != nil && !errors.Is(perr, wire.ErrBadVersion) && !errors.Is(perr, wire.ErrBadFlags) {
+			if !errors.Is(perr, net.ErrClosed) && !isEOF(perr) {
+				cs.log.Warn("read failed", "err", perr)
+			}
+			w.flush() // answers to requests ahead of a malformed frame still go out
+			return
+		}
+		s.met.framesRead.Inc(cs.id)
+		if perr != nil {
+			s.met.resyncs.Inc(cs.id)
+		}
+		err := s.handle(f, perr, w, cs)
+		wire.PutBuf(f.Payload)
 		if err != nil {
 			cs.log.Warn("write failed", "err", err)
 			return
 		}
-	batch:
-		for n < s.cfg.MaxBatch {
-			select {
-			case r2, ok := <-reqs:
-				if !ok {
-					break batch
-				}
-				n++
-				err := s.handle(r2, w, cs)
-				wire.PutBuf(r2.f.Payload)
-				if err != nil {
-					cs.log.Warn("write failed", "err", err)
-					return
-				}
-			default:
-				break batch
-			}
+		if n++; n < maxFlushBatch && nextFrameBuffered(br) {
+			continue
 		}
 		if err := w.flush(); err != nil {
 			return
@@ -498,8 +461,8 @@ func (s *Server) serveConn(c net.Conn) {
 		s.met.pipelineDepth.Observe(cs.id, int64(n))
 		s.met.flushes.Add(cs.id, w.flushes-flushed)
 		flushed = w.flushes
+		n = 0
 	}
-	w.flush()
 }
 
 func isEOF(err error) bool {
@@ -550,14 +513,16 @@ func (q *servedQueue) durFailed(cs connState, op string, err error) {
 }
 
 // handle processes one request frame and writes its single response.
-// Request decoding uses the zero-copy views — queue names and item
-// values alias f.Payload — so everything a request hands the queue is
-// copied into a pooled envelope before handle returns, and the caller
-// recycles the payload right after.
-func (s *Server) handle(r connReq, w *respWriter, cs connState) error {
-	f := r.f
-	if r.protoErr != nil {
-		return s.replyErr(w, f.ID, "%v (frame version %d, flags ignored until version matches)", r.protoErr, f.Version)
+// protoErr carries a recoverable per-frame protocol error (bad version
+// / bad flags): the frame was consumed from the stream and is answered
+// with TError instead of dispatched. Request decoding uses the
+// zero-copy views — queue names and item values alias f.Payload — so
+// everything a request hands the queue is copied into a pooled
+// envelope before handle returns, and the caller recycles the payload
+// right after.
+func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connState) error {
+	if protoErr != nil {
+		return s.replyErr(w, f.ID, "%v (frame version %d, flags ignored until version matches)", protoErr, f.Version)
 	}
 	switch f.Type {
 	case wire.TInsert:

@@ -195,12 +195,8 @@ func (c *Client) do(ctx context.Context, cl *call) error {
 	if err != nil {
 		return err
 	}
-	select {
-	case cn.sendCh <- cl:
-	case <-cn.closed:
-		return cn.closeErr()
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := cn.send(ctx, cl); err != nil {
+		return err
 	}
 	select {
 	case <-cl.done:

@@ -2,6 +2,7 @@ package pqclient
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -111,30 +112,58 @@ func (c *conn) close(err error) {
 				cl.finish(wire.Frame{}, err)
 			}
 		}
-		// Fail whatever is parked in the send queue; producers racing
-		// with this drain see c.closed in their select.
-		for {
-			select {
-			case cl := <-c.sendCh:
-				cl.finish(wire.Frame{}, err)
-			default:
-				return
-			}
-		}
+		c.failQueued()
 	})
 }
 
-// register assigns a request id to a group of calls.
-func (c *conn) register(calls []*call) (uint32, bool) {
+// failQueued fails whatever is parked in the send queue with the close
+// error. A call is received from sendCh exactly once — by writeLoop or
+// by one of these drains — so each is finished exactly once.
+func (c *conn) failQueued() {
+	err := c.closeErr()
+	for {
+		select {
+		case cl := <-c.sendCh:
+			cl.finish(wire.Frame{}, err)
+		default:
+			return
+		}
+	}
+}
+
+// send hands cl to writeLoop. When the conn is closed select picks at
+// random among ready cases, so the send can land after close drained
+// sendCh; a sender that then finds the conn dead drains it again.
+func (c *conn) send(ctx context.Context, cl *call) error {
+	select {
+	case c.sendCh <- cl:
+		if c.dead() {
+			c.failQueued()
+		}
+		return nil
+	case <-c.closed:
+		return c.closeErr()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// register assigns a request id to a group of calls, or fails them with
+// the close error once the conn is closed.
+func (c *conn) register(calls []*call) (uint32, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return 0, false
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		for _, cl := range calls {
+			cl.finish(wire.Frame{}, err)
+		}
+		return 0, err
 	}
 	c.nextID++
 	id := c.nextID
 	c.pend[id] = pending{calls: calls}
-	return id, true
+	c.mu.Unlock()
+	return id, nil
 }
 
 func (c *conn) take(id uint32) (pending, bool) {
@@ -202,6 +231,9 @@ func (c *conn) writeLoop() {
 		}
 		if werr != nil {
 			c.close(werr)
+			if holdover != nil {
+				holdover.finish(wire.Frame{}, c.closeErr())
+			}
 			return
 		}
 	}
@@ -238,9 +270,9 @@ func (c *conn) writeInserts(bw *bufio.Writer, group []*call) error {
 		}
 		return nil
 	}
-	id, ok := c.register(group)
-	if !ok {
-		return c.closeErr()
+	id, err := c.register(group)
+	if err != nil {
+		return err
 	}
 	buf, off := wire.BeginFrame(c.enc[:0], typ, id)
 	if typ == wire.TInsert {
@@ -254,7 +286,7 @@ func (c *conn) writeInserts(bw *bufio.Writer, group []*call) error {
 		buf = wire.InsertBatch{Queue: group[0].queue, Items: items}.Append(buf)
 	}
 	c.enc = wire.EndFrame(buf, off)
-	_, err := bw.Write(c.enc)
+	_, err = bw.Write(c.enc)
 	return err
 }
 
@@ -263,13 +295,13 @@ func (c *conn) writeOne(bw *bufio.Writer, cl *call) error {
 		cl.finish(wire.Frame{}, oversizedErr(len(cl.payload)))
 		return nil
 	}
-	id, ok := c.register([]*call{cl})
-	if !ok {
-		return c.closeErr()
+	id, err := c.register([]*call{cl})
+	if err != nil {
+		return err
 	}
 	c.enc = wire.AppendFrameHeader(c.enc[:0], cl.kind, id, len(cl.payload))
 	c.enc = append(c.enc, cl.payload...)
-	_, err := bw.Write(c.enc)
+	_, err = bw.Write(c.enc)
 	return err
 }
 
@@ -283,10 +315,8 @@ func (c *conn) resendSolo(calls []*call) {
 	go func() {
 		for _, cl := range calls {
 			cl.solo = true
-			select {
-			case c.sendCh <- cl:
-			case <-c.closed:
-				cl.finish(wire.Frame{}, c.closeErr())
+			if err := c.send(context.Background(), cl); err != nil {
+				cl.finish(wire.Frame{}, err)
 			}
 		}
 	}()
