@@ -3,7 +3,14 @@
 //
 // A Client owns a small pool of TCP connections, pipelines requests on
 // each of them, and transparently coalesces concurrent Insert calls to
-// the same queue into INSERT_BATCH frames. Admission-control sheds
+// the same queue into INSERT_BATCH frames. Each connection's writer
+// flushes once per round of callers: when its send queue runs dry it
+// yields once, so the callers just woken by a response batch can queue
+// their next requests into the same write. Calls allocate nothing in
+// steady state (DeleteMin allocates only the value it returns): call
+// records are pooled, and a record abandoned on context or timeout is
+// never reused, because its connection may still finish it.
+// Admission-control sheds
 // (RETRY_AFTER) are retried with jittered backoff up to Config.MaxRetries
 // before surfacing as ErrOverload; retries only ever happen on an
 // explicit reject from the server, so a retried insert can never be
@@ -11,10 +18,12 @@
 package pqclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -184,28 +193,53 @@ func (c *Client) conn() (*conn, error) {
 	return cn, nil
 }
 
-// do sends one call and waits for its resolution.
-func (c *Client) do(ctx context.Context, cl *call) error {
-	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
+// do sends one call, waits for its resolution and recycles cl. On
+// success resp is the caller's: return its payload with wire.PutBuf
+// once decoded. RequestTimeout runs on the record's own timer and
+// expires as context.DeadlineExceeded, as a context deadline would.
+func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) {
 	cn, err := c.conn()
 	if err != nil {
-		return err
+		cl.recycle()
+		return resp, err
 	}
-	if err := cn.send(ctx, cl); err != nil {
-		return err
+	var expire <-chan time.Time
+	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
+		if cl.timer == nil {
+			cl.timer = time.NewTimer(c.cfg.RequestTimeout)
+		} else {
+			cl.timer.Reset(c.cfg.RequestTimeout)
+		}
+		expire = cl.timer.C
 	}
-	select {
-	case <-cl.done:
-		return cl.err
-	case <-ctx.Done():
-		// Abandon: the conn resolves the call whenever the response
-		// arrives; nobody is listening by then.
-		return ctx.Err()
+	abandoned := false
+	if err = cn.send(ctx, expire, cl); err == nil {
+		select {
+		case <-cl.done:
+			resp, err = cl.resp, cl.err
+		case <-ctx.Done():
+			err, abandoned = ctx.Err(), true
+		case <-expire:
+			err, abandoned = context.DeadlineExceeded, true
+		}
 	}
+	if expire != nil {
+		cl.timer.Stop()
+	}
+	// An abandoned record stays with the conn, which finishes it when the
+	// response arrives; nobody is listening by then.
+	if !abandoned {
+		cl.recycle()
+	}
+	return resp, err
+}
+
+// checkPri refuses a priority the wire's uint32 cannot carry.
+func checkPri(pri int) error {
+	if pri < 0 || uint64(pri) > math.MaxUint32 {
+		return fmt.Errorf("pqclient: priority %d outside [0, 2^32)", pri)
+	}
+	return nil
 }
 
 func (c *Client) sleepRetry(ctx context.Context, re *RetryError) error {
@@ -228,20 +262,20 @@ func (c *Client) sleepRetry(ctx context.Context, re *RetryError) error {
 // After MaxRetries sheds it returns ErrOverload (wrapped with the last
 // retry hint).
 func (c *Client) Insert(ctx context.Context, queue string, pri int, value []byte) error {
-	if pri < 0 {
-		return fmt.Errorf("pqclient: negative priority %d", pri)
+	if err := checkPri(pri); err != nil {
+		return err
 	}
 	if len(value) > wire.MaxValue {
 		return fmt.Errorf("pqclient: value %d bytes exceeds the %d-byte limit", len(value), wire.MaxValue)
 	}
 	for attempt := 0; ; attempt++ {
-		cl := &call{
-			kind:  wire.TInsert,
-			queue: queue,
-			item:  wire.Item{Pri: uint32(pri), Value: value},
-			done:  make(chan struct{}),
+		cl := newCall(wire.TInsert, queue)
+		cl.item = wire.Item{Pri: uint32(pri), Value: value}
+		_, err := c.do(ctx, cl)
+		if err == nil {
+			return nil
 		}
-		err := c.do(ctx, cl)
+		// Declared only now: errors.As makes re escape to the heap.
 		var re *RetryError
 		if !errors.As(err, &re) {
 			return err
@@ -263,25 +297,28 @@ func (c *Client) InsertBatch(ctx context.Context, queue string, items []Item) (a
 		return 0, nil
 	}
 	m := wire.InsertBatch{Queue: queue, Items: make([]wire.Item, len(items))}
-	bytes := 2 + len(queue) + 4 // queue prefix + item count
+	size := 2 + len(queue) + 4 // queue prefix + item count
 	for i, it := range items {
-		if it.Pri < 0 {
-			return 0, fmt.Errorf("pqclient: negative priority %d", it.Pri)
+		if err := checkPri(it.Pri); err != nil {
+			return 0, err
 		}
 		if len(it.Value) > wire.MaxValue {
 			return 0, fmt.Errorf("pqclient: item %d: value %d bytes exceeds the %d-byte limit", i, len(it.Value), wire.MaxValue)
 		}
-		bytes += 8 + len(it.Value)
+		size += 8 + len(it.Value)
 		m.Items[i] = wire.Item{Pri: uint32(it.Pri), Value: it.Value}
 	}
-	if bytes > wire.MaxPayload {
-		return 0, fmt.Errorf("pqclient: batch encodes to %d bytes, exceeding the %d-byte frame limit; split the batch", bytes, wire.MaxPayload)
+	if size > wire.MaxPayload {
+		return 0, fmt.Errorf("pqclient: batch encodes to %d bytes, exceeding the %d-byte frame limit; split the batch", size, wire.MaxPayload)
 	}
-	cl := &call{kind: wire.TInsertBatch, queue: queue, payload: m.Append(nil), done: make(chan struct{})}
-	if err := c.do(ctx, cl); err != nil {
+	cl := newCall(wire.TInsertBatch, queue)
+	cl.payload = m.Append(nil)
+	f, err := c.do(ctx, cl)
+	if err != nil {
 		return 0, err
 	}
-	ok, err := wire.DecodeInsertOK(cl.resp.Payload)
+	ok, err := wire.DecodeInsertOK(f.Payload)
+	wire.PutBuf(f.Payload)
 	if err != nil {
 		return 0, fmt.Errorf("pqclient: bad INSERT_OK: %w", err)
 	}
@@ -294,19 +331,21 @@ func (c *Client) InsertBatch(ctx context.Context, queue string, items []Item) (a
 // DeleteMin removes and returns the most urgent item, or ok=false if
 // the queue appeared empty.
 func (c *Client) DeleteMin(ctx context.Context, queue string) (it Item, ok bool, err error) {
-	cl := &call{kind: wire.TDeleteMin, queue: queue,
-		payload: wire.QueueReq{Queue: queue}.Append(nil), done: make(chan struct{})}
-	if err := c.do(ctx, cl); err != nil {
+	f, err := c.do(ctx, newCall(wire.TDeleteMin, queue))
+	if err != nil {
 		return Item{}, false, err
 	}
-	if cl.resp.Type == wire.TEmpty {
+	if f.Type == wire.TEmpty {
 		return Item{}, false, nil
 	}
-	w, err := wire.DecodeItem(cl.resp.Payload)
+	// Copy the value out so the pooled payload can go back at once.
+	w, err := wire.DecodeItem(f.Payload)
+	it = Item{Pri: int(w.Pri), Value: bytes.Clone(w.Value)}
+	wire.PutBuf(f.Payload)
 	if err != nil {
 		return Item{}, false, fmt.Errorf("pqclient: bad ITEM: %w", err)
 	}
-	return Item{Pri: int(w.Pri), Value: w.Value}, true, nil
+	return it, true, nil
 }
 
 // DeleteMinBatch removes up to max items in one round trip; a short
@@ -318,12 +357,14 @@ func (c *Client) DeleteMinBatch(ctx context.Context, queue string, max int) ([]I
 	if max > wire.MaxBatchItems {
 		max = wire.MaxBatchItems
 	}
-	cl := &call{kind: wire.TDeleteMinBatch, queue: queue,
-		payload: wire.DeleteMinBatch{Queue: queue, Max: uint32(max)}.Append(nil), done: make(chan struct{})}
-	if err := c.do(ctx, cl); err != nil {
+	cl := newCall(wire.TDeleteMinBatch, queue)
+	cl.max = uint32(max)
+	f, err := c.do(ctx, cl)
+	if err != nil {
 		return nil, err
 	}
-	m, err := wire.DecodeItems(cl.resp.Payload)
+	// The items' values alias the payload, so it is not recycled.
+	m, err := wire.DecodeItems(f.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("pqclient: bad ITEMS: %w", err)
 	}
@@ -336,13 +377,14 @@ func (c *Client) DeleteMinBatch(ctx context.Context, queue string, max int) ([]I
 
 // Stats fetches the server's counters for one queue.
 func (c *Client) Stats(ctx context.Context, queue string) (QueueStats, error) {
-	cl := &call{kind: wire.TStats, queue: queue,
-		payload: wire.QueueReq{Queue: queue}.Append(nil), done: make(chan struct{})}
-	if err := c.do(ctx, cl); err != nil {
+	f, err := c.do(ctx, newCall(wire.TStats, queue))
+	if err != nil {
 		return QueueStats{}, err
 	}
 	var st QueueStats
-	if err := json.Unmarshal(cl.resp.Payload, &st); err != nil {
+	err = json.Unmarshal(f.Payload, &st)
+	wire.PutBuf(f.Payload)
+	if err != nil {
 		return QueueStats{}, fmt.Errorf("pqclient: bad STATS_REPLY: %w", err)
 	}
 	return st, nil
@@ -351,12 +393,12 @@ func (c *Client) Stats(ctx context.Context, queue string) (QueueStats, error) {
 // Drain tells the server to stop admitting inserts to the queue and
 // returns how many items remained to be deleted when draining began.
 func (c *Client) Drain(ctx context.Context, queue string) (remaining uint64, err error) {
-	cl := &call{kind: wire.TDrain, queue: queue,
-		payload: wire.QueueReq{Queue: queue}.Append(nil), done: make(chan struct{})}
-	if err := c.do(ctx, cl); err != nil {
+	f, err := c.do(ctx, newCall(wire.TDrain, queue))
+	if err != nil {
 		return 0, err
 	}
-	m, err := wire.DecodeDrained(cl.resp.Payload)
+	m, err := wire.DecodeDrained(f.Payload)
+	wire.PutBuf(f.Payload)
 	if err != nil {
 		return 0, fmt.Errorf("pqclient: bad DRAINED: %w", err)
 	}

@@ -1,0 +1,205 @@
+package pqclient
+
+import (
+	"bufio"
+	"context"
+	"encoding/binary"
+	"flag"
+	"math"
+	"net"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pq"
+	"pq/internal/server"
+	"pq/internal/wire"
+)
+
+// TestClientZeroAlloc is the call path's allocation budget: sixteen
+// callers pipelined on one connection, each alternating Insert and
+// DeleteMin on a queue that never runs empty. A pair may allocate once,
+// the value DeleteMin returns, so Insert allocates nothing. The count is
+// process-wide, so it includes the server. Against the real in-process
+// server coalescing is off: the server's single INSERT path is held at
+// zero by TestServeLoopbackZeroAlloc, its INSERT_BATCH path is not.
+// Against zeroAllocStub coalescing is on. The race detector makes
+// sync.Pool drop records at random, so the count only means something
+// without it.
+func TestClientZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timed benchmark run")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under the race detector")
+			}
+		}
+	}
+	srv := server.New(server.Config{Concurrency: 8})
+	if err := srv.AddQueue(server.QueueSpec{Name: "q", Algorithm: pq.FunnelTree, Priorities: 64, Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
+	defer func() { srv.Close(); <-done }()
+	for srv.Addr() == nil {
+		select {
+		case err := <-done:
+			t.Fatalf("server: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	benchtime := flag.Lookup("test.benchtime").Value
+	defer benchtime.Set(benchtime.String())
+	benchtime.Set("300ms")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"server", Config{Addr: srv.Addr().String(), Conns: 1, MaxCoalesce: 1}},
+		{"stub_coalescing", Config{Addr: zeroAllocStub(t), Conns: 1}},
+	} {
+		c, err := Dial(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const n = 16
+		ctx := context.Background()
+		value := make([]byte, 16)
+		var empty atomic.Int64
+		pairs := func(total int) error {
+			return callers(n, func(i int) error {
+				for j := i; j < total; j += n {
+					if err := c.Insert(ctx, "q", j%64, value); err != nil {
+						return err
+					}
+					if _, ok, err := c.DeleteMin(ctx, "q"); err != nil {
+						return err
+					} else if !ok {
+						empty.Add(1)
+					}
+				}
+				return nil
+			})
+		}
+		for i := 0; i < 4*n; i++ {
+			if err := c.Insert(ctx, "q", i%64, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			if err := pairs(4096); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			if err := pairs(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if r.N == 0 {
+			t.Fatalf("%s: benchmark failed", tc.name)
+		}
+		t.Logf("%s: %d pairs, %d mallocs, %.0f ns/pair", tc.name, r.N, r.MemAllocs, float64(r.T.Nanoseconds())/float64(r.N))
+		if e := empty.Load(); e != 0 {
+			t.Fatalf("%s: %d DeleteMin calls found the queue empty, so the pair count does not bound Insert", tc.name, e)
+		}
+		if r.AllocsPerOp() > 1 {
+			t.Errorf("%s: %d allocs per Insert+DeleteMin pair (%d mallocs over %d), want at most 1: the returned value",
+				tc.name, r.AllocsPerOp(), r.MemAllocs, r.N)
+		}
+	}
+}
+
+// zeroAllocStub acks every insert frame and answers every other request
+// with one 16-byte item, allocating nothing per frame, so a count of
+// process-wide allocations sees only the client's.
+func zeroAllocStub(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanup runs once the test's clients have closed their
+	// connections, which ends every connection goroutine.
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	item := wire.AppendItem(nil, wire.Item{Pri: 1, Value: make([]byte, 16)})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer nc.Close()
+				br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+				var fr wire.FrameReader
+				var out []byte
+				for {
+					f, err := fr.ReadFrame(br)
+					if err != nil {
+						return
+					}
+					var off int
+					switch f.Type {
+					case wire.TInsert:
+						out, off = wire.BeginFrame(out[:0], wire.TInsertOK, f.ID)
+						out = wire.InsertOK{Accepted: 1}.Append(out)
+					case wire.TInsertBatch:
+						// The item count follows the uint16-prefixed queue name.
+						n := binary.BigEndian.Uint32(f.Payload[2+binary.BigEndian.Uint16(f.Payload):])
+						out, off = wire.BeginFrame(out[:0], wire.TInsertOK, f.ID)
+						out = wire.InsertOK{Accepted: n}.Append(out)
+					default:
+						out, off = wire.BeginFrame(out[:0], wire.TItem, f.ID)
+						out = append(out, item...)
+					}
+					wire.PutBuf(f.Payload)
+					if _, err := bw.Write(wire.EndFrame(out, off)); err != nil {
+						return
+					}
+					if br.Buffered() == 0 && bw.Flush() != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestInsertRejectsPriorityAbove32Bits: the wire carries a uint32
+// priority, so an int priority above it must be refused rather than
+// wrapped into a small, urgent one. Nothing reaches the server.
+func TestInsertRejectsPriorityAbove32Bits(t *testing.T) {
+	var frames atomic.Int64
+	addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+		frames.Add(1)
+		return insertOK(f.ID, len(insertedItems(f)), 0), 0
+	})
+	c, err := Dial(Config{Addr: addr, Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Insert(ctx, "q", math.MaxUint32+4, nil); err == nil {
+		t.Error("Insert admitted priority 2^32+3")
+	}
+	if n, err := c.InsertBatch(ctx, "q", []Item{{Pri: 1}, {Pri: math.MaxUint32 + 8}}); err == nil {
+		t.Errorf("InsertBatch admitted priority 2^32+7 (%d accepted)", n)
+	}
+	if n := frames.Load(); n != 0 {
+		t.Errorf("%d request frames reached the server, want 0", n)
+	}
+}

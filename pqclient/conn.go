@@ -3,45 +3,82 @@ package pqclient
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
 	"pq/internal/wire"
 )
 
-// call is one logical request. Insert calls (kind TInsert) carry their
-// item for coalescing; every other kind arrives with its payload
-// pre-encoded. The conn closes done exactly once with err (and, for
-// non-insert kinds, resp) set.
+// call is one logical request, in a record recycled through callPool.
+// Its frame is encoded at write time from its fields; only an
+// InsertBatch arrives with its payload pre-encoded. The conn finishes
+// it exactly once by setting err (and, for a non-insert kind answered
+// without error, resp) and sending on done.
 type call struct {
 	kind    wire.Type
 	queue   string
 	item    wire.Item // TInsert only
-	payload []byte    // every other kind
+	max     uint32    // TDeleteMinBatch only
+	payload []byte    // TInsertBatch only
 	solo    bool      // never coalesce (set when resent after a batch TError)
+	next    *call     // next member of a coalesced group, in wire order
 
-	resp wire.Frame
-	err  error
-	done chan struct{}
+	resp  wire.Frame
+	err   error
+	done  chan struct{} // 1-buffered; drained before the record is reused
+	timer *time.Timer   // RequestTimeout, armed per use
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+func newCall(kind wire.Type, queue string) *call {
+	cl := callPool.Get().(*call)
+	cl.kind, cl.queue = kind, queue
+	return cl
+}
+
+// recycle returns a record whose done signal, if any, has been received.
+func (cl *call) recycle() {
+	*cl = call{done: cl.done, timer: cl.timer}
+	callPool.Put(cl)
 }
 
 func (cl *call) finish(resp wire.Frame, err error) {
 	cl.resp, cl.err = resp, err
-	close(cl.done)
+	cl.done <- struct{}{}
 }
 
-// pending is what one request id resolves: a single call, or the
-// member calls of a coalesced INSERT_BATCH in wire order.
-type pending struct {
-	calls []*call
+// finishGroup finishes every call linked from head. It reads next
+// before finishing each one: a finished record may be recycled at once.
+func finishGroup(head *call, err error) {
+	for cl := head; cl != nil; {
+		next := cl.next
+		cl.finish(wire.Frame{}, err)
+		cl = next
+	}
 }
 
 // conn is one pooled connection: a writer goroutine that drains sendCh
-// (coalescing adjacent same-queue inserts and flushing only when the
-// pipeline runs dry) and a reader goroutine that matches response
-// frames to pending requests by id.
+// and a reader goroutine that matches response frames to pending
+// requests by id.
+//
+// Flush rule: the writer coalesces adjacent same-queue inserts into one
+// INSERT_BATCH and flushes only when the send queue is empty and stays
+// empty across one runtime.Gosched. One response read wakes up to a
+// whole pipeline of callers; the yield lets them resubmit, so their
+// next requests share one write (and their inserts one frame) instead
+// of each paying a syscall of its own.
+//
+// Ownership: the conn owns a call record from send until finish, and
+// the caller owns it after receiving on done. A record abandoned on
+// context or timeout is never recycled, because the conn may still
+// finish it. So the writer encodes a frame before register publishes
+// its calls in pend: from then on a concurrent close may finish them,
+// and their callers recycle them, while the writer is still writing.
 type conn struct {
 	cfg Config
 	nc  net.Conn
@@ -56,7 +93,7 @@ type conn struct {
 	itemsScratch []wire.Item
 
 	mu      sync.Mutex
-	pend    map[uint32]pending
+	pend    map[uint32]*call // group heads by request id
 	nextID  uint32
 	err     error
 	closed  chan struct{}
@@ -72,7 +109,7 @@ func dialConn(cfg Config) (*conn, error) {
 		cfg:    cfg,
 		nc:     nc,
 		sendCh: make(chan *call, 4*cfg.MaxCoalesce),
-		pend:   make(map[uint32]pending),
+		pend:   make(map[uint32]*call),
 		closed: make(chan struct{}),
 	}
 	go c.writeLoop()
@@ -103,14 +140,12 @@ func (c *conn) close(err error) {
 			c.err = err
 		}
 		failed := c.pend
-		c.pend = map[uint32]pending{}
+		c.pend = map[uint32]*call{}
 		c.mu.Unlock()
 		close(c.closed)
 		c.nc.Close()
-		for _, p := range failed {
-			for _, cl := range p.calls {
-				cl.finish(wire.Frame{}, err)
-			}
+		for _, head := range failed {
+			finishGroup(head, err)
 		}
 		c.failQueued()
 	})
@@ -131,10 +166,11 @@ func (c *conn) failQueued() {
 	}
 }
 
-// send hands cl to writeLoop. When the conn is closed select picks at
-// random among ready cases, so the send can land after close drained
-// sendCh; a sender that then finds the conn dead drains it again.
-func (c *conn) send(ctx context.Context, cl *call) error {
+// send hands cl to writeLoop; expire, when not nil, bounds the wait like
+// ctx does. When the conn is closed select picks at random among ready
+// cases, so the send can land after close drained sendCh; a sender that
+// then finds the conn dead drains it again.
+func (c *conn) send(ctx context.Context, expire <-chan time.Time, cl *call) error {
 	select {
 	case c.sendCh <- cl:
 		if c.dead() {
@@ -145,41 +181,39 @@ func (c *conn) send(ctx context.Context, cl *call) error {
 		return c.closeErr()
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-expire:
+		return context.DeadlineExceeded
 	}
 }
 
 // register assigns a request id to a group of calls, or fails them with
 // the close error once the conn is closed.
-func (c *conn) register(calls []*call) (uint32, error) {
+func (c *conn) register(head *call) (uint32, error) {
 	c.mu.Lock()
 	if err := c.err; err != nil {
 		c.mu.Unlock()
-		for _, cl := range calls {
-			cl.finish(wire.Frame{}, err)
-		}
+		finishGroup(head, err)
 		return 0, err
 	}
 	c.nextID++
 	id := c.nextID
-	c.pend[id] = pending{calls: calls}
+	c.pend[id] = head
 	c.mu.Unlock()
 	return id, nil
 }
 
-func (c *conn) take(id uint32) (pending, bool) {
+func (c *conn) take(id uint32) *call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pend[id]
-	if ok {
-		delete(c.pend, id)
-	}
-	return p, ok
+	head := c.pend[id]
+	delete(c.pend, id)
+	return head
 }
 
 // writeLoop drains sendCh. A popped Insert greedily absorbs further
 // queued Inserts to the same queue (up to MaxCoalesce) into one
-// INSERT_BATCH frame; the buffered writer is flushed only when the
-// send queue runs dry, so pipelined callers share syscalls.
+// INSERT_BATCH frame; the buffered writer is flushed by the rule in the
+// conn comment.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var holdover *call
@@ -194,20 +228,19 @@ func (c *conn) writeLoop() {
 				return
 			}
 		}
-		var werr error
-		if cl.kind == wire.TInsert && !cl.solo && c.cfg.MaxCoalesce > 1 {
-			group := []*call{cl}
+		n := 1
+		if cl.kind == wire.TInsert && !cl.solo {
 			// Bound the coalesced INSERT_BATCH by encoded payload bytes
 			// as well as item count, so the merged frame never exceeds
 			// what the server's ReadFrame accepts.
 			bytes := 2 + len(cl.queue) + 4 + 8 + len(cl.item.Value)
 		collect:
-			for len(group) < c.cfg.MaxCoalesce {
+			for tail := cl; n < c.cfg.MaxCoalesce; n++ {
 				select {
 				case nx := <-c.sendCh:
 					if nx.kind == wire.TInsert && !nx.solo && nx.queue == cl.queue &&
 						bytes+8+len(nx.item.Value) <= wire.MaxPayload {
-						group = append(group, nx)
+						tail.next, tail = nx, nx
 						bytes += 8 + len(nx.item.Value)
 					} else {
 						holdover = nx
@@ -217,17 +250,13 @@ func (c *conn) writeLoop() {
 					break collect
 				}
 			}
-			werr = c.writeInserts(bw, group)
-		} else if cl.kind == wire.TInsert {
-			// Un-coalesced insert (solo resend or MaxCoalesce 1): its
-			// payload is still the raw item, so it must be encoded here,
-			// not written through the pre-encoded path.
-			werr = c.writeInserts(bw, []*call{cl})
-		} else {
-			werr = c.writeOne(bw, cl)
 		}
+		werr := c.write(bw, cl, n)
 		if werr == nil && holdover == nil && len(c.sendCh) == 0 {
-			werr = bw.Flush()
+			runtime.Gosched()
+			if len(c.sendCh) == 0 {
+				werr = bw.Flush()
+			}
 		}
 		if werr != nil {
 			c.close(werr)
@@ -246,87 +275,71 @@ func oversizedErr(n int) error {
 	return fmt.Errorf("pqclient: request payload %d bytes exceeds the %d-byte frame limit", n, wire.MaxPayload)
 }
 
-// writeInserts sends a group of same-queue inserts as one frame,
-// encoded into the conn's reusable scratch. The payload size is
-// computed up front so an oversized group is refused before a request
-// id is burned on it.
-func (c *conn) writeInserts(bw *bufio.Writer, group []*call) error {
-	var typ wire.Type
-	var size int
-	if len(group) == 1 {
-		typ = wire.TInsert
-		size = 2 + len(group[0].queue) + 8 + len(group[0].item.Value)
-	} else {
+// write sends head, or the group of n coalesced inserts it starts, as
+// one frame. The frame is encoded into the conn's reusable scratch
+// before register publishes the calls (see the conn comment), and its
+// request id patched in afterwards. An oversized frame is refused
+// before a request id is burned on it.
+func (c *conn) write(bw *bufio.Writer, head *call, n int) error {
+	typ := head.kind
+	if n > 1 {
 		typ = wire.TInsertBatch
-		size = 2 + len(group[0].queue) + 4
-		for _, g := range group {
-			size += 8 + len(g.item.Value)
-		}
 	}
-	if size > wire.MaxPayload {
-		err := oversizedErr(size)
-		for _, g := range group {
-			g.finish(wire.Frame{}, err)
-		}
-		return nil
-	}
-	id, err := c.register(group)
-	if err != nil {
-		return err
-	}
-	buf, off := wire.BeginFrame(c.enc[:0], typ, id)
-	if typ == wire.TInsert {
-		buf = wire.Insert{Queue: group[0].queue, Item: group[0].item}.Append(buf)
-	} else {
+	buf, off := wire.BeginFrame(c.enc[:0], typ, 0)
+	switch {
+	case n > 1:
 		items := c.itemsScratch[:0]
-		for _, g := range group {
-			items = append(items, g.item)
+		for cl := head; cl != nil; cl = cl.next {
+			items = append(items, cl.item)
 		}
 		c.itemsScratch = items[:0]
-		buf = wire.InsertBatch{Queue: group[0].queue, Items: items}.Append(buf)
+		buf = wire.InsertBatch{Queue: head.queue, Items: items}.Append(buf)
+	case typ == wire.TInsert:
+		buf = wire.Insert{Queue: head.queue, Item: head.item}.Append(buf)
+	case typ == wire.TInsertBatch:
+		buf = append(buf, head.payload...)
+	case typ == wire.TDeleteMinBatch:
+		buf = wire.DeleteMinBatch{Queue: head.queue, Max: head.max}.Append(buf)
+	default:
+		buf = wire.QueueReq{Queue: head.queue}.Append(buf)
 	}
 	c.enc = wire.EndFrame(buf, off)
-	_, err = bw.Write(c.enc)
-	return err
-}
-
-func (c *conn) writeOne(bw *bufio.Writer, cl *call) error {
-	if len(cl.payload) > wire.MaxPayload {
-		cl.finish(wire.Frame{}, oversizedErr(len(cl.payload)))
+	if size := len(c.enc) - 12; size > wire.MaxPayload {
+		finishGroup(head, oversizedErr(size))
 		return nil
 	}
-	id, err := c.register([]*call{cl})
+	id, err := c.register(head)
 	if err != nil {
 		return err
 	}
-	c.enc = wire.AppendFrameHeader(c.enc[:0], cl.kind, id, len(cl.payload))
-	c.enc = append(c.enc, cl.payload...)
+	binary.BigEndian.PutUint32(c.enc[8:12], id)
 	_, err = bw.Write(c.enc)
 	return err
 }
 
-// resendSolo re-enqueues calls marked solo so they are sent as
-// individual frames. Runs in its own goroutine: readLoop must never
-// block on a full send queue (requests ahead of it could be waiting on
-// responses this readLoop would deliver). solo calls are never
-// re-coalesced, so a second TError resolves each call individually and
-// the retry cannot loop.
-func (c *conn) resendSolo(calls []*call) {
+// resendSolo re-enqueues the members of a group as solo calls, so they
+// are sent as individual frames. Runs in its own goroutine: readLoop
+// must never block on a full send queue (requests ahead of it could be
+// waiting on responses this readLoop would deliver). solo calls are
+// never re-coalesced, so a second TError resolves each call
+// individually and the retry cannot loop.
+func (c *conn) resendSolo(head *call) {
 	go func() {
-		for _, cl := range calls {
-			cl.solo = true
-			if err := c.send(context.Background(), cl); err != nil {
+		for cl := head; cl != nil; {
+			next := cl.next
+			cl.next, cl.solo = nil, true
+			if err := c.send(context.Background(), nil, cl); err != nil {
 				cl.finish(wire.Frame{}, err)
 			}
+			cl = next
 		}
 	}()
 }
 
 // readLoop matches responses to pending calls. Payloads come from the
-// wire buffer pool; a response to an insert-only group is fully decoded
-// inside deliver (Insert callers read only cl.err, never resp.Payload),
-// so those payloads can be recycled here — the insert hot path reuses
-// one pooled buffer per response instead of allocating each.
+// wire buffer pool: deliver hands one to its caller only as the
+// response to a non-insert call that succeeded, and every other
+// payload is recycled here.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var fr wire.FrameReader
@@ -336,103 +349,71 @@ func (c *conn) readLoop() {
 			c.close(err)
 			return
 		}
-		p, ok := c.take(f.ID)
-		if !ok {
-			wire.PutBuf(f.Payload)
-			continue // response to an abandoned request
-		}
-		insertOnly := true
-		for _, cl := range p.calls {
-			if cl.kind != wire.TInsert {
-				insertOnly = false
-				break
-			}
-		}
-		c.deliver(p, f)
-		if insertOnly {
+		head := c.take(f.ID)
+		// head == nil: the response to an abandoned request.
+		if head == nil || !c.deliver(head, f) {
 			wire.PutBuf(f.Payload)
 		}
 	}
 }
 
-// deliver resolves a pending entry from its response frame.
-func (c *conn) deliver(p pending, f wire.Frame) {
-	// A group of >1 calls is a coalesced INSERT_BATCH: the server
-	// admitted an in-order prefix.
-	if len(p.calls) > 1 || (len(p.calls) == 1 && p.calls[0].kind == wire.TInsert) {
-		switch f.Type {
-		case wire.TInsertOK:
-			ok, err := wire.DecodeInsertOK(f.Payload)
-			if err != nil {
-				for _, cl := range p.calls {
-					cl.finish(wire.Frame{}, &ServerError{Msg: "bad INSERT_OK payload"})
-				}
-				return
-			}
-			retry := &RetryError{After: time.Duration(ok.RetryAfterMillis) * time.Millisecond}
-			for i, cl := range p.calls {
-				if uint32(i) < ok.Accepted {
-					cl.finish(f, nil)
-				} else {
-					cl.finish(f, retry)
-				}
-			}
-		case wire.TRetryAfter:
-			ra, _ := wire.DecodeRetryAfter(f.Payload)
-			retry := &RetryError{After: time.Duration(ra.Millis) * time.Millisecond}
-			for _, cl := range p.calls {
-				cl.finish(f, retry)
-			}
-		case wire.TError:
-			if len(p.calls) > 1 {
-				// The server rejects a whole INSERT_BATCH when any
-				// member is bad (e.g. one caller's out-of-range
-				// priority). These calls were coalesced from unrelated
-				// Inserts, so don't fate-share the error: resend each
-				// member as its own un-coalesced frame and let the
-				// server judge them individually.
-				c.resendSolo(p.calls)
-				return
-			}
-			em, _ := wire.DecodeErrorMsg(f.Payload)
-			for _, cl := range p.calls {
-				cl.finish(f, &ServerError{Msg: em.Msg})
-			}
-		case wire.TWrongNode:
-			if len(p.calls) > 1 {
-				// A cluster node NACKs a whole INSERT_BATCH when any
-				// member's priority belongs to another node. Coalesced
-				// members may have different owners, so exactly like the
-				// TError arm: resend each solo and let the server judge
-				// them individually — the truly misrouted ones come back
-				// as individual WrongNodeErrors for their callers.
-				c.resendSolo(p.calls)
-				return
-			}
-			wn, _ := wire.DecodeWrongNode(f.Payload)
-			for _, cl := range p.calls {
-				cl.finish(f, &WrongNodeError{MapVersion: wn.MapVersion, Owner: wn.Owner})
-			}
-		default:
-			for _, cl := range p.calls {
-				cl.finish(f, &ServerError{Msg: "unexpected " + f.Type.String() + " response to insert"})
-			}
-		}
-		return
+// deliver resolves a pending group from its response frame and reports
+// whether it handed f's payload to the caller.
+func (c *conn) deliver(head *call, f wire.Frame) bool {
+	if head.next != nil && (f.Type == wire.TError || f.Type == wire.TWrongNode) {
+		// The server rejects a whole INSERT_BATCH when any member is bad
+		// (an out-of-range priority), and a cluster node NACKs it when
+		// any member's priority belongs to another node. These calls
+		// were coalesced from unrelated Inserts, so don't fate-share the
+		// verdict: resend each member as its own frame and let the
+		// server judge them individually.
+		c.resendSolo(head)
+		return false
 	}
+	err := respErr(f)
+	if head.kind != wire.TInsert {
+		if err == nil {
+			head.finish(f, nil)
+			return true
+		}
+		head.finish(wire.Frame{}, err)
+		return false
+	}
+	// An insert group is one Insert, or a coalesced INSERT_BATCH of
+	// which the server admitted an in-order prefix.
+	var ok wire.InsertOK
+	if err == nil && f.Type != wire.TInsertOK {
+		err = &ServerError{Msg: "unexpected " + f.Type.String() + " response to insert"}
+	}
+	if err == nil {
+		if ok, err = wire.DecodeInsertOK(f.Payload); err != nil {
+			err = &ServerError{Msg: "bad INSERT_OK payload"}
+		}
+	}
+	for i, cl := uint32(0), head; cl != nil; i++ {
+		next := cl.next
+		if err == nil && i >= ok.Accepted {
+			err = &RetryError{After: time.Duration(ok.RetryAfterMillis) * time.Millisecond}
+		}
+		cl.finish(wire.Frame{}, err)
+		cl = next
+	}
+	return false
+}
 
-	cl := p.calls[0]
+// respErr is the error a TError, WRONG_NODE or RETRY_AFTER response
+// carries, and nil for any other response.
+func respErr(f wire.Frame) error {
 	switch f.Type {
 	case wire.TError:
 		em, _ := wire.DecodeErrorMsg(f.Payload)
-		cl.finish(f, &ServerError{Msg: em.Msg})
+		return &ServerError{Msg: em.Msg}
 	case wire.TWrongNode:
 		wn, _ := wire.DecodeWrongNode(f.Payload)
-		cl.finish(f, &WrongNodeError{MapVersion: wn.MapVersion, Owner: wn.Owner})
+		return &WrongNodeError{MapVersion: wn.MapVersion, Owner: wn.Owner}
 	case wire.TRetryAfter:
 		ra, _ := wire.DecodeRetryAfter(f.Payload)
-		cl.finish(f, &RetryError{After: time.Duration(ra.Millis) * time.Millisecond})
-	default:
-		cl.finish(f, nil)
+		return &RetryError{After: time.Duration(ra.Millis) * time.Millisecond}
 	}
+	return nil
 }
