@@ -242,14 +242,17 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 }
 
 // WALMetrics is the write-ahead log's instrumentation hook
-// (wal.Options.Metrics): the wal writer goroutine records each fsync's
-// wall time and, under group commit, how many appended records each
-// fsync made durable. Either field may be nil to skip that series.
+// (wal.Options.Metrics): the committer leading each wal group-commit
+// round records its fsync's wall time and how many appended records
+// that fsync made durable. Rounds never overlap, so there is one
+// recorder at a time. Either field may be nil to skip that series.
 type WALMetrics struct {
 	// FsyncNanos observes fsync(2) wall time in nanoseconds.
 	FsyncNanos *Histogram
 	// CommitRecords observes appended records per fsync — the group
 	// commit batching factor as a distribution (Appends/Syncs is only
-	// its mean).
+	// its mean). An idle interval tick neither fsyncs nor observes a 0,
+	// so its count is the log's Syncs and, once the log is closed, its
+	// sum the log's Appends.
 	CommitRecords *Histogram
 }

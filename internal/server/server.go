@@ -146,7 +146,7 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 		return err
 	}
 	if s.cfg.DataDir != "" {
-		// One stripe: the wal writer goroutine is the only recorder.
+		// One stripe: wal rounds never overlap, so one recorder at a time.
 		q.walMet = &obs.WALMetrics{
 			FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
 			CommitRecords: obs.NewHistogram(1, 0, 20),

@@ -55,55 +55,53 @@ type Item struct {
 	Value []byte
 }
 
-// lsnOffset is where the writer patches the record's LSN into a
-// pre-encoded payload (right after the op byte).
-const lsnOffset = 1
-
-// encodeInsert builds an insert payload with a placeholder LSN.
-func encodeInsert(items []Item) []byte {
+// appendInsert frames one insert record at lsn onto buf.
+func appendInsert(buf []byte, lsn uint64, items []Item) []byte {
+	start := len(buf)
 	if len(items) == 1 {
-		it := items[0]
-		p := make([]byte, 0, recMinPayload+12+len(it.Value))
-		p = append(p, opInsert)
-		p = binary.BigEndian.AppendUint64(p, 0)
-		p = binary.BigEndian.AppendUint64(p, it.ID)
-		p = binary.BigEndian.AppendUint32(p, it.Pri)
-		p = binary.BigEndian.AppendUint32(p, uint32(len(it.Value)))
-		return append(p, it.Value...)
+		buf = beginRecord(buf, opInsert, lsn)
+	} else {
+		buf = beginRecord(buf, opInsertBatch, lsn)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(items)))
 	}
-	size := recMinPayload + 4
 	for _, it := range items {
-		size += 16 + len(it.Value)
+		buf = binary.BigEndian.AppendUint64(buf, it.ID)
+		buf = binary.BigEndian.AppendUint32(buf, it.Pri)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(it.Value)))
+		buf = append(buf, it.Value...)
 	}
-	p := make([]byte, 0, size)
-	p = append(p, opInsertBatch)
-	p = binary.BigEndian.AppendUint64(p, 0)
-	p = binary.BigEndian.AppendUint32(p, uint32(len(items)))
-	for _, it := range items {
-		p = binary.BigEndian.AppendUint64(p, it.ID)
-		p = binary.BigEndian.AppendUint32(p, it.Pri)
-		p = binary.BigEndian.AppendUint32(p, uint32(len(it.Value)))
-		p = append(p, it.Value...)
-	}
-	return p
+	return endRecord(buf, start)
 }
 
-// encodeDelete builds a delete payload with a placeholder LSN.
-func encodeDelete(ids []uint64) []byte {
+// appendDelete frames one delete record at lsn onto buf.
+func appendDelete(buf []byte, lsn uint64, ids []uint64) []byte {
+	start := len(buf)
 	if len(ids) == 1 {
-		p := make([]byte, 0, recMinPayload+8)
-		p = append(p, opDelete)
-		p = binary.BigEndian.AppendUint64(p, 0)
-		return binary.BigEndian.AppendUint64(p, ids[0])
+		buf = beginRecord(buf, opDelete, lsn)
+	} else {
+		buf = beginRecord(buf, opDeleteBatch, lsn)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ids)))
 	}
-	p := make([]byte, 0, recMinPayload+4+8*len(ids))
-	p = append(p, opDeleteBatch)
-	p = binary.BigEndian.AppendUint64(p, 0)
-	p = binary.BigEndian.AppendUint32(p, uint32(len(ids)))
 	for _, id := range ids {
-		p = binary.BigEndian.AppendUint64(p, id)
+		buf = binary.BigEndian.AppendUint64(buf, id)
 	}
-	return p
+	return endRecord(buf, start)
+}
+
+// beginRecord reserves the length+CRC header and starts the payload
+// with the op code and LSN.
+func beginRecord(buf []byte, op uint8, lsn uint64) []byte {
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, op)
+	return binary.BigEndian.AppendUint64(buf, lsn)
+}
+
+// endRecord fills in the header of the record that begins at start,
+// now that its payload runs to the end of buf.
+func endRecord(buf []byte, start int) []byte {
+	payload := buf[start+recHeader:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // record is one decoded log record.

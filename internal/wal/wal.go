@@ -14,11 +14,20 @@
 // Commit durability is governed by a SyncPolicy knob:
 //
 //   - SyncAlways: every Append waits for an fsync covering its record.
-//     Concurrent commits are batched by a single writer goroutine into
-//     one fsync — group commit — so the cost amortizes under load.
-//   - SyncInterval: appends return once written to the OS; a background
-//     tick fsyncs every Interval. Bounded post-crash data loss.
+//     Concurrent commits share fsyncs — group commit — so the cost
+//     amortizes under load.
+//   - SyncInterval: appends return once written to the OS; a timer
+//     fsyncs every Interval when anything is unsynced. Bounded
+//     post-crash data loss.
 //   - SyncNever: the OS decides. Cheapest, weakest.
+//
+// Group commit is leader/follower combining, with no goroutine of its
+// own: a committer frames its record into a shared buffer under the
+// log's mutex, and whichever committer finds no write in flight leads
+// the next round — it takes the whole buffer, writes it with one
+// write(2) (and fsyncs under SyncAlways) for everyone queued behind it,
+// then wakes them and steps down. Followers that queued during the
+// round find their records in the next one, led by one of themselves.
 //
 // Segments rotate at SegmentBytes and are deleted once wholly covered
 // by a retained snapshot; torn tails (truncated final record, bit
@@ -27,10 +36,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -100,8 +107,9 @@ type Options struct {
 	// the segment, offset and lsn as attributes; nil discards.
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives fsync wall time and group-commit
-	// batch sizes from the writer goroutine (see obs.WALMetrics). The
-	// recording path is allocation-free; nil disables it.
+	// batch sizes from whichever committer leads each round (rounds never
+	// overlap; see obs.WALMetrics). The recording path is
+	// allocation-free; nil disables it.
 	Metrics *obs.WALMetrics
 }
 
@@ -186,43 +194,37 @@ func parseSegName(name string) (uint64, bool) {
 	return v, err == nil
 }
 
-// reqKind discriminates writer requests.
-type reqKind uint8
-
-const (
-	reqAppend reqKind = iota
-	reqSync           // interval tick
-	reqSnapshot
-	reqClose
-)
-
-type request struct {
-	kind    reqKind
-	payload []byte // reqAppend: encoded record payload, LSN unpatched
-	items   []Item // reqSnapshot
-	done    chan error
+// file is what the log needs of a segment file: *os.File, or a wrapper
+// a test uses to inject write and fsync failures.
+type file interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // Log is one queue's write-ahead log. All methods are safe for
-// concurrent use; a single writer goroutine owns the files and batches
-// concurrent commits into shared fsyncs.
+// concurrent use; commits are group-committed by leader/follower
+// combining (see the package comment).
 type Log struct {
-	opts Options
-
-	reqs   chan request
-	wdone  chan struct{}
-	tstop  chan struct{}
+	opts   Options
 	nextID atomic.Uint64
 
-	clMu   sync.RWMutex
-	closed bool
+	mu      sync.Mutex
+	cond    sync.Cond // on mu; broadcast at the end of every round
+	buf     []byte    // framed records no round has taken yet
+	spare   []byte    // the last round's batch, reused as the next buf
+	nextLSN uint64
+	done    uint64 // last LSN a round carried to the OS (and disk, per policy)
+	busy    bool   // a round is in flight; its leader owns the fields below
+	closed  bool
+	failed  error       // sticky ErrPoisoned-wrapped write/fsync failure
+	timer   *time.Timer // SyncInterval flush; nil under other policies
 
-	// Writer-owned state.
-	f         *os.File
+	// Owned by the round's leader, or by the holder of mu while no
+	// round is in flight.
+	f         file
 	segs      []segment
-	nextLSN   uint64
-	failed    error  // sticky ErrPoisoned-wrapped write/fsync failure
-	sinceSync uint64 // records appended since the last fsync (group-commit size)
+	sinceSync uint64 // records written since the last fsync (group-commit size)
 
 	poisoned atomic.Bool // published copy of failed != nil, for Stats
 
@@ -241,9 +243,10 @@ type Log struct {
 	torn           bool
 }
 
-// Open recovers the log in opts.Dir (creating it if absent) and starts
-// the writer. The returned Recovery carries the reconstructed live-item
-// multiset for the caller to load into its queue.
+// Open recovers the log in opts.Dir (creating it if absent) and, under
+// SyncInterval, arms the flush timer. The returned Recovery carries the
+// reconstructed live-item multiset for the caller to load into its
+// queue.
 func Open(opts Options) (*Log, Recovery, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, Recovery{}, err
@@ -265,12 +268,8 @@ func Open(opts Options) (*Log, Recovery, error) {
 		live[it.ID] = it
 	}
 
-	l := &Log{
-		opts:  opts,
-		reqs:  make(chan request, 256),
-		wdone: make(chan struct{}),
-		tstop: make(chan struct{}),
-	}
+	l := &Log{opts: opts}
+	l.cond.L = &l.mu
 	l.snapLSN.Store(snapLSN)
 
 	rec, err := l.replaySegments(snapLSN, live, &nextID)
@@ -292,16 +291,17 @@ func Open(opts Options) (*Log, Recovery, error) {
 	l.replayed = rec.Replayed
 	l.torn = rec.Torn
 
-	go l.writer()
 	if opts.Policy == SyncInterval {
-		go l.ticker()
+		l.mu.Lock() // tick reads l.timer under mu, possibly before this returns
+		l.timer = time.AfterFunc(opts.Interval, l.tick)
+		l.mu.Unlock()
 	}
 	return l, rec, nil
 }
 
 // replaySegments scans the on-disk segments, applies records beyond
 // snapLSN to live, truncates tail damage, and leaves the log positioned
-// for appending. Called once from Open, before the writer starts.
+// for appending. Called once from Open, before the log is shared.
 func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint64) (Recovery, error) {
 	var rec Recovery
 	ents, err := os.ReadDir(l.opts.Dir)
@@ -396,7 +396,7 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 		break
 	}
 
-	l.nextLSN = lastLSN + 1
+	l.nextLSN, l.done = lastLSN+1, lastLSN
 	l.lastLSN.Store(lastLSN)
 
 	// Appending is only safe into a file whose record chain ends exactly
@@ -445,12 +445,18 @@ func (l *Log) AllocIDs(n int) uint64 {
 
 // AppendInsert logs that items entered the queue. It returns once the
 // record is durable per the sync policy; concurrent appends share
-// fsyncs (group commit).
+// writes and fsyncs (group commit).
 func (l *Log) AppendInsert(items []Item) error {
 	if len(items) == 0 {
 		return nil
 	}
-	return l.submit(request{kind: reqAppend, payload: encodeInsert(items), done: make(chan error, 1)})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusal(); err != nil {
+		return err
+	}
+	l.buf = appendInsert(l.buf, l.nextLSN, items)
+	return l.commit()
 }
 
 // AppendDelete logs that the items with these durable ids left the
@@ -459,7 +465,13 @@ func (l *Log) AppendDelete(ids []uint64) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	return l.submit(request{kind: reqAppend, payload: encodeDelete(ids), done: make(chan error, 1)})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusal(); err != nil {
+		return err
+	}
+	l.buf = appendDelete(l.buf, l.nextLSN, ids)
+	return l.commit()
 }
 
 // Snapshot durably writes the full live-item set (the caller must have
@@ -467,36 +479,51 @@ func (l *Log) AppendDelete(ids []uint64) error {
 // then rotates the active segment and deletes segments and snapshots
 // made redundant by retention.
 func (l *Log) Snapshot(items []Item) error {
-	return l.submit(request{kind: reqSnapshot, items: items, done: make(chan error, 1)})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Refuse only once quiesced: quiescing may wait, and a Close may
+	// finish meanwhile.
+	l.quiesce()
+	if err := l.refusal(); err != nil {
+		return err
+	}
+	return l.snapshotNow(items)
 }
 
 // Close seals the log: outstanding appends complete, the active
 // segment is fsynced, and the files are closed.
 func (l *Log) Close() error {
-	l.clMu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.clMu.Unlock()
 		return nil
 	}
 	l.closed = true
-	close(l.tstop)
-	req := request{kind: reqClose, done: make(chan error, 1)}
-	l.reqs <- req
-	l.clMu.Unlock()
-	err := <-req.done
-	<-l.wdone
+	if l.timer != nil {
+		l.timer.Stop()
+	}
+	l.quiesce()
+	if l.failed != nil {
+		// No final fsync: after an fsync failure the kernel may have
+		// dropped the dirty pages, and a "successful" retry would only
+		// hide that. Just release the file.
+		l.f.Close()
+		return l.failed
+	}
+	err := l.sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 
-func (l *Log) submit(req request) error {
-	l.clMu.RLock()
+// refusal is the error an append or snapshot gets without touching the
+// log. Called with mu held.
+func (l *Log) refusal() error {
 	if l.closed {
-		l.clMu.RUnlock()
 		return ErrClosed
 	}
-	l.reqs <- req
-	l.clMu.RUnlock()
-	return <-req.done
+	return l.failed
 }
 
 // Stats snapshots the log's counters.
@@ -518,53 +545,99 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// ticker drives SyncInterval flushes.
-func (l *Log) ticker() {
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.tstop:
-			return
-		case <-t.C:
-			select {
-			case l.reqs <- request{kind: reqSync}:
-			default: // writer busy; the next tick will catch up
-			}
-		}
+// commit gives the record just framed at the end of buf its LSN and
+// waits until a round has carried it to the OS (and to disk under
+// SyncAlways), leading a round itself whenever none is in flight.
+// Called with mu held.
+func (l *Log) commit() error {
+	lsn := l.nextLSN
+	l.nextLSN++
+	l.appends.Add(1)
+	l.sinceSnap.Add(1)
+	for l.done < lsn && l.failed == nil {
+		l.step()
+	}
+	if l.done >= lsn {
+		return nil
+	}
+	return l.failed
+}
+
+// quiesce runs rounds until none is in flight and buf is empty (or the
+// log is poisoned), leaving the files to the caller. Called with mu
+// held.
+func (l *Log) quiesce() {
+	for l.busy || (len(l.buf) > 0 && l.failed == nil) {
+		l.step()
 	}
 }
 
-// writer is the single goroutine owning the log files. It drains
-// whatever requests are immediately available, writes them as one
-// batch, fsyncs once if the policy demands it, and only then completes
-// every request in the batch — the group commit.
-func (l *Log) writer() {
-	defer close(l.wdone)
-	batch := make([]request, 0, 64)
-	for req := range l.reqs {
-		batch = append(batch[:0], req)
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case r2 := <-l.reqs:
-				batch = append(batch, r2)
-			default:
-				break drain
-			}
-		}
-		closing := l.handleBatch(batch)
-		if closing {
-			return
-		}
+// step waits for the round in flight to end, or leads the next one if
+// there is none. Called with mu held.
+func (l *Log) step() {
+	if l.busy {
+		l.cond.Wait()
+	} else {
+		l.round(false)
 	}
+}
+
+// tick is the SyncInterval timer: it fsyncs, as a round, only when
+// something is unsynced, then re-arms.
+func (l *Log) tick() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.busy {
+		l.cond.Wait()
+	}
+	if l.closed || l.failed != nil {
+		return
+	}
+	if l.sinceSync > 0 || len(l.buf) > 0 {
+		l.round(true)
+	}
+	if !l.closed {
+		l.timer.Reset(l.opts.Interval)
+	}
+}
+
+// round is one group commit, led by the caller: it takes everything
+// queued in buf, and with mu released writes it as one batch (rotating
+// first if the active segment is full) and fsyncs it under SyncAlways
+// or when fsync is set. Then it publishes the outcome and wakes every
+// waiter. Called with mu held and no round in flight.
+func (l *Log) round(fsync bool) {
+	batch, first, last := l.buf, l.done+1, l.nextLSN-1
+	l.buf, l.spare = l.spare, nil
+	l.busy = true
+	l.mu.Unlock()
+
+	var err error
+	if len(batch) > 0 {
+		err = l.write(batch, first, last-first+1)
+	}
+	if err == nil && (fsync || l.opts.Policy == SyncAlways) {
+		err = l.sync()
+	}
+
+	l.mu.Lock()
+	l.busy = false
+	l.spare = batch[:0]
+	if err != nil {
+		l.poison(err)
+	} else {
+		l.done = last
+		l.lastLSN.Store(last)
+	}
+	l.cond.Broadcast()
 }
 
 // poison marks the log permanently failed after a write or fsync
 // error. The failed bytes may already sit in the OS page cache and
 // become durable anyway, so continuing to append (or to roll back in
 // memory) would let post-crash replay diverge from the history clients
-// observed; refusing everything keeps the two consistent.
+// observed; refusing everything keeps the two consistent. Called with
+// mu held.
 func (l *Log) poison(err error) {
 	if l.failed != nil {
 		return
@@ -574,127 +647,21 @@ func (l *Log) poison(err error) {
 	l.opts.Logger.Warn("wal: poisoned, refusing all further appends", "err", l.failed)
 }
 
-// handleBatch processes one drained batch; it reports true once a
-// close request has been honored.
-func (l *Log) handleBatch(batch []request) (closing bool) {
-	if l.failed != nil {
-		for _, r := range batch {
-			switch r.kind {
-			case reqAppend, reqSnapshot:
-				r.done <- l.failed
-			case reqClose:
-				// No final fsync: after an fsync failure the kernel may
-				// have dropped the dirty pages, and a "successful" retry
-				// would only hide that. Just release the file.
-				l.f.Close()
-				r.done <- l.failed
-				closing = true
-			}
-		}
-		return closing
-	}
-
-	var appendErr error
-	needSync := false
-	wrote := false
-
-	// Phase 1: write every append in the batch.
-	var buf []byte
-	var pending []request
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		if appendErr == nil {
-			_, appendErr = l.f.Write(buf)
-			if appendErr == nil {
-				seg := &l.segs[len(l.segs)-1]
-				seg.bytes += int64(len(buf))
-				l.walBytes.Add(int64(len(buf)))
-				wrote = true
-			}
-		}
-		buf = buf[:0]
-	}
-	for _, r := range batch {
-		switch r.kind {
-		case reqAppend:
-			if appendErr != nil {
-				r.done <- appendErr
-				continue
-			}
-			if l.segs[len(l.segs)-1].bytes+int64(len(buf)) > l.opts.SegmentBytes {
-				flush()
-				if appendErr == nil {
-					appendErr = l.rotate()
-				}
-				if appendErr != nil {
-					r.done <- appendErr
-					continue
-				}
-			}
-			buf = appendRecord(buf, r.payload, l.nextLSN)
-			l.nextLSN++
-			l.appends.Add(1)
-			l.sinceSnap.Add(1)
-			l.sinceSync++
-			pending = append(pending, r)
-		case reqSync:
-			needSync = true
-		case reqSnapshot, reqClose:
-			// Handled in phase 2, after pending appends are resolved.
+// write appends a batch of n framed records, the first at LSN first,
+// to the active segment, rotating first if that segment is full.
+func (l *Log) write(batch []byte, first, n uint64) error {
+	if l.segs[len(l.segs)-1].bytes > l.opts.SegmentBytes {
+		if err := l.rotate(first); err != nil {
+			return err
 		}
 	}
-	flush()
-	if appendErr == nil && wrote {
-		l.lastLSN.Store(l.nextLSN - 1)
+	if _, err := l.f.Write(batch); err != nil {
+		return err
 	}
-
-	// Phase 2: make the batch durable per policy, then release waiters.
-	if appendErr == nil && wrote && (l.opts.Policy == SyncAlways || needSync) {
-		appendErr = l.sync()
-	} else if needSync && !wrote && l.opts.Policy == SyncInterval {
-		if err := l.sync(); err != nil {
-			l.poison(err) // tick with nothing new: cheap, keeps the tail bounded
-		}
-	}
-	if appendErr != nil {
-		l.poison(appendErr)
-	}
-	for _, r := range pending {
-		r.done <- appendErr
-	}
-
-	// Phase 3: snapshots and close, now that the log position is fixed.
-	for _, r := range batch {
-		switch r.kind {
-		case reqSnapshot:
-			if l.failed != nil {
-				r.done <- l.failed
-			} else {
-				r.done <- l.snapshotNow(r.items)
-			}
-		case reqClose:
-			err := l.failed
-			if err == nil {
-				err = l.sync()
-			}
-			if cerr := l.f.Close(); err == nil {
-				err = cerr
-			}
-			r.done <- err
-			closing = true
-		}
-	}
-	return closing
-}
-
-// appendRecord frames one payload (patching in its LSN) onto buf.
-func appendRecord(buf, payload []byte, lsn uint64) []byte {
-	binary.BigEndian.PutUint64(payload[lsnOffset:], lsn)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+	l.segs[len(l.segs)-1].bytes += int64(len(batch))
+	l.walBytes.Add(int64(len(batch)))
+	l.sinceSync += n
+	return nil
 }
 
 func (l *Log) sync() error {
@@ -711,8 +678,7 @@ func (l *Log) sync() error {
 			m.FsyncNanos.Observe(0, time.Since(t0).Nanoseconds())
 		}
 		// Records this fsync made durable — the group-commit batch
-		// size. Interval/never ticks with nothing new record a 0,
-		// which is itself informative (idle flushes).
+		// size.
 		if m.CommitRecords != nil {
 			m.CommitRecords.Observe(0, int64(l.sinceSync))
 		}
@@ -722,10 +688,10 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// rotate seals the active segment and opens a fresh one starting at
-// nextLSN.
-func (l *Log) rotate() error {
-	if last := &l.segs[len(l.segs)-1]; last.bytes == 0 && last.firstLSN == l.nextLSN {
+// rotate seals the active segment and opens a fresh one whose first
+// record will be first.
+func (l *Log) rotate(first uint64) error {
+	if last := &l.segs[len(l.segs)-1]; last.bytes == 0 && last.firstLSN == first {
 		// Already cut at this boundary (e.g. a snapshot with no records
 		// since the previous rotation). Rotating again would register a
 		// second segment with the SAME path, and retention would then
@@ -738,7 +704,7 @@ func (l *Log) rotate() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	seg := segment{firstLSN: l.nextLSN, path: filepath.Join(l.opts.Dir, segName(l.nextLSN))}
+	seg := segment{firstLSN: first, path: filepath.Join(l.opts.Dir, segName(first))}
 	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -752,9 +718,9 @@ func (l *Log) rotate() error {
 
 // snapshotNow writes a snapshot covering everything appended so far,
 // rotates so the tail is cut at the snapshot boundary, and applies
-// retention. Runs on the writer goroutine.
+// retention. Called with mu held and the log quiesced.
 func (l *Log) snapshotNow(items []Item) error {
-	lsn := l.nextLSN - 1
+	lsn := l.done
 	if err := l.sync(); err != nil {
 		l.poison(err) // the log file's own fsync failed, not the snapshot's
 		return l.failed
@@ -765,7 +731,7 @@ func (l *Log) snapshotNow(items []Item) error {
 	l.snapshots.Add(1)
 	l.snapLSN.Store(lsn)
 	l.sinceSnap.Store(0)
-	if err := l.rotate(); err != nil {
+	if err := l.rotate(lsn + 1); err != nil {
 		l.poison(err)
 		return l.failed
 	}

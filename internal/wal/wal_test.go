@@ -7,9 +7,13 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"pq/internal/obs"
 )
 
 // tLog writes a logger's lines into the test log.
@@ -777,4 +781,337 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendZeroAlloc pins the append path's allocation budget: framing
+// goes straight into the shared buffer and a committer waits on the
+// log's condition variable, so an insert+delete pair allocates nothing
+// under any policy once the buffers have grown.
+func TestAppendZeroAlloc(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under the race detector")
+			}
+		}
+	}
+	value := bytes.Repeat([]byte("v"), 64)
+	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			l, _ := openT(t, t.TempDir(), func(o *Options) { o.Policy = policy })
+			defer l.Close()
+			var err error
+			pair := func() {
+				id := l.AllocIDs(1)
+				if e := l.AppendInsert([]Item{{ID: id, Pri: 3, Value: value}}); e != nil {
+					err = e
+				}
+				if e := l.AppendDelete([]uint64{id}); e != nil {
+					err = e
+				}
+			}
+			pair() // grow both round buffers
+			pair()
+			if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
+				t.Fatalf("%v allocations per insert+delete pair, want 0", allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// faultyFile wraps a segment file and fails its failAt-th Sync. synced
+// is how many bytes the successful fsyncs covered. Only a round's
+// leader touches it, and rounds never overlap.
+type faultyFile struct {
+	file
+	failAt, syncs   int
+	written, synced int64
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	n, err := f.file.Write(p)
+	f.written += int64(n)
+	return n, err
+}
+
+func (f *faultyFile) Sync() error {
+	if f.syncs++; f.syncs == f.failAt {
+		return errors.New("injected fsync failure")
+	}
+	if err := f.file.Sync(); err != nil {
+		return err
+	}
+	f.synced = f.written
+	return nil
+}
+
+// TestFsyncFailureFailsWholeGroup: when the fsync a round's leader
+// issues fails, every committer in that round — and every one queued
+// behind it — gets the failure, nobody hangs, and no committer whose
+// record the failed fsync was to cover is told it is durable.
+func TestFsyncFailureFailsWholeGroup(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, func(o *Options) { o.Policy = SyncAlways })
+	ff := &faultyFile{file: l.f, failAt: 5}
+	l.f = ff
+
+	const workers, per = 8, 50
+	type result struct {
+		it  Item
+		err error
+	}
+	results := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				it := Item{ID: l.AllocIDs(1), Pri: uint32(w), Value: []byte{byte(w), byte(i)}}
+				start := time.Now()
+				err := l.AppendInsert([]Item{it})
+				if d := time.Since(start); d > 2*time.Second {
+					t.Errorf("append took %v", d)
+				}
+				results[w] = append(results[w], result{it, err})
+			}
+		}(w)
+	}
+	waitOrFail(t, &wg, 10*time.Second)
+
+	acked := make(map[uint64]Item)
+	failures := 0
+	for w, rs := range results {
+		failed := false
+		for _, r := range rs {
+			switch {
+			case r.err == nil && failed:
+				t.Fatalf("worker %d: append id=%d acked after an earlier one failed", w, r.it.ID)
+			case r.err == nil:
+				acked[r.it.ID] = r.it
+			case !errors.Is(r.err, ErrPoisoned):
+				t.Fatalf("worker %d: append id=%d: %v, want ErrPoisoned", w, r.it.ID, r.err)
+			default:
+				failed = true
+				failures++
+			}
+		}
+	}
+	if failures == 0 {
+		t.Fatal("the injected fsync failure reached no committer")
+	}
+	if err := l.AppendDelete([]uint64{1}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("append after the failed round: %v, want ErrPoisoned", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("close after failure: %v, want ErrPoisoned", err)
+	}
+
+	// Every acked record lies in the prefix the successful fsyncs covered:
+	// none of them rode in the round whose fsync failed.
+	data, err := os.ReadFile(segFiles(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := make(map[uint64]bool)
+	if _, damaged, err := scanSegment(data[:ff.synced], func(r record) error {
+		for _, it := range r.items {
+			durable[it.ID] = true
+		}
+		return nil
+	}); err != nil || damaged {
+		t.Fatalf("synced prefix: damaged=%v err=%v", damaged, err)
+	}
+	for id := range acked {
+		if !durable[id] {
+			t.Fatalf("append id=%d was acked but no successful fsync covered it", id)
+		}
+	}
+
+	l2, rec := openT(t, dir, nil)
+	defer l2.Close()
+	got := liveMap(rec.Items)
+	for id, want := range acked {
+		if it, ok := got[id]; !ok || !bytes.Equal(it.Value, want.Value) {
+			t.Fatalf("acked item id=%d not recovered", id)
+		}
+	}
+	t.Logf("%d acked, %d failed, %d recovered", len(acked), failures, len(rec.Items))
+}
+
+// waitOrFail waits for wg, failing the test if that takes longer than d.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("goroutines still running after %v", d)
+	}
+}
+
+// TestCloseRacesAppends: Close arrives while committers are queued and
+// rounds are in flight, with snapshots interleaved. Every append either
+// succeeds or gets ErrClosed, nothing hangs, and the next boot recovers
+// exactly the acked inserts minus the acked deletes.
+func TestCloseRacesAppends(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, func(o *Options) {
+				o.Policy = policy
+				o.Interval = time.Millisecond
+				o.SegmentBytes = 4 << 10
+			})
+
+			// Appenders hold quiesce's read side across an append and its
+			// bookkeeping, so a snapshot sees exactly the acked live set.
+			var quiesce sync.RWMutex
+			live := make(map[uint64]Item)
+			var liveMu sync.Mutex
+			const workers, closeAfter = 8, 400
+			var acked atomic.Int64
+			ready := make(chan struct{})
+			var readyOnce sync.Once
+
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var mine []uint64
+					for i := 0; ; i++ {
+						quiesce.RLock()
+						var err error
+						if i%3 == 2 && len(mine) > 0 {
+							id := mine[0]
+							if err = l.AppendDelete([]uint64{id}); err == nil {
+								mine = mine[1:]
+								liveMu.Lock()
+								delete(live, id)
+								liveMu.Unlock()
+							}
+						} else {
+							it := Item{ID: l.AllocIDs(1), Pri: uint32(w), Value: []byte{byte(w), byte(i)}}
+							if err = l.AppendInsert([]Item{it}); err == nil {
+								mine = append(mine, it.ID)
+								liveMu.Lock()
+								live[it.ID] = it
+								liveMu.Unlock()
+							}
+						}
+						quiesce.RUnlock()
+						if err != nil {
+							if err != ErrClosed {
+								t.Errorf("worker %d: %v, want nil or ErrClosed", w, err)
+							}
+							return
+						}
+						if acked.Add(1) == closeAfter {
+							readyOnce.Do(func() { close(ready) })
+						}
+					}
+				}(w)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					quiesce.Lock()
+					liveMu.Lock()
+					items := make([]Item, 0, len(live))
+					for _, it := range live {
+						items = append(items, it)
+					}
+					liveMu.Unlock()
+					err := l.Snapshot(items)
+					quiesce.Unlock()
+					if err != nil {
+						if err != ErrClosed {
+							t.Errorf("snapshot: %v, want nil or ErrClosed", err)
+						}
+						return
+					}
+				}
+			}()
+
+			select {
+			case <-ready:
+			case <-time.After(10 * time.Second):
+				t.Fatal("appenders made no progress")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			waitOrFail(t, &wg, 10*time.Second)
+
+			l2, rec := openT(t, dir, nil)
+			defer l2.Close()
+			checkItems(t, rec.Items, live)
+		})
+	}
+}
+
+// TestGroupCommitMetrics: the group-commit histogram sees every fsync
+// and every record exactly once — its count is Stats().Syncs and its
+// sum Stats().Appends — and an idle SyncInterval log does not fsync.
+func TestGroupCommitMetrics(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			m := &obs.WALMetrics{
+				FsyncNanos:    obs.NewHistogram(1, obs.LatencyMinShift, obs.LatencyMaxShift),
+				CommitRecords: obs.NewHistogram(1, 0, 20),
+			}
+			l, _ := openT(t, t.TempDir(), func(o *Options) {
+				o.Policy = policy
+				o.Interval = time.Millisecond
+				o.Metrics = m
+			})
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						if err := l.AppendInsert([]Item{{ID: l.AllocIDs(1), Pri: uint32(w)}}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			waitOrFail(t, &wg, 10*time.Second)
+
+			if policy == SyncInterval {
+				deadline := time.Now().Add(2 * time.Second)
+				for m.CommitRecords.Snapshot().Sum != int64(l.Stats().Appends) {
+					if time.Now().After(deadline) {
+						t.Fatal("interval timer never synced the tail")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				before := l.Stats().Syncs
+				time.Sleep(20 * l.opts.Interval)
+				if after := l.Stats().Syncs; after != before {
+					t.Fatalf("idle log fsynced %d times", after-before)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, recs := l.Stats(), m.CommitRecords.Snapshot()
+			if recs.Count != st.Syncs || m.FsyncNanos.Snapshot().Count != st.Syncs {
+				t.Fatalf("histograms saw %d / %d fsyncs, stats %d",
+					recs.Count, m.FsyncNanos.Snapshot().Count, st.Syncs)
+			}
+			if recs.Sum != int64(st.Appends) {
+				t.Fatalf("group sizes sum to %d, appends %d", recs.Sum, st.Appends)
+			}
+			t.Logf("%d appends over %d fsyncs", st.Appends, st.Syncs)
+		})
+	}
 }
