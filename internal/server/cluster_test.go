@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -764,5 +765,40 @@ func TestSetClusterMapValidation(t *testing.T) {
 	}
 	if err := srv.AddQueue(QueueSpec{Name: "other", Algorithm: pq.SimpleTree, Priorities: 16}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterDeleteMinBatchCutStaysOnNode: a node's DELETE_MIN_BATCH
+// answer is cut short by the frame's byte budget while the node still
+// holds items, so a short non-empty answer does not mean the node ran
+// dry. The sweep must ask the same node again before moving up a band:
+// node 0 holds five 300 KiB items (three fit one frame), node 1 one
+// small item of lower urgency, and one DeleteMinBatch must return all
+// six in priority order.
+func TestClusterDeleteMinBatchCutStaysOnNode(t *testing.T) {
+	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 8}
+	_, servers, _ := startCluster(t, 2, spec)
+	cc := dialCluster(t, mustMap(t, servers[0]))
+	ctx := context.Background()
+	big := make([]byte, 300<<10)
+	for _, pri := range []int{0, 0, 1, 2, 3} {
+		if err := cc.Insert(ctx, "jobs", pri, big); err != nil {
+			t.Fatalf("insert pri %d: %v", pri, err)
+		}
+	}
+	if err := cc.Insert(ctx, "jobs", 6, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	items, err := cc.DeleteMinBatch(ctx, "jobs", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, it := range items {
+		got = append(got, it.Pri)
+	}
+	want := []int{0, 0, 1, 2, 3, 6}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("DeleteMinBatch(64) returned priorities %v, want %v", got, want)
 	}
 }

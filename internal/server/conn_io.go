@@ -62,6 +62,8 @@ type respWriter struct {
 	// encoder (handlePop); kept here so the path reuses one slice per
 	// connection.
 	envs [][]byte
+	// items is the same for one INSERT_BATCH's decoded items (handle).
+	items []wire.Item
 }
 
 var respWriterPool = sync.Pool{New: func() any { return new(respWriter) }}

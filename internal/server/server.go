@@ -534,11 +534,16 @@ func (s *Server) handle(f wire.Frame, protoErr error, w *respWriter, cs connStat
 		return s.handleInsert(w, f.ID, cs, opInsert, m.Queue, one[:])
 
 	case wire.TInsertBatch:
-		m, err := wire.DecodeInsertBatchView(f.Payload, nil)
-		if err != nil {
-			return s.replyErr(w, f.ID, "bad INSERT_BATCH: %v", err)
+		m, err := wire.DecodeInsertBatchView(f.Payload, w.items)
+		if err == nil {
+			err = s.handleInsert(w, f.ID, cs, opInsertBatch, m.Queue, m.Items)
+		} else {
+			err = s.replyErr(w, f.ID, "bad INSERT_BATCH: %v", err)
 		}
-		return s.handleInsert(w, f.ID, cs, opInsertBatch, m.Queue, m.Items)
+		// The items alias f.Payload, which the caller recycles next.
+		clear(m.Items)
+		w.items = m.Items[:0]
+		return err
 
 	case wire.TDeleteMin:
 		m, err := wire.DecodeQueueReqView(f.Payload)

@@ -482,6 +482,51 @@ func DecodeDeleteMinBatchView(p []byte) (DeleteMinBatchView, error) {
 	return m, c.end()
 }
 
+// ItemsView walks a TItems payload without allocating. Next returns
+// each element still encoded, and an encoded element is a TItem
+// payload, so a caller can hand the elements on as single-item answers.
+type ItemsView struct {
+	Len int // elements not yet returned by Next
+	c   cursor
+}
+
+func DecodeItemsView(p []byte) (ItemsView, error) {
+	c := cursor{p}
+	n, err := c.u32()
+	if err != nil {
+		return ItemsView{}, err
+	}
+	if n > MaxBatchItems {
+		return ItemsView{}, fmt.Errorf("%w: batch of %d items", ErrBadPayload, n)
+	}
+	if uint64(n)*8 > uint64(len(c.b)) {
+		return ItemsView{}, ErrBadPayload
+	}
+	if n == 0 {
+		err = c.end()
+	}
+	return ItemsView{Len: int(n), c: c}, err
+}
+
+// Next returns the next element, aliasing the payload. Call it only
+// while Len > 0; it fails on a malformed element and, after the last
+// one, on trailing bytes.
+func (v *ItemsView) Next() ([]byte, error) {
+	start := v.c.b
+	if _, err := v.c.u32(); err != nil {
+		return nil, err
+	}
+	if _, err := v.c.blob(); err != nil {
+		return nil, err
+	}
+	v.Len--
+	elem := start[: len(start)-len(v.c.b) : len(start)-len(v.c.b)]
+	if v.Len == 0 {
+		return elem, v.c.end()
+	}
+	return elem, nil
+}
+
 // DecodePayload decodes the typed message carried by f, returning one
 // of the payload structs above (Item for TItem, nil for TEmpty). It is
 // the demux used by the fuzzer and by generic logging; hot paths call

@@ -182,11 +182,39 @@ func TestDecodeViewsMatchDecoders(t *testing.T) {
 		t.Fatalf("DeleteMinBatchView: %+v %v", d, err)
 	}
 
+	want := []Item{{Pri: 4, Value: []byte("x")}, {Pri: 5, Value: nil}, {Pri: 6, Value: []byte("zzz")}}
+	ip := Items{Items: want}.Append(nil)
+	iv, err := DecodeItemsView(ip)
+	if err != nil || iv.Len != len(want) {
+		t.Fatalf("ItemsView: %+v %v", iv, err)
+	}
+	for i := 0; iv.Len > 0; i++ {
+		elem, err := iv.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := DecodeItem(elem)
+		if err != nil || it.Pri != want[i].Pri || !bytes.Equal(it.Value, want[i].Value) {
+			t.Fatalf("ItemsView element %d: %+v %v, want %+v", i, it, err, want[i])
+		}
+	}
+	if iv, err := DecodeItemsView(Items{}.Append(nil)); err != nil || iv.Len != 0 {
+		t.Fatalf("empty ItemsView: %+v %v", iv, err)
+	}
+
 	// Malformed payloads must error exactly like the allocating decoders.
-	for _, junk := range [][]byte{{0x00}, {0x00, 0x02, 'q'}, nil} {
+	for _, junk := range [][]byte{{0x00}, {0x00, 0x02, 'q'}, nil, append(ip, 0), ip[:len(ip)-1], {0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 9}} {
 		if _, err := DecodeInsertView(junk); err == nil {
 			if _, err2 := DecodeInsert(junk); err2 != nil {
 				t.Fatalf("view accepted %x that DecodeInsert rejects", junk)
+			}
+		}
+		if iv, err := DecodeItemsView(junk); err == nil {
+			for err == nil && iv.Len > 0 {
+				_, err = iv.Next()
+			}
+			if _, err2 := DecodeItems(junk); (err == nil) != (err2 == nil) {
+				t.Fatalf("ItemsView and DecodeItems disagree on %x: %v, %v", junk, err, err2)
 			}
 		}
 	}

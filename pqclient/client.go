@@ -1,16 +1,19 @@
 // Package pqclient is the client library for pqd, the priority-queue
 // daemon (see internal/server and cmd/pqd).
 //
-// A Client owns a small pool of TCP connections, pipelines requests on
-// each of them, and transparently coalesces concurrent Insert calls to
-// the same queue into INSERT_BATCH frames. Each connection's writer
-// flushes once per round of callers: when its send queue runs dry it
+// A Client owns a small pool of TCP connections and pipelines requests
+// on each of them, written in rounds led by the callers themselves: the
+// caller that finds no round in flight takes every call queued on the
+// connection and writes them, concurrent Inserts to one queue as one
+// INSERT_BATCH and concurrent DeleteMins to one queue as one
+// DELETE_MIN_BATCH. A caller whose context can end starts a goroutine
+// to lead instead, so a blocked write never outlives its context. The
+// leader flushes once per round of callers: when the queue runs dry it
 // yields once, so the callers just woken by a response batch can queue
-// their next requests into the same write. Calls allocate nothing in
-// steady state (DeleteMin allocates only the value it returns): call
-// records are pooled, and a record abandoned on context or timeout is
-// never reused, because its connection may still finish it.
-// Admission-control sheds
+// their next requests into the same write. Calls allocate nothing in steady state (DeleteMin allocates only the
+// value it returns): call records are pooled, and a record abandoned on
+// its context is never reused, because its connection may still finish
+// it. Admission-control sheds
 // (RETRY_AFTER) are retried with jittered backoff up to Config.MaxRetries
 // before surfacing as ErrOverload; retries only ever happen on an
 // explicit reject from the server, so a retried insert can never be
@@ -39,13 +42,15 @@ type Config struct {
 	// Conns is the connection-pool size. Default 2.
 	Conns int
 	// MaxCoalesce caps how many concurrent Inserts to one queue merge
-	// into a single INSERT_BATCH frame. Default 32; 1 disables
-	// coalescing.
+	// into a single INSERT_BATCH frame, and how many concurrent
+	// DeleteMins to one queue into a single DELETE_MIN_BATCH. Default
+	// 32; 1 disables coalescing.
 	MaxCoalesce int
 	// DialTimeout bounds connection establishment. Default 5s.
 	DialTimeout time.Duration
 	// RequestTimeout applies to requests whose context carries no
-	// deadline. Default 5s; negative disables.
+	// deadline, and closes a connection whose write has made no
+	// progress for that long. Default 5s; negative disables.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times an Insert shed with RETRY_AFTER is
 	// retried before ErrOverload. Default 8; negative disables retry.
@@ -195,42 +200,35 @@ func (c *Client) conn() (*conn, error) {
 
 // do sends one call, waits for its resolution and recycles cl. On
 // success resp is the caller's: return its payload with wire.PutBuf
-// once decoded. RequestTimeout runs on the record's own timer and
-// expires as context.DeadlineExceeded, as a context deadline would.
+// once decoded. RequestTimeout becomes the record's deadline, which the
+// conn's sweeper enforces as context.DeadlineExceeded, as a context
+// deadline would.
 func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) {
 	cn, err := c.conn()
 	if err != nil {
 		cl.recycle()
 		return resp, err
 	}
-	var expire <-chan time.Time
 	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
-		if cl.timer == nil {
-			cl.timer = time.NewTimer(c.cfg.RequestTimeout)
-		} else {
-			cl.timer.Reset(c.cfg.RequestTimeout)
-		}
-		expire = cl.timer.C
+		cl.deadline = time.Now().Add(c.cfg.RequestTimeout)
 	}
-	abandoned := false
-	if err = cn.send(ctx, expire, cl); err == nil {
+	// A caller whose context can end never leads on its own goroutine
+	// (see conn): a stalled write must not outlive its context.
+	done := ctx.Done()
+	cn.enqueue(cl, done != nil)
+	if done == nil {
+		<-cl.done
+	} else {
 		select {
 		case <-cl.done:
-			resp, err = cl.resp, cl.err
-		case <-ctx.Done():
-			err, abandoned = ctx.Err(), true
-		case <-expire:
-			err, abandoned = context.DeadlineExceeded, true
+		case <-done:
+			// An abandoned record stays with the conn, which finishes it
+			// when the response arrives; nobody is listening by then.
+			return resp, ctx.Err()
 		}
 	}
-	if expire != nil {
-		cl.timer.Stop()
-	}
-	// An abandoned record stays with the conn, which finishes it when the
-	// response arrives; nobody is listening by then.
-	if !abandoned {
-		cl.recycle()
-	}
+	resp, err = cl.resp, cl.err
+	cl.recycle()
 	return resp, err
 }
 
@@ -348,8 +346,10 @@ func (c *Client) DeleteMin(ctx context.Context, queue string) (it Item, ok bool,
 	return it, true, nil
 }
 
-// DeleteMinBatch removes up to max items in one round trip; a short
-// (possibly empty) result means the queue ran empty.
+// DeleteMinBatch removes up to max items in one round trip. Only an
+// empty result means the queue appeared empty: a short non-empty one
+// may be the server cutting the batch at its frame's byte budget, so
+// ask again for the rest.
 func (c *Client) DeleteMinBatch(ctx context.Context, queue string, max int) ([]Item, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("pqclient: DeleteMinBatch max must be >= 1, got %d", max)

@@ -116,9 +116,10 @@ func TestClientZeroAlloc(t *testing.T) {
 	}
 }
 
-// zeroAllocStub acks every insert frame and answers every other request
-// with one 16-byte item, allocating nothing per frame, so a count of
-// process-wide allocations sees only the client's.
+// zeroAllocStub acks every insert frame, answers a DELETE_MIN_BATCH
+// with max 16-byte items and every other request with one, allocating
+// nothing per frame, so a count of process-wide allocations sees only
+// the client's.
 func zeroAllocStub(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -160,6 +161,14 @@ func zeroAllocStub(t *testing.T) string {
 						n := binary.BigEndian.Uint32(f.Payload[2+binary.BigEndian.Uint16(f.Payload):])
 						out, off = wire.BeginFrame(out[:0], wire.TInsertOK, f.ID)
 						out = wire.InsertOK{Accepted: n}.Append(out)
+					case wire.TDeleteMinBatch:
+						// max is the last 4 bytes of the payload.
+						n := binary.BigEndian.Uint32(f.Payload[len(f.Payload)-4:])
+						out, off = wire.BeginFrame(out[:0], wire.TItems, f.ID)
+						out = binary.BigEndian.AppendUint32(out, n)
+						for ; n > 0; n-- {
+							out = append(out, item...)
+						}
 					default:
 						out, off = wire.BeginFrame(out[:0], wire.TItem, f.ID)
 						out = append(out, item...)

@@ -430,18 +430,25 @@ func (cc *ClusterClient) DeleteMin(ctx context.Context, queue string) (it Item, 
 }
 
 // DeleteMinBatch removes up to max items by the same sweep, taking as
-// much as each node has before moving up. The merged result is sorted
-// by priority. A short (or empty) result means every reachable node ran
-// dry; an error is returned only when nothing was delivered.
+// much as each node has before moving up: a node is asked again after a
+// short non-empty answer, which may be the frame's byte budget cutting
+// the batch, and left only once it answers empty. The merged result is
+// sorted by priority. A short (or empty) result means every reachable
+// node answered empty; an error is returned only when nothing was
+// delivered.
 func (cc *ClusterClient) DeleteMinBatch(ctx context.Context, queue string, max int) ([]Item, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("pqclient: DeleteMinBatch max must be >= 1, got %d", max)
 	}
 	var out []Item
 	err := cc.sweep(func(c *Client) (bool, error) {
-		items, err := c.DeleteMinBatch(ctx, queue, max-len(out))
-		out = append(out, items...)
-		return len(out) >= max, err
+		for {
+			items, err := c.DeleteMinBatch(ctx, queue, max-len(out))
+			out = append(out, items...)
+			if len(out) >= max || len(items) == 0 || err != nil {
+				return len(out) >= max, err
+			}
+		}
 	})
 	if len(out) == 0 {
 		return nil, err

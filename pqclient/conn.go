@@ -19,18 +19,18 @@ import (
 // it exactly once by setting err (and, for a non-insert kind answered
 // without error, resp) and sending on done.
 type call struct {
-	kind    wire.Type
-	queue   string
-	item    wire.Item // TInsert only
-	max     uint32    // TDeleteMinBatch only
-	payload []byte    // TInsertBatch only
-	solo    bool      // never coalesce (set when resent after a batch TError)
-	next    *call     // next member of a coalesced group, in wire order
+	kind     wire.Type
+	queue    string
+	item     wire.Item // TInsert only
+	max      uint32    // TDeleteMinBatch only
+	payload  []byte    // TInsertBatch only
+	solo     bool      // never coalesce (set when resent after a batch TError)
+	deadline time.Time // RequestTimeout's; zero when ctx bounds the call
+	next     *call     // next call on the pending list, then next member of its group in wire order
 
-	resp  wire.Frame
-	err   error
-	done  chan struct{} // 1-buffered; drained before the record is reused
-	timer *time.Timer   // RequestTimeout, armed per use
+	resp wire.Frame
+	err  error
+	done chan struct{} // 1-buffered; drained before the record is reused
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -43,7 +43,7 @@ func newCall(kind wire.Type, queue string) *call {
 
 // recycle returns a record whose done signal, if any, has been received.
 func (cl *call) recycle() {
-	*cl = call{done: cl.done, timer: cl.timer}
+	*cl = call{done: cl.done}
 	callPool.Put(cl)
 }
 
@@ -62,42 +62,74 @@ func finishGroup(head *call, err error) {
 	}
 }
 
-// conn is one pooled connection: a writer goroutine that drains sendCh
-// and a reader goroutine that matches response frames to pending
+// group is one open group of a round: coalesced calls of one kind to
+// one queue, linked from head in wire order.
+type group struct {
+	head, tail *call
+	n, bytes   int // members, and the INSERT_BATCH payload they encode to
+}
+
+// conn is one pooled connection, written by leader/follower rounds and
+// read by a reader goroutine that matches response frames to pending
 // requests by id.
 //
-// Flush rule: the writer coalesces adjacent same-queue inserts into one
-// INSERT_BATCH and flushes only when the send queue is empty and stays
-// empty across one runtime.Gosched. One response read wakes up to a
-// whole pipeline of callers; the yield lets them resubmit, so their
-// next requests share one write (and their inserts one frame) instead
-// of each paying a syscall of its own.
+// Rounds: a caller links its call onto the pending list, and if no
+// round is in flight it leads one, as a combining funnel's carrier
+// does: it takes the whole list and writes it, coalescing
+// the Inserts and the DeleteMins to one queue into one INSERT_BATCH and
+// one DELETE_MIN_BATCH each (see writeRound). It repeats while the list
+// has refilled, and flushes only when the list stays empty across one
+// runtime.Gosched: one response read wakes up to a whole pipeline of
+// callers, and the yield lets them link their next requests into the
+// same write instead of each paying a syscall of its own. Followers
+// just wait for their answer. Once the leader's own call is answered it
+// hands a refilled list to a goroutine instead of leading on. Only a
+// caller whose context cannot end leads on its own goroutine: a write
+// may block on a peer that stopped reading, and a call bounded by its
+// context must still return when the context ends, so such a caller
+// starts a leader goroutine and waits for its answer or its context.
+// readLoop never writes either: what it puts back on the list (a short
+// delete group's tail, a rejected batch's members) starts a leader
+// goroutine when no round is in flight.
+//
+// Timeouts: one sweeper timer, re-armed every RequestTimeout/4 while
+// work is pending, finishes the written groups whose calls are all past
+// their deadline and the expired calls still on the list, and closes
+// the conn when the leader's write has made no progress for a whole
+// RequestTimeout. The sweeper stands in for a
+// per-round SetWriteDeadline: it is needed for the expiries anyway, it
+// costs the write path one clock read per frame instead of a poller
+// timer update per round, and it tells a slow write from a stalled one.
 //
 // Ownership: the conn owns a call record from send until finish, and
-// the caller owns it after receiving on done. A record abandoned on
-// context or timeout is never recycled, because the conn may still
-// finish it. So the writer encodes a frame before register publishes
-// its calls in pend: from then on a concurrent close may finish them,
-// and their callers recycle them, while the writer is still writing.
+// the caller owns it after receiving on done. A record abandoned on a
+// context is never recycled, because the conn may still finish it. So
+// the leader encodes a frame before register publishes its calls in
+// pend: from then on the reader, the sweeper or close may finish them,
+// and their callers recycle them, while the leader is still writing.
 type conn struct {
 	cfg Config
 	nc  net.Conn
 
-	sendCh chan *call
+	// Owned by the round's leader: the buffered writer, the encode
+	// scratch (frames are built in enc, coalesced inserts borrow items)
+	// and the round's open groups, so a round allocates nothing.
+	bw     *bufio.Writer
+	enc    []byte
+	items  []wire.Item
+	groups []group
 
-	// Encode scratch, touched only by the writeLoop goroutine: frames
-	// are built in enc and written in one go, and coalesced batches
-	// borrow itemsScratch, so the steady-state send path reuses the
-	// same buffers instead of allocating per call.
-	enc          []byte
-	itemsScratch []wire.Item
-
-	mu      sync.Mutex
-	pend    map[uint32]*call // group heads by request id
-	nextID  uint32
-	err     error
-	closed  chan struct{}
-	closeFn sync.Once
+	mu         sync.Mutex
+	head, tail *call     // pending list: calls no round has taken yet
+	busy       bool      // a round is in flight
+	ioAt       time.Time // last round start, list take, frame or flush: the stall check's progress mark
+	sweeper    *time.Timer
+	armed      bool
+	pend       map[uint32]*call // written group heads by request id
+	nextID     uint32
+	err        error
+	closed     chan struct{}
+	closeFn    sync.Once
 }
 
 func dialConn(cfg Config) (*conn, error) {
@@ -108,11 +140,10 @@ func dialConn(cfg Config) (*conn, error) {
 	c := &conn{
 		cfg:    cfg,
 		nc:     nc,
-		sendCh: make(chan *call, 4*cfg.MaxCoalesce),
+		bw:     bufio.NewWriterSize(nc, 64<<10),
 		pend:   make(map[uint32]*call),
 		closed: make(chan struct{}),
 	}
-	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
@@ -126,80 +157,205 @@ func (c *conn) dead() bool {
 	}
 }
 
-func (c *conn) closeErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
 // close tears the connection down and fails everything in flight.
 func (c *conn) close(err error) {
 	c.closeFn.Do(func() {
 		c.mu.Lock()
-		if c.err == nil {
-			c.err = err
+		c.err = err
+		failed, queued := c.pend, c.head
+		c.pend, c.head, c.tail = map[uint32]*call{}, nil, nil
+		if c.sweeper != nil {
+			c.sweeper.Stop()
 		}
-		failed := c.pend
-		c.pend = map[uint32]*call{}
 		c.mu.Unlock()
 		close(c.closed)
 		c.nc.Close()
 		for _, head := range failed {
 			finishGroup(head, err)
 		}
-		c.failQueued()
+		finishGroup(queued, err)
 	})
 }
 
-// failQueued fails whatever is parked in the send queue with the close
-// error. A call is received from sendCh exactly once — by writeLoop or
-// by one of these drains — so each is finished exactly once.
-func (c *conn) failQueued() {
-	err := c.closeErr()
+// enqueue links the calls linked from list onto the pending list, or
+// finishes them with the close error once the conn is closed. When no
+// round is in flight, the caller leads one on its own goroutine, or,
+// with async, a new goroutine does (see the conn comment).
+func (c *conn) enqueue(list *call, async bool) {
+	c.mu.Lock()
+	if err := c.err; err != nil {
+		c.mu.Unlock()
+		finishGroup(list, err)
+		return
+	}
+	lead := c.link(list)
+	c.mu.Unlock()
+	switch {
+	case !lead:
+	case async:
+		go c.lead(nil)
+	default:
+		c.lead(list)
+	}
+}
+
+// link appends the calls linked from list to the pending list, arms the
+// sweeper, and reports whether the caller must now lead: it found no
+// round in flight and marked one. Called with mu held.
+func (c *conn) link(list *call) (lead bool) {
+	if c.tail == nil {
+		c.head = list
+	} else {
+		c.tail.next = list
+	}
+	for c.tail = list; c.tail.next != nil; c.tail = c.tail.next {
+	}
+	if t := c.cfg.RequestTimeout; t > 0 && !c.armed {
+		c.armed = true
+		if c.sweeper == nil {
+			c.sweeper = time.AfterFunc(t/4, c.sweep)
+		} else {
+			c.sweeper.Reset(t / 4)
+		}
+	}
+	if lead, c.busy = !c.busy, true; lead {
+		// A stale ioAt would read as a stall before the leader starts.
+		c.ioAt = time.Now()
+	}
+	return lead
+}
+
+// lead runs rounds until the pending list stays empty, by the flush
+// rule in the conn comment, then steps down. own is the leader's own
+// call, or nil on a leader goroutine: once own is answered, a refilled
+// list goes to a new leader goroutine. Called by whoever link told to
+// lead, without mu.
+func (c *conn) lead(own *call) {
+	wrote := false
+	c.mu.Lock()
 	for {
-		select {
-		case cl := <-c.sendCh:
-			cl.finish(wire.Frame{}, err)
-		default:
+		if list := c.head; list != nil {
+			if own != nil && len(own.done) > 0 {
+				c.mu.Unlock()
+				go c.lead(nil)
+				return
+			}
+			c.head, c.tail = nil, nil
+			c.ioAt = time.Now()
+			c.mu.Unlock()
+			c.writeRound(list)
+			wrote = true
+		} else if !wrote {
+			c.busy = false
+			c.mu.Unlock()
 			return
+		} else {
+			c.mu.Unlock()
+			runtime.Gosched()
+			c.mu.Lock()
+			if c.head != nil {
+				continue
+			}
+			c.ioAt = time.Now()
+			c.mu.Unlock()
+			if err := c.bw.Flush(); err != nil {
+				c.close(err)
+			}
+			wrote = false
 		}
+		c.mu.Lock()
 	}
 }
 
-// send hands cl to writeLoop; expire, when not nil, bounds the wait like
-// ctx does. When the conn is closed select picks at random among ready
-// cases, so the send can land after close drained sendCh; a sender that
-// then finds the conn dead drains it again.
-func (c *conn) send(ctx context.Context, expire <-chan time.Time, cl *call) error {
-	select {
-	case c.sendCh <- cl:
-		if c.dead() {
-			c.failQueued()
-		}
-		return nil
-	case <-c.closed:
-		return c.closeErr()
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-expire:
-		return context.DeadlineExceeded
+// sweep is the RequestTimeout sweeper. It closes the conn when the
+// leader's write has made no progress for a whole RequestTimeout, since
+// a peer that stopped reading must not hold the calls queued behind it.
+// Otherwise it finishes every written group whose calls are all past
+// their deadline with context.DeadlineExceeded; the answer, if it ever
+// comes, finds no pending id. Expired calls still on the pending list go
+// too, so a slow round ahead of them cannot hold them past their bound.
+func (c *conn) sweep() {
+	now := time.Now()
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
 	}
+	if c.busy && now.Sub(c.ioAt) >= c.cfg.RequestTimeout {
+		c.mu.Unlock()
+		c.close(errStalled)
+		return
+	}
+	// finish never blocks (done has room for the one signal), so the
+	// expired groups are finished under mu.
+	for id, head := range c.pend {
+		if groupExpired(head, now) {
+			delete(c.pend, id)
+			finishGroup(head, context.DeadlineExceeded)
+		}
+	}
+	var prev *call
+	for cl := c.head; cl != nil; {
+		next := cl.next
+		if !cl.expired(now) {
+			prev = cl
+		} else {
+			if prev == nil {
+				c.head = next
+			} else {
+				prev.next = next
+			}
+			if cl == c.tail {
+				c.tail = prev
+			}
+			cl.next = nil
+			cl.finish(wire.Frame{}, context.DeadlineExceeded)
+		}
+		cl = next
+	}
+	if c.armed = c.busy || len(c.pend) > 0; c.armed {
+		c.sweeper.Reset(c.cfg.RequestTimeout / 4)
+	}
+	c.mu.Unlock()
 }
 
-// register assigns a request id to a group of calls, or fails them with
-// the close error once the conn is closed.
-func (c *conn) register(head *call) (uint32, error) {
+// expired reports whether cl has a deadline, and it has passed.
+func (cl *call) expired(now time.Time) bool {
+	return !cl.deadline.IsZero() && now.After(cl.deadline)
+}
+
+// groupExpired reports whether every call of the group from head has
+// expired: no call expires before its own bound.
+func groupExpired(head *call, now time.Time) bool {
+	for cl := head; cl != nil; cl = cl.next {
+		if !cl.expired(now) {
+			return false
+		}
+	}
+	return true
+}
+
+// errStalled closes a conn whose write made no progress for a whole
+// RequestTimeout.
+var errStalled = fmt.Errorf("pqclient: connection write stalled for a whole request timeout: %w", context.DeadlineExceeded)
+
+// register assigns a request id to a group of calls about to be
+// written, or fails them with the close error once the conn is closed.
+// The leader calls it between frames, so it also marks the write's
+// progress for the stall check.
+func (c *conn) register(head *call) (uint32, bool) {
 	c.mu.Lock()
 	if err := c.err; err != nil {
 		c.mu.Unlock()
 		finishGroup(head, err)
-		return 0, err
+		return 0, false
 	}
+	c.ioAt = time.Now()
 	c.nextID++
 	id := c.nextID
 	c.pend[id] = head
 	c.mu.Unlock()
-	return id, nil
+	return id, true
 }
 
 func (c *conn) take(id uint32) *call {
@@ -210,62 +366,57 @@ func (c *conn) take(id uint32) *call {
 	return head
 }
 
-// writeLoop drains sendCh. A popped Insert greedily absorbs further
-// queued Inserts to the same queue (up to MaxCoalesce) into one
-// INSERT_BATCH frame; the buffered writer is flushed by the rule in the
-// conn comment.
-func (c *conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var holdover *call
-	for {
-		var cl *call
-		if holdover != nil {
-			cl, holdover = holdover, nil
+// writeRound writes the calls of one round, taken from the pending list.
+// Inserts and DeleteMins not marked solo are sorted into one group per
+// kind and queue, each capped at MaxCoalesce members and, for inserts,
+// at wire.MaxPayload encoded bytes; every other call is its own frame.
+// The calls of one round are concurrent, so their order on the wire is
+// free.
+func (c *conn) writeRound(list *call) {
+	for cl := list; cl != nil; {
+		next := cl.next
+		cl.next = nil
+		if !cl.solo && c.cfg.MaxCoalesce > 1 && (cl.kind == wire.TInsert || cl.kind == wire.TDeleteMin) {
+			c.join(cl)
 		} else {
-			select {
-			case cl = <-c.sendCh:
-			case <-c.closed:
-				return
-			}
+			c.write(cl, 1)
 		}
-		n := 1
-		if cl.kind == wire.TInsert && !cl.solo {
-			// Bound the coalesced INSERT_BATCH by encoded payload bytes
-			// as well as item count, so the merged frame never exceeds
-			// what the server's ReadFrame accepts.
-			bytes := 2 + len(cl.queue) + 4 + 8 + len(cl.item.Value)
-		collect:
-			for tail := cl; n < c.cfg.MaxCoalesce; n++ {
-				select {
-				case nx := <-c.sendCh:
-					if nx.kind == wire.TInsert && !nx.solo && nx.queue == cl.queue &&
-						bytes+8+len(nx.item.Value) <= wire.MaxPayload {
-						tail.next, tail = nx, nx
-						bytes += 8 + len(nx.item.Value)
-					} else {
-						holdover = nx
-						break collect
-					}
-				default:
-					break collect
-				}
-			}
+		cl = next
+	}
+	for i, g := range c.groups {
+		c.write(g.head, g.n)
+		c.groups[i] = group{}
+	}
+	c.groups = c.groups[:0]
+}
+
+// join adds cl to the round's open group for its kind and queue,
+// writing that group first when cl would overflow it. Calls bounded by
+// RequestTimeout and calls bounded by their context group apart, so
+// that the sweeper can expire a group whole without expiring anyone
+// before their own bound.
+func (c *conn) join(cl *call) {
+	size := 0
+	if cl.kind == wire.TInsert {
+		size = 8 + len(cl.item.Value)
+	}
+	fresh := group{cl, cl, 1, 2 + len(cl.queue) + 4 + size}
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.head.kind != cl.kind || g.head.queue != cl.queue || g.head.deadline.IsZero() != cl.deadline.IsZero() {
+			continue
 		}
-		werr := c.write(bw, cl, n)
-		if werr == nil && holdover == nil && len(c.sendCh) == 0 {
-			runtime.Gosched()
-			if len(c.sendCh) == 0 {
-				werr = bw.Flush()
-			}
-		}
-		if werr != nil {
-			c.close(werr)
-			if holdover != nil {
-				holdover.finish(wire.Frame{}, c.closeErr())
-			}
+		if g.n == c.cfg.MaxCoalesce || g.bytes+size > wire.MaxPayload {
+			c.write(g.head, g.n)
+			*g = fresh
 			return
 		}
+		g.tail.next, g.tail = cl, cl
+		g.n++
+		g.bytes += size
+		return
 	}
+	c.groups = append(c.groups, fresh)
 }
 
 // oversizedErr rejects a request whose encoded payload the server's
@@ -275,65 +426,52 @@ func oversizedErr(n int) error {
 	return fmt.Errorf("pqclient: request payload %d bytes exceeds the %d-byte frame limit", n, wire.MaxPayload)
 }
 
-// write sends head, or the group of n coalesced inserts it starts, as
-// one frame. The frame is encoded into the conn's reusable scratch
-// before register publishes the calls (see the conn comment), and its
-// request id patched in afterwards. An oversized frame is refused
-// before a request id is burned on it.
-func (c *conn) write(bw *bufio.Writer, head *call, n int) error {
-	typ := head.kind
+// write sends head, or the group of n calls it starts, as one frame:
+// n coalesced Inserts as an INSERT_BATCH, n DeleteMins as one
+// DELETE_MIN_BATCH with max = n. The frame is encoded into the conn's
+// reusable scratch before register publishes the calls (see the conn
+// comment), and its request id patched in afterwards. An oversized
+// frame is refused before a request id is burned on it. A write error
+// closes the conn, and the rest of the round then fails in register.
+func (c *conn) write(head *call, n int) {
+	typ, max := head.kind, head.max
 	if n > 1 {
-		typ = wire.TInsertBatch
+		typ, max = wire.TDeleteMinBatch, uint32(n)
+		if head.kind == wire.TInsert {
+			typ = wire.TInsertBatch
+		}
 	}
 	buf, off := wire.BeginFrame(c.enc[:0], typ, 0)
 	switch {
-	case n > 1:
-		items := c.itemsScratch[:0]
+	case n > 1 && typ == wire.TInsertBatch:
+		items := c.items[:0]
 		for cl := head; cl != nil; cl = cl.next {
 			items = append(items, cl.item)
 		}
-		c.itemsScratch = items[:0]
+		c.items = items[:0]
 		buf = wire.InsertBatch{Queue: head.queue, Items: items}.Append(buf)
 	case typ == wire.TInsert:
 		buf = wire.Insert{Queue: head.queue, Item: head.item}.Append(buf)
 	case typ == wire.TInsertBatch:
 		buf = append(buf, head.payload...)
 	case typ == wire.TDeleteMinBatch:
-		buf = wire.DeleteMinBatch{Queue: head.queue, Max: head.max}.Append(buf)
+		buf = wire.DeleteMinBatch{Queue: head.queue, Max: max}.Append(buf)
 	default:
 		buf = wire.QueueReq{Queue: head.queue}.Append(buf)
 	}
 	c.enc = wire.EndFrame(buf, off)
 	if size := len(c.enc) - 12; size > wire.MaxPayload {
 		finishGroup(head, oversizedErr(size))
-		return nil
+		return
 	}
-	id, err := c.register(head)
-	if err != nil {
-		return err
+	id, ok := c.register(head)
+	if !ok {
+		return
 	}
 	binary.BigEndian.PutUint32(c.enc[8:12], id)
-	_, err = bw.Write(c.enc)
-	return err
-}
-
-// resendSolo re-enqueues the members of a group as solo calls, so they
-// are sent as individual frames. Runs in its own goroutine: readLoop
-// must never block on a full send queue (requests ahead of it could be
-// waiting on responses this readLoop would deliver). solo calls are
-// never re-coalesced, so a second TError resolves each call
-// individually and the retry cannot loop.
-func (c *conn) resendSolo(head *call) {
-	go func() {
-		for cl := head; cl != nil; {
-			next := cl.next
-			cl.next, cl.solo = nil, true
-			if err := c.send(context.Background(), nil, cl); err != nil {
-				cl.finish(wire.Frame{}, err)
-			}
-			cl = next
-		}
-	}()
+	if _, err := c.bw.Write(c.enc); err != nil {
+		c.close(err)
+	}
 }
 
 // readLoop matches responses to pending calls. Payloads come from the
@@ -350,7 +488,7 @@ func (c *conn) readLoop() {
 			return
 		}
 		head := c.take(f.ID)
-		// head == nil: the response to an abandoned request.
+		// head == nil: the response to an abandoned or expired request.
 		if head == nil || !c.deliver(head, f) {
 			wire.PutBuf(f.Payload)
 		}
@@ -360,23 +498,36 @@ func (c *conn) readLoop() {
 // deliver resolves a pending group from its response frame and reports
 // whether it handed f's payload to the caller.
 func (c *conn) deliver(head *call, f wire.Frame) bool {
-	if head.next != nil && (f.Type == wire.TError || f.Type == wire.TWrongNode) {
-		// The server rejects a whole INSERT_BATCH when any member is bad
-		// (an out-of-range priority), and a cluster node NACKs it when
-		// any member's priority belongs to another node. These calls
-		// were coalesced from unrelated Inserts, so don't fate-share the
-		// verdict: resend each member as its own frame and let the
-		// server judge them individually.
-		c.resendSolo(head)
-		return false
+	if head.next != nil {
+		switch {
+		case f.Type == wire.TError || f.Type == wire.TWrongNode:
+			// The server rejects a whole batch when any part of it is bad
+			// (an out-of-range priority), and a cluster node NACKs an
+			// INSERT_BATCH when any member's priority belongs to another
+			// node. These calls were coalesced from unrelated ones, so
+			// don't fate-share the verdict: resend each member as its own
+			// frame and let the server judge them individually. solo calls
+			// are never re-coalesced, so the retry cannot loop.
+			for cl := head; cl != nil; cl = cl.next {
+				cl.solo = true
+			}
+			c.enqueue(head, true)
+			return false
+		case head.kind == wire.TDeleteMin && f.Type == wire.TItems:
+			c.deliverItems(head, f.Payload)
+			return false
+		}
 	}
 	err := respErr(f)
 	if head.kind != wire.TInsert {
-		if err == nil {
+		if err == nil && head.next == nil {
 			head.finish(f, nil)
 			return true
 		}
-		head.finish(wire.Frame{}, err)
+		if err == nil {
+			err = &ServerError{Msg: "unexpected " + f.Type.String() + " response to DELETE_MIN_BATCH"}
+		}
+		finishGroup(head, err)
 		return false
 	}
 	// An insert group is one Insert, or a coalesced INSERT_BATCH of
@@ -399,6 +550,39 @@ func (c *conn) deliver(head *call, f wire.Frame) bool {
 		cl = next
 	}
 	return false
+}
+
+// deliverItems resolves a delete group from its ITEMS answer. The i-th
+// item goes to the i-th member in wire order, copied into a pooled TItem
+// payload of its own (an ITEMS element is encoded as one), so DeleteMin
+// reads it as the answer to a DELETE_MIN. An empty answer resolves
+// every member EMPTY: the server always keeps a batch's first pop, so
+// no byte budget cut it and the queue was empty. A short non-empty
+// answer may be such a cut, so the unserved members go back on the
+// list, still coalescable; each retry serves one or ends EMPTY.
+func (c *conn) deliverItems(head *call, p []byte) {
+	v, err := wire.DecodeItemsView(p)
+	cl := head
+	for err == nil && v.Len > 0 && cl != nil {
+		var elem []byte
+		if elem, err = v.Next(); err == nil {
+			next := cl.next
+			cl.finish(wire.Frame{Type: wire.TItem, Payload: append(wire.GetBuf(len(elem)), elem...)}, nil)
+			cl = next
+		}
+	}
+	switch {
+	case err != nil || v.Len > 0:
+		finishGroup(cl, &ServerError{Msg: "bad ITEMS payload"})
+	case cl == head:
+		for cl != nil {
+			next := cl.next
+			cl.finish(wire.Frame{Type: wire.TEmpty}, nil)
+			cl = next
+		}
+	case cl != nil:
+		c.enqueue(cl, true)
+	}
 }
 
 // respErr is the error a TError, WRONG_NODE or RETRY_AFTER response

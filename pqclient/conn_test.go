@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"pq"
+	"pq/internal/server"
 	"pq/internal/wire"
 )
 
@@ -77,13 +79,16 @@ func replyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Durati
 }
 
 // ackServer answers every request frame at once: inserts with an
-// INSERT_OK admitting all their items, anything else with EMPTY.
+// INSERT_OK admitting all their items, a DELETE_MIN_BATCH with no
+// items, anything else with EMPTY.
 func ackServer(t *testing.T) string {
 	t.Helper()
 	return replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
 		switch f.Type {
 		case wire.TInsert, wire.TInsertBatch:
 			return insertOK(f.ID, len(insertedItems(f)), 0), 0
+		case wire.TDeleteMinBatch:
+			return wire.Frame{Type: wire.TItems, ID: f.ID, Payload: wire.Items{}.Append(nil)}, 0
 		}
 		return wire.Frame{Type: wire.TEmpty, ID: f.ID}, 0
 	})
@@ -475,5 +480,523 @@ func TestCloseFinishesEveryCall(t *testing.T) {
 	c.Close()
 	if err != nil || ok {
 		t.Fatalf("delivered call changed by close: (%d, %q, %v) err %v", it.Pri, it.Value, ok, err)
+	}
+}
+
+// itemsFrame answers a request with the ITEMS payload of items.
+func itemsFrame(id uint32, items []wire.Item) wire.Frame {
+	return wire.Frame{Type: wire.TItems, ID: id, Payload: wire.Items{Items: items}.Append(nil)}
+}
+
+// itemSource hands out items 0, 1, 2, ... up to n, the item's
+// priority being its number, to a stub server.
+type itemSource struct {
+	mu        sync.Mutex
+	next, n   uint32
+	remaining atomic.Int64
+}
+
+func newItemSource(n uint32) *itemSource {
+	s := &itemSource{n: n}
+	s.remaining.Store(int64(n))
+	return s
+}
+
+func (s *itemSource) take(k uint32) []wire.Item {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []wire.Item
+	for ; k > 0 && s.next < s.n; k-- {
+		out = append(out, wire.Item{Pri: s.next, Value: []byte(fmt.Sprint(s.next))})
+		s.next++
+		s.remaining.Add(-1)
+	}
+	return out
+}
+
+// answer serves a DELETE_MIN from s: one item, or EMPTY.
+func (s *itemSource) answer(f wire.Frame) wire.Frame {
+	if items := s.take(1); len(items) > 0 {
+		return wire.Frame{Type: wire.TItem, ID: f.ID, Payload: wire.AppendItem(nil, items[0])}
+	}
+	return wire.Frame{Type: wire.TEmpty, ID: f.ID}
+}
+
+// drainOnce runs n callers that each DeleteMin until the queue reads
+// empty, and checks that every item src still held reached exactly one
+// caller and that nobody read empty while src held items.
+func drainOnce(t *testing.T, c *Client, src *itemSource, n int) {
+	t.Helper()
+	src.mu.Lock()
+	first := src.next
+	src.mu.Unlock()
+	var mu sync.Mutex
+	got := map[int]int{}
+	err := callers(n, func(int) error {
+		for {
+			it, ok, err := c.DeleteMin(context.Background(), "q")
+			if err != nil {
+				return err
+			}
+			if !ok {
+				if r := src.remaining.Load(); r != 0 {
+					return fmt.Errorf("DeleteMin read empty with %d items still queued", r)
+				}
+				return nil
+			}
+			if string(it.Value) != fmt.Sprint(it.Pri) {
+				return fmt.Errorf("item %d arrived with value %q", it.Pri, it.Value)
+			}
+			mu.Lock()
+			got[it.Pri]++
+			mu.Unlock()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := first; i < src.n; i++ {
+		if got[int(i)] != 1 {
+			t.Fatalf("item %d delivered %d times, want once", i, got[int(i)])
+		}
+	}
+}
+
+// BC-5: concurrent DeleteMins to one queue go out as one
+// DELETE_MIN_BATCH, and its answer is shared out exactly. An empty
+// answer resolves every member EMPTY from that one frame. A short
+// non-empty answer serves its members in wire order, one distinct item
+// each, and asks again for the rest: it may be the server's byte budget
+// cutting the batch, so it never reads as empty. A TError resolves each
+// member on its own frame.
+func TestBC5DeleteGroups(t *testing.T) {
+	const n, rounds = 16, 50
+	ctx := context.Background()
+
+	t.Run("EmptyAnswerResolvesEveryMember", func(t *testing.T) {
+		var batches, asked atomic.Int64
+		addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			if f.Type == wire.TDeleteMinBatch {
+				m, _ := wire.DecodeDeleteMinBatch(f.Payload)
+				batches.Add(1)
+				asked.Add(int64(m.Max))
+				return itemsFrame(f.ID, nil), 0
+			}
+			asked.Add(1)
+			return wire.Frame{Type: wire.TEmpty, ID: f.ID}, 0
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		err = callers(n, func(int) error {
+			for r := 0; r < rounds; r++ {
+				if _, ok, err := c.DeleteMin(ctx, "q"); err != nil || ok {
+					return fmt.Errorf("DeleteMin on an empty queue: ok=%v err=%v", ok, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches.Load() == 0 {
+			t.Fatal("no delete group formed, so the contract was not exercised")
+		}
+		if got := asked.Load(); got != n*rounds {
+			t.Fatalf("the server was asked for %d items by %d calls: an empty answer must resolve its whole group", got, n*rounds)
+		}
+	})
+
+	t.Run("ShortAnswerServesInWireOrderAndReasksTail", func(t *testing.T) {
+		const total = n * rounds
+		src := newItemSource(total)
+		var short atomic.Int64
+		addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			if f.Type != wire.TDeleteMinBatch {
+				return src.answer(f), 0
+			}
+			m, _ := wire.DecodeDeleteMinBatch(f.Payload)
+			items := src.take((m.Max + 1) / 2)
+			if len(items) > 0 && len(items) < int(m.Max) {
+				short.Add(1)
+			}
+			return itemsFrame(f.ID, items), 0
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		// Three calls linked in one round: the first two get the two
+		// items of the short answer in order, the third is asked again.
+		cn, err := c.conn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := [3]*call{newCall(wire.TDeleteMin, "q"), newCall(wire.TDeleteMin, "q"), newCall(wire.TDeleteMin, "q")}
+		cn.mu.Lock()
+		lead := cn.link(calls[0])
+		cn.link(calls[1])
+		cn.link(calls[2])
+		cn.mu.Unlock()
+		if !lead {
+			t.Fatal("an idle conn did not hand its first caller the round")
+		}
+		cn.lead(nil)
+		for i, cl := range calls {
+			<-cl.done
+			it, err := wire.DecodeItem(cl.resp.Payload)
+			if cl.err != nil || cl.resp.Type != wire.TItem || err != nil || it.Pri != uint32(i) {
+				t.Fatalf("member %d: got %s %+v (%v, %v), want item %d", i, cl.resp.Type, it, cl.err, err, i)
+			}
+			wire.PutBuf(cl.resp.Payload)
+			cl.recycle()
+		}
+		if short.Load() != 1 {
+			t.Fatalf("%d short answers, want 1", short.Load())
+		}
+		drainOnce(t, c, src, n)
+		if short.Load() < 2 {
+			t.Fatal("no short answer to a concurrent group, so the contract was not exercised")
+		}
+	})
+
+	t.Run("TErrorResolvesMembersSingly", func(t *testing.T) {
+		const total = n * rounds
+		src := newItemSource(total)
+		var batches atomic.Int64
+		addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			if f.Type == wire.TDeleteMinBatch {
+				batches.Add(1)
+				return wire.Frame{Type: wire.TError, ID: f.ID, Payload: wire.ErrorMsg{Msg: "no batches here"}.Append(nil)}, 0
+			}
+			return src.answer(f), 0
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		drainOnce(t, c, src, n)
+		if batches.Load() == 0 {
+			t.Fatal("no delete group formed, so the contract was not exercised")
+		}
+	})
+
+	t.Run("BudgetCutAgainstServer", func(t *testing.T) {
+		// Three 300 KiB items fill one response frame, so a group of
+		// sixteen is cut twice before the queue runs empty.
+		const items = 7
+		srv := server.New(server.Config{})
+		if err := srv.AddQueue(server.QueueSpec{Name: "q", Algorithm: pq.SimpleTree, Priorities: 8}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
+		defer func() { srv.Close(); <-done }()
+		for srv.Addr() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		c, err := Dial(Config{Addr: srv.Addr().String(), Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < items; i++ {
+			v := make([]byte, 300<<10)
+			v[0] = byte(i)
+			if err := c.Insert(ctx, "q", i, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var (
+			mu    sync.Mutex
+			got   = map[int]int{}
+			empty int
+		)
+		err = callers(n, func(int) error {
+			it, ok, err := c.DeleteMin(ctx, "q")
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
+				return err
+			case !ok:
+				empty++
+			case int(it.Value[0]) != it.Pri || len(it.Value) != 300<<10:
+				return fmt.Errorf("item %d arrived corrupt", it.Pri)
+			default:
+				got[it.Pri]++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < items; i++ {
+			if got[i] != 1 {
+				t.Fatalf("item %d delivered %d times, want once (%d callers read empty)", i, got[i], empty)
+			}
+		}
+		if empty != n-items {
+			t.Fatalf("%d callers read empty, want %d", empty, n-items)
+		}
+	})
+}
+
+// silentPeer is a server that accepts connections and never reads
+// from them, so a client's writes block once the socket fills.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, nc)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, nc := range held {
+			nc.Close()
+		}
+		mu.Unlock()
+	})
+	return ln.Addr().String()
+}
+
+// closeWithin fails t unless c.Close returns within d.
+func closeWithin(t *testing.T, c *Client, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatal("Close did not return")
+	}
+}
+
+// TestTimeoutStuckWriter is the timeout contract for a peer that stops
+// reading: once the socket fills, a round's write blocks, and neither
+// it nor the calls queued behind it may outlive RequestTimeout. Every
+// call returns an error within 4 × RequestTimeout, and Close returns.
+func TestTimeoutStuckWriter(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 256<<10)
+	result := make(chan error, 1)
+	go func() {
+		result <- callers(16, func(int) error {
+			// Calls written before the socket fills expire unanswered; the
+			// caller stops at its first call cut off by the stalled write.
+			for end := time.Now().Add(10 * time.Second); time.Now().Before(end); {
+				t0 := time.Now()
+				err := c.Insert(context.Background(), "q", 1, value)
+				if d := time.Since(t0); d > 4*timeout {
+					return fmt.Errorf("Insert returned after %v (err %v), want within %v", d, err, 4*timeout)
+				}
+				switch {
+				case errors.Is(err, errStalled):
+					return nil
+				case !errors.Is(err, context.DeadlineExceeded):
+					return fmt.Errorf("Insert to a peer that never answers: got %v, want a deadline error", err)
+				}
+			}
+			return errors.New("the socket never filled")
+		})
+	}()
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("calls still blocked 15s after a peer stopped reading")
+	}
+	closeWithin(t, c, time.Second)
+}
+
+// TestTimeoutContextBoundsLeader: with RequestTimeout disabled, a
+// call's context is its only bound, and it must hold when the socket
+// has filled and a round's write is blocked on a peer that never
+// reads: no caller with a deadline is the one stuck in that write.
+func TestTimeoutContextBoundsLeader(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded := func(f func(ctx context.Context) error) error {
+		ctx, cancel := context.WithTimeout(context.Background(), bound)
+		defer cancel()
+		t0 := time.Now()
+		err := f(ctx)
+		if d := time.Since(t0); d > 4*bound {
+			return fmt.Errorf("call returned after %v (err %v), want within %v", d, err, 4*bound)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("call to a peer that never answers: got %v, want context.DeadlineExceeded", err)
+		}
+		return nil
+	}
+	value := make([]byte, 256<<10)
+	result := make(chan error, 1)
+	go func() {
+		// 64 MiB of inserts, far more than the socket buffers hold.
+		err := callers(16, func(int) error {
+			for i := 0; i < 16; i++ {
+				err := bounded(func(ctx context.Context) error { return c.Insert(ctx, "q", 1, value) })
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			err = bounded(func(ctx context.Context) error {
+				_, _, err := c.DeleteMin(ctx, "q")
+				return err
+			})
+		}
+		result <- err
+	}()
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("calls with a 50ms context still blocked 15s after a peer stopped reading")
+	}
+	closeWithin(t, c, time.Second)
+}
+
+// TestTimeoutGroupsExpireNoneEarly: the sweeper expires a group whole,
+// so calls bounded by RequestTimeout and calls bounded by their context
+// never share one. In one round, the context-bound DeleteMins outlive
+// the others' RequestTimeout and get their answer.
+func TestTimeoutGroupsExpireNoneEarly(t *testing.T) {
+	const timeout, delay = 50 * time.Millisecond, 200 * time.Millisecond
+	addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+		if f.Type == wire.TDeleteMinBatch {
+			return itemsFrame(f.ID, nil), delay
+		}
+		return wire.Frame{Type: wire.TEmpty, ID: f.ID}, delay
+	})
+	c, err := Dial(Config{Addr: addr, Conns: 1, RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cn, err := c.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even calls carry RequestTimeout's deadline, odd ones a context's
+	// (a zero deadline), the way do sets them.
+	var calls [4]*call
+	cn.mu.Lock()
+	for i := range calls {
+		calls[i] = newCall(wire.TDeleteMin, "q")
+		if i%2 == 0 {
+			calls[i].deadline = time.Now().Add(timeout)
+		}
+		cn.link(calls[i])
+	}
+	cn.mu.Unlock()
+	cn.lead(nil)
+	for i, cl := range calls {
+		select {
+		case <-cl.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d never finished", i)
+		}
+		if i%2 == 0 && !errors.Is(cl.err, context.DeadlineExceeded) {
+			t.Fatalf("call %d under RequestTimeout: got %v, want context.DeadlineExceeded", i, cl.err)
+		}
+		if i%2 == 1 && (cl.err != nil || cl.resp.Type != wire.TEmpty) {
+			t.Fatalf("context-bound call %d: got %s (%v), want its EMPTY answer after %v", i, cl.resp.Type, cl.err, delay)
+		}
+		cl.recycle()
+	}
+}
+
+// TestTimeoutExpiresQueuedCalls: a call still on the pending list, behind
+// a round that is slow but still moving, expires at its deadline as a
+// written one does, and the calls around it stay queued in order.
+func TestTimeoutExpiresQueuedCalls(t *testing.T) {
+	c, err := Dial(Config{Addr: ackServer(t), Conns: 1, RequestTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cn, err := c.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first link marks a round in flight, and nobody leads it yet:
+	// the calls wait on the list as behind a long write.
+	var calls [4]*call
+	cn.mu.Lock()
+	for i := range calls {
+		calls[i] = newCall(wire.TDeleteMin, "q")
+		calls[i].deadline = time.Now().Add(time.Hour)
+		if i == 0 || i == 3 {
+			calls[i].deadline = time.Now().Add(-time.Millisecond)
+		}
+		cn.link(calls[i])
+	}
+	cn.ioAt = time.Now()
+	cn.mu.Unlock()
+	cn.sweep()
+	for _, i := range []int{0, 3} {
+		select {
+		case <-calls[i].done:
+			if !errors.Is(calls[i].err, context.DeadlineExceeded) {
+				t.Fatalf("expired queued call %d: got %v, want context.DeadlineExceeded", i, calls[i].err)
+			}
+		default:
+			t.Fatalf("queued call %d outlived its deadline", i)
+		}
+	}
+	// A call linked after the sweep lands behind the survivors.
+	last := newCall(wire.TDeleteMin, "q")
+	cn.mu.Lock()
+	cn.link(last)
+	cn.mu.Unlock()
+	cn.lead(nil)
+	for i, cl := range []*call{calls[1], calls[2], last} {
+		select {
+		case <-cl.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("queued call %d was lost", i)
+		}
+		if cl.err != nil || cl.resp.Type != wire.TEmpty {
+			t.Fatalf("queued call %d: got %s (%v), want EMPTY", i, cl.resp.Type, cl.err)
+		}
+		cl.recycle()
 	}
 }
