@@ -34,8 +34,6 @@ var (
 	_ BatchQueue[int] = (*skipList[int])(nil)
 	_ BatchQueue[int] = (*simpleLinear[int])(nil)
 	_ BatchQueue[int] = (*simpleTree[int])(nil)
-	_ BatchQueue[int] = (*linearFunnels[int])(nil)
-	_ BatchQueue[int] = (*funnelTree[int])(nil)
 )
 
 // priRun is a maximal run of batch values sharing one priority.

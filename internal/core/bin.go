@@ -4,19 +4,41 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pq/internal/funnel"
 	"pq/internal/mcs"
 )
 
-// binLike abstracts the two bin disciplines SimpleLinear and SimpleTree
-// can use: the paper's default LIFO bag, or the FIFO alternative it
+// binLike is what the bin-array and counter-tree queues need of a bin.
+// Four kinds serve: the paper's default LIFO bag, the FIFO alternative it
 // suggests for applications where stack-order unfairness matters
-// (Section 3.2).
+// (Section 3.2), and the combining-funnel stack in either discipline
+// (*funnel.Stack, which LinearFunnels and FunnelTree use).
 type binLike[V any] interface {
-	insert(e V)
-	insertN(es []V)
-	empty() bool
-	delete() (V, bool)
-	deleteN(k int) []V
+	Push(e V)
+	PushN(es []V)
+	Empty() bool
+	Pop() (V, bool)
+	PopN(k int) []V
+}
+
+// newBins builds n bins in the configured discipline: lock-based bins
+// when funnels is nil, combining-funnel stacks tuned by *funnels
+// otherwise.
+func newBins[V any](n int, fifo bool, funnels *funnel.Params) []binLike[V] {
+	bins := make([]binLike[V], n)
+	for i := range bins {
+		switch {
+		case funnels != nil && fifo:
+			bins[i] = funnel.NewFIFOStack[V](*funnels)
+		case funnels != nil:
+			bins[i] = funnel.NewStack[V](*funnels)
+		case fifo:
+			bins[i] = &fifoBin[V]{}
+		default:
+			bins[i] = &bin[V]{}
+		}
+	}
+	return bins
 }
 
 // bin is the paper's Figure-1 bag: a locked slice plus an atomic size so
@@ -28,16 +50,16 @@ type bin[V any] struct {
 	items []V
 }
 
-// insert adds e to the bin.
-func (b *bin[V]) insert(e V) {
+// Push adds e to the bin.
+func (b *bin[V]) Push(e V) {
 	n := b.lock.Acquire()
 	b.items = append(b.items, e)
 	b.size.Store(int64(len(b.items)))
 	b.lock.Release(n)
 }
 
-// insertN adds every element of es under one lock hold.
-func (b *bin[V]) insertN(es []V) {
+// PushN adds every element of es under one lock hold.
+func (b *bin[V]) PushN(es []V) {
 	if len(es) == 0 {
 		return
 	}
@@ -47,12 +69,12 @@ func (b *bin[V]) insertN(es []V) {
 	b.lock.Release(n)
 }
 
-// empty reports whether the bin currently looks empty (one atomic read).
-func (b *bin[V]) empty() bool { return b.size.Load() == 0 }
+// Empty reports whether the bin currently looks empty (one atomic read).
+func (b *bin[V]) Empty() bool { return b.size.Load() == 0 }
 
-// deleteN removes up to k elements under one lock hold, in the order k
+// PopN removes up to k elements under one lock hold, in the order k
 // sequential deletes would have returned them (newest first).
-func (b *bin[V]) deleteN(k int) []V {
+func (b *bin[V]) PopN(k int) []V {
 	n := b.lock.Acquire()
 	avail := k
 	if avail > len(b.items) {
@@ -73,9 +95,9 @@ func (b *bin[V]) deleteN(k int) []V {
 	return out
 }
 
-// delete removes and returns an unspecified element, or ok=false if the
+// Pop removes and returns an unspecified element, or ok=false if the
 // bin is empty.
-func (b *bin[V]) delete() (V, bool) {
+func (b *bin[V]) Pop() (V, bool) {
 	n := b.lock.Acquire()
 	if len(b.items) == 0 {
 		b.lock.Release(n)
@@ -101,14 +123,14 @@ type fifoBin[V any] struct {
 	head  int
 }
 
-func (b *fifoBin[V]) insert(e V) {
+func (b *fifoBin[V]) Push(e V) {
 	b.mu.Lock()
 	b.items = append(b.items, e)
 	b.size.Store(int64(len(b.items) - b.head))
 	b.mu.Unlock()
 }
 
-func (b *fifoBin[V]) insertN(es []V) {
+func (b *fifoBin[V]) PushN(es []V) {
 	if len(es) == 0 {
 		return
 	}
@@ -118,9 +140,9 @@ func (b *fifoBin[V]) insertN(es []V) {
 	b.mu.Unlock()
 }
 
-func (b *fifoBin[V]) empty() bool { return b.size.Load() == 0 }
+func (b *fifoBin[V]) Empty() bool { return b.size.Load() == 0 }
 
-func (b *fifoBin[V]) deleteN(k int) []V {
+func (b *fifoBin[V]) PopN(k int) []V {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	avail := len(b.items) - b.head
@@ -142,7 +164,7 @@ func (b *fifoBin[V]) deleteN(k int) []V {
 	return out
 }
 
-func (b *fifoBin[V]) delete() (V, bool) {
+func (b *fifoBin[V]) Pop() (V, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var zero V

@@ -2,7 +2,12 @@
 // bounded-range concurrent priority queues the paper evaluates: the
 // SingleLock and Hunt-et-al heaps, the skip-list queue, the simple
 // bin-array and counter-tree queues, and the paper's combining-funnel
-// queues LinearFunnels and FunnelTree.
+// queues LinearFunnels and FunnelTree. Each funnel queue is its simple
+// counterpart with funnel parts chosen at construction: SimpleLinear and
+// LinearFunnels are one bin-array type (lock bins or funnel stacks),
+// SimpleTree and FunnelTree one counter-tree type (atomic counters
+// throughout, or funnel counters in the top levels, and lock bins or
+// funnel stacks).
 package core
 
 import (

@@ -338,19 +338,19 @@ func TestBitRevPosProperties(t *testing.T) {
 
 func TestFIFOBin(t *testing.T) {
 	var b fifoBin[int]
-	if !b.empty() {
+	if !b.Empty() {
 		t.Fatal("new fifo bin not empty")
 	}
 	for i := 1; i <= 5; i++ {
-		b.insert(i)
+		b.Push(i)
 	}
 	for i := 1; i <= 5; i++ {
-		v, ok := b.delete()
+		v, ok := b.Pop()
 		if !ok || v != i {
 			t.Fatalf("delete = (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
-	if _, ok := b.delete(); ok {
+	if _, ok := b.Pop(); ok {
 		t.Fatal("delete on empty fifo bin succeeded")
 	}
 }

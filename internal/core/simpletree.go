@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 	"sync/atomic"
+
+	"pq/internal/funnel"
 )
 
 // atomicCounter implements the paper's shared counter (fetch-and-increment
@@ -50,33 +52,113 @@ func (c *atomicCounter) SubN(n int64) int64 {
 	}
 }
 
+// DefaultFunnelCutoff is the number of tree levels (from the root) whose
+// counters use combining funnels in FunnelTree, as in the paper ("only
+// for counters at the top four levels of the tree"); deeper counters see
+// far less traffic and use plain atomic counters.
+const DefaultFunnelCutoff = 4
+
+// treeCounter is one internal node's counter: a combining-funnel counter
+// in the top cutoff levels of a FunnelTree, the atomic word everywhere
+// else. AddN and SubN are the multi-unit batch forms, SubN bounded below
+// by zero like BFaD.
+type treeCounter struct {
+	f *funnel.Counter // nil below the funnel cutoff
+	a atomicCounter
+}
+
+func (c *treeCounter) FaI() int64 {
+	if c.f != nil {
+		return c.f.FaI()
+	}
+	return c.a.FaI()
+}
+
+func (c *treeCounter) BFaD() int64 {
+	if c.f != nil {
+		return c.f.FaD()
+	}
+	return c.a.BFaD()
+}
+
+func (c *treeCounter) AddN(n int64) int64 {
+	if c.f != nil {
+		return c.f.AddN(n)
+	}
+	return c.a.AddN(n)
+}
+
+func (c *treeCounter) SubN(n int64) int64 {
+	if c.f != nil {
+		return c.f.SubN(n)
+	}
+	return c.a.SubN(n)
+}
+
 // simpleTree is Figure 3: a complete binary tree whose internal nodes
 // count the items in their left subtrees; bins at the leaves. delete-min
 // descends by bounded decrements; insert fills its bin and ascends,
-// incrementing every counter reached from the left.
+// incrementing every counter reached from the left. With funnel counters
+// in the top levels and funnel stacks as bins it is the paper's second
+// new algorithm, FunnelTree.
 type simpleTree[V any] struct {
 	npri     int
 	nleaves  int
-	counters []atomicCounter // 1-based
+	counters []treeCounter // 1-based
 	bins     []binLike[V]
 }
 
-// NewSimpleTree builds the counter-tree queue.
+// NewSimpleTree builds the counter-tree queue with atomic counters and
+// lock-based bins.
 func NewSimpleTree[V any](cfg Config) Queue[V] {
-	nl := ceilPow2(cfg.Priorities)
-	return &simpleTree[V]{
-		npri:     cfg.Priorities,
-		nleaves:  nl,
-		counters: make([]atomicCounter, nl),
-		bins:     newBins[V](nl, cfg.FIFOBins),
+	return newTree[V](cfg.Priorities, 0, nil, cfg.FIFOBins)
+}
+
+// NewFunnelTree builds the counter-tree queue with funnel counters in the
+// top Config.FunnelCutoff levels and funnel stacks as bins.
+func NewFunnelTree[V any](cfg Config) Queue[V] {
+	params := funnelParamsFor(cfg)
+	cutoff := cfg.FunnelCutoff
+	if cutoff == 0 {
+		cutoff = DefaultFunnelCutoff
 	}
+	return newTree[V](cfg.Priorities, cutoff, &params, cfg.FIFOBins)
+}
+
+// newTree builds the tree: funnel counters tuned by *funnels in the top
+// cutoff levels and funnel-stack bins when funnels is set, atomic counters
+// and lock-based bins otherwise.
+func newTree[V any](npri, cutoff int, funnels *funnel.Params, fifo bool) *simpleTree[V] {
+	nl := ceilPow2(npri)
+	q := &simpleTree[V]{
+		npri:     npri,
+		nleaves:  nl,
+		counters: make([]treeCounter, nl),
+		bins:     newBins[V](nl, fifo, funnels),
+	}
+	for i := 1; i < nl; i++ {
+		if treeLevel(i) < cutoff {
+			q.counters[i].f = funnel.NewCounter(*funnels, 0, true, 0)
+		}
+	}
+	return q
+}
+
+// treeLevel returns the level of heap-numbered node i (root = 0).
+func treeLevel(i int) int {
+	l := -1
+	for i > 0 {
+		i /= 2
+		l++
+	}
+	return l
 }
 
 func (q *simpleTree[V]) NumPriorities() int { return q.npri }
 
 func (q *simpleTree[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
-	q.bins[pri].insert(v)
+	q.bins[pri].Push(v)
 	n := q.nleaves + pri
 	for n > 1 {
 		parent := n / 2
@@ -96,7 +178,7 @@ func (q *simpleTree[V]) DeleteMin() (V, bool) {
 			n = 2*n + 1
 		}
 	}
-	return q.bins[n-q.nleaves].delete()
+	return q.bins[n-q.nleaves].Pop()
 }
 
 // InsertBatch fills the bins first (counters must never promise items the
@@ -111,7 +193,7 @@ func (q *simpleTree[V]) InsertBatch(items []Item[V]) {
 	}
 	incs := make(map[int]int64)
 	for _, run := range runs {
-		q.bins[run.pri].insertN(run.vals)
+		q.bins[run.pri].PushN(run.vals)
 		n := q.nleaves + run.pri
 		for n > 1 {
 			parent := n / 2
@@ -132,7 +214,12 @@ func (q *simpleTree[V]) InsertBatch(items []Item[V]) {
 }
 
 // DeleteMinBatch descends the tree once, reserving whole sub-batches with
-// multi-unit bounded decrements instead of one BFaD per item.
+// multi-unit bounded decrements instead of one BFaD per item. In a
+// FunnelTree a left subtree may under-deliver its reservation —
+// elimination can leave counter ghosts, the same relaxation behind that
+// queue's occasional spurious-empty DeleteMin — so the shortfall is
+// retried on the right best-effort and the books rebalance exactly as
+// they do for a failed single delete.
 func (q *simpleTree[V]) DeleteMinBatch(k int) []Item[V] {
 	if k <= 0 {
 		return nil
@@ -144,9 +231,9 @@ func (q *simpleTree[V]) DeleteMinBatch(k int) []Item[V] {
 
 // takeBatch pops up to want items from the subtree rooted at heap node n,
 // appending to out and returning how many it got. At each internal node
-// one SubN reserves min(want, counter) items from the left subtree — the
-// counter never overcounts left-subtree items (bins fill before counters
-// rise), so the reservation is sound — and the remainder is sought on the
+// one SubN reserves min(want, counter) items from the left subtree — with
+// atomic counters it never overcounts left-subtree items (bins fill before
+// counters rise), so the reservation is sound — and the remainder is sought on the
 // right best-effort, where deeper counters bound the claim, mirroring how
 // sequential deletes walk right on a zero counter.
 func (q *simpleTree[V]) takeBatch(n, want int, out *[]Item[V]) int {
@@ -155,7 +242,7 @@ func (q *simpleTree[V]) takeBatch(n, want int, out *[]Item[V]) int {
 	}
 	if n >= q.nleaves {
 		pri := n - q.nleaves
-		vals := q.bins[pri].deleteN(want)
+		vals := q.bins[pri].PopN(want)
 		for _, v := range vals {
 			*out = append(*out, Item[V]{Pri: pri, Val: v})
 		}

@@ -68,7 +68,7 @@ func (q *skipList[V]) NumPriorities() int { return q.npri }
 func (q *skipList[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
 	l := &q.links[pri]
-	l.bin.insert(v)
+	l.bin.Push(v)
 	q.ensureThreaded(pri)
 }
 
@@ -101,7 +101,7 @@ func (q *skipList[V]) ensureThreaded(pri int) {
 // and threads its link once, instead of one lock round trip per item.
 func (q *skipList[V]) InsertBatch(items []Item[V]) {
 	for _, run := range groupByPri(items, q.npri) {
-		q.links[run.pri].bin.insertN(run.vals)
+		q.links[run.pri].bin.PushN(run.vals)
 		q.ensureThreaded(run.pri)
 	}
 }
@@ -227,7 +227,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 	for {
 		db := q.delBin.Load()
 		if db != 0 {
-			if e, ok := q.links[db-1].bin.delete(); ok {
+			if e, ok := q.links[db-1].bin.Pop(); ok {
 				return e, true
 			}
 		}
@@ -236,7 +236,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 			// repointed the delete bin, or an insert may have refilled the
 			// current one. Moving the delete bin away from a non-empty bin
 			// would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.empty()) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
 				q.delMu.Unlock()
 				continue
 			}
@@ -279,7 +279,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 	for len(out) < k {
 		db := q.delBin.Load()
 		if db != 0 {
-			vals := q.links[db-1].bin.deleteN(k - len(out))
+			vals := q.links[db-1].bin.PopN(k - len(out))
 			for _, v := range vals {
 				out = append(out, Item[V]{Pri: int(db - 1), Val: v})
 			}
@@ -290,7 +290,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 		if q.delMu.TryLock() {
 			// Same re-validation as DeleteMin: moving the delete bin away
 			// from a non-empty bin would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.empty()) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
 				q.delMu.Unlock()
 				continue
 			}

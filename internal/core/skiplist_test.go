@@ -73,7 +73,7 @@ func TestSkipListLevel0Integrity(t *testing.T) {
 		left++
 	}
 	for i := range q.links {
-		if !q.links[i].bin.empty() {
+		if !q.links[i].bin.Empty() {
 			t.Fatalf("bin %d non-empty after drain", i)
 		}
 	}

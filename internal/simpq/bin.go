@@ -113,6 +113,13 @@ func (b *Bin) Delete(p *sim.Proc) (uint64, bool) {
 	return e, true
 }
 
+// Push, PushN, Pop and PopN are Insert, InsertN, Delete and DeleteN under
+// FunnelStack's names, so either can be a queue's bin.
+func (b *Bin) Push(p *sim.Proc, e uint64)       { b.Insert(p, e) }
+func (b *Bin) PushN(p *sim.Proc, es []uint64)   { b.InsertN(p, es) }
+func (b *Bin) Pop(p *sim.Proc) (uint64, bool)   { return b.Delete(p) }
+func (b *Bin) PopN(p *sim.Proc, k int) []uint64 { return b.DeleteN(p, k) }
+
 // Counter is the paper's shared counter (Figure 1) implemented with a
 // lock, standing in for the "atomically" blocks the paper assumes are
 // provided by hardware (e.g. Alewife's full/empty bits) on machines

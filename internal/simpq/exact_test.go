@@ -1,0 +1,134 @@
+package simpq
+
+import (
+	"fmt"
+	"testing"
+
+	"pq/internal/sim"
+)
+
+// exactRun renders the parts of a workload Result that must never move
+// when a queue's code is restructured without changing its memory
+// accesses: event count, final cycle, operation totals and the latency
+// mean and p99. Floats print in shortest round-trip form, so equal text
+// means bit-identical values.
+func exactRun(r Result) string {
+	return fmt.Sprintf("events=%d cycles=%d ins=%d del=%d failed=%d mean=%v p99=%v",
+		r.Stats.Events, r.Stats.FinalTime, r.Inserts, r.Deletes, r.FailedDeletes,
+		r.MeanAll, r.AllSummary.P99)
+}
+
+// TestExactResultsBinArrayAndCounterTree pins the exact simulated outcome
+// of one small seeded run of each bin-array and counter-tree queue, with
+// single operations and with 16-element batches, plus FunnelTree with
+// lock counters everywhere (cutoff 0) and with FIFO leaf bins. 64
+// priorities make the tree six levels deep, so the default FunnelTree
+// mixes funnel counters (top four levels) with lock counters (bottom
+// two). Any change to the order or placement of these queues' simulated
+// memory accesses shows up here.
+func TestExactResultsBinArrayAndCounterTree(t *testing.T) {
+	const procs, npri = 16, 64
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 40
+	cfg.Seed = 7
+	cfg.KeepLatencies = true
+	batched := cfg
+	batched.Batch = 16
+
+	custom := func(c WorkloadConfig, build func(m *sim.Machine, maxItems int) Queue) (Result, error) {
+		simCfg := sim.DefaultConfig(procs)
+		simCfg.Seed = c.Seed
+		m, err := sim.New(simCfg)
+		if err != nil {
+			return Result{}, err
+		}
+		maxItems := procs*c.OpsPerProc*max(c.Batch, 1) + 1
+		return DriveWorkload(m, build(m, maxItems), c)
+	}
+	cutoff0 := func(m *sim.Machine, maxItems int) Queue {
+		return NewFunnelTreeCutoff(m, npri, maxItems, DefaultFunnelParams(procs), 0)
+	}
+	fifo := func(m *sim.Machine, maxItems int) Queue {
+		return NewFunnelTreeDiscipline(m, npri, maxItems, DefaultFunnelParams(procs), DefaultFunnelCutoff, true)
+	}
+
+	// The bin-array queues pin the same batched run: PushN and PopN skip
+	// the funnel and take the central stack's MCS lock, which costs what
+	// a lock bin's InsertN and DeleteN do. Likewise FunnelTree at cutoff 0
+	// and SimpleTree.
+	cases := []struct {
+		name string
+		run  func() (Result, error)
+		want string
+	}{
+		{"SimpleLinear", func() (Result, error) { return RunWorkload(AlgSimpleLinear, procs, npri, cfg) },
+			"events=22573 cycles=40332 ins=297 del=343 failed=52 mean=806.134375 p99=4408.1"},
+		{"SimpleLinear/b16", func() (Result, error) { return RunWorkload(AlgSimpleLinear, procs, npri, batched) },
+			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75"},
+		{"SimpleTree", func() (Result, error) { return RunWorkload(AlgSimpleTree, procs, npri, cfg) },
+			"events=25388 cycles=83468 ins=297 del=343 failed=56 mean=1927.825 p99=3247.9600000000005"},
+		{"SimpleTree/b16", func() (Result, error) { return RunWorkload(AlgSimpleTree, procs, npri, batched) },
+			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5"},
+		{"LinearFunnels", func() (Result, error) { return RunWorkload(AlgLinearFunnels, procs, npri, cfg) },
+			"events=38872 cycles=96580 ins=305 del=335 failed=36 mean=1952.871875 p99=9276.7"},
+		{"LinearFunnels/b16", func() (Result, error) { return RunWorkload(AlgLinearFunnels, procs, npri, batched) },
+			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75"},
+		{"FunnelTree", func() (Result, error) { return RunWorkload(AlgFunnelTree, procs, npri, cfg) },
+			"events=49513 cycles=142326 ins=342 del=298 failed=8 mean=3076.521875 p99=5552"},
+		{"FunnelTree/b16", func() (Result, error) { return RunWorkload(AlgFunnelTree, procs, npri, batched) },
+			"events=170794 cycles=309066 ins=5264 del=4976 failed=183 mean=446.56064453125 p99=1069.0625"},
+		{"FunnelTree/cutoff0", func() (Result, error) { return custom(cfg, cutoff0) },
+			"events=35664 cycles=90108 ins=298 del=342 failed=46 mean=2087.1875 p99=3553.66"},
+		{"FunnelTree/cutoff0/b16", func() (Result, error) { return custom(batched, cutoff0) },
+			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5"},
+		{"FunnelTree/fifo", func() (Result, error) { return custom(cfg, fifo) },
+			"events=51291 cycles=146146 ins=328 del=312 failed=6 mean=3182.7171875 p99=5823.43"},
+		{"FunnelTree/fifo/b16", func() (Result, error) { return custom(batched, fifo) },
+			"events=177182 cycles=327233 ins=4976 del=5264 failed=315 mean=470.0736328125 p99=1070"},
+	}
+	for _, c := range cases {
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := exactRun(r); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCounterTraversalsCountEveryCounterOp checks that counter_traversals
+// counts the counters a delete actually visits. On a full eight-leaf tree
+// a DeleteMinBatch of eight visits all seven internal counters, not the
+// three of one root-to-leaf descent; a DeleteMin always visits three.
+func TestCounterTraversalsCountEveryCounterOp(t *testing.T) {
+	for _, alg := range []Algorithm{AlgSimpleTree, AlgFunnelTree} {
+		for _, batch := range []bool{false, true} {
+			var q Queue
+			runOnOne(t,
+				func(m *sim.Machine) Queue { q = Build(alg, m, 8, 64); return q },
+				func(p *sim.Proc, q Queue) {
+					for pri := 0; pri < 8; pri++ {
+						q.Insert(p, pri, uint64(pri))
+					}
+					if batch {
+						if got := len(DeleteMinBatch(p, q, 8)); got != 8 {
+							t.Errorf("%s: batch delivered %d items, want 8", alg, got)
+						}
+					} else {
+						for i := 0; i < 8; i++ {
+							q.DeleteMin(p)
+						}
+					}
+					q.DeleteMin(p) // finds the tree empty: three more counters
+				})
+			want := float64(8*3 + 3)
+			if batch {
+				want = 7 + 3
+			}
+			if got := MetricsOf(q)["counter_traversals"]; got != want {
+				t.Errorf("%s batch=%v: counter_traversals = %v, want %v", alg, batch, got, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,12 @@
 // MCS queue locks, test-and-set locks, lock-based bins and counters,
 // concurrent heaps (single-lock and Hunt et al.), a bounded-range skip
 // list, and combining funnels with the paper's novel bounded
-// fetch-and-decrement and elimination. The relaxed MultiQueue of
+// fetch-and-decrement and elimination. Each of the paper's new queues is
+// its simple counterpart with funnel parts chosen at construction:
+// SimpleLinear and LinearFunnels are one bin-array type (lock bins or
+// funnel stacks), SimpleTree and FunnelTree one counter-tree type (lock
+// counters throughout, or funnel counters in the top levels, and lock
+// bins or funnel stacks). The relaxed MultiQueue of
 // Williams & Sanders rides along as a post-paper comparison point; it is
 // registered separately (RelaxedAlgorithms) and never selected by
 // default.
