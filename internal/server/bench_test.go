@@ -25,8 +25,9 @@ import (
 //
 //	insert_delete   depth-2 pipeline (1 insert + 1 delete per iter)
 //	pipelined16     depth-16 pipeline (8 inserts + 8 deletes per iter)
-//	pipelined16_4k  same, with 4 KiB values (exercises the zero-copy
-//	                large-value response path)
+//	pipelined16_4k  same, with 4 KiB values
+//	pipelined4_80k  depth-4 pipeline with 80 KiB values, bigger than the
+//	                response buffer, so they are written straight through
 var serveLoopbackCases = []struct {
 	name             string
 	pairs, valueSize int
@@ -34,6 +35,7 @@ var serveLoopbackCases = []struct {
 	{"insert_delete", 1, 16},
 	{"pipelined16", 8, 16},
 	{"pipelined16_4k", 8, 4096},
+	{"pipelined4_80k", 2, 80 << 10},
 }
 
 func BenchmarkServeLoopback(b *testing.B) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
-	"net"
 	"sync"
 
 	"pq/internal/wire"
@@ -12,52 +11,30 @@ import (
 
 // Connection I/O for the zero-allocation serving path.
 //
-// A respWriter replaces the per-connection bufio.Writer: responses are
-// encoded straight into pooled scratch chunks (wire.GetBuf), large
-// item values are spliced into the write as aliases of their queue
-// envelopes instead of being copied, and a whole micro-batch of
-// pipelined responses goes to the kernel as one vectored write
-// (net.Buffers → writev), so a depth-N pipeline costs one syscall.
+// A respWriter is a pooled 64 KiB bufio.Writer plus the connection's
+// decode and pop scratch. Small frames are encoded straight into its
+// free buffer (AvailableBuffer) and item values are Written after their
+// headers. bufio copies them in and flushes whenever the buffer fills
+// (only a remainder bigger than the whole buffer goes to the connection
+// uncopied), so a micro-batch of pipelined responses costs one write(2)
+// per 64 KiB.
 //
-// Ownership discipline: every pooled buffer a response references —
-// scratch chunks and zero-copy envelopes alike — is queued on the
-// writer's recycle list and returned to the pool only after the flush
-// that wrote its bytes. Nothing is recycled while the kernel may still
-// read it.
+// Ownership: a queue envelope is recycled as soon as the Write carrying
+// its value returns, because by then bufio has copied the value or the
+// kernel has. Nothing the writer buffers aliases a pooled buffer.
 
-const (
-	// zeroCopyMin: item values at least this large are aliased into
-	// the vectored write; smaller ones are memcpy'd into the scratch
-	// chunk (a copy this size is cheaper than an extra iovec entry).
-	zeroCopyMin = 4 << 10
-	// flushHighWater bounds the response bytes buffered before an
-	// intermediate flush, so a deep pipeline of fat responses cannot
-	// pin unbounded memory.
-	flushHighWater = 256 << 10
-	// respChunkSize is the scratch chunk granularity; small responses
-	// for a whole micro-batch typically fit in one chunk.
-	respChunkSize = 32 << 10
-)
+// respBufSize is the response buffer per connection, the read side's
+// size too.
+const respBufSize = 64 << 10
+
+// smallFrame is the free space asked for before a frame is encoded in
+// place: any fixed-size response, and a WRONG_NODE with a host:port
+// address. A longer payload is still encoded correctly; append just
+// moves it off the buffer first.
+const smallFrame = 128
 
 type respWriter struct {
-	dst *countingWriter
-
-	bufs    net.Buffers // completed iovecs, in write order
-	cur     []byte      // open scratch chunk (pooled), appended to in place
-	recycle [][]byte    // pooled buffers owned by pending bytes; PutBuf after flush
-	chunks  [][]byte    // spent scratch chunks owned by pending bytes; putChunk after flush
-	done    int         // bytes across bufs (excludes cur)
-	flushes int64       // vectored flushes issued (the syscall count proxy)
-	err     error       // sticky write error
-	// vscratch is the reusable iovec copy handed to WriteBuffers, which
-	// consumes the slice it is given. A struct field rather than a
-	// local so taking its address doesn't force a heap escape per flush.
-	vscratch net.Buffers
-	// spare holds scratch chunks retained across flushes. Splice-heavy
-	// batches open a new chunk per spliced item; keeping the chunks on
-	// the writer makes that churn connection-local instead of a burst of
-	// same-class pool traffic.
-	spare [][]byte
+	*bufio.Writer
 	// envs carries one pop's envelopes from the queue to the response
 	// encoder (handlePop); kept here so the path reuses one slice per
 	// connection.
@@ -66,129 +43,62 @@ type respWriter struct {
 	items []wire.Item
 }
 
-var respWriterPool = sync.Pool{New: func() any { return new(respWriter) }}
+var respWriterPool = sync.Pool{New: func() any {
+	return &respWriter{Writer: bufio.NewWriterSize(nil, respBufSize)}
+}}
 
-func getRespWriter(dst *countingWriter) *respWriter {
+func getRespWriter(dst io.Writer) *respWriter {
 	w := respWriterPool.Get().(*respWriter)
-	w.dst = dst
-	w.err = nil
-	w.flushes = 0
+	w.Reset(dst)
 	return w
 }
 
-// maxSpareChunks bounds the chunks a writer retains: enough for every
-// splice in a flush-high-water batch to reopen one.
-const maxSpareChunks = 16
-
-// getChunk takes a retained chunk, falling back to the pool.
-func (w *respWriter) getChunk() []byte {
-	if n := len(w.spare); n > 0 {
-		c := w.spare[n-1]
-		w.spare[n-1] = nil
-		w.spare = w.spare[:n-1]
-		return c
-	}
-	return wire.GetBuf(respChunkSize)
-}
-
-// putChunk retains a spent scratch chunk for reuse, overflowing to the
-// pool once the writer holds enough.
-func (w *respWriter) putChunk(c []byte) {
-	if len(w.spare) < maxSpareChunks {
-		w.spare = append(w.spare, c[:0])
-		return
-	}
-	wire.PutBuf(c)
-}
-
-// release drops buffer references and returns the writer to its pool.
-// Pending unflushed bytes are discarded (the connection is gone).
-// Retained chunks stay with the writer — it is pooled itself.
+// release drops the connection reference, discarding unflushed bytes
+// (the connection is gone), and returns the writer to its pool.
 func (w *respWriter) release() {
-	if w.cur != nil {
-		w.putChunk(w.cur)
-		w.cur = nil
-	}
-	for i := range w.recycle {
-		wire.PutBuf(w.recycle[i])
-		w.recycle[i] = nil
-	}
-	w.recycle = w.recycle[:0]
-	for i := range w.chunks {
-		w.putChunk(w.chunks[i])
-		w.chunks[i] = nil
-	}
-	w.chunks = w.chunks[:0]
-	for i := range w.bufs {
-		w.bufs[i] = nil
-	}
-	w.bufs = w.bufs[:0]
-	w.done = 0
-	w.dst = nil
+	w.Reset(nil)
 	respWriterPool.Put(w)
 }
 
-// pending reports the bytes buffered since the last flush.
-func (w *respWriter) pending() int { return w.done + len(w.cur) }
-
-// beginFrame starts a response frame in the open chunk and returns the
-// append target plus the length-patch offset for endFrame.
-func (w *respWriter) beginFrame(t wire.Type, id uint32) ([]byte, int) {
-	if w.cur == nil {
-		w.cur = w.getChunk()
+// room returns the writer's free buffer to append up to n bytes into,
+// flushing first when fewer than n are free. A flush error is sticky:
+// the Write that follows returns it.
+func (w *respWriter) room(n int) []byte {
+	if w.Available() < n {
+		w.Flush()
 	}
-	return wire.BeginFrame(w.cur, t, id)
+	return w.AvailableBuffer()
+}
+
+// beginFrame starts a response frame in the free buffer and returns
+// the append target plus the length-patch offset for endFrame.
+func (w *respWriter) beginFrame(t wire.Type, id uint32) ([]byte, int) {
+	return wire.BeginFrame(w.room(smallFrame), t, id)
 }
 
 // endFrame seals a frame begun with beginFrame. buf must be the slice
 // beginFrame returned, extended only by appends.
 func (w *respWriter) endFrame(buf []byte, off int) error {
-	w.cur = wire.EndFrame(buf, off)
-	if w.pending() >= flushHighWater {
-		return w.flush()
-	}
-	return w.err
+	_, err := w.Write(wire.EndFrame(buf, off))
+	return err
 }
 
-// closeChunk moves the open chunk onto the iovec list.
-func (w *respWriter) closeChunk() {
-	if len(w.cur) == 0 {
-		return
-	}
-	w.bufs = append(w.bufs, w.cur)
-	w.chunks = append(w.chunks, w.cur)
-	w.done += len(w.cur)
-	w.cur = nil
-}
-
-// itemFrame writes a TItem response for one queue envelope (priority
-// tag + value, see servedQueue.tagLen) and takes ownership of the
-// envelope: small values are copied and the envelope recycled at once,
-// large ones are aliased into the vectored write with the recycle
-// deferred until after the flush.
-func (w *respWriter) itemFrame(id uint32, env []byte, tagLen int) error {
-	pri := binary.BigEndian.Uint32(env)
+// item writes one ITEM/ITEMS element for a queue envelope (priority
+// tag + value, see servedQueue.tagLen) and recycles the envelope.
+func (w *respWriter) item(env []byte, tagLen int) error {
 	value := env[tagLen:]
-	if len(value) < zeroCopyMin {
-		buf, off := w.beginFrame(wire.TItem, id)
-		buf = binary.BigEndian.AppendUint32(buf, pri)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(value)))
-		buf = append(buf, value...)
-		err := w.endFrame(buf, off)
-		wire.PutBuf(env)
-		return err
-	}
-	if w.cur == nil {
-		w.cur = w.getChunk()
-	}
-	w.cur = wire.AppendFrameHeader(w.cur, wire.TItem, id, 8+len(value))
-	w.cur = binary.BigEndian.AppendUint32(w.cur, pri)
-	w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(value)))
-	w.spliceRef(value, env)
-	if w.pending() >= flushHighWater {
-		return w.flush()
-	}
-	return w.err
+	buf := binary.BigEndian.AppendUint32(w.room(8), binary.BigEndian.Uint32(env))
+	w.Write(binary.BigEndian.AppendUint32(buf, uint32(len(value)))) // errors are sticky
+	_, err := w.Write(value)
+	wire.PutBuf(env)
+	return err
+}
+
+// itemFrame writes a TItem response for one queue envelope and takes
+// ownership of it.
+func (w *respWriter) itemFrame(id uint32, env []byte, tagLen int) error {
+	w.Write(wire.AppendFrameHeader(w.room(smallFrame), wire.TItem, id, 8+len(env)-tagLen))
+	return w.item(env, tagLen)
 }
 
 // itemsFrame writes a TItems response from queue envelopes, taking
@@ -198,84 +108,18 @@ func (w *respWriter) itemsFrame(id uint32, envs [][]byte, tagLen int) error {
 	for _, env := range envs {
 		payloadLen += 8 + len(env) - tagLen
 	}
-	if w.cur == nil {
-		w.cur = w.getChunk()
-	}
-	w.cur = wire.AppendFrameHeader(w.cur, wire.TItems, id, payloadLen)
-	w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(envs)))
+	buf := wire.AppendFrameHeader(w.room(smallFrame), wire.TItems, id, payloadLen)
+	_, err := w.Write(binary.BigEndian.AppendUint32(buf, uint32(len(envs))))
 	for _, env := range envs {
-		value := env[tagLen:]
-		if w.cur == nil { // a splice below closed the chunk
-			w.cur = w.getChunk()
-		}
-		w.cur = binary.BigEndian.AppendUint32(w.cur, binary.BigEndian.Uint32(env))
-		w.cur = binary.BigEndian.AppendUint32(w.cur, uint32(len(value)))
-		if len(value) < zeroCopyMin {
-			w.cur = append(w.cur, value...)
-			wire.PutBuf(env)
-		} else {
-			w.spliceRef(value, env)
-		}
+		err = w.item(env, tagLen)
 	}
-	if w.pending() >= flushHighWater {
-		return w.flush()
-	}
-	return w.err
-}
-
-// spliceRef appends b to the vectored write without copying; owner is
-// the pooled buffer keeping b alive, recycled after the flush.
-func (w *respWriter) spliceRef(b, owner []byte) {
-	w.closeChunk()
-	w.bufs = append(w.bufs, b)
-	w.recycle = append(w.recycle, owner)
-	w.done += len(b)
-}
-
-// flush writes everything buffered in one vectored write. Errors are
-// sticky: the connection is unusable after one.
-func (w *respWriter) flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.closeChunk()
-	if len(w.bufs) == 0 {
-		return nil
-	}
-	// WriteTo advances the slice and its elements as it writes, so it
-	// gets a scratch copy of the iovecs; recycle keeps the originals.
-	// save preserves the full-capacity header across that consumption.
-	w.vscratch = append(w.vscratch[:0], w.bufs...)
-	save := w.vscratch
-	_, err := w.dst.WriteBuffers(&w.vscratch)
-	for i := range save {
-		save[i] = nil
-	}
-	w.vscratch = save[:0]
-	w.flushes++
-	for i := range w.recycle {
-		wire.PutBuf(w.recycle[i])
-		w.recycle[i] = nil
-	}
-	w.recycle = w.recycle[:0]
-	for i := range w.chunks {
-		w.putChunk(w.chunks[i])
-		w.chunks[i] = nil
-	}
-	w.chunks = w.chunks[:0]
-	for i := range w.bufs {
-		w.bufs[i] = nil
-	}
-	w.bufs = w.bufs[:0]
-	w.done = 0
-	w.err = err
 	return err
 }
 
 // connReaderPool recycles the 64 KiB per-connection read buffers
 // across connection churn.
 var connReaderPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 64<<10) },
+	New: func() any { return bufio.NewReaderSize(nil, respBufSize) },
 }
 
 func getConnReader(src io.Reader) *bufio.Reader {

@@ -50,9 +50,9 @@ type serverMetrics struct {
 	bytesRead     *obs.Counter
 	bytesWritten  *obs.Counter
 	resyncs       *obs.Counter
-	// flushes counts vectored response writes — with pipelining each
-	// flush is one writev(2), so frames_written/flushes is the
-	// syscall-batching factor the zero-alloc path is after.
+	// flushes counts response writes: one write(2) per flush of the
+	// connection's buffered writer (or per value too big to buffer), so
+	// frames_written/flushes is the syscall-batching factor.
 	flushes *obs.Counter
 	// pipelineDepth observes how many pipelined requests each
 	// micro-batch flush covered — the server-side measure of client
@@ -154,7 +154,7 @@ func (s *Server) writeProm(w io.Writer) error {
 	p.Sample("pq_bytes_written_total", "", float64(m.bytesWritten.Load()))
 	p.Header("pq_frame_resyncs_total", "counter", "Recoverable bad-version/bad-flags frames answered with ERROR.")
 	p.Sample("pq_frame_resyncs_total", "", float64(m.resyncs.Load()))
-	p.Header("pq_response_flushes_total", "counter", "Vectored response flushes (one writev per flush).")
+	p.Header("pq_response_flushes_total", "counter", "Response flushes (one write(2) per flush).")
 	p.Sample("pq_response_flushes_total", "", float64(m.flushes.Load()))
 	p.Header("pq_pipeline_depth", "histogram", "Pipelined requests handled per response flush.")
 	p.Histogram("pq_pipeline_depth", "", m.pipelineDepth.Snapshot(), 1)

@@ -376,20 +376,20 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 }
 
 type countingWriter struct {
-	w    io.Writer
-	n    *obs.Counter
-	hint uint64
+	w      io.Writer
+	n      *obs.Counter
+	writes *obs.Counter // pq_response_flushes_total
+	hint   uint64
 }
 
-// WriteBuffers is the writer tap's one path: a vectored write forwarded
-// to the underlying connection — net.Buffers' own writev fast path only
-// triggers on a raw *net.TCPConn, so the tap passes the whole batch
-// through instead of degrading it to one syscall per buffer.
-func (cw *countingWriter) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	n, err := bufs.WriteTo(cw.w)
+// Write forwards one response write — a bufio flush, or a value too big
+// to buffer written straight through — and counts it and its bytes.
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
 	if n > 0 {
-		cw.n.Add(cw.hint, n)
+		cw.n.Add(cw.hint, int64(n))
 	}
+	cw.writes.Inc(cw.hint)
 	return n, err
 }
 
@@ -402,7 +402,7 @@ const maxFlushBatch = 64
 // it, recycle its payload, and flush the response writer when the read
 // buffer does not already hold the whole next frame or maxFlushBatch
 // requests have been handled since the last flush — the server-side
-// micro-batch, which the respWriter turns into one vectored write.
+// micro-batch, which the respWriter sends as one write per 64 KiB.
 // The flush test peeks the next frame's length prefix rather than
 // asking whether any byte is buffered: a client may send a request
 // plus part of the next and wait for the first response before sending
@@ -425,12 +425,11 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
 	defer putConnReader(br)
-	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, hint: cs.id})
+	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, writes: s.met.flushes, hint: cs.id})
 	defer w.release()
 	var (
-		fr      wire.FrameReader
-		n       int   // requests handled since the last flush
-		flushed int64 // w.flushes already counted
+		fr wire.FrameReader
+		n  int // requests handled since the last flush
 	)
 	for {
 		f, perr := fr.ReadFrame(br)
@@ -438,7 +437,7 @@ func (s *Server) serveConn(c net.Conn) {
 			if !errors.Is(perr, net.ErrClosed) && !isEOF(perr) {
 				cs.log.Warn("read failed", "err", perr)
 			}
-			w.flush() // answers to requests ahead of a malformed frame still go out
+			w.Flush() // answers to requests ahead of a malformed frame still go out
 			return
 		}
 		s.met.framesRead.Inc(cs.id)
@@ -454,13 +453,11 @@ func (s *Server) serveConn(c net.Conn) {
 		if n++; n < maxFlushBatch && nextFrameBuffered(br) {
 			continue
 		}
-		if err := w.flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			return
 		}
 		s.met.framesWritten.Add(cs.id, int64(n))
 		s.met.pipelineDepth.Observe(cs.id, int64(n))
-		s.met.flushes.Add(cs.id, w.flushes-flushed)
-		flushed = w.flushes
 		n = 0
 	}
 }
@@ -472,7 +469,7 @@ func isEOF(err error) bool {
 // reply appends one response frame with a pre-built payload to the
 // connection's response writer — the cold-path helper (errors, stats
 // JSON). Hot paths append their payloads straight into the writer's
-// scratch via beginFrame/endFrame instead.
+// free buffer via beginFrame/endFrame instead.
 func reply(w *respWriter, id uint32, t wire.Type, payload []byte) error {
 	buf, off := w.beginFrame(t, id)
 	buf = append(buf, payload...)

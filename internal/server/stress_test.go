@@ -16,11 +16,11 @@ import (
 
 // TestServeBufferOwnershipStress hammers the pooled-buffer serving path
 // from several concurrent connections, each pipelining a randomized mix
-// of inserts (small copied values and >= zeroCopyMin spliced ones),
-// delete-mins, delete-min-batches, protocol errors, and bad-version
-// resync frames. Every delivered value must match the deterministic
-// pattern derived from its priority — a recycled-too-early request
-// payload, response chunk, or queue envelope shows up as a corrupt or
+// of inserts (values that fit the response buffer and values bigger
+// than it), delete-mins, delete-min-batches, protocol errors, and
+// bad-version resync frames. Every delivered value must match the
+// deterministic pattern derived from its priority — a recycled-too-early
+// request payload or queue envelope shows up as a corrupt or
 // cross-wired value. Run under -race this is the ownership-discipline
 // check for the zero-allocation path.
 func TestServeBufferOwnershipStress(t *testing.T) {
@@ -103,10 +103,10 @@ func stressConn(addr, queue string, pris, batches int, seed int64) error {
 	defer nc.Close()
 	br := bufio.NewReaderSize(nc, 256<<10)
 	rng := rand.New(rand.NewSource(seed))
-	// Sizes straddle zeroCopyMin so both the memcpy and the splice
-	// response paths run, interleaved on one connection.
-	sizes := []int{8, 96, 700, zeroCopyMin, 2 * zeroCopyMin}
-	scratch := make([]byte, 2*zeroCopyMin)
+	// Sizes straddle the response buffer, so values that fit it and
+	// values that span several flushes interleave on one connection.
+	sizes := []int{8, 4 << 10, respBufSize + 16<<10}
+	scratch := make([]byte, respBufSize+16<<10)
 	respBuf := make([]byte, wire.MaxFrame)
 	var hdr [12]byte
 
@@ -160,9 +160,10 @@ func stressConn(addr, queue string, pris, batches int, seed int64) error {
 				batch[n0+4] = 99 // unsupported version: server resyncs + TError
 			}
 		}
-		if _, err := nc.Write(batch); err != nil {
-			return fmt.Errorf("batch %d: write: %w", bi, err)
-		}
+		// Write while reading: a batch of large values can exceed what
+		// the socket buffers hold before the server's answers fill them.
+		wrote := make(chan error, 1)
+		go func() { _, err := nc.Write(batch); wrote <- err }()
 		firstID := nextID - uint32(depth) + 1
 		for r := 0; r < depth; r++ {
 			typ, id, payload, err := readResp(br, &hdr, respBuf)
@@ -210,6 +211,9 @@ func stressConn(addr, queue string, pris, batches int, seed int64) error {
 					return fmt.Errorf("error-case response: got %v", typ)
 				}
 			}
+		}
+		if err := <-wrote; err != nil {
+			return fmt.Errorf("batch %d: write: %w", bi, err)
 		}
 	}
 	return nil

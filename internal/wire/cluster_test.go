@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -210,14 +211,10 @@ func TestWrongNodeRoundTrip(t *testing.T) {
 	if _, err := DecodeWrongNode([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated WrongNode decoded")
 	}
-	// Frame-level demux knows the type.
+	// The fuzzer's frame-level decode knows the type.
 	f := Frame{Type: TWrongNode, ID: 9, Payload: WrongNode{MapVersion: 2, Owner: "x:1"}.Append(nil)}
-	v, err := DecodePayload(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wn, ok := v.(WrongNode); !ok || wn.Owner != "x:1" {
-		t.Fatalf("DecodePayload(TWrongNode) = %#v", v)
+	if re, err := reencode(f); err != nil || !bytes.Equal(re, f.Payload) {
+		t.Fatalf("reencode(TWrongNode) = %x, %v; want %x", re, err, f.Payload)
 	}
 	if TWrongNode.String() != "WRONG_NODE" {
 		t.Fatalf("TWrongNode.String() = %q", TWrongNode.String())

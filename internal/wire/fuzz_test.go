@@ -27,6 +27,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendFrame(nil, Frame{Type: TError, ID: 13, Payload: ErrorMsg{Msg: "e"}.Append(nil)}),
 		{0, 0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff, 1, 1},
+		AppendFrame(nil, Frame{Type: TStatsReply, ID: 14, Payload: []byte(`{"size":0}`)}),
+		AppendFrame(nil, Frame{Type: TWrongNode, ID: 15, Payload: WrongNode{MapVersion: 3, Owner: "n:1"}.Append(nil)}),
 	}
 	for _, s := range seed {
 		f.Add(s)
@@ -55,44 +57,64 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// Typed payload decode must not panic; when it succeeds, the
 		// typed re-encode must reproduce the payload byte-for-byte.
-		msg, err := DecodePayload(fr)
+		re, err := reencode(fr)
 		if err != nil {
 			if !errors.Is(err, ErrBadPayload) && !errors.Is(err, ErrUnknownType) {
 				t.Fatalf("unexpected decode error: %v", err)
 			}
 			return
 		}
-		var re []byte
-		switch m := msg.(type) {
-		case Insert:
-			re = m.Append(nil)
-		case InsertBatch:
-			re = m.Append(nil)
-		case QueueReq:
-			re = m.Append(nil)
-		case DeleteMinBatch:
-			re = m.Append(nil)
-		case InsertOK:
-			re = m.Append(nil)
-		case Item:
-			re = AppendItem(nil, m)
-		case Items:
-			re = m.Append(nil)
-		case RetryAfter:
-			re = m.Append(nil)
-		case Drained:
-			re = m.Append(nil)
-		case ErrorMsg:
-			re = m.Append(nil)
-		case nil: // TEmpty
-			re = nil
-		case []byte: // TStatsReply is opaque
-			return
-		default:
-			t.Fatalf("unhandled payload type %T", msg)
-		}
 		if !bytes.Equal(re, fr.Payload) {
 			t.Fatalf("payload re-encode mismatch for %v:\n got %x\nwant %x", fr.Type, re, fr.Payload)
 		}
 	})
+}
+
+// reencode decodes f's payload with the one decoder for its type (the
+// view, for a request) and encodes the result again. It fails with
+// ErrUnknownType for a type no decoder serves.
+func reencode(f Frame) ([]byte, error) {
+	switch f.Type {
+	case TInsert:
+		m, err := DecodeInsertView(f.Payload)
+		return Insert{Queue: string(m.Queue), Item: m.Item}.Append(nil), err
+	case TInsertBatch:
+		m, err := DecodeInsertBatchView(f.Payload, nil)
+		return InsertBatch{Queue: string(m.Queue), Items: m.Items}.Append(nil), err
+	case TDeleteMin, TStats, TDrain:
+		m, err := DecodeQueueReqView(f.Payload)
+		return QueueReq{Queue: string(m.Queue)}.Append(nil), err
+	case TDeleteMinBatch:
+		m, err := DecodeDeleteMinBatchView(f.Payload)
+		return DeleteMinBatch{Queue: string(m.Queue), Max: m.Max}.Append(nil), err
+	case TInsertOK:
+		m, err := DecodeInsertOK(f.Payload)
+		return m.Append(nil), err
+	case TItem:
+		m, err := DecodeItem(f.Payload)
+		return AppendItem(nil, m), err
+	case TEmpty:
+		if len(f.Payload) != 0 {
+			return nil, ErrBadPayload
+		}
+		return nil, nil
+	case TItems:
+		m, err := DecodeItems(f.Payload)
+		return m.Append(nil), err
+	case TRetryAfter:
+		m, err := DecodeRetryAfter(f.Payload)
+		return m.Append(nil), err
+	case TStatsReply:
+		return f.Payload, nil // opaque JSON
+	case TDrained:
+		m, err := DecodeDrained(f.Payload)
+		return m.Append(nil), err
+	case TError:
+		m, err := DecodeErrorMsg(f.Payload)
+		return m.Append(nil), err
+	case TWrongNode:
+		m, err := DecodeWrongNode(f.Payload)
+		return m.Append(nil), err
+	}
+	return nil, ErrUnknownType
 }

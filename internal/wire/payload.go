@@ -8,8 +8,9 @@ import (
 
 // Payload encoding primitives: strings carry a uint16 length prefix
 // (queue names), byte blobs a uint32 prefix (values), integers are
-// big-endian. Each message type has an Append/Decode pair; Decode
-// rejects trailing garbage so a frame means exactly one message.
+// big-endian. Each message type has an Append method and one decoder
+// (a view, below, for requests); decoders reject trailing garbage so a
+// frame means exactly one message.
 
 // MaxBatchItems bounds the item count a single batch frame may carry,
 // keeping worst-case decode allocation proportional to the frame size.
@@ -125,22 +126,6 @@ func (m Insert) Append(dst []byte) []byte {
 	return appendBlob(dst, m.Item.Value)
 }
 
-func DecodeInsert(p []byte) (Insert, error) {
-	c := cursor{p}
-	var m Insert
-	var err error
-	if m.Queue, err = c.str(); err != nil {
-		return m, err
-	}
-	if m.Item.Pri, err = c.u32(); err != nil {
-		return m, err
-	}
-	if m.Item.Value, err = c.blob(); err != nil {
-		return m, err
-	}
-	return m, c.end()
-}
-
 // InsertBatch is the TInsertBatch request payload. The server admits a
 // prefix of Items (in order) and reports how many in InsertOK.
 type InsertBatch struct {
@@ -158,37 +143,6 @@ func (m InsertBatch) Append(dst []byte) []byte {
 	return dst
 }
 
-func DecodeInsertBatch(p []byte) (InsertBatch, error) {
-	c := cursor{p}
-	var m InsertBatch
-	var err error
-	if m.Queue, err = c.str(); err != nil {
-		return m, err
-	}
-	n, err := c.u32()
-	if err != nil {
-		return m, err
-	}
-	if n > MaxBatchItems {
-		return m, fmt.Errorf("%w: batch of %d items", ErrBadPayload, n)
-	}
-	// Each item needs at least 8 bytes; reject counts the payload
-	// cannot possibly hold before allocating.
-	if uint64(n)*8 > uint64(len(c.b)) {
-		return m, ErrBadPayload
-	}
-	m.Items = make([]Item, n)
-	for i := range m.Items {
-		if m.Items[i].Pri, err = c.u32(); err != nil {
-			return m, err
-		}
-		if m.Items[i].Value, err = c.blob(); err != nil {
-			return m, err
-		}
-	}
-	return m, c.end()
-}
-
 // QueueReq is the shared payload of TDeleteMin, TStats and TDrain:
 // just a queue name.
 type QueueReq struct {
@@ -196,16 +150,6 @@ type QueueReq struct {
 }
 
 func (m QueueReq) Append(dst []byte) []byte { return appendStr(dst, m.Queue) }
-
-func DecodeQueueReq(p []byte) (QueueReq, error) {
-	c := cursor{p}
-	var m QueueReq
-	var err error
-	if m.Queue, err = c.str(); err != nil {
-		return m, err
-	}
-	return m, c.end()
-}
 
 // DeleteMinBatch is the TDeleteMinBatch request payload: remove up to
 // Max smallest-priority items in one round trip.
@@ -217,19 +161,6 @@ type DeleteMinBatch struct {
 func (m DeleteMinBatch) Append(dst []byte) []byte {
 	dst = appendStr(dst, m.Queue)
 	return binary.BigEndian.AppendUint32(dst, m.Max)
-}
-
-func DecodeDeleteMinBatch(p []byte) (DeleteMinBatch, error) {
-	c := cursor{p}
-	var m DeleteMinBatch
-	var err error
-	if m.Queue, err = c.str(); err != nil {
-		return m, err
-	}
-	if m.Max, err = c.u32(); err != nil {
-		return m, err
-	}
-	return m, c.end()
 }
 
 // InsertOK is the TInsertOK response payload: the first Accepted items
@@ -378,15 +309,15 @@ func DecodeErrorMsg(p []byte) (ErrorMsg, error) {
 	return m, c.end()
 }
 
-// Decode views: allocation-free counterparts to the request decoders
-// above for the serving hot path. Queue names come back as []byte and
-// values alias the frame payload, so a view is valid only while the
-// payload buffer is — anything that outlives the frame (an item going
-// into the queue) must be copied by the caller, and the payload must
-// not be recycled until the view is dead.
+// Decode views: the request decoders, allocation-free for the serving
+// hot path. Queue names come back as []byte and values alias the frame
+// payload, so a view is valid only while the payload buffer is —
+// anything that outlives the frame (an item going into the queue) must
+// be copied by the caller, and the payload must not be recycled until
+// the view is dead.
 
-// InsertView is DecodeInsert's allocation-free result: Queue and
-// Item.Value alias the payload.
+// InsertView is a decoded Insert: Queue and Item.Value alias the
+// payload.
 type InsertView struct {
 	Queue []byte
 	Item  Item
@@ -408,8 +339,8 @@ func DecodeInsertView(p []byte) (InsertView, error) {
 	return m, c.end()
 }
 
-// InsertBatchView is DecodeInsertBatch without allocation: Items lands
-// in the caller's scratch slice (grown as needed and returned), Queue
+// InsertBatchView is a decoded InsertBatch: Items lands in the
+// caller's scratch slice (grown as needed and returned), Queue
 // and every value alias the payload.
 type InsertBatchView struct {
 	Queue []byte
@@ -446,8 +377,7 @@ func DecodeInsertBatchView(p []byte, scratch []Item) (InsertBatchView, error) {
 	return m, c.end()
 }
 
-// QueueReqView is DecodeQueueReq without the string allocation; Queue
-// aliases the payload.
+// QueueReqView is a decoded QueueReq; Queue aliases the payload.
 type QueueReqView struct {
 	Queue []byte
 }
@@ -462,8 +392,8 @@ func DecodeQueueReqView(p []byte) (QueueReqView, error) {
 	return m, c.end()
 }
 
-// DeleteMinBatchView is DecodeDeleteMinBatch without the string
-// allocation; Queue aliases the payload.
+// DeleteMinBatchView is a decoded DeleteMinBatch; Queue aliases the
+// payload.
 type DeleteMinBatchView struct {
 	Queue []byte
 	Max   uint32
@@ -525,43 +455,4 @@ func (v *ItemsView) Next() ([]byte, error) {
 		return elem, v.c.end()
 	}
 	return elem, nil
-}
-
-// DecodePayload decodes the typed message carried by f, returning one
-// of the payload structs above (Item for TItem, nil for TEmpty). It is
-// the demux used by the fuzzer and by generic logging; hot paths call
-// the typed decoders directly.
-func DecodePayload(f Frame) (any, error) {
-	switch f.Type {
-	case TInsert:
-		return DecodeInsert(f.Payload)
-	case TInsertBatch:
-		return DecodeInsertBatch(f.Payload)
-	case TDeleteMin, TStats, TDrain:
-		return DecodeQueueReq(f.Payload)
-	case TDeleteMinBatch:
-		return DecodeDeleteMinBatch(f.Payload)
-	case TInsertOK:
-		return DecodeInsertOK(f.Payload)
-	case TItem:
-		return DecodeItem(f.Payload)
-	case TEmpty:
-		if len(f.Payload) != 0 {
-			return nil, ErrBadPayload
-		}
-		return nil, nil
-	case TItems:
-		return DecodeItems(f.Payload)
-	case TRetryAfter:
-		return DecodeRetryAfter(f.Payload)
-	case TStatsReply:
-		return f.Payload, nil // opaque JSON
-	case TDrained:
-		return DecodeDrained(f.Payload)
-	case TError:
-		return DecodeErrorMsg(f.Payload)
-	case TWrongNode:
-		return DecodeWrongNode(f.Payload)
-	}
-	return nil, ErrUnknownType
 }

@@ -170,10 +170,10 @@ func EndFrame(dst []byte, off int) []byte {
 }
 
 // AppendFrameHeader appends a complete frame header for a payload of
-// exactly payloadLen bytes. For writers that splice the payload in
-// from elsewhere (vectored writes that alias item values instead of
-// copying them), where BeginFrame/EndFrame's patch-after-append cannot
-// see the payload bytes.
+// exactly payloadLen bytes. For writers that send the payload in
+// separate writes after the header (a buffered writer given item values
+// one Write at a time), where BeginFrame/EndFrame's patch-after-append
+// cannot see the payload bytes.
 func AppendFrameHeader(dst []byte, t Type, id uint32, payloadLen int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(headerLen+payloadLen))
 	dst = append(dst, Version, uint8(t), 0, 0)

@@ -128,20 +128,20 @@ func TestBadVersionResync(t *testing.T) {
 
 func TestPayloadRoundTrips(t *testing.T) {
 	ins := Insert{Queue: "jobs", Item: Item{Pri: 7, Value: []byte("hello")}}
-	if got, err := DecodeInsert(ins.Append(nil)); err != nil || !reflect.DeepEqual(got, ins) {
+	if got, err := DecodeInsertView(ins.Append(nil)); err != nil || string(got.Queue) != ins.Queue || !reflect.DeepEqual(got.Item, ins.Item) {
 		t.Errorf("Insert: got %+v err %v", got, err)
 	}
 
 	ib := InsertBatch{Queue: "jobs", Items: []Item{{Pri: 0, Value: []byte("a")}, {Pri: 9, Value: nil}}}
-	got, err := DecodeInsertBatch(ib.Append(nil))
-	if err != nil || got.Queue != ib.Queue || len(got.Items) != 2 ||
+	got, err := DecodeInsertBatchView(ib.Append(nil), nil)
+	if err != nil || string(got.Queue) != ib.Queue || len(got.Items) != 2 ||
 		got.Items[0].Pri != 0 || !bytes.Equal(got.Items[0].Value, []byte("a")) ||
 		got.Items[1].Pri != 9 || len(got.Items[1].Value) != 0 {
 		t.Errorf("InsertBatch: got %+v err %v", got, err)
 	}
 
 	dmb := DeleteMinBatch{Queue: "jobs", Max: 128}
-	if got, err := DecodeDeleteMinBatch(dmb.Append(nil)); err != nil || got != dmb {
+	if got, err := DecodeDeleteMinBatchView(dmb.Append(nil)); err != nil || string(got.Queue) != dmb.Queue || got.Max != dmb.Max {
 		t.Errorf("DeleteMinBatch: got %+v err %v", got, err)
 	}
 
@@ -168,7 +168,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	p := append(QueueReq{Queue: "q"}.Append(nil), 0xfe)
-	if _, err := DecodeQueueReq(p); err == nil {
+	if _, err := DecodeQueueReqView(p); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestDecodeBatchRejectsAbsurdCounts(t *testing.T) {
 	// allocating item headers.
 	p := appendStr(nil, "q")
 	p = append(p, 0x00, 0x10, 0x00, 0x00) // count = 1<<20
-	if _, err := DecodeInsertBatch(p); err == nil {
+	if _, err := DecodeInsertBatchView(p, nil); err == nil {
 		t.Error("absurd batch count accepted")
 	}
 	if _, err := DecodeItems([]byte{0x00, 0x10, 0x00, 0x00}); err == nil {

@@ -61,7 +61,7 @@ type ClusterConfig struct {
 	// Rand is ignored: no operation samples nodes.
 	//
 	// Deprecated: kept only because bench/ still sets it; goes when
-	// bench/ next opens (ROADMAP item 9).
+	// bench/ next opens (ROADMAP item 1(b)).
 	Rand int64
 }
 
@@ -164,7 +164,7 @@ func (cc *ClusterClient) Close() error {
 // Stashed returns 0: the client holds no items.
 //
 // Deprecated: kept only because bench/ still calls it; goes when bench/
-// next opens (ROADMAP item 9).
+// next opens (ROADMAP item 1(b)).
 func (cc *ClusterClient) Stashed() int { return 0 }
 
 // node returns (dialing if needed) the pooled client for addr.

@@ -97,13 +97,13 @@ func ackServer(t *testing.T) string {
 // insertedItems decodes the items of an INSERT or INSERT_BATCH frame.
 func insertedItems(f wire.Frame) []wire.Item {
 	if f.Type == wire.TInsert {
-		m, err := wire.DecodeInsert(f.Payload)
+		m, err := wire.DecodeInsertView(f.Payload)
 		if err != nil {
 			return nil
 		}
 		return []wire.Item{m.Item}
 	}
-	m, _ := wire.DecodeInsertBatch(f.Payload)
+	m, _ := wire.DecodeInsertBatchView(f.Payload, nil)
 	return m.Items
 }
 
@@ -115,9 +115,9 @@ func insertOK(id uint32, accepted, rejected int) wire.Frame {
 // echoItem answers a DELETE_MIN with an item naming the request's queue
 // and carrying its request id, so a caller can tell its own answer.
 func echoItem(f wire.Frame) wire.Frame {
-	q, _ := wire.DecodeQueueReq(f.Payload)
+	q, _ := wire.DecodeQueueReqView(f.Payload)
 	return wire.Frame{Type: wire.TItem, ID: f.ID,
-		Payload: wire.AppendItem(nil, wire.Item{Pri: f.ID, Value: []byte(q.Queue)})}
+		Payload: wire.AppendItem(nil, wire.Item{Pri: f.ID, Value: q.Queue})}
 }
 
 // callers runs fn(i) on n goroutines and returns the first error.
@@ -577,7 +577,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 		var batches, asked atomic.Int64
 		addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
 			if f.Type == wire.TDeleteMinBatch {
-				m, _ := wire.DecodeDeleteMinBatch(f.Payload)
+				m, _ := wire.DecodeDeleteMinBatchView(f.Payload)
 				batches.Add(1)
 				asked.Add(int64(m.Max))
 				return itemsFrame(f.ID, nil), 0
@@ -617,7 +617,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 			if f.Type != wire.TDeleteMinBatch {
 				return src.answer(f), 0
 			}
-			m, _ := wire.DecodeDeleteMinBatch(f.Payload)
+			m, _ := wire.DecodeDeleteMinBatchView(f.Payload)
 			items := src.take((m.Max + 1) / 2)
 			if len(items) > 0 && len(items) < int(m.Max) {
 				short.Add(1)
