@@ -1,6 +1,6 @@
 // Command pqd is the priority-queue daemon: it serves named native
 // queues (any pq.Algorithm, optionally sharded by priority range, with
-// bounded-counter admission control) over the wire protocol on TCP.
+// exact CAS-reserved admission control) over the wire protocol on TCP.
 //
 // Usage:
 //

@@ -667,8 +667,8 @@ func TestCrossShardRankMerged(t *testing.T) {
 	// 5 items live in shard 0 (the best band) and 2 in shard 1. Three
 	// pops served from shard 2 each overtake 5+2=7 definitely-better
 	// items; one pop from shard 1 overtakes 5.
-	q.occAdd(0, 5)
-	q.occAdd(1, 2)
+	q.shardIn[0].Add(5)
+	q.shardIn[1].Add(2)
 	q.rankRecord(2, 3)
 	q.rankRecord(1, 1)
 
@@ -686,7 +686,7 @@ func TestCrossShardRankMerged(t *testing.T) {
 
 	// Popping shard 0 dry removes the better-band mass: later pops from
 	// shard 2 are charged only shard 1's occupancy.
-	q.occAdd(0, -5)
+	q.shardOut[0].Add(5)
 	q.rankRecord(2, 1)
 	rs2, _ := q.relaxStats()
 	if got := rs2.RankSum - rs.RankSum; got != 2 {

@@ -26,15 +26,14 @@ type queueBooks struct {
 }
 
 func booksOf(q *servedQueue) queueBooks {
+	ins, del := q.totals()
 	b := queueBooks{
-		inserts:      q.inserts.Load(),
-		deletes:      q.deletes.Load(),
+		inserts:      ins,
+		deletes:      del,
 		retryAfter:   q.retryAfter.Load(),
 		emptyDeletes: q.emptyDeletes.Load(),
+		admit:        q.admitted.Load(),
 		size:         q.size(),
-	}
-	if q.admit != nil {
-		b.admit = q.admit.Value()
 	}
 	var items []string
 	for _, it := range q.peek(1000) {

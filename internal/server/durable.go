@@ -34,10 +34,10 @@ import (
 const durTagLen = 12
 
 // attachWAL wires a recovered log into a freshly built queue: the
-// recovered live-item multiset is bulk-loaded into the shards (taking
-// admission slots, since those items occupy capacity) and subsequent
-// operations journal to it. Must be called before the queue serves
-// traffic.
+// recovered live-item multiset is bulk-loaded into the shards, booked
+// into each shard's in-count, and takes admission slots, since those
+// items occupy capacity; subsequent operations journal to the log. Must
+// be called before the queue serves traffic.
 func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) error {
 	q.wal = l
 	q.tagLen = durTagLen
@@ -54,22 +54,12 @@ func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) err
 	}
 	for s, batch := range byShard {
 		pq.InsertBatch(q.shards[s], batch)
-		q.occAdd(s, len(batch))
+		q.shardIn[s].Add(int64(len(batch)))
 	}
-	if n := int64(len(rec.Items)); n > 0 {
-		q.inserts.Add(n)
-		if q.admit != nil {
-			// Recovered items occupy admission capacity. AddN clamps at
-			// Capacity, so when a restart recovers more items than a
-			// (since lowered) configured bound, the surplus is tracked as
-			// overflow debt: pops burn the debt before freeing counter
-			// slots, keeping admission closed until real occupancy drops
-			// below Capacity (see popCommitN).
-			q.admit.AddN(n)
-			if over := n - q.spec.Capacity; over > 0 {
-				q.admitOverflow.Store(over)
-			}
-		}
+	if q.spec.Capacity > 0 {
+		// May exceed a since-lowered Capacity: inserts then shed until
+		// pops bring the word back under the bound.
+		q.admitted.Store(int64(len(rec.Items)))
 	}
 	return nil
 }
@@ -102,7 +92,6 @@ func (q *servedQueue) snapshot(wait bool) error {
 	var items []wal.Item
 	for si, sub := range q.shards {
 		drained := pq.Drain(sub)
-		q.occAdd(si, -len(drained)) // putBackN below restores them
 		for _, it := range drained {
 			v := it.Val
 			items = append(items, wal.Item{

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -316,10 +317,9 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 }
 
 // TestRecoveredOverflowKeepsAdmissionClosed: a restart with a lowered
-// Capacity can recover more items than the admission counter can book
-// (AddN clamps at the bound). The surplus is tracked as overflow debt
-// so pops don't free phantom slots: inserts keep shedding until real
-// occupancy is back under the bound.
+// Capacity can recover more items than the bound. The admission word
+// books all of them, so pops don't free phantom slots: inserts keep
+// shedding until real occupancy is back under the bound.
 func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
@@ -350,8 +350,8 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	if err := q.attachWAL(l2, rec, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.admitOverflow.Load(); got != 2 {
-		t.Fatalf("admitOverflow = %d, want 2", got)
+	if got := q.admitted.Load() - q.spec.Capacity; got != 2 {
+		t.Fatalf("admission word over Capacity by %d, want 2", got)
 	}
 
 	// tryInsert reports whether one more item is admitted.
@@ -366,8 +366,8 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	if tryInsert() {
 		t.Fatal("insert at occupancy 5/3 admitted, want shed")
 	}
-	// A batch pop burns the two units of overflow debt without touching
-	// the counter: still 3 live, still full.
+	// A batch pop releases the two slots over the bound: still 3 live,
+	// still full.
 	if items, err := q.popN(2, 1<<20, nil); err != nil || len(items) != 2 {
 		t.Fatalf("popN(2): %d items, err %v", len(items), err)
 	}
@@ -414,8 +414,9 @@ func TestRolledBackPopLeavesNoRankCharge(t *testing.T) {
 	}
 	rankBooks := func() [7]int64 {
 		r := q.rank
+		held := func(s int) int64 { return q.shardIn[s].Load() - q.shardOut[s].Load() }
 		return [7]int64{r.pops.Load(), r.sum.Load(), r.max.Load(),
-			r.occ[0].Load(), r.occ[1].Load(), r.occ[2].Load(), r.occ[3].Load()}
+			held(0), held(1), held(2), held(3)}
 	}
 	before := rankBooks()
 	if f := c.deleteMin("mq"); f.Type != wire.TError {
@@ -448,4 +449,82 @@ func TestByteBudgetCutIsNotAnEmptyDelete(t *testing.T) {
 			t.Fatalf("emptyDeletes = %d after a budget-cut pop, want 0", n)
 		}
 	})
+}
+
+// shardBooks reads a queue's per-shard in/out series off the Prometheus
+// exposition, indexed by shard.
+func shardBooks(t *testing.T, s *Server, queue string) (in, out []int64) {
+	t.Helper()
+	var buf strings.Builder
+	if err := s.writeProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		for name, dst := range map[string]*[]int64{
+			"pq_queue_shard_inserts_total": &in, "pq_queue_shard_deletes_total": &out} {
+			var shard int
+			var v float64
+			if _, err := fmt.Sscanf(line, name+`{queue="`+queue+`",shard="%d"} %g`, &shard, &v); err == nil {
+				for len(*dst) <= shard {
+					*dst = append(*dst, 0)
+				}
+				(*dst)[shard] = int64(v)
+			}
+		}
+	}
+	return in, out
+}
+
+// TestRecoveredItemsBookedPerShard: a restart books every recovered item
+// into its shard's in-count, so the per-shard series add up to the
+// queue's Inserts and a full drain leaves every shard at in - out = 0.
+func TestRecoveredItemsBookedPerShard(t *testing.T) {
+	const k = 24
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
+	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 16, Shards: 4}
+
+	_, addr, stop := startDurableServer(t, cfg, spec)
+	c := dialClient(t, addr)
+	ctx := context.Background()
+	for i := 0; i < k+6; i++ {
+		if err := c.Insert(ctx, "jobs", (i*5)%16, []byte(fmt.Sprintf("v-%d", i))); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if _, ok, err := c.DeleteMin(ctx, "jobs"); err != nil || !ok {
+			t.Fatalf("DeleteMin: ok=%v err=%v", ok, err)
+		}
+	}
+	c.Close()
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+
+	s2, addr2, _ := startDurableServer(t, cfg, spec)
+	st, _ := s2.QueueStats("jobs")
+	in, out := shardBooks(t, s2, "jobs")
+	if len(in) != 4 || len(out) != 4 {
+		t.Fatalf("shard series: %d inserts, %d deletes, want 4 each", len(in), len(out))
+	}
+	var sumIn, sumOut int64
+	for s := range in {
+		sumIn += in[s]
+		sumOut += out[s]
+	}
+	if sumIn != st.Inserts || st.Inserts != k || sumOut != 0 {
+		t.Fatalf("after restart: Σ shard inserts %d, Inserts %d, Σ shard deletes %d; want %d, %d, 0",
+			sumIn, st.Inserts, sumOut, k, k)
+	}
+
+	if got := drainAll(t, dialClient(t, addr2), "jobs"); len(got) != k {
+		t.Fatalf("drained %d items, want %d", len(got), k)
+	}
+	in, out = shardBooks(t, s2, "jobs")
+	for s := range in {
+		if in[s] != out[s] {
+			t.Fatalf("shard %d after full drain: in %d, out %d", s, in[s], out[s])
+		}
+	}
 }

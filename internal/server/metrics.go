@@ -77,21 +77,13 @@ func newServerMetrics(stripes int) *serverMetrics {
 // the queue operation itself (admission + WAL append + shard RMW), not
 // decode or socket writes, so they separate queue cost from wire cost.
 type queueMetrics struct {
-	lat [nQOps]*obs.Histogram
-	ops [nQOps]*obs.Counter
-	// shardIns/shardDel count items routed to / delivered from each
-	// priority-range shard; an imbalance here is the first sign a
-	// workload's priority distribution defeats the range split.
-	shardIns []atomic.Int64
-	shardDel []atomic.Int64
-	slowOps  atomic.Int64
+	lat     [nQOps]*obs.Histogram
+	ops     [nQOps]*obs.Counter
+	slowOps atomic.Int64
 }
 
-func newQueueMetrics(stripes, shards int) *queueMetrics {
-	m := &queueMetrics{
-		shardIns: make([]atomic.Int64, shards),
-		shardDel: make([]atomic.Int64, shards),
-	}
+func newQueueMetrics(stripes int) *queueMetrics {
+	m := new(queueMetrics)
 	for op := qOp(0); op < nQOps; op++ {
 		m.ops[op] = obs.NewCounter(stripes)
 	}
@@ -186,8 +178,8 @@ func (s *Server) writeProm(w io.Writer) error {
 		val             func(*servedQueue) float64
 	}
 	for _, g := range []gauge{
-		{"pq_queue_inserts_total", "counter", "Items admitted.", func(q *servedQueue) float64 { return float64(q.inserts.Load()) }},
-		{"pq_queue_deletes_total", "counter", "Items delivered by delete-min.", func(q *servedQueue) float64 { return float64(q.deletes.Load()) }},
+		{"pq_queue_inserts_total", "counter", "Items admitted.", func(q *servedQueue) float64 { ins, _ := q.totals(); return float64(ins) }},
+		{"pq_queue_deletes_total", "counter", "Items delivered by delete-min.", func(q *servedQueue) float64 { _, del := q.totals(); return float64(del) }},
 		{"pq_queue_empty_deletes_total", "counter", "Delete-mins that found the queue (apparently) empty.", func(q *servedQueue) float64 { return float64(q.emptyDeletes.Load()) }},
 		{"pq_queue_shed_total", "counter", "Items shed by admission control or drain (RETRY_AFTER).", func(q *servedQueue) float64 { return float64(q.retryAfter.Load()) }},
 		{"pq_queue_errors_total", "counter", "Mutations refused with a durability error.", func(q *servedQueue) float64 { return float64(q.durErrors.Load()) }},
@@ -242,13 +234,15 @@ func (s *Server) writeProm(w io.Writer) error {
 		p.Sample("pq_cluster_misroutes_total", "", float64(cl.misroutes.Load()))
 	}
 
+	// An imbalance across shards is the first sign a workload's priority
+	// distribution defeats the range split.
 	p.Header("pq_queue_shard_inserts_total", "counter", "Items routed to each priority-range shard.")
 	p.Header("pq_queue_shard_deletes_total", "counter", "Items delivered from each priority-range shard.")
 	for _, q := range queues {
-		for si := range q.met.shardIns {
+		for si := range q.shardIn {
 			lbl := obs.Labels(map[string]string{"queue": q.spec.Name, "shard": itoa(si)})
-			p.Sample("pq_queue_shard_inserts_total", lbl, float64(q.met.shardIns[si].Load()))
-			p.Sample("pq_queue_shard_deletes_total", lbl, float64(q.met.shardDel[si].Load()))
+			p.Sample("pq_queue_shard_inserts_total", lbl, float64(q.shardIn[si].Load()))
+			p.Sample("pq_queue_shard_deletes_total", lbl, float64(q.shardOut[si].Load()))
 		}
 	}
 

@@ -28,10 +28,10 @@ type QueueSpec struct {
 	// values above Priorities are clamped.
 	Shards int
 	// Capacity bounds the number of queued items. Inserts beyond it
-	// are shed with RETRY_AFTER instead of queueing unboundedly; the
-	// bound is enforced by the paper's bounded fetch-and-decrement
-	// counter used as an admission semaphore, so it is approximate
-	// while operations are in flight. 0 means unbounded.
+	// are shed with RETRY_AFTER instead of queueing unboundedly. An
+	// insert reserves its slots with one CAS on the queue's admission
+	// word before anything is stored, so the bound holds exactly, in
+	// flight too. 0 means unbounded.
 	Capacity int64
 }
 
@@ -57,23 +57,22 @@ func (spec *QueueSpec) validate() error {
 	return nil
 }
 
-// servedQueue is one registry entry: the sharded backing queues, the
-// admission counter, and serving counters.
+// servedQueue is one registry entry: the sharded backing queues, their
+// books, the admission word, and serving counters.
 type servedQueue struct {
 	spec   QueueSpec
 	shards []pq.Queue[[]byte]
 	bases  []int // len Shards+1; shard i serves priorities [bases[i], bases[i+1])
 
-	// admit is the bounded fetch-and-decrement counter of the paper's
-	// Section 3.3 used as an admission semaphore: a multi-unit BFaI on
-	// insert (a return equal to Capacity means "full", shed), a
-	// multi-unit FaD on successful delete-min. nil when Capacity is 0.
-	// admitOverflow counts recovered items beyond Capacity that the
-	// clamped counter could not book (attachWAL); pops burn this debt
-	// before freeing counter slots.
-	admit         *pq.Counter
-	admitOverflow atomic.Int64
-	draining      atomic.Bool
+	// shardIn/shardOut are the queue's one book: items stored into and
+	// delivered from each shard, monotonic. Every count the queue reports
+	// (inserts, deletes, size, the cross-shard rank charge) is read from
+	// them; in - out is exact at quiescence. A pop books out only when it
+	// commits, so a rolled-back pop leaves them untouched.
+	shardIn  []atomic.Int64
+	shardOut []atomic.Int64
+
+	draining atomic.Bool
 
 	// wal, when non-nil, makes the queue durable (see durable.go).
 	// tagLen is the per-value tag prefix: 4 (priority) in memory, 12
@@ -83,7 +82,7 @@ type servedQueue struct {
 	tagLen    int
 	snapEvery int
 
-	// met holds the per-op latency histograms and shard counters.
+	// met holds the per-op latency histograms and op counters.
 	// walMet, when non-nil, is the instrumentation hook handed to the
 	// queue's WAL.
 	met    *queueMetrics
@@ -104,8 +103,11 @@ type servedQueue struct {
 	durMu      sync.RWMutex
 	snapActive atomic.Bool
 
-	inserts      atomic.Int64
-	deletes      atomic.Int64
+	// admitted is the admission word when Capacity > 0: slots reserved
+	// by inserts (reserve) and not yet released by a committed pop or a
+	// failed journal append. Recovery stores the recovered count, which
+	// may exceed Capacity; inserts then shed until pops bring it under.
+	admitted     atomic.Int64
 	emptyDeletes atomic.Int64
 	retryAfter   atomic.Int64
 	durErrors    atomic.Int64
@@ -116,49 +118,33 @@ type servedQueue struct {
 // strictly-better items *within its own priority band*, so when a
 // MultiQueue shard spuriously declines under TryLock contention and
 // the scan falls through to a later shard, the items still queued in
-// earlier (strictly better) bands go uncounted. The estimator tracks
-// approximate live occupancy per shard and, at each pop served from
-// shard s, charges the pop with the occupancy of shards < s — zero
-// whenever the scan found earlier shards genuinely empty, so an exact
-// scan contributes nothing. Occupancy is maintained with relaxed
-// atomics and read without synchronization, so the correction is an
+// earlier (strictly better) bands go uncounted. At each pop served from
+// shard s the estimator charges the pop with the books' occupancy
+// (in - out) of shards < s — zero whenever the scan found earlier
+// shards genuinely empty, so an exact scan contributes nothing. The
+// books are read without synchronization, so the correction is an
 // estimate (exactly right at quiescence), matching the quiescent
 // consistency of the counters it merges into.
 type crossRank struct {
-	occ  []atomic.Int64 // live items per shard (approximate in flight)
-	pops atomic.Int64   // pops charged with a cross-shard extra (incl. zero)
-	sum  atomic.Int64   // total cross-shard extra over those pops
-	max  atomic.Int64   // worst single-pop cross-shard extra
+	pops atomic.Int64 // pops charged with a cross-shard extra (incl. zero)
+	sum  atomic.Int64 // total cross-shard extra over those pops
+	max  atomic.Int64 // worst single-pop cross-shard extra
 }
 
-// occAdd books n items into shard's occupancy (negative n removes).
-func (q *servedQueue) occAdd(shard, n int) {
-	if q.rank != nil && n != 0 {
-		q.rank.occ[shard].Add(int64(n))
-	}
-}
-
-// extraBelow sums the live occupancy of shards strictly better than
-// shard — the definitely-better items a per-shard rank cannot see.
-func (r *crossRank) extraBelow(shard int) int64 {
-	var x int64
-	for j := 0; j < shard; j++ {
-		if n := r.occ[j].Load(); n > 0 {
-			x += n
-		}
-	}
-	return x
-}
-
-// rankRecord charges n pops served from shard with the current
-// better-band occupancy. Occupancy itself is booked where items enter
-// and leave the shards (occAdd).
+// rankRecord charges n pops served from shard with the live occupancy
+// of the shards strictly better than it — the definitely-better items a
+// per-shard rank cannot see.
 func (q *servedQueue) rankRecord(shard, n int) {
 	r := q.rank
 	if r == nil {
 		return
 	}
-	extra := r.extraBelow(shard)
+	var extra int64
+	for j := 0; j < shard; j++ {
+		if held := q.shardIn[j].Load() - q.shardOut[j].Load(); held > 0 {
+			extra += held
+		}
+	}
 	r.pops.Add(int64(n))
 	if extra == 0 {
 		return
@@ -176,7 +162,8 @@ func newServedQueue(spec QueueSpec, concurrency int) (*servedQueue, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	q := &servedQueue{spec: spec, tagLen: 4, met: newQueueMetrics(concurrency, spec.Shards)}
+	q := &servedQueue{spec: spec, tagLen: 4, met: newQueueMetrics(concurrency),
+		shardIn: make([]atomic.Int64, spec.Shards), shardOut: make([]atomic.Int64, spec.Shards)}
 	q.bases = make([]int, spec.Shards+1)
 	for i := 0; i <= spec.Shards; i++ {
 		q.bases[i] = i * spec.Priorities / spec.Shards
@@ -189,12 +176,8 @@ func newServedQueue(spec QueueSpec, concurrency int) (*servedQueue, error) {
 		}
 		q.shards = append(q.shards, sub)
 	}
-	if spec.Capacity > 0 {
-		q.admit = pq.NewCounterBounds(0, 0, spec.Capacity,
-			pq.WithConcurrency(concurrency))
-	}
 	if pq.IsRelaxed(spec.Algorithm) && spec.Shards > 1 {
-		q.rank = &crossRank{occ: make([]atomic.Int64, spec.Shards)}
+		q.rank = new(crossRank)
 	}
 	return q, nil
 }
@@ -248,7 +231,7 @@ func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
 // were shed. It is the one insert path — a single INSERT is n = 1 — run
 // as one pipeline: drain check → admit → journal → store → commit.
 //
-// Admit reserves slots with one multi-unit bounded increment, so the
+// Admit reserves slots with one CAS on the admission word, so the
 // accepted items are a prefix. Journal (queues with a WAL only) logs
 // that prefix as one record before anything is stored; the read-lock
 // spans the append and the shard inserts so a snapshot (which takes the
@@ -265,10 +248,8 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 		q.retryAfter.Add(int64(n))
 		return 0, nil
 	}
-	if q.admit != nil {
-		// AddN clamps at Capacity and returns the previous value, so the
-		// grant is exactly the slots the counter actually took.
-		granted := int(min(max(q.spec.Capacity-q.admit.AddN(int64(n)), 0), int64(n)))
+	if q.spec.Capacity > 0 {
+		granted := q.reserve(n)
 		if granted < n {
 			q.retryAfter.Add(int64(n - granted))
 		}
@@ -287,9 +268,7 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 			recs = append(recs, wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value})
 		}
 		if err := q.wal.AppendInsert(recs); err != nil {
-			if q.admit != nil {
-				q.admit.SubN(int64(n))
-			}
+			q.release(n)
 			return 0, err
 		}
 	}
@@ -297,8 +276,7 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 		it := items[0]
 		s := q.shardFor(int(it.Pri))
 		q.shards[s].Insert(int(it.Pri)-q.bases[s], q.tag(it.Pri, first, it.Value))
-		q.met.shardIns[s].Add(1)
-		q.occAdd(s, 1)
+		q.shardIn[s].Add(1)
 	} else {
 		// Each shard receives its share through the native InsertBatch.
 		g, _ := groupsPool.Get().(*shardGroups)
@@ -318,60 +296,48 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 				continue
 			}
 			pq.InsertBatch(q.shards[s], batch)
-			q.met.shardIns[s].Add(int64(len(batch)))
-			q.occAdd(s, len(batch))
+			q.shardIn[s].Add(int64(len(batch)))
 			clear(batch)
 			g.by[s] = batch[:0]
 		}
 		groupsPool.Put(g)
 	}
-	q.inserts.Add(int64(n))
 	q.maybeSnapshot()
 	return n, nil
 }
 
-// consumeOverflow takes up to n units of the recovered-beyond-capacity
-// debt, returning how many it took. While the debt is positive the
-// admission counter stays pinned at Capacity, so inserts keep shedding
-// until real occupancy is back under the bound.
-func (q *servedQueue) consumeOverflow(n int64) int64 {
+// reserve takes up to n admission slots with one CAS and reports how
+// many it took: the prefix of the batch that fits under Capacity.
+func (q *servedQueue) reserve(n int) int {
 	for {
-		cur := q.admitOverflow.Load()
-		if cur <= 0 {
+		cur := q.admitted.Load()
+		take := min(int64(n), q.spec.Capacity-cur)
+		if take <= 0 {
 			return 0
 		}
-		take := n
-		if take > cur {
-			take = cur
-		}
-		if q.admitOverflow.CompareAndSwap(cur, cur-take) {
-			return take
+		if q.admitted.CompareAndSwap(cur, cur+take) {
+			return int(take)
 		}
 	}
 }
 
+// release frees n admission slots; a no-op on an unbounded queue.
+func (q *servedQueue) release(n int) {
+	if q.spec.Capacity > 0 {
+		q.admitted.Add(-int64(n))
+	}
+}
+
 // putBackN returns entries taken from a shard to that shard in one
-// native batch. It touches nothing but the shard (and its occupancy
-// estimate), so every entry goes back exactly once — shards have no
-// capacity bound, so it cannot fail or be shed.
+// native batch. It touches nothing but the shard, so every entry goes
+// back exactly once — shards have no capacity bound, so it cannot fail
+// or be shed — and the books never saw it leave.
 func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 	batch := make([]pq.Item[[]byte], len(got))
 	for i, it := range got {
 		batch[i] = pq.Item[[]byte]{Pri: envPri(it.Val) - q.bases[shard], Val: it.Val}
 	}
 	pq.InsertBatch(q.shards[shard], batch)
-	q.occAdd(shard, len(got))
-}
-
-// popCommitN records n pops whose items will be delivered: one
-// multi-unit decrement frees their admission slots and counts them.
-func (q *servedQueue) popCommitN(n int) {
-	if q.admit != nil {
-		if rem := int64(n) - q.consumeOverflow(int64(n)); rem > 0 {
-			q.admit.SubN(rem)
-		}
-	}
-	q.deletes.Add(int64(n))
 }
 
 // popN removes up to max of the most urgent items whose combined TItems
@@ -394,8 +360,9 @@ func (q *servedQueue) popCommitN(n int) {
 // snapshot read-lock like insertN; if the append fails everything taken
 // goes back and the queue is exactly as before the call — and since the
 // failure poisoned the log, no later pop can deliver those items.
-// Commit frees the admission slots and charges the serving counters,
-// cross-shard rank included, so a rolled-back pop leaves no trace.
+// Commit books the pops out of their shards, charges the cross-shard
+// rank and frees the admission slots, so a rolled-back pop leaves no
+// trace.
 func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 	if q.wal != nil {
 		q.durMu.RLock()
@@ -425,7 +392,6 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 		if len(got) == 0 {
 			continue // shard dry: move to the next priority band
 		}
-		q.occAdd(si, -len(got)) // putBackN re-books anything returned
 		kept := 0
 		for _, it := range got {
 			// Encoded size: pri(4) + bloblen(4) + value bytes.
@@ -466,11 +432,13 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 			return envs[:n0], err
 		}
 	}
+	// runs ascend by shard, so each run's rank charge already sees the
+	// earlier runs booked out, as the shards themselves do.
 	for _, r := range runs {
-		q.met.shardDel[r.shard].Add(int64(r.n))
+		q.shardOut[r.shard].Add(int64(r.n))
 		q.rankRecord(r.shard, r.n)
 	}
-	q.popCommitN(len(taken))
+	q.release(len(taken))
 	if len(taken) < max && !cut {
 		q.emptyDeletes.Add(1)
 	}
@@ -480,7 +448,7 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 
 // stats snapshots the serving counters.
 func (q *servedQueue) stats() wire.QueueStats {
-	ins, del := q.inserts.Load(), q.deletes.Load()
+	ins, del := q.totals()
 	st := wire.QueueStats{
 		Queue:        q.spec.Name,
 		Algorithm:    string(q.spec.Algorithm),
@@ -545,7 +513,6 @@ func (q *servedQueue) peek(max int) []wire.Item {
 		if len(got) == 0 {
 			continue
 		}
-		q.occAdd(si, -len(got)) // putBackN below books them back in
 		for _, it := range got {
 			v := it.Val
 			// Copy: the envelope goes straight back into the live queue
@@ -561,8 +528,20 @@ func (q *servedQueue) peek(max int) []wire.Item {
 	return out
 }
 
-// size is the approximate queued-item count.
-func (q *servedQueue) size() int64 { return q.inserts.Load() - q.deletes.Load() }
+// totals sums the books: items ever stored and ever delivered.
+func (q *servedQueue) totals() (ins, del int64) {
+	for s := range q.shardIn {
+		ins += q.shardIn[s].Load()
+		del += q.shardOut[s].Load()
+	}
+	return ins, del
+}
+
+// size is the queued-item count, exact at quiescence.
+func (q *servedQueue) size() int64 {
+	ins, del := q.totals()
+	return ins - del
+}
 
 // relaxed reports whether the backing algorithm trades exact delete-min
 // order for scalability.

@@ -1,9 +1,9 @@
 // Package server hosts the native priority queues behind a TCP
 // endpoint speaking the wire protocol (see internal/wire): a registry
 // of named queues, each backed by any pq.Algorithm with optional
-// priority-range sharding, admission control via the paper's bounded
-// fetch-and-decrement counter (shedding with RETRY_AFTER instead of
-// queueing unboundedly), one goroutine per connection that reads,
+// priority-range sharding, admission control by one CAS-reserved word
+// per bounded queue (shedding with RETRY_AFTER instead of queueing
+// unboundedly, exact in flight), one goroutine per connection that reads,
 // handles and micro-batches response flushes in one loop, and graceful
 // drain.
 package server
@@ -34,8 +34,8 @@ type Config struct {
 	// RetryAfterMillis is the backoff hint sent with shed requests.
 	// Default 2.
 	RetryAfterMillis int
-	// Concurrency sizes the funnel layers of the backing queues and
-	// admission counters; default GOMAXPROCS.
+	// Concurrency sizes the funnel layers of the backing queues;
+	// default GOMAXPROCS.
 	Concurrency int
 	// Logger receives structured serving diagnostics (connection ids,
 	// queue names, WAL recovery and poison events, slow-op warnings).
@@ -169,7 +169,7 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 		s.cfg.Logger.Info("queue recovered",
 			"queue", spec.Name, "items", len(rec.Items), "snapshot_lsn", rec.SnapshotLSN,
 			"replayed_records", rec.Replayed, "torn_tail", rec.Torn)
-		if over := q.admitOverflow.Load(); over > 0 {
+		if over := q.admitted.Load() - spec.Capacity; spec.Capacity > 0 && over > 0 {
 			s.cfg.Logger.Warn("recovered items exceed capacity; admission stays closed until occupancy drops below the bound",
 				"queue", spec.Name, "over", over, "capacity", spec.Capacity)
 		}

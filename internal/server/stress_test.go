@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,13 +23,16 @@ import (
 // deterministic pattern derived from its priority — a recycled-too-early
 // request payload or queue envelope shows up as a corrupt or
 // cross-wired value. Run under -race this is the ownership-discipline
-// check for the zero-allocation path.
+// check for the zero-allocation path. A watcher samples the queue's
+// admission word throughout: it must never exceed Capacity, and at
+// quiescence it must equal what the books say the queue holds.
 func TestServeBufferOwnershipStress(t *testing.T) {
 	const (
-		queue  = "stress"
-		pris   = 64
-		shards = 4
-		conns  = 4
+		queue    = "stress"
+		pris     = 64
+		shards   = 4
+		conns    = 4
+		capacity = 2048
 	)
 	batches := 300
 	if testing.Short() {
@@ -38,10 +42,21 @@ func TestServeBufferOwnershipStress(t *testing.T) {
 	s := New(Config{Concurrency: 8})
 	if err := s.AddQueue(QueueSpec{
 		Name: queue, Algorithm: pq.FunnelTree, Priorities: pris, Shards: shards,
-		Capacity: 2048, // small enough that RETRY_AFTER sheds actually happen
+		Capacity: capacity,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	q := s.lookup(queue)
+	// The mix pops faster than it inserts, so start full: early inserts
+	// race the pops for each freed slot, and the losers are shed.
+	for i := 0; i < capacity; i++ {
+		v := make([]byte, 8)
+		stressValue(v, uint32(i%pris))
+		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % pris), Value: v}}); n != 1 || err != nil {
+			t.Fatalf("prefill %d: %d, %v", i, n, err)
+		}
+	}
+	peak := watchAdmission(q)
 	done := make(chan error, 1)
 	go func() { done <- s.ListenAndServe("127.0.0.1:0") }()
 	defer func() { s.Close(); <-done }()
@@ -61,9 +76,90 @@ func TestServeBufferOwnershipStress(t *testing.T) {
 		}(int64(c + 1))
 	}
 	wg.Wait()
+	checkAdmission(t, q, peak())
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// watchAdmission samples q's admission word until the returned function
+// is called, which reports the highest value seen.
+func watchAdmission(q *servedQueue) (peak func() int64) {
+	stop, hi := make(chan struct{}), make(chan int64)
+	go func() {
+		var m int64
+		for {
+			select {
+			case <-stop:
+				hi <- m
+				return
+			default:
+			}
+			m = max(m, q.admitted.Load())
+			runtime.Gosched()
+		}
+	}()
+	return func() int64 { close(stop); return <-hi }
+}
+
+// checkAdmission: the admission word never exceeded Capacity, and at
+// quiescence it equals what the books say the queue holds.
+func checkAdmission(t *testing.T, q *servedQueue, peak int64) {
+	t.Helper()
+	if peak > q.spec.Capacity {
+		t.Errorf("admission word peaked at %d, above Capacity %d", peak, q.spec.Capacity)
+	}
+	if got, held := q.admitted.Load(), q.size(); got != held {
+		t.Errorf("admission word %d at quiescence, books hold %d", got, held)
+	}
+}
+
+// TestAdmissionWordUnderContention: goroutines that insert batches
+// faster than others pop keep a bounded queue at its Capacity, so every
+// reservation races the pops for the last slots.
+func TestAdmissionWordUnderContention(t *testing.T) {
+	const capacity, workers = 256, 4
+	rounds := 4000
+	if testing.Short() {
+		rounds = 1000
+	}
+	q, err := newServedQueue(QueueSpec{Name: "q", Algorithm: pq.FunnelTree, Priorities: 16,
+		Shards: 4, Capacity: capacity}, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := watchAdmission(q)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			items := make([]wire.Item, 16)
+			var envs [][]byte
+			for r := 0; r < rounds; r++ {
+				if seed%2 == 0 {
+					for i := range items {
+						items[i] = wire.Item{Pri: uint32(rng.Intn(16)), Value: []byte{byte(r)}}
+					}
+					if _, err := q.insertN(items[:1+rng.Intn(len(items))]); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				envs, _ = q.popN(1+rng.Intn(4), 1<<20, envs[:0])
+				for _, env := range envs {
+					wire.PutBuf(env)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	checkAdmission(t, q, peak())
+	if q.retryAfter.Load() == 0 {
+		t.Error("no insert was shed: the run never reached Capacity")
 	}
 }
 

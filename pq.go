@@ -328,8 +328,7 @@ func NewCounter(initial int64, bounded bool, bound int64, opts ...Option) *Count
 // NewCounterBounds builds a funnel counter whose value stays in
 // [lower, upper]: fetch-and-decrement never goes below lower and
 // fetch-and-increment (Counter.BFaI) never above upper. Use ±NoBound to
-// disable a side. An upper-bounded counter is an admission semaphore —
-// the use the pqd server puts it to.
+// disable a side. An upper-bounded counter is an admission semaphore.
 func NewCounterBounds(initial, lower, upper int64, opts ...Option) *Counter {
 	return funnel.NewCounterBounds(resolveFunnelParams(opts), initial, lower, upper)
 }
