@@ -696,12 +696,12 @@ func TestCrossShardRankMerged(t *testing.T) {
 	// The estimator reaches the wire: the stats of a real traffic run
 	// keeps RankSum >= the within-shard sum (never understates).
 	for i := 0; i < 64; i++ {
-		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 32), Value: []byte{byte(i)}}}); n != 1 || err != nil {
+		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(i % 32), Value: []byte{byte(i)}}}); n != 1 || err != nil {
 			t.Fatalf("insert: %v %v", n, err)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		if envs, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
+		if envs, _, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
 			t.Fatalf("pop %d: %d items err=%v", i, len(envs), err)
 		}
 	}

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pq"
 	"pq/internal/wal"
@@ -110,6 +113,32 @@ func (c *rawConn) deleteMin(queue string) wire.Frame {
 func (c *rawConn) deleteMinBatch(queue string, max int) wire.Frame {
 	c.t.Helper()
 	return c.call(wire.TDeleteMinBatch, wire.DeleteMinBatch{Queue: queue, Max: uint32(max)}.Append(nil))
+}
+
+// pipeline sends frames of the given types and payloads in one write,
+// with ids following c.id, and returns the id of the last.
+func (c *rawConn) pipeline(typ []wire.Type, payloads [][]byte) uint32 {
+	c.t.Helper()
+	var buf []byte
+	for i, p := range payloads {
+		c.id++
+		buf = wire.AppendFrame(buf, wire.Frame{Type: typ[i], ID: c.id, Payload: p})
+	}
+	if _, err := c.nc.Write(buf); err != nil {
+		c.t.Fatal(err)
+	}
+	return c.id
+}
+
+// fsyncs is the queue's WAL fsync count, read over the wire by STATS.
+func (c *rawConn) fsyncs(queue string) uint64 {
+	c.t.Helper()
+	f := c.call(wire.TStats, wire.QueueReq{Queue: queue}.Append(nil))
+	var st wire.QueueStats
+	if err := json.Unmarshal(f.Payload, &st); err != nil || st.Durability == nil {
+		c.t.Fatalf("STATS %v: %v %+v", f.Type, err, st)
+	}
+	return st.Durability.Fsyncs
 }
 
 // itemsOf decodes the items a pop response delivered: TItem → 1,
@@ -390,4 +419,86 @@ func TestContractByteBudgetCutReturnsTail(t *testing.T) {
 			t.Fatalf("books after full delivery %+v", end)
 		}
 	})
+}
+
+// BC-5
+// GIVEN a durable queue under -fsync always
+// WHEN 32 INSERT frames arrive in one write on one connection
+// THEN each is answered INSERT_OK, at the cost of at most 4 fsyncs: the
+// connection's responses wait for WAL rounds once per flush, not once per
+// request.
+func TestContractOneRoundPerResponseFlush(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncAlways}
+	_, addr, _ := startDurableServer(t, cfg, QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 8})
+	c := dialRaw(t, addr)
+	before := c.fsyncs("jobs")
+	const n = 32
+	types, payloads := make([]wire.Type, n), make([][]byte, n)
+	for i := range payloads {
+		types[i] = wire.TInsert
+		payloads[i] = wire.Insert{Queue: "jobs", Item: wire.Item{Pri: uint32(i % 8), Value: []byte{byte(i)}}}.Append(nil)
+	}
+	last := c.pipeline(types, payloads)
+	for id := last - n + 1; id <= last; id++ {
+		f, err := wire.ReadFrame(c.nc)
+		if err != nil || f.Type != wire.TInsertOK || f.ID != id {
+			t.Fatalf("response for %d: %v id %d err %v", id, f.Type, f.ID, err)
+		}
+	}
+	if got := c.fsyncs("jobs") - before; got > 4 {
+		t.Fatalf("%d pipelined INSERTs cost %d fsyncs, want at most 4", n, got)
+	}
+}
+
+// redirectSegment, where the system supports it, makes the next write
+// to the open WAL segment under dir fail (contract_linux_test.go).
+var redirectSegment func(t *testing.T, dir string)
+
+// BC-6
+// GIVEN a durable queue holding acked items whose next WAL write fails
+// WHEN an INSERT and a DELETE_MIN arrive pipelined on one connection
+// THEN neither is answered and the connection closes; an INSERT on a new
+// connection answers ERROR "durability: …"; and a restart recovers exactly
+// the items acked before the fault.
+func TestContractRoundFailureClosesConnection(t *testing.T) {
+	if redirectSegment == nil {
+		t.Skip("needs a way to fail the next write of an open file")
+	}
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
+	spec := QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 8, Shards: 2}
+	_, addr, stop := startDurableServer(t, cfg, spec)
+	c := dialRaw(t, addr)
+	var acked []string
+	for i := 0; i < 6; i++ {
+		it := wire.Item{Pri: uint32(7 - i), Value: []byte(fmt.Sprintf("acked-%d", i))}
+		if f := c.insert("jobs", it); f.Type != wire.TInsertOK {
+			t.Fatalf("insert %d: %v", i, f.Type)
+		}
+		acked = append(acked, fmt.Sprintf("%d/%s", it.Pri, it.Value))
+	}
+	sort.Strings(acked)
+
+	redirectSegment(t, filepath.Join(dir, "jobs"))
+	c.pipeline([]wire.Type{wire.TInsert, wire.TDeleteMin}, [][]byte{
+		wire.Insert{Queue: "jobs", Item: wire.Item{Pri: 0, Value: []byte("lost")}}.Append(nil),
+		wire.QueueReq{Queue: "jobs"}.Append(nil),
+	})
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if f, err := wire.ReadFrame(c.nc); err == nil {
+		t.Fatalf("answered %v after its WAL round failed", f.Type)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the connection stayed open after its WAL round failed")
+	}
+
+	f := dialRaw(t, addr).insert("jobs", wire.Item{Pri: 1, Value: []byte("refused")})
+	if m, err := wire.DecodeErrorMsg(f.Payload); f.Type != wire.TError || err != nil || !strings.HasPrefix(m.Msg, "durability: ") {
+		t.Fatalf("INSERT on a poisoned log answered %v %q", f.Type, m.Msg)
+	}
+
+	stop()
+	srv, _, _ := startDurableServer(t, cfg, spec)
+	if got := booksOf(srv.lookup("jobs")).items; got != strings.Join(acked, " ") {
+		t.Fatalf("restart recovered %q, want the acked %q", got, strings.Join(acked, " "))
+	}
 }

@@ -20,15 +20,16 @@ import (
 // queues store pri(4)+id(8)+value (servedQueue.tag). The priority
 // prefix stays first so putBackN and shardFor work on either layout.
 //
-// Append failures: a write or fsync error poisons the log (wal.
-// ErrPoisoned) — the failed record's bytes may still reach disk via
-// the page cache, so the in-memory rollback in insertN/popN cannot be
-// trusted to match post-crash replay. The log therefore refuses every
-// subsequent append, which makes every mutation fail from then on: the
-// queue stops serving mutations and the divergence window collapses to
-// the NACKed (outcome-indeterminate) operations themselves. Rolled-back
-// items are never delivered afterwards, so no client observes state
-// that replay could contradict.
+// Journal failures: insertN/popN only stage their record, and the
+// connection's countingWriter waits for it before the response leaves.
+// A refused stage (closed or poisoned log) rolls the mutation back, and
+// the request answers "durability: …". A failed round poisons the log
+// (wal.ErrPoisoned) — its bytes may still reach disk via the page cache,
+// so no rollback could be trusted to match replay — and closes each
+// waiting connection with its unanswered responses discarded. Items the
+// failed round stored stay in memory but can never be delivered: every
+// later stage is refused, so every pop that takes them rolls back, and
+// no client observes state that replay could contradict.
 
 // durTagLen is the tag prefix of a durable queue's stored values.
 const durTagLen = 12
@@ -69,7 +70,7 @@ func envPri(env []byte) int   { return int(binary.BigEndian.Uint32(env)) }
 func durID(env []byte) uint64 { return binary.BigEndian.Uint64(env[4:12]) }
 
 // snapshot quiesces the queue (write lock: insertN and popN hold the
-// read lock across their log append and shard mutation) and writes the
+// read lock across their log stage and shard mutation) and writes the
 // full live-item set through a non-destructive drain-style iteration:
 // each shard is popped dry via the native batch path and every entry
 // is put back, so the queue is byte-for-byte unchanged afterwards.

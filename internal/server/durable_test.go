@@ -291,7 +291,7 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 	}
 	q, _, _ := open()
 	for i := 0; i < 7; i++ {
-		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 4), Value: []byte{byte(i)}}}); err != nil || n != 1 {
+		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(i % 4), Value: []byte{byte(i)}}}); err != nil || n != 1 {
 			t.Fatalf("insert %d: accepted=%d err=%v", i, n, err)
 		}
 	}
@@ -357,7 +357,7 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	// tryInsert reports whether one more item is admitted.
 	tryInsert := func() bool {
 		t.Helper()
-		n, err := q.insertN([]wire.Item{{Pri: 0, Value: []byte("new")}})
+		n, _, err := q.insertN([]wire.Item{{Pri: 0, Value: []byte("new")}})
 		if err != nil {
 			t.Fatalf("insert: %v", err)
 		}
@@ -368,14 +368,14 @@ func TestRecoveredOverflowKeepsAdmissionClosed(t *testing.T) {
 	}
 	// A batch pop releases the two slots over the bound: still 3 live,
 	// still full.
-	if items, err := q.popN(2, 1<<20, nil); err != nil || len(items) != 2 {
+	if items, _, err := q.popN(2, 1<<20, nil); err != nil || len(items) != 2 {
 		t.Fatalf("popN(2): %d items, err %v", len(items), err)
 	}
 	if tryInsert() {
 		t.Fatal("insert at occupancy 3/3 admitted, want shed")
 	}
 	// One more pop drops real occupancy below the bound.
-	if items, err := q.popN(1, 1<<20, nil); err != nil || len(items) != 1 {
+	if items, _, err := q.popN(1, 1<<20, nil); err != nil || len(items) != 1 {
 		t.Fatalf("popN(1): %d items, err %v", len(items), err)
 	}
 	if !tryInsert() {
@@ -526,5 +526,48 @@ func TestRecoveredItemsBookedPerShard(t *testing.T) {
 		if in[s] != out[s] {
 			t.Fatalf("shard %d after full drain: in %d, out %d", s, in[s], out[s])
 		}
+	}
+}
+
+// TestJournalGateWritesRecordsBeforeReplies: a response leaves only once
+// the WAL records of every mutation it answers were written. One
+// connection asks and waits, so when an answer arrives every record
+// staged so far must have been carried: LastLSN equals Appends, under
+// each sync policy.
+func TestJournalGateWritesRecordsBeforeReplies(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval, wal.SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cfg := Config{DataDir: t.TempDir(), Fsync: policy, FsyncInterval: time.Hour}
+			srv, addr, _ := startDurableServer(t, cfg, QueueSpec{
+				Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 8, Shards: 2})
+			c := dialRaw(t, addr)
+			carried := func(what string) {
+				t.Helper()
+				st, _ := srv.QueueStats("jobs")
+				if d := st.Durability; d.LastLSN != d.Appends {
+					t.Fatalf("after %s: answered with %d records staged but only %d written", what, d.Appends, d.LastLSN)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				c.insert("jobs", wire.Item{Pri: uint32(i), Value: []byte{byte(i)}})
+				carried("INSERT")
+			}
+			c.insertBatch("jobs", []wire.Item{{Pri: 5, Value: []byte("a")}, {Pri: 1, Value: []byte("b")}})
+			carried("INSERT_BATCH")
+			c.deleteMin("jobs")
+			carried("DELETE_MIN")
+			c.deleteMinBatch("jobs", 3)
+			carried("DELETE_MIN_BATCH")
+			last := c.pipeline([]wire.Type{wire.TInsert, wire.TDeleteMin}, [][]byte{
+				wire.Insert{Queue: "jobs", Item: wire.Item{Pri: 7, Value: []byte("p")}}.Append(nil),
+				wire.QueueReq{Queue: "jobs"}.Append(nil),
+			})
+			for id := last - 1; id <= last; id++ {
+				if f, err := wire.ReadFrame(c.nc); err != nil || f.ID != id {
+					t.Fatalf("pipelined response %d: id %d err %v", id, f.ID, err)
+				}
+			}
+			carried("a pipelined INSERT + DELETE_MIN")
+		})
 	}
 }

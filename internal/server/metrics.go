@@ -159,7 +159,7 @@ func (s *Server) writeProm(w io.Writer) error {
 				float64(q.met.ops[op].Load()))
 		}
 	}
-	p.Header("pq_queue_op_latency_seconds", "histogram", "Server-side op service time (queue mutation only, excludes decode and socket writes).")
+	p.Header("pq_queue_op_latency_seconds", "histogram", "Server-side op service time (queue mutation only, excludes decode, the WAL wait and socket writes).")
 	for _, q := range queues {
 		for _, op := range mutationOps {
 			p.Histogram("pq_queue_op_latency_seconds",

@@ -232,21 +232,22 @@ func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
 // as one pipeline: drain check → admit → journal → store → commit.
 //
 // Admit reserves slots with one CAS on the admission word, so the
-// accepted items are a prefix. Journal (queues with a WAL only) logs
-// that prefix as one record before anything is stored; the read-lock
-// spans the append and the shard inserts so a snapshot (which takes the
+// accepted items are a prefix. Journal (queues with a WAL only) stages
+// that prefix as one record before anything is stored and returns its
+// LSN, for the caller to wal.Wait on before acknowledging; the read-lock
+// spans the stage and the shard inserts so a snapshot (which takes the
 // write lock) never observes a logged-but-unstored or
-// stored-but-unlogged item. If the append fails the reservation is
+// stored-but-unlogged item. If the stage is refused the reservation is
 // released and the queue is exactly as before the call. In-memory
 // queues take no lock and allocate nothing for n = 1.
-func (q *servedQueue) insertN(items []wire.Item) (int, error) {
-	n := len(items)
+func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) {
+	n = len(items)
 	if n == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	if q.draining.Load() {
 		q.retryAfter.Add(int64(n))
-		return 0, nil
+		return 0, 0, nil
 	}
 	if q.spec.Capacity > 0 {
 		granted := q.reserve(n)
@@ -254,7 +255,7 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 			q.retryAfter.Add(int64(n - granted))
 		}
 		if n = granted; n == 0 {
-			return 0, nil
+			return 0, 0, nil
 		}
 	}
 	var first uint64 // durable id of items[0]; the rest follow in order
@@ -267,9 +268,9 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 		for i, it := range items[:n] {
 			recs = append(recs, wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value})
 		}
-		if err := q.wal.AppendInsert(recs); err != nil {
+		if lsn, err = q.wal.StageInsert(recs); err != nil {
 			q.release(n)
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	if n == 1 {
@@ -303,7 +304,7 @@ func (q *servedQueue) insertN(items []wire.Item) (int, error) {
 		groupsPool.Put(g)
 	}
 	q.maybeSnapshot()
-	return n, nil
+	return n, lsn, nil
 }
 
 // reserve takes up to n admission slots with one CAS and reports how
@@ -355,15 +356,14 @@ func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 // single admitted item fits (values are capped at wire.MaxValue), so
 // the first pop is always kept and progress is guaranteed. A short
 // result means the queue ran dry or a shard declined under contention;
-// the client just asks again. Journal (queues with a WAL only) logs
+// the client just asks again. Journal (queues with a WAL only) stages
 // the durable ids of exactly the items taken as one record, under the
-// snapshot read-lock like insertN; if the append fails everything taken
-// goes back and the queue is exactly as before the call — and since the
-// failure poisoned the log, no later pop can deliver those items.
-// Commit books the pops out of their shards, charges the cross-shard
-// rank and frees the admission slots, so a rolled-back pop leaves no
-// trace.
-func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
+// snapshot read-lock like insertN, and returns its LSN for the caller
+// to wal.Wait on; if the stage is refused everything taken goes back
+// and the queue is exactly as before the call. Commit books the pops out
+// of their shards, charges the cross-shard rank and frees the admission
+// slots, so a rolled-back pop leaves no trace.
+func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint64, err error) {
 	if q.wal != nil {
 		q.durMu.RLock()
 		defer q.durMu.RUnlock()
@@ -416,7 +416,7 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 	taken := envs[n0:]
 	if len(taken) == 0 {
 		q.emptyDeletes.Add(1)
-		return envs, nil
+		return envs, 0, nil
 	}
 	if q.wal != nil {
 		var buf [8]uint64
@@ -424,12 +424,12 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 		for _, env := range taken {
 			ids = append(ids, durID(env))
 		}
-		if err := q.wal.AppendDelete(ids); err != nil {
+		if lsn, err = q.wal.StageDelete(ids); err != nil {
 			for _, env := range taken {
 				q.putBackN(q.shardFor(envPri(env)), []pq.Item[[]byte]{{Val: env}})
 			}
 			clear(taken)
-			return envs[:n0], err
+			return envs[:n0], 0, err
 		}
 	}
 	// runs ascend by shard, so each run's rank charge already sees the
@@ -443,7 +443,7 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) ([][]byte, error) {
 		q.emptyDeletes.Add(1)
 	}
 	q.maybeSnapshot()
-	return envs, nil
+	return envs, lsn, nil
 }
 
 // stats snapshots the serving counters.

@@ -45,11 +45,11 @@ func TestRelaxedRankMetrics(t *testing.T) {
 	}
 	q := srv.queues["relaxed"]
 	for i := 0; i < 200; i++ {
-		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % 16), Value: []byte{byte(i)}}}); n != 1 || err != nil {
+		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(i % 16), Value: []byte{byte(i)}}}); n != 1 || err != nil {
 			t.Fatalf("insert %d: accepted %d err %v", i, n, err)
 		}
 		if i%2 == 1 {
-			if envs, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
+			if envs, _, err := q.popN(1, 1<<20, nil); len(envs) != 1 || err != nil {
 				t.Fatalf("pop %d: %d items err=%v", i, len(envs), err)
 			}
 		}

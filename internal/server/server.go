@@ -355,8 +355,9 @@ func (s *Server) dropConn(c net.Conn) {
 // connState carries one connection's identity through the request
 // path: the id correlates log lines and picks metric stripes.
 type connState struct {
-	id  uint64
-	log *slog.Logger
+	id   uint64
+	log  *slog.Logger
+	gate map[*wal.Log]uint64 // the connection's countingWriter's
 }
 
 // countingReader / countingWriter tap a connection's byte streams into
@@ -380,11 +381,21 @@ type countingWriter struct {
 	n      *obs.Counter
 	writes *obs.Counter // pq_response_flushes_total
 	hint   uint64
+	gate   map[*wal.Log]uint64 // per log, the last LSN staged and not yet waited for
 }
 
 // Write forwards one response write — a bufio flush, or a value too big
-// to buffer written straight through — and counts it and its bytes.
+// to buffer written straight through — and counts it and its bytes. It
+// is the one place response bytes leave, so it first waits for the
+// records the gate holds: one WAL round per micro-batch of responses. A
+// failed round fails the write, and the connection closes unanswered.
 func (cw *countingWriter) Write(p []byte) (int, error) {
+	for l, lsn := range cw.gate {
+		if err := l.Wait(lsn); err != nil {
+			return 0, err
+		}
+	}
+	clear(cw.gate)
 	n, err := cw.w.Write(p)
 	if n > 0 {
 		cw.n.Add(cw.hint, int64(n))
@@ -425,7 +436,8 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := getConnReader(&countingReader{r: c, n: s.met.bytesRead, hint: cs.id})
 	defer putConnReader(br)
-	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, writes: s.met.flushes, hint: cs.id})
+	cs.gate = make(map[*wal.Log]uint64)
+	w := getRespWriter(&countingWriter{w: c, n: s.met.bytesWritten, writes: s.met.flushes, hint: cs.id, gate: cs.gate})
 	defer w.release()
 	var (
 		fr wire.FrameReader
@@ -631,8 +643,11 @@ func (s *Server) handleInsert(w *respWriter, id uint32, cs connState, op qOp, na
 		return s.replyErr(w, id, "%s", bad)
 	}
 	t0 := time.Now()
-	accepted, err := q.insertN(items)
+	accepted, lsn, err := q.insertN(items)
 	s.opDone(q, op, t0, cs)
+	if lsn != 0 {
+		cs.gate[q.wal] = lsn
+	}
 	if err != nil {
 		q.durFailed(cs, qOpNames[op], err)
 		return s.replyErr(w, id, "durability: %v", err)
@@ -663,8 +678,11 @@ func (s *Server) handlePop(w *respWriter, id uint32, cs connState, op qOp, name 
 		return s.replyErr(w, id, "bad DELETE_MIN_BATCH max %d", max)
 	}
 	t0 := time.Now()
-	envs, err := q.popN(max, wire.MaxPayload, w.envs[:0])
+	envs, lsn, err := q.popN(max, wire.MaxPayload, w.envs[:0])
 	s.opDone(q, op, t0, cs)
+	if lsn != 0 {
+		cs.gate[q.wal] = lsn
+	}
 	var werr error
 	switch {
 	case err != nil:

@@ -52,7 +52,7 @@ func TestServeBufferOwnershipStress(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		v := make([]byte, 8)
 		stressValue(v, uint32(i%pris))
-		if n, err := q.insertN([]wire.Item{{Pri: uint32(i % pris), Value: v}}); n != 1 || err != nil {
+		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(i % pris), Value: v}}); n != 1 || err != nil {
 			t.Fatalf("prefill %d: %d, %v", i, n, err)
 		}
 	}
@@ -143,13 +143,13 @@ func TestAdmissionWordUnderContention(t *testing.T) {
 					for i := range items {
 						items[i] = wire.Item{Pri: uint32(rng.Intn(16)), Value: []byte{byte(r)}}
 					}
-					if _, err := q.insertN(items[:1+rng.Intn(len(items))]); err != nil {
+					if _, _, err := q.insertN(items[:1+rng.Intn(len(items))]); err != nil {
 						t.Error(err)
 						return
 					}
 					continue
 				}
-				envs, _ = q.popN(1+rng.Intn(4), 1<<20, envs[:0])
+				envs, _, _ = q.popN(1+rng.Intn(4), 1<<20, envs[:0])
 				for _, env := range envs {
 					wire.PutBuf(env)
 				}

@@ -116,18 +116,31 @@ func NewSkipList(m *sim.Machine, npri, maxItems int) *SkipList {
 func (q *SkipList) NumPriorities() int { return q.npri }
 
 // Insert adds val to its priority's bin and threads the link into the
-// list if it is not already threaded.
+// list if it is not already threaded. It returns only once the bin is
+// reachable: it waits out another processor's slThreading, since until
+// that processor links level 0 a delete can find the list and the delete
+// bin empty and report an empty queue over a completed insert (the
+// native ensureThreaded does the same). slUnlinking needs no wait: the
+// unlinker holds delLock and publishes this bin as the delete bin.
 func (q *SkipList) Insert(p *sim.Proc, pri int, val uint64) {
 	q.bins[pri].Insert(p, val)
 	q.tracef(p, "binned key=%d val=%#x", pri, val)
-	st := p.Read(q.links[pri].lstate)
-	q.tracef(p, "lstate-read key=%d st=%d", pri, st)
-	if st == slUnthreaded && p.CAS(q.links[pri].lstate, slUnthreaded, slThreading) {
-		q.tracef(p, "claimed key=%d", pri)
-		q.thread(p, pri)
-		q.stats.threads++
-		p.Write(q.links[pri].lstate, slThreaded)
-		q.tracef(p, "threaded key=%d", pri)
+	for {
+		st := p.Read(q.links[pri].lstate)
+		q.tracef(p, "lstate-read key=%d st=%d", pri, st)
+		switch {
+		case st == slThreading:
+			p.WaitWhile(q.links[pri].lstate, slThreading)
+		case st != slUnthreaded:
+			return
+		case p.CAS(q.links[pri].lstate, slUnthreaded, slThreading):
+			q.tracef(p, "claimed key=%d", pri)
+			q.thread(p, pri)
+			q.stats.threads++
+			p.Write(q.links[pri].lstate, slThreaded)
+			q.tracef(p, "threaded key=%d", pri)
+			return
+		}
 	}
 }
 

@@ -38,3 +38,34 @@ func TestSkipListWorkloadSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipListInsertWaitsForThreading: a completed insert must be visible
+// to the inserter's own next DeleteMin. Processor 0 inserts priority 3
+// and so claims the link's threading; processor 1 inserts priority 3 d
+// cycles later, finds the link mid-threading, and then deletes. Its
+// DeleteMin must not report an empty queue while both items are queued.
+func TestSkipListInsertWaitsForThreading(t *testing.T) {
+	for d := int64(0); d <= 40; d++ {
+		m, err := sim.New(sim.DefaultConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewSkipList(m, 8, 4)
+		empty := false
+		if _, err := m.Run(func(p *sim.Proc) {
+			if p.ID() == 0 {
+				q.Insert(p, 3, encVal(3, 0, 0))
+				return
+			}
+			p.LocalWork(d)
+			q.Insert(p, 3, encVal(3, 1, 0))
+			_, ok := q.DeleteMin(p)
+			empty = !ok
+		}); err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+		if empty {
+			t.Errorf("d=%d: DeleteMin read EMPTY after two completed inserts", d)
+		}
+	}
+}

@@ -13,21 +13,26 @@
 //
 // Commit durability is governed by a SyncPolicy knob:
 //
-//   - SyncAlways: every Append waits for an fsync covering its record.
+//   - SyncAlways: a record is committed once an fsync covers it.
 //     Concurrent commits share fsyncs — group commit — so the cost
 //     amortizes under load.
-//   - SyncInterval: appends return once written to the OS; a timer
-//     fsyncs every Interval when anything is unsynced. Bounded
+//   - SyncInterval: a record is committed once written to the OS; a
+//     timer fsyncs every Interval when anything is unsynced. Bounded
 //     post-crash data loss.
 //   - SyncNever: the OS decides. Cheapest, weakest.
 //
+// Appending is stage + Wait: StageInsert/StageDelete frame a record into
+// a shared buffer under the log's mutex and return its LSN at once, and
+// Wait(lsn) returns once that record is committed. A caller can stage
+// many records and wait once, for the last, before acknowledging any.
+//
 // Group commit is leader/follower combining, with no goroutine of its
-// own: a committer frames its record into a shared buffer under the
-// log's mutex, and whichever committer finds no write in flight leads
-// the next round — it takes the whole buffer, writes it with one
-// write(2) (and fsyncs under SyncAlways) for everyone queued behind it,
-// then wakes them and steps down. Followers that queued during the
-// round find their records in the next one, led by one of themselves.
+// own: whichever waiter finds no write in flight leads the next round —
+// it takes the whole buffer, writes it with one write(2) (and fsyncs
+// under SyncAlways) for everyone staged behind it, then wakes them and
+// steps down. Records reach the file in LSN order. The SyncInterval
+// timer carries any buffered tail with a normal round, then fsyncs
+// outside the rounds, so appends keep writing while the disk flushes.
 //
 // Segments rotate at SegmentBytes and are deleted once wholly covered
 // by a retained snapshot; torn tails (truncated final record, bit
@@ -107,8 +112,8 @@ type Options struct {
 	// the segment, offset and lsn as attributes; nil discards.
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives fsync wall time and group-commit
-	// batch sizes from whichever committer leads each round (rounds never
-	// overlap; see obs.WALMetrics). The recording path is
+	// batch sizes from whichever goroutine fsyncs (fsyncs never overlap;
+	// see obs.WALMetrics). The recording path is
 	// allocation-free; nil disables it.
 	Metrics *obs.WALMetrics
 }
@@ -203,7 +208,7 @@ type file interface {
 }
 
 // Log is one queue's write-ahead log. All methods are safe for
-// concurrent use; commits are group-committed by leader/follower
+// concurrent use; records are group-committed by leader/follower
 // combining (see the package comment).
 type Log struct {
 	opts   Options
@@ -221,10 +226,12 @@ type Log struct {
 	timer   *time.Timer // SyncInterval flush; nil under other policies
 
 	// Owned by the round's leader, or by the holder of mu while no
-	// round is in flight.
+	// round is in flight; f is swapped or closed only under fileMu too,
+	// which every fsync holds (the SyncInterval one outside the rounds).
 	f         file
 	segs      []segment
-	sinceSync uint64 // records written since the last fsync (group-commit size)
+	fileMu    sync.Mutex
+	sinceSync atomic.Uint64 // records written since the last fsync began (group-commit size)
 
 	poisoned atomic.Bool // published copy of failed != nil, for Stats
 
@@ -444,34 +451,64 @@ func (l *Log) AllocIDs(n int) uint64 {
 }
 
 // AppendInsert logs that items entered the queue. It returns once the
-// record is durable per the sync policy; concurrent appends share
+// record is committed per the sync policy; concurrent appends share
 // writes and fsyncs (group commit).
 func (l *Log) AppendInsert(items []Item) error {
-	if len(items) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.refusal(); err != nil {
+	lsn, err := l.StageInsert(items)
+	if err != nil {
 		return err
 	}
-	l.buf = appendInsert(l.buf, l.nextLSN, items)
-	return l.commit()
+	return l.Wait(lsn)
 }
 
 // AppendDelete logs that the items with these durable ids left the
 // queue, with the same durability contract as AppendInsert.
 func (l *Log) AppendDelete(ids []uint64) error {
-	if len(ids) == 0 {
-		return nil
+	lsn, err := l.StageDelete(ids)
+	if err != nil {
+		return err
+	}
+	return l.Wait(lsn)
+}
+
+// StageInsert frames an insert record for items and returns its LSN
+// without waiting for it (see Wait); no items stage nothing (LSN 0).
+func (l *Log) StageInsert(items []Item) (uint64, error) { return l.stage(items, nil) }
+
+// StageDelete is StageInsert for a delete record of these ids.
+func (l *Log) StageDelete(ids []uint64) (uint64, error) { return l.stage(nil, ids) }
+
+func (l *Log) stage(items []Item, ids []uint64) (uint64, error) {
+	if len(items)+len(ids) == 0 {
+		return 0, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusal(); err != nil {
-		return err
+		return 0, err
 	}
-	l.buf = appendDelete(l.buf, l.nextLSN, ids)
-	return l.commit()
+	if items != nil {
+		l.buf = appendInsert(l.buf, l.nextLSN, items)
+	} else {
+		l.buf = appendDelete(l.buf, l.nextLSN, ids)
+	}
+	l.nextLSN++
+	l.appends.Add(1)
+	l.sinceSnap.Add(1)
+	return l.nextLSN - 1, nil
+}
+
+// Wait returns once a round has carried the record staged at lsn, and
+// every one before it, to the OS (and disk under SyncAlways), leading
+// rounds itself whenever none is in flight. Once a round has failed, a
+// record it or a later round was to carry gets the ErrPoisoned error.
+func (l *Log) Wait(lsn uint64) error {
+	if lsn <= l.lastLSN.Load() {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.carry(lsn)
 }
 
 // Snapshot durably writes the full live-item set (the caller must have
@@ -503,14 +540,15 @@ func (l *Log) Close() error {
 		l.timer.Stop()
 	}
 	l.quiesce()
-	if l.failed != nil {
-		// No final fsync: after an fsync failure the kernel may have
-		// dropped the dirty pages, and a "successful" retry would only
-		// hide that. Just release the file.
-		l.f.Close()
-		return l.failed
+	// No final fsync on a poisoned log: after an fsync failure the
+	// kernel may have dropped the dirty pages, and a "successful" retry
+	// would only hide that. Just release the file.
+	err := l.failed
+	if err == nil {
+		err = l.sync()
 	}
-	err := l.sync()
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -545,15 +583,8 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// commit gives the record just framed at the end of buf its LSN and
-// waits until a round has carried it to the OS (and to disk under
-// SyncAlways), leading a round itself whenever none is in flight.
-// Called with mu held.
-func (l *Log) commit() error {
-	lsn := l.nextLSN
-	l.nextLSN++
-	l.appends.Add(1)
-	l.sinceSnap.Add(1)
+// carry is Wait with mu held.
+func (l *Log) carry(lsn uint64) error {
 	for l.done < lsn && l.failed == nil {
 		l.step()
 	}
@@ -578,23 +609,27 @@ func (l *Log) step() {
 	if l.busy {
 		l.cond.Wait()
 	} else {
-		l.round(false)
+		l.round()
 	}
 }
 
-// tick is the SyncInterval timer: it fsyncs, as a round, only when
-// something is unsynced, then re-arms.
+// tick is the SyncInterval timer: it carries what was staged before it
+// with normal rounds (not quiesce, which staging could keep busy), then,
+// only when something is unsynced, fsyncs with mu released, so rounds
+// keep writing meanwhile. Then it re-arms.
 func (l *Log) tick() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.busy {
-		l.cond.Wait()
-	}
-	if l.closed || l.failed != nil {
+	if l.closed || l.carry(l.nextLSN-1) != nil {
 		return
 	}
-	if l.sinceSync > 0 || len(l.buf) > 0 {
-		l.round(true)
+	if l.sinceSync.Load() > 0 {
+		l.mu.Unlock()
+		err := l.sync()
+		l.mu.Lock()
+		if err != nil && !l.closed { // Close may have closed the file under it
+			l.poison(err)
+		}
 	}
 	if !l.closed {
 		l.timer.Reset(l.opts.Interval)
@@ -602,21 +637,19 @@ func (l *Log) tick() {
 }
 
 // round is one group commit, led by the caller: it takes everything
-// queued in buf, and with mu released writes it as one batch (rotating
-// first if the active segment is full) and fsyncs it under SyncAlways
-// or when fsync is set. Then it publishes the outcome and wakes every
-// waiter. Called with mu held and no round in flight.
-func (l *Log) round(fsync bool) {
+// staged in buf, and with mu released writes it as one batch (rotating
+// first if the active segment is full) and fsyncs it under SyncAlways.
+// Then it publishes the outcome and wakes every waiter; a poisoned log
+// commits nothing more, even a round that was already writing. Called
+// with mu held and no round in flight.
+func (l *Log) round() {
 	batch, first, last := l.buf, l.done+1, l.nextLSN-1
 	l.buf, l.spare = l.spare, nil
 	l.busy = true
 	l.mu.Unlock()
 
-	var err error
-	if len(batch) > 0 {
-		err = l.write(batch, first, last-first+1)
-	}
-	if err == nil && (fsync || l.opts.Policy == SyncAlways) {
+	err := l.write(batch, first, last-first+1)
+	if err == nil && l.opts.Policy == SyncAlways {
 		err = l.sync()
 	}
 
@@ -625,7 +658,8 @@ func (l *Log) round(fsync bool) {
 	l.spare = batch[:0]
 	if err != nil {
 		l.poison(err)
-	} else {
+	}
+	if l.failed == nil {
 		l.done = last
 		l.lastLSN.Store(last)
 	}
@@ -660,11 +694,16 @@ func (l *Log) write(batch []byte, first, n uint64) error {
 	}
 	l.segs[len(l.segs)-1].bytes += int64(len(batch))
 	l.walBytes.Add(int64(len(batch)))
-	l.sinceSync += n
+	l.sinceSync.Add(n)
 	return nil
 }
 
+// sync fsyncs the active segment. The group-commit count is swapped as
+// it starts, so every record lands in exactly one group.
 func (l *Log) sync() error {
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
+	n := l.sinceSync.Swap(0)
 	var t0 time.Time
 	m := l.opts.Metrics
 	if m != nil && m.FsyncNanos != nil {
@@ -680,10 +719,9 @@ func (l *Log) sync() error {
 		// Records this fsync made durable — the group-commit batch
 		// size.
 		if m.CommitRecords != nil {
-			m.CommitRecords.Observe(0, int64(l.sinceSync))
+			m.CommitRecords.Observe(0, int64(n))
 		}
 	}
-	l.sinceSync = 0
 	l.syncs.Add(1)
 	return nil
 }
@@ -698,6 +736,8 @@ func (l *Log) rotate(first uint64) error {
 		// unlink the active file — losing every append written after it.
 		return nil
 	}
+	l.fileMu.Lock()
+	defer l.fileMu.Unlock()
 	if err := l.f.Sync(); err != nil {
 		return err
 	}

@@ -784,9 +784,10 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // TestAppendZeroAlloc pins the append path's allocation budget: framing
-// goes straight into the shared buffer and a committer waits on the
-// log's condition variable, so an insert+delete pair allocates nothing
-// under any policy once the buffers have grown.
+// goes straight into the shared buffer and a waiter waits on the log's
+// condition variable, so an insert+delete pair allocates nothing under
+// any policy once the buffers have grown — appended one by one, or
+// staged together and waited for once.
 func TestAppendZeroAlloc(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -807,6 +808,17 @@ func TestAppendZeroAlloc(t *testing.T) {
 					err = e
 				}
 				if e := l.AppendDelete([]uint64{id}); e != nil {
+					err = e
+				}
+				id = l.AllocIDs(1)
+				if _, e := l.StageInsert([]Item{{ID: id, Pri: 3, Value: value}}); e != nil {
+					err = e
+				}
+				lsn, e := l.StageDelete([]uint64{id})
+				if e != nil {
+					err = e
+				}
+				if e := l.Wait(lsn); e != nil {
 					err = e
 				}
 			}
@@ -1113,5 +1125,191 @@ func TestGroupCommitMetrics(t *testing.T) {
 			}
 			t.Logf("%d appends over %d fsyncs", st.Appends, st.Syncs)
 		})
+	}
+}
+
+// hookFile wraps a segment file; write, when set, runs before each
+// Write and may fail it instead, and sync likewise before each Sync.
+type hookFile struct {
+	file
+	write func(p []byte) error
+	sync  func() error
+}
+
+func (f *hookFile) Write(p []byte) (int, error) {
+	if f.write != nil {
+		if err := f.write(p); err != nil {
+			return 0, err
+		}
+	}
+	return f.file.Write(p)
+}
+
+func (f *hookFile) Sync() error {
+	if f.sync != nil {
+		if err := f.sync(); err != nil {
+			return err
+		}
+	}
+	return f.file.Sync()
+}
+
+// TestIntervalFsyncDoesNotBlockAppends: under SyncInterval the timer's
+// fsync runs beside the write rounds, so an append issued while that
+// fsync is stuck still returns once its record is written.
+func TestIntervalFsyncDoesNotBlockAppends(t *testing.T) {
+	l, _ := openT(t, t.TempDir(), func(o *Options) {
+		o.Policy = SyncInterval
+		o.Interval = time.Millisecond
+	})
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	// Installed before the first append: until then a tick touches no file.
+	l.f = &hookFile{file: l.f, sync: func() error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil
+	}}
+	defer func() {
+		close(release)
+		if err := l.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	mustAppendInsert(t, l, 1)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the interval fsync never began")
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.AppendInsert([]Item{{ID: l.AllocIDs(1), Pri: 1, Value: []byte("x")}}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("an append waited for the interval fsync")
+	}
+}
+
+// TestStageWaitOrderAndPoison: records staged from several goroutines
+// reach the file in LSN order, and Wait returns only once its record's
+// bytes were written. After a round's write fails, every Wait for a
+// record in that round or staged behind it gets ErrPoisoned, earlier
+// records stay committed, and every stage is refused.
+func TestStageWaitOrderAndPoison(t *testing.T) {
+	l, _ := openT(t, t.TempDir(), nil)
+	var (
+		mu      sync.Mutex
+		written []byte
+		fail    atomic.Bool
+	)
+	inWrite, proceed := make(chan struct{}), make(chan struct{})
+	l.f = &hookFile{file: l.f, write: func(p []byte) error {
+		if fail.Load() {
+			inWrite <- struct{}{}
+			<-proceed
+			return errors.New("injected write failure")
+		}
+		mu.Lock()
+		written = append(written, p...)
+		mu.Unlock()
+		return nil
+	}}
+	// scanWritten calls fn for each record written so far, in file order.
+	scanWritten := func(fn func(r record) error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, damaged, err := scanSegment(written, fn); err != nil || damaged {
+			t.Errorf("written bytes: damaged=%v err=%v", damaged, err)
+		}
+	}
+
+	const workers, per, waitEvery = 4, 60, 5
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				var lsn uint64
+				var err error
+				if it := (Item{ID: l.AllocIDs(1), Pri: uint32(w), Value: []byte{byte(w), byte(i)}}); i%2 == 0 {
+					lsn, err = l.StageInsert([]Item{it})
+				} else {
+					lsn, err = l.StageDelete([]uint64{it.ID})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%waitEvery != waitEvery-1 {
+					continue // stage several, wait once for the last
+				}
+				if err := l.Wait(lsn); err != nil {
+					t.Error(err)
+					return
+				}
+				found := false
+				scanWritten(func(r record) error {
+					found = found || r.lsn == lsn
+					return nil
+				})
+				if !found {
+					t.Errorf("Wait(%d) returned before the record was written", lsn)
+				}
+			}
+		}(w)
+	}
+	waitOrFail(t, &wg, 10*time.Second)
+	next := uint64(1)
+	scanWritten(func(r record) error {
+		if r.lsn != next {
+			t.Fatalf("record %d written where %d was due", r.lsn, next)
+		}
+		next++
+		return nil
+	})
+	if next != workers*per+1 {
+		t.Fatalf("%d records written, want %d", next-1, workers*per)
+	}
+
+	committed := next - 1
+	fail.Store(true)
+	failed, err := l.StageInsert([]Item{{ID: l.AllocIDs(1), Pri: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- l.Wait(failed) }()
+	<-inWrite // the round carrying failed is writing
+	behind, err := l.StageDelete([]uint64{1})
+	if err != nil {
+		t.Fatalf("stage during the round: %v", err)
+	}
+	close(proceed)
+	if err := <-waitErr; !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Wait for the failed round's record: %v, want ErrPoisoned", err)
+	}
+	for _, lsn := range []uint64{failed, behind} {
+		if err := l.Wait(lsn); !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("Wait(%d) after the failed round: %v, want ErrPoisoned", lsn, err)
+		}
+	}
+	if err := l.Wait(committed); err != nil {
+		t.Fatalf("Wait(%d) for a record written before the failure: %v", committed, err)
+	}
+	if _, err := l.StageInsert([]Item{{ID: l.AllocIDs(1), Pri: 1}}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("stage after the failure: %v, want ErrPoisoned", err)
+	}
+	if _, err := l.StageDelete([]uint64{2}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("stage after the failure: %v, want ErrPoisoned", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("close after failure: %v, want ErrPoisoned", err)
 	}
 }
