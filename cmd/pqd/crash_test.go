@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -69,16 +70,16 @@ func newHelperCmd(t *testing.T, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// startPQD launches the helper-process daemon and waits for its
-// listening line.
-func startPQD(t *testing.T, dataDir, alg string) *pqdProc {
+// startPQD launches the helper-process daemon, with any extra daemon
+// flags, and waits for its listening line.
+func startPQD(t *testing.T, dataDir, alg string, extra ...string) *pqdProc {
 	t.Helper()
-	cmd := newHelperCmd(t,
+	cmd := newHelperCmd(t, append([]string{
 		"-addr", "127.0.0.1:0",
-		"-queues", "jobs:"+alg+":16:2:0",
+		"-queues", "jobs:" + alg + ":16:2:0",
 		"-data-dir", dataDir,
 		"-fsync", "always",
-		"-q")
+		"-q"}, extra...)...)
 	return waitListening(t, cmd)
 }
 
@@ -140,14 +141,23 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	for _, alg := range []string{"FunnelTree", "SingleLock"} {
 		t.Run(alg, func(t *testing.T) { crashCycles(t, alg, 2) })
 	}
+	// A background fold every 32 records, so the kills land around folds.
+	t.Run("FunnelTreeFolding", func(t *testing.T) {
+		dataDir := crashCycles(t, "FunnelTree", 2, "-snapshot-every", "32")
+		if snaps, _ := filepath.Glob(filepath.Join(dataDir, "*", "snap-*.snap")); len(snaps) == 0 {
+			t.Fatal("no fold wrote a snapshot")
+		}
+	})
 }
 
-func crashCycles(t *testing.T, alg string, cycles int) {
+// crashCycles runs the kill -9 cycles against a pqd started with extra
+// daemon flags and returns its data directory.
+func crashCycles(t *testing.T, alg string, cycles int, extra ...string) string {
 	dataDir := t.TempDir()
 	ctx := context.Background()
 
 	for cycle := 0; cycle < cycles; cycle++ {
-		p := startPQD(t, dataDir, alg)
+		p := startPQD(t, dataDir, alg, extra...)
 
 		var (
 			mu            sync.Mutex
@@ -237,7 +247,7 @@ func crashCycles(t *testing.T, alg string, cycles int) {
 		mu.Unlock()
 
 		// Recovery boot on the same data directory.
-		p2 := startPQD(t, dataDir, alg)
+		p2 := startPQD(t, dataDir, alg, extra...)
 		c := dialPQD(t, p2.addr)
 
 		recovered := map[string]int{}
@@ -282,4 +292,5 @@ func crashCycles(t *testing.T, alg string, cycles int) {
 		t.Logf("cycle %d: acked=%d delivered=%d indeterminate=%d recovered=%d",
 			cycle, len(acked), len(delivered), len(indeterminate), len(recovered))
 	}
+	return dataDir
 }

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"time"
 
 	"pq"
 	"pq/internal/wal"
@@ -30,6 +30,11 @@ import (
 // failed round stored stay in memory but can never be delivered: every
 // later stage is refused, so every pop that takes them rolls back, and
 // no client observes state that replay could contradict.
+//
+// Snapshots never read the queue: the log already holds every mutation
+// as a logical record, so the WAL folds its own sealed segments into a
+// snapshot (wal.Log.Fold) while the queue serves on. insertN and popN
+// therefore take no lock of the server's own.
 
 // durTagLen is the tag prefix of a durable queue's stored values.
 const durTagLen = 12
@@ -69,68 +74,22 @@ func (q *servedQueue) attachWAL(l *wal.Log, rec wal.Recovery, snapEvery int) err
 func envPri(env []byte) int   { return int(binary.BigEndian.Uint32(env)) }
 func durID(env []byte) uint64 { return binary.BigEndian.Uint64(env[4:12]) }
 
-// snapshot quiesces the queue (write lock: insertN and popN hold the
-// read lock across their log stage and shard mutation) and writes the
-// full live-item set through a non-destructive drain-style iteration:
-// each shard is popped dry via the native batch path and every entry
-// is put back, so the queue is byte-for-byte unchanged afterwards.
-// wait controls contention with an in-flight snapshot: background
-// callers skip (false), the seal path waits its turn (true) so the
-// final snapshot is never silently dropped.
-func (q *servedQueue) snapshot(wait bool) error {
-	if q.wal == nil {
-		return nil
-	}
-	for !q.snapActive.CompareAndSwap(false, true) {
-		if !wait {
-			return nil // a snapshot is already running
-		}
-		time.Sleep(time.Millisecond)
-	}
-	defer q.snapActive.Store(false)
-	q.durMu.Lock()
-	defer q.durMu.Unlock()
-	var items []wal.Item
-	for si, sub := range q.shards {
-		drained := pq.Drain(sub)
-		for _, it := range drained {
-			v := it.Val
-			items = append(items, wal.Item{
-				ID:    durID(v),
-				Pri:   binary.BigEndian.Uint32(v),
-				Value: v[durTagLen:],
-			})
-		}
-		if len(drained) > 0 {
-			q.putBackN(si, drained)
-		}
-	}
-	return q.wal.Snapshot(items)
-}
-
-// maybeSnapshot kicks off a background snapshot when the log has grown
-// by snapEvery records since the last one. Called with the read lock
-// held, so the snapshot itself must run asynchronously.
+// maybeSnapshot starts a background fold of the log (wal.Log.StartFold)
+// once it has grown by snapEvery records since the last snapshot's cut.
+// A fold reads only the log, so the queue never stops for it.
 func (q *servedQueue) maybeSnapshot() {
-	if q.snapEvery <= 0 || q.snapActive.Load() {
-		return
-	}
-	if q.wal.Stats().RecordsSinceSnapshot >= uint64(q.snapEvery) {
-		go q.snapshot(false)
+	if q.snapEvery > 0 && q.wal.Stats().RecordsSinceSnapshot >= uint64(q.snapEvery) {
+		q.wal.StartFold()
 	}
 }
 
-// sealWAL takes a final snapshot and closes the log — the graceful-
+// sealWAL folds the log one last time and closes it — the graceful-
 // shutdown path. After it, a restart replays zero log records: boot is
-// pure snapshot load. It waits out any in-flight background snapshot
+// pure snapshot load. The fold waits out a background one in flight
 // (which covers fewer records) rather than skipping its own.
 func (q *servedQueue) sealWAL() error {
 	if q.wal == nil {
 		return nil
 	}
-	err := q.snapshot(true)
-	if cerr := q.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(q.wal.Fold(), q.wal.Close())
 }

@@ -270,7 +270,7 @@ func TestDurabilityStatsPlumbing(t *testing.T) {
 }
 
 // TestSealWaitsForInflightSnapshot: Shutdown's final snapshot must not
-// be skipped just because a background snapshot is mid-flight — sealWAL
+// be skipped just because a background fold is mid-flight — sealWAL
 // waits its turn, so "boot after graceful shutdown replays zero
 // records" holds even when the shutdown races an auto-snapshot.
 func TestSealWaitsForInflightSnapshot(t *testing.T) {
@@ -289,21 +289,30 @@ func TestSealWaitsForInflightSnapshot(t *testing.T) {
 		}
 		return q, l, rec
 	}
-	q, _, _ := open()
+	q, l, _ := open()
 	for i := 0; i < 7; i++ {
-		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(i % 4), Value: []byte{byte(i)}}}); err != nil || n != 1 {
+		if n, _, err := q.insertN([]wire.Item{{Pri: uint32(1 + i%3), Value: []byte{byte(i)}}}); err != nil || n != 1 {
 			t.Fatalf("insert %d: accepted=%d err=%v", i, n, err)
 		}
 	}
-	// Fake an in-flight background snapshot that finishes shortly; the
-	// seal must wait it out instead of returning without a snapshot.
-	q.snapActive.Store(true)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		q.snapActive.Store(false)
-	}()
+	// Churn at the most urgent priority, so the background fold has
+	// thousands of records to replay and is still in flight when the seal
+	// starts; each pop takes back the item just inserted.
+	for i := 0; i < 3000; i++ {
+		q.insertN([]wire.Item{{Pri: 0, Value: []byte("churn")}})
+		if envs, _, err := q.popN(1, 1<<20, nil); err != nil || len(envs) != 1 || envPri(envs[0]) != 0 {
+			t.Fatalf("churn pop %d: %d items, err %v", i, len(envs), err)
+		}
+	}
+	// A real in-flight background fold: StartFold holds the log's single
+	// flight from the moment it returns. The seal must wait it out and
+	// then take its own snapshot instead of returning without one.
+	l.StartFold()
 	if err := q.sealWAL(); err != nil {
 		t.Fatalf("sealWAL: %v", err)
+	}
+	if got := l.Stats().Snapshots; got != 2 {
+		t.Fatalf("%d snapshots taken, want the background fold's and the seal's", got)
 	}
 
 	_, l2, rec := open()

@@ -99,10 +99,6 @@ type servedQueue struct {
 	// wal, tagLen or met miss.
 	_ [64]byte
 
-	// durMu lets snapshots quiesce the journal stage of insertN/popN.
-	durMu      sync.RWMutex
-	snapActive atomic.Bool
-
 	// admitted is the admission word when Capacity > 0: slots reserved
 	// by inserts (reserve) and not yet released by a committed pop or a
 	// failed journal append. Recovery stores the recovered count, which
@@ -234,12 +230,10 @@ func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
 // Admit reserves slots with one CAS on the admission word, so the
 // accepted items are a prefix. Journal (queues with a WAL only) stages
 // that prefix as one record before anything is stored and returns its
-// LSN, for the caller to wal.Wait on before acknowledging; the read-lock
-// spans the stage and the shard inserts so a snapshot (which takes the
-// write lock) never observes a logged-but-unstored or
-// stored-but-unlogged item. If the stage is refused the reservation is
-// released and the queue is exactly as before the call. In-memory
-// queues take no lock and allocate nothing for n = 1.
+// LSN, for the caller to wal.Wait on before acknowledging. If the stage
+// is refused the reservation is released and the queue is exactly as
+// before the call. No path takes a lock of the server's own, and an
+// in-memory queue allocates nothing for n = 1.
 func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) {
 	n = len(items)
 	if n == 0 {
@@ -260,8 +254,6 @@ func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) 
 	}
 	var first uint64 // durable id of items[0]; the rest follow in order
 	if q.wal != nil {
-		q.durMu.RLock()
-		defer q.durMu.RUnlock()
 		first = q.wal.AllocIDs(n)
 		var buf [8]wal.Item
 		recs := buf[:0]
@@ -357,17 +349,12 @@ func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 // the first pop is always kept and progress is guaranteed. A short
 // result means the queue ran dry or a shard declined under contention;
 // the client just asks again. Journal (queues with a WAL only) stages
-// the durable ids of exactly the items taken as one record, under the
-// snapshot read-lock like insertN, and returns its LSN for the caller
-// to wal.Wait on; if the stage is refused everything taken goes back
+// the durable ids of exactly the items taken as one record and returns
+// its LSN for the caller to wal.Wait on; if the stage is refused everything taken goes back
 // and the queue is exactly as before the call. Commit books the pops out
 // of their shards, charges the cross-shard rank and frees the admission
 // slots, so a rolled-back pop leaves no trace.
 func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint64, err error) {
-	if q.wal != nil {
-		q.durMu.RLock()
-		defer q.durMu.RUnlock()
-	}
 	n0 := len(envs)
 	bytes := 4 // item-count prefix
 	cut := false
@@ -491,17 +478,12 @@ func (q *servedQueue) stats() wire.QueueStats {
 }
 
 // peek returns up to max of the most urgent items without consuming
-// them: each shard is batch-popped and immediately restored. Durable
-// queues are quiesced under the snapshot lock for an exact view;
-// in-memory queues peek live, so a concurrent delete-min can briefly
-// see the queue empty — acceptable for the debug endpoint this serves.
+// them: each shard is batch-popped and immediately restored. It peeks
+// live, durable or not, so a concurrent delete-min can briefly see the
+// queue empty — acceptable for the debug endpoint this serves.
 func (q *servedQueue) peek(max int) []wire.Item {
 	if max <= 0 {
 		return nil
-	}
-	if q.wal != nil {
-		q.durMu.Lock()
-		defer q.durMu.Unlock()
 	}
 	var out []wire.Item
 	for si, sub := range q.shards {

@@ -63,9 +63,9 @@ type Config struct {
 	Fsync wal.SyncPolicy
 	// FsyncInterval is the wal.SyncInterval flush period. Default 10ms.
 	FsyncInterval time.Duration
-	// SnapshotEvery takes an automatic snapshot each time the log grows
-	// by that many records. Default 100000; negative disables automatic
-	// snapshots (graceful shutdown still takes a final one).
+	// SnapshotEvery starts a background fold of the log into a snapshot
+	// each time it grows by that many records. Default 100000; negative
+	// disables them (graceful shutdown still folds a final one).
 	SnapshotEvery int
 	// SegmentBytes rotates log segments past this size. Default 16 MiB.
 	SegmentBytes int64

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
 )
 
 // On-disk record framing. Every record in a segment is:
@@ -125,77 +128,32 @@ func decodeRecord(p []byte) (record, error) {
 	}
 	r := record{op: p[0], lsn: binary.BigEndian.Uint64(p[1:9])}
 	b := p[9:]
-	u32 := func() (uint32, bool) {
+	n := uint32(1) // a batch op carries its count first
+	if r.op == opInsertBatch || r.op == opDeleteBatch {
 		if len(b) < 4 {
-			return 0, false
+			return r, errTruncated
 		}
-		v := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if len(b) < 8 {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		return v, true
-	}
-	item := func() (Item, bool) {
-		var it Item
-		var ok bool
-		if it.ID, ok = u64(); !ok {
-			return it, false
-		}
-		if it.Pri, ok = u32(); !ok {
-			return it, false
-		}
-		n, ok := u32()
-		if !ok || uint64(n) > uint64(len(b)) {
-			return it, false
-		}
-		it.Value = append([]byte(nil), b[:n]...)
-		b = b[n:]
-		return it, true
+		n, b = binary.BigEndian.Uint32(b), b[4:]
 	}
 	switch r.op {
-	case opInsert:
-		it, ok := item()
-		if !ok {
+	case opInsert, opInsertBatch:
+		if uint64(n)*16 > uint64(len(b)) {
 			return r, errTruncated
 		}
-		r.items = []Item{it}
-	case opInsertBatch:
-		n, ok := u32()
-		if !ok || uint64(n)*16 > uint64(len(b)) {
-			return r, errTruncated
-		}
-		r.items = make([]Item, 0, n)
-		for i := uint32(0); i < n; i++ {
-			it, ok := item()
-			if !ok {
+		r.items = make([]Item, n)
+		for i := range r.items {
+			var ok bool
+			if r.items[i], b, ok = cutItem(b); !ok {
 				return r, errTruncated
 			}
-			r.items = append(r.items, it)
 		}
-	case opDelete:
-		id, ok := u64()
-		if !ok {
+	case opDelete, opDeleteBatch:
+		if uint64(n)*8 > uint64(len(b)) {
 			return r, errTruncated
 		}
-		r.ids = []uint64{id}
-	case opDeleteBatch:
-		n, ok := u32()
-		if !ok || uint64(n)*8 > uint64(len(b)) {
-			return r, errTruncated
-		}
-		r.ids = make([]uint64, 0, n)
-		for i := uint32(0); i < n; i++ {
-			id, ok := u64()
-			if !ok {
-				return r, errTruncated
-			}
-			r.ids = append(r.ids, id)
+		r.ids = make([]uint64, n)
+		for i := range r.ids {
+			r.ids[i], b = binary.BigEndian.Uint64(b), b[8:]
 		}
 	default:
 		return r, fmt.Errorf("wal: unknown op 0x%02x", r.op)
@@ -206,44 +164,83 @@ func decodeRecord(p []byte) (record, error) {
 	return r, nil
 }
 
-// scanSegment walks the records of one segment's bytes, calling apply
-// for each valid record. It returns the byte offset just past the last
-// valid record and whether the walk ended because of tail damage (a
+// cutItem decodes one (id, pri, vlen, value) entry — the layout of
+// insert records and snapshot files alike — from the front of b,
+// copying the value, and returns the rest of b.
+func cutItem(b []byte) (it Item, rest []byte, ok bool) {
+	if len(b) < 16 {
+		return it, b, false
+	}
+	it = Item{ID: binary.BigEndian.Uint64(b), Pri: binary.BigEndian.Uint32(b[8:])}
+	n := binary.BigEndian.Uint32(b[12:])
+	if uint64(n) > uint64(len(b)-16) {
+		return it, b, false
+	}
+	it.Value = append([]byte(nil), b[16:16+n]...)
+	return it, b[16+n:], true
+}
+
+// scanSegment walks the records of one segment, read from r, calling
+// apply for each valid record. It returns the byte offset just past the
+// last valid record and whether the walk ended because of tail damage (a
 // truncated, corrupt or zero-filled suffix) rather than a clean end of
 // file. Replay stops at the first damaged record: everything after it
-// is unreachable because LSNs would no longer be sequential.
-func scanSegment(data []byte, apply func(record) error) (valid int, damaged bool, err error) {
-	off := 0
+// is unreachable because LSNs would no longer be sequential. It holds
+// one record at a time, never the whole segment.
+func scanSegment(r io.Reader, apply func(record) error) (valid int64, damaged bool, err error) {
+	var hdr [recHeader]byte
+	var payload []byte
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return off, false, nil
+		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+			return valid, false, nil
+		} else if err != nil {
+			return torn(valid, err)
 		}
-		if len(rest) < recHeader {
-			return off, true, nil
-		}
-		n := binary.BigEndian.Uint32(rest)
-		crc := binary.BigEndian.Uint32(rest[4:8])
+		n := binary.BigEndian.Uint32(hdr[:])
+		crc := binary.BigEndian.Uint32(hdr[4:])
 		if n < recMinPayload || n > MaxRecord {
 			// Covers the zero-filled tail (length 0) and corrupt lengths.
-			return off, true, nil
+			return valid, true, nil
 		}
-		if uint64(len(rest)) < uint64(recHeader)+uint64(n) {
-			return off, true, nil // torn final record
+		if cap(payload) < int(n) {
+			payload = make([]byte, n)
 		}
-		payload := rest[recHeader : recHeader+int(n)]
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return torn(valid, err)
+		}
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return off, true, nil // bit flip
+			return valid, true, nil // bit flip
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
 			// CRC matched but the body is malformed: still tail damage
 			// from replay's point of view — stop at the last good record.
-			return off, true, nil
+			return valid, true, nil
 		}
 		if err := apply(rec); err != nil {
-			return off, false, err
+			return valid, false, err
 		}
-		off += recHeader + int(n)
+		valid += recHeader + int64(n)
 	}
+}
+
+// torn reports a read that ended inside a record as tail damage (a torn
+// final record), and any other read error as an error.
+func torn(valid int64, err error) (int64, bool, error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return valid, true, nil
+	}
+	return valid, false, err
+}
+
+// scanFile is scanSegment over the segment file at path, read through a
+// bounded buffer.
+func scanFile(path string, apply func(record) error) (valid int64, damaged bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.Close()
+	return scanSegment(bufio.NewReaderSize(f, 64<<10), apply)
 }

@@ -2,14 +2,13 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Snapshot files capture the full live-item set at one log position so
@@ -31,19 +30,11 @@ import (
 
 var snapMagic = []byte("PQSNAP1\n")
 
-// snapName returns the snapshot filename for a covered LSN; lexical
-// order equals LSN order.
-func snapName(lsn uint64) string { return fmt.Sprintf("snap-%016x.snap", lsn) }
+// snapFormat names the snapshot covering an LSN; lexical order equals
+// LSN order.
+const snapFormat = "snap-%016x.snap"
 
-// parseSnapName extracts the covered LSN, reporting ok=false for
-// foreign files.
-func parseSnapName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"), 16, 64)
-	return v, err == nil
-}
+func snapName(lsn uint64) string { return fmt.Sprintf(snapFormat, lsn) }
 
 // encodeSnapshot builds the full file image.
 func encodeSnapshot(lsn, nextID uint64, items []Item) []byte {
@@ -66,8 +57,9 @@ func encodeSnapshot(lsn, nextID uint64, items []Item) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc)
 }
 
-// decodeSnapshot parses and validates one snapshot file image.
-func decodeSnapshot(data []byte) (lsn, nextID uint64, items []Item, err error) {
+// decodeSnapshot parses and validates one snapshot file image into the
+// live set it holds, keyed by durable id.
+func decodeSnapshot(data []byte) (lsn, nextID uint64, live map[uint64]Item, err error) {
 	if len(data) < len(snapMagic)+24 || string(data[:len(snapMagic)]) != string(snapMagic) {
 		return 0, 0, nil, fmt.Errorf("wal: not a snapshot file")
 	}
@@ -83,49 +75,35 @@ func decodeSnapshot(data []byte) (lsn, nextID uint64, items []Item, err error) {
 	if uint64(count)*16 > uint64(len(b)) {
 		return 0, 0, nil, fmt.Errorf("wal: snapshot item count %d exceeds file size", count)
 	}
-	items = make([]Item, 0, count)
+	live = make(map[uint64]Item, count)
 	for i := uint32(0); i < count; i++ {
-		if len(b) < 16 {
+		var it Item
+		var ok bool
+		if it, b, ok = cutItem(b); !ok {
 			return 0, 0, nil, fmt.Errorf("wal: snapshot truncated at item %d", i)
 		}
-		it := Item{ID: binary.BigEndian.Uint64(b), Pri: binary.BigEndian.Uint32(b[8:])}
-		n := binary.BigEndian.Uint32(b[12:])
-		b = b[16:]
-		if uint64(n) > uint64(len(b)) {
-			return 0, 0, nil, fmt.Errorf("wal: snapshot truncated at item %d value", i)
-		}
-		it.Value = append([]byte(nil), b[:n]...)
-		b = b[n:]
-		items = append(items, it)
+		live[it.ID] = it
 	}
 	if len(b) != 0 {
 		return 0, 0, nil, fmt.Errorf("wal: %d trailing snapshot bytes", len(b))
 	}
-	return lsn, nextID, items, nil
+	return lsn, nextID, live, nil
 }
 
 // writeSnapshotFile durably writes one snapshot into dir.
 func writeSnapshotFile(dir string, lsn, nextID uint64, items []Item) error {
 	tmp := filepath.Join(dir, snapName(lsn)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err == nil {
+		if _, err = f.Write(encodeSnapshot(lsn, nextID, items)); err == nil {
+			err = f.Sync()
+		}
+		err = errors.Join(err, f.Close())
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, snapName(lsn)))
+	}
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeSnapshot(lsn, nextID, items)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName(lsn))); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -142,15 +120,17 @@ func syncDir(dir string) {
 	}
 }
 
-// listSnapshots returns the snapshot LSNs present in dir, ascending.
-func listSnapshots(dir string) ([]uint64, error) {
+// listLSNs returns, ascending, the LSNs of the files in dir named by
+// format (segFormat or snapFormat); foreign and .tmp files are ignored.
+func listLSNs(dir, format string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var lsns []uint64
 	for _, e := range ents {
-		if lsn, ok := parseSnapName(e.Name()); ok {
+		var lsn uint64
+		if _, err := fmt.Sscanf(e.Name(), format, &lsn); err == nil && fmt.Sprintf(format, lsn) == e.Name() {
 			lsns = append(lsns, lsn)
 		}
 	}
@@ -160,22 +140,20 @@ func listSnapshots(dir string) ([]uint64, error) {
 
 // loadNewestSnapshot reads the newest snapshot that validates, falling
 // back to older ones when the newest is damaged. With no usable
-// snapshot it returns lsn 0 and nextID 1 (durable ids start at 1).
-func loadNewestSnapshot(dir string, logger *slog.Logger) (lsn, nextID uint64, items []Item) {
-	lsns, err := listSnapshots(dir)
-	if err != nil {
-		return 0, 1, nil
-	}
+// snapshot it returns lsn 0, nextID 1 (durable ids start at 1) and an
+// empty live set.
+func loadNewestSnapshot(dir string, logger *slog.Logger) (lsn, nextID uint64, live map[uint64]Item) {
+	lsns, _ := listLSNs(dir, snapFormat) // an unreadable dir fails replay, which lists it too
 	for i := len(lsns) - 1; i >= 0; i-- {
 		data, err := os.ReadFile(filepath.Join(dir, snapName(lsns[i])))
 		if err == nil {
 			var derr error
-			if lsn, nextID, items, derr = decodeSnapshot(data); derr == nil {
-				return lsn, nextID, items
+			if lsn, nextID, live, derr = decodeSnapshot(data); derr == nil {
+				return lsn, nextID, live
 			}
 			err = derr
 		}
 		logger.Warn("wal: snapshot unusable, falling back", "snapshot", snapName(lsns[i]), "lsn", lsns[i], "err", err)
 	}
-	return 0, 1, nil
+	return 0, 1, map[uint64]Item{}
 }

@@ -34,8 +34,11 @@
 // timer carries any buffered tail with a normal round, then fsyncs
 // outside the rounds, so appends keep writing while the disk flushes.
 //
-// Segments rotate at SegmentBytes and are deleted once wholly covered
-// by a retained snapshot; torn tails (truncated final record, bit
+// A snapshot folds the log, not the queue: Fold cuts the log at a
+// rotation and, outside every lock, replays the sealed segments onto the
+// previous snapshot, so appends never wait for one. One snapshot runs at
+// a time. Segments rotate at SegmentBytes and are deleted once wholly
+// covered by a retained snapshot; torn tails (truncated final record, bit
 // flips, zero fill) are detected by the per-record CRC and replay stops
 // cleanly at the last valid record.
 package wal
@@ -47,8 +50,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,15 +190,11 @@ type segment struct {
 	bytes    int64
 }
 
-func segName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.seg", firstLSN) }
+// segFormat names the segment by the LSN of its first record; lexical
+// order equals LSN order.
+const segFormat = "wal-%016x.seg"
 
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-	return v, err == nil
-}
+func segName(firstLSN uint64) string { return fmt.Sprintf(segFormat, firstLSN) }
 
 // file is what the log needs of a segment file: *os.File, or a wrapper
 // a test uses to inject write and fsync failures.
@@ -214,16 +211,17 @@ type Log struct {
 	opts   Options
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	cond    sync.Cond // on mu; broadcast at the end of every round
-	buf     []byte    // framed records no round has taken yet
-	spare   []byte    // the last round's batch, reused as the next buf
-	nextLSN uint64
-	done    uint64 // last LSN a round carried to the OS (and disk, per policy)
-	busy    bool   // a round is in flight; its leader owns the fields below
-	closed  bool
-	failed  error       // sticky ErrPoisoned-wrapped write/fsync failure
-	timer   *time.Timer // SyncInterval flush; nil under other policies
+	mu       sync.Mutex
+	cond     sync.Cond // on mu; broadcast at the end of every round
+	buf      []byte    // framed records no round has taken yet
+	spare    []byte    // the last round's batch, reused as the next buf
+	nextLSN  uint64
+	done     uint64 // last LSN a round carried to the OS (and disk, per policy)
+	busy     bool   // a round is in flight; its leader owns the fields below
+	closed   bool
+	failed   error       // sticky ErrPoisoned-wrapped write/fsync failure
+	timer    *time.Timer // SyncInterval flush; nil under other policies
+	snapping atomic.Bool // the snapshot single flight; cleared under mu with a broadcast
 
 	// Owned by the round's leader, or by the holder of mu while no
 	// round is in flight; f is swapped or closed only under fileMu too,
@@ -269,11 +267,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 		}
 	}
 
-	snapLSN, nextID, snapItems := loadNewestSnapshot(opts.Dir, opts.Logger)
-	live := make(map[uint64]Item, len(snapItems))
-	for _, it := range snapItems {
-		live[it.ID] = it
-	}
+	snapLSN, nextID, live := loadNewestSnapshot(opts.Dir, opts.Logger)
 
 	l := &Log{opts: opts}
 	l.cond.L = &l.mu
@@ -285,14 +279,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 	}
 	rec.SnapshotLSN = snapLSN
 
-	rec.Items = make([]Item, 0, len(live))
-	for _, it := range live {
-		rec.Items = append(rec.Items, it)
-	}
-	// Deterministic load order (by id = insertion order) keeps restarts
-	// reproducible even though the queue itself doesn't care.
-	sort.Slice(rec.Items, func(i, j int) bool { return rec.Items[i].ID < rec.Items[j].ID })
-
+	rec.Items = sortedItems(live)
 	l.nextID.Store(nextID)
 	l.recoveredItems = len(rec.Items)
 	l.replayed = rec.Replayed
@@ -311,17 +298,14 @@ func Open(opts Options) (*Log, Recovery, error) {
 // for appending. Called once from Open, before the log is shared.
 func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint64) (Recovery, error) {
 	var rec Recovery
-	ents, err := os.ReadDir(l.opts.Dir)
+	firsts, err := listLSNs(l.opts.Dir, segFormat)
 	if err != nil {
 		return rec, err
 	}
-	var segs []segment
-	for _, e := range ents {
-		if first, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, segment{firstLSN: first, path: filepath.Join(l.opts.Dir, e.Name())})
-		}
+	segs := make([]segment, len(firsts))
+	for i, first := range firsts {
+		segs[i] = segment{firstLSN: first, path: filepath.Join(l.opts.Dir, segName(first))}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstLSN < segs[j].firstLSN })
 
 	lastLSN := snapLSN
 	var kept []segment
@@ -340,12 +324,8 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 			}
 			break
 		}
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			return rec, err
-		}
 		expect := s.firstLSN
-		valid, damaged, err := scanSegment(data, func(r record) error {
+		valid, damaged, err := scanFile(s.path, func(r record) error {
 			if r.lsn != expect {
 				// An LSN gap means the file does not line up with its
 				// name or its predecessor — treat like tail damage.
@@ -368,19 +348,18 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 				return rec, err
 			}
 		}
-		if !damaged {
-			s.bytes = int64(len(data))
-			kept = append(kept, s)
-			endLSN = expect - 1
-			continue
+		if damaged {
+			rec.Torn = true
+			if err := os.Truncate(s.path, valid); err != nil {
+				return rec, err
+			}
 		}
-		rec.Torn = true
-		if err := os.Truncate(s.path, int64(valid)); err != nil {
-			return rec, err
-		}
-		s.bytes = int64(valid)
+		s.bytes = valid
 		kept = append(kept, s)
 		endLSN = expect - 1
+		if !damaged {
+			continue
+		}
 		// The records lost here are [expect, next.firstLSN). When the
 		// next segment chains from at or below snapLSN+1, every lost
 		// record's effect is already in the loaded snapshot, so replay
@@ -428,6 +407,18 @@ func (l *Log) replaySegments(snapLSN uint64, live map[uint64]Item, nextID *uint6
 	l.walBytes.Store(total)
 	l.segCount.Store(int64(len(kept)))
 	return rec, nil
+}
+
+// sortedItems lists a live set by id. Deterministic order (id =
+// insertion order) keeps restarts and snapshot files reproducible even
+// though the queue itself doesn't care.
+func sortedItems(live map[uint64]Item) []Item {
+	items := make([]Item, 0, len(live))
+	for _, it := range live {
+		items = append(items, it)
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
+	return items
 }
 
 // applyRecord folds one replayed record into the live multiset.
@@ -511,20 +502,33 @@ func (l *Log) Wait(lsn uint64) error {
 	return l.carry(lsn)
 }
 
-// Snapshot durably writes the full live-item set (the caller must have
-// quiesced mutations so items is consistent with everything appended),
-// then rotates the active segment and deletes segments and snapshots
-// made redundant by retention.
+// Snapshot cuts the log at its end, durably writes items there as the
+// full live-item set (the caller must have quiesced mutations so items
+// is consistent with everything appended), and deletes segments and
+// snapshots made redundant by retention. It waits out a snapshot in
+// flight.
 func (l *Log) Snapshot(items []Item) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Refuse only once quiesced: quiescing may wait, and a Close may
-	// finish meanwhile.
-	l.quiesce()
-	if err := l.refusal(); err != nil {
-		return err
+	l.claim()
+	return l.snapshot(func(uint64, []segment) ([]Item, error) { return items, nil })
+}
+
+// Fold is Snapshot without a caller or a quiesced queue: it cuts the log
+// after the records staged so far and, outside every lock, replays the
+// sealed segments onto the newest valid snapshot to get the live set at
+// the cut. Appends go on meanwhile, after the cut. A fold that fails
+// keeps the previous snapshot and its segments, and logs a Warn.
+func (l *Log) Fold() error {
+	l.claim()
+	return l.snapshot(l.fold)
+}
+
+// StartFold runs Fold on its own goroutine unless a snapshot is in
+// flight, and returns at once, so background folds never stack. The
+// goroutine ends with the fold; Close waits for it.
+func (l *Log) StartFold() {
+	if l.snapping.CompareAndSwap(false, true) {
+		go l.snapshot(l.fold) // a failure is logged
 	}
-	return l.snapshotNow(items)
 }
 
 // Close seals the log: outstanding appends complete, the active
@@ -539,6 +543,9 @@ func (l *Log) Close() error {
 	if l.timer != nil {
 		l.timer.Stop()
 	}
+	for l.snapping.Load() {
+		l.cond.Wait() // a snapshot in flight finishes first
+	}
 	l.quiesce()
 	// No final fsync on a poisoned log: after an fsync failure the
 	// kernel may have dropped the dirty pages, and a "successful" retry
@@ -549,10 +556,7 @@ func (l *Log) Close() error {
 	}
 	l.fileMu.Lock()
 	defer l.fileMu.Unlock()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(err, l.f.Close())
 }
 
 // refusal is the error an append or snapshot gets without touching the
@@ -594,12 +598,13 @@ func (l *Log) carry(lsn uint64) error {
 	return l.failed
 }
 
-// quiesce runs rounds until none is in flight and buf is empty (or the
-// log is poisoned), leaving the files to the caller. Called with mu
-// held.
+// quiesce carries every record staged before it with normal rounds, so
+// staging meanwhile cannot keep it busy, then waits out the round in
+// flight, leaving the files to the caller. Called with mu held.
 func (l *Log) quiesce() {
-	for l.busy || (len(l.buf) > 0 && l.failed == nil) {
-		l.step()
+	l.carry(l.nextLSN - 1)
+	for l.busy {
+		l.cond.Wait()
 	}
 }
 
@@ -614,7 +619,7 @@ func (l *Log) step() {
 }
 
 // tick is the SyncInterval timer: it carries what was staged before it
-// with normal rounds (not quiesce, which staging could keep busy), then,
+// with normal rounds, then,
 // only when something is unsynced, fsyncs with mu released, so rounds
 // keep writing meanwhile. Then it re-arms.
 func (l *Log) tick() {
@@ -685,7 +690,7 @@ func (l *Log) poison(err error) {
 // to the active segment, rotating first if that segment is full.
 func (l *Log) write(batch []byte, first, n uint64) error {
 	if l.segs[len(l.segs)-1].bytes > l.opts.SegmentBytes {
-		if err := l.rotate(first); err != nil {
+		if err := seal(l.rotate(first)); err != nil {
 			return err
 		}
 	}
@@ -726,64 +731,140 @@ func (l *Log) sync() error {
 	return nil
 }
 
-// rotate seals the active segment and opens a fresh one whose first
-// record will be first.
-func (l *Log) rotate(first uint64) error {
+// rotate opens a fresh active segment whose first record will be first
+// and returns the one it replaced (nil if none) for the caller to seal.
+func (l *Log) rotate(first uint64) (file, error) {
 	if last := &l.segs[len(l.segs)-1]; last.bytes == 0 && last.firstLSN == first {
 		// Already cut at this boundary (e.g. a snapshot with no records
 		// since the previous rotation). Rotating again would register a
 		// second segment with the SAME path, and retention would then
 		// unlink the active file — losing every append written after it.
-		return nil
-	}
-	l.fileMu.Lock()
-	defer l.fileMu.Unlock()
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return err
+		return nil, nil
 	}
 	seg := segment{firstLSN: first, path: filepath.Join(l.opts.Dir, segName(first))}
 	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	l.fileMu.Lock()
+	old := l.f
 	l.f = f
+	l.fileMu.Unlock()
 	l.segs = append(l.segs, seg)
 	l.segCount.Store(int64(len(l.segs)))
 	syncDir(l.opts.Dir)
-	return nil
+	return old, nil
 }
 
-// snapshotNow writes a snapshot covering everything appended so far,
-// rotates so the tail is cut at the snapshot boundary, and applies
-// retention. Called with mu held and the log quiesced.
-func (l *Log) snapshotNow(items []Item) error {
-	lsn := l.done
-	if err := l.sync(); err != nil {
-		l.poison(err) // the log file's own fsync failed, not the snapshot's
-		return l.failed
+// seal fsyncs and closes the segment file rotate replaced, if any, and
+// passes rotate's error through.
+func seal(f file, err error) error {
+	if f == nil || err != nil {
+		return err
 	}
-	if err := writeSnapshotFile(l.opts.Dir, lsn, l.nextID.Load(), items); err != nil {
-		return err // tmp file discarded; the log itself is still sound
+	return errors.Join(f.Sync(), f.Close())
+}
+
+// claim takes the snapshot single flight, waiting out the one in
+// progress.
+func (l *Log) claim() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !l.snapping.CompareAndSwap(false, true) {
+		l.cond.Wait()
 	}
-	l.snapshots.Add(1)
-	l.snapLSN.Store(lsn)
-	l.sinceSnap.Store(0)
-	if err := l.rotate(lsn + 1); err != nil {
+}
+
+// snapshot takes one snapshot in the single flight the caller claimed,
+// then releases it. Under mu it quiesces and cuts the log after the last
+// record carried: rotate opens the next segment. With mu released it
+// fsyncs the sealed segment, gets the live set at the cut from items,
+// given the cut LSN and the sealed segments holding every record up to
+// it, and writes it with tmp + fsync + rename. Back under mu it
+// publishes the snapshot and applies retention.
+func (l *Log) snapshot(items func(lsn uint64, sealed []segment) ([]Item, error)) error {
+	l.mu.Lock()
+	defer func() {
+		l.snapping.Store(false)
+		l.cond.Broadcast()
+		l.mu.Unlock()
+	}()
+	l.quiesce()
+	if err := l.refusal(); err != nil {
+		return err
+	}
+	lsn, nextID := l.done, l.nextID.Load() // ids are allocated before their record is staged
+	old, err := l.rotate(lsn + 1)
+	if err != nil {
 		l.poison(err)
 		return l.failed
 	}
+	l.sinceSnap.Store(l.nextLSN - 1 - lsn)
+	sealed := append([]segment(nil), l.segs[:len(l.segs)-1]...)
+	l.mu.Unlock()
+	if err := seal(old, nil); err != nil { // its fsync runs beside the rounds, not in one
+		l.mu.Lock()
+		l.poison(err)
+		return l.failed
+	}
+	live, err := items(lsn, sealed)
+	if err == nil {
+		err = writeSnapshotFile(l.opts.Dir, lsn, nextID, live) // a failed write leaves no file
+	}
+	l.mu.Lock()
+	if err != nil {
+		l.opts.Logger.Warn("wal: snapshot failed, keeping the previous one", "lsn", lsn, "err", err)
+		return err
+	}
+	for l.busy {
+		l.cond.Wait() // retain edits segs, which a round's leader owns
+	}
+	l.snapshots.Add(1)
+	l.snapLSN.Store(lsn)
 	l.retain()
 	return nil
+}
+
+// fold replays the sealed segments onto the newest valid snapshot and
+// returns the live set at lsn; every record after that snapshot up to
+// lsn must be there, in order and undamaged. It reads a record at a
+// time, and no segment the snapshot wholly covers.
+func (l *Log) fold(lsn uint64, sealed []segment) ([]Item, error) {
+	from, _, live := loadNewestSnapshot(l.opts.Dir, l.opts.Logger)
+	next := from + 1 // the record due next
+	var ids uint64   // unused: the cut bounds the snapshot's ids
+	for i, s := range sealed {
+		if i+1 < len(sealed) && sealed[i+1].firstLSN <= next {
+			continue
+		}
+		_, damaged, err := scanFile(s.path, func(r record) error {
+			if r.lsn >= next {
+				if r.lsn != next {
+					return fmt.Errorf("wal: fold: %s holds lsn %d where %d was due", filepath.Base(s.path), r.lsn, next)
+				}
+				applyRecord(live, r, &ids)
+				next++
+			}
+			return nil
+		})
+		if damaged {
+			err = fmt.Errorf("wal: fold: damaged record in %s after lsn %d", filepath.Base(s.path), next-1)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if next != lsn+1 {
+		return nil, fmt.Errorf("wal: fold: records %d..%d missing", next, lsn)
+	}
+	return sortedItems(live), nil
 }
 
 // retain deletes snapshots beyond SnapshotRetain and segments wholly
 // covered by the oldest retained snapshot (so a fallback boot from that
 // snapshot still finds every record it needs).
 func (l *Log) retain() {
-	lsns, err := listSnapshots(l.opts.Dir)
+	lsns, err := listLSNs(l.opts.Dir, snapFormat)
 	if err != nil {
 		return
 	}

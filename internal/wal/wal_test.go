@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,7 +216,25 @@ func TestSyncIntervalFlushes(t *testing.T) {
 	}
 }
 
+// snapshotFunc writes a snapshot of l whose live set is items: through
+// Snapshot(items), or by folding the log, which must reach the same set.
+type snapshotFunc func(l *Log, items []Item) error
+
+// eachSnapshotter runs test once per snapshot writer, as subtests.
+func eachSnapshotter(t *testing.T, test func(t *testing.T, snapshot snapshotFunc)) {
+	t.Run("items", func(t *testing.T) {
+		test(t, func(l *Log, items []Item) error { return l.Snapshot(items) })
+	})
+	t.Run("fold", func(t *testing.T) {
+		test(t, func(l *Log, _ []Item) error { return l.Fold() })
+	})
+}
+
 func TestSegmentRotationAndRetention(t *testing.T) {
+	eachSnapshotter(t, testSegmentRotationAndRetention)
+}
+
+func testSegmentRotationAndRetention(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, func(o *Options) { o.SegmentBytes = 1 << 10 })
 	items := mustAppendInsert(t, l, 200) // ~30 bytes/record: many segments
@@ -230,7 +249,7 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	// A snapshot covers every sealed segment, so retention deletes them
 	// all: only the fresh post-rotation segment remains.
 	before := l.Stats().Segments
-	if err := l.Snapshot(items); err != nil {
+	if err := snapshot(l, items); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	st := l.Stats()
@@ -255,11 +274,13 @@ func TestSegmentRotationAndRetention(t *testing.T) {
 	}
 }
 
-func TestSnapshotCoversTail(t *testing.T) {
+func TestSnapshotCoversTail(t *testing.T) { eachSnapshotter(t, testSnapshotCoversTail) }
+
+func testSnapshotCoversTail(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	base := mustAppendInsert(t, l, 10)
-	if err := l.Snapshot(base); err != nil {
+	if err := snapshot(l, base); err != nil {
 		t.Fatal(err)
 	}
 	tail := mustAppendInsert(t, l, 5)
@@ -280,15 +301,19 @@ func TestSnapshotCoversTail(t *testing.T) {
 }
 
 func TestSnapshotFallbackWhenNewestCorrupt(t *testing.T) {
+	eachSnapshotter(t, testSnapshotFallbackWhenNewestCorrupt)
+}
+
+func testSnapshotFallbackWhenNewestCorrupt(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	base := mustAppendInsert(t, l, 8)
-	if err := l.Snapshot(base); err != nil {
+	if err := snapshot(l, base); err != nil {
 		t.Fatal(err)
 	}
 	tail := mustAppendInsert(t, l, 4)
 	all := append(append([]Item(nil), base...), tail...)
-	if err := l.Snapshot(all); err != nil {
+	if err := snapshot(l, all); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -474,15 +499,19 @@ func TestDamagedMiddleSegmentDropsOrphans(t *testing.T) {
 // survive. (Regression: the orphan-drop path used to fire here and
 // lose the whole tail.)
 func TestCoveredDamageKeepsLaterSegments(t *testing.T) {
+	eachSnapshotter(t, testCoveredDamageKeepsLaterSegments)
+}
+
+func testCoveredDamageKeepsLaterSegments(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, func(o *Options) { o.SegmentBytes = 256 })
 	base := mustAppendInsert(t, l, 10) // lsn 1..10
-	if err := l.Snapshot(base); err != nil {
+	if err := snapshot(l, base); err != nil {
 		t.Fatal(err)
 	}
 	mid := mustAppendInsert(t, l, 20) // lsn 11..30, spans several segments
 	all := append(append([]Item(nil), base...), mid...)
-	if err := l.Snapshot(all); err != nil {
+	if err := snapshot(l, all); err != nil {
 		t.Fatal(err) // snap@30; mid segments stay for the snap@10 fallback
 	}
 	tail := mustAppendInsert(t, l, 5) // lsn 31..35
@@ -601,7 +630,9 @@ func TestAppendAfterCoveredTruncationStartsFreshSegment(t *testing.T) {
 // sit in the page cache and become durable anyway, so serving on as if
 // the rollback were clean would let post-crash replay diverge from the
 // history clients observed.
-func TestWriteFailurePoisonsLog(t *testing.T) {
+func TestWriteFailurePoisonsLog(t *testing.T) { eachSnapshotter(t, testWriteFailurePoisonsLog) }
+
+func testWriteFailurePoisonsLog(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, func(o *Options) { o.Policy = SyncAlways })
 	items := mustAppendInsert(t, l, 3)
@@ -616,7 +647,7 @@ func TestWriteFailurePoisonsLog(t *testing.T) {
 	if err := l.AppendDelete([]uint64{items[0].ID}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after failure: %v, want ErrPoisoned", err)
 	}
-	if err := l.Snapshot(items); !errors.Is(err, ErrPoisoned) {
+	if err := snapshot(l, items); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("snapshot after failure: %v, want ErrPoisoned", err)
 	}
 	if err := l.Close(); !errors.Is(err, ErrPoisoned) {
@@ -634,14 +665,18 @@ func TestWriteFailurePoisonsLog(t *testing.T) {
 // append after it would die with the inode. (Regression: found by an
 // idle graceful-shutdown leaving a data dir with no segment at all.)
 func TestIdleSnapshotKeepsActiveSegment(t *testing.T) {
+	eachSnapshotter(t, testIdleSnapshotKeepsActiveSegment)
+}
+
+func testIdleSnapshotKeepsActiveSegment(t *testing.T, snapshot snapshotFunc) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	base := mustAppendInsert(t, l, 3)
-	if err := l.Snapshot(base); err != nil {
+	if err := snapshot(l, base); err != nil {
 		t.Fatal(err)
 	}
 	// Idle snapshot: nothing appended since the one above.
-	if err := l.Snapshot(base); err != nil {
+	if err := snapshot(l, base); err != nil {
 		t.Fatal(err)
 	}
 	if len(segFiles(t, dir)) == 0 {
@@ -664,6 +699,174 @@ func TestIdleSnapshotKeepsActiveSegment(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesSnapshot: on one log, folding the segments onto the
+// previous snapshot yields the same file content — covered LSN, next
+// durable id and live multiset — as Snapshot given the true live set.
+func TestFoldMatchesSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, func(o *Options) { o.SegmentBytes = 512 })
+	defer l.Close()
+	model := make(map[uint64]Item)
+	churn := func(n int) {
+		items := mustAppendInsert(t, l, n)
+		first := l.AllocIDs(3)
+		batch := []Item{{ID: first, Pri: 1, Value: []byte("b0")}, {ID: first + 1, Pri: 2}, {ID: first + 2, Pri: 3, Value: []byte("b2")}}
+		if err := l.AppendInsert(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range append(items, batch...) {
+			model[it.ID] = it
+		}
+		var gone []uint64
+		for _, it := range items[:n/3] {
+			gone = append(gone, it.ID)
+			delete(model, it.ID)
+		}
+		if err := l.AppendDelete(gone); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendDelete([]uint64{first + 1}); err != nil {
+			t.Fatal(err)
+		}
+		delete(model, first+1)
+	}
+	churn(30)
+	if err := l.Fold(); err != nil { // the snapshot the next fold starts from
+		t.Fatal(err)
+	}
+	churn(40)
+	live := make([]Item, 0, len(model))
+	for _, it := range model {
+		live = append(live, it)
+	}
+
+	decode := func(snapshot func() error) (lsn, nextID uint64, items map[uint64]Item) {
+		t.Helper()
+		if err := snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		lsn = l.Stats().SnapshotLSN
+		data, err := os.ReadFile(filepath.Join(dir, snapName(lsn)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, nextID, items, err = decodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn, nextID, items
+	}
+	// Fold first: Snapshot(live) at the same LSN would otherwise be the
+	// snapshot the fold starts from, leaving it nothing to replay.
+	foldLSN, foldNext, folded := decode(l.Fold)
+	snapLSN, snapNext, given := decode(func() error { return l.Snapshot(live) })
+	if foldLSN != snapLSN || foldNext != snapNext {
+		t.Fatalf("fold covers lsn %d with next id %d; Snapshot covers lsn %d with next id %d",
+			foldLSN, foldNext, snapLSN, snapNext)
+	}
+	checkItems(t, sortedItems(folded), given)
+	checkItems(t, sortedItems(folded), model)
+}
+
+// TestFoldFailureKeepsPreviousSnapshot: a fold that cannot finish — a
+// damaged record in the segments it replays, or a snapshot file it
+// cannot put in place — returns the error, writes no snapshot, deletes
+// no segment, and logs a Warn with the cut LSN. Once the damage is
+// undone, boot recovers the exact live set.
+func TestFoldFailureKeepsPreviousSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	var logged bytes.Buffer
+	l, _ := openT(t, dir, func(o *Options) {
+		o.SegmentBytes = 256
+		o.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	})
+	base := mustAppendInsert(t, l, 10)
+	if err := l.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	prev := l.Stats()
+	tail := mustAppendInsert(t, l, 30) // several sealed segments past the snapshot
+	want := liveMap(append(base, tail...))
+	snaps := func() (files []string) { // snapshot and .tmp files, not the blocker below
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if fi, err := os.Stat(name); err == nil && fi.Mode().IsRegular() {
+				files = append(files, name)
+			}
+		}
+		return files
+	}
+	failed := func(cause string) {
+		t.Helper()
+		segsBefore := len(segFiles(t, dir))
+		logged.Reset()
+		err := l.Fold()
+		if err == nil {
+			t.Fatalf("%s: Fold succeeded", cause)
+		}
+		if got := snaps(); len(got) != 1 || got[0] != filepath.Join(dir, snapName(prev.SnapshotLSN)) {
+			t.Fatalf("%s: snapshot files %v, want only the previous one", cause, got)
+		}
+		if st := l.Stats(); st.Snapshots != prev.Snapshots || st.SnapshotLSN != prev.SnapshotLSN {
+			t.Fatalf("%s: published snapshot %d at lsn %d, want %d at %d",
+				cause, st.Snapshots, st.SnapshotLSN, prev.Snapshots, prev.SnapshotLSN)
+		}
+		if got := len(segFiles(t, dir)); got < segsBefore {
+			t.Fatalf("%s: %d segments left of %d", cause, got, segsBefore)
+		}
+		line := logged.String()
+		if !strings.Contains(line, "level=WARN") || !strings.Contains(line, fmt.Sprintf("lsn=%d", l.Stats().LastLSN)) ||
+			!strings.Contains(line, err.Error()) {
+			t.Fatalf("%s: no Warn with the cut lsn and the error; logged %q", cause, line)
+		}
+		t.Logf("%s: %v", cause, err)
+	}
+
+	// A byte flipped inside a record of a sealed segment the fold replays.
+	segs := segFiles(t, dir)
+	victim := segs[1]
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[recHeader+2] ^= 0xff
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed("damaged record")
+	data[recHeader+2] ^= 0xff
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A directory where the snapshot file must go: the rename fails.
+	blocker := filepath.Join(dir, snapName(l.Stats().LastLSN))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failed("failed rename")
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("failed rename left %v", tmps)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := openT(t, dir, nil)
+	defer l2.Close()
+	if rec.Torn || rec.SnapshotLSN != prev.SnapshotLSN {
+		t.Fatalf("boot after failed folds: torn=%v snapshot lsn %d, want the previous %d", rec.Torn, rec.SnapshotLSN, prev.SnapshotLSN)
+	}
+	checkItems(t, rec.Items, want)
+}
+
 func TestCloseSemantics(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
@@ -679,6 +882,12 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if err := l.AppendDelete([]uint64{1}); err != ErrClosed {
 		t.Fatalf("delete after close: %v, want ErrClosed", err)
+	}
+	if err := l.Fold(); err != ErrClosed {
+		t.Fatalf("fold after close: %v, want ErrClosed", err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
+		t.Fatalf("a fold after close wrote %v", snaps)
 	}
 }
 
@@ -929,7 +1138,7 @@ func TestFsyncFailureFailsWholeGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := make(map[uint64]bool)
-	if _, damaged, err := scanSegment(data[:ff.synced], func(r record) error {
+	if _, damaged, err := scanSegment(bytes.NewReader(data[:ff.synced]), func(r record) error {
 		for _, it := range r.items {
 			durable[it.ID] = true
 		}
@@ -967,105 +1176,117 @@ func waitOrFail(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
 }
 
 // TestCloseRacesAppends: Close arrives while committers are queued and
-// rounds are in flight, with snapshots interleaved. Every append either
+// rounds are in flight, with snapshots interleaved — Snapshot(items)
+// behind a quiesce lock, or folds beside the appenders. Every append either
 // succeeds or gets ErrClosed, nothing hangs, and the next boot recovers
 // exactly the acked inserts minus the acked deletes.
 func TestCloseRacesAppends(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncNever, SyncInterval, SyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			l, _ := openT(t, dir, func(o *Options) {
-				o.Policy = policy
-				o.Interval = time.Millisecond
-				o.SegmentBytes = 4 << 10
-			})
-
-			// Appenders hold quiesce's read side across an append and its
-			// bookkeeping, so a snapshot sees exactly the acked live set.
-			var quiesce sync.RWMutex
-			live := make(map[uint64]Item)
-			var liveMu sync.Mutex
-			const workers, closeAfter = 8, 400
-			var acked atomic.Int64
-			ready := make(chan struct{})
-			var readyOnce sync.Once
-
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var mine []uint64
-					for i := 0; ; i++ {
-						quiesce.RLock()
-						var err error
-						if i%3 == 2 && len(mine) > 0 {
-							id := mine[0]
-							if err = l.AppendDelete([]uint64{id}); err == nil {
-								mine = mine[1:]
-								liveMu.Lock()
-								delete(live, id)
-								liveMu.Unlock()
-							}
-						} else {
-							it := Item{ID: l.AllocIDs(1), Pri: uint32(w), Value: []byte{byte(w), byte(i)}}
-							if err = l.AppendInsert([]Item{it}); err == nil {
-								mine = append(mine, it.ID)
-								liveMu.Lock()
-								live[it.ID] = it
-								liveMu.Unlock()
-							}
-						}
-						quiesce.RUnlock()
-						if err != nil {
-							if err != ErrClosed {
-								t.Errorf("worker %d: %v, want nil or ErrClosed", w, err)
-							}
-							return
-						}
-						if acked.Add(1) == closeAfter {
-							readyOnce.Do(func() { close(ready) })
-						}
-					}
-				}(w)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					quiesce.Lock()
-					liveMu.Lock()
-					items := make([]Item, 0, len(live))
-					for _, it := range live {
-						items = append(items, it)
-					}
-					liveMu.Unlock()
-					err := l.Snapshot(items)
-					quiesce.Unlock()
-					if err != nil {
-						if err != ErrClosed {
-							t.Errorf("snapshot: %v, want nil or ErrClosed", err)
-						}
-						return
-					}
-				}
-			}()
-
-			select {
-			case <-ready:
-			case <-time.After(10 * time.Second):
-				t.Fatal("appenders made no progress")
-			}
-			if err := l.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			waitOrFail(t, &wg, 10*time.Second)
-
-			l2, rec := openT(t, dir, nil)
-			defer l2.Close()
-			checkItems(t, rec.Items, live)
+			t.Run("items", func(t *testing.T) { closeRacesAppends(t, policy, false) })
+			t.Run("fold", func(t *testing.T) { closeRacesAppends(t, policy, true) })
 		})
 	}
+}
+
+func closeRacesAppends(t *testing.T, policy SyncPolicy, fold bool) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, func(o *Options) {
+		o.Policy = policy
+		o.Interval = time.Millisecond
+		o.SegmentBytes = 4 << 10
+	})
+
+	// Appenders hold quiesce's read side across an append and its
+	// bookkeeping, so Snapshot(items) sees exactly the acked live set.
+	// The fold takes no such lock: it reads the live set from the log.
+	var quiesce sync.RWMutex
+	live := make(map[uint64]Item)
+	var liveMu sync.Mutex
+	const workers, closeAfter = 8, 400
+	var acked atomic.Int64
+	ready := make(chan struct{})
+	var readyOnce sync.Once
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var mine []uint64
+			for i := 0; ; i++ {
+				quiesce.RLock()
+				var err error
+				if i%3 == 2 && len(mine) > 0 {
+					id := mine[0]
+					if err = l.AppendDelete([]uint64{id}); err == nil {
+						mine = mine[1:]
+						liveMu.Lock()
+						delete(live, id)
+						liveMu.Unlock()
+					}
+				} else {
+					it := Item{ID: l.AllocIDs(1), Pri: uint32(w), Value: []byte{byte(w), byte(i)}}
+					if err = l.AppendInsert([]Item{it}); err == nil {
+						mine = append(mine, it.ID)
+						liveMu.Lock()
+						live[it.ID] = it
+						liveMu.Unlock()
+					}
+				}
+				quiesce.RUnlock()
+				if err != nil {
+					if err != ErrClosed {
+						t.Errorf("worker %d: %v, want nil or ErrClosed", w, err)
+					}
+					return
+				}
+				if acked.Add(1) == closeAfter {
+					readyOnce.Do(func() { close(ready) })
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			var err error
+			if fold {
+				err = l.Fold() // reads only the log: appenders go on
+			} else {
+				quiesce.Lock()
+				liveMu.Lock()
+				items := make([]Item, 0, len(live))
+				for _, it := range live {
+					items = append(items, it)
+				}
+				liveMu.Unlock()
+				err = l.Snapshot(items)
+				quiesce.Unlock()
+			}
+			if err != nil {
+				if err != ErrClosed {
+					t.Errorf("snapshot: %v, want nil or ErrClosed", err)
+				}
+				return
+			}
+		}
+	}()
+
+	select {
+	case <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("appenders made no progress")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	waitOrFail(t, &wg, 10*time.Second)
+
+	l2, rec := openT(t, dir, nil)
+	defer l2.Close()
+	checkItems(t, rec.Items, live)
 }
 
 // TestGroupCommitMetrics: the group-commit histogram sees every fsync
@@ -1224,7 +1445,7 @@ func TestStageWaitOrderAndPoison(t *testing.T) {
 	scanWritten := func(fn func(r record) error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if _, damaged, err := scanSegment(written, fn); err != nil || damaged {
+		if _, damaged, err := scanSegment(bytes.NewReader(written), fn); err != nil || damaged {
 			t.Errorf("written bytes: damaged=%v err=%v", damaged, err)
 		}
 	}

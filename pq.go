@@ -103,14 +103,12 @@ func DeleteMinBatch[V any](q Queue[V], k int) []Item[V] {
 	return out
 }
 
-// Drain removes and returns every item in q in priority order — the
-// snapshot iterator the durable server uses to enumerate live contents
-// (pqd's WAL snapshots and /statusz are built on it). It repeatedly
-// pulls native batches until the queue stays empty. For quiescently
-// consistent queues the result is exact only between quiescent points:
-// items inserted concurrently with the drain may or may not appear.
-// Callers that need the queue unchanged afterwards re-insert the items
-// with InsertBatch.
+// Drain removes and returns every item in q in priority order. It
+// repeatedly pulls native batches until the queue stays empty. For
+// quiescently consistent queues the result is exact only between
+// quiescent points: items inserted concurrently with the drain may or
+// may not appear. Callers that need the queue unchanged afterwards
+// re-insert the items with InsertBatch.
 func Drain[V any](q Queue[V]) []Item[V] {
 	var out []Item[V]
 	for {
