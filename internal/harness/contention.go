@@ -37,7 +37,9 @@ type ContentionReport struct {
 func ProfileContention(alg simpq.Algorithm, procs, npri int, scale float64) (*ContentionReport, error) {
 	cfg := simpq.DefaultWorkload()
 	cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
-	res, spots, err := simpq.ProfiledWorkload(alg, procs, npri, cfg, 0x7fffffff)
+	simCfg := sim.DefaultConfig(procs)
+	simCfg.Profile = true
+	res, spots, err := simpq.WorkloadOnMachine(alg, npri, cfg, simCfg, 0x7fffffff)
 	if err != nil {
 		return nil, err
 	}
@@ -61,8 +63,14 @@ func ProfileContention(alg simpq.Algorithm, procs, npri int, scale float64) (*Co
 	for _, sc := range agg {
 		rep.Structures = append(rep.Structures, *sc)
 	}
+	// Ties break by name: the structures come out of a map, and the
+	// report must be the same on every run.
 	sort.Slice(rep.Structures, func(i, j int) bool {
-		return rep.Structures[i].WaitCycles > rep.Structures[j].WaitCycles
+		a, b := rep.Structures[i], rep.Structures[j]
+		if a.WaitCycles != b.WaitCycles {
+			return a.WaitCycles > b.WaitCycles
+		}
+		return a.Structure < b.Structure
 	})
 	if len(spots) > 10 {
 		spots = spots[:10]

@@ -19,10 +19,17 @@ func TestProfileContention(t *testing.T) {
 		t.Fatal("no structures aggregated")
 	}
 	seen := map[string]bool{}
-	for _, s := range rep.Structures {
+	for i, s := range rep.Structures {
 		seen[s.Structure] = true
 		if s.Accesses <= 0 {
 			t.Errorf("structure %q has no accesses", s.Structure)
+		}
+		if i > 0 {
+			prev := rep.Structures[i-1]
+			if prev.WaitCycles < s.WaitCycles || prev.WaitCycles == s.WaitCycles && prev.Structure > s.Structure {
+				t.Errorf("structures out of order: %q (%d) before %q (%d)",
+					prev.Structure, prev.WaitCycles, s.Structure, s.WaitCycles)
+			}
 		}
 	}
 	if !seen["mcs.tail"] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pq/internal/sim"
 	"pq/internal/simpq"
 )
 
@@ -31,11 +30,10 @@ func Fairness() *Experiment {
 				s.label(name)
 				for _, procs := range []int{16, 64, 256} {
 					s.add(func() (Point, error) {
-						m, err := sim.New(sim.DefaultConfig(procs))
+						m, maxItems, err := customMachine(procs, cfg)
 						if err != nil {
 							return Point{}, err
 						}
-						maxItems := procs*cfg.OpsPerProc + 1
 						q := simpq.NewFunnelTreeDiscipline(m, 16, maxItems,
 							simpq.DefaultFunnelParams(procs), simpq.DefaultFunnelCutoff, fifo)
 						r, err := simpq.SojournWorkload(m, q, cfg)

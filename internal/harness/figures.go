@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pq/internal/sim"
 	"pq/internal/simpq"
 )
 
@@ -247,11 +246,10 @@ func AblateCutoff() *Experiment {
 				name := fmt.Sprintf("cutoff=%d", cutoff)
 				s.label(name)
 				s.add(func() (Point, error) {
-					m, err := sim.New(sim.DefaultConfig(procs))
+					m, maxItems, err := customMachine(procs, cfg)
 					if err != nil {
 						return Point{}, err
 					}
-					maxItems := procs*cfg.OpsPerProc + 1
 					q := simpq.NewFunnelTreeCutoff(m, npri, maxItems, simpq.DefaultFunnelParams(procs), cutoff)
 					r, err := simpq.DriveWorkload(m, q, cfg)
 					return Point{Algorithm: name, Procs: procs, Pris: npri, X: float64(cutoff), Result: r}, err
@@ -294,13 +292,12 @@ func AblateAdaption() *Experiment {
 				s.label(name)
 				for _, procs := range []int{4, 16, 64, 256} {
 					s.add(func() (Point, error) {
-						m, err := sim.New(sim.DefaultConfig(procs))
+						m, maxItems, err := customMachine(procs, cfg)
 						if err != nil {
 							return Point{}, err
 						}
 						params := simpq.DefaultFunnelParams(procs)
 						params.Adaptive = adaptive
-						maxItems := procs*cfg.OpsPerProc + 1
 						q := simpq.NewFunnelTree(m, 16, maxItems, params)
 						r, err := simpq.DriveWorkload(m, q, cfg)
 						return Point{Algorithm: name, Procs: procs, Pris: 16, X: float64(procs), Result: r}, err

@@ -8,8 +8,18 @@ import (
 	"io"
 	"strings"
 
+	"pq/internal/sim"
 	"pq/internal/simpq"
 )
+
+// customMachine builds a default machine for procs processors and
+// returns the queue capacity a run of cfg on it needs — the formula
+// simpq's own build path uses — for experiments that build their queue
+// by hand.
+func customMachine(procs int, cfg simpq.WorkloadConfig) (*sim.Machine, int, error) {
+	m, err := sim.New(sim.DefaultConfig(procs))
+	return m, procs*cfg.OpsPerProc*max(cfg.Batch, 1) + cfg.Prefill + 1, err
+}
 
 // Point is one measured cell of an experiment: a configuration and its
 // latency results.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pq/internal/sim"
 	"pq/internal/simpq"
 )
 
@@ -100,11 +99,10 @@ func RunRelaxedFrontier(cs, procsList []int, pris int, scale float64, progress f
 // MultiQueue built with an explicit c — the one knob the frontier
 // sweeps, which the default Build path pins to 2.
 func runFrontierMultiQueue(c, procs, pris int, cfg simpq.WorkloadConfig) (simpq.Result, error) {
-	m, err := sim.New(sim.DefaultConfig(procs))
+	m, maxItems, err := customMachine(procs, cfg)
 	if err != nil {
 		return simpq.Result{}, err
 	}
-	maxItems := procs*cfg.OpsPerProc + cfg.Prefill + 1
 	q := simpq.NewMultiQueue(m, pris, maxItems, simpq.MQParams{C: c})
 	return simpq.DriveWorkload(m, q, cfg)
 }

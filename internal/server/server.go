@@ -67,8 +67,6 @@ type Config struct {
 	// each time it grows by that many records. Default 100000; negative
 	// disables them (graceful shutdown still folds a final one).
 	SnapshotEvery int
-	// SegmentBytes rotates log segments past this size. Default 16 MiB.
-	SegmentBytes int64
 }
 
 func (c *Config) normalize() {
@@ -152,12 +150,11 @@ func (s *Server) AddQueue(spec QueueSpec) error {
 			CommitRecords: obs.NewHistogram(1, 0, 20),
 		}
 		l, rec, err := wal.Open(wal.Options{
-			Dir:          filepath.Join(s.cfg.DataDir, spec.Name),
-			Policy:       s.cfg.Fsync,
-			Interval:     s.cfg.FsyncInterval,
-			SegmentBytes: s.cfg.SegmentBytes,
-			Logger:       s.cfg.Logger,
-			Metrics:      q.walMet,
+			Dir:      filepath.Join(s.cfg.DataDir, spec.Name),
+			Policy:   s.cfg.Fsync,
+			Interval: s.cfg.FsyncInterval,
+			Logger:   s.cfg.Logger,
+			Metrics:  q.walMet,
 		})
 		if err != nil {
 			return fmt.Errorf("server: queue %q: %w", spec.Name, err)

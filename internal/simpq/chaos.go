@@ -63,124 +63,46 @@ type ChaosResult struct {
 	Digest uint64
 }
 
-// chaosPending is one processor's in-flight operation slot.
-type chaosPending struct {
-	active bool
-	kind   order.Kind
-	pri    int
-	val    uint64
-	start  int64
-}
-
 // ChaosWorkload drives the standard mixed workload for alg under the
 // fault plan (and watchdog) carried by simCfg, recording the operation
 // history. Unlike DriveWorkload it uses no start barrier — a processor
 // crashing before a barrier would hang every other processor for
 // reasons that have nothing to do with the algorithm under test — so
-// prefill inserts simply race with the measured mix.
+// prefill inserts simply race with the measured mix and are recorded
+// like it. The history records single operations, so Batch > 1 is
+// refused.
 func ChaosWorkload(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.Config) (ChaosResult, error) {
-	if !knownAlgorithm(alg) {
-		return ChaosResult{}, fmt.Errorf("simpq: unknown algorithm %q", alg)
+	if cfg.Batch > 1 {
+		return ChaosResult{}, fmt.Errorf("simpq: ChaosWorkload records single operations; Batch must be 0 or 1, got %d", cfg.Batch)
 	}
-	if err := cfg.Validate(); err != nil {
-		return ChaosResult{}, err
-	}
-	if npri < 1 {
-		return ChaosResult{}, fmt.Errorf("simpq: priorities must be >= 1, got %d", npri)
-	}
-	if cfg.Seed != 0 {
-		simCfg.Seed = cfg.Seed
-	}
-	m, err := sim.New(simCfg)
+	m, q, err := buildRun(alg, npri, cfg, simCfg)
 	if err != nil {
 		return ChaosResult{}, err
 	}
 	procs := m.Procs()
-	maxItems := procs*cfg.OpsPerProc + cfg.Prefill + 1
-	q := Build(alg, m, npri, maxItems)
-
-	histories := make([][]order.Op, procs)
-	pendings := make([]chaosPending, procs)
-	completed := make([]bool, procs)
-	type tally struct {
-		insCycles, delCycles int64
-		ins, dels, failed    int
+	rec := &recorder{
+		noBarrier:     true,
+		recordPrefill: true,
+		history:       make([][]order.Op, procs),
+		pending:       make([]order.PendingOp, procs),
 	}
-	tallies := make([]tally, procs)
+	tallies, st, runErr := runMix(m, q, cfg, rec)
 
-	simStats, runErr := m.Run(func(p *sim.Proc) {
-		id := p.ID()
-		t := &tallies[id]
-		pend := &pendings[id]
-		seq := 0
-
-		record := func(op order.Op) {
-			histories[id] = append(histories[id], op)
-			pend.active = false
-			p.OpDone()
-		}
-		insert := func(pri int) {
-			v := ChaosVal(pri, id, seq)
-			seq++
-			start := p.Now()
-			*pend = chaosPending{active: true, kind: order.Insert, pri: pri, val: v, start: start}
-			q.Insert(p, pri, v)
-			t.ins++
-			t.insCycles += p.Now() - start
-			record(order.Op{Kind: order.Insert, Pri: pri, Val: v, OK: true, Start: start, End: p.Now()})
-		}
-
-		share := cfg.Prefill / procs
-		if id < cfg.Prefill%procs {
-			share++
-		}
-		for i := 0; i < share; i++ {
-			insert(p.Rand(npri))
-		}
-
-		stall := cfg.StallCycles
-		if cfg.StallEvery > 0 && stall == 0 {
-			stall = 10 * sim.DefaultRemoteCost
-		}
-		for i := 0; i < cfg.OpsPerProc; i++ {
-			p.LocalWork(cfg.LocalWork)
-			if cfg.StallEvery > 0 && (i+id)%cfg.StallEvery == cfg.StallEvery-1 {
-				p.LocalWork(stall)
-			}
-			if float64(p.Rand(1<<16))/(1<<16) < cfg.InsertFraction {
-				insert(p.Rand(npri))
-			} else {
-				start := p.Now()
-				*pend = chaosPending{active: true, kind: order.DeleteMin, start: start}
-				v, ok := q.DeleteMin(p)
-				t.dels++
-				t.delCycles += p.Now() - start
-				op := order.Op{Kind: order.DeleteMin, OK: ok, Start: start, End: p.Now()}
-				if ok {
-					op.Pri, op.Val = ChaosPri(v), v
-				} else {
-					t.failed++
-				}
-				record(op)
-			}
-		}
-		completed[id] = true
-	})
-
-	r := ChaosResult{RunErr: runErr, Crashed: m.CrashedProcs()}
+	r := ChaosResult{
+		Latency: summarize(tallies, st, q, cfg.KeepLatencies),
+		RunErr:  runErr,
+		Crashed: m.CrashedProcs(),
+	}
 	crashed := make(map[int]bool, len(r.Crashed))
 	for _, c := range r.Crashed {
 		crashed[c] = true
 	}
-	for id := 0; id < procs; id++ {
-		r.History = append(r.History, histories[id]...)
-		if completed[id] {
+	for id := range procs {
+		r.History = append(r.History, rec.history[id]...)
+		if tallies[id].done {
 			r.Completed++
-		} else if pendings[id].active {
-			pd := pendings[id]
-			r.Pending = append(r.Pending, order.PendingOp{
-				Kind: pd.kind, Pri: pd.pri, Val: pd.val, Start: pd.start,
-			})
+		} else if rec.pending[id].Kind != 0 {
+			r.Pending = append(r.Pending, rec.pending[id])
 		}
 	}
 	for _, pk := range m.ParkedProcs() {
@@ -191,25 +113,6 @@ func ChaosWorkload(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.Confi
 			Proc: pk.Proc, Addr: pk.Addr, Label: m.LabelFor(pk.Addr),
 		})
 	}
-
-	var insC, delC int64
-	for i := range tallies {
-		insC += tallies[i].insCycles
-		delC += tallies[i].delCycles
-		r.Latency.Inserts += tallies[i].ins
-		r.Latency.Deletes += tallies[i].dels
-		r.Latency.FailedDeletes += tallies[i].failed
-	}
-	if r.Latency.Inserts > 0 {
-		r.Latency.MeanInsert = float64(insC) / float64(r.Latency.Inserts)
-	}
-	if r.Latency.Deletes > 0 {
-		r.Latency.MeanDelete = float64(delC) / float64(r.Latency.Deletes)
-	}
-	if n := r.Latency.Inserts + r.Latency.Deletes; n > 0 {
-		r.Latency.MeanAll = float64(insC+delC) / float64(n)
-	}
-	r.Latency.Stats = simStats
 	r.Digest = chaosDigest(r.History, r.Pending)
 	return r, nil
 }

@@ -132,3 +132,67 @@ func TestCounterTraversalsCountEveryCounterOp(t *testing.T) {
 		}
 	}
 }
+
+// TestExactResultsSojournAndChaos pins the exact outcome of the two
+// drivers that record more than latency: SojournWorkload on FunnelTree
+// with LIFO and with FIFO bins, and ChaosWorkload on three algorithms
+// under one crash-and-stall plan with a prefill. Restructuring the
+// benchmark loop must leave every number here bit-identical.
+func TestExactResultsSojournAndChaos(t *testing.T) {
+	const procs, npri = 16, 16
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 40
+	cfg.Seed = 7
+	for _, c := range []struct {
+		fifo bool
+		want string
+	}{
+		{false, "events=44791 mean=2869.5046875 sojourns=286 sojourn_mean=5811.335664335665 sojourn_p99=24431.149999999892"},
+		{true, "events=43873 mean=2799.8296875 sojourns=297 sojourn_mean=7972.828282828283 sojourn_p99=47241.240000000034"},
+	} {
+		simCfg := sim.DefaultConfig(procs)
+		simCfg.Seed = cfg.Seed
+		m, err := sim.New(simCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewFunnelTreeDiscipline(m, npri, procs*cfg.OpsPerProc+1, DefaultFunnelParams(procs), DefaultFunnelCutoff, c.fifo)
+		r, err := SojournWorkload(m, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("events=%d mean=%v sojourns=%d sojourn_mean=%v sojourn_p99=%v",
+			r.Latency.Stats.Events, r.Latency.MeanAll, r.Sojourn.Count, r.Sojourn.Mean, r.Sojourn.P99)
+		if got != c.want {
+			t.Errorf("Sojourn fifo=%v:\n got %s\nwant %s", c.fifo, got, c.want)
+		}
+	}
+
+	plan := &sim.FaultPlan{
+		Stalls:  []sim.StallSpec{{Proc: sim.AllProcs, Gap: sim.Uniform(1_000, 4_000), Duration: sim.Pareto(100, 1.4)}},
+		Crashes: []sim.Crash{{Proc: 3, At: 9_000}, {Proc: 10, At: 20_000}},
+	}
+	chaosCfg := cfg
+	chaosCfg.Prefill = 24
+	for _, c := range []struct {
+		alg  Algorithm
+		want string
+	}{
+		{AlgSingleLock, "digest=0xea8f69f577001b68 completed=0 pending=16 crashed=[3 10] events=819 ops=34 mean=6202.705882352941"},
+		{AlgSimpleLinear, "digest=0x931cef68cada26fe completed=4 pending=12 crashed=[3 10] events=7087 ops=377 mean=1166.657824933687"},
+		{AlgFunnelTree, "digest=0x77e6269467942699 completed=14 pending=2 crashed=[3 10] events=40381 ops=590 mean=3251.2847457627117"},
+	} {
+		simCfg := chaosSimCfg(procs)
+		simCfg.Faults = plan
+		r, err := ChaosWorkload(c.alg, npri, chaosCfg, simCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("digest=%#x completed=%d pending=%d crashed=%v events=%d ops=%d mean=%v",
+			r.Digest, r.Completed, len(r.Pending), r.Crashed,
+			r.Latency.Stats.Events, r.Latency.Inserts+r.Latency.Deletes, r.Latency.MeanAll)
+		if got != c.want {
+			t.Errorf("Chaos %s:\n got %s\nwant %s", c.alg, got, c.want)
+		}
+	}
+}

@@ -13,6 +13,11 @@
 // registered separately (RelaxedAlgorithms) and never selected by
 // default.
 //
+// The paper's benchmark runs through one per-processor loop
+// (workload.go); DriveWorkload, SojournWorkload and ChaosWorkload differ
+// only in the recorder they hand it — what an insert stamps and what each
+// operation records.
+//
 // Values stored in queues and stacks must fit in 61 bits; the top bits of
 // a simulated word are used for result/state encoding in the funnel
 // protocol.

@@ -3,6 +3,7 @@ package simpq
 import (
 	"fmt"
 
+	"pq/internal/order"
 	"pq/internal/sim"
 	"pq/internal/stats"
 )
@@ -153,45 +154,53 @@ func (b *barrier) wait(p *sim.Proc, phase uint64) {
 // RunWorkload builds the named queue on a fresh machine and drives the
 // paper's benchmark on every processor.
 func RunWorkload(alg Algorithm, procs, npri int, cfg WorkloadConfig) (Result, error) {
-	r, _, err := ProfiledWorkload(alg, procs, npri, cfg, 0)
+	r, _, err := WorkloadOnMachine(alg, npri, cfg, sim.DefaultConfig(procs), 0)
 	return r, err
 }
 
-// ProfiledWorkload is RunWorkload with the simulator's contention
-// profiler enabled when topN > 0; it returns the topN hottest words.
-func ProfiledWorkload(alg Algorithm, procs, npri int, cfg WorkloadConfig, topN int) (Result, []sim.HotSpot, error) {
-	simCfg := sim.DefaultConfig(procs)
-	simCfg.Profile = topN > 0
-	return WorkloadOnMachine(alg, npri, cfg, simCfg, topN)
-}
-
 // WorkloadOnMachine runs the benchmark with a fully custom machine
-// configuration — the entry point for cost-model sensitivity studies.
+// configuration — the entry point for cost-model sensitivity studies —
+// and returns the topN hottest words when simCfg.Profile is set.
 func WorkloadOnMachine(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.Config, topN int) (Result, []sim.HotSpot, error) {
-	if !knownAlgorithm(alg) {
-		return Result{}, nil, fmt.Errorf("simpq: unknown algorithm %q", alg)
-	}
-	if npri < 1 {
-		return Result{}, nil, fmt.Errorf("simpq: priorities must be >= 1, got %d", npri)
-	}
-	procs := simCfg.Procs
-	if cfg.Seed != 0 {
-		simCfg.Seed = cfg.Seed
-	}
-	m, err := sim.New(simCfg)
+	m, q, err := buildRun(alg, npri, cfg, simCfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	maxItems := procs*cfg.OpsPerProc + cfg.Prefill + 1
-	if cfg.Batch > 1 {
-		maxItems = procs*cfg.OpsPerProc*cfg.Batch + cfg.Prefill + 1
-	}
-	q := Build(alg, m, npri, maxItems)
 	r, err := DriveWorkload(m, q, cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	return r, m.HotSpots(topN), nil
+}
+
+// buildRun is the one build path of the named-algorithm drivers: it
+// validates the inputs, applies cfg.Seed to simCfg, and builds the
+// machine and alg's queue sized by capacity.
+func buildRun(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.Config) (*sim.Machine, Queue, error) {
+	if !knownAlgorithm(alg) {
+		return nil, nil, fmt.Errorf("simpq: unknown algorithm %q", alg)
+	}
+	if npri < 1 {
+		return nil, nil, fmt.Errorf("simpq: priorities must be >= 1, got %d", npri)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Seed != 0 {
+		simCfg.Seed = cfg.Seed
+	}
+	m, err := sim.New(simCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, Build(alg, m, npri, capacity(m.Procs(), cfg)), nil
+}
+
+// capacity is the most elements a run of cfg on procs processors can
+// hold at once: every measured access an insert of max(Batch,1)
+// elements, on top of the prefill.
+func capacity(procs int, cfg WorkloadConfig) int {
+	return procs*cfg.OpsPerProc*max(cfg.Batch, 1) + cfg.Prefill + 1
 }
 
 // DriveWorkload runs the benchmark against an already built queue. It is
@@ -201,104 +210,240 @@ func DriveWorkload(m *sim.Machine, q Queue, cfg WorkloadConfig) (Result, error) 
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	procs := m.Procs()
-	npri := q.NumPriorities()
-	bar := newBarrier(m)
-	type procTally struct {
-		insertCycles, deleteCycles int64
-		inserts, deletes, failed   int
-		insLat, delLat             []float64
+	tallies, st, err := runMix(m, q, cfg, &recorder{})
+	if err != nil {
+		return Result{}, err
+	}
+	return summarize(tallies, st, q, cfg.KeepLatencies), nil
+}
+
+// SojournResult reports how long delivered items sat in the queue —
+// the fairness measure behind the paper's Section 3.2 stack-vs-FIFO
+// discussion (LIFO bins can starve old items of equal priority).
+type SojournResult struct {
+	// Latency is the usual access-latency result.
+	Latency Result
+	// Sojourn summarizes (delete time - insert time) over delivered
+	// items, in cycles.
+	Sojourn stats.Summary
+}
+
+// SojournWorkload drives the standard benchmark against q, stamping each
+// inserted value with its insertion cycle so deletions can measure how
+// long items waited.
+func SojournWorkload(m *sim.Machine, q Queue, cfg WorkloadConfig) (SojournResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return SojournResult{}, err
+	}
+	rec := &recorder{sojourns: make([][]float64, m.Procs())}
+	tallies, st, err := runMix(m, q, cfg, rec)
+	if err != nil {
+		return SojournResult{}, err
+	}
+	var all []float64
+	for _, s := range rec.sojourns {
+		all = append(all, s...)
+	}
+	return SojournResult{Latency: summarize(tallies, st, q, cfg.KeepLatencies), Sojourn: stats.Summarize(all)}, nil
+}
+
+// kindTally totals one processor's elements of one kind of access.
+type kindTally struct {
+	cycles int64
+	n      int
+	// lat holds per-element latencies when KeepLatencies is set.
+	lat []float64
+}
+
+// procTally is one processor's share of a run's operation totals.
+type procTally struct {
+	ins, del kindTally
+	failed   int
+	// done is set once the processor has finished all its operations.
+	done bool
+}
+
+// recorder is what differs between the drivers sharing runMix: the
+// value an insert stamps, what each completed operation records beyond
+// the latency tally, whether a start barrier runs and whether prefill
+// inserts are recorded. DriveWorkload's zero recorder stamps id<<32|i
+// and records latency only. Per-processor slices are indexed by
+// processor id and touched only by that processor's program.
+type recorder struct {
+	// noBarrier drops the start barrier between the prefill and the
+	// measured mix, and recordPrefill tallies and records the prefill
+	// inserts like measured ones.
+	noBarrier, recordPrefill bool
+	// sojourns, when non-nil, collects each delivered item's wait in
+	// cycles; inserts stamp their insertion cycle.
+	sojourns [][]float64
+	// history, when non-nil, collects every operation and pending holds
+	// each processor's operation in flight; inserts stamp ChaosVal.
+	history [][]order.Op
+	pending []order.PendingOp
+}
+
+// stamp is the value of the seq-th element processor id inserts, with
+// priority pri, at cycle now; serial is its index in DriveWorkload's
+// numbering.
+func (rec *recorder) stamp(id, pri, seq int, serial uint64, now int64) uint64 {
+	switch {
+	case rec.sojourns != nil:
+		return uint64(now)
+	case rec.history != nil:
+		return ChaosVal(pri, id, seq)
+	}
+	return uint64(id)<<32 | serial
+}
+
+// begin marks an operation of processor id in flight from cycle start:
+// the insert of it or, with it zero, a delete-min. A zero Kind in
+// pending means no operation is in flight.
+func (rec *recorder) begin(id int, kind order.Kind, it BatchItem, start int64) {
+	if rec.pending != nil {
+		rec.pending[id] = order.PendingOp{Kind: kind, Pri: it.Pri, Val: it.Val, Start: start}
+	}
+}
+
+// record notes a completed operation of processor id spanning start to
+// end: items are the elements it inserted or delivered.
+func (rec *recorder) record(id int, kind order.Kind, items []BatchItem, start, end int64) {
+	if rec.sojourns != nil && kind == order.DeleteMin {
+		for _, it := range items {
+			rec.sojourns[id] = append(rec.sojourns[id], float64(end-int64(it.Val)))
+		}
+	}
+	if rec.history != nil {
+		op := order.Op{Kind: kind, OK: len(items) > 0, Start: start, End: end}
+		if op.OK {
+			op.Pri, op.Val = ChaosPri(items[0].Val), items[0].Val
+		}
+		rec.history[id] = append(rec.history[id], op)
+		rec.pending[id] = order.PendingOp{}
+	}
+}
+
+// runMix is the paper's benchmark, the one loop every driver runs: each
+// processor inserts its share of cfg.Prefill, waits at the start barrier
+// unless rec drops it, and then performs cfg.OpsPerProc accesses, each
+// LocalWork (plus the periodic stall) followed by a coin-flip insert or
+// delete-min of max(Batch,1) elements. It returns each processor's
+// tally; the error is the simulator's terminal state.
+func runMix(m *sim.Machine, q Queue, cfg WorkloadConfig, rec *recorder) ([]procTally, sim.Stats, error) {
+	procs, npri := m.Procs(), q.NumPriorities()
+	var bar *barrier
+	if !rec.noBarrier {
+		bar = newBarrier(m)
+	}
+	batch := max(cfg.Batch, 1)
+	stall := cfg.StallCycles
+	if cfg.StallEvery > 0 && stall == 0 {
+		stall = 10 * sim.DefaultRemoteCost
 	}
 	tallies := make([]procTally, procs)
-
-	simStats, err := m.Run(func(p *sim.Proc) {
+	st, err := m.Run(func(p *sim.Proc) {
 		id := p.ID()
-		// Prefill phase (unmeasured), spread across processors.
+		t := &tallies[id]
+		var items []BatchItem
+		seq := 0
+		// finish tallies and records an access of n elements begun at
+		// start; elems are the elements it inserted or delivered.
+		finish := func(kind order.Kind, elems []BatchItem, n int, start int64) {
+			kt, span := &t.ins, "insert"
+			if kind == order.DeleteMin {
+				kt, span = &t.del, "deletemin"
+				t.failed += n - len(elems)
+			}
+			p.OpSpan(span, start)
+			end := p.Now()
+			kt.cycles += end - start
+			kt.n += n
+			if cfg.KeepLatencies {
+				for range n {
+					kt.lat = append(kt.lat, float64(end-start)/float64(n))
+				}
+			}
+			rec.record(id, kind, elems, start, end)
+			p.OpDone()
+		}
+		// insert adds n elements; serial numbers the first in
+		// DriveWorkload's stamps. An unrecorded insert (a prefill the
+		// recorder skips) is neither tallied nor reported.
+		insert := func(n int, serial uint64, recorded bool) {
+			start := p.Now()
+			items = items[:0]
+			for j := range n {
+				pri := p.Rand(npri)
+				items = append(items, BatchItem{Pri: pri, Val: rec.stamp(id, pri, seq, serial+uint64(j), start)})
+				seq++
+			}
+			if recorded {
+				rec.begin(id, order.Insert, items[0], start)
+			}
+			if n == 1 {
+				q.Insert(p, items[0].Pri, items[0].Val)
+			} else {
+				InsertBatch(p, q, items)
+			}
+			if recorded {
+				finish(order.Insert, items, n, start)
+			}
+		}
+		deleteMin := func(n int) {
+			start := p.Now()
+			rec.begin(id, order.DeleteMin, BatchItem{}, start)
+			var got []BatchItem
+			if n == 1 {
+				if v, ok := q.DeleteMin(p); ok {
+					got = append(items[:0], BatchItem{Pri: -1, Val: v})
+				}
+			} else {
+				got = DeleteMinBatch(p, q, n)
+			}
+			finish(order.DeleteMin, got, n, start)
+		}
+
 		share := cfg.Prefill / procs
 		if id < cfg.Prefill%procs {
 			share++
 		}
-		for i := 0; i < share; i++ {
-			q.Insert(p, p.Rand(npri), uint64(id)<<32|uint64(i)|1<<60)
+		for i := range share {
+			insert(1, uint64(i)|1<<60, rec.recordPrefill)
 		}
-		bar.wait(p, 1)
-
-		t := &tallies[id]
-		stall := cfg.StallCycles
-		if cfg.StallEvery > 0 && stall == 0 {
-			stall = 10 * sim.DefaultRemoteCost
+		if bar != nil {
+			bar.wait(p, 1)
 		}
-		batch := cfg.Batch
-		if batch < 1 {
-			batch = 1
-		}
-		var items []BatchItem
-		for i := 0; i < cfg.OpsPerProc; i++ {
+		for i := range cfg.OpsPerProc {
 			p.LocalWork(cfg.LocalWork)
 			if cfg.StallEvery > 0 && (i+id)%cfg.StallEvery == cfg.StallEvery-1 {
 				p.LocalWork(stall)
 			}
-			start := p.Now()
 			if float64(p.Rand(1<<16))/(1<<16) < cfg.InsertFraction {
-				if batch == 1 {
-					q.Insert(p, p.Rand(npri), uint64(id)<<32|uint64(i))
-				} else {
-					items = items[:0]
-					for j := 0; j < batch; j++ {
-						items = append(items, BatchItem{
-							Pri: p.Rand(npri),
-							Val: uint64(id)<<32 | uint64(i*batch+j),
-						})
-					}
-					InsertBatch(p, q, items)
-				}
-				p.OpSpan("insert", start)
-				lat := p.Now() - start
-				t.insertCycles += lat
-				t.inserts += batch
-				if cfg.KeepLatencies {
-					per := float64(lat) / float64(batch)
-					for j := 0; j < batch; j++ {
-						t.insLat = append(t.insLat, per)
-					}
-				}
+				insert(batch, uint64(i*batch), true)
 			} else {
-				failed := 0
-				if batch == 1 {
-					if _, ok := q.DeleteMin(p); !ok {
-						failed = 1
-					}
-				} else {
-					failed = batch - len(DeleteMinBatch(p, q, batch))
-				}
-				p.OpSpan("deletemin", start)
-				lat := p.Now() - start
-				t.deleteCycles += lat
-				t.deletes += batch
-				t.failed += failed
-				if cfg.KeepLatencies {
-					per := float64(lat) / float64(batch)
-					for j := 0; j < batch; j++ {
-						t.delLat = append(t.delLat, per)
-					}
-				}
+				deleteMin(batch)
 			}
-			p.OpDone()
 		}
+		t.done = true
 	})
-	if err != nil {
-		return Result{}, err
-	}
+	return tallies, st, err
+}
 
-	var r Result
+// summarize folds the per-processor tallies of a run on q into a
+// Result; keep adds the latency distributions.
+func summarize(tallies []procTally, st sim.Stats, q Queue, keep bool) Result {
+	r := Result{Stats: st, Internals: MetricsOf(q)}
 	var insCycles, delCycles int64
+	var ins, del []float64
 	for i := range tallies {
 		t := &tallies[i]
-		insCycles += t.insertCycles
-		delCycles += t.deleteCycles
-		r.Inserts += t.inserts
-		r.Deletes += t.deletes
+		insCycles += t.ins.cycles
+		delCycles += t.del.cycles
+		r.Inserts += t.ins.n
+		r.Deletes += t.del.n
 		r.FailedDeletes += t.failed
+		ins = append(ins, t.ins.lat...)
+		del = append(del, t.del.lat...)
 	}
 	if r.Inserts > 0 {
 		r.MeanInsert = float64(insCycles) / float64(r.Inserts)
@@ -309,16 +454,10 @@ func DriveWorkload(m *sim.Machine, q Queue, cfg WorkloadConfig) (Result, error) 
 	if n := r.Inserts + r.Deletes; n > 0 {
 		r.MeanAll = float64(insCycles+delCycles) / float64(n)
 	}
-	if cfg.KeepLatencies {
-		var ins, del, all []float64
-		for i := range tallies {
-			ins = append(ins, tallies[i].insLat...)
-			del = append(del, tallies[i].delLat...)
-		}
-		all = append(append(all, ins...), del...)
+	if keep {
 		r.InsertSummary = stats.Summarize(ins)
 		r.DeleteSummary = stats.Summarize(del)
-		r.AllSummary = stats.Summarize(all)
+		r.AllSummary = stats.Summarize(append(append([]float64(nil), ins...), del...))
 		r.InsertHist = stats.NewHistogram(DefaultLatencyBounds()...)
 		r.DeleteHist = stats.NewHistogram(DefaultLatencyBounds()...)
 		for _, v := range ins {
@@ -328,9 +467,7 @@ func DriveWorkload(m *sim.Machine, q Queue, cfg WorkloadConfig) (Result, error) 
 			r.DeleteHist.Observe(v)
 		}
 	}
-	r.Stats = simStats
-	r.Internals = MetricsOf(q)
-	return r, nil
+	return r
 }
 
 // CounterWorkload drives Figure 5's counter benchmark: every processor
@@ -374,84 +511,4 @@ func CounterWorkload(procs int, ops int, decFraction float64, bounded bool, loca
 		n += counts[i]
 	}
 	return Result{MeanAll: float64(total) / float64(n), Stats: simStats}, nil
-}
-
-// SojournResult reports how long delivered items sat in the queue —
-// the fairness measure behind the paper's Section 3.2 stack-vs-FIFO
-// discussion (LIFO bins can starve old items of equal priority).
-type SojournResult struct {
-	// Latency is the usual access-latency result.
-	Latency Result
-	// Sojourn summarizes (delete time - insert time) over delivered
-	// items, in cycles.
-	Sojourn stats.Summary
-}
-
-// SojournWorkload drives the standard benchmark against q, stamping each
-// inserted value with its insertion cycle so deletions can measure how
-// long items waited.
-func SojournWorkload(m *sim.Machine, q Queue, cfg WorkloadConfig) (SojournResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return SojournResult{}, err
-	}
-	procs := m.Procs()
-	npri := q.NumPriorities()
-	bar := newBarrier(m)
-	sojourns := make([][]float64, procs)
-	type tally struct {
-		cycles            int64
-		ins, dels, failed int
-	}
-	tallies := make([]tally, procs)
-
-	simStats, err := m.Run(func(p *sim.Proc) {
-		id := p.ID()
-		bar.wait(p, 1)
-		t := &tallies[id]
-		stall := cfg.StallCycles
-		if cfg.StallEvery > 0 && stall == 0 {
-			stall = 10 * sim.DefaultRemoteCost
-		}
-		for i := 0; i < cfg.OpsPerProc; i++ {
-			p.LocalWork(cfg.LocalWork)
-			if cfg.StallEvery > 0 && (i+id)%cfg.StallEvery == cfg.StallEvery-1 {
-				p.LocalWork(stall)
-			}
-			start := p.Now()
-			if float64(p.Rand(1<<16))/(1<<16) < cfg.InsertFraction {
-				q.Insert(p, p.Rand(npri), uint64(start))
-				t.ins++
-			} else {
-				v, ok := q.DeleteMin(p)
-				t.dels++
-				if ok {
-					sojourns[id] = append(sojourns[id], float64(p.Now()-int64(v)))
-				} else {
-					t.failed++
-				}
-			}
-			t.cycles += p.Now() - start
-		}
-	})
-	if err != nil {
-		return SojournResult{}, err
-	}
-	var r SojournResult
-	var all []float64
-	for i := range tallies {
-		r.Latency.Inserts += tallies[i].ins
-		r.Latency.Deletes += tallies[i].dels
-		r.Latency.FailedDeletes += tallies[i].failed
-		all = append(all, sojourns[i]...)
-	}
-	var cyc int64
-	for i := range tallies {
-		cyc += tallies[i].cycles
-	}
-	if n := r.Latency.Inserts + r.Latency.Deletes; n > 0 {
-		r.Latency.MeanAll = float64(cyc) / float64(n)
-	}
-	r.Latency.Stats = simStats
-	r.Sojourn = stats.Summarize(all)
-	return r, nil
 }

@@ -64,6 +64,85 @@ func TestSojournWorkload(t *testing.T) {
 	}
 }
 
+// sojournRun runs SojournWorkload on a FunnelTree sized for cfg.
+func sojournRun(t *testing.T, procs int, cfg WorkloadConfig) SojournResult {
+	t.Helper()
+	m, err := sim.New(sim.DefaultConfig(procs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SojournWorkload(m, Build(AlgFunnelTree, m, 8, capacity(procs, cfg)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// The drivers share one loop, so every WorkloadConfig input reaches each
+// of them; what a driver cannot honour it refuses.
+
+func TestSojournWorkloadHonoursPrefill(t *testing.T) {
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 10
+	cfg.InsertFraction = 0
+	cfg.Prefill = 8 * 10
+	r := sojournRun(t, 8, cfg)
+	if r.Latency.FailedDeletes != 0 || r.Sojourn.Count != r.Latency.Deletes {
+		t.Fatalf("deletes on a prefilled queue failed: %d of %d, %d sojourns",
+			r.Latency.FailedDeletes, r.Latency.Deletes, r.Sojourn.Count)
+	}
+}
+
+func TestSojournWorkloadHonoursBatch(t *testing.T) {
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 10
+	cfg.Batch = 4
+	r := sojournRun(t, 8, cfg)
+	if n := r.Latency.Inserts + r.Latency.Deletes; n != 8*10*4 {
+		t.Fatalf("%d elements accessed, want %d", n, 8*10*4)
+	}
+	if succ := r.Latency.Deletes - r.Latency.FailedDeletes; r.Sojourn.Count != succ {
+		t.Fatalf("sojourn samples = %d, want %d delivered items", r.Sojourn.Count, succ)
+	}
+}
+
+func TestSojournWorkloadHonoursKeepLatencies(t *testing.T) {
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 10
+	cfg.KeepLatencies = true
+	r := sojournRun(t, 8, cfg)
+	if got := r.Latency.AllSummary.Count; got != 8*10 {
+		t.Fatalf("kept %d latencies, want %d", got, 8*10)
+	}
+	for id, ops := range r.Latency.Stats.ProcOps {
+		if ops != 10 {
+			t.Fatalf("proc %d reported %d completed ops to the watchdog, want 10", id, ops)
+		}
+	}
+}
+
+func TestChaosWorkloadHonoursKeepLatencies(t *testing.T) {
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 10
+	cfg.KeepLatencies = true
+	r, err := ChaosWorkload(AlgSimpleLinear, 8, cfg, chaosSimCfg(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Latency.AllSummary.Count; got != len(r.History) || got != 8*10 {
+		t.Fatalf("kept %d latencies for %d recorded ops, want %d", got, len(r.History), 8*10)
+	}
+}
+
+func TestChaosWorkloadRefusesBatch(t *testing.T) {
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 10
+	cfg.Batch = 4
+	if _, err := ChaosWorkload(AlgSimpleLinear, 8, cfg, chaosSimCfg(8)); err == nil {
+		t.Fatal("ChaosWorkload accepted Batch > 1, which its single-op history cannot record")
+	}
+}
+
 func TestBarrierPhases(t *testing.T) {
 	var (
 		bar     *barrier

@@ -105,10 +105,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment past this size.
 	// Default 16 MiB.
 	SegmentBytes int64
-	// SnapshotRetain keeps this many snapshots; segment retention is
-	// computed against the oldest retained one so boot can fall back to
-	// it if the newest is damaged. Default 2.
-	SnapshotRetain int
 	// Logger receives recovery, retention and poison diagnostics, with
 	// the segment, offset and lsn as attributes; nil discards.
 	Logger *slog.Logger
@@ -128,9 +124,6 @@ func (o *Options) normalize() error {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
-	}
-	if o.SnapshotRetain < 1 {
-		o.SnapshotRetain = 2
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -860,7 +853,12 @@ func (l *Log) fold(lsn uint64, sealed []segment) ([]Item, error) {
 	return sortedItems(live), nil
 }
 
-// retain deletes snapshots beyond SnapshotRetain and segments wholly
+// snapshotRetain is how many snapshots retain keeps; segment retention
+// is computed against the oldest kept one so boot can fall back to it if
+// the newest is damaged.
+const snapshotRetain = 2
+
+// retain deletes snapshots beyond snapshotRetain and segments wholly
 // covered by the oldest retained snapshot (so a fallback boot from that
 // snapshot still finds every record it needs).
 func (l *Log) retain() {
@@ -868,7 +866,7 @@ func (l *Log) retain() {
 	if err != nil {
 		return
 	}
-	for len(lsns) > l.opts.SnapshotRetain {
+	for len(lsns) > snapshotRetain {
 		os.Remove(filepath.Join(l.opts.Dir, snapName(lsns[0])))
 		lsns = lsns[1:]
 	}
