@@ -46,8 +46,8 @@ const (
 )
 
 // MultiQueue is the relaxed queue of Williams & Sanders ("Engineering
-// MultiQueues"): c·p sequential heaps, insert into a random (or sticky)
-// heap, delete-min pops the better of two random tops. It is not in
+// MultiQueues"): c·p sequential heaps, insert into a random heap,
+// delete-min pops the better of two random tops. It is not in
 // Algorithms: delete-min may overtake better items (bounded expected
 // rank error), so callers must opt in explicitly.
 const MultiQueue Algorithm = "MultiQueue"
@@ -117,15 +117,6 @@ type Config struct {
 	// keeps C × Concurrency sub-heaps. Zero selects 2, the Williams &
 	// Sanders default.
 	MultiQueueC int
-	// MultiQueueSticky makes MultiQueue reuse its random sub-heap choices
-	// for this many consecutive operations per goroutine before re-rolling
-	// (0 disables stickiness). Stickiness trades rank error for locality.
-	MultiQueueSticky int
-	// MultiQueuePopBatch makes MultiQueue DeleteMin refill a per-goroutine
-	// deletion buffer of this size from one locked sub-heap (0 or 1
-	// disables buffering). Buffered items remain visible to emptiness
-	// scans and Drain.
-	MultiQueuePopBatch int
 	// MultiQueueNoRank disables MultiQueue's rank-error accounting
 	// (normally on whenever Priorities is small enough to track), for
 	// benchmarking the raw queue.

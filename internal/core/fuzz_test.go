@@ -122,9 +122,8 @@ func runDifferentialTape(t *testing.T, data []byte) {
 // so instead of value-for-value matching the oracle checks conservation
 // (each pop removes exactly one still-queued item via refpq.Remove),
 // emptiness (a pop fails only when the oracle is empty — exact
-// sequentially thanks to the full scan), and, for the unbuffered
-// config, that the queue's internal rank accounting agrees with
-// refpq.Rank at every pop.
+// sequentially thanks to the full scan), and that the queue's internal
+// rank accounting agrees with refpq.Rank at every pop.
 func runRelaxedTape(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
@@ -133,13 +132,9 @@ func runRelaxedTape(t *testing.T, data []byte) {
 	tape := data[1:]
 	configs := []Config{
 		{Priorities: npri, Concurrency: 2},
-		{Priorities: npri, Concurrency: 2, MultiQueueC: 4, MultiQueueSticky: 4, MultiQueuePopBatch: 3},
+		{Priorities: npri, Concurrency: 2, MultiQueueC: 4},
 	}
 	for ci, cfg := range configs {
-		// Rank accounting fires when an item leaves its sub-heap; with
-		// deletion buffering that moment precedes delivery, so the oracle
-		// cross-check only applies to the unbuffered config.
-		checkRank := cfg.MultiQueuePopBatch <= 1
 		q, err := New[uint64](MultiQueue, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -158,9 +153,7 @@ func runRelaxedTape(t *testing.T, data []byte) {
 			if it.Pri != int(it.Val&0xff) {
 				t.Fatalf("multiqueue/%d op %d: item %+v reports wrong priority", ci, i, it)
 			}
-			if checkRank {
-				wantRankSum += int64(ref.Rank(it.Pri))
-			}
+			wantRankSum += int64(ref.Rank(it.Pri))
 			if !ref.Remove(it.Pri, it.Val) {
 				t.Fatalf("multiqueue/%d op %d: returned %+v which the oracle does not hold", ci, i, it)
 			}
@@ -222,7 +215,7 @@ func runRelaxedTape(t *testing.T, data []byte) {
 		if int(rs.Pops) != seq {
 			t.Fatalf("multiqueue/%d: accounted %d pops, want %d", ci, rs.Pops, seq)
 		}
-		if checkRank && rs.RankSum != wantRankSum {
+		if rs.RankSum != wantRankSum {
 			t.Fatalf("multiqueue/%d: accounted rank sum %d, oracle says %d", ci, rs.RankSum, wantRankSum)
 		}
 	}

@@ -27,21 +27,11 @@ import (
 // top word says empty and retries while any skipped heap was lock-busy —
 // cannot miss an item whose Insert completed before DeleteMin began.
 type multiQueue[V any] struct {
-	npri     int
-	fifo     bool
-	mask     uint64
-	qs       []mqLocal[V]
-	seq      atomic.Uint64 // global tie-break sequence for FIFO/LIFO bins
-	sticky   int
-	popBatch int
-
-	// Per-goroutine slots carry sticky choices and the deletion buffer.
-	// They live in a sync.Pool for affinity, but every slot is also kept
-	// in slots so popScan and Drain can see buffered items.
-	useSlots bool
-	slotPool sync.Pool
-	slotMu   sync.Mutex
-	slots    []*mqSlot[V]
+	npri int
+	fifo bool
+	mask uint64
+	qs   []mqLocal[V]
+	seq  atomic.Uint64 // global tie-break sequence for FIFO/LIFO bins
 
 	// Rank-error accounting (nil present disables it): present counts
 	// queued items per priority, so a pop's rank error is the number of
@@ -79,22 +69,8 @@ type mqEnt[V any] struct {
 	val V
 }
 
-// mqSlot is per-goroutine state: the sticky sub-heap choices and the
-// deletion buffer. buf[head:] holds popped-but-undelivered items.
-type mqSlot[V any] struct {
-	mu   sync.Mutex
-	buf  []Item[V]
-	head int
-
-	left int // sticky operations remaining before a re-roll
-	insQ uint64
-	delA uint64
-	delB uint64
-}
-
 // NewMultiQueue builds a MultiQueue from cfg (see the MultiQueue* Config
-// fields). The zero knobs give the Williams & Sanders baseline: C=2, no
-// stickiness, no buffering.
+// fields). The zero knobs give the Williams & Sanders baseline: C=2.
 func NewMultiQueue[V any](cfg Config) Queue[V] {
 	conc := cfg.Concurrency
 	if conc <= 0 {
@@ -109,25 +85,13 @@ func NewMultiQueue[V any](cfg Config) Queue[V] {
 		nq = 2
 	}
 	q := &multiQueue[V]{
-		npri:     cfg.Priorities,
-		fifo:     cfg.FIFOBins,
-		mask:     uint64(nq - 1),
-		qs:       make([]mqLocal[V], nq),
-		sticky:   cfg.MultiQueueSticky,
-		popBatch: cfg.MultiQueuePopBatch,
+		npri: cfg.Priorities,
+		fifo: cfg.FIFOBins,
+		mask: uint64(nq - 1),
+		qs:   make([]mqLocal[V], nq),
 	}
 	for i := range q.qs {
 		q.qs[i].top.Store(mqEmptyTop)
-	}
-	q.useSlots = q.sticky > 0 || q.popBatch > 1
-	if q.useSlots {
-		q.slotPool.New = func() any {
-			s := &mqSlot[V]{}
-			q.slotMu.Lock()
-			q.slots = append(q.slots, s)
-			q.slotMu.Unlock()
-			return s
-		}
 	}
 	if !cfg.MultiQueueNoRank && cfg.Priorities <= mqRankBuckets {
 		q.present = make([]atomic.Int64, cfg.Priorities)
@@ -234,164 +198,72 @@ func (q *multiQueue[V]) noteRank(pri int) {
 	}
 }
 
-func (q *multiQueue[V]) getSlot() *mqSlot[V] { return q.slotPool.Get().(*mqSlot[V]) }
-
 // pick returns a uniformly random sub-heap index.
 func (q *multiQueue[V]) pick() uint64 { return rand.Uint64() & q.mask }
 
+// Insert pushes into a random sub-heap, re-rolling on lock contention
+// instead of waiting.
 func (q *multiQueue[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
-	if !q.useSlots {
-		q.insertLoop(pri, v, nil)
-		return
-	}
-	s := q.getSlot()
-	q.insertLoop(pri, v, s)
-	q.slotPool.Put(s)
+	l := q.lockRandom()
+	q.pushLocked(l, pri, v)
+	l.mu.Unlock()
 }
 
-func (q *multiQueue[V]) insertLoop(pri int, v V, s *mqSlot[V]) {
+// lockRandom locks and returns a random sub-heap, re-rolling whenever
+// TryLock fails.
+func (q *multiQueue[V]) lockRandom() *mqLocal[V] {
 	for {
-		var i uint64
-		if s != nil && q.sticky > 0 {
-			if s.left <= 0 {
-				s.insQ, s.delA, s.delB = q.pick(), q.pick(), q.pick()
-				s.left = q.sticky
-			}
-			i = s.insQ
-		} else {
-			i = q.pick()
+		l := &q.qs[q.pick()]
+		if l.mu.TryLock() {
+			return l
 		}
-		l := &q.qs[i]
-		if !l.mu.TryLock() {
-			if s != nil {
-				s.left = 0 // contended choice: re-roll next time
-			}
-			continue
-		}
-		q.pushLocked(l, pri, v)
-		l.mu.Unlock()
-		if s != nil && q.sticky > 0 {
-			s.left--
-		}
-		return
 	}
 }
 
 func (q *multiQueue[V]) DeleteMin() (V, bool) {
-	var zero V
-	if !q.useSlots {
-		out := q.popSome(nil, 1, nil)
-		if len(out) == 0 {
-			return zero, false
-		}
-		return out[0].Val, true
-	}
-	s := q.getSlot()
-	s.mu.Lock()
-	if s.head < len(s.buf) {
-		it := s.buf[s.head]
-		s.buf[s.head] = Item[V]{}
-		s.head++
-		s.mu.Unlock()
-		q.slotPool.Put(s)
-		return it.Val, true
-	}
-	s.mu.Unlock()
-	n := q.popBatch
-	if n < 1 {
-		n = 1
-	}
-	out := q.popSome(s, n, nil)
+	var one [1]Item[V]
+	out := q.popSome(1, one[:0])
 	if len(out) == 0 {
-		q.slotPool.Put(s)
+		var zero V
 		return zero, false
 	}
-	if len(out) > 1 {
-		s.mu.Lock()
-		s.buf = append(s.buf[:0], out[1:]...)
-		s.head = 0
-		s.mu.Unlock()
-	}
-	q.slotPool.Put(s)
 	return out[0].Val, true
 }
 
 // popSome pops up to k items from one sub-heap chosen by the two-choice
 // rule, appending to out. An unchanged length means the queue was empty
 // (per a full clean scan), not merely that the candidates were.
-func (q *multiQueue[V]) popSome(s *mqSlot[V], k int, out []Item[V]) []Item[V] {
+func (q *multiQueue[V]) popSome(k int, out []Item[V]) []Item[V] {
 	for {
-		var a, b uint64
-		if s != nil && q.sticky > 0 {
-			if s.left <= 0 {
-				s.insQ, s.delA, s.delB = q.pick(), q.pick(), q.pick()
-				s.left = q.sticky
-			}
-			a, b = s.delA, s.delB
-		} else {
-			a, b = q.pick(), q.pick()
-		}
-		la, lb := &q.qs[a], &q.qs[b]
+		la, lb := &q.qs[q.pick()], &q.qs[q.pick()]
 		ta, tb := la.top.Load(), lb.top.Load()
 		if ta == mqEmptyTop && tb == mqEmptyTop {
-			return q.popScan(s, k, out)
+			return q.popScan(k, out)
 		}
 		best := la
 		if tb < ta {
 			best = lb
 		}
 		if !best.mu.TryLock() {
-			if s != nil {
-				s.left = 0
-			}
 			continue
 		}
 		got := q.popLocked(best, k, out)
 		best.mu.Unlock()
 		if len(got) > len(out) {
-			if s != nil && q.sticky > 0 {
-				s.left--
-			}
 			return got
 		}
 		// The candidate drained between peek and lock; try again.
-		if s != nil {
-			s.left = 0
-		}
 	}
 }
 
-// popScan is the slow path when both sampled tops were empty: serve any
-// slot's deletion buffer, then sweep every sub-heap, skipping those
-// whose top word says empty and retrying the sweep while any non-empty
-// heap was lock-busy. Returning out unchanged means the queue is empty:
-// every heap showed an empty top in one pass with no busy locks (sound —
-// see the type comment), and every deletion buffer was empty.
-func (q *multiQueue[V]) popScan(self *mqSlot[V], k int, out []Item[V]) []Item[V] {
-	start := len(out)
+// popScan is the slow path when both sampled tops were empty: sweep
+// every sub-heap, skipping those whose top word says empty and retrying
+// the sweep while any non-empty heap was lock-busy. Returning out
+// unchanged means the queue is empty: every heap showed an empty top in
+// one pass with no busy locks (sound — see the type comment).
+func (q *multiQueue[V]) popScan(k int, out []Item[V]) []Item[V] {
 	for {
-		if q.useSlots {
-			q.slotMu.Lock()
-			slots := make([]*mqSlot[V], len(q.slots))
-			copy(slots, q.slots)
-			q.slotMu.Unlock()
-			for _, s := range slots {
-				if s == self {
-					continue // self's buffer is known-empty (and its mu may be hot)
-				}
-				s.mu.Lock()
-				for s.head < len(s.buf) && len(out)-start < k {
-					out = append(out, s.buf[s.head])
-					s.buf[s.head] = Item[V]{}
-					s.head++
-				}
-				s.mu.Unlock()
-				if len(out) > start {
-					return out
-				}
-			}
-		}
 		busy := false
 		for i := range q.qs {
 			l := &q.qs[i]
@@ -404,7 +276,7 @@ func (q *multiQueue[V]) popScan(self *mqSlot[V], k int, out []Item[V]) []Item[V]
 			}
 			got := q.popLocked(l, k, out)
 			l.mu.Unlock()
-			if len(got) > start {
+			if len(got) > len(out) {
 				return got
 			}
 		}
@@ -414,81 +286,40 @@ func (q *multiQueue[V]) popScan(self *mqSlot[V], k int, out []Item[V]) []Item[V]
 	}
 }
 
-// InsertBatch pushes the whole batch into one sub-heap under one lock
-// hold — the insertion-buffering path of Williams & Sanders, where a
-// batch trades a transient rank-error bump for a single synchronization.
+// InsertBatch pushes the whole batch, in order, into one sub-heap under
+// one lock hold — the insertion-buffering path of Williams & Sanders,
+// where a batch trades a transient rank-error bump for a single
+// synchronization. Every priority is checked first, so a panic cannot
+// leave a batch half-inserted.
 func (q *multiQueue[V]) InsertBatch(items []Item[V]) {
-	runs := groupByPri(items, q.npri)
-	if len(runs) == 0 {
+	for _, it := range items {
+		checkPri(it.Pri, q.npri)
+	}
+	if len(items) == 0 {
 		return
 	}
-	var s *mqSlot[V]
-	if q.useSlots {
-		s = q.getSlot()
+	l := q.lockRandom()
+	for _, it := range items {
+		q.pushLocked(l, it.Pri, it.Val)
 	}
-	for {
-		var i uint64
-		if s != nil && q.sticky > 0 {
-			if s.left <= 0 {
-				s.insQ, s.delA, s.delB = q.pick(), q.pick(), q.pick()
-				s.left = q.sticky
-			}
-			i = s.insQ
-		} else {
-			i = q.pick()
-		}
-		l := &q.qs[i]
-		if !l.mu.TryLock() {
-			if s != nil {
-				s.left = 0
-			}
-			continue
-		}
-		for _, run := range runs {
-			for _, v := range run.vals {
-				q.pushLocked(l, run.pri, v)
-			}
-		}
-		l.mu.Unlock()
-		if s != nil && q.sticky > 0 {
-			s.left--
-		}
-		break
-	}
-	if s != nil {
-		q.slotPool.Put(s)
-	}
+	l.mu.Unlock()
 }
 
-// DeleteMinBatch drains the goroutine's deletion buffer first, then
-// takes two-choice rounds until k items are out or a full scan proves
-// the queue empty. Items arrive in per-round nondecreasing priority, but
-// the concatenation is only approximately sorted — the relaxed contract.
+// DeleteMinBatch takes two-choice rounds until k items are out or a full
+// scan proves the queue empty. Items arrive in per-round nondecreasing
+// priority, but the concatenation is only approximately sorted — the
+// relaxed contract.
 func (q *multiQueue[V]) DeleteMinBatch(k int) []Item[V] {
 	if k <= 0 {
 		return nil
 	}
 	var out []Item[V]
-	var s *mqSlot[V]
-	if q.useSlots {
-		s = q.getSlot()
-		s.mu.Lock()
-		for s.head < len(s.buf) && len(out) < k {
-			out = append(out, s.buf[s.head])
-			s.buf[s.head] = Item[V]{}
-			s.head++
-		}
-		s.mu.Unlock()
-	}
 	for len(out) < k {
-		got := q.popSome(s, k-len(out), out)
+		got := q.popSome(k-len(out), out)
 		if len(got) == len(out) {
 			break
 		}
 		out = got
-	}
-	if s != nil {
-		q.slotPool.Put(s)
 	}
 	return out
 }

@@ -103,7 +103,7 @@ func runFrontierMultiQueue(c, procs, pris int, cfg simpq.WorkloadConfig) (simpq.
 	if err != nil {
 		return simpq.Result{}, err
 	}
-	q := simpq.NewMultiQueue(m, pris, maxItems, simpq.MQParams{C: c})
+	q := simpq.NewMultiQueue(m, pris, maxItems, c)
 	return simpq.DriveWorkload(m, q, cfg)
 }
 

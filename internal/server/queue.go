@@ -39,6 +39,9 @@ func (spec *QueueSpec) validate() error {
 	if spec.Name == "" {
 		return fmt.Errorf("server: queue name must be non-empty")
 	}
+	if len(spec.Name) > wire.MaxName {
+		return fmt.Errorf("server: queue name of %d bytes exceeds the %d-byte limit", len(spec.Name), wire.MaxName)
+	}
 	if spec.Priorities < 1 {
 		return fmt.Errorf("server: queue %q: Priorities must be >= 1, got %d", spec.Name, spec.Priorities)
 	}

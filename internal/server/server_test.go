@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +67,7 @@ func TestQueueSpecValidation(t *testing.T) {
 	s := New(Config{})
 	for _, spec := range []QueueSpec{
 		{Name: "", Algorithm: pq.SimpleLinear, Priorities: 4},
+		{Name: strings.Repeat("q", wire.MaxName+1), Algorithm: pq.SimpleLinear, Priorities: 4},
 		{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 0},
 		{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 4, Capacity: -1},
 		{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 4, Shards: -2},

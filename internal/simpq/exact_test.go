@@ -196,3 +196,53 @@ func TestExactResultsSojournAndChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestExactResultsMultiQueue pins the exact simulated outcome of the
+// MultiQueue at c = 2 and c = 4 on 32 processors, with single operations
+// and with 16-element batches: the run's events, final cycle, mean
+// latency and failed deletes, plus the queue's rank-error and contention
+// counters. Any change to the queue's random draws or memory accesses
+// shows up here.
+func TestExactResultsMultiQueue(t *testing.T) {
+	const procs, npri = 32, 16
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 40
+	cfg.Seed = 7
+	batched := cfg
+	batched.Batch = 16
+	for _, c := range []struct {
+		name string
+		c    int
+		cfg  WorkloadConfig
+		want string
+	}{
+		{"c2", 2, cfg,
+			"events=46890 cycles=41826 failed=17 mean=837.9109375 rank_mean=4.008025682182986 rank_max=16 picks=743 lock_retries=2762"},
+		{"c2/b16", 2, batched,
+			"events=560138 cycles=214034 failed=592 mean=290.3875 rank_mean=148.00570962479608 rank_max=656 picks=1203 lock_retries=23495"},
+		{"c4", 4, cfg,
+			"events=57968 cycles=44444 failed=8 mean=901.00625 rank_mean=7.1406003159557665 rank_max=26 picks=690 lock_retries=2130"},
+		{"c4/b16", 4, batched,
+			"events=656850 cycles=217480 failed=864 mean=286.720703125 rank_mean=112.35236541598695 rank_max=517 picks=876 lock_retries=19891"},
+	} {
+		simCfg := sim.DefaultConfig(procs)
+		simCfg.Seed = c.cfg.Seed
+		m, err := sim.New(simCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxItems := procs*c.cfg.OpsPerProc*max(c.cfg.Batch, 1) + 1
+		r, err := DriveWorkload(m, NewMultiQueue(m, npri, maxItems, c.c), c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		in := r.Internals
+		got := fmt.Sprintf("events=%d cycles=%d failed=%d mean=%v rank_mean=%v rank_max=%v picks=%v lock_retries=%v",
+			r.Stats.Events, r.Stats.FinalTime, r.FailedDeletes, r.MeanAll,
+			in["multiqueue.rank_mean"], in["multiqueue.rank_max"],
+			in["multiqueue.queue_picks"], in["multiqueue.lock_retries"])
+		if got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package simpq
 
 import (
-	"fmt"
 	"math/bits"
 
 	"pq/internal/sim"
@@ -29,10 +28,6 @@ type Hunt struct {
 	locks []TASLock
 	cap   int
 	slots int
-
-	// trace, when non-nil, records structural transitions for debugging;
-	// it costs no simulated cycles.
-	trace *[]string
 
 	// Host-side internals counters (no simulated cost).
 	stats huntStats
@@ -312,11 +307,3 @@ func (q *Hunt) DeleteMin(p *sim.Proc) (uint64, bool) {
 }
 
 var _ Queue = (*Hunt)(nil)
-
-// tracef appends a structural trace record when tracing is enabled.
-func (q *Hunt) tracef(p *sim.Proc, format string, args ...any) {
-	if q.trace == nil {
-		return
-	}
-	*q.trace = append(*q.trace, fmt.Sprintf("t=%d p=%d ", p.Now(), p.ID())+fmt.Sprintf(format, args...))
-}

@@ -2,55 +2,29 @@ package simpq
 
 import "pq/internal/sim"
 
-// MQParams tunes the simulated MultiQueue.
-type MQParams struct {
-	// C is the over-provisioning factor: the queue keeps C × procs
-	// sub-heaps. Zero selects 2, the Williams & Sanders default.
-	C int
-	// Sticky reuses each processor's random sub-heap choices for this
-	// many consecutive operations before re-rolling (0 disables).
-	Sticky int
-	// PopBatch refills a per-processor deletion buffer of this size from
-	// one locked sub-heap on DeleteMin (0 or 1 disables buffering).
-	PopBatch int
-}
-
-// DefaultMQParams is the Williams & Sanders baseline: C=2, no
-// stickiness, no buffering.
-func DefaultMQParams() MQParams { return MQParams{C: 2} }
-
 // MultiQueue is the relaxed queue of Williams & Sanders on the simulated
 // machine: C·p sequential array heaps in shared memory, each under a
 // test-and-set lock, with a per-heap top-priority cache word. Insert
-// pushes to a random (or sticky) heap; DeleteMin reads the top words of
-// two random heaps and pops the better one. Locks are only ever
-// TryAcquired — contention re-rolls instead of spinning — so the queue
-// has no combining structure and no convoy, at the price of bounded
-// rank error on every pop.
+// pushes to a random heap; DeleteMin reads the top words of two random
+// heaps and pops the better one. Locks are only ever TryAcquired —
+// contention re-rolls instead of spinning — so the queue has no
+// combining structure and no convoy, at the price of bounded rank error
+// on every pop.
 //
 // Rank accounting mirrors the queue contents host-side: the engine runs
 // operations one memory request at a time under a single baton, so the
 // mirror is exact, and each pop's rank error (items of strictly smaller
 // priority present at pop time) costs zero simulated cycles to compute.
 type MultiQueue struct {
-	npri     int
-	nq       int
-	capQ     int
-	sticky   int
-	popBatch int
+	npri int
+	nq   int
+	capQ int
 
 	locks []TASLock
 	tops  sim.Addr // per-heap cached top priority; npri means empty
 	sizes sim.Addr // per-heap element count
 	pris  sim.Addr // nq × (capQ+1) 1-based heap arrays
 	vals  sim.Addr
-
-	// Host-side per-processor state: sticky choices and deletion
-	// buffers. Buffers model processor-private memory, so they cost no
-	// shared-memory traffic; their contents stay visible to the
-	// emptiness scan below.
-	stick []mqStick
-	bufs  [][]BatchItem
 
 	// Host-side rank accounting and internals counters.
 	present    []int64
@@ -64,26 +38,20 @@ type MultiQueue struct {
 	emptyProbes int64 // locked heaps that turned out empty (or fruitless scans)
 	lockRetries int64 // TryAcquire failures
 	fullScans   int64 // slow-path sweeps after two empty tops
-	stickyHits  int64 // operations served by a still-sticky choice
 	overflows   int64 // inserts dropped because a sub-heap was full
 
 	batchInserts int64
 	batchDeletes int64
 }
 
-type mqStick struct {
-	left int
-	ins  int
-	a, b int
-}
-
 // NewMultiQueue builds a MultiQueue with npri priorities and total
 // capacity maxItems spread over the sub-heaps (each heap gets slack
 // above the uniform share because random placement is not perfectly
 // balanced; an insert into a full heap is dropped like the paper's
-// bins, counted in multiqueue.overflow_drops).
-func NewMultiQueue(m *sim.Machine, npri, maxItems int, prm MQParams) *MultiQueue {
-	c := prm.C
+// bins, counted in multiqueue.overflow_drops). c is the
+// over-provisioning factor: the queue keeps c × procs sub-heaps, and
+// zero selects 2, the Williams & Sanders default.
+func NewMultiQueue(m *sim.Machine, npri, maxItems, c int) *MultiQueue {
 	if c <= 0 {
 		c = 2
 	}
@@ -99,19 +67,15 @@ func NewMultiQueue(m *sim.Machine, npri, maxItems int, prm MQParams) *MultiQueue
 		}
 	}
 	q := &MultiQueue{
-		npri:     npri,
-		nq:       nq,
-		capQ:     capQ,
-		sticky:   prm.Sticky,
-		popBatch: prm.PopBatch,
-		locks:    make([]TASLock, nq),
-		tops:     m.Alloc(nq),
-		sizes:    m.Alloc(nq),
-		pris:     m.Alloc(nq * (capQ + 1)),
-		vals:     m.Alloc(nq * (capQ + 1)),
-		stick:    make([]mqStick, m.Procs()),
-		bufs:     make([][]BatchItem, m.Procs()),
-		present:  make([]int64, npri),
+		npri:    npri,
+		nq:      nq,
+		capQ:    capQ,
+		locks:   make([]TASLock, nq),
+		tops:    m.Alloc(nq),
+		sizes:   m.Alloc(nq),
+		pris:    m.Alloc(nq * (capQ + 1)),
+		vals:    m.Alloc(nq * (capQ + 1)),
+		present: make([]int64, npri),
 	}
 	for i := range q.locks {
 		q.locks[i] = NewTASLock(m)
@@ -227,37 +191,9 @@ func (q *MultiQueue) notePop(pri int) {
 	q.rankCounts[rank]++
 }
 
-// pickInsert returns the insertion heap, honouring stickiness.
-func (q *MultiQueue) pickInsert(p *sim.Proc) int {
-	if q.sticky <= 0 {
-		return p.Rand(q.nq)
-	}
-	st := &q.stick[p.ID()]
-	if st.left <= 0 {
-		q.reroll(p, st)
-	} else {
-		q.stickyHits++
-	}
-	return st.ins
-}
-
-// pickTwo returns two distinct deletion candidates, honouring
-// stickiness.
+// pickTwo returns two distinct random deletion candidates.
 func (q *MultiQueue) pickTwo(p *sim.Proc) (int, int) {
 	q.picks++
-	if q.sticky <= 0 {
-		return q.rollPair(p)
-	}
-	st := &q.stick[p.ID()]
-	if st.left <= 0 {
-		q.reroll(p, st)
-	} else {
-		q.stickyHits++
-	}
-	return st.a, st.b
-}
-
-func (q *MultiQueue) rollPair(p *sim.Proc) (int, int) {
 	a := p.Rand(q.nq)
 	b := a
 	if q.nq > 1 {
@@ -266,70 +202,41 @@ func (q *MultiQueue) rollPair(p *sim.Proc) (int, int) {
 	return a, b
 }
 
-func (q *MultiQueue) reroll(p *sim.Proc, st *mqStick) {
-	st.ins = p.Rand(q.nq)
-	st.a, st.b = q.rollPair(p)
-	st.left = q.sticky
-}
-
-// breakStick forces a re-roll after lock contention on a sticky choice.
-func (q *MultiQueue) breakStick(p *sim.Proc) {
-	if q.sticky > 0 {
-		q.stick[p.ID()].left = 0
-	}
-}
-
-func (q *MultiQueue) useStick(p *sim.Proc) {
-	if q.sticky > 0 {
-		q.stick[p.ID()].left--
-	}
-}
-
-// Insert adds val at priority pri to a random (or sticky) sub-heap,
-// re-rolling on lock contention instead of waiting.
+// Insert adds val at priority pri to a random sub-heap, re-rolling on
+// lock contention instead of waiting.
 func (q *MultiQueue) Insert(p *sim.Proc, pri int, val uint64) {
+	h := q.lockRandom(p)
+	q.pushLocked(p, h, pri, val)
+	q.locks[h].Release(p)
+}
+
+// lockRandom locks and returns a random sub-heap, re-rolling whenever
+// TryAcquire fails.
+func (q *MultiQueue) lockRandom(p *sim.Proc) int {
 	for {
-		h := q.pickInsert(p)
-		if !q.locks[h].TryAcquire(p) {
-			q.lockRetries++
-			q.breakStick(p)
-			continue
+		h := p.Rand(q.nq)
+		if q.locks[h].TryAcquire(p) {
+			return h
 		}
-		q.pushLocked(p, h, pri, val)
-		q.locks[h].Release(p)
-		q.useStick(p)
-		return
+		q.lockRetries++
 	}
 }
 
-// DeleteMin serves the processor's deletion buffer if non-empty, else
-// pops the better of two random tops (refilling the buffer when
-// PopBatch is set). A false return means a full scan found every heap
-// empty and every buffer empty.
+// DeleteMin pops the better of two random tops. A false return means a
+// full scan found every heap empty.
 func (q *MultiQueue) DeleteMin(p *sim.Proc) (uint64, bool) {
-	buf := &q.bufs[p.ID()]
-	if len(*buf) > 0 {
-		it := (*buf)[0]
-		*buf = (*buf)[1:]
-		return it.Val, true
-	}
-	want := 1
-	if q.popBatch > 1 {
-		want = q.popBatch
-	}
-	items, ok := q.popSome(p, want)
-	if !ok {
+	var one [1]BatchItem
+	out := q.popSome(p, 1, one[:0])
+	if len(out) == 0 {
 		return 0, false
 	}
-	if len(items) > 1 {
-		*buf = append(*buf, items[1:]...)
-	}
-	return items[0].Val, true
+	return out[0].Val, true
 }
 
 // popSome pops up to k items from one sub-heap chosen by the two-choice
-// rule. ok=false means the queue is empty per a clean full scan.
-func (q *MultiQueue) popSome(p *sim.Proc, k int) ([]BatchItem, bool) {
+// rule, appending to out. An unchanged length means the queue is empty
+// per a clean full scan.
+func (q *MultiQueue) popSome(p *sim.Proc, k int, out []BatchItem) []BatchItem {
 	for {
 		a, b := q.pickTwo(p)
 		ta := p.Read(q.tops + sim.Addr(a))
@@ -338,7 +245,7 @@ func (q *MultiQueue) popSome(p *sim.Proc, k int) ([]BatchItem, bool) {
 			q.ties++
 		}
 		if ta >= q.mqEmpty() && tb >= q.mqEmpty() {
-			return q.popScan(p, k)
+			return q.popScan(p, k, out)
 		}
 		best := a
 		if tb < ta {
@@ -346,48 +253,37 @@ func (q *MultiQueue) popSome(p *sim.Proc, k int) ([]BatchItem, bool) {
 		}
 		if !q.locks[best].TryAcquire(p) {
 			q.lockRetries++
-			q.breakStick(p)
 			continue
 		}
-		var out []BatchItem
-		for len(out) < k {
-			pri, val, ok := q.popLocked(p, best)
-			if !ok {
-				break
-			}
-			out = append(out, BatchItem{Pri: pri, Val: val})
-		}
+		got := q.popRun(p, best, k, out)
 		q.locks[best].Release(p)
-		if len(out) > 0 {
-			q.useStick(p)
-			return out, true
+		if len(got) > len(out) {
+			return got
 		}
 		q.emptyProbes++
-		q.breakStick(p)
 	}
 }
 
-// popScan is the emptiness slow path: drain any processor's deletion
-// buffer, then sweep every heap, skipping empty tops and retrying while
-// any non-empty heap was lock-busy. The all-empty verdict is sound
-// because an item never migrates between heaps and pushLocked publishes
-// the new top before its insert completes.
-func (q *MultiQueue) popScan(p *sim.Proc, k int) ([]BatchItem, bool) {
+// popRun pops up to k items from heap h (lock held), appending to out.
+func (q *MultiQueue) popRun(p *sim.Proc, h, k int, out []BatchItem) []BatchItem {
+	for n := 0; n < k; n++ {
+		pri, val, ok := q.popLocked(p, h)
+		if !ok {
+			break
+		}
+		out = append(out, BatchItem{Pri: pri, Val: val})
+	}
+	return out
+}
+
+// popScan is the emptiness slow path: sweep every heap, skipping empty
+// tops and retrying while any non-empty heap was lock-busy. The
+// all-empty verdict is sound because an item never migrates between
+// heaps and pushLocked publishes the new top before its insert
+// completes.
+func (q *MultiQueue) popScan(p *sim.Proc, k int, out []BatchItem) []BatchItem {
 	q.fullScans++
 	for {
-		for id := range q.bufs {
-			buf := &q.bufs[id]
-			if len(*buf) == 0 {
-				continue
-			}
-			n := k
-			if n > len(*buf) {
-				n = len(*buf)
-			}
-			out := append([]BatchItem(nil), (*buf)[:n]...)
-			*buf = (*buf)[n:]
-			return out, true
-		}
 		busy := false
 		for h := 0; h < q.nq; h++ {
 			if p.Read(q.tops+sim.Addr(h)) >= q.mqEmpty() {
@@ -398,22 +294,15 @@ func (q *MultiQueue) popScan(p *sim.Proc, k int) ([]BatchItem, bool) {
 				q.lockRetries++
 				continue
 			}
-			var out []BatchItem
-			for len(out) < k {
-				pri, val, ok := q.popLocked(p, h)
-				if !ok {
-					break
-				}
-				out = append(out, BatchItem{Pri: pri, Val: val})
-			}
+			got := q.popRun(p, h, k, out)
 			q.locks[h].Release(p)
-			if len(out) > 0 {
-				return out, true
+			if len(got) > len(out) {
+				return got
 			}
 		}
 		if !busy {
 			q.emptyProbes++
-			return nil, false
+			return out
 		}
 	}
 }
@@ -425,41 +314,27 @@ func (q *MultiQueue) InsertBatch(p *sim.Proc, items []BatchItem) {
 		return
 	}
 	q.batchInserts++
-	for {
-		h := q.pickInsert(p)
-		if !q.locks[h].TryAcquire(p) {
-			q.lockRetries++
-			q.breakStick(p)
-			continue
-		}
-		for _, it := range items {
-			q.pushLocked(p, h, it.Pri, it.Val)
-		}
-		q.locks[h].Release(p)
-		q.useStick(p)
-		return
+	h := q.lockRandom(p)
+	for _, it := range items {
+		q.pushLocked(p, h, it.Pri, it.Val)
 	}
+	q.locks[h].Release(p)
 }
 
-// DeleteMinBatch serves the deletion buffer, then takes two-choice
-// rounds until k items are out or a full scan proves the queue empty.
+// DeleteMinBatch takes two-choice rounds until k items are out or a full
+// scan proves the queue empty.
 func (q *MultiQueue) DeleteMinBatch(p *sim.Proc, k int) []BatchItem {
 	if k < 1 {
 		return nil
 	}
 	q.batchDeletes++
 	var out []BatchItem
-	buf := &q.bufs[p.ID()]
-	for len(*buf) > 0 && len(out) < k {
-		out = append(out, (*buf)[0])
-		*buf = (*buf)[1:]
-	}
 	for len(out) < k {
-		items, ok := q.popSome(p, k-len(out))
-		if !ok {
+		got := q.popSome(p, k-len(out), out)
+		if len(got) == len(out) {
 			break
 		}
-		out = append(out, items...)
+		out = got
 	}
 	return out
 }
@@ -486,7 +361,7 @@ func quantileFromCounts(counts []int64, total int64, p float64) float64 {
 
 // Metrics reports the MultiQueue internals: the two-choice accounting
 // the issue asks for (queue picks, ties, empty-probe retries) plus lock
-// contention, scan, stickiness and overflow counters and the exact
+// contention, scan and overflow counters and the exact
 // rank-error distribution.
 func (q *MultiQueue) Metrics() Metrics {
 	m := Metrics{
@@ -496,7 +371,6 @@ func (q *MultiQueue) Metrics() Metrics {
 		"multiqueue.empty_probe_retries": float64(q.emptyProbes),
 		"multiqueue.lock_retries":        float64(q.lockRetries),
 		"multiqueue.full_scans":          float64(q.fullScans),
-		"multiqueue.sticky_hits":         float64(q.stickyHits),
 		"multiqueue.overflow_drops":      float64(q.overflows),
 		"multiqueue.rank_pops":           float64(q.pops),
 		"multiqueue.rank_max":            float64(q.rankMax),

@@ -123,7 +123,7 @@ func Build(alg Algorithm, m *sim.Machine, npri, maxItems int) Queue {
 	case AlgFunnelTree:
 		return NewFunnelTree(m, npri, maxItems, DefaultFunnelParams(m.Procs()))
 	case AlgMultiQueue:
-		return NewMultiQueue(m, npri, maxItems, DefaultMQParams())
+		return NewMultiQueue(m, npri, maxItems, 2)
 	default:
 		panic("simpq: unknown algorithm " + string(alg))
 	}

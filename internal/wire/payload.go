@@ -12,6 +12,10 @@ import (
 // (a view, below, for requests); decoders reject trailing garbage so a
 // frame means exactly one message.
 
+// MaxName is the longest string, such as a queue name, a payload can
+// carry: strings have a uint16 length prefix.
+const MaxName = math.MaxUint16
+
 // MaxBatchItems bounds the item count a single batch frame may carry,
 // keeping worst-case decode allocation proportional to the frame size.
 const MaxBatchItems = 1 << 16
@@ -95,9 +99,11 @@ func (c *cursor) end() error {
 	return nil
 }
 
+// appendStr cuts s to MaxName bytes. Only error text may be that long:
+// the client and the server refuse longer queue names before encoding.
 func appendStr(dst []byte, s string) []byte {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
+	if len(s) > MaxName {
+		s = s[:MaxName]
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...)

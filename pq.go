@@ -229,19 +229,6 @@ func WithMultiQueueC(c int) Option {
 	return func(cfg *core.Config) { cfg.MultiQueueC = c }
 }
 
-// WithMultiQueueSticky makes MultiQueue operations reuse their chosen
-// heaps for n consecutive operations, trading rank error for locality.
-func WithMultiQueueSticky(n int) Option {
-	return func(cfg *core.Config) { cfg.MultiQueueSticky = n }
-}
-
-// WithMultiQueuePopBatch makes each MultiQueue delete-min pop up to n
-// items while it holds a heap lock, buffering the extras for the same
-// goroutine's later calls — fewer lock acquisitions, more reordering.
-func WithMultiQueuePopBatch(n int) Option {
-	return func(cfg *core.Config) { cfg.MultiQueuePopBatch = n }
-}
-
 // WithMultiQueueRankTracking enables or disables the MultiQueue's exact
 // rank-error accounting (see RelaxStatsOf). It is on by default for
 // priority ranges up to a few thousand; tracking costs one prefix scan

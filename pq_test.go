@@ -280,8 +280,6 @@ func TestMultiQueuePublicAPI(t *testing.T) {
 	q, err := pq.New[int](pq.MultiQueue, 16,
 		pq.WithConcurrency(4),
 		pq.WithMultiQueueC(3),
-		pq.WithMultiQueueSticky(2),
-		pq.WithMultiQueuePopBatch(2),
 		pq.WithMultiQueueRankTracking(true),
 	)
 	if err != nil {

@@ -204,6 +204,11 @@ func (c *Client) conn() (*conn, error) {
 // conn's sweeper enforces as context.DeadlineExceeded, as a context
 // deadline would.
 func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) {
+	if len(cl.queue) > wire.MaxName {
+		err = fmt.Errorf("pqclient: queue name of %d bytes exceeds the %d-byte limit", len(cl.queue), wire.MaxName)
+		cl.recycle()
+		return resp, err
+	}
 	cn, err := c.conn()
 	if err != nil {
 		cl.recycle()

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,6 +186,36 @@ func zeroAllocStub(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestRejectsQueueNameAboveWireLimit: the wire carries a uint16 name
+// length, so a longer name must be refused rather than cut to a prefix
+// that may name another queue. Nothing reaches the server.
+func TestRejectsQueueNameAboveWireLimit(t *testing.T) {
+	var frames atomic.Int64
+	addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+		frames.Add(1)
+		return insertOK(f.ID, len(insertedItems(f)), 0), 0
+	})
+	c, err := Dial(Config{Addr: addr, Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	long := strings.Repeat("q", wire.MaxName+3)
+	if err := c.Insert(ctx, long, 1, nil); err == nil {
+		t.Error("Insert accepted a queue name above the wire limit")
+	}
+	if _, err := c.InsertBatch(ctx, long, []Item{{Pri: 1}}); err == nil {
+		t.Error("InsertBatch accepted a queue name above the wire limit")
+	}
+	if _, _, err := c.DeleteMin(ctx, long); err == nil {
+		t.Error("DeleteMin accepted a queue name above the wire limit")
+	}
+	if n := frames.Load(); n != 0 {
+		t.Errorf("%d request frames reached the server, want 0", n)
+	}
 }
 
 // TestInsertRejectsPriorityAbove32Bits: the wire carries a uint32
