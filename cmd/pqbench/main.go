@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"pq/internal/core"
 	"pq/internal/harness"
 	"pq/internal/plot"
 	"pq/internal/sim"
@@ -63,25 +64,29 @@ func run(args []string) error {
 		}
 		return nil
 	}
+	if *scale <= 0 || *scale > 1 {
+		return fmt.Errorf("-scale must be in (0,1], got %g", *scale)
+	}
 	if *contention != "" {
-		rep, err := harness.ProfileContention(simpq.Algorithm(*contention), *procs, *pris, *scale)
+		alg, err := core.ParseAlgorithm(*contention)
+		if err != nil {
+			return fmt.Errorf("-contention: %w", err)
+		}
+		rep, err := harness.ProfileContention(alg, *procs, *pris, *scale)
 		if err != nil {
 			return err
 		}
 		rep.Render(os.Stdout)
 		return nil
 	}
-	if *scale <= 0 || *scale > 1 {
-		return fmt.Errorf("-scale must be in (0,1], got %g", *scale)
-	}
 	if *tracePath != "" {
 		name := *alg
 		if name == "" {
-			name = string(simpq.AlgFunnelTree)
+			name = string(core.FunnelTree)
 		}
-		traceAlg, ok := simpq.ParseAlgorithm(name)
-		if !ok {
-			return fmt.Errorf("-trace: unknown algorithm %q (valid: %s)", name, algNames())
+		traceAlg, err := core.ParseAlgorithm(name)
+		if err != nil {
+			return fmt.Errorf("-trace: %w", err)
 		}
 		return runTrace(*tracePath, traceAlg, *procs, *pris, *scale)
 	}
@@ -157,36 +162,26 @@ func run(args []string) error {
 	return nil
 }
 
-// algNames lists every buildable algorithm — the paper's seven plus the
-// relaxed ones — for error messages.
-func algNames() string {
-	names := make([]string, 0, len(simpq.All()))
-	for _, a := range simpq.All() {
-		names = append(names, string(a))
-	}
-	return strings.Join(names, ", ")
-}
-
 // parseAlgs resolves a comma-separated -alg list (case-insensitive).
 // An empty string means the default strict suite (nil).
-func parseAlgs(s string) ([]simpq.Algorithm, error) {
+func parseAlgs(s string) ([]core.Algorithm, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	var algs []simpq.Algorithm
+	var algs []core.Algorithm
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		alg, ok := simpq.ParseAlgorithm(name)
-		if !ok {
-			return nil, fmt.Errorf("-alg: unknown algorithm %q (valid: %s)", name, algNames())
+		alg, err := core.ParseAlgorithm(name)
+		if err != nil {
+			return nil, fmt.Errorf("-alg: %w", err)
 		}
 		algs = append(algs, alg)
 	}
 	if len(algs) == 0 {
-		return nil, fmt.Errorf("-alg: no algorithms named (valid: %s)", algNames())
+		return nil, fmt.Errorf("-alg: no algorithms named in %q", s)
 	}
 	return algs, nil
 }
@@ -215,7 +210,7 @@ func renderPlot(w io.Writer, pts []harness.Point) {
 
 // runMetrics runs the standard workload for every algorithm (or the
 // -alg subset) and prints the internals metrics report.
-func runMetrics(algs []simpq.Algorithm, procs, pris int, scale float64, batch int, doPlot bool, progress func(string)) error {
+func runMetrics(algs []core.Algorithm, procs, pris int, scale float64, batch int, doPlot bool, progress func(string)) error {
 	runs, err := harness.RunBenchSuite(algs, procs, pris, scale, batch, progress)
 	if err != nil {
 		return err
@@ -261,7 +256,7 @@ func runMetrics(algs []simpq.Algorithm, procs, pris int, scale float64, batch in
 
 // runTrace records one standard-workload run for alg with span tracing
 // enabled and writes a Chrome trace-event file loadable in Perfetto.
-func runTrace(path string, alg simpq.Algorithm, procs, pris int, scale float64) error {
+func runTrace(path string, alg core.Algorithm, procs, pris int, scale float64) error {
 	cfg := simpq.DefaultWorkload()
 	cfg.OpsPerProc = int(float64(cfg.OpsPerProc) * scale)
 	if cfg.OpsPerProc < 5 {

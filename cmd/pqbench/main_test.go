@@ -67,6 +67,28 @@ func TestRunContentionProfile(t *testing.T) {
 	}
 }
 
+// TestRunContentionParsesName pins -contention to the one algorithm
+// registry and the -scale check: any case of a name is accepted, an
+// unknown one is refused with the valid names, and an out-of-range
+// -scale fails before anything runs.
+func TestRunContentionParsesName(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	if err := run([]string{"-contention", "funneltree", "-procs", "8", "-pris", "4", "-scale", "0.05"}); err != nil {
+		t.Fatalf("lower-case name refused: %v", err)
+	}
+	err := run([]string{"-contention", "nope", "-procs", "8", "-pris", "4", "-scale", "0.05"})
+	if err == nil || !strings.Contains(err.Error(), "valid: SingleLock,") {
+		t.Fatalf("unknown name: %v, want an error listing the valid names", err)
+	}
+	for _, scale := range []string{"5", "-1", "0"} {
+		if err := run([]string{"-contention", "FunnelTree", "-procs", "8", "-pris", "4", "-scale", scale}); err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Fatalf("-contention with -scale %s: %v, want a -scale error", scale, err)
+		}
+	}
+}
+
 func TestRunWithPlot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Item pairs a priority with a value — the unit of batch operations.
 type Item[V any] struct {
@@ -36,38 +39,103 @@ var (
 	_ BatchQueue[int] = (*simpleTree[int])(nil)
 )
 
-// priRun is a maximal run of batch values sharing one priority.
-type priRun[V any] struct {
-	pri  int
-	vals []V
-}
-
-// groupByPri validates every priority up front (so a panic cannot leave a
-// batch half-inserted) and groups the items into per-priority runs in
-// ascending priority order. Values are copied; the caller's slice is not
-// retained.
-func groupByPri[V any](items []Item[V], npri int) []priRun[V] {
+// checkBatch panics on the first out-of-range priority in items. Batch
+// inserts call it before touching the queue, so a panic cannot leave a
+// batch half-inserted.
+func checkBatch[V any](items []Item[V], npri int) {
 	for _, it := range items {
 		checkPri(it.Pri, npri)
 	}
+}
+
+// PriRun is a maximal run of batch values sharing one priority — the
+// unit a per-priority bin consumes in one lock hold or central
+// application.
+type PriRun[V any] struct {
+	Pri  int
+	Vals []V
+}
+
+// GroupByPri groups a batch into per-priority runs in ascending priority
+// order. The grouping is stable: equal-priority values keep their order
+// in items. Values are copied into one backing array, and each run's
+// Vals is a full-capacity subslice of it, so an append cannot spill into
+// the next run; items is neither modified nor retained. Priorities are
+// not checked. Both twins group batches through it.
+func GroupByPri[V any](items []Item[V]) []PriRun[V] {
 	if len(items) == 0 {
 		return nil
 	}
-	sorted := make([]Item[V], len(items))
-	copy(sorted, items)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Pri < sorted[j].Pri })
-	runs := make([]priRun[V], 0, 1)
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].Pri == sorted[i].Pri {
-			j++
+	sorted := slices.Clone(items)
+	slices.SortStableFunc(sorted, func(a, b Item[V]) int { return cmp.Compare(a.Pri, b.Pri) })
+	nruns := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Pri != sorted[i-1].Pri {
+			nruns++
 		}
-		vals := make([]V, j-i)
-		for k, it := range sorted[i:j] {
-			vals[k] = it.Val
+	}
+	vals := make([]V, len(sorted))
+	runs := make([]PriRun[V], 0, nruns)
+	start := 0
+	for i, it := range sorted {
+		vals[i] = it.Val
+		if i+1 == len(sorted) || sorted[i+1].Pri != it.Pri {
+			runs = append(runs, PriRun[V]{Pri: it.Pri, Vals: vals[start : i+1 : i+1]})
+			start = i + 1
 		}
-		runs = append(runs, priRun[V]{pri: sorted[i].Pri, vals: vals})
-		i = j
 	}
 	return runs
+}
+
+// NodeInc is one counter-tree node's share of a batch insert: the
+// counter at heap index Node rises by N.
+type NodeInc struct {
+	Node int
+	N    int64
+}
+
+// TreeIncrements returns the counter increments a batch insert makes in
+// a counter tree over nleaves leaves (a power of two; heap-indexed, the
+// root at 1 and priority p's leaf at nleaves+p), given the batch's runs
+// in ascending priority order as GroupByPri returns them. A single
+// insert walks from its leaf to the root and increments every node whose
+// left subtree it came from; the batch makes one increment per touched
+// node, summed over its items, in strictly descending heap index —
+// deepest level first — so every reservation a concurrent descent wins
+// is already backed by the counters and bins below it, as single inserts
+// guarantee by ascending. Both twins' InsertBatch apply it in order.
+func TreeIncrements[V any](nleaves int, runs []PriRun[V]) []NodeInc {
+	if len(runs) == 0 {
+		return nil
+	}
+	depth := 0
+	for n := nleaves; n > 1; n /= 2 {
+		depth++
+	}
+	// One allocation: the first len(runs) entries hold the walk's current
+	// level (every node on some item's path, with how many items passed
+	// through it), and the increments follow. A tree has nleaves-1
+	// counters, so that bounds the increments too.
+	buf := make([]NodeInc, len(runs), len(runs)+min(len(runs)*depth, nleaves-1))
+	// Leaves in descending order, so each level comes out descending.
+	for i, run := range runs {
+		buf[len(runs)-1-i] = NodeInc{Node: nleaves + run.Pri, N: int64(len(run.Vals))}
+	}
+	level, out := buf[:len(runs)], buf[len(runs):]
+	for level[0].Node > 1 {
+		next := level[:0]
+		for _, c := range level {
+			parent := c.Node / 2
+			if c.Node == 2*parent {
+				out = append(out, NodeInc{Node: parent, N: c.N})
+			}
+			if k := len(next); k > 0 && next[k-1].Node == parent {
+				next[k-1].N += c.N
+			} else {
+				next = append(next, NodeInc{Node: parent, N: c.N})
+			}
+		}
+		level = next
+	}
+	return out
 }

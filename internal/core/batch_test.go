@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -448,5 +450,128 @@ func TestBatchEdgeCases(t *testing.T) {
 				t.Fatalf("half-inserted batch left items: %v", got)
 			}
 		})
+	}
+}
+
+// TestGroupByPri checks the shared grouping: runs ascend by priority,
+// every value lands in its priority's run in batch order (stability), and
+// the empty, single-priority and all-distinct batches come out as such.
+func TestGroupByPri(t *testing.T) {
+	if runs := GroupByPri[int](nil); runs != nil {
+		t.Fatalf("empty batch: %v", runs)
+	}
+	check := func(name string, items []Item[int], wantRuns int) {
+		t.Helper()
+		runs := GroupByPri(items)
+		if len(runs) != wantRuns {
+			t.Fatalf("%s: %d runs, want %d", name, len(runs), wantRuns)
+		}
+		var flat []int
+		for i, run := range runs {
+			if i > 0 && run.Pri <= runs[i-1].Pri {
+				t.Fatalf("%s: run %d priority %d after %d", name, i, run.Pri, runs[i-1].Pri)
+			}
+			var want []int
+			for _, it := range items {
+				if it.Pri == run.Pri {
+					want = append(want, it.Val)
+				}
+			}
+			if !slices.Equal(run.Vals, want) {
+				t.Fatalf("%s: run %d (pri %d) = %v, want %v in batch order", name, i, run.Pri, run.Vals, want)
+			}
+			if cap(run.Vals) != len(run.Vals) {
+				t.Fatalf("%s: run %d has spare capacity %d", name, i, cap(run.Vals)-len(run.Vals))
+			}
+			flat = append(flat, run.Vals...)
+		}
+		if len(flat) != len(items) {
+			t.Fatalf("%s: %d values grouped, want %d", name, len(flat), len(items))
+		}
+	}
+	var single, distinct []Item[int]
+	for i := 0; i < 9; i++ {
+		single = append(single, Item[int]{Pri: 4, Val: i})
+		distinct = append(distinct, Item[int]{Pri: 8 - i, Val: i})
+	}
+	check("single-priority", single, 1)
+	check("all-distinct", distinct, 9)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		items := make([]Item[int], 1+rng.Intn(40))
+		pris := map[int]bool{}
+		for i := range items {
+			items[i] = Item[int]{Pri: rng.Intn(8), Val: i}
+			pris[items[i].Pri] = true
+		}
+		before := slices.Clone(items)
+		check("random", items, len(pris))
+		if !slices.Equal(items, before) {
+			t.Fatal("GroupByPri modified its input")
+		}
+	}
+}
+
+// TestTreeIncrements checks the shared counter-tree batch increments
+// against a brute-force walk of each item's leaf-to-root path: the same
+// nodes with the same counts, in strictly descending heap index.
+func TestTreeIncrements(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, npri := range []int{1, 2, 3, 4, 7, 16, 33, 64} {
+		nleaves := ceilPow2(npri)
+		for trial := 0; trial < 100; trial++ {
+			items := make([]Item[int], rng.Intn(24))
+			for i := range items {
+				items[i] = Item[int]{Pri: rng.Intn(npri), Val: i}
+			}
+			want := map[int]int64{}
+			for _, it := range items {
+				for n := nleaves + it.Pri; n > 1; n /= 2 {
+					if n%2 == 0 {
+						want[n/2]++
+					}
+				}
+			}
+			got := TreeIncrements(nleaves, GroupByPri(items))
+			if len(got) != len(want) {
+				t.Fatalf("npri %d, batch %v: %d increments %v, want %d nodes %v", npri, items, len(got), got, len(want), want)
+			}
+			for i, inc := range got {
+				if i > 0 && inc.Node >= got[i-1].Node {
+					t.Fatalf("npri %d: node %d follows node %d, want strictly descending", npri, inc.Node, got[i-1].Node)
+				}
+				if want[inc.Node] != inc.N {
+					t.Fatalf("npri %d: node %d rises by %d, the walk says %d", npri, inc.Node, inc.N, want[inc.Node])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBatch reports each algorithm's time and allocations for one
+// 16-item InsertBatch followed by one DeleteMinBatch(16), with the batch
+// spread over 1, 4 or 16 priorities.
+func BenchmarkBatch(b *testing.B) {
+	for _, alg := range All() {
+		for _, spread := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/pris=%d", alg, spread), func(b *testing.B) {
+				q, err := New[uint64](alg, Config{Priorities: 16, Concurrency: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bq := q.(BatchQueue[uint64])
+				items := make([]Item[uint64], 16)
+				for i := range items {
+					items[i] = Item[uint64]{Pri: (i * 5) % spread * (16 / spread), Val: uint64(i)}
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					bq.InsertBatch(items)
+					if got := bq.DeleteMinBatch(len(items)); len(got) != len(items) {
+						b.Fatalf("DeleteMinBatch returned %d of %d", len(got), len(items))
+					}
+				}
+			})
+		}
 	}
 }

@@ -8,6 +8,13 @@
 // SimpleTree and FunnelTree one counter-tree type (atomic counters
 // throughout, or funnel counters in the top levels, and lock bins or
 // funnel stacks).
+//
+// Every queue also has a simulated twin in internal/simpq, which imports
+// this package for what the twins share beyond the algorithms: the
+// registry (Algorithm, Algorithms, All, IsRelaxed, ParseAlgorithm), the
+// stable batch grouping (GroupByPri), a counter-tree batch insert's
+// per-node increments (TreeIncrements) and the rank-error distribution
+// of a relaxed queue (RelaxStats).
 package core
 
 import (
@@ -82,15 +89,20 @@ func IsRelaxed(alg Algorithm) bool {
 }
 
 // ParseAlgorithm resolves a case-insensitive algorithm name (strict or
-// relaxed). The canonical spelling is returned so callers can compare
-// against the constants.
-func ParseAlgorithm(s string) (Algorithm, bool) {
-	for _, a := range All() {
+// relaxed) to its canonical spelling, so callers can compare against the
+// constants. The error lists every valid name.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	all := All()
+	for _, a := range all {
 		if strings.EqualFold(s, string(a)) {
-			return a, true
+			return a, nil
 		}
 	}
-	return "", false
+	names := make([]string, len(all))
+	for i, a := range all {
+		names[i] = string(a)
+	}
+	return "", fmt.Errorf("unknown algorithm %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // Config carries construction options shared by all queues.

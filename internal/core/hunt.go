@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -291,26 +290,26 @@ func (q *hunt[V]) siftDown(n1 *huntNode[V]) {
 // already-settled batch items, so the bubbles are the same races the
 // single-item protocol already resolves.
 func (q *hunt[V]) InsertBatch(items []Item[V]) {
-	for _, it := range items {
-		checkPri(it.Pri, q.npri)
-	}
+	checkBatch(items, q.npri)
 	if len(items) == 0 {
 		return
 	}
-	sorted := make([]Item[V], len(items))
-	copy(sorted, items)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Pri < sorted[b].Pri })
-
-	pids := make([]uint64, len(sorted))
-	slots := make([]uint64, len(sorted))
+	runs := GroupByPri(items)
+	type placed struct {
+		pri       int
+		slot, pid uint64
+	}
+	ps := make([]placed, 0, len(items))
 	tok := q.lock.Acquire()
-	for j, it := range sorted {
-		pids[j] = q.opID.Add(1)<<8 | huntTagPid
-		slots[j] = q.placeLocked(it.Pri, it.Val, pids[j])
+	for _, run := range runs {
+		for _, v := range run.Vals {
+			pid := q.opID.Add(1)<<8 | huntTagPid
+			ps = append(ps, placed{pri: run.Pri, slot: q.placeLocked(run.Pri, v, pid), pid: pid})
+		}
 	}
 	q.lock.Release(tok)
-	for j, it := range sorted {
-		q.bubbleUp(slots[j], it.Pri, pids[j])
+	for _, p := range ps {
+		q.bubbleUp(p.slot, p.pri, p.pid)
 	}
 }
 

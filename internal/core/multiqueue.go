@@ -292,9 +292,7 @@ func (q *multiQueue[V]) popScan(k int, out []Item[V]) []Item[V] {
 // synchronization. Every priority is checked first, so a panic cannot
 // leave a batch half-inserted.
 func (q *multiQueue[V]) InsertBatch(items []Item[V]) {
-	for _, it := range items {
-		checkPri(it.Pri, q.npri)
-	}
+	checkBatch(items, q.npri)
 	if len(items) == 0 {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,14 +332,14 @@ func TestParseAlgorithm(t *testing.T) {
 		t.Fatalf("All() = %v", got)
 	}
 	for _, s := range []string{"multiqueue", "MultiQueue", "MULTIQUEUE"} {
-		if a, ok := ParseAlgorithm(s); !ok || a != MultiQueue {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v", s, a, ok)
+		if a, err := ParseAlgorithm(s); err != nil || a != MultiQueue {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", s, a, err)
 		}
 	}
-	if a, ok := ParseAlgorithm("funneltree"); !ok || a != FunnelTree {
-		t.Fatalf("ParseAlgorithm(funneltree) = %v, %v", a, ok)
+	if a, err := ParseAlgorithm("funneltree"); err != nil || a != FunnelTree {
+		t.Fatalf("ParseAlgorithm(funneltree) = %v, %v", a, err)
 	}
-	if _, ok := ParseAlgorithm("nope"); ok {
-		t.Fatal("ParseAlgorithm accepted a bogus name")
+	if _, err := ParseAlgorithm("nope"); err == nil || !strings.Contains(err.Error(), "valid: SingleLock,") {
+		t.Fatalf("ParseAlgorithm(nope) = %v, want an error listing the valid names", err)
 	}
 }

@@ -62,8 +62,9 @@ func (q *simpleLinear[V]) DeleteMin() (V, bool) {
 // InsertBatch fills each priority's bin with one lock hold (or one
 // central stack application) per distinct priority in the batch.
 func (q *simpleLinear[V]) InsertBatch(items []Item[V]) {
-	for _, run := range groupByPri(items, len(q.bins)) {
-		q.bins[run.pri].PushN(run.vals)
+	checkBatch(items, len(q.bins))
+	for _, run := range GroupByPri(items) {
+		q.bins[run.Pri].PushN(run.Vals)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"pq/internal/funnel"
@@ -183,33 +182,17 @@ func (q *simpleTree[V]) DeleteMin() (V, bool) {
 
 // InsertBatch fills the bins first (counters must never promise items the
 // bins do not yet hold), then applies the aggregated counter increments —
-// one AddN per touched node instead of one FaI per item — children before
-// parents (descending heap index), preserving the bottom-up order of the
-// single-item insert for every item's path.
+// one AddN per touched node instead of one FaI per item — in
+// TreeIncrements' order, deepest node first, preserving the bottom-up
+// order of the single-item insert for every item's path.
 func (q *simpleTree[V]) InsertBatch(items []Item[V]) {
-	runs := groupByPri(items, q.npri)
-	if len(runs) == 0 {
-		return
-	}
-	incs := make(map[int]int64)
+	checkBatch(items, q.npri)
+	runs := GroupByPri(items)
 	for _, run := range runs {
-		q.bins[run.pri].PushN(run.vals)
-		n := q.nleaves + run.pri
-		for n > 1 {
-			parent := n / 2
-			if n == 2*parent {
-				incs[parent] += int64(len(run.vals))
-			}
-			n = parent
-		}
+		q.bins[run.Pri].PushN(run.Vals)
 	}
-	nodes := make([]int, 0, len(incs))
-	for n := range incs {
-		nodes = append(nodes, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(nodes)))
-	for _, n := range nodes {
-		q.counters[n].AddN(incs[n])
+	for _, inc := range TreeIncrements(q.nleaves, runs) {
+		q.counters[inc.Node].AddN(inc.N)
 	}
 }
 

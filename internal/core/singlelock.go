@@ -84,9 +84,7 @@ func (q *singleLock[V]) deleteMinLocked() (int, V, bool) {
 
 // InsertBatch inserts the whole batch under one lock acquisition.
 func (q *singleLock[V]) InsertBatch(items []Item[V]) {
-	for _, it := range items {
-		checkPri(it.Pri, q.npri)
-	}
+	checkBatch(items, q.npri)
 	if len(items) == 0 {
 		return
 	}

@@ -100,9 +100,10 @@ func (q *skipList[V]) ensureThreaded(pri int) {
 // InsertBatch fills each distinct priority's bin under one bin lock hold
 // and threads its link once, instead of one lock round trip per item.
 func (q *skipList[V]) InsertBatch(items []Item[V]) {
-	for _, run := range groupByPri(items, q.npri) {
-		q.links[run.pri].bin.PushN(run.vals)
-		q.ensureThreaded(run.pri)
+	checkBatch(items, q.npri)
+	for _, run := range GroupByPri(items) {
+		q.links[run.Pri].bin.PushN(run.Vals)
+		q.ensureThreaded(run.Pri)
 	}
 }
 

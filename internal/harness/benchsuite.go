@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"pq/internal/core"
 	"pq/internal/simpq"
 )
 
@@ -19,7 +20,7 @@ type SuiteRun struct {
 }
 
 // RunBenchSuite drives the paper's standard workload for each of algs
-// (nil: the default strict suite, simpq.Algorithms) at the given machine
+// (nil: the default strict suite, core.Algorithms) at the given machine
 // size, with full latency distributions kept. When batch > 1 every
 // algorithm is measured twice — once with single operations and once
 // with batch-sized accesses — so the two can be compared
@@ -29,7 +30,7 @@ func RunBenchSuite(algs []simpq.Algorithm, procs, pris int, scale float64, batch
 	cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
 	cfg.KeepLatencies = true
 	if algs == nil {
-		algs = simpq.Algorithms
+		algs = core.Algorithms
 	}
 	batches := []int{0}
 	if batch > 1 {

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"pq/internal/simpq"
+	"pq/internal/core"
 )
 
 // TestBenchSuiteRoundTrip generates a small suite and checks it covers
@@ -14,12 +14,12 @@ func TestBenchSuiteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != len(simpq.Algorithms) {
-		t.Fatalf("runs = %d, want %d", len(runs), len(simpq.Algorithms))
+	if len(runs) != len(core.Algorithms) {
+		t.Fatalf("runs = %d, want %d", len(runs), len(core.Algorithms))
 	}
 	for i, r := range runs {
-		if r.Algorithm != simpq.Algorithms[i] {
-			t.Fatalf("run %d is %s, want %s", i, r.Algorithm, simpq.Algorithms[i])
+		if r.Algorithm != core.Algorithms[i] {
+			t.Fatalf("run %d is %s, want %s", i, r.Algorithm, core.Algorithms[i])
 		}
 		if r.InsertSummary.Count != r.Inserts || r.DeleteSummary.Count != r.Deletes {
 			t.Errorf("%s: latency counts (%d,%d) disagree with op counts (%d,%d)",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"pq/internal/core"
 	"pq/internal/order"
 	"pq/internal/sim"
 	"pq/internal/simpq"
@@ -130,7 +131,7 @@ func RunChaos(scale float64, progress func(string)) (*ChaosReport, error) {
 	cfg.OpsPerProc = scaleOps(40, scale)
 	var s sweep[ChaosCell]
 	for _, plan := range ChaosPlans() {
-		for _, alg := range simpq.All() {
+		for _, alg := range core.All() {
 			s.label(fmt.Sprintf("%s / %s", plan.Name, alg))
 			s.add(func() (ChaosCell, error) {
 				simCfg := sim.DefaultConfig(chaosProcs)

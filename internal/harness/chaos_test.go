@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"pq/internal/simpq"
+	"pq/internal/core"
 )
 
 // TestChaosMatrixClassifiesEveryAlgorithm runs the full fault matrix at
@@ -16,7 +16,7 @@ func TestChaosMatrixClassifiesEveryAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(ChaosPlans()) * len(simpq.All())
+	wantCells := len(ChaosPlans()) * len(core.All())
 	if len(rep.Cells) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(rep.Cells), wantCells)
 	}

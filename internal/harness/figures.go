@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"pq/internal/core"
 	"pq/internal/simpq"
 )
 
@@ -41,7 +42,7 @@ func Fig6() *Experiment {
 			cfg := simpq.DefaultWorkload()
 			cfg.OpsPerProc = scaleOps(cfg.OpsPerProc, scale)
 			var s sweep[Point]
-			for _, alg := range simpq.Algorithms {
+			for _, alg := range core.Algorithms {
 				s.label(string(alg))
 				for _, procs := range procSweepLow {
 					s.add(func() (Point, error) { return queuePoint(alg, procs, 16, cfg, float64(procs)) })

@@ -66,6 +66,7 @@ func contractLabel(v []byte) string {
 type rawConn struct {
 	t  *testing.T
 	nc net.Conn
+	fr wire.FrameReader
 	id uint32
 }
 
@@ -85,7 +86,7 @@ func (c *rawConn) call(typ wire.Type, payload []byte) wire.Frame {
 	if err := wire.WriteFrame(c.nc, wire.Frame{Type: typ, ID: c.id, Payload: payload}); err != nil {
 		c.t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(c.nc)
+	f, err := c.fr.ReadFrame(c.nc)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestContractOneRoundPerResponseFlush(t *testing.T) {
 	}
 	last := c.pipeline(types, payloads)
 	for id := last - n + 1; id <= last; id++ {
-		f, err := wire.ReadFrame(c.nc)
+		f, err := c.fr.ReadFrame(c.nc)
 		if err != nil || f.Type != wire.TInsertOK || f.ID != id {
 			t.Fatalf("response for %d: %v id %d err %v", id, f.Type, f.ID, err)
 		}
@@ -485,7 +486,7 @@ func TestContractRoundFailureClosesConnection(t *testing.T) {
 		wire.QueueReq{Queue: "jobs"}.Append(nil),
 	})
 	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if f, err := wire.ReadFrame(c.nc); err == nil {
+	if f, err := c.fr.ReadFrame(c.nc); err == nil {
 		t.Fatalf("answered %v after its WAL round failed", f.Type)
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("the connection stayed open after its WAL round failed")

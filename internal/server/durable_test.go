@@ -572,7 +572,7 @@ func TestJournalGateWritesRecordsBeforeReplies(t *testing.T) {
 				wire.QueueReq{Queue: "jobs"}.Append(nil),
 			})
 			for id := last - 1; id <= last; id++ {
-				if f, err := wire.ReadFrame(c.nc); err != nil || f.ID != id {
+				if f, err := c.fr.ReadFrame(c.nc); err != nil || f.ID != id {
 					t.Fatalf("pipelined response %d: id %d err %v", id, f.ID, err)
 				}
 			}

@@ -19,6 +19,7 @@ func insertFrame(id uint32, pri uint32) []byte {
 // blocks reading the partial frame. A rule that only checks whether any
 // byte is buffered deadlocks here.
 func TestFlushBeforePartialFrame(t *testing.T) {
+	var fr wire.FrameReader
 	_, addr := startServer(t, QueueSpec{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 4})
 	nc, err := netDial(addr)
 	if err != nil {
@@ -32,7 +33,7 @@ func TestFlushBeforePartialFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(time.Second))
-	f, err := wire.ReadFrame(nc)
+	f, err := fr.ReadFrame(nc)
 	if err != nil {
 		t.Fatalf("response to frame 1 did not arrive while frame 2 was partial: %v", err)
 	}
@@ -42,7 +43,7 @@ func TestFlushBeforePartialFrame(t *testing.T) {
 	if _, err := nc.Write(second[half:]); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = wire.ReadFrame(nc); err != nil || f.ID != 2 || f.Type != wire.TInsertOK {
+	if f, err = fr.ReadFrame(nc); err != nil || f.ID != 2 || f.Type != wire.TInsertOK {
 		t.Fatalf("second response = %v id %d (err %v), want INSERT_OK id 2", f.Type, f.ID, err)
 	}
 }
@@ -50,6 +51,7 @@ func TestFlushBeforePartialFrame(t *testing.T) {
 // TestFlushBatchCap pins the batch bound: a deep pipeline written in one
 // go is answered in order, in at least one flush per 64 requests.
 func TestFlushBatchCap(t *testing.T) {
+	var fr wire.FrameReader
 	const n = 200
 	s, addr := startServer(t, QueueSpec{Name: "q", Algorithm: pq.SimpleLinear, Priorities: 4})
 	nc, err := netDial(addr)
@@ -68,7 +70,7 @@ func TestFlushBatchCap(t *testing.T) {
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for id := uint32(1); id <= n; id++ {
-		f, err := wire.ReadFrame(nc)
+		f, err := fr.ReadFrame(nc)
 		if err != nil {
 			t.Fatalf("response %d: %v", id, err)
 		}

@@ -285,6 +285,7 @@ func TestGracefulShutdownSevers(t *testing.T) {
 }
 
 func TestRawWireErrors(t *testing.T) {
+	var fr wire.FrameReader
 	// Unknown frame types get a TError reply, not a dropped connection.
 	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: 4})
 	nc, err := netDial(addr)
@@ -295,7 +296,7 @@ func TestRawWireErrors(t *testing.T) {
 	if err := wire.WriteFrame(nc, wire.Frame{Type: wire.Type(0x7f), ID: 9}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(nc)
+	f, err := fr.ReadFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestRawWireErrors(t *testing.T) {
 		Payload: wire.QueueReq{Queue: "jobs"}.Append(nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = wire.ReadFrame(nc); err != nil || f.Type != wire.TStatsReply {
+	if f, err = fr.ReadFrame(nc); err != nil || f.Type != wire.TStatsReply {
 		t.Fatalf("after error frame: %v %v", f.Type, err)
 	}
 
@@ -319,14 +320,14 @@ func TestRawWireErrors(t *testing.T) {
 	if _, err := nc.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = wire.ReadFrame(nc); err != nil || f.Type != wire.TError || f.ID != 21 {
+	if f, err = fr.ReadFrame(nc); err != nil || f.Type != wire.TError || f.ID != 21 {
 		t.Fatalf("bad-version frame: type=%v id=%d err=%v, want ERROR id=21", f.Type, f.ID, err)
 	}
 	if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TDeleteMin, ID: 22,
 		Payload: wire.QueueReq{Queue: "jobs"}.Append(nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = wire.ReadFrame(nc); err != nil || f.ID != 22 {
+	if f, err = fr.ReadFrame(nc); err != nil || f.ID != 22 {
 		t.Fatalf("after bad-version frame: %v %v", f.Type, err)
 	}
 }

@@ -1,17 +1,14 @@
 package simpq
 
 import (
-	"sort"
-
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
 // BatchItem is one element of a batch operation: a value and the
-// priority it carries (or was delivered at).
-type BatchItem struct {
-	Pri int
-	Val uint64
-}
+// priority it carries (or was delivered at). It is core's batch item, so
+// both twins group batches with core.GroupByPri.
+type BatchItem = core.Item[uint64]
 
 // BatchQueue is implemented by queues with native batch fast paths: one
 // synchronization episode (lock hold, funnel traversal, counter
@@ -55,32 +52,4 @@ func DeleteMinBatch(p *sim.Proc, q Queue, k int) []BatchItem {
 		out = append(out, BatchItem{Pri: -1, Val: v})
 	}
 	return out
-}
-
-// batchRun is a maximal run of equal-priority values within a sorted
-// batch — the unit the per-priority structures consume in one call.
-type batchRun struct {
-	pri  int
-	vals []uint64
-}
-
-// batchRuns sorts items by priority (stable, so equal-priority values
-// keep their slice order) and groups them into runs. Host-side work
-// only: a real processor would stage its batch in private memory.
-func batchRuns(items []BatchItem) []batchRun {
-	if len(items) == 0 {
-		return nil
-	}
-	sorted := make([]BatchItem, len(items))
-	copy(sorted, items)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Pri < sorted[j].Pri })
-	var runs []batchRun
-	for _, it := range sorted {
-		if n := len(runs); n > 0 && runs[n-1].pri == it.Pri {
-			runs[n-1].vals = append(runs[n-1].vals, it.Val)
-			continue
-		}
-		runs = append(runs, batchRun{pri: it.Pri, vals: []uint64{it.Val}})
-	}
-	return runs
 }

@@ -3,6 +3,7 @@ package simpq
 import (
 	"testing"
 
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestBatchSequentialSemantics(t *testing.T) {
 		{Pri: 5, Val: 50}, {Pri: 1, Val: 10}, {Pri: 3, Val: 30},
 		{Pri: 1, Val: 11}, {Pri: 7, Val: 70}, {Pri: 0, Val: 1},
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			runOnOne(t,
@@ -76,7 +77,7 @@ func TestBatchWorkloadConservation(t *testing.T) {
 	cfg.OpsPerProc = 20
 	cfg.Batch = 4
 	const procs = 8
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			r, err := RunWorkload(alg, procs, 8, cfg)

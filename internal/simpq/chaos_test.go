@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pq/internal/core"
 	"pq/internal/order"
 	"pq/internal/sim"
 )
@@ -67,7 +68,7 @@ func TestChaosCrashSafetyForSurvivors(t *testing.T) {
 	}}
 	cfg := DefaultWorkload()
 	cfg.OpsPerProc = 25
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			simCfg := chaosSimCfg(12)
@@ -159,8 +160,6 @@ func TestWorkloadConfigValidation(t *testing.T) {
 		{OpsPerProc: 10, InsertFraction: -0.1},
 		{OpsPerProc: 10, InsertFraction: 1.5},
 		{OpsPerProc: 10, InsertFraction: 0.5, Prefill: -1},
-		{OpsPerProc: 10, InsertFraction: 0.5, StallEvery: -2},
-		{OpsPerProc: 10, InsertFraction: 0.5, StallCycles: -5},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

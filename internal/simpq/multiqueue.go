@@ -1,6 +1,9 @@
 package simpq
 
-import "pq/internal/sim"
+import (
+	"pq/internal/core"
+	"pq/internal/sim"
+)
 
 // MultiQueue is the relaxed queue of Williams & Sanders on the simulated
 // machine: C·p sequential array heaps in shared memory, each under a
@@ -26,12 +29,12 @@ type MultiQueue struct {
 	pris  sim.Addr // nq × (capQ+1) 1-based heap arrays
 	vals  sim.Addr
 
-	// Host-side rank accounting and internals counters.
-	present    []int64
-	rankCounts []int64
-	pops       int64
-	rankSum    int64
-	rankMax    int64
+	// Host-side rank accounting (present counts queued items per
+	// priority; rank is the native twin's RelaxStats, its Counts grown to
+	// the worst rank so no pop lands in an overflow bucket) and internals
+	// counters.
+	present []int64
+	rank    core.RelaxStats
 
 	picks       int64 // two-choice samplings
 	ties        int64 // samplings whose two tops were equal
@@ -76,6 +79,7 @@ func NewMultiQueue(m *sim.Machine, npri, maxItems, c int) *MultiQueue {
 		pris:    m.Alloc(nq * (capQ + 1)),
 		vals:    m.Alloc(nq * (capQ + 1)),
 		present: make([]int64, npri),
+		rank:    core.RelaxStats{Tracked: true},
 	}
 	for i := range q.locks {
 		q.locks[i] = NewTASLock(m)
@@ -180,15 +184,14 @@ func (q *MultiQueue) notePop(pri int) {
 		rank += q.present[i]
 	}
 	q.present[pri]--
-	q.pops++
-	q.rankSum += rank
-	if rank > q.rankMax {
-		q.rankMax = rank
+	st := &q.rank
+	st.Pops++
+	st.RankSum += rank
+	st.RankMax = max(st.RankMax, rank)
+	for int64(len(st.Counts)) <= rank {
+		st.Counts = append(st.Counts, 0)
 	}
-	for int64(len(q.rankCounts)) <= rank {
-		q.rankCounts = append(q.rankCounts, 0)
-	}
-	q.rankCounts[rank]++
+	st.Counts[rank]++
 }
 
 // pickTwo returns two distinct random deletion candidates.
@@ -339,32 +342,12 @@ func (q *MultiQueue) DeleteMinBatch(p *sim.Proc, k int) []BatchItem {
 	return out
 }
 
-// quantileFromCounts returns the smallest rank r with cumulative count
-// >= p·total.
-func quantileFromCounts(counts []int64, total int64, p float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	need := int64(p * float64(total))
-	if need < 1 {
-		need = 1
-	}
-	var cum int64
-	for r, c := range counts {
-		cum += c
-		if cum >= need {
-			return float64(r)
-		}
-	}
-	return float64(len(counts) - 1)
-}
-
 // Metrics reports the MultiQueue internals: the two-choice accounting
 // the issue asks for (queue picks, ties, empty-probe retries) plus lock
 // contention, scan and overflow counters and the exact
 // rank-error distribution.
 func (q *MultiQueue) Metrics() Metrics {
-	m := Metrics{
+	return Metrics{
 		"multiqueue.queues":              float64(q.nq),
 		"multiqueue.queue_picks":         float64(q.picks),
 		"multiqueue.ties":                float64(q.ties),
@@ -372,21 +355,14 @@ func (q *MultiQueue) Metrics() Metrics {
 		"multiqueue.lock_retries":        float64(q.lockRetries),
 		"multiqueue.full_scans":          float64(q.fullScans),
 		"multiqueue.overflow_drops":      float64(q.overflows),
-		"multiqueue.rank_pops":           float64(q.pops),
-		"multiqueue.rank_max":            float64(q.rankMax),
+		"multiqueue.rank_pops":           float64(q.rank.Pops),
+		"multiqueue.rank_max":            float64(q.rank.RankMax),
+		"multiqueue.rank_mean":           q.rank.Mean(),
+		"multiqueue.rank_p50":            q.rank.Quantile(0.5),
+		"multiqueue.rank_p99":            q.rank.Quantile(0.99),
 		"batch_inserts":                  float64(q.batchInserts),
 		"batch_deletes":                  float64(q.batchDeletes),
 	}
-	if q.pops > 0 {
-		m["multiqueue.rank_mean"] = float64(q.rankSum) / float64(q.pops)
-		m["multiqueue.rank_p50"] = quantileFromCounts(q.rankCounts, q.pops, 0.5)
-		m["multiqueue.rank_p99"] = quantileFromCounts(q.rankCounts, q.pops, 0.99)
-	} else {
-		m["multiqueue.rank_mean"] = 0
-		m["multiqueue.rank_p50"] = 0
-		m["multiqueue.rank_p99"] = 0
-	}
-	return m
 }
 
 var (

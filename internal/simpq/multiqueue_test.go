@@ -147,7 +147,7 @@ func TestMultiQueueBatchOnSimulator(t *testing.T) {
 }
 
 // TestMultiQueueWorkload smoke-tests the full workload harness path
-// (Build, knownAlgorithm, metrics plumbing) for the relaxed algorithm.
+// (Build, the registry check, metrics plumbing) for the relaxed algorithm.
 func TestMultiQueueWorkload(t *testing.T) {
 	res, err := RunWorkload(AlgMultiQueue, 8, 16, WorkloadConfig{
 		OpsPerProc: 50, InsertFraction: 0.5, Prefill: 32, LocalWork: 10,

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pq/internal/core"
 	"pq/internal/sim"
 	"pq/internal/trace"
 )
@@ -91,7 +92,7 @@ func TestTraceOpSpans(t *testing.T) {
 // TestMetricsAllAlgorithms asserts every implementation reports
 // internals and that headline counters are sane.
 func TestMetricsAllAlgorithms(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		r, _ := tracedRun(t, alg, 16, false)
 		if r.Internals == nil {
 			t.Errorf("%s: no internals metrics", alg)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func strictOrderOnDrain(alg Algorithm) bool {
 }
 
 func TestQueueSequentialFillThenDrain(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			const npri = 16
@@ -69,7 +70,7 @@ func TestQueueSequentialPriorityOrder(t *testing.T) {
 	// Insert with the priority encoded in the value; drain must return
 	// non-decreasing priorities for every algorithm when run sequentially
 	// with all inserts before all deletes.
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			const npri = 32
@@ -102,7 +103,7 @@ func TestQueueSequentialPriorityOrder(t *testing.T) {
 }
 
 func TestQueueConcurrentMixedThenDrain(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			const (
@@ -192,7 +193,7 @@ func TestQueueConcurrentMixedThenDrain(t *testing.T) {
 }
 
 func TestQueueDeleteOnEmpty(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			var q Queue
@@ -212,7 +213,7 @@ func TestQueueDeleteOnEmpty(t *testing.T) {
 func TestQueueSinglePriority(t *testing.T) {
 	// Degenerate range N=1 must still work (it exercises tree queues with
 	// a single leaf).
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			var q Queue
@@ -242,7 +243,7 @@ func TestQueueSinglePriority(t *testing.T) {
 func TestQueueInterleavedPriorityRespect(t *testing.T) {
 	// Single processor interleaving inserts and deletes: every delete must
 	// return the current minimum for the strictly-ordered algorithms.
-	for _, alg := range Algorithms {
+	for _, alg := range core.Algorithms {
 		if !strictOrderOnDrain(alg) {
 			continue
 		}

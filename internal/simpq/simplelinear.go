@@ -1,6 +1,9 @@
 package simpq
 
-import "pq/internal/sim"
+import (
+	"pq/internal/core"
+	"pq/internal/sim"
+)
 
 // binLike is what the bin-array and counter-tree queues need of a bin:
 // the lock-based Bin of Figure 1, or the combining-funnel FunnelStack
@@ -119,8 +122,8 @@ func (q *SimpleLinear) InsertBatch(p *sim.Proc, items []BatchItem) {
 		return
 	}
 	q.batchInserts++
-	for _, run := range batchRuns(items) {
-		q.bins[run.pri].PushN(p, run.vals)
+	for _, run := range core.GroupByPri(items) {
+		q.bins[run.Pri].PushN(p, run.Vals)
 	}
 }
 

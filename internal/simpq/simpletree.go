@@ -1,8 +1,7 @@
 package simpq
 
 import (
-	"sort"
-
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
@@ -224,36 +223,22 @@ func (q *SimpleTree) DeleteMin(p *sim.Proc) (uint64, bool) {
 
 // InsertBatch fills every leaf bin first (one lock hold or central stack
 // batch per distinct priority), then applies the aggregated counter
-// increments bottom-up — deepest nodes first, so every counter
-// reservation a concurrent descent wins is already backed by the
-// counters and bins below it, exactly as single inserts guarantee by
-// ascending.
+// increments in core.TreeIncrements' order — deepest nodes first, so
+// every counter reservation a concurrent descent wins is already backed
+// by the counters and bins below it, exactly as single inserts guarantee
+// by ascending.
 func (q *SimpleTree) InsertBatch(p *sim.Proc, items []BatchItem) {
 	if len(items) == 0 {
 		return
 	}
 	q.batchInserts++
-	runs := batchRuns(items)
-	incs := make(map[int]uint64)
+	runs := core.GroupByPri(items)
 	for _, run := range runs {
-		q.bins[run.pri].PushN(p, run.vals)
-		n := q.nleaves + run.pri
-		for n > 1 {
-			parent := n / 2
-			if n == 2*parent {
-				incs[parent] += uint64(len(run.vals))
-			}
-			n = parent
-		}
+		q.bins[run.Pri].PushN(p, run.Vals)
 	}
-	nodes := make([]int, 0, len(incs))
-	for n := range incs {
-		nodes = append(nodes, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(nodes)))
-	for _, n := range nodes {
-		q.increments += int64(incs[n])
-		q.counters[n].AddN(p, incs[n])
+	for _, inc := range core.TreeIncrements(q.nleaves, runs) {
+		q.increments += inc.N
+		q.counters[inc.Node].AddN(p, uint64(inc.N))
 	}
 }
 

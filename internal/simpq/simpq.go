@@ -10,8 +10,15 @@
 // counters throughout, or funnel counters in the top levels, and lock
 // bins or funnel stacks). The relaxed MultiQueue of
 // Williams & Sanders rides along as a post-paper comparison point; it is
-// registered separately (RelaxedAlgorithms) and never selected by
+// registered separately (core.RelaxedAlgorithms) and never selected by
 // default.
+//
+// Each queue is the simulated twin of a native one in internal/core, and
+// shares core's vocabulary rather than copying it: Algorithm and the
+// AlgX names are aliases of core's registry, BatchItem is core.Item,
+// batches are grouped by core.GroupByPri, the counter trees' batch
+// increments come from core.TreeIncrements, and the MultiQueue's
+// rank-error distribution is a core.RelaxStats.
 //
 // The paper's benchmark runs through one per-processor loop
 // (workload.go); DriveWorkload, SojournWorkload and ChaosWorkload differ
@@ -24,8 +31,7 @@
 package simpq
 
 import (
-	"strings"
-
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
@@ -45,64 +51,25 @@ type Queue interface {
 	NumPriorities() int
 }
 
-// Algorithm names the seven implementations under test.
-type Algorithm string
+// Algorithm names a queue implementation. The registry — which
+// algorithms exist, which are relaxed, how names parse — is core's
+// (core.Algorithms, core.All, core.IsRelaxed, core.ParseAlgorithm); the
+// simulated twin of each is built by Build.
+type Algorithm = core.Algorithm
 
-// The algorithms evaluated by the paper.
+// The algorithms evaluated by the paper, and the relaxed MultiQueue
+// (Williams & Sanders), which is not in core.Algorithms: relaxed
+// delete-min must be requested explicitly.
 const (
-	AlgSingleLock    Algorithm = "SingleLock"
-	AlgHuntEtAl      Algorithm = "HuntEtAl"
-	AlgSkipList      Algorithm = "SkipList"
-	AlgSimpleLinear  Algorithm = "SimpleLinear"
-	AlgSimpleTree    Algorithm = "SimpleTree"
-	AlgLinearFunnels Algorithm = "LinearFunnels"
-	AlgFunnelTree    Algorithm = "FunnelTree"
+	AlgSingleLock    = core.SingleLock
+	AlgHuntEtAl      = core.HuntEtAl
+	AlgSkipList      = core.SkipList
+	AlgSimpleLinear  = core.SimpleLinear
+	AlgSimpleTree    = core.SimpleTree
+	AlgLinearFunnels = core.LinearFunnels
+	AlgFunnelTree    = core.FunnelTree
+	AlgMultiQueue    = core.MultiQueue
 )
-
-// AlgMultiQueue is the relaxed MultiQueue (Williams & Sanders); see
-// MultiQueue. It is not part of Algorithms — relaxed delete-min must be
-// requested explicitly.
-const AlgMultiQueue Algorithm = "MultiQueue"
-
-// Algorithms lists the paper's implementations in its presentation
-// order; all are strict or quiescently consistent.
-var Algorithms = []Algorithm{
-	AlgSingleLock, AlgHuntEtAl, AlgSkipList,
-	AlgSimpleLinear, AlgSimpleTree, AlgLinearFunnels, AlgFunnelTree,
-}
-
-// RelaxedAlgorithms lists the implementations whose DeleteMin is only
-// approximately smallest-first.
-var RelaxedAlgorithms = []Algorithm{AlgMultiQueue}
-
-// All lists every implementation: the paper's seven, then the relaxed
-// extensions.
-func All() []Algorithm {
-	out := make([]Algorithm, 0, len(Algorithms)+len(RelaxedAlgorithms))
-	out = append(out, Algorithms...)
-	return append(out, RelaxedAlgorithms...)
-}
-
-// IsRelaxed reports whether alg trades exact delete-min for throughput.
-func IsRelaxed(alg Algorithm) bool {
-	for _, r := range RelaxedAlgorithms {
-		if r == alg {
-			return true
-		}
-	}
-	return false
-}
-
-// ParseAlgorithm resolves a case-insensitive algorithm name (strict or
-// relaxed) to its canonical spelling.
-func ParseAlgorithm(s string) (Algorithm, bool) {
-	for _, a := range All() {
-		if strings.EqualFold(s, string(a)) {
-			return a, true
-		}
-	}
-	return "", false
-}
 
 // Build constructs the named queue on machine m with npri priorities and
 // capacity for at most maxItems concurrently queued elements.

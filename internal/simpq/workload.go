@@ -2,7 +2,9 @@ package simpq
 
 import (
 	"fmt"
+	"slices"
 
+	"pq/internal/core"
 	"pq/internal/order"
 	"pq/internal/sim"
 	"pq/internal/stats"
@@ -28,17 +30,6 @@ type WorkloadConfig struct {
 	// KeepLatencies records every operation's latency so Result carries
 	// full distributions, not just means.
 	KeepLatencies bool
-	// StallEvery injects a StallCycles-long stall into each processor
-	// every StallEvery operations (0 disables) — a model of preemption or
-	// page faults, used to probe how sensitive each algorithm is to
-	// stragglers. Stalls happen mid-protocol: the stalled processor picks
-	// a random point inside its next queue operation... approximated here
-	// by stalling immediately before the operation, which still leaves
-	// the processor holding no locks but absent from combining.
-	StallEvery int
-	// StallCycles is the stall length (default 10x RemoteCost when
-	// StallEvery is set).
-	StallCycles int64
 	// Batch sets the operations per queue access: each of the OpsPerProc
 	// accesses becomes one InsertBatch/DeleteMinBatch call of this many
 	// elements (0 and 1 both mean plain single operations). Latency
@@ -66,27 +57,12 @@ func (cfg WorkloadConfig) Validate() error {
 		return fmt.Errorf("simpq: InsertFraction must be in [0,1], got %g", cfg.InsertFraction)
 	case cfg.Prefill < 0:
 		return fmt.Errorf("simpq: Prefill must be >= 0, got %d", cfg.Prefill)
-	case cfg.StallEvery < 0:
-		return fmt.Errorf("simpq: StallEvery must be >= 0, got %d (use 0 to disable stalls)", cfg.StallEvery)
-	case cfg.StallCycles < 0:
-		return fmt.Errorf("simpq: StallCycles must be >= 0, got %d (use 0 for the default stall length)", cfg.StallCycles)
 	case cfg.Batch < 0:
 		return fmt.Errorf("simpq: Batch must be >= 0, got %d (use 0 or 1 for single operations)", cfg.Batch)
 	case cfg.Batch > 1024:
 		return fmt.Errorf("simpq: Batch must be <= 1024, got %d", cfg.Batch)
 	}
 	return nil
-}
-
-// knownAlgorithm reports whether alg is buildable — one of the paper's
-// seven or a registered relaxed algorithm.
-func knownAlgorithm(alg Algorithm) bool {
-	for _, a := range All() {
-		if a == alg {
-			return true
-		}
-	}
-	return false
 }
 
 // Result aggregates a workload run.
@@ -177,7 +153,7 @@ func WorkloadOnMachine(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.C
 // validates the inputs, applies cfg.Seed to simCfg, and builds the
 // machine and alg's queue sized by capacity.
 func buildRun(alg Algorithm, npri int, cfg WorkloadConfig, simCfg sim.Config) (*sim.Machine, Queue, error) {
-	if !knownAlgorithm(alg) {
+	if !slices.Contains(core.All(), alg) {
 		return nil, nil, fmt.Errorf("simpq: unknown algorithm %q", alg)
 	}
 	if npri < 1 {
@@ -326,7 +302,7 @@ func (rec *recorder) record(id int, kind order.Kind, items []BatchItem, start, e
 // runMix is the paper's benchmark, the one loop every driver runs: each
 // processor inserts its share of cfg.Prefill, waits at the start barrier
 // unless rec drops it, and then performs cfg.OpsPerProc accesses, each
-// LocalWork (plus the periodic stall) followed by a coin-flip insert or
+// LocalWork followed by a coin-flip insert or
 // delete-min of max(Batch,1) elements. It returns each processor's
 // tally; the error is the simulator's terminal state.
 func runMix(m *sim.Machine, q Queue, cfg WorkloadConfig, rec *recorder) ([]procTally, sim.Stats, error) {
@@ -336,10 +312,6 @@ func runMix(m *sim.Machine, q Queue, cfg WorkloadConfig, rec *recorder) ([]procT
 		bar = newBarrier(m)
 	}
 	batch := max(cfg.Batch, 1)
-	stall := cfg.StallCycles
-	if cfg.StallEvery > 0 && stall == 0 {
-		stall = 10 * sim.DefaultRemoteCost
-	}
 	tallies := make([]procTally, procs)
 	st, err := m.Run(func(p *sim.Proc) {
 		id := p.ID()
@@ -415,9 +387,6 @@ func runMix(m *sim.Machine, q Queue, cfg WorkloadConfig, rec *recorder) ([]procT
 		}
 		for i := range cfg.OpsPerProc {
 			p.LocalWork(cfg.LocalWork)
-			if cfg.StallEvery > 0 && (i+id)%cfg.StallEvery == cfg.StallEvery-1 {
-				p.LocalWork(stall)
-			}
 			if float64(p.Rand(1<<16))/(1<<16) < cfg.InsertFraction {
 				insert(batch, uint64(i*batch), true)
 			} else {

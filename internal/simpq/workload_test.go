@@ -21,25 +21,6 @@ func TestPrefillSpreadsAcrossProcessors(t *testing.T) {
 	}
 }
 
-func TestStallInjectionSlowsWallClock(t *testing.T) {
-	base := DefaultWorkload()
-	base.OpsPerProc = 20
-	r1, err := RunWorkload(AlgSimpleTree, 8, 8, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stalled := base
-	stalled.StallEvery = 2
-	stalled.StallCycles = 5000
-	r2, err := RunWorkload(AlgSimpleTree, 8, 8, stalled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Stats.FinalTime <= r1.Stats.FinalTime {
-		t.Fatalf("stalls did not extend the run: %d vs %d", r2.Stats.FinalTime, r1.Stats.FinalTime)
-	}
-}
-
 func TestSojournWorkload(t *testing.T) {
 	m, err := sim.New(sim.DefaultConfig(8))
 	if err != nil {

@@ -66,6 +66,9 @@ func TestBufPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFrameReaderMatchesReadFrame reads one stream with a FrameReader and
+// with DecodeFrame, the two decoders that share checkHeader: each frame
+// must come out the same from both.
 func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	frames := []Frame{
 		{Type: TInsert, ID: 7, Payload: Insert{Queue: "q", Item: Item{Pri: 3, Value: []byte("abc")}}.Append(nil)},
@@ -78,6 +81,7 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	}
 	var fr FrameReader
 	r := bytes.NewReader(stream)
+	rest := stream
 	for i, want := range frames {
 		got, err := fr.ReadFrame(r)
 		if err != nil {
@@ -86,6 +90,11 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 		if got.Type != want.Type || got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
+		dec, n, err := DecodeFrame(rest)
+		if err != nil || dec.Type != got.Type || dec.ID != got.ID || !bytes.Equal(dec.Payload, got.Payload) {
+			t.Fatalf("frame %d: DecodeFrame gave %+v, %v; FrameReader gave %+v", i, dec, err, got)
+		}
+		rest = rest[n:]
 		PutBuf(got.Payload)
 	}
 	if _, err := fr.ReadFrame(r); err != io.EOF {

@@ -19,7 +19,7 @@
 // during a rollout: a frame with an unknown version, nonzero reserved
 // flags, or an unknown type yields a TError response, never a closed
 // connection. This works because the version byte sits inside the
-// length-delimited region: ReadFrame and DecodeFrame consume the whole
+// length-delimited region: FrameReader and DecodeFrame consume the whole
 // frame before reporting ErrBadVersion/ErrBadFlags, so the stream stays
 // in sync and the server can reply and keep reading.
 package wire
@@ -34,7 +34,7 @@ import (
 // Version is the protocol version this package speaks.
 const Version = 1
 
-// MaxFrame bounds a frame's payload length; DecodeFrame and ReadFrame
+// MaxFrame bounds a frame's payload length; DecodeFrame and FrameReader
 // reject anything larger so a corrupt or hostile length prefix cannot
 // force an unbounded allocation.
 const MaxFrame = 1 << 20
@@ -45,7 +45,7 @@ const headerLen = 8
 
 // MaxPayload bounds a frame's type-specific payload: MaxFrame minus the
 // fixed header. Writers must keep encoded payloads at or below this or
-// the peer's ReadFrame rejects the frame as ErrTooLarge.
+// the peer's FrameReader rejects the frame as ErrTooLarge.
 const MaxPayload = MaxFrame - headerLen
 
 // MaxValue bounds one item's value bytes. It is strictly smaller than
@@ -180,6 +180,36 @@ func AppendFrameHeader(dst []byte, t Type, id uint32, payloadLen int) []byte {
 	return binary.BigEndian.AppendUint32(dst, id)
 }
 
+// checkHeader is the one frame-header check, shared by DecodeFrame and
+// FrameReader.ReadFrame. b starts with a frame's 4-byte length prefix.
+// It checks the length bounds and returns the payload size; a negative
+// size comes with ErrTooLarge or ErrBadPayload, which leave the stream
+// unusable. If b is shorter than the whole 12-byte header it stops there
+// with ErrShort. Otherwise it returns the header fields and checks the
+// version and flags: ErrBadVersion and ErrBadFlags are recoverable,
+// since the size says how many payload bytes to skip to resync.
+func checkHeader(b []byte) (Frame, int, error) {
+	n := binary.BigEndian.Uint32(b)
+	if n > MaxFrame {
+		return Frame{}, -1, ErrTooLarge
+	}
+	if n < headerLen {
+		return Frame{}, -1, fmt.Errorf("%w: length %d below header size", ErrBadPayload, n)
+	}
+	size := int(n) - headerLen
+	if len(b) < 4+headerLen {
+		return Frame{}, size, ErrShort
+	}
+	f := Frame{Version: b[4], Type: Type(b[5]), ID: binary.BigEndian.Uint32(b[8:12])}
+	if f.Version != Version {
+		return f, size, ErrBadVersion
+	}
+	if binary.BigEndian.Uint16(b[6:8]) != 0 {
+		return f, size, ErrBadFlags
+	}
+	return f, size, nil
+}
+
 // DecodeFrame decodes one frame from the front of buf, returning the
 // frame and the number of bytes consumed. ErrShort means more input is
 // needed. ErrBadVersion and ErrBadFlags are recoverable: the whole
@@ -191,84 +221,19 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < 4 {
 		return Frame{}, 0, ErrShort
 	}
-	n := binary.BigEndian.Uint32(buf)
-	if n > MaxFrame {
-		return Frame{}, 0, ErrTooLarge
+	f, size, err := checkHeader(buf)
+	if size < 0 {
+		return Frame{}, 0, err
 	}
-	if n < headerLen {
-		return Frame{}, 0, fmt.Errorf("%w: length %d below header size", ErrBadPayload, n)
-	}
-	total := 4 + int(n)
+	total := 4 + headerLen + size
 	if len(buf) < total {
 		return Frame{}, 0, ErrShort
 	}
-	f := Frame{
-		Version: buf[4],
-		Type:    Type(buf[5]),
-		ID:      binary.BigEndian.Uint32(buf[8:12]),
-		Payload: buf[12:total],
+	if err != nil {
+		return f, total, err
 	}
-	if f.Version != Version {
-		return Frame{Version: f.Version, Type: f.Type, ID: f.ID}, total, ErrBadVersion
-	}
-	if binary.BigEndian.Uint16(buf[6:8]) != 0 {
-		return Frame{Version: f.Version, Type: f.Type, ID: f.ID}, total, ErrBadFlags
-	}
+	f.Payload = buf[4+headerLen : total]
 	return f, total, nil
-}
-
-// ReadFrame reads exactly one frame from r. The payload is freshly
-// allocated and does not alias any internal buffer. On ErrBadVersion or
-// ErrBadFlags the frame (its length-delimited payload included) has
-// been fully consumed from r and the returned Frame carries the header
-// fields, so a server can reply TError by id and keep reading the
-// connection; any other error leaves the stream unusable.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4 + headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return Frame{}, ErrTooLarge
-	}
-	if n < headerLen {
-		return Frame{}, fmt.Errorf("%w: length %d below header size", ErrBadPayload, n)
-	}
-	f := Frame{
-		Version: hdr[4],
-		Type:    Type(hdr[5]),
-		ID:      binary.BigEndian.Uint32(hdr[8:12]),
-	}
-	var ferr error
-	if f.Version != Version {
-		ferr = ErrBadVersion
-	} else if binary.BigEndian.Uint16(hdr[6:8]) != 0 {
-		ferr = ErrBadFlags
-	}
-	if n > headerLen {
-		if ferr != nil {
-			// Drain the payload so the stream resyncs on the next frame.
-			if _, err := io.CopyN(io.Discard, r, int64(n-headerLen)); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return Frame{}, err
-			}
-		} else {
-			f.Payload = make([]byte, n-headerLen)
-			if _, err := io.ReadFull(r, f.Payload); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return Frame{}, err
-			}
-		}
-	}
-	if ferr != nil {
-		return Frame{Version: f.Version, Type: f.Type, ID: f.ID}, ferr
-	}
-	return f, nil
 }
 
 // WriteFrame writes f to w in one Write call. The encode buffer comes
@@ -281,61 +246,49 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// A FrameReader reads frames like ReadFrame but without per-frame
-// allocation: the header scratch persists across calls and payloads
-// come from the frame pool. The returned Frame's Payload is owned by
-// the caller, who should hand it back with PutBuf once the request no
-// longer needs it; the error contract is identical to ReadFrame's.
-// A FrameReader is not safe for concurrent use.
+// A FrameReader reads one frame at a time from a stream without
+// per-frame allocation: the header scratch persists across calls and
+// payloads come from the frame pool. It is not safe for concurrent use.
 type FrameReader struct {
 	hdr [4 + headerLen]byte
 }
 
+// ReadFrame reads exactly one frame from r. The returned Frame's Payload
+// is owned by the caller, who should hand it back with PutBuf once the
+// request no longer needs it. On ErrBadVersion or ErrBadFlags the frame
+// (its length-delimited payload included) has been fully consumed from r
+// and the returned Frame carries the header fields, so a server can
+// reply TError by id and keep reading the connection; any other error
+// leaves the stream unusable.
 func (fr *FrameReader) ReadFrame(r io.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:4])
-	if n > MaxFrame {
-		return Frame{}, ErrTooLarge
-	}
-	if n < headerLen {
-		return Frame{}, fmt.Errorf("%w: length %d below header size", ErrBadPayload, n)
-	}
-	f := Frame{
-		Version: fr.hdr[4],
-		Type:    Type(fr.hdr[5]),
-		ID:      binary.BigEndian.Uint32(fr.hdr[8:12]),
-	}
-	var ferr error
-	if f.Version != Version {
-		ferr = ErrBadVersion
-	} else if binary.BigEndian.Uint16(fr.hdr[6:8]) != 0 {
-		ferr = ErrBadFlags
-	}
-	if n > headerLen {
-		if ferr != nil {
-			// Drain the payload so the stream resyncs on the next frame.
-			if _, err := io.CopyN(io.Discard, r, int64(n-headerLen)); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return Frame{}, err
-			}
-		} else {
-			buf := GetBuf(int(n) - headerLen)
-			f.Payload = buf[:n-headerLen]
-			if _, err := io.ReadFull(r, f.Payload); err != nil {
-				PutBuf(buf)
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return Frame{}, err
-			}
+	f, size, ferr := checkHeader(fr.hdr[:])
+	switch {
+	case size < 0:
+		return Frame{}, ferr
+	case ferr != nil:
+		// Drain the payload so the stream resyncs on the next frame.
+		if _, err := io.CopyN(io.Discard, r, int64(size)); err != nil {
+			return Frame{}, unexpectedEOF(err)
+		}
+		return f, ferr
+	case size > 0:
+		buf := GetBuf(size)
+		f.Payload = buf[:size]
+		if _, err := io.ReadFull(r, f.Payload); err != nil {
+			PutBuf(buf)
+			return Frame{}, unexpectedEOF(err)
 		}
 	}
-	if ferr != nil {
-		return Frame{Version: f.Version, Type: f.Type, ID: f.ID}, ferr
-	}
 	return f, nil
+}
+
+// unexpectedEOF reports an EOF inside a frame as io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -43,7 +43,8 @@ func TestReadWriteFrame(t *testing.T) {
 	if err := WriteFrame(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	var fr FrameReader
+	got, err := fr.ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +112,18 @@ func TestBadVersionResync(t *testing.T) {
 		t.Fatalf("resync failed: %+v %v", f2, err)
 	}
 
-	// Same via ReadFrame, plus the flags variant.
+	// Same via a FrameReader, plus the flags variant.
 	badFlags := AppendFrame(nil, Frame{Type: TDrain, ID: 11, Payload: QueueReq{Queue: "q"}.Append(nil)})
 	badFlags[6] = 1
 	r := bytes.NewReader(append(append(append([]byte{}, bad...), badFlags...), AppendFrame(nil, good)...))
-	if f, err := ReadFrame(r); !errors.Is(err, ErrBadVersion) || f.ID != 7 {
+	var fr FrameReader
+	if f, err := fr.ReadFrame(r); !errors.Is(err, ErrBadVersion) || f.ID != 7 {
 		t.Fatalf("ReadFrame bad version: %+v %v", f, err)
 	}
-	if f, err := ReadFrame(r); !errors.Is(err, ErrBadFlags) || f.ID != 11 {
+	if f, err := fr.ReadFrame(r); !errors.Is(err, ErrBadFlags) || f.ID != 11 {
 		t.Fatalf("ReadFrame bad flags: %+v %v", f, err)
 	}
-	if f, err := ReadFrame(r); err != nil || f.ID != good.ID {
+	if f, err := fr.ReadFrame(r); err != nil || f.ID != good.ID {
 		t.Fatalf("ReadFrame after resync: %+v %v", f, err)
 	}
 }

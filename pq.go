@@ -41,7 +41,6 @@ package pq
 
 import (
 	"fmt"
-	"strings"
 
 	"pq/internal/core"
 	"pq/internal/funnel"
@@ -175,14 +174,11 @@ func IsRelaxed(alg Algorithm) bool {
 // ParseAlgorithm resolves a case-insensitive algorithm name; the error
 // lists every valid name.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	if alg, ok := core.ParseAlgorithm(name); ok {
-		return alg, nil
+	alg, err := core.ParseAlgorithm(name)
+	if err != nil {
+		return "", fmt.Errorf("pq: %w", err)
 	}
-	names := make([]string, 0, len(core.All()))
-	for _, a := range core.All() {
-		names = append(names, string(a))
-	}
-	return "", fmt.Errorf("pq: unknown algorithm %q (valid: %s)", name, strings.Join(names, ", "))
+	return alg, nil
 }
 
 // FunnelParams tunes the combining funnels used by LinearFunnels and

@@ -51,8 +51,9 @@ func replyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Durati
 					defer wmu.Unlock()
 					return wire.WriteFrame(nc, resp)
 				}
+				var fr wire.FrameReader
 				for {
-					f, err := wire.ReadFrame(nc)
+					f, err := fr.ReadFrame(nc)
 					if err != nil {
 						return
 					}

@@ -2,7 +2,9 @@ package simulator
 
 import (
 	"fmt"
+	"slices"
 
+	"pq/internal/core"
 	"pq/internal/sim"
 	"pq/internal/simpq"
 )
@@ -65,14 +67,7 @@ func (mc *Machine) NewQueue(alg Algorithm, npri, maxItems int) (SimQueue, error)
 	if mc.closed {
 		return nil, fmt.Errorf("simulator: machine already ran")
 	}
-	known := false
-	for _, a := range simpq.Algorithms {
-		if a == alg {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(core.Algorithms, alg) {
 		return nil, fmt.Errorf("simulator: unknown algorithm %q", alg)
 	}
 	if npri < 1 || maxItems < 1 {
