@@ -518,7 +518,7 @@ func TestGroupByPri(t *testing.T) {
 func TestTreeIncrements(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, npri := range []int{1, 2, 3, 4, 7, 16, 33, 64} {
-		nleaves := ceilPow2(npri)
+		nleaves := CeilPow2(npri)
 		for trial := 0; trial < 100; trial++ {
 			items := make([]Item[int], rng.Intn(24))
 			for i := range items {

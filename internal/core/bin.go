@@ -8,30 +8,32 @@ import (
 	"pq/internal/mcs"
 )
 
-// binLike is what the bin-array and counter-tree queues need of a bin.
-// Four kinds serve: the paper's default LIFO bag, the FIFO alternative it
-// suggests for applications where stack-order unfairness matters
-// (Section 3.2), and the combining-funnel stack in either discipline
-// (*funnel.Stack, which LinearFunnels and FunnelTree use).
-type binLike[V any] interface {
-	Push(e V)
-	PushN(es []V)
-	Empty() bool
-	Pop() (V, bool)
-	PopN(k int) []V
+// Bin is what the bin-array and counter-tree queues need of a bin, on
+// either twin: C is the per-operation context, struct{} natively and
+// *sim.Proc on the simulator. Natively four kinds serve: the paper's
+// default LIFO bag, the FIFO alternative it suggests for applications
+// where stack-order unfairness matters (Section 3.2), and the
+// combining-funnel stack in either discipline (*funnel.Stack, which
+// LinearFunnels and FunnelTree use).
+type Bin[C, V any] interface {
+	Empty(c C) bool
+	Push(c C, e V)
+	PushN(c C, es []V)
+	Pop(c C) (V, bool)
+	PopN(c C, k int) []V
 }
 
-// newBins builds n bins in the configured discipline: lock-based bins
-// when funnels is nil, combining-funnel stacks tuned by *funnels
+// newBins builds n native bins in the configured discipline: lock-based
+// bins when funnels is nil, combining-funnel stacks tuned by *funnels
 // otherwise.
-func newBins[V any](n int, fifo bool, funnels *funnel.Params) []binLike[V] {
-	bins := make([]binLike[V], n)
+func newBins[V any](n int, fifo bool, funnels *funnel.Params) []Bin[struct{}, V] {
+	bins := make([]Bin[struct{}, V], n)
 	for i := range bins {
 		switch {
 		case funnels != nil && fifo:
-			bins[i] = funnel.NewFIFOStack[V](*funnels)
+			bins[i] = stackBin[V]{funnel.NewFIFOStack[V](*funnels)}
 		case funnels != nil:
-			bins[i] = funnel.NewStack[V](*funnels)
+			bins[i] = stackBin[V]{funnel.NewStack[V](*funnels)}
 		case fifo:
 			bins[i] = &fifoBin[V]{}
 		default:
@@ -40,6 +42,15 @@ func newBins[V any](n int, fifo bool, funnels *funnel.Params) []binLike[V] {
 	}
 	return bins
 }
+
+// stackBin is a combining-funnel stack in a native queue's bin seam.
+type stackBin[V any] struct{ s *funnel.Stack[V] }
+
+func (b stackBin[V]) Empty(struct{}) bool        { return b.s.Empty() }
+func (b stackBin[V]) Push(_ struct{}, e V)       { b.s.Push(e) }
+func (b stackBin[V]) PushN(_ struct{}, es []V)   { b.s.PushN(es) }
+func (b stackBin[V]) Pop(struct{}) (V, bool)     { return b.s.Pop() }
+func (b stackBin[V]) PopN(_ struct{}, k int) []V { return b.s.PopN(k) }
 
 // bin is the paper's Figure-1 bag: a locked slice plus an atomic size so
 // the emptiness test stays a single read with no lock. The lock is the
@@ -51,7 +62,7 @@ type bin[V any] struct {
 }
 
 // Push adds e to the bin.
-func (b *bin[V]) Push(e V) {
+func (b *bin[V]) Push(_ struct{}, e V) {
 	n := b.lock.Acquire()
 	b.items = append(b.items, e)
 	b.size.Store(int64(len(b.items)))
@@ -59,7 +70,7 @@ func (b *bin[V]) Push(e V) {
 }
 
 // PushN adds every element of es under one lock hold.
-func (b *bin[V]) PushN(es []V) {
+func (b *bin[V]) PushN(_ struct{}, es []V) {
 	if len(es) == 0 {
 		return
 	}
@@ -70,11 +81,11 @@ func (b *bin[V]) PushN(es []V) {
 }
 
 // Empty reports whether the bin currently looks empty (one atomic read).
-func (b *bin[V]) Empty() bool { return b.size.Load() == 0 }
+func (b *bin[V]) Empty(struct{}) bool { return b.size.Load() == 0 }
 
 // PopN removes up to k elements under one lock hold, in the order k
 // sequential deletes would have returned them (newest first).
-func (b *bin[V]) PopN(k int) []V {
+func (b *bin[V]) PopN(_ struct{}, k int) []V {
 	n := b.lock.Acquire()
 	avail := k
 	if avail > len(b.items) {
@@ -97,7 +108,7 @@ func (b *bin[V]) PopN(k int) []V {
 
 // Pop removes and returns an unspecified element, or ok=false if the
 // bin is empty.
-func (b *bin[V]) Pop() (V, bool) {
+func (b *bin[V]) Pop(struct{}) (V, bool) {
 	n := b.lock.Acquire()
 	if len(b.items) == 0 {
 		b.lock.Release(n)
@@ -123,14 +134,14 @@ type fifoBin[V any] struct {
 	head  int
 }
 
-func (b *fifoBin[V]) Push(e V) {
+func (b *fifoBin[V]) Push(_ struct{}, e V) {
 	b.mu.Lock()
 	b.items = append(b.items, e)
 	b.size.Store(int64(len(b.items) - b.head))
 	b.mu.Unlock()
 }
 
-func (b *fifoBin[V]) PushN(es []V) {
+func (b *fifoBin[V]) PushN(_ struct{}, es []V) {
 	if len(es) == 0 {
 		return
 	}
@@ -140,9 +151,9 @@ func (b *fifoBin[V]) PushN(es []V) {
 	b.mu.Unlock()
 }
 
-func (b *fifoBin[V]) Empty() bool { return b.size.Load() == 0 }
+func (b *fifoBin[V]) Empty(struct{}) bool { return b.size.Load() == 0 }
 
-func (b *fifoBin[V]) PopN(k int) []V {
+func (b *fifoBin[V]) PopN(_ struct{}, k int) []V {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	avail := len(b.items) - b.head
@@ -164,7 +175,7 @@ func (b *fifoBin[V]) PopN(k int) []V {
 	return out
 }
 
-func (b *fifoBin[V]) Pop() (V, bool) {
+func (b *fifoBin[V]) Pop(struct{}) (V, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var zero V

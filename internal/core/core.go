@@ -9,16 +9,22 @@
 // throughout, or funnel counters in the top levels, and lock bins or
 // funnel stacks).
 //
-// Every queue also has a simulated twin in internal/simpq, which imports
-// this package for what the twins share beyond the algorithms: the
-// registry (Algorithm, Algorithms, All, IsRelaxed, ParseAlgorithm), the
-// stable batch grouping (GroupByPri), a counter-tree batch insert's
-// per-node increments (TreeIncrements) and the rank-error distribution
-// of a relaxed queue (RelaxStats).
+// Every queue also has a simulated twin in internal/simpq. Above the word
+// level the twins run one copy of the operation code, written here
+// generic over a per-operation context C (struct{} natively, *sim.Proc on
+// the simulator): BinArray, CounterTree and TwoChoice (the MultiQueue's
+// two-choice loop), over the leaf interfaces Bin, Counter and HeapSet
+// that each twin implements, with simulated tallies through a Tally that
+// is nil natively. The twins also share the registry (Algorithm,
+// Algorithms, All, IsRelaxed, ParseAlgorithm), the stable batch grouping
+// (GroupByPri), a counter-tree batch insert's per-node increments
+// (TreeIncrements) and the rank-error distribution of a relaxed queue
+// (RelaxStats).
 package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"pq/internal/funnel"
@@ -162,14 +168,82 @@ func New[V any](alg Algorithm, cfg Config) (Queue[V], error) {
 	}
 }
 
-func checkPri(pri, n int) {
-	if pri < 0 || pri >= n {
-		panic(fmt.Sprintf("core: priority %d out of range [0,%d)", pri, n))
+// Tally counts the steps of a BinArray, CounterTree or TwoChoice
+// host-side, for the simulated twin's metrics. The native queues leave
+// it nil, and a nil Tally counts nothing.
+type Tally [numTallyKeys]int64
+
+// TallyKey names one count of a Tally.
+type TallyKey int
+
+const (
+	TallyScans        TallyKey = iota // BinArray delete-min scans, single and batched
+	TallyScannedBins                  // bins those scans examined
+	TallyFailedScans                  // scans that found nothing
+	TallyDescents                     // CounterTree delete-min descents, single and batched
+	TallyTraversals                   // counters those descents decremented
+	TallyRightTurns                   // zero counters that turned a descent right
+	TallyIncrements                   // counter increments made by inserts
+	TallyEmptyProbes                  // TwoChoice locked candidates, or whole scans, that yielded nothing
+	TallyFullScans                    // sweeps after two empty tops
+	TallyBatchInserts                 // InsertBatch calls
+	TallyBatchDeletes                 // DeleteMinBatch calls
+	numTallyKeys
+)
+
+func (t *Tally) add(k TallyKey, n int64) {
+	if t != nil {
+		t[k] += n
 	}
 }
 
-// ceilPow2 returns the smallest power of two >= n (and at least 1).
-func ceilPow2(n int) int {
+// scan counts one bin-array scan that examined bins bins.
+func (t *Tally) scan(bins int, failed bool) {
+	if t != nil {
+		t[TallyScans]++
+		t[TallyScannedBins] += int64(bins)
+		if failed {
+			t[TallyFailedScans]++
+		}
+	}
+}
+
+// descent counts one descent of a tree over nleaves leaves to leaf: it
+// decremented one counter per level and went right at every set bit of
+// the leaf's index.
+func (t *Tally) descent(nleaves, leaf int) {
+	if t != nil {
+		t[TallyDescents]++
+		t[TallyTraversals] += int64(TreeLevel(nleaves))
+		t[TallyRightTurns] += int64(bits.OnesCount(uint(leaf)))
+	}
+}
+
+// ascent counts one insert's ascent from leaf pri of a tree over nleaves
+// leaves: it incremented a counter at every level where pri's bit is
+// clear.
+func (t *Tally) ascent(nleaves, pri int) {
+	if t != nil {
+		t[TallyIncrements] += int64(TreeLevel(nleaves) - bits.OnesCount(uint(pri)))
+	}
+}
+
+func checkPri(pri, n int) {
+	if pri < 0 || pri >= n {
+		panicPri(pri, n)
+	}
+}
+
+// panicPri is checkPri's slow path, kept out of line so that checkPri
+// inlines cheaply.
+//
+//go:noinline
+func panicPri(pri, n int) {
+	panic(fmt.Sprintf("core: priority %d out of range [0,%d)", pri, n))
+}
+
+// CeilPow2 returns the smallest power of two >= n (and at least 1).
+func CeilPow2(n int) int {
 	p := 1
 	for p < n {
 		p *= 2

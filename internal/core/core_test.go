@@ -338,35 +338,35 @@ func TestBitRevPosProperties(t *testing.T) {
 
 func TestFIFOBin(t *testing.T) {
 	var b fifoBin[int]
-	if !b.Empty() {
+	if !b.Empty(struct{}{}) {
 		t.Fatal("new fifo bin not empty")
 	}
 	for i := 1; i <= 5; i++ {
-		b.Push(i)
+		b.Push(struct{}{}, i)
 	}
 	for i := 1; i <= 5; i++ {
-		v, ok := b.Pop()
+		v, ok := b.Pop(struct{}{})
 		if !ok || v != i {
 			t.Fatalf("delete = (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
-	if _, ok := b.Pop(); ok {
+	if _, ok := b.Pop(struct{}{}); ok {
 		t.Fatal("delete on empty fifo bin succeeded")
 	}
 }
 
 func TestAtomicCounter(t *testing.T) {
 	var c atomicCounter
-	if got := c.BFaD(); got != 0 {
+	if got := c.BFaD(struct{}{}); got != 0 {
 		t.Fatalf("BFaD on zero = %d", got)
 	}
-	if got := c.FaI(); got != 0 {
+	if got := c.FaI(struct{}{}); got != 0 {
 		t.Fatalf("FaI = %d, want 0", got)
 	}
-	if got := c.FaI(); got != 1 {
+	if got := c.FaI(struct{}{}); got != 1 {
 		t.Fatalf("FaI = %d, want 1", got)
 	}
-	if got := c.BFaD(); got != 2 {
+	if got := c.BFaD(struct{}{}); got != 2 {
 		t.Fatalf("BFaD = %d, want 2", got)
 	}
 }

@@ -95,7 +95,7 @@ func TestMultiQueueRelaxedChecker(t *testing.T) {
 		if c == 0 {
 			c = 2
 		}
-		nq := ceilPow2(c * procs)
+		nq := CeilPow2(c * procs)
 		budget := 64 * nq // far above the O(nq·log) whp rank bound
 		if vs := order.CheckRelaxed(history, order.RelaxedBound{MaxRank: budget}); len(vs) != 0 {
 			t.Fatalf("cfg %+v: relaxed checker: %d violations, first: %v", cfg, len(vs), vs[0])
@@ -185,7 +185,7 @@ func TestMultiQueueRankStatistical(t *testing.T) {
 		if !rs.Tracked || rs.Pops == 0 {
 			t.Fatalf("c=%d: no rank accounting (%+v)", c, rs)
 		}
-		m := float64(ceilPow2(c * procs))
+		m := float64(CeilPow2(c * procs))
 		mean := rs.Mean()
 		if limit := 3*m + 16; mean > limit {
 			t.Errorf("c=%d: mean rank error %.1f exceeds %.1f (m=%v)", c, mean, limit, m)

@@ -6,18 +6,87 @@ import (
 	"pq/internal/funnel"
 )
 
-// simpleLinear is Figure 2: an array of bins, one per priority; delete-min
-// scans upward from priority zero, testing emptiness with one read before
-// paying for a lock. With combining-funnel stacks as bins it is the
-// paper's first new algorithm, LinearFunnels: the scan still pays one
-// atomic read per empty bin before any funnel traversal.
-type simpleLinear[V any] struct {
-	bins []binLike[V]
+// BinArray is Figure 2, written once for both twins: an array of bins,
+// one per priority; delete-min scans upward from priority zero, testing
+// emptiness with one read before paying for a lock. With combining-funnel
+// stacks as bins it is the paper's first new algorithm, LinearFunnels:
+// the scan still pays one read per empty bin before any funnel
+// traversal. C is the per-operation context (see Bin).
+type BinArray[C, V any] struct {
+	Bins  []Bin[C, V]
+	Tally *Tally // set by the simulated twin
 }
+
+// NumPriorities reports the fixed priority range.
+func (q *BinArray[C, V]) NumPriorities() int { return len(q.Bins) }
+
+// Insert drops v in its priority's bin.
+func (q *BinArray[C, V]) Insert(c C, pri int, v V) {
+	checkPri(pri, len(q.Bins))
+	q.Bins[pri].Push(c, v)
+}
+
+// DeleteMin scans bins from the smallest priority and removes an element
+// from the first non-empty bin it can.
+func (q *BinArray[C, V]) DeleteMin(c C) (V, bool) {
+	for i, b := range q.Bins {
+		if b.Empty(c) {
+			continue
+		}
+		if e, ok := b.Pop(c); ok {
+			q.Tally.scan(i+1, false)
+			return e, true
+		}
+	}
+	q.Tally.scan(len(q.Bins), true)
+	var zero V
+	return zero, false
+}
+
+// InsertBatch fills each priority's bin with one lock hold (or one
+// central stack application) per distinct priority in the batch.
+func (q *BinArray[C, V]) InsertBatch(c C, items []Item[V]) {
+	checkBatch(items, len(q.Bins))
+	if len(items) == 0 {
+		return
+	}
+	q.Tally.add(TallyBatchInserts, 1)
+	for _, run := range GroupByPri(items) {
+		q.Bins[run.Pri].PushN(c, run.Vals)
+	}
+}
+
+// DeleteMinBatch runs the delete-min scan once, draining each non-empty
+// bin it reaches in one lock hold (or one central application) until k
+// items are gathered.
+func (q *BinArray[C, V]) DeleteMinBatch(c C, k int) []Item[V] {
+	if k <= 0 {
+		return nil
+	}
+	q.Tally.add(TallyBatchDeletes, 1)
+	var out []Item[V]
+	for pri, b := range q.Bins {
+		if b.Empty(c) {
+			continue
+		}
+		for _, v := range b.PopN(c, k-len(out)) {
+			out = append(out, Item[V]{Pri: pri, Val: v})
+		}
+		if len(out) == k {
+			q.Tally.scan(pri+1, false)
+			return out
+		}
+	}
+	q.Tally.scan(len(q.Bins), len(out) == 0)
+	return out
+}
+
+// simpleLinear is the native bin-array queue.
+type simpleLinear[V any] struct{ a BinArray[struct{}, V] }
 
 // NewSimpleLinear builds the bin-array queue with lock-based bins.
 func NewSimpleLinear[V any](cfg Config) Queue[V] {
-	return &simpleLinear[V]{bins: newBins[V](cfg.Priorities, cfg.FIFOBins, nil)}
+	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, nil)}}
 }
 
 // NewLinearFunnels builds the bin-array queue with funnel-stack bins.
@@ -25,7 +94,7 @@ func NewSimpleLinear[V any](cfg Config) Queue[V] {
 // funnel, FIFO order in the central storage.
 func NewLinearFunnels[V any](cfg Config) Queue[V] {
 	params := funnelParamsFor(cfg)
-	return &simpleLinear[V]{bins: newBins[V](cfg.Priorities, cfg.FIFOBins, &params)}
+	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, &params)}}
 }
 
 func funnelParamsFor(cfg Config) funnel.Params {
@@ -39,53 +108,8 @@ func funnelParamsFor(cfg Config) funnel.Params {
 	return funnel.DefaultParams(conc)
 }
 
-func (q *simpleLinear[V]) NumPriorities() int { return len(q.bins) }
-
-func (q *simpleLinear[V]) Insert(pri int, v V) {
-	checkPri(pri, len(q.bins))
-	q.bins[pri].Push(v)
-}
-
-func (q *simpleLinear[V]) DeleteMin() (V, bool) {
-	for _, b := range q.bins {
-		if b.Empty() {
-			continue
-		}
-		if e, ok := b.Pop(); ok {
-			return e, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// InsertBatch fills each priority's bin with one lock hold (or one
-// central stack application) per distinct priority in the batch.
-func (q *simpleLinear[V]) InsertBatch(items []Item[V]) {
-	checkBatch(items, len(q.bins))
-	for _, run := range GroupByPri(items) {
-		q.bins[run.Pri].PushN(run.Vals)
-	}
-}
-
-// DeleteMinBatch runs the delete-min scan once, draining each non-empty
-// bin it reaches in one lock hold (or one central application) until k
-// items are gathered.
-func (q *simpleLinear[V]) DeleteMinBatch(k int) []Item[V] {
-	if k <= 0 {
-		return nil
-	}
-	var out []Item[V]
-	for i, b := range q.bins {
-		if len(out) == k {
-			break
-		}
-		if b.Empty() {
-			continue
-		}
-		for _, v := range b.PopN(k - len(out)) {
-			out = append(out, Item[V]{Pri: i, Val: v})
-		}
-	}
-	return out
-}
+func (q *simpleLinear[V]) NumPriorities() int             { return q.a.NumPriorities() }
+func (q *simpleLinear[V]) Insert(pri int, v V)            { q.a.Insert(struct{}{}, pri, v) }
+func (q *simpleLinear[V]) DeleteMin() (V, bool)           { return q.a.DeleteMin(struct{}{}) }
+func (q *simpleLinear[V]) InsertBatch(items []Item[V])    { q.a.InsertBatch(struct{}{}, items) }
+func (q *simpleLinear[V]) DeleteMinBatch(k int) []Item[V] { return q.a.DeleteMinBatch(struct{}{}, k) }

@@ -68,7 +68,7 @@ func (q *skipList[V]) NumPriorities() int { return q.npri }
 func (q *skipList[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
 	l := &q.links[pri]
-	l.bin.Push(v)
+	l.bin.Push(struct{}{}, v)
 	q.ensureThreaded(pri)
 }
 
@@ -102,7 +102,7 @@ func (q *skipList[V]) ensureThreaded(pri int) {
 func (q *skipList[V]) InsertBatch(items []Item[V]) {
 	checkBatch(items, q.npri)
 	for _, run := range GroupByPri(items) {
-		q.links[run.Pri].bin.PushN(run.Vals)
+		q.links[run.Pri].bin.PushN(struct{}{}, run.Vals)
 		q.ensureThreaded(run.Pri)
 	}
 }
@@ -228,7 +228,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 	for {
 		db := q.delBin.Load()
 		if db != 0 {
-			if e, ok := q.links[db-1].bin.Pop(); ok {
+			if e, ok := q.links[db-1].bin.Pop(struct{}{}); ok {
 				return e, true
 			}
 		}
@@ -237,7 +237,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 			// repointed the delete bin, or an insert may have refilled the
 			// current one. Moving the delete bin away from a non-empty bin
 			// would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty(struct{}{})) {
 				q.delMu.Unlock()
 				continue
 			}
@@ -280,7 +280,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 	for len(out) < k {
 		db := q.delBin.Load()
 		if db != 0 {
-			vals := q.links[db-1].bin.PopN(k - len(out))
+			vals := q.links[db-1].bin.PopN(struct{}{}, k-len(out))
 			for _, v := range vals {
 				out = append(out, Item[V]{Pri: int(db - 1), Val: v})
 			}
@@ -291,7 +291,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 		if q.delMu.TryLock() {
 			// Same re-validation as DeleteMin: moving the delete bin away
 			// from a non-empty bin would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty(struct{}{})) {
 				q.delMu.Unlock()
 				continue
 			}

@@ -73,7 +73,7 @@ func TestSkipListLevel0Integrity(t *testing.T) {
 		left++
 	}
 	for i := range q.links {
-		if !q.links[i].bin.Empty() {
+		if !q.links[i].bin.Empty(struct{}{}) {
 			t.Fatalf("bin %d non-empty after drain", i)
 		}
 	}

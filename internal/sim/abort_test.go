@@ -3,9 +3,33 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// programCoroutines counts the goroutines whose stack is inside a
+// processor's program coroutine. After Run returns it must be zero. The
+// check looks at this package's coroutines only, so goroutines other
+// tests leave exiting cannot disturb it.
+func programCoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pq/internal/sim.(*Proc).start.func") {
+			count++
+		}
+	}
+	return count
+}
 
 func TestAbortReleasesParkedProcs(t *testing.T) {
 	// Some processors livelock, others park forever; when the event limit
@@ -180,7 +204,6 @@ func TestRunReleasesEveryProgram(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := m.Alloc(2)
-			before := runtime.NumGoroutine()
 			unwound := 0
 			_, err = m.Run(func(p *Proc) {
 				defer func() { unwound++ }()
@@ -190,8 +213,8 @@ func TestRunReleasesEveryProgram(t *testing.T) {
 			if unwound != procs {
 				t.Errorf("%d of %d programs ran their deferred functions", unwound, procs)
 			}
-			if after := runtime.NumGoroutine(); after != before {
-				t.Errorf("goroutines: %d before Run, %d after", before, after)
+			if n := programCoroutines(); n != 0 {
+				t.Errorf("%d program coroutines outlive Run", n)
 			}
 		})
 	}
@@ -203,7 +226,6 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := m.Alloc(1)
-	before := runtime.NumGoroutine()
 	unwound := 0
 	var got any
 	func() {
@@ -223,8 +245,8 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 	if unwound != 3 {
 		t.Errorf("%d of 3 programs ran their deferred functions", unwound)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("goroutines: %d before Run, %d after", before, after)
+	if n := programCoroutines(); n != 0 {
+		t.Errorf("%d program coroutines outlive Run", n)
 	}
 }
 

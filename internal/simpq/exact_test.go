@@ -2,6 +2,7 @@ package simpq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pq/internal/sim"
@@ -18,6 +19,25 @@ func exactRun(r Result) string {
 		r.MeanAll, r.AllSummary.P99)
 }
 
+// The queue's own counters each bin-array and counter-tree case pins
+// besides the run totals.
+var (
+	linearTallies = []string{"scans", "scanned_bins", "failed_scans", "batch_inserts", "batch_deletes"}
+	treeTallies   = []string{"descents", "right_turns", "increments", "counter_traversals", "batch_inserts", "batch_deletes"}
+)
+
+// exactTallies renders the named counters of r.Internals, in order.
+func exactTallies(r Result, keys []string) string {
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", k, r.Internals[k])
+	}
+	return b.String()
+}
+
 // TestExactResultsBinArrayAndCounterTree pins the exact simulated outcome
 // of one small seeded run of each bin-array and counter-tree queue, with
 // single operations and with 16-element batches, plus FunnelTree with
@@ -25,7 +45,8 @@ func exactRun(r Result) string {
 // priorities make the tree six levels deep, so the default FunnelTree
 // mixes funnel counters (top four levels) with lock counters (bottom
 // two). Any change to the order or placement of these queues' simulated
-// memory accesses shows up here.
+// memory accesses shows up here, and so does any change to the queues'
+// scan, descent and batch counters.
 func TestExactResultsBinArrayAndCounterTree(t *testing.T) {
 	const procs, npri = 16, 64
 	cfg := DefaultWorkload()
@@ -62,36 +83,40 @@ func TestExactResultsBinArrayAndCounterTree(t *testing.T) {
 		want string
 	}{
 		{"SimpleLinear", func() (Result, error) { return RunWorkload(AlgSimpleLinear, procs, npri, cfg) },
-			"events=22573 cycles=40332 ins=297 del=343 failed=52 mean=806.134375 p99=4408.1"},
+			"events=22573 cycles=40332 ins=297 del=343 failed=52 mean=806.134375 p99=4408.1 scans=343 scanned_bins=13041 failed_scans=52 batch_inserts=0 batch_deletes=0"},
 		{"SimpleLinear/b16", func() (Result, error) { return RunWorkload(AlgSimpleLinear, procs, npri, batched) },
-			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75"},
+			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75 scans=323 scanned_bins=14053 failed_scans=6 batch_inserts=317 batch_deletes=323"},
 		{"SimpleTree", func() (Result, error) { return RunWorkload(AlgSimpleTree, procs, npri, cfg) },
-			"events=25388 cycles=83468 ins=297 del=343 failed=56 mean=1927.825 p99=3247.9600000000005"},
+			"events=25388 cycles=83468 ins=297 del=343 failed=56 mean=1927.825 p99=3247.9600000000005 descents=343 right_turns=1235 increments=836 counter_traversals=2058 batch_inserts=0 batch_deletes=0"},
 		{"SimpleTree/b16", func() (Result, error) { return RunWorkload(AlgSimpleTree, procs, npri, batched) },
-			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5"},
+			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5 descents=323 right_turns=1656 increments=15050 counter_traversals=5286 batch_inserts=317 batch_deletes=323"},
 		{"LinearFunnels", func() (Result, error) { return RunWorkload(AlgLinearFunnels, procs, npri, cfg) },
-			"events=38872 cycles=96580 ins=305 del=335 failed=36 mean=1952.871875 p99=9276.7"},
+			"events=38872 cycles=96580 ins=305 del=335 failed=36 mean=1952.871875 p99=9276.7 scans=335 scanned_bins=12100 failed_scans=36 batch_inserts=0 batch_deletes=0"},
 		{"LinearFunnels/b16", func() (Result, error) { return RunWorkload(AlgLinearFunnels, procs, npri, batched) },
-			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75"},
+			"events=94973 cycles=258626 ins=5072 del=5168 failed=416 mean=362.27890625 p99=1095.75 scans=323 scanned_bins=14053 failed_scans=6 batch_inserts=317 batch_deletes=323"},
 		{"FunnelTree", func() (Result, error) { return RunWorkload(AlgFunnelTree, procs, npri, cfg) },
-			"events=49513 cycles=142326 ins=342 del=298 failed=8 mean=3076.521875 p99=5552"},
+			"events=49513 cycles=142326 ins=342 del=298 failed=8 mean=3076.521875 p99=5552 descents=298 right_turns=889 increments=985 counter_traversals=1788 batch_inserts=0 batch_deletes=0"},
 		{"FunnelTree/b16", func() (Result, error) { return RunWorkload(AlgFunnelTree, procs, npri, batched) },
-			"events=170794 cycles=309066 ins=5264 del=4976 failed=183 mean=446.56064453125 p99=1069.0625"},
+			"events=170794 cycles=309066 ins=5264 del=4976 failed=183 mean=446.56064453125 p99=1069.0625 descents=311 right_turns=1527 increments=15709 counter_traversals=5330 batch_inserts=329 batch_deletes=311"},
 		{"FunnelTree/cutoff0", func() (Result, error) { return custom(cfg, cutoff0) },
-			"events=35664 cycles=90108 ins=298 del=342 failed=46 mean=2087.1875 p99=3553.66"},
+			"events=35664 cycles=90108 ins=298 del=342 failed=46 mean=2087.1875 p99=3553.66 descents=342 right_turns=1219 increments=842 counter_traversals=2052 batch_inserts=0 batch_deletes=0"},
 		{"FunnelTree/cutoff0/b16", func() (Result, error) { return custom(batched, cutoff0) },
-			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5"},
+			"events=141744 cycles=245274 ins=5072 del=5168 failed=471 mean=356.28046875 p99=585.5 descents=323 right_turns=1656 increments=15050 counter_traversals=5286 batch_inserts=317 batch_deletes=323"},
 		{"FunnelTree/fifo", func() (Result, error) { return custom(cfg, fifo) },
-			"events=51291 cycles=146146 ins=328 del=312 failed=6 mean=3182.7171875 p99=5823.43"},
+			"events=51291 cycles=146146 ins=328 del=312 failed=6 mean=3182.7171875 p99=5823.43 descents=312 right_turns=933 increments=966 counter_traversals=1872 batch_inserts=0 batch_deletes=0"},
 		{"FunnelTree/fifo/b16", func() (Result, error) { return custom(batched, fifo) },
-			"events=177182 cycles=327233 ins=4976 del=5264 failed=315 mean=470.0736328125 p99=1070"},
+			"events=177182 cycles=327233 ins=4976 del=5264 failed=315 mean=470.0736328125 p99=1070 descents=329 right_turns=1728 increments=14838 counter_traversals=5714 batch_inserts=311 batch_deletes=329"},
 	}
 	for _, c := range cases {
 		r, err := c.run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := exactRun(r); got != c.want {
+		keys := treeTallies
+		if strings.Contains(c.name, "Linear") {
+			keys = linearTallies
+		}
+		if got := exactRun(r) + " " + exactTallies(r, keys); got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}
@@ -201,8 +226,8 @@ func TestExactResultsSojournAndChaos(t *testing.T) {
 // MultiQueue at c = 2 and c = 4 on 32 processors, with single operations
 // and with 16-element batches: the run's events, final cycle, mean
 // latency and failed deletes, plus the queue's rank-error and contention
-// counters. Any change to the queue's random draws or memory accesses
-// shows up here.
+// counters, its tie, empty-probe and full-scan counts. Any change to the
+// queue's random draws or memory accesses shows up here.
 func TestExactResultsMultiQueue(t *testing.T) {
 	const procs, npri = 32, 16
 	cfg := DefaultWorkload()
@@ -217,13 +242,13 @@ func TestExactResultsMultiQueue(t *testing.T) {
 		want string
 	}{
 		{"c2", 2, cfg,
-			"events=46890 cycles=41826 failed=17 mean=837.9109375 rank_mean=4.008025682182986 rank_max=16 picks=743 lock_retries=2762"},
+			"events=46890 cycles=41826 failed=17 mean=837.9109375 rank_mean=4.008025682182986 rank_max=16 picks=743 lock_retries=2762 ties=555 empty_probe_retries=22 full_scans=553"},
 		{"c2/b16", 2, batched,
-			"events=560138 cycles=214034 failed=592 mean=290.3875 rank_mean=148.00570962479608 rank_max=656 picks=1203 lock_retries=23495"},
+			"events=560138 cycles=214034 failed=592 mean=290.3875 rank_mean=148.00570962479608 rank_max=656 picks=1203 lock_retries=23495 ties=548 empty_probe_retries=38 full_scans=516"},
 		{"c4", 4, cfg,
-			"events=57968 cycles=44444 failed=8 mean=901.00625 rank_mean=7.1406003159557665 rank_max=26 picks=690 lock_retries=2130"},
+			"events=57968 cycles=44444 failed=8 mean=901.00625 rank_mean=7.1406003159557665 rank_max=26 picks=690 lock_retries=2130 ties=549 empty_probe_retries=10 full_scans=549"},
 		{"c4/b16", 4, batched,
-			"events=656850 cycles=217480 failed=864 mean=286.720703125 rank_mean=112.35236541598695 rank_max=517 picks=876 lock_retries=19891"},
+			"events=656850 cycles=217480 failed=864 mean=286.720703125 rank_mean=112.35236541598695 rank_max=517 picks=876 lock_retries=19891 ties=621 empty_probe_retries=54 full_scans=616"},
 	} {
 		simCfg := sim.DefaultConfig(procs)
 		simCfg.Seed = c.cfg.Seed
@@ -237,10 +262,11 @@ func TestExactResultsMultiQueue(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		in := r.Internals
-		got := fmt.Sprintf("events=%d cycles=%d failed=%d mean=%v rank_mean=%v rank_max=%v picks=%v lock_retries=%v",
+		got := fmt.Sprintf("events=%d cycles=%d failed=%d mean=%v rank_mean=%v rank_max=%v picks=%v lock_retries=%v ties=%v empty_probe_retries=%v full_scans=%v",
 			r.Stats.Events, r.Stats.FinalTime, r.FailedDeletes, r.MeanAll,
 			in["multiqueue.rank_mean"], in["multiqueue.rank_max"],
-			in["multiqueue.queue_picks"], in["multiqueue.lock_retries"])
+			in["multiqueue.queue_picks"], in["multiqueue.lock_retries"],
+			in["multiqueue.ties"], in["multiqueue.empty_probe_retries"], in["multiqueue.full_scans"])
 		if got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
 		}

@@ -3,6 +3,7 @@ package simpq
 import (
 	"math/bits"
 
+	"pq/internal/core"
 	"pq/internal/sim"
 )
 
@@ -68,7 +69,7 @@ const huntNodeWords = 3
 // is rounded up to whole levels because bit-reversed slots can land
 // anywhere within the last level.
 func NewHunt(m *sim.Machine, npri, maxItems int) *Hunt {
-	slots := ceilPow2(maxItems + 1)
+	slots := core.CeilPow2(maxItems + 1)
 	q := &Hunt{
 		npri:  npri,
 		lock:  NewMCSLock(m),

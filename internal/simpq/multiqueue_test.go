@@ -95,7 +95,7 @@ func TestMultiQueueRelaxedOrderOnSimulator(t *testing.T) {
 		for _, h := range histories {
 			all = append(all, h...)
 		}
-		budget := 64 * q.nq // well above the whp rank bound
+		budget := 64 * q.Heaps.Len() // well above the whp rank bound
 		if vs := order.CheckRelaxed(all, order.RelaxedBound{MaxRank: budget}); len(vs) != 0 {
 			t.Fatalf("c=%d: relaxed checker: %d violations, first: %v", c, len(vs), vs[0])
 		}

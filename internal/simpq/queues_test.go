@@ -1,6 +1,7 @@
 package simpq
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -304,5 +305,38 @@ func TestQueueDeterministicLatency(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic workload results:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestSimulatedQueuesCheckPriorities checks that the simulated bin-array,
+// counter-tree and MultiQueue queues refuse an out-of-range priority with
+// core's panic, single and batched, before touching the queue. A
+// 5-priority tree has eight leaves, so priority 5 names a real but
+// surplus leaf; the MultiQueue has no slot for it at all.
+func TestSimulatedQueuesCheckPriorities(t *testing.T) {
+	const npri = 5
+	want := fmt.Sprintf("core: priority %d out of range [0,%d)", npri, npri)
+	for _, alg := range []Algorithm{AlgSimpleLinear, AlgSimpleTree, AlgFunnelTree, AlgMultiQueue} {
+		for _, batch := range []bool{false, true} {
+			m, err := sim.New(sim.DefaultConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := Build(alg, m, npri, 64)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				m.Run(func(p *sim.Proc) {
+					if batch {
+						InsertBatch(p, q, []BatchItem{{Pri: 0, Val: 1}, {Pri: npri, Val: 2}})
+					} else {
+						q.Insert(p, npri, 2)
+					}
+				})
+			}()
+			if got != want {
+				t.Errorf("%s batch=%v: insert at priority %d panicked with %v, want %q", alg, batch, npri, got, want)
+			}
+		}
 	}
 }

@@ -13,12 +13,17 @@
 // registered separately (core.RelaxedAlgorithms) and never selected by
 // default.
 //
-// Each queue is the simulated twin of a native one in internal/core, and
-// shares core's vocabulary rather than copying it: Algorithm and the
-// AlgX names are aliases of core's registry, BatchItem is core.Item,
-// batches are grouped by core.GroupByPri, the counter trees' batch
-// increments come from core.TreeIncrements, and the MultiQueue's
-// rank-error distribution is a core.RelaxStats.
+// Each queue is the simulated twin of a native one in internal/core. The
+// bin arrays, counter trees and the MultiQueue run core's operation code
+// (core.BinArray, core.CounterTree, core.TwoChoice) with *sim.Proc as the
+// context; this package supplies their leaves (Bin, Counter,
+// FunnelStack, FunnelCounter, the TAS-locked heaps) and constructors,
+// whose allocation order fixes every simulated address. The word-level
+// queues (SingleLock, HuntEtAl, SkipList) are written here. The twins
+// also share core's vocabulary: Algorithm and the AlgX names are aliases
+// of core's registry, BatchItem is core.Item, batches are grouped by
+// core.GroupByPri, and the MultiQueue's rank-error distribution is a
+// core.RelaxStats.
 //
 // The paper's benchmark runs through one per-processor loop
 // (workload.go); DriveWorkload, SojournWorkload and ChaosWorkload differ
