@@ -37,7 +37,7 @@ type Machine struct {
 	pages  [][]word
 	nalloc int
 
-	evq    eventHeap
+	evq    eventWheel
 	seq    uint64
 	now    int64
 	procs  []*Proc

@@ -187,24 +187,8 @@ func (f *funnel) collide(p *sim.Proc, my *funnelRec, mySum int64, eliminate bool
 	defer p.AppSpan(sim.PhaseCombining, t0)
 	levels := f.params.levels()
 	attempts := f.params.Attempts
-	width := make([]int, levels)
-	for l := 0; l < levels; l++ {
-		width[l] = f.params.Widths[l]
-	}
-	spin := make([]int64, levels)
-	copy(spin, f.params.Spin)
 	if f.params.Adaptive {
 		attempts = scaleInt(attempts, my.factor)
-		for l := range width {
-			width[l] = scaleInt(width[l], my.factor)
-			// The linger scales with the factor too: a processor that
-			// never collides stops paying to wait (decay is gentle, so
-			// one miss under real load barely moves it).
-			spin[l] = int64(float64(f.params.Spin[l]) * my.factor)
-			if spin[l] < 1 {
-				spin[l] = 1
-			}
-		}
 	}
 
 	if f.params.Adaptive && my.factor <= 0.2 && start == 0 && !my.combined {
@@ -218,7 +202,15 @@ func (f *funnel) collide(p *sim.Proc, my *funnelRec, mySum int64, eliminate bool
 	}
 	d := start
 	for n := 0; n < attempts && d < levels; n++ {
-		slot := sim.Addr(p.Rand(width[d]))
+		width, linger := f.params.Widths[d], f.params.Spin[d]
+		if f.params.Adaptive {
+			// The linger scales with the factor too: a processor that
+			// never collides stops paying to wait (decay is gentle, so
+			// one miss under real load barely moves it).
+			width = scaleInt(width, my.factor)
+			linger = max(int64(float64(linger)*my.factor), 1)
+		}
+		slot := sim.Addr(p.Rand(width))
 		f.stats.attempts++
 		qv := p.Swap(f.layers[d]+slot, uint64(p.ID())+1)
 		if qv != 0 && int(qv-1) != p.ID() {
@@ -263,7 +255,7 @@ func (f *funnel) collide(p *sim.Proc, my *funnelRec, mySum int64, eliminate bool
 			p.Write(my.addr+frLocation, locCode(d))
 		}
 		// Linger, hoping to be collided with (lines 25-26).
-		p.LocalWork(spin[d])
+		p.LocalWork(linger)
 		if p.Read(my.addr+frLocation) != locCode(d) {
 			f.stats.captured++
 			return outCaptured, nil, d, mySum

@@ -149,13 +149,21 @@ func TestBarrierPhases(t *testing.T) {
 // BenchmarkFig7Round is one round of bench/'s sim_fig7 workload — FunnelTree
 // at 256 processors, 16 priorities, the paper's 60 operations per
 // processor — for iterating on the engine's host speed in seconds.
-func BenchmarkFig7Round(b *testing.B) {
+func BenchmarkFig7Round(b *testing.B) { benchmarkRound(b, 256) }
+
+// BenchmarkSparseRound is the same round on 2 processors: so few pending
+// events that the engine's event calendar is mostly empty buckets.
+func BenchmarkSparseRound(b *testing.B) { benchmarkRound(b, 2) }
+
+// benchmarkRound runs the FunnelTree round on procs processors and reports
+// the engine's host time per simulated event.
+func benchmarkRound(b *testing.B, procs int) {
 	cfg := DefaultWorkload()
 	cfg.KeepLatencies = true
 	b.ReportAllocs()
 	var events int64
 	for b.Loop() {
-		r, err := RunWorkload(AlgFunnelTree, 256, 16, cfg)
+		r, err := RunWorkload(AlgFunnelTree, procs, 16, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
