@@ -16,8 +16,12 @@ import (
 // In unbounded mode it is a plain combining fetch-and-add: any operations
 // combine and nothing eliminates.
 type Counter struct {
-	core    *core[struct{}]
-	main    atomic.Int64
+	core *core[struct{}]
+	main atomic.Int64
+	// direct counts operations applied to main by the central-first
+	// step; it sits beside main so the count rides on the cache line the
+	// CAS just took.
+	direct  atomic.Int64
 	lower   int64
 	upper   int64
 	bounded bool
@@ -64,8 +68,13 @@ func decCtr(u uint64) int64 { return int64(u) - ctrBias }
 // Value returns a snapshot of the central counter.
 func (c *Counter) Value() int64 { return c.main.Load() }
 
-// Stats reports how this counter's operations have resolved so far.
-func (c *Counter) Stats() Stats { return c.core.stats.snapshot() }
+// Stats reports how this counter's operations have resolved so far;
+// Central includes the operations the central-first step applied.
+func (c *Counter) Stats() Stats {
+	st := c.core.stats.snapshot()
+	st.Central += c.direct.Load()
+	return st
+}
 
 // FaI performs fetch-and-increment and returns the previous value this
 // operation observed.
@@ -117,7 +126,34 @@ func (c *Counter) SubN(n int64) int64 {
 	return c.op(-n)
 }
 
+// clamp returns the value the central counter takes when sum is applied
+// to val. A bounded counter's trees are homogeneous, so sum's sign is the
+// direction of every member and picks the bound that applies.
+func (c *Counter) clamp(val, sum int64) int64 {
+	nv := val + sum
+	if c.bounded {
+		if sum < 0 && nv < c.lower {
+			nv = c.lower
+		}
+		if sum > 0 && nv > c.upper {
+			nv = c.upper
+		}
+	}
+	return nv
+}
+
 func (c *Counter) op(s int64) int64 {
+	if c.core.params.Adaptive {
+		// Central first: one CAS, as a one-member tree leaving the
+		// funnel would make. The operation is not published yet, so no
+		// one can have captured it; only on conflict does it pay for a
+		// record and the layers.
+		val := c.main.Load()
+		if c.main.CompareAndSwap(val, c.clamp(val, s)) {
+			c.direct.Add(1)
+			return val
+		}
+	}
 	my := c.core.begin(s, struct{}{})
 	mySum := s
 	d := 0
@@ -158,16 +194,7 @@ func (c *Counter) op(s int64) int64 {
 			qSum := q.sum.Load()
 			for {
 				val := c.main.Load()
-				nv := val + qSum
-				if c.bounded {
-					if qSum < 0 && nv < c.lower {
-						nv = c.lower
-					}
-					if qSum > 0 && nv > c.upper {
-						nv = c.upper
-					}
-				}
-				if c.main.CompareAndSwap(val, nv) {
+				if c.main.CompareAndSwap(val, c.clamp(val, qSum)) {
 					c.core.stats.central.Add(1)
 					q.result.Store(encodeResult(false, false, encCtr(val)))
 					break
@@ -183,16 +210,7 @@ func (c *Counter) op(s int64) int64 {
 				return c.distribute(my, s, elim, decCtr(base))
 			}
 			val := c.main.Load()
-			nv := val + mySum
-			if c.bounded {
-				if s < 0 && nv < c.lower {
-					nv = c.lower
-				}
-				if s > 0 && nv > c.upper {
-					nv = c.upper
-				}
-			}
-			if c.main.CompareAndSwap(val, nv) {
+			if c.main.CompareAndSwap(val, c.clamp(val, mySum)) {
 				c.core.stats.central.Add(1)
 				return c.distribute(my, s, false, val)
 			}
@@ -225,16 +243,7 @@ func (c *Counter) distribute(my *record[struct{}], s int64, elim bool, base int6
 			ch.rec.result.Store(encodeResult(true, false, encCtr(base)))
 			continue
 		}
-		v := base + total
-		if c.bounded {
-			if s < 0 && v < c.lower {
-				v = c.lower
-			}
-			if s > 0 && v > c.upper {
-				v = c.upper
-			}
-		}
-		ch.rec.result.Store(encodeResult(false, false, encCtr(v)))
+		ch.rec.result.Store(encodeResult(false, false, encCtr(c.clamp(base, total))))
 		total += ch.sum
 	}
 	c.core.finish(my)

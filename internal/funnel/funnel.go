@@ -9,6 +9,16 @@
 // bounded fetch-and-decrement, or plain combining fetch-and-add in
 // unbounded mode) and Stack (a lock-free-feeling LIFO whose reversing
 // push/pop trees eliminate without touching the central stack).
+//
+// Under Params.Adaptive (the DefaultParams setting) an operation tries
+// the central object once before it publishes anything: one CAS on the
+// counter word, or TryLock on the stack's lock. Only when that fails
+// does it take a record and run the collision protocol, so the layers
+// cost nothing while the central object is not contended — the paper's
+// low-load adaption taken to its limit. A direct application is exactly
+// a one-member tree leaving the funnel, and an unpublished operation
+// cannot be captured, so the protocol's guarantees are unchanged. With
+// Adaptive off every operation enters the layers, as in the paper.
 package funnel
 
 import (
@@ -31,7 +41,9 @@ type Params struct {
 	// Spin is the per-layer number of linger iterations spent waiting to
 	// be collided with after an unsuccessful attempt.
 	Spin []int
-	// Adaptive enables per-goroutine width/effort adaption.
+	// Adaptive enables per-goroutine width/effort adaption, and the
+	// central-first step: each operation tries the central object once
+	// and enters the layers only if that conflicts.
 	Adaptive bool
 }
 
@@ -143,8 +155,10 @@ type childRef[T any] struct {
 type Stats struct {
 	// Combined counts operations absorbed into another operation's tree;
 	// Eliminated counts operations retired by meeting a reversing tree;
-	// Central counts batches applied to the central object; CentralRetry
-	// counts failed central compare-and-swap attempts (Counter only).
+	// Central counts batches applied to the central object, operations
+	// applied by the central-first step included; CentralRetry counts
+	// failed central compare-and-swap attempts of trees that left the
+	// layers (Counter only).
 	Combined, Eliminated, Central, CentralRetry int64
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func smallParams() Params {
@@ -550,5 +551,99 @@ func TestStatsReportCombiningActivity(t *testing.T) {
 	}
 	if s.Stats().Central == 0 {
 		t.Fatalf("stack central not recorded: %+v", s.Stats())
+	}
+}
+
+// TestStatsExactWhenSequential checks that adaptive objects with no
+// contention apply every operation by the central-first step and count
+// each one in Central: nothing combines, eliminates or retries.
+func TestStatsExactWhenSequential(t *testing.T) {
+	c := NewCounterBounds(DefaultParams(8), 0, 0, 4)
+	ops := 0
+	for i := 0; i < 6; i++ { // the last two meet the upper bound
+		c.BFaI()
+		ops++
+	}
+	for i := 0; i < 6; i++ { // the last two meet the lower bound
+		c.FaD()
+		ops++
+	}
+	c.AddN(3)
+	c.SubN(5)
+	ops += 2
+	if got, want := c.Stats(), (Stats{Central: int64(ops)}); got != want {
+		t.Fatalf("counter Stats = %+v, want %+v", got, want)
+	}
+	if got := c.Value(); got != 0 {
+		t.Fatalf("counter Value = %d, want 0", got)
+	}
+
+	for _, s := range []*Stack[int]{NewStack[int](DefaultParams(8)), NewFIFOStack[int](DefaultParams(8))} {
+		for i := 0; i < 5; i++ {
+			s.Push(i)
+		}
+		for i := 0; i < 7; i++ { // the last two find it empty
+			s.Pop()
+		}
+		if got, want := s.Stats(), (Stats{Central: 12}); got != want {
+			t.Fatalf("stack (fifo=%v) Stats = %+v, want %+v", s.fifo, got, want)
+		}
+	}
+}
+
+// TestStackEliminatesWhileCentralBusy holds the central lock while
+// pushers and poppers run: the central-first step fails for all of them,
+// so they must enter the layers and eliminate there. After the release,
+// every pushed value must come out exactly once.
+func TestStackEliminatesWhileCentralBusy(t *testing.T) {
+	const n, perG = 4, 200
+	s := NewStack[uint64](DefaultParams(2 * n))
+	s.mu.Lock()
+	popped := make([][]uint64, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				s.Push(uint64(g)<<32 | uint64(i))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if v, ok := s.Pop(); ok {
+					popped[g] = append(popped[g], v)
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Eliminated == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	elim := s.Stats().Eliminated
+	s.mu.Unlock()
+	wg.Wait()
+	if elim == 0 {
+		t.Fatalf("no elimination while the central lock was held: %+v", s.Stats())
+	}
+
+	seen := make(map[uint64]int, n*perG)
+	for _, vs := range popped {
+		for _, v := range vs {
+			seen[v]++
+		}
+	}
+	for v, ok := s.Pop(); ok; v, ok = s.Pop() {
+		seen[v]++
+	}
+	if len(seen) != n*perG {
+		t.Fatalf("%d distinct values came out, want %d", len(seen), n*perG)
+	}
+	for v, k := range seen {
+		if g, i := v>>32, v&(1<<32-1); g >= n || i >= perG || k != 1 {
+			t.Fatalf("value %#x came out %d times", v, k)
+		}
 	}
 }

@@ -19,12 +19,15 @@ import (
 // hands items out first-in-first-out, which keeps old items of equal
 // priority from starving.
 type Stack[V any] struct {
-	core  *core[V]
-	mu    sync.Mutex
-	items []V
-	head  int // FIFO mode: index of the oldest stored item
-	fifo  bool
-	size  atomic.Int64
+	core *core[V]
+	mu   sync.Mutex
+	// direct counts operations the central-first step applied under mu;
+	// it shares mu's cache line, which that step has just taken.
+	direct atomic.Int64
+	items  []V
+	head   int // FIFO mode: index of the oldest stored item
+	fifo   bool
+	size   atomic.Int64
 }
 
 // NewStack builds an empty LIFO funnel stack.
@@ -38,8 +41,13 @@ func NewFIFOStack[V any](params Params) *Stack[V] {
 	return &Stack[V]{core: newCore[V](params), fifo: true}
 }
 
-// Stats reports how this stack's operations have resolved so far.
-func (s *Stack[V]) Stats() Stats { return s.core.stats.snapshot() }
+// Stats reports how this stack's operations have resolved so far;
+// Central includes the operations the central-first step applied.
+func (s *Stack[V]) Stats() Stats {
+	st := s.core.stats.snapshot()
+	st.Central += s.direct.Load()
+	return st
+}
 
 // Len returns a snapshot of the central stack size. It costs one atomic
 // read, which is what makes scanning many stacks for emptiness cheap.
@@ -85,6 +93,21 @@ func (s *Stack[V]) PopN(k int) []V {
 }
 
 func (s *Stack[V]) run(dir int64, item V) (V, bool) {
+	if s.core.params.Adaptive && s.mu.TryLock() {
+		// Central first: a free lock means no conflict, and the operation
+		// applies as a one-member tree leaving the funnel would. Only a
+		// busy lock sends it into the layers.
+		s.direct.Add(1)
+		if dir > 0 {
+			s.items = append(s.items, item)
+			s.size.Store(int64(len(s.items) - s.head))
+			s.mu.Unlock()
+			return item, true
+		}
+		v, ok := s.popLocked()
+		s.mu.Unlock()
+		return v, ok
+	}
 	my := s.core.begin(dir, item)
 	mySum := dir
 	d := 0
@@ -212,10 +235,16 @@ func (s *Stack[V]) applyCentral(my *record[V], dir int64) (V, bool) {
 // honoring the LIFO/FIFO discipline — popCentral(1) without the result
 // slice.
 func (s *Stack[V]) pop1() (V, bool) {
-	var v, zero V
 	s.mu.Lock()
+	v, ok := s.popLocked()
+	s.mu.Unlock()
+	return v, ok
+}
+
+// popLocked is pop1 for a caller that already holds the stack lock.
+func (s *Stack[V]) popLocked() (V, bool) {
+	var v, zero V
 	if len(s.items)-s.head == 0 {
-		s.mu.Unlock()
 		return v, false
 	}
 	if s.fifo {
@@ -233,7 +262,6 @@ func (s *Stack[V]) pop1() (V, bool) {
 		s.items = s.items[:last]
 	}
 	s.size.Store(int64(len(s.items) - s.head))
-	s.mu.Unlock()
 	return v, true
 }
 

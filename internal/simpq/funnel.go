@@ -154,8 +154,26 @@ func newFunnel(m *sim.Machine, params FunnelParams) *funnel {
 		f.layers[l] = m.Alloc(w)
 		m.Label(f.layers[l], w, "funnel.layer")
 	}
+	// One slab of records, and one backing array each for every record's
+	// members and children. A tree at layer d has 2^d members and d
+	// children; each record's share holds a tree of layer 2, and a record
+	// whose tree outgrows it grows a private array once and keeps it (the
+	// three-index slices stop an append from spilling into a neighbour's
+	// share). Shares sized for the deepest layer (32 members at 256
+	// processors) cost sim_fig7 a fifth more set-up time.
+	const mcap, ccap = 4, 2
+	slab := make([]funnelRec, len(f.recs))
+	members := make([]*funnelRec, len(f.recs)*mcap)
+	children := make([]childRef, len(f.recs)*ccap)
 	for i := range f.recs {
-		f.recs[i] = &funnelRec{addr: m.Alloc(frWords), factor: 1}
+		r := &slab[i]
+		*r = funnelRec{
+			addr:     m.Alloc(frWords),
+			factor:   1,
+			members:  members[i*mcap : i*mcap : (i+1)*mcap],
+			children: children[i*ccap : i*ccap : (i+1)*ccap],
+		}
+		f.recs[i] = r
 	}
 	if len(f.recs) > 0 {
 		m.Label(f.recs[0].addr, frWords*len(f.recs), "funnel.records")

@@ -301,7 +301,11 @@ func resolveFunnelParams(opts []Option) funnel.Params {
 
 // NewCounter builds a funnel counter with the given initial value. If
 // bounded, decrements never take the value below bound and reversing
-// operations eliminate.
+// operations eliminate. With the default (adaptive) funnel parameters an
+// operation first tries one compare-and-swap on the central word and
+// enters the combining layers only when that conflicts, so an
+// uncontended counter costs about as much as an atomic one; a
+// WithFunnelParams whose Adaptive is false funnels every operation.
 func NewCounter(initial int64, bounded bool, bound int64, opts ...Option) *Counter {
 	return funnel.NewCounter(resolveFunnelParams(opts), initial, bounded, bound)
 }
@@ -318,7 +322,11 @@ func NewCounterBounds(initial, lower, upper int64, opts ...Option) *Counter {
 // same reason: it is the paper's scalable bin.
 type Stack[V any] = funnel.Stack[V]
 
-// NewStack builds an empty funnel stack.
+// NewStack builds an empty funnel stack. With the default (adaptive)
+// funnel parameters a Push or Pop first tries the central lock once
+// (TryLock) and enters the combining and elimination layers only when
+// the lock is busy; a WithFunnelParams whose Adaptive is false funnels
+// every operation.
 func NewStack[V any](opts ...Option) *Stack[V] {
 	return funnel.NewStack[V](resolveFunnelParams(opts))
 }
