@@ -23,7 +23,7 @@ func asBatch(t *testing.T, q Queue[uint64]) BatchQueue[uint64] {
 	return bq
 }
 
-// TestDifferentialBatchSequential quick-checks the stack-binned queues
+// TestDifferentialBatchSequential quick-checks the exactly matching queues
 // against the reference oracle on random mixed single/batch tapes,
 // value-for-value: run sequentially, InsertBatch must behave like the
 // items applied in order and DeleteMinBatch like k sequential deletes.

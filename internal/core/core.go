@@ -126,10 +126,12 @@ type Config struct {
 	FunnelCutoff int
 	// FIFOBins selects first-in-first-out delivery for items of equal
 	// priority — the fairness alternative of the paper's Section 3.2.
-	// SimpleLinear and SimpleTree use plain FIFO bins; LinearFunnels and
-	// FunnelTree use the hybrid funnel bin (elimination in the funnel,
-	// FIFO central storage). MultiQueue ties within one sub-heap follow
-	// the same discipline.
+	// SimpleLinear, SimpleTree and SkipList use FIFO bags; LinearFunnels
+	// and FunnelTree use the hybrid funnel bin (elimination in the
+	// funnel, FIFO central storage); SingleLock's heap, and MultiQueue's
+	// within one sub-heap, break ties by insertion order. HuntEtAl
+	// ignores it: its concurrent heap orders equal priorities
+	// arbitrarily.
 	FIFOBins bool
 	// MultiQueueC is the MultiQueue over-provisioning factor: the queue
 	// keeps C × Concurrency sub-heaps. Zero selects 2, the Williams &

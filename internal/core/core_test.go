@@ -337,7 +337,7 @@ func TestBitRevPosProperties(t *testing.T) {
 }
 
 func TestFIFOBin(t *testing.T) {
-	var b fifoBin[int]
+	b := newBins[int](1, true, nil)[0]
 	if !b.Empty(struct{}{}) {
 		t.Fatal("new fifo bin not empty")
 	}
@@ -373,8 +373,9 @@ func TestAtomicCounter(t *testing.T) {
 
 func TestFIFOBinDiscipline(t *testing.T) {
 	// With FIFO bins, items of equal priority come out in insertion
-	// order; with the default LIFO bags they come out reversed.
-	for _, alg := range []Algorithm{SimpleLinear, SimpleTree} {
+	// order; with the default LIFO bags they come out reversed. SingleLock
+	// breaks heap ties the same way.
+	for _, alg := range []Algorithm{SimpleLinear, SimpleTree, SkipList, SingleLock} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			for _, fifo := range []bool{false, true} {

@@ -10,13 +10,14 @@ import (
 
 // exactSequentialMatch lists the implementations whose sequential
 // behaviour must match the reference value-for-value: their bins are
-// stacks (or FIFO queues in FIFO mode), so even equal-priority order is
-// determined. The heaps order equal priorities arbitrarily and the skip
-// list's delete-bin serves one stale priority level; those are checked
-// for multiset + priority order elsewhere.
-var exactSequentialMatch = []Algorithm{SimpleLinear, SimpleTree, LinearFunnels, FunnelTree}
+// stacks (or FIFO queues in FIFO mode), and SingleLock's heap breaks
+// priority ties by insertion order the same way, so even equal-priority
+// order is determined. Hunt et al.'s heap orders equal priorities
+// arbitrarily and the skip list's delete-bin serves one stale priority
+// level; those are checked for multiset + priority order elsewhere.
+var exactSequentialMatch = []Algorithm{SingleLock, SimpleLinear, SimpleTree, LinearFunnels, FunnelTree}
 
-// TestDifferentialSequential quick-checks every stack-binned queue
+// TestDifferentialSequential quick-checks every exactly matching queue
 // against the reference on random operation streams.
 func TestDifferentialSequential(t *testing.T) {
 	for _, alg := range exactSequentialMatch {

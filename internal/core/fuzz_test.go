@@ -11,9 +11,10 @@ import (
 // against the reference oracle. Byte 0 picks the priority range; each
 // following byte is one operation: the low two bits select the kind
 // (single insert, batch insert, single delete, batch delete) and the
-// high bits the priority or batch size. The stack-binned queues must
-// match the oracle value-for-value; the heaps must match its priorities
-// (sequentially they always pop the true minimum); the skip list — whose
+// high bits the priority or batch size. The queues in
+// exactSequentialMatch must match the oracle value-for-value; Hunt et
+// al.'s heap must match its priorities (sequentially it always pops the
+// true minimum); the skip list — whose
 // delete bin serves one stale priority level — must match ok-results and
 // conserve values.
 func runDifferentialTape(t *testing.T, data []byte) {

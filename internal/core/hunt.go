@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"pq/internal/mcs"
 )
 
 // Node tags for the Hunt et al. heap. Values >= huntTagPid are goroutine
@@ -32,7 +30,7 @@ type huntNode[V any] struct {
 // including the adoption simplification.
 type hunt[V any] struct {
 	npri  int
-	lock  mcs.Lock // protects size
+	mu    sync.Mutex // protects size
 	size  uint64
 	pages atomic.Pointer[[]*huntPage[V]]
 	opID  atomic.Uint64
@@ -95,9 +93,9 @@ func (q *hunt[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
 	mypid := q.opID.Add(1)<<8 | huntTagPid // unique per operation
 
-	tok := q.lock.Acquire()
+	q.mu.Lock()
 	i := q.placeLocked(pri, v, mypid)
-	q.lock.Release(tok)
+	q.mu.Unlock()
 	q.bubbleUp(i, pri, mypid)
 }
 
@@ -172,8 +170,8 @@ func (q *hunt[V]) bubbleUp(i uint64, pri int, mypid uint64) {
 }
 
 func (q *hunt[V]) DeleteMin() (V, bool) {
-	tok := q.lock.Acquire()
-	_, v, ok := q.popUnlocking(func() { q.lock.Release(tok) })
+	q.mu.Lock()
+	_, v, ok := q.popUnlocking(q.mu.Unlock)
 	return v, ok
 }
 
@@ -300,14 +298,14 @@ func (q *hunt[V]) InsertBatch(items []Item[V]) {
 		slot, pid uint64
 	}
 	ps := make([]placed, 0, len(items))
-	tok := q.lock.Acquire()
+	q.mu.Lock()
 	for _, run := range runs {
 		for _, v := range run.Vals {
 			pid := q.opID.Add(1)<<8 | huntTagPid
 			ps = append(ps, placed{pri: run.Pri, slot: q.placeLocked(run.Pri, v, pid), pid: pid})
 		}
 	}
-	q.lock.Release(tok)
+	q.mu.Unlock()
 	for _, p := range ps {
 		q.bubbleUp(p.slot, p.pri, p.pid)
 	}
@@ -321,7 +319,7 @@ func (q *hunt[V]) DeleteMinBatch(k int) []Item[V] {
 		return nil
 	}
 	out := make([]Item[V], 0, k)
-	tok := q.lock.Acquire()
+	q.mu.Lock()
 	for len(out) < k {
 		pri, v, ok := q.popUnlocking(func() {})
 		if !ok {
@@ -329,6 +327,6 @@ func (q *hunt[V]) DeleteMinBatch(k int) []Item[V] {
 		}
 		out = append(out, Item[V]{Pri: pri, Val: v})
 	}
-	q.lock.Release(tok)
+	q.mu.Unlock()
 	return out
 }

@@ -198,10 +198,8 @@ type multiQueue[V any] struct {
 // mqHeaps is the native MultiQueue's heap set. Its draws are two
 // independent uniform picks.
 type mqHeaps[V any] struct {
-	fifo bool
 	mask uint64
 	qs   []mqLocal[V]
-	seq  atomic.Uint64 // global tie-break sequence for FIFO/LIFO bins
 
 	// Rank-error accounting (nil present disables it): present counts
 	// queued items per priority, so a pop's rank error is the number of
@@ -222,21 +220,15 @@ const mqRankBuckets = 4096
 // compares greater than any real priority.
 const mqEmptyTop = int64(1) << 62
 
-// mqLocal is one sequential sub-heap. top caches h[0].pri (or
+// mqLocal is one sequential sub-heap. top caches its first priority (or
 // mqEmptyTop) so DeleteMin can compare candidates without locking; it is
 // updated before the mutex is released. The pad keeps hot neighbours off
 // one cache line.
 type mqLocal[V any] struct {
 	mu  sync.Mutex
 	top atomic.Int64
-	h   []mqEnt[V]
+	h   heap[V]
 	_   [64]byte
-}
-
-type mqEnt[V any] struct {
-	pri int
-	seq uint64
-	val V
 }
 
 // NewMultiQueue builds a MultiQueue from cfg (see the MultiQueue* Config
@@ -252,12 +244,12 @@ func NewMultiQueue[V any](cfg Config) Queue[V] {
 	}
 	nq := max(CeilPow2(c*conc), 2)
 	s := &mqHeaps[V]{
-		fifo: cfg.FIFOBins,
 		mask: uint64(nq - 1),
 		qs:   make([]mqLocal[V], nq),
 	}
 	for i := range s.qs {
 		s.qs[i].top.Store(mqEmptyTop)
+		s.qs[i].h.fifo = cfg.FIFOBins
 	}
 	if !cfg.MultiQueueNoRank && cfg.Priorities <= mqRankBuckets {
 		s.present = make([]atomic.Int64, cfg.Priorities)
@@ -287,32 +279,12 @@ func (s *mqHeaps[V]) TryLockAny(struct{}) (int, bool) {
 	return h, s.qs[h].mu.TryLock()
 }
 
-// less orders heap entries: by priority, then by the global insertion
-// sequence (FIFO under FIFOBins, otherwise LIFO like the paper's bins).
-func (s *mqHeaps[V]) less(a, b mqEnt[V]) bool {
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	if s.fifo {
-		return a.seq < b.seq
-	}
-	return a.seq > b.seq
-}
-
 // Push adds an entry to heap h (whose mutex is held), republishes its top
 // and unlocks h when last.
 func (s *mqHeaps[V]) Push(_ struct{}, h, pri int, v V, last bool) {
 	l := &s.qs[h]
-	l.h = append(l.h, mqEnt[V]{pri: pri, seq: s.seq.Add(1), val: v})
-	for i := len(l.h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s.less(l.h[i], l.h[p]) {
-			break
-		}
-		l.h[i], l.h[p] = l.h[p], l.h[i]
-		i = p
-	}
-	l.top.Store(int64(l.h[0].pri))
+	l.h.push(pri, v)
+	l.top.Store(int64(l.h.ents[0].pri))
 	if s.present != nil {
 		s.present[pri].Add(1)
 	}
@@ -321,45 +293,26 @@ func (s *mqHeaps[V]) Push(_ struct{}, h, pri int, v V, last bool) {
 	}
 }
 
-// Pop removes heap h's top entry (its mutex is held), republishes the top,
-// records the pop's rank error and unlocks h when last or when h is
+// Pop removes heap h's first entry (its mutex is held), republishes the
+// top, records the pop's rank error and unlocks h when last or when h is
 // empty.
 func (s *mqHeaps[V]) Pop(_ struct{}, h int, last bool) (Item[V], bool) {
 	l := &s.qs[h]
-	if len(l.h) == 0 {
-		l.top.Store(mqEmptyTop)
-		l.mu.Unlock()
-		return Item[V]{}, false
-	}
-	ent := l.h[0]
-	n := len(l.h) - 1
-	l.h[0] = l.h[n]
-	l.h[n] = mqEnt[V]{}
-	l.h = l.h[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(l.h) {
-			break
-		}
-		if c+1 < len(l.h) && s.less(l.h[c+1], l.h[c]) {
-			c++
-		}
-		if !s.less(l.h[c], l.h[i]) {
-			break
-		}
-		l.h[i], l.h[c] = l.h[c], l.h[i]
-		i = c
-	}
-	if len(l.h) == 0 {
+	it, ok := l.h.pop()
+	if len(l.h.ents) == 0 {
 		l.top.Store(mqEmptyTop)
 	} else {
-		l.top.Store(int64(l.h[0].pri))
+		l.top.Store(int64(l.h.ents[0].pri))
 	}
-	s.noteRank(ent.pri)
+	if !ok {
+		l.mu.Unlock()
+		return it, false
+	}
+	s.noteRank(it.Pri)
 	if last {
 		l.mu.Unlock()
 	}
-	return Item[V]{Pri: ent.pri, Val: ent.val}, true
+	return it, true
 }
 
 // noteRank records one pop's rank error: the number of strictly-better

@@ -1,85 +1,35 @@
 package core
 
-import "pq/internal/mcs"
+import "sync"
 
-// singleLock is the baseline: a sequential binary heap under one MCS
-// lock. Linearizable, supports the full priority range, and every
-// operation serializes.
+// singleLock is the baseline: one sequential heap under one mutex.
+// Linearizable, supports the full priority range, and every operation
+// serializes.
 type singleLock[V any] struct {
 	npri int
-	lock mcs.Lock
-	pris []int
-	vals []V
+	mu   sync.Mutex
+	h    heap[V]
 }
 
 // NewSingleLock builds the single-lock heap queue.
 func NewSingleLock[V any](cfg Config) Queue[V] {
-	return &singleLock[V]{npri: cfg.Priorities}
+	return &singleLock[V]{npri: cfg.Priorities, h: heap[V]{fifo: cfg.FIFOBins}}
 }
 
 func (q *singleLock[V]) NumPriorities() int { return q.npri }
 
 func (q *singleLock[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
-	n := q.lock.Acquire()
-	q.insertLocked(pri, v)
-	q.lock.Release(n)
-}
-
-// insertLocked sifts v into the heap; the lock must be held.
-func (q *singleLock[V]) insertLocked(pri int, v V) {
-	q.pris = append(q.pris, pri)
-	q.vals = append(q.vals, v)
-	i := len(q.pris) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.pris[parent] <= pri {
-			break
-		}
-		q.pris[i], q.vals[i] = q.pris[parent], q.vals[parent]
-		i = parent
-	}
-	q.pris[i], q.vals[i] = pri, v
+	q.mu.Lock()
+	q.h.push(pri, v)
+	q.mu.Unlock()
 }
 
 func (q *singleLock[V]) DeleteMin() (V, bool) {
-	n := q.lock.Acquire()
-	_, v, ok := q.deleteMinLocked()
-	q.lock.Release(n)
-	return v, ok
-}
-
-// deleteMinLocked pops the heap minimum; the lock must be held.
-func (q *singleLock[V]) deleteMinLocked() (int, V, bool) {
-	var zero V
-	if len(q.pris) == 0 {
-		return 0, zero, false
-	}
-	outPri, out := q.pris[0], q.vals[0]
-	last := len(q.pris) - 1
-	lp, lv := q.pris[last], q.vals[last]
-	q.vals[last] = zero
-	q.pris, q.vals = q.pris[:last], q.vals[:last]
-	if last > 0 {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			if l >= last {
-				break
-			}
-			c, cp := l, q.pris[l]
-			if r < last && q.pris[r] < cp {
-				c, cp = r, q.pris[r]
-			}
-			if cp >= lp {
-				break
-			}
-			q.pris[i], q.vals[i] = cp, q.vals[c]
-			i = c
-		}
-		q.pris[i], q.vals[i] = lp, lv
-	}
-	return outPri, out, true
+	q.mu.Lock()
+	it, ok := q.h.pop()
+	q.mu.Unlock()
+	return it.Val, ok
 }
 
 // InsertBatch inserts the whole batch under one lock acquisition.
@@ -88,11 +38,11 @@ func (q *singleLock[V]) InsertBatch(items []Item[V]) {
 	if len(items) == 0 {
 		return
 	}
-	n := q.lock.Acquire()
+	q.mu.Lock()
 	for _, it := range items {
-		q.insertLocked(it.Pri, it.Val)
+		q.h.push(it.Pri, it.Val)
 	}
-	q.lock.Release(n)
+	q.mu.Unlock()
 }
 
 // DeleteMinBatch pops up to k minima under one lock acquisition.
@@ -101,14 +51,14 @@ func (q *singleLock[V]) DeleteMinBatch(k int) []Item[V] {
 		return nil
 	}
 	out := make([]Item[V], 0, k)
-	n := q.lock.Acquire()
+	q.mu.Lock()
 	for len(out) < k {
-		pri, v, ok := q.deleteMinLocked()
+		it, ok := q.h.pop()
 		if !ok {
 			break
 		}
-		out = append(out, Item[V]{Pri: pri, Val: v})
+		out = append(out, it)
 	}
-	q.lock.Release(n)
+	q.mu.Unlock()
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"pq/internal/funnel"
 )
 
 // Skip-list link states (same machine as internal/simpq's SkipList).
@@ -20,7 +22,7 @@ type slLink[V any] struct {
 	fwd   []atomic.Int32 // link index + 1; 0 = nil
 	state atomic.Int32
 	mu    sync.Mutex
-	bin   bin[V]
+	bin   *funnel.Bag[V]
 }
 
 // skipList is the bounded-range skip-list queue of Figure 12: one
@@ -39,7 +41,8 @@ type skipList[V any] struct {
 }
 
 // NewSkipList builds the skip-list queue. Link heights use Pugh's p=1/2
-// distribution from a deterministic source, fixed at construction.
+// distribution from a deterministic source, fixed at construction; each
+// link's bin is a bag in the configured discipline.
 func NewSkipList[V any](cfg Config) Queue[V] {
 	maxLevel := 1
 	for n := cfg.Priorities; n > 1; n /= 2 {
@@ -59,6 +62,7 @@ func NewSkipList[V any](cfg Config) Queue[V] {
 		}
 		q.links[i].level = level
 		q.links[i].fwd = make([]atomic.Int32, level)
+		q.links[i].bin = funnel.NewBag[V](cfg.FIFOBins)
 	}
 	return q
 }
@@ -68,7 +72,7 @@ func (q *skipList[V]) NumPriorities() int { return q.npri }
 func (q *skipList[V]) Insert(pri int, v V) {
 	checkPri(pri, q.npri)
 	l := &q.links[pri]
-	l.bin.Push(struct{}{}, v)
+	l.bin.Push(v)
 	q.ensureThreaded(pri)
 }
 
@@ -102,7 +106,7 @@ func (q *skipList[V]) ensureThreaded(pri int) {
 func (q *skipList[V]) InsertBatch(items []Item[V]) {
 	checkBatch(items, q.npri)
 	for _, run := range GroupByPri(items) {
-		q.links[run.Pri].bin.PushN(struct{}{}, run.Vals)
+		q.links[run.Pri].bin.PushN(run.Vals)
 		q.ensureThreaded(run.Pri)
 	}
 }
@@ -228,7 +232,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 	for {
 		db := q.delBin.Load()
 		if db != 0 {
-			if e, ok := q.links[db-1].bin.Pop(struct{}{}); ok {
+			if e, ok := q.links[db-1].bin.Pop(); ok {
 				return e, true
 			}
 		}
@@ -237,7 +241,7 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 			// repointed the delete bin, or an insert may have refilled the
 			// current one. Moving the delete bin away from a non-empty bin
 			// would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty(struct{}{})) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
 				q.delMu.Unlock()
 				continue
 			}
@@ -280,7 +284,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 	for len(out) < k {
 		db := q.delBin.Load()
 		if db != 0 {
-			vals := q.links[db-1].bin.PopN(struct{}{}, k-len(out))
+			vals := q.links[db-1].bin.PopN(k - len(out))
 			for _, v := range vals {
 				out = append(out, Item[V]{Pri: int(db - 1), Val: v})
 			}
@@ -291,7 +295,7 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 		if q.delMu.TryLock() {
 			// Same re-validation as DeleteMin: moving the delete bin away
 			// from a non-empty bin would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty(struct{}{})) {
+			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
 				q.delMu.Unlock()
 				continue
 			}

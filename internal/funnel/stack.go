@@ -1,9 +1,6 @@
 package funnel
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Stack is a combining-funnel stack of values of type V: concurrent
 // pushes and pops combine into homogeneous trees in the funnel layers; a
@@ -20,14 +17,11 @@ import (
 // priority from starving.
 type Stack[V any] struct {
 	core *core[V]
-	mu   sync.Mutex
 	// direct counts operations the central-first step applied under mu;
-	// it shares mu's cache line, which that step has just taken.
+	// it sits just before the Bag's mu, on the cache line that step has
+	// just taken.
 	direct atomic.Int64
-	items  []V
-	head   int // FIFO mode: index of the oldest stored item
-	fifo   bool
-	size   atomic.Int64
+	Bag[V] // the central storage
 }
 
 // NewStack builds an empty LIFO funnel stack.
@@ -38,7 +32,7 @@ func NewStack[V any](params Params) *Stack[V] {
 // NewFIFOStack builds the hybrid bin: funnel elimination with FIFO
 // central storage.
 func NewFIFOStack[V any](params Params) *Stack[V] {
-	return &Stack[V]{core: newCore[V](params), fifo: true}
+	return &Stack[V]{core: newCore[V](params), Bag: Bag[V]{fifo: true}}
 }
 
 // Stats reports how this stack's operations have resolved so far;
@@ -48,13 +42,6 @@ func (s *Stack[V]) Stats() Stats {
 	st.Central += s.direct.Load()
 	return st
 }
-
-// Len returns a snapshot of the central stack size. It costs one atomic
-// read, which is what makes scanning many stacks for emptiness cheap.
-func (s *Stack[V]) Len() int { return int(s.size.Load()) }
-
-// Empty reports whether the stack currently looks empty.
-func (s *Stack[V]) Empty() bool { return s.size.Load() == 0 }
 
 // Push adds an item.
 func (s *Stack[V]) Push(v V) {
@@ -75,10 +62,7 @@ func (s *Stack[V]) PushN(vs []V) {
 		return
 	}
 	s.core.stats.central.Add(1)
-	s.mu.Lock()
-	s.items = append(s.items, vs...)
-	s.size.Store(int64(len(s.items) - s.head))
-	s.mu.Unlock()
+	s.Bag.PushN(vs)
 }
 
 // PopN removes up to k items in one central application, in the same
@@ -89,7 +73,7 @@ func (s *Stack[V]) PopN(k int) []V {
 		return nil
 	}
 	s.core.stats.central.Add(1)
-	return s.popCentral(k)
+	return s.Bag.PopN(k)
 }
 
 func (s *Stack[V]) run(dir int64, item V) (V, bool) {
@@ -99,8 +83,7 @@ func (s *Stack[V]) run(dir int64, item V) (V, bool) {
 		// busy lock sends it into the layers.
 		s.direct.Add(1)
 		if dir > 0 {
-			s.items = append(s.items, item)
-			s.size.Store(int64(len(s.items) - s.head))
+			s.pushLocked(item)
 			s.mu.Unlock()
 			return item, true
 		}
@@ -189,9 +172,8 @@ func (s *Stack[V]) applyCentral(my *record[V], dir int64) (V, bool) {
 	if dir > 0 {
 		s.mu.Lock()
 		for _, mem := range my.members {
-			s.items = append(s.items, mem.item)
+			s.pushLocked(mem.item)
 		}
-		s.size.Store(int64(len(s.items) - s.head))
 		s.mu.Unlock()
 		for _, mem := range my.members[1:] {
 			mem.result.Store(encodeResult(false, false, 0))
@@ -202,13 +184,13 @@ func (s *Stack[V]) applyCentral(my *record[V], dir int64) (V, bool) {
 
 	if len(my.members) == 1 {
 		// Uncombined pop (the common case at low contention): take one
-		// item directly instead of paying popCentral's batch allocation.
-		v, ok := s.pop1()
+		// item directly instead of paying PopN's batch allocation.
+		v, ok := s.Bag.Pop()
 		s.core.finish(my)
 		return v, ok
 	}
 
-	popped := s.popCentral(len(my.members))
+	popped := s.Bag.PopN(len(my.members))
 	avail := len(popped)
 	for i, mem := range my.members {
 		ok := i < avail
@@ -229,75 +211,4 @@ func (s *Stack[V]) applyCentral(my *record[V], dir int64) (V, bool) {
 	}
 	s.core.finish(my)
 	return ownVal, ownOK
-}
-
-// pop1 removes one item from the central storage under the stack lock,
-// honoring the LIFO/FIFO discipline — popCentral(1) without the result
-// slice.
-func (s *Stack[V]) pop1() (V, bool) {
-	s.mu.Lock()
-	v, ok := s.popLocked()
-	s.mu.Unlock()
-	return v, ok
-}
-
-// popLocked is pop1 for a caller that already holds the stack lock.
-func (s *Stack[V]) popLocked() (V, bool) {
-	var v, zero V
-	if len(s.items)-s.head == 0 {
-		return v, false
-	}
-	if s.fifo {
-		v = s.items[s.head]
-		s.items[s.head] = zero // release the reference for GC
-		s.head++
-		if s.head == len(s.items) {
-			s.items = s.items[:0]
-			s.head = 0
-		}
-	} else {
-		last := len(s.items) - 1
-		v = s.items[last]
-		s.items[last] = zero // release the reference for GC
-		s.items = s.items[:last]
-	}
-	s.size.Store(int64(len(s.items) - s.head))
-	return v, true
-}
-
-// popCentral removes up to k items from the central storage under the
-// stack lock, honoring the LIFO/FIFO discipline, and returns them in
-// hand-out order.
-func (s *Stack[V]) popCentral(k int) []V {
-	s.mu.Lock()
-	avail := k
-	if n := len(s.items) - s.head; avail > n {
-		avail = n
-	}
-	popped := make([]V, avail)
-	var zero V
-	if s.fifo {
-		front := s.items[s.head : s.head+avail]
-		copy(popped, front)
-		for i := range front {
-			front[i] = zero // release references for GC
-		}
-		s.head += avail
-		if s.head == len(s.items) {
-			s.items = s.items[:0]
-			s.head = 0
-		}
-	} else {
-		tail := s.items[len(s.items)-avail:]
-		for i := 0; i < avail; i++ {
-			popped[i] = tail[avail-1-i]
-		}
-		for i := range tail {
-			tail[i] = zero // release references for GC
-		}
-		s.items = s.items[:len(s.items)-avail]
-	}
-	s.size.Store(int64(len(s.items) - s.head))
-	s.mu.Unlock()
-	return popped
 }

@@ -7,7 +7,7 @@
 // QoS systems. Seven implementations are provided — the five baselines
 // the paper evaluates and its two contributions:
 //
-//   - SingleLock: a sequential heap under one MCS queue lock.
+//   - SingleLock: a sequential heap under one mutex.
 //   - HuntEtAl: the concurrent heap of Hunt et al. (fine-grained node
 //     locks, bit-reversed insertions).
 //   - SkipList: a bounded-range Pugh skip list with a delete-bin.
@@ -207,11 +207,15 @@ func WithFunnelCutoff(levels int) Option {
 	return func(c *core.Config) { c.FunnelCutoff = levels }
 }
 
-// WithFIFOBins makes every queue serve items of equal priority
+// WithFIFOBins makes the queues serve items of equal priority
 // first-in-first-out — the fairness trade-off of the paper's Section
-// 3.2. SimpleLinear and SimpleTree switch to FIFO bins; the funnel-based
+// 3.2. SimpleLinear, SimpleTree and SkipList switch to FIFO bins and
+// SingleLock's heap breaks ties by insertion order; the funnel-based
 // queues use the hybrid the paper suggests there: elimination still
-// happens in the funnel, but the central storage is FIFO.
+// happens in the funnel, but the central storage is FIFO. MultiQueue
+// ties within one sub-heap follow the same order. HuntEtAl is the one
+// exception: its concurrent heap orders equal priorities arbitrarily,
+// with or without this option.
 func WithFIFOBins() Option {
 	return func(c *core.Config) { c.FIFOBins = true }
 }
