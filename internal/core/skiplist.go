@@ -227,8 +227,46 @@ func (q *skipList[V]) unthread(key int) {
 	}
 }
 
+// refillResult is how one attempt to refill the delete bin ended.
+type refillResult int
+
+const (
+	refillAgain refillResult = iota // the delete bin moved or was refilled: look again
+	refillEmpty                     // nothing threaded and the delete bin is empty
+	refillBusy                      // another deleter is refilling, or the first link is mid-unlink: yield
+)
+
+// refill repoints the delete bin at the first threaded link, unlinking
+// it, for a deleter that found bin db (link index + 1, or 0) empty. Only
+// the holder of delMu may conclude emptiness: mid-refill the head is
+// transiently nil while the delete bin is not yet published.
+func (q *skipList[V]) refill(db int32) refillResult {
+	if !q.delMu.TryLock() {
+		return refillBusy
+	}
+	defer q.delMu.Unlock()
+	// Re-validate under the lock: another deleter may have already
+	// repointed the delete bin, or an insert may have refilled the
+	// current one. Moving the delete bin away from a non-empty bin would
+	// strand its items.
+	if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
+		return refillAgain
+	}
+	first := q.headFwd[0].Load()
+	if first == 0 {
+		return refillEmpty
+	}
+	key := int(first - 1)
+	if !q.links[key].state.CompareAndSwap(slThreaded, slUnlinking) {
+		return refillBusy
+	}
+	q.unthread(key)
+	q.delBin.Store(int32(key) + 1)
+	q.links[key].state.Store(slUnthreaded)
+	return refillAgain
+}
+
 func (q *skipList[V]) DeleteMin() (V, bool) {
-	var zero V
 	for {
 		db := q.delBin.Load()
 		if db != 0 {
@@ -236,37 +274,13 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 				return e, true
 			}
 		}
-		if q.delMu.TryLock() {
-			// Re-validate under the lock: another deleter may have already
-			// repointed the delete bin, or an insert may have refilled the
-			// current one. Moving the delete bin away from a non-empty bin
-			// would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
-				q.delMu.Unlock()
-				continue
-			}
-			first := q.headFwd[0].Load()
-			if first == 0 {
-				q.delMu.Unlock()
-				// Nothing threaded and the delete bin is empty.
-				return zero, false
-			}
-			key := int(first - 1)
-			if !q.links[key].state.CompareAndSwap(slThreaded, slUnlinking) {
-				q.delMu.Unlock()
-				runtime.Gosched()
-				continue
-			}
-			q.unthread(key)
-			q.delBin.Store(int32(key) + 1)
-			q.links[key].state.Store(slUnthreaded)
-			q.delMu.Unlock()
-			continue
+		switch q.refill(db) {
+		case refillEmpty:
+			var zero V
+			return zero, false
+		case refillBusy:
+			runtime.Gosched()
 		}
-		// Someone else is refilling; only the lock holder may conclude
-		// emptiness (mid-refill the head is transiently nil while the
-		// delete bin is not yet published).
-		runtime.Gosched()
 	}
 }
 
@@ -292,37 +306,15 @@ func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
 				break
 			}
 		}
-		if q.delMu.TryLock() {
-			// Same re-validation as DeleteMin: moving the delete bin away
-			// from a non-empty bin would strand its items.
-			if cur := q.delBin.Load(); cur != db || (cur != 0 && !q.links[cur-1].bin.Empty()) {
-				q.delMu.Unlock()
-				continue
+		switch q.refill(db) {
+		case refillEmpty:
+			return out
+		case refillBusy:
+			if len(out) > 0 {
+				return out
 			}
-			first := q.headFwd[0].Load()
-			if first == 0 {
-				q.delMu.Unlock()
-				break // nothing threaded and the delete bin is empty
-			}
-			key := int(first - 1)
-			if !q.links[key].state.CompareAndSwap(slThreaded, slUnlinking) {
-				q.delMu.Unlock()
-				if len(out) > 0 {
-					break
-				}
-				runtime.Gosched()
-				continue
-			}
-			q.unthread(key)
-			q.delBin.Store(int32(key) + 1)
-			q.links[key].state.Store(slUnthreaded)
-			q.delMu.Unlock()
-			continue
+			runtime.Gosched()
 		}
-		if len(out) > 0 {
-			break
-		}
-		runtime.Gosched()
 	}
 	return out
 }

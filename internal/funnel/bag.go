@@ -91,12 +91,20 @@ func (b *Bag[V]) PopN(k int) []V {
 	return out
 }
 
-// pushLocked adds vs in order; b.mu must be held. An empty bag first
-// rewinds to the start of its slice, so a FIFO bag reuses the slots its
-// pops left behind instead of growing past them.
+// pushLocked adds vs in order; b.mu must be held. An append that would
+// grow the slice first drops the slots a FIFO bag's pops have left before
+// head: in place when head is at least half the slice, so the copy moves
+// no more items than it frees slots, and otherwise by letting the append
+// reallocate for the live items alone. Either way the slice stays within
+// about twice the most items the bag has held.
 func (b *Bag[V]) pushLocked(vs ...V) {
-	if b.head == len(b.items) {
-		b.items, b.head = b.items[:0], 0
+	if n := len(b.items); n+len(vs) > cap(b.items) {
+		live := b.items[b.head:]
+		if 2*b.head >= n {
+			live = append(b.items[:0], live...)
+			clear(b.items[len(live):n]) // release references for GC
+		}
+		b.items, b.head = live, 0
 	}
 	b.items = append(b.items, vs...)
 	b.size.Store(int64(len(b.items) - b.head))

@@ -19,13 +19,20 @@ func forEachDiscipline(t *testing.T, f func(t *testing.T, b *Bag[int], fifo bool
 	}
 }
 
+// bagSlack is how far past twice its most live items a bag's slice may
+// grow: the size-class rounding of the allocator.
+const bagSlack = 128
+
 // TestBagSequentialModel plays random Push/PushN/Pop/PopN sequences on a
 // bag and on a slice model of its discipline: every pop must return the
 // model's value, PopN(k) what k Pops would, and Len/Empty must agree
-// with the model after every step.
+// with the model after every step. The items slice must stay within
+// twice the most items live so far, plus bagSlack: a FIFO bag may not
+// keep the slots its pops have freed.
 func TestBagSequentialModel(t *testing.T) {
 	forEachDiscipline(t, func(t *testing.T, b *Bag[int], fifo bool) {
 		var model []int
+		maxLive := 0
 		popModel := func() (int, bool) {
 			if len(model) == 0 {
 				return 0, false
@@ -77,6 +84,10 @@ func TestBagSequentialModel(t *testing.T) {
 			}
 			if b.Len() != len(model) || b.Empty() != (len(model) == 0) {
 				t.Fatalf("step %d: Len %d Empty %v, model holds %d", step, b.Len(), b.Empty(), len(model))
+			}
+			maxLive = max(maxLive, len(model))
+			if c := cap(b.items); c > 2*maxLive+bagSlack {
+				t.Fatalf("step %d: items capacity %d with at most %d live", step, c, maxLive)
 			}
 		}
 	})

@@ -699,27 +699,3 @@ func (s *Server) handlePop(w *respWriter, id uint32, cs connState, op qOp, name 
 	w.envs = envs[:0]
 	return werr
 }
-
-// WaitDrained polls until every queue is empty or the timeout expires —
-// a convenience for the daemon's graceful exit path.
-func (s *Server) WaitDrained(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		empty := true
-		s.mu.RLock()
-		for _, q := range s.queues {
-			if q.size() > 0 {
-				empty = false
-				break
-			}
-		}
-		s.mu.RUnlock()
-		if empty {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

@@ -14,22 +14,23 @@ func TestBinSequential(t *testing.T) {
 			if !b.Empty(p) {
 				t.Error("new bin not empty")
 			}
-			if _, ok := b.Delete(p); ok {
-				t.Error("Delete on empty bin succeeded")
+			if _, ok := b.Pop(p); ok {
+				t.Error("Pop on empty bin succeeded")
 			}
 			for i := uint64(1); i <= 3; i++ {
-				if !b.Insert(p, i*10) {
-					t.Errorf("Insert %d failed", i)
-				}
+				b.Push(p, i*10)
+			}
+			if b.dropped != 0 {
+				t.Errorf("bin dropped %d pushes under capacity", b.dropped)
 			}
 			if b.Empty(p) {
 				t.Error("bin with 3 items reports empty")
 			}
 			seen := map[uint64]bool{}
 			for i := 0; i < 3; i++ {
-				v, ok := b.Delete(p)
+				v, ok := b.Pop(p)
 				if !ok {
-					t.Fatalf("Delete %d failed", i)
+					t.Fatalf("Pop %d failed", i)
 				}
 				seen[v] = true
 			}
@@ -47,11 +48,18 @@ func TestBinCapacity(t *testing.T) {
 	runOn(t, 1,
 		func(m *sim.Machine) { b = NewBin(m, 2) },
 		func(p *sim.Proc) {
-			if !b.Insert(p, 1) || !b.Insert(p, 2) {
-				t.Fatal("inserts under capacity failed")
+			b.Push(p, 1)
+			b.Push(p, 2)
+			if b.dropped != 0 {
+				t.Fatal("pushes under capacity dropped")
 			}
-			if b.Insert(p, 3) {
-				t.Error("insert beyond capacity succeeded")
+			b.Push(p, 3)
+			b.PushN(p, []uint64{4, 5})
+			if b.dropped != 3 {
+				t.Errorf("pushes beyond capacity dropped %d, want 3", b.dropped)
+			}
+			if got := b.PopN(p, 3); len(got) != 2 || got[0] != 2 || got[1] != 1 {
+				t.Errorf("PopN after overflow = %v, want [2 1]", got)
 			}
 		})
 }
@@ -66,8 +74,8 @@ func TestBinConcurrentMultiset(t *testing.T) {
 		func(p *sim.Proc) {
 			id := p.ID()
 			for i := 0; i < perProc; i++ {
-				b.Insert(p, uint64(id*perProc+i)+1)
-				if v, ok := b.Delete(p); ok {
+				b.Push(p, uint64(id*perProc+i)+1)
+				if v, ok := b.Pop(p); ok {
 					popped[id] = append(popped[id], v)
 				}
 			}
@@ -111,9 +119,9 @@ func TestBinConcurrentDrainExact(t *testing.T) {
 		func(p *sim.Proc) {
 			id := p.ID()
 			for i := 0; i < perProc; i++ {
-				b.Insert(p, uint64(id*perProc+i)+1)
+				b.Push(p, uint64(id*perProc+i)+1)
 				if p.Rand(2) == 0 {
-					if v, ok := b.Delete(p); ok {
+					if v, ok := b.Pop(p); ok {
 						popped[id] = append(popped[id], v)
 					}
 				}
@@ -121,7 +129,7 @@ func TestBinConcurrentDrainExact(t *testing.T) {
 			bar.wait(p, 1)
 			if id == 0 {
 				for {
-					v, ok := b.Delete(p)
+					v, ok := b.Pop(p)
 					if !ok {
 						break
 					}

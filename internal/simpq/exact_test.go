@@ -73,10 +73,10 @@ func TestExactResultsBinArrayAndCounterTree(t *testing.T) {
 		return NewFunnelTreeDiscipline(m, npri, maxItems, DefaultFunnelParams(procs), DefaultFunnelCutoff, true)
 	}
 
-	// The bin-array queues pin the same batched run: PushN and PopN skip
-	// the funnel and take the central stack's MCS lock, which costs what
-	// a lock bin's InsertN and DeleteN do. Likewise FunnelTree at cutoff 0
-	// and SimpleTree.
+	// The bin-array queues pin the same batched run: a funnel stack's
+	// PushN and PopN skip the funnel and run its central Bin's, the same
+	// code a lock bin runs. Likewise FunnelTree at cutoff 0 and
+	// SimpleTree.
 	cases := []struct {
 		name string
 		run  func() (Result, error)
@@ -268,6 +268,51 @@ func TestExactResultsMultiQueue(t *testing.T) {
 			in["multiqueue.queue_picks"], in["multiqueue.lock_retries"],
 			in["multiqueue.ties"], in["multiqueue.empty_probe_retries"], in["multiqueue.full_scans"])
 		if got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestExactResultsLockHeapSkipListHunt pins the exact simulated outcome of
+// the queues outside the bin-array, counter-tree and MultiQueue families:
+// SingleLock with single operations and with 16-element batches (its
+// array heap under one MCS lock), SkipList (its link locks and Figure-1
+// bins) and HuntEtAl, plus each queue's own counters. Any change to the
+// order or placement of their simulated memory accesses shows up here.
+func TestExactResultsLockHeapSkipListHunt(t *testing.T) {
+	const procs, npri = 16, 64
+	cfg := DefaultWorkload()
+	cfg.OpsPerProc = 40
+	cfg.Seed = 7
+	cfg.KeepLatencies = true
+	batched := cfg
+	batched.Batch = 16
+
+	lockTallies := []string{"lock.acquires", "lock.contended", "lock.wait_cycles", "lock.hold_cycles", "batch_inserts", "batch_deletes"}
+	cases := []struct {
+		name string
+		alg  Algorithm
+		cfg  WorkloadConfig
+		keys []string
+		want string
+	}{
+		{"SingleLock", AlgSingleLock, cfg, lockTallies,
+			"events=13267 cycles=334932 ins=297 del=343 failed=53 mean=8192.328125 p99=13148 lock.acquires=640 lock.contended=639 lock.wait_cycles=4.922426e+06 lock.hold_cycles=269540 batch_inserts=0 batch_deletes=0"},
+		{"SingleLock/b16", AlgSingleLock, batched, lockTallies,
+			"events=294544 cycles=4608414 ins=5072 del=5168 failed=448 mean=7087.8333984375 p99=10279.125 lock.acquires=640 lock.contended=639 lock.wait_cycles=6.7985268e+07 lock.hold_cycles=4.543022e+06 batch_inserts=317 batch_deletes=323"},
+		{"SkipList", AlgSkipList, cfg,
+			[]string{"threads", "refills", "retries", "refill_waits", "bin.lock.acquires", "bin.lock.contended", "bin.lock.wait_cycles"},
+			"events=59383 cycles=319892 ins=297 del=343 failed=46 mean=6725.240625 p99=43726.58000000003 threads=272 refills=272 retries=3136 refill_waits=1909 bin.lock.acquires=3736 bin.lock.contended=3142 bin.lock.wait_cycles=2.772082e+06"},
+		{"HuntEtAl", AlgHuntEtAl, cfg,
+			[]string{"bubble_steps", "sift_steps", "adoptions", "parent_waits", "size_lock.acquires", "size_lock.wait_cycles"},
+			"events=28080 cycles=332484 ins=297 del=343 failed=54 mean=8142.43125 p99=13288.44 bubble_steps=343 sift_steps=127 adoptions=55 parent_waits=46 size_lock.acquires=640 size_lock.wait_cycles=4.261844e+06"},
+	}
+	for _, c := range cases {
+		r, err := RunWorkload(c.alg, procs, npri, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := exactRun(r) + " " + exactTallies(r, c.keys); got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
 		}
 	}

@@ -232,8 +232,8 @@ func TestFunnelStackConcurrentMultiset(t *testing.T) {
 				}
 			}
 		})
-	if s.dropped != 0 {
-		t.Fatalf("stack dropped %d items", s.dropped)
+	if s.bin.dropped != 0 {
+		t.Fatalf("stack dropped %d items", s.bin.dropped)
 	}
 	seen := map[uint64]int{}
 	for _, vs := range popped {

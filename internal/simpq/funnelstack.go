@@ -14,19 +14,10 @@ import "pq/internal/sim"
 // for fairness-sensitive applications — "supports elimination in the
 // funnel, but queues items internally in FIFO order" — selected with
 // NewFunnelQueue: the funnel protocol is identical, only the central
-// batch application changes (a ring with separate head and tail).
+// Bin's discipline changes.
 type FunnelStack struct {
-	f     *funnel
-	lock  *MCSLock
-	size  sim.Addr // item count: the one-read emptiness test
-	head  sim.Addr // ring head (FIFO mode only; LIFO uses cells[0..size))
-	cells sim.Addr
-	cap   int
-	fifo  bool
-
-	// dropped counts items lost to capacity overflow (test diagnostics;
-	// workloads size the stack so this stays zero).
-	dropped int
+	f   *funnel
+	bin Bin // the central storage
 
 	// Host-side internals counters (no simulated cost).
 	stats funnelStackStats
@@ -53,10 +44,10 @@ func (s *FunnelStack) Metrics() Metrics {
 		"eliminated_ops":  float64(s.stats.eliminatedOps),
 		"central_batches": float64(s.stats.centralBatches),
 		"central_ops":     float64(s.stats.centralOps),
-		"dropped":         float64(s.dropped),
+		"dropped":         float64(s.bin.dropped),
 	}
 	m.add("funnel", s.f.Metrics())
-	m.add("central_lock", s.lock.Metrics())
+	m.add("central_lock", s.bin.lock.Metrics())
 	return m
 }
 
@@ -72,24 +63,13 @@ func NewFunnelQueue(m *sim.Machine, params FunnelParams, capacity int) *FunnelSt
 }
 
 func newFunnelBin(m *sim.Machine, params FunnelParams, capacity int, fifo bool) *FunnelStack {
-	s := &FunnelStack{
-		f:     newFunnel(m, params),
-		lock:  NewMCSLock(m),
-		size:  m.Alloc(1),
-		head:  m.Alloc(1),
-		cells: m.Alloc(capacity),
-		cap:   capacity,
-		fifo:  fifo,
-	}
-	m.Label(s.size, 1, "funnelstack.size")
-	m.Label(s.head, 1, "funnelstack.head")
-	m.Label(s.cells, capacity, "funnelstack.cells")
-	return s
+	labels := binLabels{"funnelstack.size", "funnelstack.head", "funnelstack.cells"}
+	return &FunnelStack{f: newFunnel(m, params), bin: newBin(m, capacity, fifo, labels)}
 }
 
 // Empty reports whether the bin currently looks empty (one read, as the
 // paper stresses for LinearFunnels' delete-min scan).
-func (s *FunnelStack) Empty(p *sim.Proc) bool { return p.Read(s.size) == 0 }
+func (s *FunnelStack) Empty(p *sim.Proc) bool { return s.bin.Empty(p) }
 
 // Push adds an item to the stack.
 func (s *FunnelStack) Push(p *sim.Proc, item uint64) {
@@ -163,22 +143,7 @@ func (s *FunnelStack) PushN(p *sim.Proc, items []uint64) {
 	s.stats.pushes += int64(len(items))
 	s.stats.centralBatches++
 	s.stats.centralOps += int64(len(items))
-	s.lock.Acquire(p)
-	n := int(p.Read(s.size))
-	stored := len(items)
-	if n+stored > s.cap {
-		stored = s.cap - n
-		s.dropped += len(items) - stored
-	}
-	t := n
-	if s.fifo {
-		t = (int(p.Read(s.head)) + n) % s.cap
-	}
-	for i := 0; i < stored; i++ {
-		p.Write(s.cells+sim.Addr((t+i)%s.cap), items[i])
-	}
-	p.Write(s.size, uint64(n+stored))
-	s.lock.Release(p)
+	s.bin.PushN(p, items)
 }
 
 // PopN removes up to k items under one lock hold, in the same order k
@@ -191,27 +156,8 @@ func (s *FunnelStack) PopN(p *sim.Proc, k int) []uint64 {
 	s.stats.pops += int64(k)
 	s.stats.centralBatches++
 	s.stats.centralOps += int64(k)
-	s.lock.Acquire(p)
-	n := int(p.Read(s.size))
-	avail := k
-	if avail > n {
-		avail = n
-	}
-	items := make([]uint64, avail)
-	if s.fifo {
-		h := int(p.Read(s.head))
-		for i := 0; i < avail; i++ {
-			items[i] = p.Read(s.cells + sim.Addr((h+i)%s.cap))
-		}
-		p.Write(s.head, uint64((h+avail)%s.cap))
-	} else {
-		for i := 0; i < avail; i++ {
-			items[i] = p.Read(s.cells + sim.Addr(n-1-i))
-		}
-	}
-	p.Write(s.size, uint64(n-avail))
-	s.lock.Release(p)
-	s.stats.failedPops += int64(k - avail)
+	items := s.bin.PopN(p, k)
+	s.stats.failedPops += int64(k - len(items))
 	return items
 }
 
@@ -248,36 +194,14 @@ func (s *FunnelStack) eliminate(p *sim.Proc, my, q *funnelRec, dir int64) (uint6
 	return ownVal, true
 }
 
-// applyCentral applies the whole homogeneous tree to the central storage
-// under its lock and hands out results to every member. The storage is a
-// ring: LIFO mode pops from the tail, FIFO mode pops from the head.
+// applyCentral applies the whole homogeneous tree to the central Bin
+// under one hold of its lock and hands out results to every member.
 func (s *FunnelStack) applyCentral(p *sim.Proc, my *funnelRec, dir int64) (uint64, bool) {
 	k := len(my.members)
 	s.stats.centralBatches++
 	s.stats.centralOps += int64(k)
-	var ownVal uint64
-	ownOK := true
-
-	s.lock.Acquire(p)
-	n := int(p.Read(s.size))
-	if dir > 0 { // k pushes append at the tail
-		stored := k
-		if n+stored > s.cap {
-			stored = s.cap - n
-			s.dropped += k - stored
-		}
-		// LIFO keeps items in cells[0..size), so the tail is the size
-		// itself; FIFO is a ring starting at head.
-		t := n
-		if s.fifo {
-			t = (int(p.Read(s.head)) + n) % s.cap
-		}
-		for i := 0; i < stored; i++ {
-			item := p.Read(my.members[i].addr + frItem)
-			p.Write(s.cells+sim.Addr((t+i)%s.cap), item)
-		}
-		p.Write(s.size, uint64(n+stored))
-		s.lock.Release(p)
+	if dir > 0 { // k pushes: each member's item is read as it is stored
+		s.bin.pushFunc(p, k, func(i int) uint64 { return p.Read(my.members[i].addr + frItem) })
 		for _, mem := range my.members[1:] {
 			p.Write(mem.addr+frResult, encodeResult(false, false, 0))
 		}
@@ -285,34 +209,18 @@ func (s *FunnelStack) applyCentral(p *sim.Proc, my *funnelRec, dir int64) (uint6
 		return 0, true
 	}
 
-	// k pops take from the tail (LIFO) or the head (FIFO).
-	avail := k
-	if avail > n {
-		avail = n
-	}
-	items := make([]uint64, avail)
-	if s.fifo {
-		h := int(p.Read(s.head))
-		for i := 0; i < avail; i++ {
-			items[i] = p.Read(s.cells + sim.Addr((h+i)%s.cap))
-		}
-		p.Write(s.head, uint64((h+avail)%s.cap))
-	} else {
-		for i := 0; i < avail; i++ {
-			items[i] = p.Read(s.cells + sim.Addr(n-1-i))
-		}
-	}
-	p.Write(s.size, uint64(n-avail))
-	s.lock.Release(p)
+	items := s.bin.PopN(p, k)
+	var ownVal uint64
+	ownOK := true
 	for i, mem := range my.members {
 		var res uint64
-		if i < avail {
+		if i < len(items) {
 			res = encodeResult(false, false, items[i])
 		} else {
 			res = encodeResult(false, true, 0)
 		}
 		if mem == my {
-			if i < avail {
+			if i < len(items) {
 				ownVal = items[i]
 			} else {
 				ownOK = false

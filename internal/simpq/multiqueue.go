@@ -6,11 +6,12 @@ import (
 )
 
 // MultiQueue is the relaxed queue of Williams & Sanders on the simulated
-// machine, core.TwoChoice over mqHeaps: C·p sequential array heaps in
-// shared memory, each under a test-and-set lock, with a per-heap
-// top-priority cache word. Locks are only ever TryAcquired — contention
-// re-rolls instead of spinning — so the queue has no combining structure
-// and no convoy, at the price of bounded rank error on every pop.
+// machine, core.TwoChoice over mqHeaps: C·p sequential array heaps (each
+// the heap SingleLock uses) in shared memory, each under a test-and-set
+// lock, with a per-heap top-priority cache word. Locks are only ever
+// TryAcquired — contention re-rolls instead of spinning — so the queue
+// has no combining structure and no convoy, at the price of bounded rank
+// error on every pop.
 type MultiQueue struct {
 	core.TwoChoice[*sim.Proc, uint64]
 	heaps *mqHeaps
@@ -26,13 +27,10 @@ type MultiQueue struct {
 type mqHeaps struct {
 	npri int
 	nq   int
-	capQ int
 
 	locks []TASLock
 	tops  sim.Addr // per-heap cached top priority; npri means empty
-	sizes sim.Addr // per-heap element count
-	pris  sim.Addr // nq × (capQ+1) 1-based heap arrays
-	vals  sim.Addr
+	heaps []heap   // over one size array and nq × (capQ+1) priority and value arrays
 
 	// Host-side rank accounting: present counts queued items per
 	// priority; rank is the native twin's RelaxStats, its Counts grown to
@@ -62,24 +60,24 @@ func NewMultiQueue(m *sim.Machine, npri, maxItems, c int) *MultiQueue {
 	s := &mqHeaps{
 		npri:    npri,
 		nq:      nq,
-		capQ:    capQ,
 		locks:   make([]TASLock, nq),
 		tops:    m.Alloc(nq),
-		sizes:   m.Alloc(nq),
-		pris:    m.Alloc(nq * (capQ + 1)),
-		vals:    m.Alloc(nq * (capQ + 1)),
+		heaps:   make([]heap, nq),
 		present: make([]int64, npri),
 		rank:    core.RelaxStats{Tracked: true},
 	}
+	sizes, pris, vals := m.Alloc(nq), m.Alloc(nq*(capQ+1)), m.Alloc(nq*(capQ+1))
 	for i := range s.locks {
 		s.locks[i] = NewTASLock(m)
 	}
 	m.Label(s.tops, nq, "multiqueue.tops")
-	m.Label(s.sizes, nq, "multiqueue.sizes")
-	m.Label(s.pris, nq*(capQ+1), "multiqueue.heaps")
-	m.Label(s.vals, nq*(capQ+1), "multiqueue.heaps")
-	for h := 0; h < nq; h++ {
+	m.Label(sizes, nq, "multiqueue.sizes")
+	m.Label(pris, nq*(capQ+1), "multiqueue.heaps")
+	m.Label(vals, nq*(capQ+1), "multiqueue.heaps")
+	for h := range s.heaps {
 		m.SetWord(s.tops+sim.Addr(h), s.mqEmpty())
+		off := sim.Addr(h * (capQ + 1))
+		s.heaps[h] = heap{size: sizes + sim.Addr(h), pris: pris + off, vals: vals + off, cap: capQ}
 	}
 	return &MultiQueue{core.TwoChoice[*sim.Proc, uint64]{NPri: npri, Heaps: s, Tally: new(core.Tally)}, s}
 }
@@ -87,17 +85,6 @@ func NewMultiQueue(m *sim.Machine, npri, maxItems, c int) *MultiQueue {
 // mqEmpty is the top-cache sentinel for an empty heap. Heaps start
 // zeroed, so the sentinel must be written on first use.
 func (s *mqHeaps) mqEmpty() uint64 { return uint64(s.npri) }
-
-func (s *mqHeaps) heapPri(p *sim.Proc, h int, i uint64) uint64 {
-	return p.Read(s.pris + sim.Addr(h*(s.capQ+1)) + sim.Addr(i))
-}
-func (s *mqHeaps) heapVal(p *sim.Proc, h int, i uint64) uint64 {
-	return p.Read(s.vals + sim.Addr(h*(s.capQ+1)) + sim.Addr(i))
-}
-func (s *mqHeaps) heapSet(p *sim.Proc, h int, i, pr, v uint64) {
-	p.Write(s.pris+sim.Addr(h*(s.capQ+1))+sim.Addr(i), pr)
-	p.Write(s.vals+sim.Addr(h*(s.capQ+1))+sim.Addr(i), v)
-}
 
 func (s *mqHeaps) Len() int                     { return s.nq }
 func (s *mqHeaps) Top(p *sim.Proc, h int) int64 { return int64(p.Read(s.tops + sim.Addr(h))) }
@@ -134,70 +121,33 @@ func (s *mqHeaps) Push(p *sim.Proc, h, pri int, val uint64, last bool) {
 	if last {
 		defer s.locks[h].Release(p)
 	}
-	n := p.Read(s.sizes + sim.Addr(h))
-	if n >= uint64(s.capQ) {
+	if !s.heaps[h].push(p, pri, val) {
 		s.overflows++
 		return
 	}
-	n++
-	p.Write(s.sizes+sim.Addr(h), n)
-	i, pr := n, uint64(pri)
-	for i > 1 {
-		parent := i / 2
-		ppri := s.heapPri(p, h, parent)
-		if ppri <= pr {
-			break
-		}
-		s.heapSet(p, h, i, ppri, s.heapVal(p, h, parent))
-		i = parent
-	}
-	s.heapSet(p, h, i, pr, val)
-	p.Write(s.tops+sim.Addr(h), s.heapPri(p, h, 1))
+	p.Write(s.tops+sim.Addr(h), s.heaps[h].pri(p, 1))
 	s.present[pri]++
 }
 
 // Pop removes heap h's root (lock held), republishes its top and
 // releases the lock when last or when h is empty.
 func (s *mqHeaps) Pop(p *sim.Proc, h int, last bool) (BatchItem, bool) {
-	n := p.Read(s.sizes + sim.Addr(h))
-	if n == 0 {
+	it, left, ok := s.heaps[h].pop(p)
+	if !ok {
 		p.Write(s.tops+sim.Addr(h), s.mqEmpty())
 		s.locks[h].Release(p)
-		return BatchItem{}, false
+		return it, false
 	}
 	if last {
 		defer s.locks[h].Release(p)
 	}
-	outPri, out := s.heapPri(p, h, 1), s.heapVal(p, h, 1)
-	lastPri, lastVal := s.heapPri(p, h, n), s.heapVal(p, h, n)
-	p.Write(s.sizes+sim.Addr(h), n-1)
-	n--
-	if n > 0 {
-		i := uint64(1)
-		for {
-			l, r := 2*i, 2*i+1
-			if l > n {
-				break
-			}
-			child, cpri := l, s.heapPri(p, h, l)
-			if r <= n {
-				if rp := s.heapPri(p, h, r); rp < cpri {
-					child, cpri = r, rp
-				}
-			}
-			if cpri >= lastPri {
-				break
-			}
-			s.heapSet(p, h, i, cpri, s.heapVal(p, h, child))
-			i = child
-		}
-		s.heapSet(p, h, i, lastPri, lastVal)
-		p.Write(s.tops+sim.Addr(h), s.heapPri(p, h, 1))
-	} else {
-		p.Write(s.tops+sim.Addr(h), s.mqEmpty())
+	top := s.mqEmpty()
+	if left > 0 {
+		top = s.heaps[h].pri(p, 1)
 	}
-	s.notePop(int(outPri))
-	return BatchItem{Pri: int(outPri), Val: out}, true
+	p.Write(s.tops+sim.Addr(h), top)
+	s.notePop(it.Pri)
+	return it, true
 }
 
 // notePop records one pop's exact rank error from the host-side mirror.

@@ -60,7 +60,7 @@ func TestBinEmptinessIsOneRead(t *testing.T) {
 	counts := countOps(t,
 		func(m *sim.Machine) { b = NewBin(m, 8) },
 		func(p *sim.Proc, counting func(bool)) {
-			b.Insert(p, 1)
+			b.Push(p, 1)
 			counting(true)
 			b.Empty(p)
 			counting(false)

@@ -68,7 +68,8 @@ func NewFunnelTreeDiscipline(m *sim.Machine, npri, maxItems int, params FunnelPa
 // newTree builds the tree: lock-based counters and bins when params is
 // nil; otherwise funnel counters in the top cutoff levels and funnel
 // stacks as bins. Counters 1…nl−1 are allocated before bins 0…nl−1; the
-// order fixes every simulated address, and so every cycle count.
+// order fixes every simulated address that contention profiles and
+// traces report.
 func newTree(m *sim.Machine, npri, maxItems int, params *FunnelParams, cutoff int, fifo bool) *SimpleTree {
 	nl := core.CeilPow2(npri)
 	counters := make([]core.Counter[*sim.Proc], nl)

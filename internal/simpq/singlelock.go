@@ -8,10 +8,7 @@ import "pq/internal/sim"
 type SingleLock struct {
 	npri int
 	lock *MCSLock
-	size sim.Addr
-	pris sim.Addr // 1-based array of priorities
-	vals sim.Addr // 1-based array of values
-	cap  int
+	heap heap
 
 	// Host-side internals counters (no simulated cost).
 	batchInserts int64 // InsertBatch calls
@@ -20,17 +17,11 @@ type SingleLock struct {
 
 // NewSingleLock builds the heap with room for maxItems elements.
 func NewSingleLock(m *sim.Machine, npri, maxItems int) *SingleLock {
-	q := &SingleLock{
-		npri: npri,
-		lock: NewMCSLock(m),
-		size: m.Alloc(1),
-		pris: m.Alloc(maxItems + 1),
-		vals: m.Alloc(maxItems + 1),
-		cap:  maxItems,
-	}
-	m.Label(q.size, 1, "singlelock.size")
-	m.Label(q.pris, maxItems+1, "singlelock.heap")
-	m.Label(q.vals, maxItems+1, "singlelock.heap")
+	q := &SingleLock{npri: npri, lock: NewMCSLock(m)}
+	q.heap = heap{size: m.Alloc(1), pris: m.Alloc(maxItems + 1), vals: m.Alloc(maxItems + 1), cap: maxItems}
+	m.Label(q.heap.size, 1, "singlelock.size")
+	m.Label(q.heap.pris, maxItems+1, "singlelock.heap")
+	m.Label(q.heap.vals, maxItems+1, "singlelock.heap")
 	return q
 }
 
@@ -48,75 +39,11 @@ func (q *SingleLock) Metrics() Metrics {
 	return m
 }
 
-func (q *SingleLock) pri(p *sim.Proc, i uint64) uint64 { return p.Read(q.pris + sim.Addr(i)) }
-func (q *SingleLock) val(p *sim.Proc, i uint64) uint64 { return p.Read(q.vals + sim.Addr(i)) }
-func (q *SingleLock) set(p *sim.Proc, i, pr, v uint64) {
-	p.Write(q.pris+sim.Addr(i), pr)
-	p.Write(q.vals+sim.Addr(i), v)
-}
-
-// insertLocked sifts val up from a new last slot; the caller holds the
-// global lock.
-func (q *SingleLock) insertLocked(p *sim.Proc, pri int, val uint64) {
-	n := p.Read(q.size)
-	if n >= uint64(q.cap) {
-		return // full: drop, mirroring the paper's bins
-	}
-	n++
-	p.Write(q.size, n)
-	i, pr := n, uint64(pri)
-	for i > 1 {
-		parent := i / 2
-		ppri := q.pri(p, parent)
-		if ppri <= pr {
-			break
-		}
-		q.set(p, i, ppri, q.val(p, parent))
-		i = parent
-	}
-	q.set(p, i, pr, val)
-}
-
-// deleteMinLocked removes the root and restores the heap by sifting the
-// last element down; the caller holds the global lock.
-func (q *SingleLock) deleteMinLocked(p *sim.Proc) (int, uint64, bool) {
-	n := p.Read(q.size)
-	if n == 0 {
-		return 0, 0, false
-	}
-	outPri, out := q.pri(p, 1), q.val(p, 1)
-	lastPri, lastVal := q.pri(p, n), q.val(p, n)
-	p.Write(q.size, n-1)
-	n--
-	if n > 0 {
-		i := uint64(1)
-		for {
-			l, r := 2*i, 2*i+1
-			if l > n {
-				break
-			}
-			child, cpri := l, q.pri(p, l)
-			if r <= n {
-				if rp := q.pri(p, r); rp < cpri {
-					child, cpri = r, rp
-				}
-			}
-			if cpri >= lastPri {
-				break
-			}
-			q.set(p, i, cpri, q.val(p, child))
-			i = child
-		}
-		q.set(p, i, lastPri, lastVal)
-	}
-	return int(outPri), out, true
-}
-
 // Insert adds val at priority pri under the global lock, sifting it up
 // with the standard heap algorithm.
 func (q *SingleLock) Insert(p *sim.Proc, pri int, val uint64) {
 	q.lock.Acquire(p)
-	q.insertLocked(p, pri, val)
+	q.heap.push(p, pri, val)
 	q.lock.Release(p)
 }
 
@@ -124,9 +51,9 @@ func (q *SingleLock) Insert(p *sim.Proc, pri int, val uint64) {
 // by sifting the last element down.
 func (q *SingleLock) DeleteMin(p *sim.Proc) (uint64, bool) {
 	q.lock.Acquire(p)
-	_, out, ok := q.deleteMinLocked(p)
+	it, _, ok := q.heap.pop(p)
 	q.lock.Release(p)
-	return out, ok
+	return it.Val, ok
 }
 
 // InsertBatch adds every item under a single lock hold — the whole
@@ -138,7 +65,7 @@ func (q *SingleLock) InsertBatch(p *sim.Proc, items []BatchItem) {
 	q.batchInserts++
 	q.lock.Acquire(p)
 	for _, it := range items {
-		q.insertLocked(p, it.Pri, it.Val)
+		q.heap.push(p, it.Pri, it.Val)
 	}
 	q.lock.Release(p)
 }
@@ -152,11 +79,11 @@ func (q *SingleLock) DeleteMinBatch(p *sim.Proc, k int) []BatchItem {
 	var out []BatchItem
 	q.lock.Acquire(p)
 	for len(out) < k {
-		pri, v, ok := q.deleteMinLocked(p)
+		it, _, ok := q.heap.pop(p)
 		if !ok {
 			break
 		}
-		out = append(out, BatchItem{Pri: pri, Val: v})
+		out = append(out, it)
 	}
 	q.lock.Release(p)
 	return out

@@ -123,7 +123,7 @@ func (q *SkipList) NumPriorities() int { return q.npri }
 // native ensureThreaded does the same). slUnlinking needs no wait: the
 // unlinker holds delLock and publishes this bin as the delete bin.
 func (q *SkipList) Insert(p *sim.Proc, pri int, val uint64) {
-	q.bins[pri].Insert(p, val)
+	q.bins[pri].Push(p, val)
 	q.tracef(p, "binned key=%d val=%#x", pri, val)
 	for {
 		st := p.Read(q.links[pri].lstate)
@@ -277,7 +277,7 @@ func (q *SkipList) DeleteMin(p *sim.Proc) (uint64, bool) {
 		}
 		db := p.Read(q.delBin)
 		if db != 0 {
-			if e, ok := q.bins[db-1].Delete(p); ok {
+			if e, ok := q.bins[db-1].Pop(p); ok {
 				q.tracef(p, "bin-deleted key=%d val=%#x", db-1, e)
 				return e, true
 			}

@@ -124,10 +124,6 @@ func (c *Collector) Procs() int { return len(c.spans) }
 // ordered by End, not Start (a spin-wait span begins at park time).
 func (c *Collector) Spans(proc int) []sim.Span { return c.spans[proc].items() }
 
-// OpSpans returns the buffered operation spans of one processor,
-// oldest-first.
-func (c *Collector) OpSpans(proc int) []OpSpan { return c.ops[proc].items() }
-
 // Dropped reports how many spans (engine + op) were evicted from the
 // rings across all processors.
 func (c *Collector) Dropped() int64 {
