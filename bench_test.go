@@ -2,11 +2,13 @@ package pq_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"pq"
+	"pq/internal/funnel"
 	"pq/internal/harness"
 )
 
@@ -107,56 +109,79 @@ func BenchmarkNativeInsert(b *testing.B) {
 	}
 }
 
+// funnelOpts returns no options, or with always set the default funnel
+// tuning for GOMAXPROCS goroutines with Adaptive off: there is no
+// central-first step, so every operation enters the collision layers
+// and the benchmark prices the protocol itself. It must be called inside
+// the sub-benchmark, where -cpu has set GOMAXPROCS.
+func funnelOpts(always bool) []pq.Option {
+	if !always {
+		return nil
+	}
+	prm := funnel.DefaultParams(runtime.GOMAXPROCS(0))
+	prm.Adaptive = false
+	return []pq.Option{pq.WithFunnelParams(prm)}
+}
+
 // BenchmarkNativeCounter compares the funnel counter against a plain
 // atomic under contention — the native analogue of Figure 5's question.
+// The "always" variants funnel every operation.
 func BenchmarkNativeCounter(b *testing.B) {
-	b.Run("funnel-bounded", func(b *testing.B) {
-		c := pq.NewCounter(1<<40, true, 0)
-		b.RunParallel(func(p *testing.PB) {
-			i := 0
-			for p.Next() {
-				if i%2 == 0 {
-					c.FaI()
-				} else {
-					c.FaD()
-				}
-				i++
+	for _, bc := range []struct {
+		name            string
+		bounded, always bool
+	}{
+		{"funnel-bounded", true, false},
+		{"funnel-unbounded", false, false},
+		{"funnel-bounded/always", true, true},
+		{"funnel-unbounded/always", false, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			initial := int64(0)
+			if bc.bounded {
+				initial = 1 << 40
 			}
-		})
-	})
-	b.Run("funnel-unbounded", func(b *testing.B) {
-		c := pq.NewCounter(0, false, 0)
-		b.RunParallel(func(p *testing.PB) {
-			i := 0
-			for p.Next() {
-				if i%2 == 0 {
-					c.FaI()
-				} else {
-					c.FaD()
+			c := pq.NewCounter(initial, bc.bounded, 0, funnelOpts(bc.always)...)
+			b.RunParallel(func(p *testing.PB) {
+				i := 0
+				for p.Next() {
+					if i%2 == 0 {
+						c.FaI()
+					} else {
+						c.FaD()
+					}
+					i++
 				}
-				i++
-			}
+			})
 		})
-	})
+	}
 }
 
 // BenchmarkNativeStack exercises the funnel stack against a mutex slice
-// stack baseline.
+// stack baseline. The "always" variant funnels every operation.
 func BenchmarkNativeStack(b *testing.B) {
-	b.Run("funnel", func(b *testing.B) {
-		s := pq.NewStack[int]()
-		b.RunParallel(func(p *testing.PB) {
-			i := 0
-			for p.Next() {
-				if i%2 == 0 {
-					s.Push(i)
-				} else {
-					s.Pop()
+	for _, bc := range []struct {
+		name   string
+		always bool
+	}{
+		{"funnel", false},
+		{"funnel/always", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := pq.NewStack[int](funnelOpts(bc.always)...)
+			b.RunParallel(func(p *testing.PB) {
+				i := 0
+				for p.Next() {
+					if i%2 == 0 {
+						s.Push(i)
+					} else {
+						s.Pop()
+					}
+					i++
 				}
-				i++
-			}
+			})
 		})
-	})
+	}
 	b.Run("mutex", func(b *testing.B) {
 		var (
 			mu    sync.Mutex

@@ -114,6 +114,7 @@ type workerResult struct {
 	deletes int
 	empties int
 	sheds   int
+	late    int // open loop: ops begun more than lateAfter after their due time
 }
 
 func run(args []string, out *os.File) error {
@@ -195,32 +196,27 @@ func run(args []string, out *os.File) error {
 	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
 	defer cancel()
 
-	// Open loop: a pacer goroutine feeds tokens at the target rate;
-	// closed loop when rate is 0 (tokens == nil).
-	var tokens chan struct{}
+	// Open loop: a pacer goroutine releases every op that is due, each
+	// carrying its due time, and never drops one: an op that waits for a
+	// free worker is late, and its latency runs from when it was due.
+	// Closed loop when rate is 0 (tokens == nil).
+	start := time.Now()
+	var tokens chan time.Time
+	paced := make(chan struct{})
 	if o.rate > 0 {
-		tokens = make(chan struct{}, 1024)
+		// The buffer lets the pacer release a burst of due ops without
+		// waiting on a worker for each.
+		tokens = make(chan time.Time, 1024)
 		go func() {
-			interval := time.Duration(float64(time.Second) / o.rate)
-			tick := time.NewTicker(maxDur(interval, 10*time.Microsecond))
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					select {
-					case tokens <- struct{}{}:
-					default: // generator saturated; drop the token
-					}
-				}
-			}
+			defer close(paced)
+			pace(ctx, schedule{interval: 1e9 / o.rate}, start, wallClock{}, tokens)
 		}()
+	} else {
+		close(paced)
 	}
 
 	results := make([]workerResult, o.workers)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < o.workers; w++ {
 		w := w
 		wg.Add(1)
@@ -230,9 +226,17 @@ func run(args []string, out *os.File) error {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			value := make([]byte, o.valueSize)
 			for seq := 0; ; seq++ {
+				t0 := time.Now()
 				if tokens != nil {
 					select {
-					case <-tokens:
+					case due, ok := <-tokens:
+						if !ok {
+							return
+						}
+						if t0.Sub(due) > lateAfter {
+							r.late++
+						}
+						t0 = due
 					case <-ctx.Done():
 						return
 					}
@@ -242,7 +246,6 @@ func run(args []string, out *os.File) error {
 				if rng.Float64() < o.mix {
 					id := uint64(w)<<32 | uint64(seq)
 					putID(value, id)
-					t0 := time.Now()
 					err := client.Insert(ctx, o.queue, int(id*13)%pris, value)
 					switch {
 					case err == nil:
@@ -261,7 +264,6 @@ func run(args []string, out *os.File) error {
 						return
 					}
 				} else {
-					t0 := time.Now()
 					_, ok, err := client.DeleteMin(ctx, o.queue)
 					if err != nil {
 						if ctx.Err() != nil || isDeadline(err) {
@@ -282,6 +284,7 @@ func run(args []string, out *os.File) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	<-paced
 
 	// Merge workers.
 	var total workerResult
@@ -293,6 +296,7 @@ func run(args []string, out *os.File) error {
 		total.deletes += r.deletes
 		total.empties += r.empties
 		total.sheds += r.sheds
+		total.late += r.late
 	}
 	// Per-node snapshot at the end of the timed phase (before the drain
 	// inflates delete counters).
@@ -347,6 +351,10 @@ func run(args []string, out *os.File) error {
 	}
 	fmt.Fprintf(out, "pqload: %s %s: %d workers, %v\n", target, o.queue, o.workers, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "  ops/sec      %12.0f  (closed-loop=%v mix=%.2f)\n", thr, o.rate == 0, o.mix)
+	if o.rate > 0 {
+		fmt.Fprintf(out, "  open loop    target %.0f ops/s, late %d (began more than %v after due); latencies run from the due time\n",
+			o.rate, total.late, lateAfter)
+	}
 	fmt.Fprintf(out, "  inserts      %12d  shed %d\n", total.acked, total.sheds)
 	fmt.Fprintf(out, "  deletes      %12d  empty %d  drained %d\n", total.deletes, total.empties, drained)
 	fmt.Fprintf(out, "  insert ns    %s\n", insSum)
@@ -405,9 +413,62 @@ func isDeadline(err error) bool {
 		strings.Contains(err.Error(), "deadline")
 }
 
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
+// lateAfter: an open-loop op is late when it began more than this long
+// after it was due; its latency then is the generator's or a saturated
+// worker pool's rather than the server's.
+const lateAfter = time.Millisecond
+
+// schedule is the open loop's fixed-rate arrival schedule: op g is due
+// g*interval nanoseconds after the start.
+type schedule struct{ interval float64 }
+
+func (s schedule) due(g int64) time.Duration { return time.Duration(float64(g) * s.interval) }
+
+// dueBy is how many ops are due at or before elapsed.
+func (s schedule) dueBy(elapsed time.Duration) int64 {
+	if elapsed < 0 {
+		return 0
 	}
-	return b
+	return int64(float64(elapsed)/s.interval) + 1
+}
+
+// clock is the pacer's time source; tests substitute a fake.
+type clock interface {
+	Since(t time.Time) time.Duration
+	// Sleep returns after d, or sooner once ctx is done.
+	Sleep(ctx context.Context, d time.Duration)
+}
+
+type wallClock struct{}
+
+func (wallClock) Since(t time.Time) time.Duration { return time.Since(t) }
+
+func (wallClock) Sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
+// pace sends every op of s that is due, in order, each as its due time,
+// and sleeps until the next is due. A full channel blocks it rather than
+// dropping an op: the ops it then sends late still carry their own due
+// times, so the wait counts against them. It closes tokens when ctx ends.
+func pace(ctx context.Context, s schedule, start time.Time, clk clock, tokens chan<- time.Time) {
+	defer close(tokens)
+	for g := int64(0); ; {
+		for n := s.dueBy(clk.Since(start)); g < n; g++ {
+			select {
+			case tokens <- start.Add(s.due(g)):
+			case <-ctx.Done():
+				return
+			}
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		clk.Sleep(ctx, s.due(g)-clk.Since(start))
+	}
 }

@@ -113,41 +113,6 @@ func (p *Params) normalized() Params {
 	return q
 }
 
-// Operation result states.
-const (
-	resEmpty  uint64 = 0
-	resMarker uint64 = 1 << 63
-	resElim   uint64 = 1 << 62
-	resFail   uint64 = 1 << 61
-	resValue         = resFail - 1
-)
-
-// record is one operation's shared descriptor. Location and result are
-// the contended fields; children/members/rng are private to the owning
-// goroutine between publication points.
-type record[T any] struct {
-	location atomic.Uint64 // 0 = not collidable, else layer+1
-	sum      atomic.Int64
-	result   atomic.Uint64
-	item     T
-
-	children []childRef[T]
-	members  []*record[T]
-	rng      *rand.Rand
-	factor   float64
-	combined bool
-	// units is true while every member of this tree carries a ±1 sum.
-	// Only such trees may eliminate: with uniform units, opposite trees
-	// of equal size pair off exactly; multi-unit operations (AddN/SubN)
-	// have no such pairing and bounce off reversing trees instead.
-	units bool
-}
-
-type childRef[T any] struct {
-	rec *record[T]
-	sum int64
-}
-
 // Stats counts how operations on a funnel object resolved — useful for
 // verifying that combining and elimination actually engage under a given
 // workload and parameter set. Counters are updated atomically and may be
@@ -176,183 +141,126 @@ func (s *statCounters) snapshot() Stats {
 	}
 }
 
-// core is the collision machinery shared by Counter and Stack.
-type core[T any] struct {
-	params Params
-	layers [][]atomic.Pointer[record[T]]
-	pool   sync.Pool
-	seed   atomic.Int64
-	stats  statCounters
+// words are a native record's shared words, plus its random source.
+// The operand is written before the location store publishes the record,
+// so a capturer's location CAS synchronizes with it.
+type words[T any] struct {
+	location atomic.Uint64 // 0 = not collidable, else layer+1
+	sum      atomic.Int64
+	result   atomic.Uint64
+	item     T
+	rng      *rand.Rand
 }
 
-func newCore[T any](params Params) *core[T] {
-	c := &core[T]{params: params.normalized()}
-	c.layers = make([][]atomic.Pointer[record[T]], c.params.levels())
-	for l, w := range c.params.Widths {
-		c.layers[l] = make([]atomic.Pointer[record[T]], w)
+// native is the native twin's leaf (see Leaf): records from a sync.Pool,
+// layer slots of atomic pointers, waits that yield the processor, and
+// atomic stats. Counter and Stack each add their central object.
+type native[T any] struct {
+	layers [][]atomic.Pointer[Rec[words[T]]]
+	pool   sync.Pool
+	seed   atomic.Int64
+	// The stats take a write on every combine and central application;
+	// the pad keeps them off the line of the layer and pool headers,
+	// which every operation in the layers reads.
+	_     [64]byte
+	stats statCounters
+}
+
+func newNative[T any](params Params) *native[T] {
+	n := &native[T]{layers: make([][]atomic.Pointer[Rec[words[T]]], len(params.Widths))}
+	for l, w := range params.Widths {
+		n.layers[l] = make([]atomic.Pointer[Rec[words[T]]], w)
 	}
-	c.pool.New = func() any {
-		return &record[T]{
-			rng:    rand.New(rand.NewSource(c.seed.Add(0x1e3779b97f4a7c15))),
+	n.pool.New = func() any {
+		return &Rec[words[T]]{
+			Words:  words[T]{rng: rand.New(rand.NewSource(n.seed.Add(0x1e3779b97f4a7c15)))},
 			factor: 1,
 		}
 	}
-	return c
+	return n
 }
 
-// begin readies a pooled record for an operation with the given sum and
-// operand. The operand is written before the location store publishes the
-// record, so a capturer's location CAS synchronizes with it.
-func (c *core[T]) begin(sum int64, item T) *record[T] {
-	my := c.pool.Get().(*record[T])
-	my.children = my.children[:0]
-	my.members = append(my.members[:0], my)
-	my.combined = false
-	my.units = sum == 1 || sum == -1
-	my.item = item
-	my.result.Store(resEmpty)
-	my.sum.Store(sum)
-	my.location.Store(locCode(0))
-	return my
+// newProtocol builds the layers of a native funnel object over leaf,
+// whose layer slots were sized by params.
+func newProtocol[W any, L Leaf[struct{}, W]](params Params, leaf L) Protocol[struct{}, W, L] {
+	spin := make([]int64, len(params.Spin))
+	for i, s := range params.Spin {
+		spin[i] = int64(s)
+	}
+	return NewProtocol[struct{}, W](leaf, params.Widths, params.Attempts, spin, params.Adaptive)
 }
 
-// finish recycles a record whose operation has fully completed (location
-// and result are both settled and no other goroutine holds it for
-// collision purposes).
-func (c *core[T]) finish(my *record[T]) {
-	if c.params.Adaptive {
-		if my.combined {
-			my.factor *= 1.4
-			if my.factor > 1 {
-				my.factor = 1
-			}
-		} else {
-			// Decay gently: one missed collision under real load must not
-			// spiral the goroutine out of the funnel.
-			my.factor *= 0.85
-			if my.factor < 0.15 {
-				my.factor = 0.15
-			}
-		}
-	}
-	c.pool.Put(my)
+func (n *native[T]) Record(struct{}) *Rec[words[T]] { return n.pool.Get().(*Rec[words[T]]) }
+
+// Release clears the operand, so a pooled record holds no item and a pop
+// that fails reads the zero value.
+func (n *native[T]) Release(_ struct{}, r *Rec[words[T]]) {
+	var zero T
+	r.Words.item = zero
+	n.pool.Put(r)
 }
 
-func locCode(layer int) uint64 { return uint64(layer) + 1 }
-
-type outcome int
-
-const (
-	outExit outcome = iota
-	outCaptured
-	outEliminated
-	// outIncompatible: a reversing tree was captured but cannot merge
-	// (bounded operations do not commute) or pair off (a member is
-	// multi-unit). The caller must apply the captured tree centrally on
-	// its behalf and resume its own protocol.
-	outIncompatible
-)
-
-// collide drives one pass of the collision protocol starting at layer
-// start. eliminate selects homogeneous-tree mode (opposite-direction
-// trees of equal size eliminate); without it any trees combine, which is
-// only legal for unbounded (commuting) operations.
-func (c *core[T]) collide(my *record[T], mySum int64, eliminate bool, start int) (outcome, *record[T], int, int64) {
-	levels := c.params.levels()
-	attempts := c.params.Attempts
-	if c.params.Adaptive {
-		attempts = scaleInt(attempts, my.factor)
-	}
-	spinScale := 1.0
-	if c.params.Adaptive {
-		spinScale = my.factor
-	}
-	if c.params.Adaptive && my.factor <= 0.2 && start == 0 && !my.combined {
-		// Under persistently low load, skip the funnel entirely and go
-		// straight for the central object; central contention revives the
-		// factor, so this self-corrects.
-		return outExit, nil, 0, mySum
-	}
-	d := start
-	for n := 0; n < attempts && d < levels; n++ {
-		width := c.params.Widths[d]
-		if c.params.Adaptive {
-			width = scaleInt(width, my.factor)
-		}
-		slot := &c.layers[d][my.rng.Intn(width)]
-		q := slot.Swap(my)
-		if q != nil && q != my {
-			if !my.location.CompareAndSwap(locCode(d), 0) {
-				return outCaptured, nil, d, mySum
-			}
-			if q.location.CompareAndSwap(locCode(d), 0) {
-				qSum := q.sum.Load()
-				if eliminate {
-					if qSum+mySum == 0 && my.units && q.units {
-						my.combined = true // elimination is a productive collision
-						c.stats.eliminated.Add(2)
-						return outEliminated, q, d, mySum
-					}
-					if (qSum < 0) != (mySum < 0) {
-						// Reversing trees that cannot pair off exactly: the
-						// clamped operations do not commute, so the trees
-						// must stay separate. Hand q to the caller to apply
-						// centrally on its behalf.
-						return outIncompatible, q, d, mySum
-					}
-				}
-				c.stats.combined.Add(1)
-				mySum += qSum
-				my.sum.Store(mySum)
-				my.units = my.units && q.units
-				my.children = append(my.children, childRef[T]{rec: q, sum: qSum})
-				my.members = append(my.members, q.members...)
-				my.combined = true
-				d++
-				my.location.Store(locCode(d))
-				n = -1
-				continue
-			}
-			my.location.Store(locCode(d))
-		}
-		// Linger hoping to be collided with; under low observed load the
-		// adaption factor trims the linger along with width and attempts.
-		linger := scaleInt(c.params.Spin[d], spinScale)
-		for s := 0; s < linger; s++ {
-			if my.location.Load() != locCode(d) {
-				return outCaptured, nil, d, mySum
-			}
-			runtime.Gosched()
-		}
-	}
-	return outExit, nil, d, mySum
+func (n *native[T]) Swap(_ struct{}, layer, width int, r *Rec[words[T]]) *Rec[words[T]] {
+	return n.layers[layer][r.Words.rng.Intn(width)].Swap(r)
 }
 
-// awaitResult spins (yielding) until a parent delivers the result.
-func (my *record[T]) awaitResult() (elim, fail bool, value uint64) {
-	v := my.result.Load()
-	for v == resEmpty {
+func (n *native[T]) CASLocation(_ struct{}, r *Rec[words[T]], old, new uint64) bool {
+	return r.Words.location.CompareAndSwap(old, new)
+}
+
+func (n *native[T]) StoreLocation(_ struct{}, r *Rec[words[T]], v uint64) {
+	r.Words.location.Store(v)
+}
+
+func (n *native[T]) LoadSum(_ struct{}, r *Rec[words[T]]) int64     { return r.Words.sum.Load() }
+func (n *native[T]) StoreSum(_ struct{}, r *Rec[words[T]], v int64) { r.Words.sum.Store(v) }
+
+func (n *native[T]) StoreResult(_ struct{}, r *Rec[words[T]], v uint64) {
+	r.Words.result.Store(v)
+}
+
+// AwaitResult spins, yielding, until a parent delivers the result.
+func (n *native[T]) AwaitResult(_ struct{}, r *Rec[words[T]]) uint64 {
+	v := r.Words.result.Load()
+	for v == 0 {
 		runtime.Gosched()
-		v = my.result.Load()
-	}
-	return v&resElim != 0, v&resFail != 0, v & resValue
-}
-
-func encodeResult(elim, fail bool, value uint64) uint64 {
-	v := resMarker | (value & resValue)
-	if elim {
-		v |= resElim
-	}
-	if fail {
-		v |= resFail
+		v = r.Words.result.Load()
 	}
 	return v
 }
 
-func scaleInt(v int, factor float64) int {
-	s := int(float64(v) * factor)
-	if s < 1 {
-		return 1
+// Linger yields up to k times, checking before each yield whether r was
+// captured.
+func (n *native[T]) Linger(_ struct{}, r *Rec[words[T]], loc uint64, k int64) bool {
+	for s := int64(0); s < k; s++ {
+		if r.Words.location.Load() != loc {
+			return true
+		}
+		runtime.Gosched()
 	}
-	return s
+	return false
+}
+
+// Backoff yields once after a first failure and exponentially more after
+// each further one, up to 64 yields.
+func (n *native[T]) Backoff(_ struct{}, fails int) {
+	for i := 0; i < 1<<uint(min(fails, 6)); i++ {
+		runtime.Gosched()
+	}
+}
+
+func (n *native[T]) PassStart(struct{}) int64 { return 0 }
+func (n *native[T]) PassEnd(struct{}, int64)  {}
+
+func (n *native[T]) Count(_ struct{}, e Event, _ int) {
+	switch e {
+	case Combine:
+		n.stats.combined.Add(1)
+	case Eliminate:
+		n.stats.eliminated.Add(2)
+	case Central:
+		n.stats.central.Add(1)
+	case CentralRetry:
+		n.stats.centralRetry.Add(1)
+	}
 }

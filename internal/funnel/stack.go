@@ -2,6 +2,143 @@ package funnel
 
 import "sync/atomic"
 
+// StackLeaf is a Leaf that also owns a stack's operands and its central
+// storage. V is the item type.
+type StackLeaf[C, W, V any] interface {
+	Leaf[C, W]
+	// SetItem stores a push's operand in its record before publication;
+	// Item reads a push record's operand.
+	SetItem(c C, r *Rec[W], v V)
+	Item(c C, r *Rec[W]) V
+	// Carry readies v for delivery to pop record r and returns the value
+	// its result word carries; Received returns the item a delivered
+	// result value gave r.
+	Carry(c C, r *Rec[W], v V) uint64
+	Received(c C, r *Rec[W], value uint64) V
+	// PushTree pushes the members' operands onto the central storage in
+	// order, under one lock hold. PopOne pops one item; PopN pops up to
+	// k under one lock hold, in the order k PopOne calls would.
+	PushTree(c C, members []*Rec[W])
+	PopOne(c C) (V, bool)
+	PopN(c C, k int) []V
+}
+
+// StackProtocol is the funnel stack's operation, shared by the twins;
+// Stack describes it.
+type StackProtocol[C, W, V any, L StackLeaf[C, W, V]] struct {
+	Protocol[C, W, L]
+}
+
+// Run drives one push (dir +1, with item) or pop (dir -1) through the
+// funnel. A pop reports ok=false if the central storage ran dry, which
+// elimination cannot cause: an eliminated pop always receives an item.
+func (s *StackProtocol[C, W, V, L]) Run(c C, dir int64, item V) (V, bool) {
+	my := s.Leaf.Record(c)
+	if dir > 0 {
+		s.Leaf.SetItem(c, my, item)
+	}
+	s.begin(c, my, dir)
+	out, q, d, _ := s.collide(c, my, dir, true, 0)
+	switch out {
+	case outEliminated:
+		return s.eliminate(c, my, q, dir)
+	case outIncompatible:
+		// Stack trees are always all-unit (batches bypass the layers), so
+		// reversing trees at one layer have equal size and always pair
+		// off; collide can never report this here.
+		panic("funnel: incompatible stack trees")
+	case outExit:
+		if s.Leaf.CASLocation(c, my, locCode(d), 0) {
+			return s.applyCentral(c, my, dir)
+		}
+	}
+	// Captured: the root (or the eliminating peer) delivers results to
+	// the whole flattened tree, so there is nothing to distribute.
+	_, fail, value := s.awaitResult(c, my)
+	v := s.Leaf.Received(c, my, value)
+	s.done(c, my)
+	return v, !fail
+}
+
+// eliminate pairs the members of two equal-size reversing trees: the
+// i-th pop receives the i-th push's item. The captured root q's result
+// is stored last: q is members[0] of its tree, and storing its result
+// frees it to recycle its record, including the members slice this loop
+// is still reading.
+func (s *StackProtocol[C, W, V, L]) eliminate(c C, my, q *Rec[W], dir int64) (V, bool) {
+	pushTree, popTree := my, q
+	if dir < 0 {
+		pushTree, popTree = q, my
+	}
+	var ownVal, qItem V
+	qIsPop := false
+	for i := range my.members {
+		pushRec, popRec := pushTree.members[i], popTree.members[i]
+		item := s.Leaf.Item(c, pushRec)
+		switch popRec {
+		case my:
+			ownVal = item
+		case q:
+			qItem, qIsPop = item, true
+		default:
+			s.Leaf.StoreResult(c, popRec, encodeResult(true, false, s.Leaf.Carry(c, popRec, item)))
+		}
+		if pushRec != my && pushRec != q {
+			s.Leaf.StoreResult(c, pushRec, encodeResult(true, false, 0))
+		}
+	}
+	var qValue uint64
+	if qIsPop {
+		qValue = s.Leaf.Carry(c, q, qItem)
+	}
+	s.Leaf.StoreResult(c, q, encodeResult(true, false, qValue))
+	s.done(c, my)
+	return ownVal, true
+}
+
+// applyCentral applies the whole homogeneous tree to the central storage
+// and hands results to every member.
+func (s *StackProtocol[C, W, V, L]) applyCentral(c C, my *Rec[W], dir int64) (V, bool) {
+	s.Leaf.Count(c, Central, len(my.members))
+	var ownVal V
+	if dir > 0 {
+		s.Leaf.PushTree(c, my.members)
+		for _, mem := range my.members[1:] {
+			s.Leaf.StoreResult(c, mem, encodeResult(false, false, 0))
+		}
+		s.done(c, my)
+		return ownVal, true
+	}
+
+	if len(my.members) == 1 {
+		// An uncombined pop (the common case at low contention).
+		v, ok := s.Leaf.PopOne(c)
+		s.done(c, my)
+		return v, ok
+	}
+
+	popped := s.Leaf.PopN(c, len(my.members))
+	ownOK := true
+	for i, mem := range my.members {
+		ok := i < len(popped)
+		if mem == my {
+			if ok {
+				ownVal = popped[i]
+			} else {
+				ownOK = false
+			}
+			continue
+		}
+		if ok {
+			s.Leaf.StoreResult(c, mem, encodeResult(false, false, s.Leaf.Carry(c, mem, popped[i])))
+		} else {
+			s.Leaf.StoreResult(c, mem, encodeResult(false, true, 0))
+		}
+	}
+	s.done(c, my)
+	return ownVal, ownOK
+}
+
 // Stack is a combining-funnel stack of values of type V: concurrent
 // pushes and pops combine into homogeneous trees in the funnel layers; a
 // push tree meeting a pop tree of equal size eliminates, handing items
@@ -16,7 +153,9 @@ import "sync/atomic"
 // hands items out first-in-first-out, which keeps old items of equal
 // priority from starving.
 type Stack[V any] struct {
-	core *core[V]
+	// proto is its own allocation, so the words the layers read on every
+	// step stay off the cache lines the central storage's lock takes.
+	proto *StackProtocol[struct{}, words[V], V, nativeStack[V]]
 	// direct counts operations the central-first step applied under mu;
 	// it sits just before the Bag's mu, on the cache line that step has
 	// just taken.
@@ -24,21 +163,59 @@ type Stack[V any] struct {
 	Bag[V] // the central storage
 }
 
+// nativeStack is the native leaf of a Stack: operands live in the
+// records' item words and the central storage is the Stack's Bag.
+type nativeStack[V any] struct {
+	*native[V]
+	bag *Bag[V]
+}
+
+func (l nativeStack[V]) SetItem(_ struct{}, r *Rec[words[V]], v V) { r.Words.item = v }
+func (l nativeStack[V]) Item(_ struct{}, r *Rec[words[V]]) V       { return r.Words.item }
+
+// Carry stores v in r's item word; the result word carries no value.
+func (l nativeStack[V]) Carry(_ struct{}, r *Rec[words[V]], v V) uint64 {
+	r.Words.item = v
+	return 0
+}
+
+func (l nativeStack[V]) Received(_ struct{}, r *Rec[words[V]], _ uint64) V { return r.Words.item }
+
+func (l nativeStack[V]) PushTree(_ struct{}, members []*Rec[words[V]]) {
+	l.bag.mu.Lock()
+	for _, mem := range members {
+		l.bag.pushLocked(mem.Words.item)
+	}
+	l.bag.mu.Unlock()
+}
+
+func (l nativeStack[V]) PopOne(struct{}) (V, bool)  { return l.bag.Pop() }
+func (l nativeStack[V]) PopN(_ struct{}, k int) []V { return l.bag.PopN(k) }
+
 // NewStack builds an empty LIFO funnel stack.
 func NewStack[V any](params Params) *Stack[V] {
-	return &Stack[V]{core: newCore[V](params)}
+	return newStack[V](params, false)
 }
 
 // NewFIFOStack builds the hybrid bin: funnel elimination with FIFO
 // central storage.
 func NewFIFOStack[V any](params Params) *Stack[V] {
-	return &Stack[V]{core: newCore[V](params), Bag: Bag[V]{fifo: true}}
+	return newStack[V](params, true)
+}
+
+func newStack[V any](params Params, fifo bool) *Stack[V] {
+	params = params.normalized()
+	s := &Stack[V]{Bag: Bag[V]{fifo: fifo}}
+	s.proto = &StackProtocol[struct{}, words[V], V, nativeStack[V]]{
+		newProtocol(params, nativeStack[V]{newNative[V](params), &s.Bag}),
+	}
+	return s
 }
 
 // Stats reports how this stack's operations have resolved so far;
 // Central includes the operations the central-first step applied.
 func (s *Stack[V]) Stats() Stats {
-	st := s.core.stats.snapshot()
+	st := s.proto.Leaf.stats.snapshot()
 	st.Central += s.direct.Load()
 	return st
 }
@@ -61,7 +238,7 @@ func (s *Stack[V]) PushN(vs []V) {
 	if len(vs) == 0 {
 		return
 	}
-	s.core.stats.central.Add(1)
+	s.proto.Leaf.stats.central.Add(1)
 	s.Bag.PushN(vs)
 }
 
@@ -72,12 +249,12 @@ func (s *Stack[V]) PopN(k int) []V {
 	if k <= 0 {
 		return nil
 	}
-	s.core.stats.central.Add(1)
+	s.proto.Leaf.stats.central.Add(1)
 	return s.Bag.PopN(k)
 }
 
 func (s *Stack[V]) run(dir int64, item V) (V, bool) {
-	if s.core.params.Adaptive && s.mu.TryLock() {
+	if s.proto.adaptive && s.mu.TryLock() {
 		// Central first: a free lock means no conflict, and the operation
 		// applies as a one-member tree leaving the funnel would. Only a
 		// busy lock sends it into the layers.
@@ -91,124 +268,5 @@ func (s *Stack[V]) run(dir int64, item V) (V, bool) {
 		s.mu.Unlock()
 		return v, ok
 	}
-	my := s.core.begin(dir, item)
-	mySum := dir
-	d := 0
-	for {
-		var (
-			out outcome
-			q   *record[V]
-		)
-		out, q, d, mySum = s.core.collide(my, mySum, true, d)
-		switch out {
-		case outCaptured:
-			_, fail, _ := my.awaitResult()
-			v := my.item
-			s.core.finish(my)
-			return v, !fail
-
-		case outEliminated:
-			return s.eliminate(my, q, dir)
-
-		case outIncompatible:
-			// Stack trees are always all-unit, so reversing trees of equal
-			// size always pair off; collide can never report this here.
-			panic("funnel: incompatible stack trees")
-
-		case outExit:
-			if !my.location.CompareAndSwap(locCode(d), 0) {
-				_, fail, _ := my.awaitResult()
-				v := my.item
-				s.core.finish(my)
-				return v, !fail
-			}
-			return s.applyCentral(my, dir)
-		}
-	}
-}
-
-// eliminate pairs the members of two equal-size reversing trees; the i-th
-// pop receives the i-th push's item. The captured root q's result is
-// stored last: q is members[0] of its tree, and storing its result frees
-// it to recycle its record — including the members slice this loop is
-// still reading — so it must not be released before the loop finishes.
-func (s *Stack[V]) eliminate(my, q *record[V], dir int64) (V, bool) {
-	pushTree, popTree := my, q
-	if dir < 0 {
-		pushTree, popTree = q, my
-	}
-	var ownVal, qItem V
-	qIsPop := false
-	for i := range my.members {
-		pushRec, popRec := pushTree.members[i], popTree.members[i]
-		item := pushRec.item
-		switch popRec {
-		case my:
-			ownVal = item
-		case q:
-			qItem, qIsPop = item, true
-		default:
-			popRec.item = item
-			popRec.result.Store(encodeResult(true, false, 0))
-		}
-		if pushRec != my && pushRec != q {
-			pushRec.result.Store(encodeResult(true, false, 0))
-		}
-	}
-	if qIsPop {
-		q.item = qItem
-	}
-	q.result.Store(encodeResult(true, false, 0))
-	s.core.finish(my)
-	return ownVal, true
-}
-
-// applyCentral applies the whole homogeneous tree to the central stack
-// under its lock and hands results to every member.
-func (s *Stack[V]) applyCentral(my *record[V], dir int64) (V, bool) {
-	s.core.stats.central.Add(1)
-	var ownVal V
-	ownOK := true
-	if dir > 0 {
-		s.mu.Lock()
-		for _, mem := range my.members {
-			s.pushLocked(mem.item)
-		}
-		s.mu.Unlock()
-		for _, mem := range my.members[1:] {
-			mem.result.Store(encodeResult(false, false, 0))
-		}
-		s.core.finish(my)
-		return ownVal, true
-	}
-
-	if len(my.members) == 1 {
-		// Uncombined pop (the common case at low contention): take one
-		// item directly instead of paying PopN's batch allocation.
-		v, ok := s.Bag.Pop()
-		s.core.finish(my)
-		return v, ok
-	}
-
-	popped := s.Bag.PopN(len(my.members))
-	avail := len(popped)
-	for i, mem := range my.members {
-		ok := i < avail
-		if mem == my {
-			if ok {
-				ownVal = popped[i]
-			} else {
-				ownOK = false
-			}
-			continue
-		}
-		if ok {
-			mem.item = popped[i]
-			mem.result.Store(encodeResult(false, false, 0))
-		} else {
-			mem.result.Store(encodeResult(false, true, 0))
-		}
-	}
-	s.core.finish(my)
-	return ownVal, ownOK
+	return s.proto.Run(struct{}{}, dir, item)
 }

@@ -1,6 +1,9 @@
 package simpq
 
-import "pq/internal/sim"
+import (
+	"pq/internal/funnel"
+	"pq/internal/sim"
+)
 
 // FunnelCounter is a shared counter built from a combining funnel. In
 // bounded mode it implements the paper's Section 3.3 algorithm (Figure
@@ -11,11 +14,8 @@ import "pq/internal/sim"
 // and Zemach's funnels paper: any operations combine and nothing
 // eliminates.
 type FunnelCounter struct {
-	f       *funnel
-	main    sim.Addr
-	lower   uint64
-	upper   uint64
-	bounded bool
+	proto funnel.CounterProtocol[*sim.Proc, sim.Addr, counterLeaf]
+	main  sim.Addr
 
 	// Host-side operation statistics (no simulated cost): how operations
 	// retired — combined into another tree, eliminated, or applied
@@ -40,7 +40,7 @@ func (c *FunnelCounter) Metrics() Metrics {
 		"central_ok":   float64(c.Stats.CentralOK),
 		"central_fail": float64(c.Stats.CentralFail),
 	}
-	m.add("funnel", c.f.Metrics())
+	m.add("funnel", c.proto.Leaf.Metrics())
 	return m
 }
 
@@ -51,9 +51,7 @@ const NoUpperBound = uint64(1) << 58
 // decrements never take the value below bound and trees are homogeneous.
 func NewFunnelCounter(m *sim.Machine, params FunnelParams, bounded bool, bound uint64) *FunnelCounter {
 	if !bounded {
-		c := NewFunnelCounterBounds(m, params, 0, NoUpperBound)
-		c.bounded = false
-		return c
+		return newFunnelCounter(m, params, 0, NoUpperBound, false)
 	}
 	return NewFunnelCounterBounds(m, params, bound, NoUpperBound)
 }
@@ -62,15 +60,45 @@ func NewFunnelCounter(m *sim.Machine, params FunnelParams, bounded bool, bound u
 // [lower, upper] — the paper's bounded fetch-and-decrement plus the
 // "analogous bounded fetch-and-increment" it mentions for completeness.
 func NewFunnelCounterBounds(m *sim.Machine, params FunnelParams, lower, upper uint64) *FunnelCounter {
-	c := &FunnelCounter{
-		f:       newFunnel(m, params),
-		main:    m.Alloc(1),
-		lower:   lower,
-		upper:   upper,
-		bounded: true,
-	}
+	return newFunnelCounter(m, params, lower, upper, true)
+}
+
+func newFunnelCounter(m *sim.Machine, params FunnelParams, lower, upper uint64, bounded bool) *FunnelCounter {
+	f := newFunnel(m, params)
+	c := &FunnelCounter{main: m.Alloc(1)}
 	m.Label(c.main, 1, "funnelcounter.main")
+	// Results carry the value unbiased in the result word's 61 value
+	// bits, so an unbounded counter's results are exact only while its
+	// value is non-negative (every experiment's is).
+	c.proto = funnel.NewCounterProtocol(protocol(counterLeaf{f, c}, params), int64(lower), int64(upper), bounded, 0)
 	return c
+}
+
+// counterLeaf is a FunnelCounter's leaf: the funnel's, plus the central
+// word and the counter's own stats.
+type counterLeaf struct {
+	*funnelLeaf
+	c *FunnelCounter
+}
+
+func (l counterLeaf) LoadMain(p *sim.Proc) int64 { return int64(p.Read(l.c.main)) }
+
+func (l counterLeaf) CASMain(p *sim.Proc, old, new int64) bool {
+	return p.CAS(l.c.main, uint64(old), uint64(new))
+}
+
+func (l counterLeaf) Count(_ *sim.Proc, e funnel.Event, _ int) {
+	l.count(e)
+	switch e {
+	case funnel.Capture:
+		l.c.Stats.Captured++
+	case funnel.Eliminate:
+		l.c.Stats.Eliminations++
+	case funnel.Central:
+		l.c.Stats.CentralOK++
+	case funnel.CentralRetry:
+		l.c.Stats.CentralFail++
+	}
 }
 
 // Value reads the central counter (one shared read; a snapshot only).
@@ -78,18 +106,18 @@ func (c *FunnelCounter) Value(p *sim.Proc) uint64 { return p.Read(c.main) }
 
 // FaI performs fetch-and-increment through the funnel and returns the
 // previous value seen by this operation.
-func (c *FunnelCounter) FaI(p *sim.Proc) uint64 { return c.op(p, 1) }
+func (c *FunnelCounter) FaI(p *sim.Proc) uint64 { return uint64(c.proto.Op(p, 1)) }
 
 // BFaD performs the bounded fetch-and-decrement of Figure 10: it returns
 // the previous value, decrementing only if the value exceeded the lower
 // bound. A return value equal to the bound means the counter was not
 // decremented.
-func (c *FunnelCounter) BFaD(p *sim.Proc) uint64 { return c.op(p, -1) }
+func (c *FunnelCounter) BFaD(p *sim.Proc) uint64 { return uint64(c.proto.Op(p, -1)) }
 
 // BFaI is fetch-and-increment against the upper bound: a return equal to
 // the upper bound means the counter was not incremented. Identical to FaI
 // when no upper bound is set.
-func (c *FunnelCounter) BFaI(p *sim.Proc) uint64 { return c.op(p, 1) }
+func (c *FunnelCounter) BFaI(p *sim.Proc) uint64 { return uint64(c.proto.Op(p, 1)) }
 
 // AddN adds n as one funnel operation, clamped at the upper bound, and
 // returns the previous value: the batch equivalent of n consecutive BFaI
@@ -98,7 +126,7 @@ func (c *FunnelCounter) AddN(p *sim.Proc, n int64) uint64 {
 	if n < 1 {
 		panic("simpq: FunnelCounter.AddN needs n >= 1")
 	}
-	return c.op(p, n)
+	return uint64(c.proto.Op(p, n))
 }
 
 // BSubN subtracts up to n as one funnel operation, stopping at the lower
@@ -108,138 +136,5 @@ func (c *FunnelCounter) BSubN(p *sim.Proc, n int64) uint64 {
 	if n < 1 {
 		panic("simpq: FunnelCounter.BSubN needs n >= 1")
 	}
-	return c.op(p, -n)
-}
-
-func (c *FunnelCounter) op(p *sim.Proc, s int64) uint64 {
-	my := c.f.begin(p, s)
-	mySum := s
-	d := 0
-	centralFails := 0
-	for {
-		var (
-			outcome collideOutcome
-			q       *funnelRec
-		)
-		outcome, q, d, mySum = c.f.collide(p, my, mySum, c.bounded, d)
-		switch outcome {
-		case outCaptured:
-			c.Stats.Captured++
-			elim, _, base := awaitResult(p, my)
-			return c.finish(p, my, s, elim, base)
-
-		case outEliminated:
-			// Figure 10, lines 12-18: both trees short-cut. The decrement
-			// side sees the value as if an increment went first when the
-			// counter sits at its bound.
-			c.Stats.Eliminations++
-			// Interleave increment-first at the lower bound so the
-			// decrement sees lower+1; decrement-first otherwise (also
-			// correct at the upper bound).
-			val := p.Read(c.main)
-			if c.bounded && val <= c.lower {
-				val++
-			}
-			myVal, qVal := val, val-1
-			if s > 0 { // I am the increment side
-				myVal, qVal = val-1, val
-			}
-			p.Write(q.addr+frResult, encodeResult(true, false, qVal))
-			return c.finish(p, my, s, true, myVal)
-
-		case outIncompatible:
-			// A reversing tree we captured but cannot pair with (multi-unit
-			// members cannot partially cancel): apply it centrally on its
-			// behalf, hand it its result, and resume our own pass.
-			qSum := int64(p.Read(q.addr + frSum))
-			for {
-				val := p.Read(c.main)
-				nv := int64(val) + qSum
-				if c.bounded {
-					if qSum < 0 && nv < int64(c.lower) {
-						nv = int64(c.lower)
-					}
-					if qSum > 0 && nv > int64(c.upper) {
-						nv = int64(c.upper)
-					}
-				}
-				if p.CAS(c.main, val, uint64(nv)) {
-					c.Stats.CentralOK++
-					p.Write(q.addr+frResult, encodeResult(false, false, val))
-					break
-				}
-				c.Stats.CentralFail++
-				p.LocalWork(int64(20 + p.Rand(20)))
-			}
-			p.Write(my.addr+frLocation, locCode(d))
-
-		case outExit:
-			if !p.CAS(my.addr+frLocation, locCode(d), 0) {
-				elim, _, base := awaitResult(p, my)
-				return c.finish(p, my, s, elim, base)
-			}
-			val := p.Read(c.main)
-			nv := int64(val) + mySum
-			if c.bounded {
-				if s < 0 && nv < int64(c.lower) {
-					nv = int64(c.lower)
-				}
-				if s > 0 && nv > int64(c.upper) {
-					nv = int64(c.upper)
-				}
-			}
-			if p.CAS(c.main, val, uint64(nv)) {
-				c.Stats.CentralOK++
-				return c.finish(p, my, s, false, val)
-			}
-			c.Stats.CentralFail++
-			// Central contention: back off exponentially (a tree that has
-			// exhausted the layers cannot combine further, and bare CAS
-			// retries against dozens of peer roots convoy quadratically),
-			// then re-enter the funnel at the same layer. Contention also
-			// revives this processor's funnel usage.
-			if my.factor < 1 {
-				my.factor *= 1.5
-				if my.factor > 1 {
-					my.factor = 1
-				}
-			}
-			p.Write(my.addr+frLocation, locCode(d))
-			shift := centralFails
-			if shift > 5 {
-				shift = 5
-			}
-			centralFails++
-			p.LocalWork(int64((20 + p.Rand(20)) << uint(shift)))
-		}
-	}
-}
-
-// finish distributes results to direct children (Figure 10 lines 41-47)
-// and returns this operation's own value. Children recursively distribute
-// to theirs when they wake. After an elimination every tree member gets
-// the same value (the operations interleave); otherwise each child tree's
-// base is offset by the operations applied before it, clamped at the
-// bound for decrements.
-func (c *FunnelCounter) finish(p *sim.Proc, my *funnelRec, s int64, elim bool, base uint64) uint64 {
-	total := s
-	for _, ch := range my.children {
-		if elim {
-			p.Write(ch.rec.addr+frResult, encodeResult(true, false, base))
-			continue
-		}
-		v := int64(base) + total
-		if c.bounded {
-			if s < 0 && v < int64(c.lower) {
-				v = int64(c.lower)
-			}
-			if s > 0 && v > int64(c.upper) {
-				v = int64(c.upper)
-			}
-		}
-		p.Write(ch.rec.addr+frResult, encodeResult(false, false, uint64(v)))
-		total += ch.sum
-	}
-	my.adapt(c.f.params.Adaptive)
-	return base
+	return uint64(c.proto.Op(p, -n))
 }

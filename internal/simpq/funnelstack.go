@@ -1,6 +1,9 @@
 package simpq
 
-import "pq/internal/sim"
+import (
+	"pq/internal/funnel"
+	"pq/internal/sim"
+)
 
 // FunnelStack is the combining-funnel stack used as the bin of the
 // LinearFunnels and FunnelTree queues: pushes and pops combine into
@@ -16,8 +19,8 @@ import "pq/internal/sim"
 // NewFunnelQueue: the funnel protocol is identical, only the central
 // Bin's discipline changes.
 type FunnelStack struct {
-	f   *funnel
-	bin Bin // the central storage
+	proto funnel.StackProtocol[*sim.Proc, sim.Addr, uint64, stackLeaf]
+	bin   Bin // the central storage
 
 	// Host-side internals counters (no simulated cost).
 	stats funnelStackStats
@@ -46,7 +49,7 @@ func (s *FunnelStack) Metrics() Metrics {
 		"central_ops":     float64(s.stats.centralOps),
 		"dropped":         float64(s.bin.dropped),
 	}
-	m.add("funnel", s.f.Metrics())
+	m.add("funnel", s.proto.Leaf.Metrics())
 	m.add("central_lock", s.bin.lock.Metrics())
 	return m
 }
@@ -64,7 +67,50 @@ func NewFunnelQueue(m *sim.Machine, params FunnelParams, capacity int) *FunnelSt
 
 func newFunnelBin(m *sim.Machine, params FunnelParams, capacity int, fifo bool) *FunnelStack {
 	labels := binLabels{"funnelstack.size", "funnelstack.head", "funnelstack.cells"}
-	return &FunnelStack{f: newFunnel(m, params), bin: newBin(m, capacity, fifo, labels)}
+	f := newFunnel(m, params)
+	s := &FunnelStack{bin: newBin(m, capacity, fifo, labels)}
+	s.proto.Protocol = protocol(stackLeaf{f, s}, params)
+	return s
+}
+
+// stackLeaf is a FunnelStack's leaf: the funnel's, plus the operands in
+// the records' item words, the central Bin and the stack's own stats.
+// A pop's item travels in its result word.
+type stackLeaf struct {
+	*funnelLeaf
+	s *FunnelStack
+}
+
+func (l stackLeaf) SetItem(p *sim.Proc, r *funnelRec, v uint64)         { p.Write(r.Words+frItem, v) }
+func (l stackLeaf) Item(p *sim.Proc, r *funnelRec) uint64               { return p.Read(r.Words + frItem) }
+func (l stackLeaf) Carry(_ *sim.Proc, _ *funnelRec, v uint64) uint64    { return v }
+func (l stackLeaf) Received(_ *sim.Proc, _ *funnelRec, v uint64) uint64 { return v }
+
+// PushTree stores each member's item, read just before it is stored,
+// under one hold of the Bin's lock.
+func (l stackLeaf) PushTree(p *sim.Proc, members []*funnelRec) {
+	l.s.bin.pushFunc(p, len(members), func(i int) uint64 { return p.Read(members[i].Words + frItem) })
+}
+
+func (l stackLeaf) PopOne(p *sim.Proc) (uint64, bool) {
+	items := l.s.bin.PopN(p, 1)
+	if len(items) == 0 {
+		return 0, false
+	}
+	return items[0], true
+}
+
+func (l stackLeaf) PopN(p *sim.Proc, k int) []uint64 { return l.s.bin.PopN(p, k) }
+
+func (l stackLeaf) Count(_ *sim.Proc, e funnel.Event, n int) {
+	l.count(e)
+	switch e {
+	case funnel.Eliminate:
+		l.s.stats.eliminatedOps += 2 * int64(n)
+	case funnel.Central:
+		l.s.stats.centralBatches++
+		l.s.stats.centralOps += int64(n)
+	}
 }
 
 // Empty reports whether the bin currently looks empty (one read, as the
@@ -74,9 +120,7 @@ func (s *FunnelStack) Empty(p *sim.Proc) bool { return s.bin.Empty(p) }
 // Push adds an item to the stack.
 func (s *FunnelStack) Push(p *sim.Proc, item uint64) {
 	s.stats.pushes++
-	my := s.f.recs[p.ID()]
-	p.Write(my.addr+frItem, item)
-	s.run(p, 1)
+	s.proto.Run(p, 1, item)
 }
 
 // Pop removes an item, or reports ok=false if the stack ran dry (which
@@ -84,51 +128,11 @@ func (s *FunnelStack) Push(p *sim.Proc, item uint64) {
 // an item).
 func (s *FunnelStack) Pop(p *sim.Proc) (uint64, bool) {
 	s.stats.pops++
-	v, ok := s.run(p, -1)
+	v, ok := s.proto.Run(p, -1, 0)
 	if !ok {
 		s.stats.failedPops++
 	}
 	return v, ok
-}
-
-// run drives one operation (push s=+1, pop s=-1) through the funnel.
-func (s *FunnelStack) run(p *sim.Proc, dir int64) (uint64, bool) {
-	my := s.f.begin(p, dir)
-	mySum := dir
-	d := 0
-	for {
-		var (
-			outcome collideOutcome
-			q       *funnelRec
-		)
-		outcome, q, d, mySum = s.f.collide(p, my, mySum, true, d)
-		switch outcome {
-		case outCaptured:
-			// The root (or eliminating peer) writes results for the whole
-			// flattened tree; nothing further to distribute.
-			_, fail, v := awaitResult(p, my)
-			my.adapt(s.f.params.Adaptive)
-			return v, !fail
-
-		case outEliminated:
-			s.stats.eliminatedOps += 2 * int64(len(my.members))
-			return s.eliminate(p, my, q, dir)
-
-		case outIncompatible:
-			// Stack trees are always unit-sum (PushN/PopN bypass the
-			// funnel), so reversing trees at one layer have equal size and
-			// cancel exactly; this outcome cannot arise.
-			panic("simpq: incompatible funnel-stack trees")
-
-		case outExit:
-			if !p.CAS(my.addr+frLocation, locCode(d), 0) {
-				_, fail, v := awaitResult(p, my)
-				my.adapt(s.f.params.Adaptive)
-				return v, !fail
-			}
-			return s.applyCentral(p, my, dir)
-		}
-	}
 }
 
 // PushN adds items directly to the central storage under one lock hold —
@@ -159,76 +163,4 @@ func (s *FunnelStack) PopN(p *sim.Proc, k int) []uint64 {
 	items := s.bin.PopN(p, k)
 	s.stats.failedPops += int64(k - len(items))
 	return items
-}
-
-// eliminate pairs the members of two equal-size reversing trees: the i-th
-// pop receives the i-th push's item; no one touches the central stack.
-// The captured root q's result is written last: q is members[0] of its
-// tree, and delivering its result frees it to start a new operation that
-// rewrites the members list this loop still reads.
-func (s *FunnelStack) eliminate(p *sim.Proc, my, q *funnelRec, dir int64) (uint64, bool) {
-	pushTree, popTree := my, q
-	if dir < 0 {
-		pushTree, popTree = q, my
-	}
-	var ownVal, qResult uint64
-	for i := range my.members {
-		pushRec, popRec := pushTree.members[i], popTree.members[i]
-		item := p.Read(pushRec.addr + frItem)
-		switch popRec {
-		case my:
-			ownVal = item
-		case q:
-			qResult = encodeResult(true, false, item)
-		default:
-			p.Write(popRec.addr+frResult, encodeResult(true, false, item))
-		}
-		if pushRec != my && pushRec != q {
-			p.Write(pushRec.addr+frResult, encodeResult(true, false, 0))
-		} else if pushRec == q {
-			qResult = encodeResult(true, false, 0)
-		}
-	}
-	p.Write(q.addr+frResult, qResult)
-	my.adapt(s.f.params.Adaptive)
-	return ownVal, true
-}
-
-// applyCentral applies the whole homogeneous tree to the central Bin
-// under one hold of its lock and hands out results to every member.
-func (s *FunnelStack) applyCentral(p *sim.Proc, my *funnelRec, dir int64) (uint64, bool) {
-	k := len(my.members)
-	s.stats.centralBatches++
-	s.stats.centralOps += int64(k)
-	if dir > 0 { // k pushes: each member's item is read as it is stored
-		s.bin.pushFunc(p, k, func(i int) uint64 { return p.Read(my.members[i].addr + frItem) })
-		for _, mem := range my.members[1:] {
-			p.Write(mem.addr+frResult, encodeResult(false, false, 0))
-		}
-		my.adapt(s.f.params.Adaptive)
-		return 0, true
-	}
-
-	items := s.bin.PopN(p, k)
-	var ownVal uint64
-	ownOK := true
-	for i, mem := range my.members {
-		var res uint64
-		if i < len(items) {
-			res = encodeResult(false, false, items[i])
-		} else {
-			res = encodeResult(false, true, 0)
-		}
-		if mem == my {
-			if i < len(items) {
-				ownVal = items[i]
-			} else {
-				ownOK = false
-			}
-			continue
-		}
-		p.Write(mem.addr+frResult, res)
-	}
-	my.adapt(s.f.params.Adaptive)
-	return ownVal, ownOK
 }

@@ -2,27 +2,9 @@ package simpq
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pq/internal/sim"
 )
-
-func TestResultEncodingRoundTrip(t *testing.T) {
-	f := func(value uint64, elim, fail bool) bool {
-		value &= resValue
-		enc := encodeResult(elim, fail, value)
-		if enc == 0 {
-			return false // must be distinguishable from "no result yet"
-		}
-		gotElim := enc&resElim != 0
-		gotFail := enc&resFail != 0
-		gotVal := enc & resValue
-		return gotElim == elim && gotFail == fail && gotVal == value
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestQueueHighConcurrencyStress drives the four scalable queues at 64
 // simulated processors with full multiset verification — a heavier
