@@ -62,7 +62,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.cluster, "cluster", "", "comma-separated pqd node addresses: run cluster-mode load through the routing client (overrides -addr); the map is fetched from the first reachable node")
 	fs.StringVar(&o.queue, "queue", "default", "queue name")
 	fs.IntVar(&o.workers, "workers", 8, "concurrent workers")
-	fs.IntVar(&o.conns, "conns", 2, "pooled connections per client")
+	fs.IntVar(&o.conns, "conns", 2, "most connections per client: calls fill the first live one and spill to the next only at 32 (MaxCoalesce) calls outstanding")
 	fs.DurationVar(&o.duration, "duration", 5*time.Second, "timed run length")
 	fs.Float64Var(&o.mix, "mix", 0.5, "insert fraction of the op mix (0..1)")
 	fs.Float64Var(&o.rate, "rate", 0, "target ops/sec across all workers (0 = closed loop)")

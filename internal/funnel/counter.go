@@ -37,19 +37,21 @@ func (b *bounds) clamp(val, sum int64) int64 {
 type CounterProtocol[C, W any, L CounterLeaf[C, W]] struct {
 	Protocol[C, W, L]
 	bounds
-	// bias offsets counter values into the result encoding's
-	// non-negative value field; results carry value+bias.
-	bias int64
 }
 
 // NewCounterProtocol builds a counter's loop over the layers f whose
-// values stay in [lower, upper] when bounded. Results carry value+bias.
-func NewCounterProtocol[C, W any, L CounterLeaf[C, W]](f Protocol[C, W, L], lower, upper int64, bounded bool, bias int64) CounterProtocol[C, W, L] {
-	return CounterProtocol[C, W, L]{Protocol: f, bounds: bounds{lower, upper, bounded}, bias: bias}
+// values stay in [lower, upper] when bounded.
+func NewCounterProtocol[C, W any, L CounterLeaf[C, W]](f Protocol[C, W, L], lower, upper int64, bounded bool) CounterProtocol[C, W, L] {
+	return CounterProtocol[C, W, L]{Protocol: f, bounds: bounds{lower, upper, bounded}}
 }
 
-func (k *CounterProtocol[C, W, L]) enc(v int64) uint64 { return uint64(v + k.bias) }
-func (k *CounterProtocol[C, W, L]) dec(u uint64) int64 { return int64(u) - k.bias }
+// ctrBias offsets counter values into the result encoding's
+// non-negative value field: results carry value+ctrBias, so counter
+// values must stay within roughly +/- 2^59.
+const ctrBias = int64(1) << 59
+
+func (k *CounterProtocol[C, W, L]) enc(v int64) uint64 { return uint64(v + ctrBias) }
+func (k *CounterProtocol[C, W, L]) dec(u uint64) int64 { return int64(u) - ctrBias }
 
 // Op applies s (±1, or ±n for a multi-unit operation) through the funnel
 // and returns the value the operation observed. A multi-unit operation
@@ -205,15 +207,11 @@ func NewCounterBounds(params Params, initial, lower, upper int64) *Counter {
 	params = params.normalized()
 	c := &Counter{}
 	f := newProtocol(params, nativeCounter{newNative[struct{}](params), &c.main})
-	proto := NewCounterProtocol(f, lower, upper, lower > -NoBound || upper < NoBound, ctrBias)
+	proto := NewCounterProtocol(f, lower, upper, lower > -NoBound || upper < NoBound)
 	c.proto = &proto
 	c.main.Store(initial)
 	return c
 }
-
-// ctrBias offsets counter values into the non-negative result-encoding
-// range; counter values must stay within roughly +/- 2^59.
-const ctrBias = int64(1) << 59
 
 // Value returns a snapshot of the central counter.
 func (c *Counter) Value() int64 { return c.main.Load() }

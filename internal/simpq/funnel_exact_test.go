@@ -200,8 +200,8 @@ p32/bounded=false/dec0: cycles=15247 events=6867 results=320 digest=48a2c4d8e731
 p32/bounded=false/dec20: cycles=15247 events=6867 results=320 digest=f7c8dc40e51d97e5 final=358 captured=266 central_fail=10 central_ok=54 eliminations=0 funnel.adaption_factor_sum=25.725377371420322 funnel.attempts=798 funnel.bypasses=0 funnel.captured=266 funnel.combines=266 funnel.eliminations=0 funnel.passes=330 funnel.records=32
 p32/bounded=false/dec40: cycles=15439 events=6573 results=320 digest=b5fb70ab5d2dc927 final=232 captured=263 central_fail=8 central_ok=57 eliminations=0 funnel.adaption_factor_sum=26.251533819667973 funnel.attempts=746 funnel.bypasses=0 funnel.captured=263 funnel.combines=263 funnel.eliminations=0 funnel.passes=328 funnel.records=32
 p32/bounded=false/dec60: cycles=14901 events=6565 results=320 digest=7d4a6af5030f5aa5 final=92 captured=264 central_fail=7 central_ok=56 eliminations=0 funnel.adaption_factor_sum=26.651917149960944 funnel.attempts=745 funnel.bypasses=0 funnel.captured=264 funnel.combines=264 funnel.eliminations=0 funnel.passes=327 funnel.records=32
-p32/bounded=false/dec80: cycles=14901 events=6565 results=320 digest=f0f2573a5ae096fa final=18446744073709551560 captured=264 central_fail=7 central_ok=56 eliminations=0 funnel.adaption_factor_sum=26.651917149960944 funnel.attempts=745 funnel.bypasses=0 funnel.captured=264 funnel.combines=264 funnel.eliminations=0 funnel.passes=327 funnel.records=32
-p32/bounded=false/dec100: cycles=15247 events=6867 results=320 digest=dd57ee9023cdbeb2 final=18446744073709551456 captured=266 central_fail=10 central_ok=54 eliminations=0 funnel.adaption_factor_sum=25.725377371420322 funnel.attempts=798 funnel.bypasses=0 funnel.captured=266 funnel.combines=266 funnel.eliminations=0 funnel.passes=330 funnel.records=32
+p32/bounded=false/dec80: cycles=14901 events=6565 results=320 digest=343837d766bb6c1a final=18446744073709551560 captured=264 central_fail=7 central_ok=56 eliminations=0 funnel.adaption_factor_sum=26.651917149960944 funnel.attempts=745 funnel.bypasses=0 funnel.captured=264 funnel.combines=264 funnel.eliminations=0 funnel.passes=327 funnel.records=32
+p32/bounded=false/dec100: cycles=15247 events=6867 results=320 digest=dcc6d3f30869f1b2 final=18446744073709551456 captured=266 central_fail=10 central_ok=54 eliminations=0 funnel.adaption_factor_sum=25.725377371420322 funnel.attempts=798 funnel.bypasses=0 funnel.captured=266 funnel.combines=266 funnel.eliminations=0 funnel.passes=330 funnel.records=32
 p32/bounded=true/dec0: cycles=15247 events=6867 results=320 digest=48a2c4d8e731f5c9 final=480 captured=266 central_fail=10 central_ok=54 eliminations=0 funnel.adaption_factor_sum=25.725377371420322 funnel.attempts=798 funnel.bypasses=0 funnel.captured=266 funnel.combines=266 funnel.eliminations=0 funnel.passes=330 funnel.records=32
 p32/bounded=true/dec20: cycles=15722 events=6068 results=320 digest=809c53d39e54da55 final=356 captured=223 central_fail=12 central_ok=45 eliminations=51 funnel.adaption_factor_sum=25.644070118057623 funnel.attempts=696 funnel.bypasses=0 funnel.captured=223 funnel.combines=173 funnel.eliminations=51 funnel.passes=332 funnel.records=32
 p32/bounded=true/dec40: cycles=13200 events=5686 results=320 digest=fb7f55560df83dff final=206 captured=199 central_fail=12 central_ok=31 eliminations=90 funnel.adaption_factor_sum=25.418323479701566 funnel.attempts=660 funnel.bypasses=0 funnel.captured=199 funnel.combines=109 funnel.eliminations=90 funnel.passes=332 funnel.records=32
@@ -212,8 +212,8 @@ p256/bounded=false/dec0: cycles=27114 events=61021 results=2560 digest=35676d883
 p256/bounded=false/dec20: cycles=27570 events=61162 results=2560 digest=55ffa5b8989695da final=2814 captured=2336 central_fail=150 central_ok=224 eliminations=0 funnel.adaption_factor_sum=212.76432619430858 funnel.attempts=7326 funnel.bypasses=0 funnel.captured=2336 funnel.combines=2336 funnel.eliminations=0 funnel.passes=2710 funnel.records=256
 p256/bounded=false/dec40: cycles=28218 events=61114 results=2560 digest=0f4dabab4374eb90 final=1762 captured=2339 central_fail=137 central_ok=218 eliminations=0 funnel.adaption_factor_sum=212.0436587359354 funnel.attempts=7318 funnel.bypasses=0 funnel.captured=2339 funnel.combines=2342 funnel.eliminations=0 funnel.passes=2697 funnel.records=256
 p256/bounded=false/dec60: cycles=26484 events=61197 results=2560 digest=2da3ed19d1f69732 final=754 captured=2343 central_fail=122 central_ok=214 eliminations=0 funnel.adaption_factor_sum=211.893245336332 funnel.attempts=7359 funnel.bypasses=0 funnel.captured=2343 funnel.combines=2346 funnel.eliminations=0 funnel.passes=2682 funnel.records=256
-p256/bounded=false/dec80: cycles=28094 events=61243 results=2560 digest=a1e05ee4fbe46ce2 final=18446744073709551384 captured=2342 central_fail=133 central_ok=216 eliminations=0 funnel.adaption_factor_sum=209.51716984535548 funnel.attempts=7355 funnel.bypasses=0 funnel.captured=2342 funnel.combines=2344 funnel.eliminations=0 funnel.passes=2693 funnel.records=256
-p256/bounded=false/dec100: cycles=27114 events=61021 results=2560 digest=bd9c591ba8cfa109 final=18446744073709550336 captured=2358 central_fail=132 central_ok=199 eliminations=0 funnel.adaption_factor_sum=215.70199970559054 funnel.attempts=7300 funnel.bypasses=0 funnel.captured=2358 funnel.combines=2361 funnel.eliminations=0 funnel.passes=2692 funnel.records=256
+p256/bounded=false/dec80: cycles=28094 events=61243 results=2560 digest=7cbe7fbba2a18da2 final=18446744073709551384 captured=2342 central_fail=133 central_ok=216 eliminations=0 funnel.adaption_factor_sum=209.51716984535548 funnel.attempts=7355 funnel.bypasses=0 funnel.captured=2342 funnel.combines=2344 funnel.eliminations=0 funnel.passes=2693 funnel.records=256
+p256/bounded=false/dec100: cycles=27114 events=61021 results=2560 digest=21080689e0e5cb89 final=18446744073709550336 captured=2358 central_fail=132 central_ok=199 eliminations=0 funnel.adaption_factor_sum=215.70199970559054 funnel.attempts=7300 funnel.bypasses=0 funnel.captured=2358 funnel.combines=2361 funnel.eliminations=0 funnel.passes=2692 funnel.records=256
 p256/bounded=true/dec0: cycles=27114 events=61021 results=2560 digest=35676d8832bf3cd1 final=3840 captured=2358 central_fail=132 central_ok=199 eliminations=0 funnel.adaption_factor_sum=215.70199970559054 funnel.attempts=7300 funnel.bypasses=0 funnel.captured=2358 funnel.combines=2361 funnel.eliminations=0 funnel.passes=2692 funnel.records=256
 p256/bounded=true/dec20: cycles=23182 events=51802 results=2560 digest=2bcbee319b6566e2 final=2802 captured=1945 central_fail=107 central_ok=154 eliminations=460 funnel.adaption_factor_sum=211.7496589080517 funnel.attempts=6124 funnel.bypasses=0 funnel.captured=1945 funnel.combines=1486 funnel.eliminations=460 funnel.passes=2667 funnel.records=256
 p256/bounded=true/dec40: cycles=20586 events=46415 results=2560 digest=d57993aef2022947 final=1794 captured=1675 central_fail=124 central_ok=135 eliminations=748 funnel.adaption_factor_sum=211.91381034686657 funnel.attempts=5371 funnel.bypasses=0 funnel.captured=1675 funnel.combines=929 funnel.eliminations=748 funnel.passes=2684 funnel.records=256

@@ -93,6 +93,44 @@ func TestFunnelCounterConcurrentFaIPermutation(t *testing.T) {
 	}
 }
 
+func TestFunnelCounterUnboundedGoesNegative(t *testing.T) {
+	// An unbounded counter decremented from 0 must return exactly
+	// 0, -1, ..., -(P*k-1) and end at -P*k: negative values delivered
+	// through a result word come back as themselves, like those
+	// applied at the central word.
+	const procs = 32
+	const perProc = 5
+	var c *FunnelCounter
+	var m *sim.Machine
+	returns := make([][]int64, procs)
+	runOn(t, procs,
+		func(mm *sim.Machine) {
+			m = mm
+			c = NewFunnelCounter(mm, DefaultFunnelParams(procs), false, 0)
+		},
+		func(p *sim.Proc) {
+			for i := 0; i < perProc; i++ {
+				returns[p.ID()] = append(returns[p.ID()], int64(c.BFaD(p)))
+				p.LocalWork(int64(p.Rand(50)))
+			}
+		})
+	if got := int64(m.Word(c.main)); got != -procs*perProc {
+		t.Fatalf("final value = %d, want %d", got, -procs*perProc)
+	}
+	seen := make([]bool, procs*perProc)
+	for _, rs := range returns {
+		for _, v := range rs {
+			if v > 0 || -v >= int64(len(seen)) {
+				t.Fatalf("return %d outside [%d, 0]", v, 1-len(seen))
+			}
+			if seen[-v] {
+				t.Fatalf("duplicate return %d", v)
+			}
+			seen[-v] = true
+		}
+	}
+}
+
 func TestFunnelCounterBoundedHomogeneousFaI(t *testing.T) {
 	// Same permutation property must hold in bounded mode (homogeneous
 	// trees) when only increments run.

@@ -67,10 +67,7 @@ func newFunnelCounter(m *sim.Machine, params FunnelParams, lower, upper uint64, 
 	f := newFunnel(m, params)
 	c := &FunnelCounter{main: m.Alloc(1)}
 	m.Label(c.main, 1, "funnelcounter.main")
-	// Results carry the value unbiased in the result word's 61 value
-	// bits, so an unbounded counter's results are exact only while its
-	// value is non-negative (every experiment's is).
-	c.proto = funnel.NewCounterProtocol(protocol(counterLeaf{f, c}, params), int64(lower), int64(upper), bounded, 0)
+	c.proto = funnel.NewCounterProtocol(protocol(counterLeaf{f, c}, params), int64(lower), int64(upper), bounded)
 	return c
 }
 

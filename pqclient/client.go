@@ -1,8 +1,12 @@
 // Package pqclient is the client library for pqd, the priority-queue
 // daemon (see internal/server and cmd/pqd).
 //
-// A Client owns a small pool of TCP connections and pipelines requests
-// on each of them, written in rounds led by the callers themselves: the
+// A Client owns a small pool of TCP connections and fills them one at
+// a time: a call uses the first live connection with fewer than
+// Config.MaxCoalesce calls outstanding, and only when every live one is
+// that full does it spill onto the next, so concurrent calls meet on as
+// few connections as fill whole frames. It pipelines requests on each
+// connection, written in rounds led by the callers themselves: the
 // caller that finds no round in flight takes every call queued on the
 // connection and writes them, concurrent Inserts to one queue as one
 // INSERT_BATCH and concurrent DeleteMins to one queue as one
@@ -39,7 +43,9 @@ import (
 type Config struct {
 	// Addr is the pqd host:port. Required.
 	Addr string
-	// Conns is the connection-pool size. Default 2.
+	// Conns is the most connections the pool opens. Calls fill the
+	// first live connection and spill to the next only when every live
+	// one has MaxCoalesce calls outstanding. Default 2.
 	Conns int
 	// MaxCoalesce caps how many concurrent Inserts to one queue merge
 	// into a single INSERT_BATCH frame, and how many concurrent
@@ -145,12 +151,12 @@ type Client struct {
 
 	mu     sync.Mutex
 	conns  []*conn
-	next   uint64
 	closed bool
 }
 
 // Dial validates cfg and connects the first pooled connection (so a
-// bad address fails fast); the rest are established lazily.
+// bad address fails fast); the rest are dialed when calls first spill
+// onto them.
 func Dial(cfg Config) (*Client, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -177,25 +183,46 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// conn picks a pooled connection round-robin, redialing dead slots.
+// conn picks the connection for one call and counts the call on it:
+// the first live connection with fewer than MaxCoalesce calls
+// outstanding, whose rounds then fill whole frames before a second
+// connection splits them. When every live connection is at that bound
+// the call dials the first empty or dead slot, and when the pool is
+// full (or that dial fails) it takes the least-loaded live connection.
 func (c *Client) conn() (*conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
-	i := int(c.next % uint64(len(c.conns)))
-	c.next++
-	cn := c.conns[i]
-	if cn != nil && !cn.dead() {
-		return cn, nil
+	free := -1
+	var least *conn
+	for i, cn := range c.conns {
+		if cn == nil || cn.dead() {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		n := cn.calls.Load()
+		if n < int32(c.cfg.MaxCoalesce) {
+			cn.calls.Add(1)
+			return cn, nil
+		}
+		if least == nil || n < least.calls.Load() {
+			least = cn
+		}
 	}
-	cn, err := dialConn(c.cfg)
-	if err != nil {
-		return nil, err
+	if free >= 0 {
+		cn, err := dialConn(c.cfg)
+		if err == nil {
+			c.conns[free], least = cn, cn
+		} else if least == nil {
+			return nil, err
+		}
 	}
-	c.conns[i] = cn
-	return cn, nil
+	least.calls.Add(1)
+	return least, nil
 }
 
 // do sends one call, waits for its resolution and recycles cl. On
@@ -214,6 +241,7 @@ func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) 
 		cl.recycle()
 		return resp, err
 	}
+	defer cn.calls.Add(-1)
 	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
 		cl.deadline = time.Now().Add(c.cfg.RequestTimeout)
 	}

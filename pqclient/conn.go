@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pq/internal/wire"
@@ -120,9 +121,10 @@ type conn struct {
 	groups []group
 
 	mu         sync.Mutex
-	head, tail *call     // pending list: calls no round has taken yet
-	busy       bool      // a round is in flight
-	ioAt       time.Time // last round start, list take, frame or flush: the stall check's progress mark
+	calls      atomic.Int32 // calls outstanding: counted by Client.conn, until their Client.do returns
+	head, tail *call        // pending list: calls no round has taken yet
+	busy       bool         // a round is in flight
+	ioAt       time.Time    // last round start, list take, frame or flush: the stall check's progress mark
 	sweeper    *time.Timer
 	armed      bool
 	pend       map[uint32]*call // written group heads by request id

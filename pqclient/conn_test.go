@@ -22,14 +22,23 @@ import (
 // goroutines at once.
 func replyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Duration)) string {
 	t.Helper()
+	addr, _ := countingReplyServer(t, reply)
+	return addr
+}
+
+// countingReplyServer is replyServer that also counts the connections
+// it has accepted.
+func countingReplyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Duration)) (string, *atomic.Int32) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		conns []net.Conn
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		conns    []net.Conn
+		accepted atomic.Int32
 	)
 	wg.Add(1)
 	go func() {
@@ -39,6 +48,7 @@ func replyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Durati
 			if err != nil {
 				return
 			}
+			accepted.Add(1)
 			mu.Lock()
 			conns = append(conns, nc)
 			mu.Unlock()
@@ -76,7 +86,7 @@ func replyServer(t *testing.T, reply func(f wire.Frame) (wire.Frame, time.Durati
 		mu.Unlock()
 		wg.Wait()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), &accepted
 }
 
 // ackServer answers every request frame at once: inserts with an
@@ -744,6 +754,129 @@ func TestBC5DeleteGroups(t *testing.T) {
 		}
 		if empty != n-items {
 			t.Fatalf("%d callers read empty, want %d", empty, n-items)
+		}
+	})
+}
+
+// BC-6: the pool fills its first live connection before it opens
+// another. Fewer than MaxCoalesce concurrent callers share one
+// connection however large the pool; a call that finds MaxCoalesce
+// calls outstanding on every live connection dials the next slot; and
+// a call that finds slot 0 dead redials it.
+func TestBC6PoolFillsFirst(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("FewCallersShareOneConnection", func(t *testing.T) {
+		// GIVEN a pool of four and 16 callers, half the default MaxCoalesce.
+		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			return insertOK(f.ID, len(insertedItems(f)), 0), 0
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		// WHEN they insert concurrently.
+		err = callers(16, func(i int) error {
+			for r := 0; r < 50; r++ {
+				if err := c.Insert(ctx, "q", r, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// THEN the peer saw one connection.
+		if got := accepted.Load(); got != 1 {
+			t.Fatalf("the peer accepted %d connections, want 1", got)
+		}
+	})
+
+	t.Run("FullConnectionSpills", func(t *testing.T) {
+		// GIVEN a peer that holds every answer for a while, and
+		// MaxCoalesce calls outstanding on the first connection.
+		const maxCoalesce, hold = 4, 200 * time.Millisecond
+		var (
+			mu   sync.Mutex
+			seen = map[string]int{}
+			got  atomic.Int32
+		)
+		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			items := insertedItems(f)
+			mu.Lock()
+			for _, it := range items {
+				seen[string(it.Value)]++
+			}
+			mu.Unlock()
+			got.Add(int32(len(items)))
+			return insertOK(f.ID, len(items), 0), hold
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 4, MaxCoalesce: maxCoalesce})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		errs := make(chan error, maxCoalesce+1)
+		insert := func(i int) {
+			errs <- c.Insert(ctx, "q", i, []byte(fmt.Sprint(i)))
+		}
+		for i := 0; i < maxCoalesce; i++ {
+			go insert(i)
+		}
+		for got.Load() < maxCoalesce {
+			time.Sleep(time.Millisecond)
+		}
+		// WHEN one more call comes while their answers are held.
+		go insert(maxCoalesce)
+		for i := 0; i <= maxCoalesce; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		// THEN it opened a second connection, and every call completed
+		// exactly once.
+		if got := accepted.Load(); got != 2 {
+			t.Fatalf("the peer accepted %d connections, want 2", got)
+		}
+		for i := 0; i <= maxCoalesce; i++ {
+			if n := seen[fmt.Sprint(i)]; n != 1 {
+				t.Fatalf("call %d reached the peer %d times, want once", i, n)
+			}
+		}
+	})
+
+	t.Run("DeadSlotZeroIsRedialed", func(t *testing.T) {
+		// GIVEN a pool of four whose only connection has died.
+		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+			return insertOK(f.ID, len(insertedItems(f)), 0), 0
+		})
+		c, err := Dial(Config{Addr: addr, Conns: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		old := c.conns[0]
+		old.nc.Close()
+		<-old.closed
+		// WHEN the next call comes.
+		if err := c.Insert(ctx, "q", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		// THEN it redialed slot 0 and left the others empty.
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if cn := c.conns[0]; cn == old || cn == nil || cn.dead() {
+			t.Fatal("slot 0 was not redialed")
+		}
+		for i, cn := range c.conns[1:] {
+			if cn != nil {
+				t.Fatalf("slot %d was dialed, want only slot 0", i+1)
+			}
+		}
+		if got := accepted.Load(); got != 2 {
+			t.Fatalf("the peer accepted %d connections, want 2", got)
 		}
 	})
 }
