@@ -242,12 +242,8 @@ func runMetrics(algs []core.Algorithm, procs, pris int, scale float64, batch int
 	if doPlot {
 		fmt.Println()
 		for i, r := range runs {
-			if r.InsertHist != nil {
-				plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s insert latency", names[i]), r.InsertHist)
-			}
-			if r.DeleteHist != nil {
-				plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s delete-min latency", names[i]), r.DeleteHist)
-			}
+			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s insert latency", names[i]), r.InsertHist)
+			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s delete-min latency", names[i]), r.DeleteHist)
 			fmt.Println()
 		}
 	}

@@ -5,6 +5,8 @@
 // handles. The simulator packages have their own cycle-accurate
 // instrumentation (internal/trace, simpq.Metrics); this package is the
 // wall-clock, in-vivo counterpart for internal/server and internal/wal.
+// Its Histogram is still the repo's one bucketed distribution: simpq
+// buckets per-operation latencies in cycles with it too.
 //
 // Contention discipline: both Counter and Histogram stripe their state
 // across padded cache lines and take a caller-supplied hint (connection

@@ -59,6 +59,11 @@ func TestHistogramBucketing(t *testing.T) {
 			t.Fatalf("Counts = %v, want %v", s.Counts, wantCounts)
 		}
 	}
+	// A snapshot is a copy: writing into it leaves the histogram intact.
+	s.Bounds[0], s.Counts[0] = 999, 999
+	if again := h.Snapshot(); again.Bounds[0] != 8 || again.Counts[0] != 3 {
+		t.Fatalf("snapshot aliased the histogram: Bounds %v Counts %v", again.Bounds, again.Counts)
+	}
 }
 
 func TestHistogramQuantileAndMean(t *testing.T) {
@@ -84,6 +89,32 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 	}
 	if empty := (HistSnapshot{}).Quantile(0.5); empty != 0 {
 		t.Fatalf("empty quantile = %g, want 0", empty)
+	}
+
+	// Bounds 8, 16, 32, 64. Ranks interpolate linearly inside their
+	// bucket, p = 1 reports the top of the last occupied bucket, and
+	// ranks in the overflow bucket report the last finite bound.
+	h = NewHistogram(1, 3, 6)
+	for i := 0; i < 100; i++ {
+		h.Observe(0, 5)
+	}
+	s = h.Snapshot()
+	if q := s.Quantile(0.5); q != 4 {
+		t.Fatalf("p50 of 100 values in [0,8) = %g, want 4 (half-way up the bucket)", q)
+	}
+	if q := s.Quantile(1); q != 8 {
+		t.Fatalf("p100 = %g, want 8 (the first bucket's bound)", q)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(0, 20)
+	}
+	if q := h.Snapshot().Quantile(0.75); q != 24 {
+		t.Fatalf("p75 = %g, want 24 (half-way up [16,32))", q)
+	}
+	h = NewHistogram(1, 3, 4)
+	h.Observe(0, 1000)
+	if q := h.Snapshot().Quantile(0.99); q != 16 {
+		t.Fatalf("overflow quantile = %g, want 16 (the last finite bound)", q)
 	}
 }
 

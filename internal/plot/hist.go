@@ -3,46 +3,37 @@ package plot
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
-	"pq/internal/stats"
+	"pq/internal/obs"
 )
 
-// LatencyHistogram renders one latency histogram as a horizontal bar
-// chart, one row per bucket, with counts and the p50/p95/p99 quantiles
-// in the header.
-func LatencyHistogram(w io.Writer, title string, h *stats.Histogram) {
-	total := h.Total()
+// LatencyHistogram renders one latency histogram snapshot as a
+// horizontal bar chart, one row per bucket, with counts and the
+// p50/p95/p99 quantiles in the header.
+func LatencyHistogram(w io.Writer, title string, h obs.HistSnapshot) {
 	fmt.Fprintf(w, "%s  (n=%d  p50=%.0f  p95=%.0f  p99=%.0f cycles)\n",
-		title, total, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
-	if total == 0 {
+		title, h.Count, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
+	if h.Count == 0 {
 		fmt.Fprintln(w, "  (empty)")
 		return
 	}
-	bounds := h.Buckets()
-	counts := h.Counts()
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
+	bounds := h.Bounds
+	maxCount := slices.Max(h.Counts)
 	const barWidth = 40
-	for i, c := range counts {
+	for i, c := range h.Counts {
 		var label string
 		switch {
 		case i == 0:
-			label = fmt.Sprintf("      <= %6.0f", bounds[0])
+			label = fmt.Sprintf("      < %6.0f", bounds[0])
 		case i == len(bounds):
-			label = fmt.Sprintf("       > %6.0f", bounds[len(bounds)-1])
+			label = fmt.Sprintf("     >= %6.0f", bounds[len(bounds)-1])
 		default:
 			label = fmt.Sprintf("%6.0f..%6.0f", bounds[i-1], bounds[i])
 		}
-		bar := 0
-		if maxCount > 0 {
-			bar = c * barWidth / maxCount
-		}
+		bar := int(c * barWidth / maxCount)
 		if c > 0 && bar == 0 {
 			bar = 1 // nonzero buckets must be visible
 		}

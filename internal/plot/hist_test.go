@@ -4,35 +4,31 @@ import (
 	"strings"
 	"testing"
 
-	"pq/internal/stats"
+	"pq/internal/obs"
 )
 
 func TestLatencyHistogram(t *testing.T) {
-	h := stats.NewHistogram(10, 20, 40)
-	for _, v := range []float64{5, 15, 15, 35, 100} {
-		h.Observe(v)
+	h := obs.NewHistogram(1, 3, 5) // bounds 8, 16, 32 + overflow
+	for _, v := range []int64{5, 15, 15, 35, 100} {
+		h.Observe(0, v)
 	}
 	var sb strings.Builder
-	LatencyHistogram(&sb, "insert", h)
-	out := sb.String()
-	if !strings.Contains(out, "insert") || !strings.Contains(out, "n=5") {
-		t.Fatalf("header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "#") {
-		t.Fatalf("no bars rendered:\n%s", out)
-	}
-	if !strings.Contains(out, ">     40") {
-		t.Fatalf("overflow bucket missing:\n%s", out)
-	}
-	// 4 buckets (3 bounds + overflow) plus header.
-	if got := strings.Count(out, "\n"); got != 5 {
-		t.Fatalf("line count = %d, want 5:\n%s", got, out)
+	LatencyHistogram(&sb, "insert", h.Snapshot())
+	// One row per bucket (3 bounds + overflow), bars scaled to the
+	// fullest bucket.
+	const want = "insert  (n=5  p50=14  p95=32  p99=32 cycles)\n" +
+		"        <      8 |####################                     1\n" +
+		"       8..    16 |######################################## 2\n" +
+		"      16..    32 |                                         0\n" +
+		"       >=     32 |######################################## 2\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestLatencyHistogramEmpty(t *testing.T) {
 	var sb strings.Builder
-	LatencyHistogram(&sb, "none", stats.NewHistogram(1, 2))
+	LatencyHistogram(&sb, "none", obs.NewHistogram(1, 1, 2).Snapshot())
 	if !strings.Contains(sb.String(), "(empty)") {
 		t.Fatalf("empty histogram not flagged:\n%s", sb.String())
 	}

@@ -25,7 +25,7 @@ import (
 type queueBooks struct {
 	inserts, deletes, retryAfter, emptyDeletes int64
 	admit, size                                int64
-	items                                      string // stored contents, sorted (peek may permute equal priorities)
+	items                                      string // stored contents, sorted
 }
 
 func booksOf(q *servedQueue) queueBooks {
@@ -501,5 +501,73 @@ func TestContractRoundFailureClosesConnection(t *testing.T) {
 	srv, _, _ := startDurableServer(t, cfg, spec)
 	if got := booksOf(srv.lookup("jobs")).items; got != strings.Join(acked, " ") {
 		t.Fatalf("restart recovered %q, want the acked %q", got, strings.Join(acked, " "))
+	}
+}
+
+// BC-7
+// GIVEN a one-shard queue of each kind of LIFO storage (lock bins, funnel
+// stacks, a heap) holding a, b, c, d inserted in that order at one
+// priority, which pop as d c b a
+// WHEN the queue is peeked, a DELETE_MIN_BATCH's byte budget keeps only
+// the first item popped, or (durable) a DELETE_MIN_BATCH is refused by a
+// closed log
+// THEN every item put back keeps its place: after the peek the queue pops
+// d c b a, after the cut it delivers d and then pops c b a, and after the
+// refusal it still holds d c b a in pop order.
+func TestContractPutBackKeepsPopOrder(t *testing.T) {
+	const cutSize = 600 << 10 // two of these overflow one frame
+	labels := func(items []wire.Item) string {
+		var out []string
+		for _, it := range items {
+			out = append(out, contractLabel(it.Value))
+		}
+		return strings.Join(out, " ")
+	}
+	for _, alg := range []pq.Algorithm{pq.SimpleLinear, pq.FunnelTree, pq.SingleLock} {
+		t.Run(string(alg), func(t *testing.T) {
+			fill := func(c *rawConn, size int) {
+				t.Helper()
+				for _, l := range []string{"a", "b", "c", "d"} {
+					if f := c.insert("jobs", wire.Item{Pri: 3, Value: contractValue(l, size)}); f.Type != wire.TInsertOK {
+						t.Fatalf("insert %s: %v", l, f.Type)
+					}
+				}
+			}
+			spec := QueueSpec{Name: "jobs", Algorithm: alg, Priorities: 8, Shards: 1}
+
+			q, c := contractServer(t, false, spec)
+			fill(c, 8)
+			if got := labels(q.peek(4)); got != "d c b a" {
+				t.Fatalf("peek saw %q, want d c b a", got)
+			}
+			if got := labels(c.itemsOf(c.deleteMinBatch("jobs", 4))); got != "d c b a" {
+				t.Fatalf("after a peek the queue popped %q, want d c b a", got)
+			}
+
+			_, c = contractServer(t, false, spec)
+			fill(c, cutSize)
+			if got := labels(c.itemsOf(c.deleteMinBatch("jobs", 4))); got != "d" {
+				t.Fatalf("the cut pop delivered %q, want d", got)
+			}
+			var rest []string
+			for range 3 {
+				rest = append(rest, labels(c.itemsOf(c.deleteMin("jobs"))))
+			}
+			if got := strings.Join(rest, " "); got != "c b a" {
+				t.Fatalf("after the cut the queue popped %q, want c b a", got)
+			}
+
+			q, c = contractServer(t, true, spec)
+			fill(c, 8)
+			if err := q.wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if f := c.deleteMinBatch("jobs", 4); f.Type != wire.TError {
+				t.Fatalf("DELETE_MIN_BATCH on a closed log answered %v, want ERROR", f.Type)
+			}
+			if got := labels(q.peek(4)); got != "d c b a" {
+				t.Fatalf("after the refused pop the queue holds %q in pop order, want d c b a", got)
+			}
+		})
 	}
 }

@@ -324,14 +324,17 @@ func (q *servedQueue) release(n int) {
 	}
 }
 
-// putBackN returns entries taken from a shard to that shard in one
-// native batch. It touches nothing but the shard, so every entry goes
-// back exactly once — shards have no capacity bound, so it cannot fail
-// or be shed — and the books never saw it leave.
+// putBackN returns entries taken from a shard, listed in the order they
+// were popped, to that shard in one native batch. It pushes them in
+// reverse, so a LIFO bin or heap gives equal priorities back in the
+// order it first did. The batch is a copy, so got (popN's stack buffer
+// included) never escapes. It touches nothing but the shard, so every
+// entry goes back exactly once — shards have no capacity bound, so it
+// cannot fail or be shed — and the books never saw it leave.
 func (q *servedQueue) putBackN(shard int, got []pq.Item[[]byte]) {
 	batch := make([]pq.Item[[]byte], len(got))
 	for i, it := range got {
-		batch[i] = pq.Item[[]byte]{Pri: envPri(it.Val) - q.bases[shard], Val: it.Val}
+		batch[len(got)-1-i] = pq.Item[[]byte]{Pri: envPri(it.Val) - q.bases[shard], Val: it.Val}
 	}
 	pq.InsertBatch(q.shards[shard], batch)
 }
@@ -415,8 +418,13 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint
 			ids = append(ids, durID(env))
 		}
 		if lsn, err = q.wal.StageDelete(ids); err != nil {
-			for _, env := range taken {
-				q.putBackN(q.shardFor(envPri(env)), []pq.Item[[]byte]{{Val: env}})
+			back := make([]pq.Item[[]byte], len(taken))
+			for i, env := range taken {
+				back[i].Val = env
+			}
+			for _, r := range runs {
+				q.putBackN(r.shard, back[:r.n])
+				back = back[r.n:]
 			}
 			clear(taken)
 			return envs[:n0], 0, err

@@ -126,14 +126,6 @@ type Parked struct {
 	While uint64
 }
 
-// ProcEvents returns how many engine events each processor consumed — a
-// cheap way to find who is spinning in a livelocked run.
-func (m *Machine) ProcEvents() []int64 {
-	out := make([]int64, len(m.procEvents))
-	copy(out, m.procEvents)
-	return out
-}
-
 // ParkedProcs lists processors currently parked in WaitWhile. Only
 // meaningful after Run returns (typically with ErrDeadlock).
 func (m *Machine) ParkedProcs() []Parked {
@@ -252,7 +244,6 @@ func (m *Machine) Run(program func(p *Proc)) (Stats, error) {
 	return Stats{
 		FinalTime:   m.now,
 		Events:      m.events,
-		WordsUsed:   m.nalloc,
 		MemOps:      m.memOps,
 		StallCycles: m.stallCycles,
 		ProcOps:     procOps,
@@ -299,19 +290,16 @@ func (m *Machine) CrashedProcs() []int {
 // resumption at the completion time dictated by the cost model.
 func (m *Machine) handle(p *Proc, r request) {
 	c := &m.cfg
-	if c.Trace != nil {
-		c.Trace(TraceEvent{Time: m.now, Proc: int(p.id), Op: traceOpFor(r.kind), Addr: r.addr})
-	}
-	if r.kind != reqLocalWork {
+	if r.op != TraceLocalWork {
 		m.memOps++
 	}
-	switch r.kind {
-	case reqLocalWork:
+	switch r.op {
+	case TraceLocalWork:
 		done := m.now + r.cycles
 		m.span(p.id, done, PhaseLocalWork, TraceLocalWork, 0)
 		m.schedule(done, p.id, 0)
 
-	case reqRead:
+	case TraceRead:
 		w := m.word(r.addr)
 		if w.cached(p.id) {
 			done := m.now + c.LocalCost
@@ -324,7 +312,7 @@ func (m *Machine) handle(p *Proc, r request) {
 		w.setSharer(p.id)
 		m.schedule(done, p.id, w.val)
 
-	case reqWrite:
+	case TraceWrite:
 		w := m.word(r.addr)
 		done := m.mutate(r.addr, w, p.id, TraceWrite)
 		old := w.val
@@ -335,7 +323,7 @@ func (m *Machine) handle(p *Proc, r request) {
 			m.wakeWaiters(r.addr, done)
 		}
 
-	case reqSwap:
+	case TraceSwap:
 		w := m.word(r.addr)
 		done := m.mutate(r.addr, w, p.id, TraceSwap)
 		old := w.val
@@ -346,7 +334,7 @@ func (m *Machine) handle(p *Proc, r request) {
 			m.wakeWaiters(r.addr, done)
 		}
 
-	case reqCAS:
+	case TraceCAS:
 		w := m.word(r.addr)
 		done := m.mutate(r.addr, w, p.id, TraceCAS)
 		if w.val == r.a {
@@ -361,7 +349,7 @@ func (m *Machine) handle(p *Proc, r request) {
 			m.schedule(done, p.id, 0)
 		}
 
-	case reqFetchAdd:
+	case TraceFetchAdd:
 		w := m.word(r.addr)
 		done := m.mutate(r.addr, w, p.id, TraceFetchAdd)
 		old := w.val
@@ -372,7 +360,7 @@ func (m *Machine) handle(p *Proc, r request) {
 			m.wakeWaiters(r.addr, done)
 		}
 
-	case reqWaitWhile:
+	case TraceWaitWhile:
 		w := m.word(r.addr)
 		if w.val != r.a {
 			// The probe observes a new value: charge one read.
@@ -394,7 +382,7 @@ func (m *Machine) handle(p *Proc, r request) {
 		w.waiters = append(w.waiters, waiter{proc: p.id, while: r.a, since: m.now})
 
 	default:
-		panic(fmt.Sprintf("sim: unknown request kind %d", r.kind))
+		panic(fmt.Sprintf("sim: unknown request op %d", r.op))
 	}
 }
 
@@ -437,26 +425,6 @@ func (m *Machine) readMiss(a Addr, w *word) int64 {
 		return m.now + m.cfg.RemoteCost
 	}
 	return m.remoteAccess(a, w)
-}
-
-// traceOpFor maps a request kind to its traced operation kind.
-func traceOpFor(k reqKind) TraceOp {
-	switch k {
-	case reqRead:
-		return TraceRead
-	case reqWrite:
-		return TraceWrite
-	case reqSwap:
-		return TraceSwap
-	case reqCAS:
-		return TraceCAS
-	case reqFetchAdd:
-		return TraceFetchAdd
-	case reqWaitWhile:
-		return TraceWaitWhile
-	default:
-		return TraceLocalWork
-	}
 }
 
 // remoteAccess charges a remote access to w's home module and returns the

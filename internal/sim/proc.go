@@ -6,20 +6,9 @@ import (
 	"math/rand"
 )
 
-type reqKind uint8
-
-const (
-	reqRead reqKind = iota + 1
-	reqWrite
-	reqSwap
-	reqCAS
-	reqFetchAdd
-	reqWaitWhile
-	reqLocalWork
-)
-
+// request is one operation a program yields to the engine.
 type request struct {
-	kind   reqKind
+	op     TraceOp
 	addr   Addr
 	a, b   uint64
 	cycles int64
@@ -47,7 +36,7 @@ type Proc struct {
 
 	// watchdog bookkeeping: the last issued request (for diagnostic
 	// snapshots) and tracked-operation completions (OpDone).
-	lastKind reqKind
+	lastKind TraceOp
 	lastAddr Addr
 	ops      int64
 	lastOpAt int64
@@ -75,31 +64,31 @@ func (p *Proc) Rand64() uint64 { return p.rng.Uint64() }
 
 // Read returns the value of a shared word.
 func (p *Proc) Read(a Addr) uint64 {
-	return p.do(request{kind: reqRead, addr: a})
+	return p.do(request{op: TraceRead, addr: a})
 }
 
 // Write stores v into a shared word.
 func (p *Proc) Write(a Addr, v uint64) {
-	p.do(request{kind: reqWrite, addr: a, a: v})
+	p.do(request{op: TraceWrite, addr: a, a: v})
 }
 
 // Swap atomically stores v and returns the previous value
 // (register-to-memory swap).
 func (p *Proc) Swap(a Addr, v uint64) uint64 {
-	return p.do(request{kind: reqSwap, addr: a, a: v})
+	return p.do(request{op: TraceSwap, addr: a, a: v})
 }
 
 // CAS atomically replaces old with new if the word equals old, reporting
 // whether it did (compare-and-swap).
 func (p *Proc) CAS(a Addr, old, new uint64) bool {
-	return p.do(request{kind: reqCAS, addr: a, a: old, b: new}) != 0
+	return p.do(request{op: TraceCAS, addr: a, a: old, b: new}) != 0
 }
 
 // FetchAdd atomically adds delta and returns the previous value. The paper
 // assumes machines without hardware fetch-and-add (it is built in software
 // from combining funnels); this primitive exists for baseline ablations.
 func (p *Proc) FetchAdd(a Addr, delta uint64) uint64 {
-	return p.do(request{kind: reqFetchAdd, addr: a, a: delta})
+	return p.do(request{op: TraceFetchAdd, addr: a, a: delta})
 }
 
 // WaitWhile blocks while the shared word equals v and returns the first
@@ -108,7 +97,7 @@ func (p *Proc) FetchAdd(a Addr, delta uint64) uint64 {
 // invalidates the word. Callers must treat the returned value as a hint and
 // re-validate with an atomic operation where needed.
 func (p *Proc) WaitWhile(a Addr, v uint64) uint64 {
-	return p.do(request{kind: reqWaitWhile, addr: a, a: v})
+	return p.do(request{op: TraceWaitWhile, addr: a, a: v})
 }
 
 // LocalWork advances this processor's clock by n cycles of private
@@ -117,7 +106,7 @@ func (p *Proc) LocalWork(n int64) {
 	if n <= 0 {
 		return
 	}
-	p.do(request{kind: reqLocalWork, cycles: n})
+	p.do(request{op: TraceLocalWork, cycles: n})
 }
 
 // OpDone marks the completion of one application-level operation for the
@@ -162,7 +151,7 @@ func (p *Proc) start(program func(p *Proc)) {
 
 // do hands r to the engine and returns its result once resumed.
 func (p *Proc) do(r request) uint64 {
-	p.lastKind, p.lastAddr = r.kind, r.addr
+	p.lastKind, p.lastAddr = r.op, r.addr
 	if !p.yield(r) {
 		panic(errAborted)
 	}

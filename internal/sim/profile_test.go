@@ -72,10 +72,21 @@ func TestLabelFor(t *testing.T) {
 	}
 }
 
+// spanFunc is a SpanRecorder that hands engine spans to a function and
+// drops operation spans.
+type spanFunc func(Span)
+
+func (f spanFunc) RecordSpan(s Span)                    { f(s) }
+func (spanFunc) RecordOpSpan(int, string, int64, int64) {}
+
+// TestTraceHook pins the engine's per-access hook, Config.Spans: on one
+// processor, which never parks, every serviced operation yields exactly
+// one span, in program order, naming its kind and address, and each
+// span starts where the previous one ended.
 func TestTraceHook(t *testing.T) {
-	var events []TraceEvent
+	var spans []Span
 	cfg := DefaultConfig(1)
-	cfg.Trace = func(e TraceEvent) { events = append(events, e) }
+	cfg.Spans = spanFunc(func(s Span) { spans = append(spans, s) })
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,20 +104,26 @@ func TestTraceHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []TraceOp{TraceWrite, TraceRead, TraceSwap, TraceCAS, TraceFetchAdd, TraceLocalWork, TraceWaitWhile}
-	if len(events) != len(want) {
-		t.Fatalf("traced %d events, want %d: %v", len(events), len(want), events)
+	if len(spans) != len(want) {
+		t.Fatalf("recorded %d spans, want %d: %v", len(spans), len(want), spans)
 	}
-	for i, e := range events {
-		if e.Op != want[i] {
-			t.Errorf("event %d = %v, want %v", i, e.Op, want[i])
+	for i, s := range spans {
+		if s.Op != want[i] {
+			t.Errorf("span %d = %v, want %v", i, s.Op, want[i])
 		}
-		if e.Proc != 0 {
-			t.Errorf("event %d proc = %d", i, e.Proc)
+		if s.Proc != 0 {
+			t.Errorf("span %d proc = %d", i, s.Proc)
+		}
+		if i > 0 && s.Start != spans[i-1].End {
+			t.Errorf("span %d starts at %d, previous ended at %d", i, s.Start, spans[i-1].End)
 		}
 	}
-	// Addresses recorded for memory ops.
-	if events[0].Addr != a || events[2].Addr != a+1 {
-		t.Errorf("addresses wrong: %+v", events)
+	// Addresses recorded for memory ops; LocalWork spans its cycles.
+	if spans[0].Addr != a || spans[2].Addr != a+1 {
+		t.Errorf("addresses wrong: %+v", spans)
+	}
+	if lw := spans[5]; lw.Phase != PhaseLocalWork || lw.End-lw.Start != 10 {
+		t.Errorf("LocalWork span = %+v, want 10 cycles of %v", lw, PhaseLocalWork)
 	}
 }
 

@@ -76,17 +76,16 @@ type Config struct {
 	// burning events to MaxEvents. Zero disables the watchdog; programs
 	// that never call OpDone must leave it disabled.
 	WatchdogCycles int64
-	// Trace, when non-nil, receives every memory operation the engine
-	// services (it is called on Run's goroutine, in deterministic order,
-	// before the operation's effect is applied). Tracing costs no
-	// simulated cycles.
-	Trace func(TraceEvent)
 	// Spans, when non-nil, receives phase-attributed time spans for every
 	// serviced operation (and application-attributed spans via
-	// Proc.AppSpan/OpSpan). Recording happens while the recorder's caller
-	// holds the execution baton, so implementations need no locking, and
-	// it costs no simulated cycles: a traced run's FinalTime is identical
-	// to an untraced one. See internal/trace for the standard collector.
+	// Proc.AppSpan/OpSpan); it is the engine's one per-access hook. Each
+	// operation yields one span when the engine services it, except a
+	// WaitWhile that parks: it yields its spin-wait span when woken, and
+	// none if still parked when the run ends. Recording happens while the
+	// recorder's caller holds the execution baton, so implementations
+	// need no locking, and it costs no simulated cycles: a traced run's
+	// FinalTime is identical to an untraced one. See internal/trace for
+	// the standard collector.
 	Spans SpanRecorder
 }
 
@@ -156,10 +155,11 @@ type SpanRecorder interface {
 	RecordOpSpan(proc int, kind string, start, end int64)
 }
 
-// TraceOp identifies the kind of a traced memory operation.
+// TraceOp identifies the kind of a memory operation: what a program
+// asks of the engine, and what the operation's spans record.
 type TraceOp uint8
 
-// Traced operation kinds.
+// Operation kinds.
 const (
 	TraceRead TraceOp = iota + 1
 	TraceWrite
@@ -189,17 +189,6 @@ func (op TraceOp) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// TraceEvent describes one serviced memory operation.
-type TraceEvent struct {
-	// Time is the simulated cycle the operation was issued at.
-	Time int64
-	// Proc is the issuing processor.
-	Proc int
-	// Op is the operation kind; Addr its target (unused for LocalWork).
-	Op   TraceOp
-	Addr Addr
 }
 
 // Default cost parameters. They approximate a late-1990s ccNUMA machine:
@@ -281,8 +270,6 @@ type Stats struct {
 	FinalTime int64
 	// Events is the number of engine events processed.
 	Events int64
-	// WordsUsed is the high-water mark of allocated memory words.
-	WordsUsed int
 	// MemOps is the total number of memory operations serviced (reads,
 	// writes, atomics, and WaitWhile probes; LocalWork excluded).
 	MemOps int64

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestConfigNormalize(t *testing.T) {
 	tests := []struct {
@@ -311,18 +308,17 @@ func TestRunTwiceFails(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	type outcome struct {
-		final      int64
-		mem, trace uint64
-		procEvents string
+		final, events int64
+		mem, spans    uint64
 	}
 	run := func() outcome {
 		var o outcome
 		cfg := DefaultConfig(16)
-		cfg.Trace = func(e TraceEvent) {
-			for _, v := range []uint64{uint64(e.Time), uint64(e.Proc), uint64(e.Op), uint64(e.Addr)} {
-				o.trace = (o.trace ^ v) * 1099511628211
+		cfg.Spans = spanFunc(func(s Span) {
+			for _, v := range []uint64{uint64(s.Start), uint64(s.End), uint64(s.Proc), uint64(s.Phase), uint64(s.Op), uint64(s.Addr)} {
+				o.spans = (o.spans ^ v) * 1099511628211
 			}
-		}
+		})
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -344,8 +340,7 @@ func TestDeterminism(t *testing.T) {
 		for i := Addr(0); i < 4; i++ {
 			o.mem = o.mem*31 + m.Word(a+i)
 		}
-		o.final = stats.FinalTime
-		o.procEvents = fmt.Sprint(m.ProcEvents())
+		o.final, o.events = stats.FinalTime, stats.Events
 		return o
 	}
 	if o1, o2 := run(), run(); o1 != o2 {

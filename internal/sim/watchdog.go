@@ -97,7 +97,7 @@ func (m *Machine) snapshot() *WatchdogError {
 			Ops:         p.ops,
 			LastOpAt:    p.lastOpAt,
 			Events:      m.procEvents[i],
-			BlockedOp:   traceOpFor(p.lastKind),
+			BlockedOp:   p.lastKind,
 			BlockedAddr: p.lastAddr,
 			Parked:      parked[i],
 		}

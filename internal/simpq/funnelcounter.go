@@ -17,26 +17,23 @@ type FunnelCounter struct {
 	proto funnel.CounterProtocol[*sim.Proc, sim.Addr, counterLeaf]
 	main  sim.Addr
 
-	// Host-side operation statistics (no simulated cost): how operations
-	// retired — combined into another tree, eliminated, or applied
-	// centrally — plus central CAS failures. Useful for tuning and tests.
+	// Host-side operation statistics (no simulated cost): operations
+	// applied at the central word and central CAS failures. Captures and
+	// eliminations are the funnel's own counters (Metrics' "funnel."
+	// prefix).
 	Stats FunnelCounterStats
 }
 
-// FunnelCounterStats counts how funnel operations resolved.
+// FunnelCounterStats counts what happened at the central word.
 type FunnelCounterStats struct {
-	Captured     int
-	Eliminations int
-	CentralOK    int
-	CentralFail  int
+	CentralOK   int
+	CentralFail int
 }
 
 // Metrics reports the counter's internals: funnel collision counters
 // (prefix "funnel") plus how operations retired at the central word.
 func (c *FunnelCounter) Metrics() Metrics {
 	m := Metrics{
-		"captured":     float64(c.Stats.Captured),
-		"eliminations": float64(c.Stats.Eliminations),
 		"central_ok":   float64(c.Stats.CentralOK),
 		"central_fail": float64(c.Stats.CentralFail),
 	}
@@ -87,10 +84,6 @@ func (l counterLeaf) CASMain(p *sim.Proc, old, new int64) bool {
 func (l counterLeaf) Count(_ *sim.Proc, e funnel.Event, _ int) {
 	l.count(e)
 	switch e {
-	case funnel.Capture:
-		l.c.Stats.Captured++
-	case funnel.Eliminate:
-		l.c.Stats.Eliminations++
 	case funnel.Central:
 		l.c.Stats.CentralOK++
 	case funnel.CentralRetry:

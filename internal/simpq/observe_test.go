@@ -148,14 +148,14 @@ func TestMetricsMechanisms(t *testing.T) {
 // measured operations and agree with the summaries on quantile order.
 func TestLatencyHistograms(t *testing.T) {
 	r, _ := tracedRun(t, AlgHuntEtAl, 16, false)
-	if r.InsertHist == nil || r.DeleteHist == nil {
+	if r.InsertHist.Counts == nil || r.DeleteHist.Counts == nil {
 		t.Fatal("histograms not populated despite KeepLatencies")
 	}
-	if r.InsertHist.Total() != r.Inserts {
-		t.Errorf("insert histogram total = %d, want %d", r.InsertHist.Total(), r.Inserts)
+	if r.InsertHist.Count != uint64(r.Inserts) {
+		t.Errorf("insert histogram total = %d, want %d", r.InsertHist.Count, r.Inserts)
 	}
-	if r.DeleteHist.Total() != r.Deletes {
-		t.Errorf("delete histogram total = %d, want %d", r.DeleteHist.Total(), r.Deletes)
+	if r.DeleteHist.Count != uint64(r.Deletes) {
+		t.Errorf("delete histogram total = %d, want %d", r.DeleteHist.Count, r.Deletes)
 	}
 	p50, p99 := r.DeleteHist.Quantile(0.50), r.DeleteHist.Quantile(0.99)
 	if p50 <= 0 || p99 < p50 {

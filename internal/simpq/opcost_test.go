@@ -6,29 +6,40 @@ import (
 	"pq/internal/sim"
 )
 
+// opCounter counts the engine's spans by operation kind while on,
+// leaving out LocalWork and application spans (Op zero). A processor
+// running alone never parks, so each serviced operation is one span.
+type opCounter struct {
+	on     bool
+	counts map[sim.TraceOp]int
+}
+
+func (c *opCounter) RecordSpan(s sim.Span) {
+	if c.on && s.Op != 0 && s.Op != sim.TraceLocalWork {
+		c.counts[s.Op]++
+	}
+}
+
+func (*opCounter) RecordOpSpan(int, string, int64, int64) {}
+
 // countOps runs program on one processor while counting serviced memory
 // operations by kind (LocalWork excluded).
 func countOps(t *testing.T, setup func(m *sim.Machine), program func(p *sim.Proc, counting func(bool))) map[sim.TraceOp]int {
 	t.Helper()
-	counts := map[sim.TraceOp]int{}
-	counting := false
+	c := &opCounter{counts: map[sim.TraceOp]int{}}
 	cfg := sim.DefaultConfig(1)
-	cfg.Trace = func(e sim.TraceEvent) {
-		if counting && e.Op != sim.TraceLocalWork {
-			counts[e.Op]++
-		}
-	}
+	cfg.Spans = c
 	m, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setup(m)
 	if _, err := m.Run(func(p *sim.Proc) {
-		program(p, func(on bool) { counting = on })
+		program(p, func(on bool) { c.on = on })
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return counts
+	return c.counts
 }
 
 // TestEmptinessIsOneRead pins the property the paper stresses for

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pq/internal/core"
+	"pq/internal/obs"
 	"pq/internal/order"
 	"pq/internal/sim"
 	"pq/internal/stats"
@@ -77,27 +78,25 @@ type Result struct {
 	// AllSummary, InsertSummary and DeleteSummary are full latency
 	// distributions, populated when WorkloadConfig.KeepLatencies is set.
 	AllSummary, InsertSummary, DeleteSummary stats.Summary
-	// InsertHist and DeleteHist are per-operation latency histograms over
-	// DefaultLatencyBounds, populated when KeepLatencies is set.
-	InsertHist, DeleteHist *stats.Histogram
+	// InsertHist and DeleteHist are per-operation latency histograms
+	// (see latencyHist), populated when KeepLatencies is set.
+	InsertHist, DeleteHist obs.HistSnapshot
 	// Internals carries the queue's mechanism counters (combines,
 	// eliminations, lock waits, scan lengths...) when it implements
 	// MetricsSource; nil otherwise.
 	Internals Metrics
 }
 
-// DefaultLatencyBounds returns the exponential bucket bounds (in cycles)
-// used for per-operation latency histograms: 100, 200, 400, ... 409600.
-// An MCS handoff costs a few remote accesses (~hundreds of cycles), so
-// the range spans "uncontended" to "convoyed behind hundreds of peers".
-func DefaultLatencyBounds() []float64 {
-	bounds := make([]float64, 13)
-	b := 100.0
-	for i := range bounds {
-		bounds[i] = b
-		b *= 2
+// latencyHist buckets per-operation latencies by powers of two from
+// 2^7 to 2^19 cycles. An MCS hand-off costs a few remote accesses
+// (~hundreds of cycles), so the range spans "uncontended" to "convoyed
+// behind hundreds of peers".
+func latencyHist(lat []float64) obs.HistSnapshot {
+	h := obs.NewHistogram(1, 7, 19)
+	for _, v := range lat {
+		h.Observe(0, int64(v))
 	}
-	return bounds
+	return h.Snapshot()
 }
 
 // barrier is a sense-free arrival barrier on simulated memory for the
@@ -427,14 +426,8 @@ func summarize(tallies []procTally, st sim.Stats, q Queue, keep bool) Result {
 		r.InsertSummary = stats.Summarize(ins)
 		r.DeleteSummary = stats.Summarize(del)
 		r.AllSummary = stats.Summarize(append(append([]float64(nil), ins...), del...))
-		r.InsertHist = stats.NewHistogram(DefaultLatencyBounds()...)
-		r.DeleteHist = stats.NewHistogram(DefaultLatencyBounds()...)
-		for _, v := range ins {
-			r.InsertHist.Observe(v)
-		}
-		for _, v := range del {
-			r.DeleteHist.Observe(v)
-		}
+		r.InsertHist = latencyHist(ins)
+		r.DeleteHist = latencyHist(del)
 	}
 	return r
 }

@@ -1,13 +1,13 @@
-// Package stats provides the small set of summary statistics the
-// benchmark harnesses report: mean, percentiles, min/max, and a compact
-// fixed-boundary histogram suitable for latency distributions.
+// Package stats provides the small set of sample statistics the
+// benchmark harnesses report: count, mean, min/max and interpolated
+// percentiles of a kept sample. Bucketed distributions, where only
+// counts are kept, are obs.Histogram's.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds order statistics of a sample.
@@ -70,123 +70,4 @@ func Percentile(sorted []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f min=%.1f p50=%.1f p90=%.1f p95=%.1f p99=%.1f max=%.1f",
 		s.Count, s.Mean, s.Min, s.P50, s.P90, s.P95, s.P99, s.Max)
-}
-
-// Histogram is a fixed-boundary histogram.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; final bucket is overflow
-	counts []int
-}
-
-// NewHistogram builds a histogram with the given ascending bucket upper
-// bounds; values above the last bound land in an overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]int, len(b)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-}
-
-// Count returns the number of observations in bucket i (the bucket with
-// upper bound Buckets()[i]; the last index is the overflow bucket).
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Buckets returns the ascending bucket upper bounds; observations above
-// the final bound land in an overflow bucket (index len(Buckets())).
-func (h *Histogram) Buckets() []float64 {
-	return append([]float64(nil), h.bounds...)
-}
-
-// Counts returns the per-bucket observation counts, one per bound plus a
-// final overflow bucket.
-func (h *Histogram) Counts() []int {
-	return append([]int(nil), h.counts...)
-}
-
-// Quantile estimates the p-quantile (0 <= p <= 1) from the bucket
-// counts, interpolating linearly within the bucket the rank falls in. An
-// empty histogram yields 0; ranks in the overflow bucket report the last
-// finite bound (the histogram cannot see beyond it).
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.Total()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	cum := 0.0
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next || i == len(h.counts)-1 {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
-// String renders an ASCII bar chart, one row per bucket.
-func (h *Histogram) String() string {
-	total := h.Total()
-	if total == 0 {
-		return "(empty histogram)"
-	}
-	maxCount := 0
-	for _, c := range h.counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var sb strings.Builder
-	for i, c := range h.counts {
-		var label string
-		if i < len(h.bounds) {
-			label = fmt.Sprintf("<=%g", h.bounds[i])
-		} else {
-			label = fmt.Sprintf("> %g", h.bounds[len(h.bounds)-1])
-		}
-		bar := ""
-		if maxCount > 0 {
-			bar = strings.Repeat("#", c*40/maxCount)
-		}
-		fmt.Fprintf(&sb, "%10s %7d %s\n", label, c, bar)
-	}
-	return sb.String()
 }

@@ -85,86 +85,9 @@ func sortFloats(xs []float64) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []float64{5, 50, 500, 5000, 7, 70} {
-		h.Observe(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	want := []int{2, 2, 1, 1}
-	for i, w := range want {
-		if got := h.Count(i); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	out := h.String()
-	if !strings.Contains(out, "<=10") || !strings.Contains(out, "> 1000") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(1, 2)
-	if got := h.String(); got != "(empty histogram)" {
-		t.Fatalf("empty render = %q", got)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if !strings.Contains(s.String(), "n=3") {
 		t.Fatalf("String = %q", s.String())
-	}
-}
-
-func TestHistogramAccessors(t *testing.T) {
-	h := NewHistogram(10, 100)
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(500)
-	if got := h.Buckets(); len(got) != 2 || got[0] != 10 || got[1] != 100 {
-		t.Fatalf("Buckets = %v", got)
-	}
-	if got := h.Counts(); len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("Counts = %v", got)
-	}
-	// Accessors return copies: mutating them must not corrupt the histogram.
-	h.Buckets()[0] = 999
-	h.Counts()[0] = 999
-	if h.Count(0) != 1 {
-		t.Fatal("Counts() aliased internal state")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(10, 20, 40, 80)
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	// 100 observations uniform in (0,10]: every quantile interpolates
-	// inside the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if q := h.Quantile(0.5); q < 4 || q > 6 {
-		t.Fatalf("p50 = %g, want ~5", q)
-	}
-	if q := h.Quantile(1); q != 10 {
-		t.Fatalf("p100 = %g, want 10 (first bucket's bound)", q)
-	}
-	// Push half the mass into the 20..40 bucket: p75 lands inside it.
-	for i := 0; i < 100; i++ {
-		h.Observe(30)
-	}
-	if q := h.Quantile(0.75); q < 20 || q > 40 {
-		t.Fatalf("p75 = %g, want inside (20,40]", q)
-	}
-	// Overflow observations report the last finite bound.
-	h2 := NewHistogram(10)
-	h2.Observe(1000)
-	if q := h2.Quantile(0.99); q != 10 {
-		t.Fatalf("overflow quantile = %g, want 10", q)
 	}
 }
