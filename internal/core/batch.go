@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-)
+import "sync"
 
 // Item pairs a priority with a value — the unit of batch operations.
 type Item[V any] struct {
@@ -28,6 +25,9 @@ type BatchQueue[V any] interface {
 	// priority at quiescence). Fewer than k items — including none — means
 	// the queue ran dry, or appeared to under contention, partway through.
 	DeleteMinBatch(k int) []Item[V]
+	// AppendDeleteMinBatch is DeleteMinBatch appending to dst: a caller
+	// that recycles dst takes a batch without allocating.
+	AppendDeleteMinBatch(dst []Item[V], k int) []Item[V]
 }
 
 // All seven algorithms carry native batch fast paths.
@@ -56,35 +56,94 @@ type PriRun[V any] struct {
 	Vals []V
 }
 
+// Batch is the working memory of one batch operation: GroupByPri's
+// counts, values and runs, TreeIncrements' nodes, and the values a
+// batch delete pops from one bin. What a Batch method returns aliases
+// that memory, so it is valid until the Batch's next use. The native
+// queues keep their Batches in a batchPool, so a steady stream of
+// batches allocates nothing; the zero value is ready to use.
+type Batch[V any] struct {
+	counts []int
+	vals   []V
+	runs   []PriRun[V]
+	incs   []NodeInc
+	popped []V
+}
+
+// batchPool recycles a queue's Batches. It is allocated apart from its
+// queue: the runtime keeps every used sync.Pool reachable until two
+// collections have passed, and a pool embedded in a queue would keep
+// the whole queue, items and all, alive that long after its last use.
+// A nil pool pools nothing; the simulated twin runs on one.
+type batchPool[V any] struct{ p sync.Pool }
+
+func (p *batchPool[V]) get() *Batch[V] {
+	if p != nil {
+		if b, ok := p.p.Get().(*Batch[V]); ok {
+			return b
+		}
+	}
+	return new(Batch[V])
+}
+
+// put recycles b once it has dropped its references to the batch's
+// values, so a pooled Batch keeps none of them alive.
+func (p *batchPool[V]) put(b *Batch[V]) {
+	if p == nil {
+		return
+	}
+	clear(b.vals)
+	clear(b.runs)
+	clear(b.popped)
+	p.p.Put(b)
+}
+
 // GroupByPri groups a batch into per-priority runs in ascending priority
 // order. The grouping is stable: equal-priority values keep their order
-// in items. Values are copied into one backing array, and each run's
-// Vals is a full-capacity subslice of it, so an append cannot spill into
-// the next run; items is neither modified nor retained. Priorities are
-// not checked. Both twins group batches through it.
-func GroupByPri[V any](items []Item[V]) []PriRun[V] {
+// in items. It is one counting pass over the batch and its priority span
+// (at most the queue's priority range, which is bounded): count each
+// priority, turn the counts into run offsets, and place every value at
+// its run's next slot. Values are copied into one backing array, and
+// each run's Vals is a full-capacity subslice of it, so an append cannot
+// spill into the next run; items is neither modified nor retained.
+// Priorities are not checked. Both twins group batches through it.
+func (b *Batch[V]) GroupByPri(items []Item[V]) []PriRun[V] {
 	if len(items) == 0 {
 		return nil
 	}
-	sorted := slices.Clone(items)
-	slices.SortStableFunc(sorted, func(a, b Item[V]) int { return cmp.Compare(a.Pri, b.Pri) })
-	nruns := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].Pri != sorted[i-1].Pri {
-			nruns++
-		}
+	lo, hi := items[0].Pri, items[0].Pri
+	for _, it := range items[1:] {
+		lo, hi = min(lo, it.Pri), max(hi, it.Pri)
 	}
-	vals := make([]V, len(sorted))
-	runs := make([]PriRun[V], 0, nruns)
+	counts := resize(b.counts, hi-lo+1)
+	clear(counts)
+	for _, it := range items {
+		counts[it.Pri-lo]++
+	}
+	vals := resize(b.vals, len(items))
+	runs := b.runs[:0]
 	start := 0
-	for i, it := range sorted {
-		vals[i] = it.Val
-		if i+1 == len(sorted) || sorted[i+1].Pri != it.Pri {
-			runs = append(runs, PriRun[V]{Pri: it.Pri, Vals: vals[start : i+1 : i+1]})
-			start = i + 1
+	for i, n := range counts {
+		if n > 0 {
+			runs = append(runs, PriRun[V]{Pri: lo + i, Vals: vals[start : start+n : start+n]})
+			counts[i], start = start, start+n
 		}
 	}
+	for _, it := range items {
+		vals[counts[it.Pri-lo]] = it.Val
+		counts[it.Pri-lo]++
+	}
+	b.counts, b.vals, b.runs = counts, vals, runs
 	return runs
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NodeInc is one counter-tree node's share of a batch insert: the
@@ -104,7 +163,7 @@ type NodeInc struct {
 // deepest level first — so every reservation a concurrent descent wins
 // is already backed by the counters and bins below it, as single inserts
 // guarantee by ascending. Both twins' InsertBatch apply it in order.
-func TreeIncrements[V any](nleaves int, runs []PriRun[V]) []NodeInc {
+func (b *Batch[V]) TreeIncrements(nleaves int, runs []PriRun[V]) []NodeInc {
 	if len(runs) == 0 {
 		return nil
 	}
@@ -112,11 +171,12 @@ func TreeIncrements[V any](nleaves int, runs []PriRun[V]) []NodeInc {
 	for n := nleaves; n > 1; n /= 2 {
 		depth++
 	}
-	// One allocation: the first len(runs) entries hold the walk's current
+	// One buffer: the first len(runs) entries hold the walk's current
 	// level (every node on some item's path, with how many items passed
 	// through it), and the increments follow. A tree has nleaves-1
 	// counters, so that bounds the increments too.
-	buf := make([]NodeInc, len(runs), len(runs)+min(len(runs)*depth, nleaves-1))
+	buf := resize(b.incs, len(runs)+min(len(runs)*depth, nleaves-1))[:len(runs)]
+	b.incs = buf
 	// Leaves in descending order, so each level comes out descending.
 	for i, run := range runs {
 		buf[len(runs)-1-i] = NodeInc{Node: nleaves + run.Pri, N: int64(len(run.Vals))}

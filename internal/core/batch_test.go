@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -456,13 +457,16 @@ func TestBatchEdgeCases(t *testing.T) {
 // TestGroupByPri checks the shared grouping: runs ascend by priority,
 // every value lands in its priority's run in batch order (stability), and
 // the empty, single-priority and all-distinct batches come out as such.
+// One Batch groups every case, so each grouping also proves that reused
+// scratch carries nothing over.
 func TestGroupByPri(t *testing.T) {
-	if runs := GroupByPri[int](nil); runs != nil {
+	var b Batch[int]
+	if runs := b.GroupByPri(nil); runs != nil {
 		t.Fatalf("empty batch: %v", runs)
 	}
 	check := func(name string, items []Item[int], wantRuns int) {
 		t.Helper()
-		runs := GroupByPri(items)
+		runs := b.GroupByPri(items)
 		if len(runs) != wantRuns {
 			t.Fatalf("%s: %d runs, want %d", name, len(runs), wantRuns)
 		}
@@ -517,6 +521,7 @@ func TestGroupByPri(t *testing.T) {
 // nodes with the same counts, in strictly descending heap index.
 func TestTreeIncrements(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	var b Batch[int]
 	for _, npri := range []int{1, 2, 3, 4, 7, 16, 33, 64} {
 		nleaves := CeilPow2(npri)
 		for trial := 0; trial < 100; trial++ {
@@ -532,7 +537,7 @@ func TestTreeIncrements(t *testing.T) {
 					}
 				}
 			}
-			got := TreeIncrements(nleaves, GroupByPri(items))
+			got := b.TreeIncrements(nleaves, b.GroupByPri(items))
 			if len(got) != len(want) {
 				t.Fatalf("npri %d, batch %v: %d increments %v, want %d nodes %v", npri, items, len(got), got, len(want), want)
 			}
@@ -572,6 +577,44 @@ func BenchmarkBatch(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestAppendDeleteMinBatchZeroAlloc: on the bin-array and counter-tree
+// queues, lock bins or funnel stacks, an InsertBatch and an
+// AppendDeleteMinBatch into a recycled slice allocate nothing, the batch
+// spread over many priorities or one.
+func TestAppendDeleteMinBatchZeroAlloc(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	for _, alg := range []Algorithm{SimpleLinear, SimpleTree, LinearFunnels, FunnelTree} {
+		for _, spread := range []int{1, 16} {
+			q, err := New[uint64](alg, Config{Priorities: 16, Concurrency: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bq := q.(BatchQueue[uint64])
+			items := make([]Item[uint64], 32)
+			for i := range items {
+				items[i] = Item[uint64]{Pri: i % spread, Val: uint64(i)}
+			}
+			var dst []Item[uint64]
+			allocs := testing.AllocsPerRun(100, func() {
+				bq.InsertBatch(items)
+				dst = bq.AppendDeleteMinBatch(dst[:0], len(items))
+			})
+			if len(dst) != len(items) {
+				t.Fatalf("%s: took %d of %d", alg, len(dst), len(items))
+			}
+			if allocs != 0 {
+				t.Errorf("%s, %d priorities: %.1f allocs per InsertBatch+AppendDeleteMinBatch, want 0", alg, spread, allocs)
+			}
 		}
 	}
 }

@@ -14,7 +14,10 @@ type Bin[C, V any] interface {
 	Push(c C, e V)
 	PushN(c C, es []V)
 	Pop(c C) (V, bool)
-	PopN(c C, k int) []V
+	// PopN appends up to k popped elements to dst, in the order k Pops
+	// would return them, under one lock hold (or one central
+	// application).
+	PopN(c C, dst []V, k int) []V
 }
 
 // newBins builds n native bins in the configured discipline: locked bags
@@ -38,17 +41,17 @@ func newBins[V any](n int, fifo bool, funnels *funnel.Params) []Bin[struct{}, V]
 // stackBin is a combining-funnel stack in a native queue's bin seam.
 type stackBin[V any] struct{ s *funnel.Stack[V] }
 
-func (b stackBin[V]) Empty(struct{}) bool        { return b.s.Empty() }
-func (b stackBin[V]) Push(_ struct{}, e V)       { b.s.Push(e) }
-func (b stackBin[V]) PushN(_ struct{}, es []V)   { b.s.PushN(es) }
-func (b stackBin[V]) Pop(struct{}) (V, bool)     { return b.s.Pop() }
-func (b stackBin[V]) PopN(_ struct{}, k int) []V { return b.s.PopN(k) }
+func (b stackBin[V]) Empty(struct{}) bool                 { return b.s.Empty() }
+func (b stackBin[V]) Push(_ struct{}, e V)                { b.s.Push(e) }
+func (b stackBin[V]) PushN(_ struct{}, es []V)            { b.s.PushN(es) }
+func (b stackBin[V]) Pop(struct{}) (V, bool)              { return b.s.Pop() }
+func (b stackBin[V]) PopN(_ struct{}, dst []V, k int) []V { return b.s.PopN(dst, k) }
 
 // bagBin is a locked bag in a native queue's bin seam.
 type bagBin[V any] struct{ b *funnel.Bag[V] }
 
-func (b bagBin[V]) Empty(struct{}) bool        { return b.b.Empty() }
-func (b bagBin[V]) Push(_ struct{}, e V)       { b.b.Push(e) }
-func (b bagBin[V]) PushN(_ struct{}, es []V)   { b.b.PushN(es) }
-func (b bagBin[V]) Pop(struct{}) (V, bool)     { return b.b.Pop() }
-func (b bagBin[V]) PopN(_ struct{}, k int) []V { return b.b.PopN(k) }
+func (b bagBin[V]) Empty(struct{}) bool                 { return b.b.Empty() }
+func (b bagBin[V]) Push(_ struct{}, e V)                { b.b.Push(e) }
+func (b bagBin[V]) PushN(_ struct{}, es []V)            { b.b.PushN(es) }
+func (b bagBin[V]) Pop(struct{}) (V, bool)              { return b.b.Pop() }
+func (b bagBin[V]) PopN(_ struct{}, dst []V, k int) []V { return b.b.PopN(dst, k) }

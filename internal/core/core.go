@@ -17,9 +17,9 @@
 // that each twin implements, with simulated tallies through a Tally that
 // is nil natively. The twins also share the registry (Algorithm,
 // Algorithms, All, IsRelaxed, ParseAlgorithm), the stable batch grouping
-// (GroupByPri), a counter-tree batch insert's per-node increments
-// (TreeIncrements) and the rank-error distribution of a relaxed queue
-// (RelaxStats).
+// (Batch.GroupByPri), a counter-tree batch insert's per-node increments
+// (Batch.TreeIncrements) and the rank-error distribution of a relaxed
+// queue (RelaxStats).
 package core
 
 import (

@@ -292,7 +292,7 @@ func (q *hunt[V]) InsertBatch(items []Item[V]) {
 	if len(items) == 0 {
 		return
 	}
-	runs := GroupByPri(items)
+	runs := new(Batch[V]).GroupByPri(items)
 	type placed struct {
 		pri       int
 		slot, pid uint64
@@ -315,18 +315,22 @@ func (q *hunt[V]) InsertBatch(items []Item[V]) {
 // included — so within the batch every pop removes the true current
 // minimum instead of racing the previous pop's sift.
 func (q *hunt[V]) DeleteMinBatch(k int) []Item[V] {
+	return q.AppendDeleteMinBatch(make([]Item[V], 0, max(k, 0)), k)
+}
+
+// AppendDeleteMinBatch is DeleteMinBatch appending to dst.
+func (q *hunt[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]Item[V], 0, k)
 	q.mu.Lock()
-	for len(out) < k {
+	for ; k > 0; k-- {
 		pri, v, ok := q.popUnlocking(func() {})
 		if !ok {
 			break
 		}
-		out = append(out, Item[V]{Pri: pri, Val: v})
+		dst = append(dst, Item[V]{Pri: pri, Val: v})
 	}
 	q.mu.Unlock()
-	return out
+	return dst
 }

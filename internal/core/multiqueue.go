@@ -168,24 +168,28 @@ func (q *TwoChoice[C, V]) InsertBatch(c C, items []Item[V]) {
 	}
 }
 
-// DeleteMinBatch takes two-choice rounds until k items are out or a full
-// scan proves the queue empty. Items arrive in per-round nondecreasing
-// priority, but the concatenation is only approximately sorted — the
-// relaxed contract.
+// DeleteMinBatch is AppendDeleteMinBatch to a new slice.
 func (q *TwoChoice[C, V]) DeleteMinBatch(c C, k int) []Item[V] {
+	return q.AppendDeleteMinBatch(c, nil, k)
+}
+
+// AppendDeleteMinBatch takes two-choice rounds until k items are
+// appended to dst or a full scan proves the queue empty. Items arrive in
+// per-round nondecreasing priority, but the concatenation is only
+// approximately sorted — the relaxed contract.
+func (q *TwoChoice[C, V]) AppendDeleteMinBatch(c C, dst []Item[V], k int) []Item[V] {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	q.Tally.add(TallyBatchDeletes, 1)
-	var out []Item[V]
-	for len(out) < k {
-		got := q.popSome(c, k-len(out), out)
-		if len(got) == len(out) {
+	for want := len(dst) + k; len(dst) < want; {
+		got := q.popSome(c, want-len(dst), dst)
+		if len(got) == len(dst) {
 			break
 		}
-		out = got
+		dst = got
 	}
-	return out
+	return dst
 }
 
 // multiQueue is the native MultiQueue: nq = CeilPow2(C·p) binary heaps
@@ -263,6 +267,9 @@ func (q *multiQueue[V]) Insert(pri int, v V)            { q.c.Insert(struct{}{},
 func (q *multiQueue[V]) DeleteMin() (V, bool)           { return q.c.DeleteMin(struct{}{}) }
 func (q *multiQueue[V]) InsertBatch(items []Item[V])    { q.c.InsertBatch(struct{}{}, items) }
 func (q *multiQueue[V]) DeleteMinBatch(k int) []Item[V] { return q.c.DeleteMinBatch(struct{}{}, k) }
+func (q *multiQueue[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
+	return q.c.AppendDeleteMinBatch(struct{}{}, dst, k)
+}
 
 func (s *mqHeaps[V]) Len() int                       { return len(s.qs) }
 func (s *mqHeaps[V]) pick() int                      { return int(rand.Uint64() & s.mask) }

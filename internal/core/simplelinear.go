@@ -14,7 +14,8 @@ import (
 // traversal. C is the per-operation context (see Bin).
 type BinArray[C, V any] struct {
 	Bins  []Bin[C, V]
-	Tally *Tally // set by the simulated twin
+	Tally *Tally        // set by the simulated twin
+	bufs  *batchPool[V] // nil on the simulated twin
 }
 
 // NumPriorities reports the fixed priority range.
@@ -51,34 +52,45 @@ func (q *BinArray[C, V]) InsertBatch(c C, items []Item[V]) {
 		return
 	}
 	q.Tally.add(TallyBatchInserts, 1)
-	for _, run := range GroupByPri(items) {
+	b := q.bufs.get()
+	for _, run := range b.GroupByPri(items) {
 		q.Bins[run.Pri].PushN(c, run.Vals)
 	}
+	q.bufs.put(b)
 }
 
-// DeleteMinBatch runs the delete-min scan once, draining each non-empty
-// bin it reaches in one lock hold (or one central application) until k
-// items are gathered.
+// DeleteMinBatch is AppendDeleteMinBatch to a new slice.
 func (q *BinArray[C, V]) DeleteMinBatch(c C, k int) []Item[V] {
+	return q.AppendDeleteMinBatch(c, nil, k)
+}
+
+// AppendDeleteMinBatch runs the delete-min scan once, draining each
+// non-empty bin it reaches in one lock hold (or one central application)
+// until k items are appended to dst.
+func (q *BinArray[C, V]) AppendDeleteMinBatch(c C, dst []Item[V], k int) []Item[V] {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	q.Tally.add(TallyBatchDeletes, 1)
-	var out []Item[V]
-	for pri, b := range q.Bins {
-		if b.Empty(c) {
+	b := q.bufs.get()
+	defer q.bufs.put(b)
+	want := len(dst) + k
+	for pri, bin := range q.Bins {
+		if bin.Empty(c) {
 			continue
 		}
-		for _, v := range b.PopN(c, k-len(out)) {
-			out = append(out, Item[V]{Pri: pri, Val: v})
+		b.popped = bin.PopN(c, b.popped[:0], want-len(dst))
+		for _, v := range b.popped {
+			dst = append(dst, Item[V]{Pri: pri, Val: v})
 		}
-		if len(out) == k {
+		clear(b.popped)
+		if len(dst) == want {
 			q.Tally.scan(pri+1, false)
-			return out
+			return dst
 		}
 	}
-	q.Tally.scan(len(q.Bins), len(out) == 0)
-	return out
+	q.Tally.scan(len(q.Bins), len(dst) == want-k)
+	return dst
 }
 
 // simpleLinear is the native bin-array queue.
@@ -86,7 +98,7 @@ type simpleLinear[V any] struct{ a BinArray[struct{}, V] }
 
 // NewSimpleLinear builds the bin-array queue with lock-based bins.
 func NewSimpleLinear[V any](cfg Config) Queue[V] {
-	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, nil)}}
+	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, nil), bufs: new(batchPool[V])}}
 }
 
 // NewLinearFunnels builds the bin-array queue with funnel-stack bins.
@@ -94,7 +106,7 @@ func NewSimpleLinear[V any](cfg Config) Queue[V] {
 // funnel, FIFO order in the central storage.
 func NewLinearFunnels[V any](cfg Config) Queue[V] {
 	params := funnelParamsFor(cfg)
-	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, &params)}}
+	return &simpleLinear[V]{BinArray[struct{}, V]{Bins: newBins[V](cfg.Priorities, cfg.FIFOBins, &params), bufs: new(batchPool[V])}}
 }
 
 func funnelParamsFor(cfg Config) funnel.Params {
@@ -113,3 +125,6 @@ func (q *simpleLinear[V]) Insert(pri int, v V)            { q.a.Insert(struct{}{
 func (q *simpleLinear[V]) DeleteMin() (V, bool)           { return q.a.DeleteMin(struct{}{}) }
 func (q *simpleLinear[V]) InsertBatch(items []Item[V])    { q.a.InsertBatch(struct{}{}, items) }
 func (q *simpleLinear[V]) DeleteMinBatch(k int) []Item[V] { return q.a.DeleteMinBatch(struct{}{}, k) }
+func (q *simpleLinear[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
+	return q.a.AppendDeleteMinBatch(struct{}{}, dst, k)
+}

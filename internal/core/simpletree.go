@@ -95,7 +95,8 @@ type CounterTree[C, V any] struct {
 	Counters []Counter[C]
 	// Bins has one bin per leaf; leaf pri is heap node len(Bins)+pri.
 	Bins  []Bin[C, V]
-	Tally *Tally // set by the simulated twin
+	Tally *Tally        // set by the simulated twin
+	bufs  *batchPool[V] // nil on the simulated twin
 }
 
 // NumPriorities reports the fixed priority range.
@@ -144,53 +145,64 @@ func (q *CounterTree[C, V]) InsertBatch(c C, items []Item[V]) {
 		return
 	}
 	q.Tally.add(TallyBatchInserts, 1)
-	runs := GroupByPri(items)
+	b := q.bufs.get()
+	runs := b.GroupByPri(items)
 	for _, run := range runs {
 		q.Bins[run.Pri].PushN(c, run.Vals)
 	}
-	for _, inc := range TreeIncrements(len(q.Bins), runs) {
+	for _, inc := range b.TreeIncrements(len(q.Bins), runs) {
 		q.Tally.add(TallyIncrements, inc.N)
 		q.Counters[inc.Node].AddN(c, inc.N)
 	}
+	q.bufs.put(b)
 }
 
-// DeleteMinBatch descends the tree once, reserving whole sub-batches with
-// multi-unit bounded decrements instead of one BFaD per item. In a
-// FunnelTree a left subtree may under-deliver its reservation —
-// elimination can leave counter ghosts, the same relaxation behind that
-// queue's occasional spurious-empty DeleteMin — so the shortfall is
-// retried on the right best-effort and the books rebalance exactly as
-// they do for a failed single delete.
+// DeleteMinBatch is AppendDeleteMinBatch to a new slice with room for k.
 func (q *CounterTree[C, V]) DeleteMinBatch(c C, k int) []Item[V] {
+	return q.AppendDeleteMinBatch(c, make([]Item[V], 0, max(k, 0)), k)
+}
+
+// AppendDeleteMinBatch descends the tree once, reserving whole
+// sub-batches with multi-unit bounded decrements instead of one BFaD per
+// item, and appends what it takes to dst. In a FunnelTree a left subtree
+// may under-deliver its reservation — elimination can leave counter
+// ghosts, the same relaxation behind that queue's occasional
+// spurious-empty DeleteMin — so the shortfall is retried on the right
+// best-effort and the books rebalance exactly as they do for a failed
+// single delete.
+func (q *CounterTree[C, V]) AppendDeleteMinBatch(c C, dst []Item[V], k int) []Item[V] {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	q.Tally.add(TallyBatchDeletes, 1)
 	q.Tally.add(TallyDescents, 1)
-	out := make([]Item[V], 0, k)
-	q.takeBatch(c, 1, k, &out)
-	return out
+	b := q.bufs.get()
+	q.takeBatch(c, b, 1, k, &dst)
+	q.bufs.put(b)
+	return dst
 }
 
 // takeBatch pops up to want items from the subtree rooted at heap node n,
-// appending to out and returning how many it got. At each internal node
+// through b's popped values, appending to out and returning how many it
+// got. At each internal node
 // one SubN reserves min(want, counter) items from the left subtree — with
 // lock or atomic counters it never overcounts left-subtree items (bins
 // fill before counters rise), so the reservation is sound — and the
 // remainder is sought on the right best-effort, where deeper counters
 // bound the claim, mirroring how sequential deletes walk right on a zero
 // counter.
-func (q *CounterTree[C, V]) takeBatch(c C, n, want int, out *[]Item[V]) int {
+func (q *CounterTree[C, V]) takeBatch(c C, b *Batch[V], n, want int, out *[]Item[V]) int {
 	if want <= 0 {
 		return 0
 	}
 	if nleaves := len(q.Bins); n >= nleaves {
 		pri := n - nleaves
-		vals := q.Bins[pri].PopN(c, want)
-		for _, v := range vals {
+		b.popped = q.Bins[pri].PopN(c, b.popped[:0], want)
+		for _, v := range b.popped {
 			*out = append(*out, Item[V]{Pri: pri, Val: v})
 		}
-		return len(vals)
+		clear(b.popped)
+		return len(b.popped)
 	}
 	q.Tally.add(TallyTraversals, 1)
 	left := int64(want)
@@ -199,12 +211,12 @@ func (q *CounterTree[C, V]) takeBatch(c C, n, want int, out *[]Item[V]) int {
 	}
 	got := 0
 	if left > 0 {
-		got = q.takeBatch(c, 2*n, int(left), out)
+		got = q.takeBatch(c, b, 2*n, int(left), out)
 	} else {
 		q.Tally.add(TallyRightTurns, 1)
 	}
 	if got < want {
-		got += q.takeBatch(c, 2*n+1, want-got, out)
+		got += q.takeBatch(c, b, 2*n+1, want-got, out)
 	}
 	return got
 }
@@ -247,6 +259,7 @@ func newTree[V any](npri, cutoff int, funnels *funnel.Params, fifo bool) *simple
 		NPri:     npri,
 		Counters: counters,
 		Bins:     newBins[V](nl, fifo, funnels),
+		bufs:     new(batchPool[V]),
 	}}
 }
 
@@ -258,3 +271,6 @@ func (q *simpleTree[V]) Insert(pri int, v V)            { q.t.Insert(struct{}{},
 func (q *simpleTree[V]) DeleteMin() (V, bool)           { return q.t.DeleteMin(struct{}{}) }
 func (q *simpleTree[V]) InsertBatch(items []Item[V])    { q.t.InsertBatch(struct{}{}, items) }
 func (q *simpleTree[V]) DeleteMinBatch(k int) []Item[V] { return q.t.DeleteMinBatch(struct{}{}, k) }
+func (q *simpleTree[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
+	return q.t.AppendDeleteMinBatch(struct{}{}, dst, k)
+}

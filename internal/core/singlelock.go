@@ -45,20 +45,22 @@ func (q *singleLock[V]) InsertBatch(items []Item[V]) {
 	q.mu.Unlock()
 }
 
-// DeleteMinBatch pops up to k minima under one lock acquisition.
+// DeleteMinBatch is AppendDeleteMinBatch to a new slice with room for k.
 func (q *singleLock[V]) DeleteMinBatch(k int) []Item[V] {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]Item[V], 0, k)
+	return q.AppendDeleteMinBatch(make([]Item[V], 0, max(k, 0)), k)
+}
+
+// AppendDeleteMinBatch pops up to k minima under one lock acquisition
+// and appends them to dst.
+func (q *singleLock[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
 	q.mu.Lock()
-	for len(out) < k {
+	for ; k > 0; k-- {
 		it, ok := q.h.pop()
 		if !ok {
 			break
 		}
-		out = append(out, it)
+		dst = append(dst, it)
 	}
 	q.mu.Unlock()
-	return out
+	return dst
 }

@@ -38,6 +38,7 @@ type skipList[V any] struct {
 	links    []slLink[V]
 	delBin   atomic.Int32 // link index + 1, or 0
 	delMu    sync.Mutex
+	bufs     *batchPool[V]
 }
 
 // NewSkipList builds the skip-list queue. Link heights use Pugh's p=1/2
@@ -53,6 +54,7 @@ func NewSkipList[V any](cfg Config) Queue[V] {
 		maxLevel: maxLevel,
 		headFwd:  make([]atomic.Int32, maxLevel),
 		links:    make([]slLink[V], cfg.Priorities),
+		bufs:     new(batchPool[V]),
 	}
 	rng := rand.New(rand.NewSource(0x5eed51))
 	for i := range q.links {
@@ -105,10 +107,12 @@ func (q *skipList[V]) ensureThreaded(pri int) {
 // and threads its link once, instead of one lock round trip per item.
 func (q *skipList[V]) InsertBatch(items []Item[V]) {
 	checkBatch(items, q.npri)
-	for _, run := range GroupByPri(items) {
+	b := q.bufs.get()
+	for _, run := range b.GroupByPri(items) {
 		q.links[run.Pri].bin.PushN(run.Vals)
 		q.ensureThreaded(run.Pri)
 	}
+	q.bufs.put(b)
 }
 
 // lockPred locks the predecessor of key at level lev and returns it
@@ -284,37 +288,43 @@ func (q *skipList[V]) DeleteMin() (V, bool) {
 	}
 }
 
-// DeleteMinBatch drains the delete bin with one lock hold per refill
-// instead of one per item: the delete-bin pointer is the resumable cursor
-// — each pass drains what the current bin holds, and the refill protocol
-// advances it exactly as for single deletes. A short batch is returned as
-// soon as the refill path is contended, rather than spinning while
-// holding items.
-func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] {
+// DeleteMinBatch is AppendDeleteMinBatch to a new slice.
+func (q *skipList[V]) DeleteMinBatch(k int) []Item[V] { return q.AppendDeleteMinBatch(nil, k) }
+
+// AppendDeleteMinBatch drains the delete bin with one lock hold per
+// refill instead of one per item, appending to dst: the delete-bin
+// pointer is the resumable cursor — each pass drains what the current
+// bin holds, and the refill protocol advances it exactly as for single
+// deletes. A short batch is returned as soon as the refill path is
+// contended, rather than spinning while holding items.
+func (q *skipList[V]) AppendDeleteMinBatch(dst []Item[V], k int) []Item[V] {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	var out []Item[V]
-	for len(out) < k {
+	n0 := len(dst)
+	b := q.bufs.get()
+	defer q.bufs.put(b)
+	for len(dst)-n0 < k {
 		db := q.delBin.Load()
 		if db != 0 {
-			vals := q.links[db-1].bin.PopN(k - len(out))
-			for _, v := range vals {
-				out = append(out, Item[V]{Pri: int(db - 1), Val: v})
+			b.popped = q.links[db-1].bin.PopN(b.popped[:0], k-(len(dst)-n0))
+			for _, v := range b.popped {
+				dst = append(dst, Item[V]{Pri: int(db - 1), Val: v})
 			}
-			if len(out) == k {
+			clear(b.popped)
+			if len(dst)-n0 == k {
 				break
 			}
 		}
 		switch q.refill(db) {
 		case refillEmpty:
-			return out
+			return dst
 		case refillBusy:
-			if len(out) > 0 {
-				return out
+			if len(dst) > n0 {
+				return dst
 			}
 			runtime.Gosched()
 		}
 	}
-	return out
+	return dst
 }

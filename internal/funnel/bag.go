@@ -1,6 +1,7 @@
 package funnel
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -63,32 +64,32 @@ func (b *Bag[V]) Pop() (V, bool) {
 	return v, ok
 }
 
-// PopN removes up to k items under one lock hold and returns them in
-// the order k sequential Pops would have.
-func (b *Bag[V]) PopN(k int) []V {
+// PopN removes up to k items under one lock hold and appends them to
+// dst in the order k sequential Pops would have returned them.
+func (b *Bag[V]) PopN(dst []V, k int) []V {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	b.mu.Lock()
 	n := len(b.items)
 	avail := min(k, n-b.head)
-	out := make([]V, avail)
+	dst = slices.Grow(dst, avail)
 	var taken []V
 	if b.fifo {
 		taken = b.items[b.head : b.head+avail]
-		copy(out, taken)
+		dst = append(dst, taken...)
 		b.head += avail
 	} else {
 		n -= avail
 		taken = b.items[n:]
-		for i := range out {
-			out[i] = taken[avail-1-i]
+		for i := avail - 1; i >= 0; i-- {
+			dst = append(dst, taken[i])
 		}
 	}
 	clear(taken) // release references for GC
 	b.truncateLocked(n)
 	b.mu.Unlock()
-	return out
+	return dst
 }
 
 // pushLocked adds vs in order; b.mu must be held. An append that would

@@ -69,7 +69,7 @@ func TestBagSequentialModel(t *testing.T) {
 				}
 			case 3:
 				k := rng.Intn(6) - 1 // k <= 0 takes nothing
-				got := b.PopN(k)
+				got := b.PopN(nil, k)
 				var want []int
 				for range k {
 					v, ok := popModel()
@@ -140,7 +140,7 @@ func TestBagConcurrentMultiset(t *testing.T) {
 						b.Push(v)
 					case 3:
 						b.Push(v)
-						popped[g] = append(popped[g], b.PopN(3)...)
+						popped[g] = b.PopN(popped[g], 3)
 					}
 				}
 			}()

@@ -190,7 +190,7 @@ func (l nativeStack[V]) PushTree(_ struct{}, members []*Rec[words[V]]) {
 }
 
 func (l nativeStack[V]) PopOne(struct{}) (V, bool)  { return l.bag.Pop() }
-func (l nativeStack[V]) PopN(_ struct{}, k int) []V { return l.bag.PopN(k) }
+func (l nativeStack[V]) PopN(_ struct{}, k int) []V { return l.bag.PopN(nil, k) }
 
 // NewStack builds an empty LIFO funnel stack.
 func NewStack[V any](params Params) *Stack[V] {
@@ -242,15 +242,16 @@ func (s *Stack[V]) PushN(vs []V) {
 	s.Bag.PushN(vs)
 }
 
-// PopN removes up to k items in one central application, in the same
-// order k sequential Pops would have returned them. Like PushN it goes
-// straight to the central stack under one lock hold.
-func (s *Stack[V]) PopN(k int) []V {
+// PopN removes up to k items in one central application and appends
+// them to dst, in the same order k sequential Pops would have returned
+// them. Like PushN it goes straight to the central stack under one lock
+// hold.
+func (s *Stack[V]) PopN(dst []V, k int) []V {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	s.proto.Leaf.stats.central.Add(1)
-	return s.Bag.PopN(k)
+	return s.Bag.PopN(dst, k)
 }
 
 func (s *Stack[V]) run(dir int64, item V) (V, bool) {

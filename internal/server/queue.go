@@ -203,12 +203,23 @@ func (q *servedQueue) shardFor(pri int) int {
 // shardRun is n consecutive envelopes of a pop, all taken from shard.
 type shardRun struct{ shard, n int }
 
-// shardGroups is insertN's reusable grouping scratch: one item list per
-// shard, every list empty between uses. One pool serves all queues: a
-// scratch grows to the widest queue that used it.
-type shardGroups struct{ by [][]pq.Item[[]byte] }
+// shardGroups is the reusable scratch of insertN, one item list per
+// shard, and of popN, the items one shard's batch gave; every list is
+// empty between uses. One pool serves all queues: a scratch grows to the
+// widest queue and batch that used it.
+type shardGroups struct {
+	by   [][]pq.Item[[]byte]
+	took []pq.Item[[]byte]
+}
 
 var groupsPool sync.Pool // *shardGroups
+
+func getGroups() *shardGroups {
+	if g, ok := groupsPool.Get().(*shardGroups); ok {
+		return g
+	}
+	return new(shardGroups)
+}
 
 // tag builds the envelope a shard stores for one item: the 4-byte
 // global priority (so a pop can report the priority it served — the
@@ -275,10 +286,7 @@ func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) 
 		q.shardIn[s].Add(1)
 	} else {
 		// Each shard receives its share through the native InsertBatch.
-		g, _ := groupsPool.Get().(*shardGroups)
-		if g == nil {
-			g = new(shardGroups)
-		}
+		g := getGroups()
 		if len(g.by) < len(q.shards) {
 			g.by = make([][]pq.Item[[]byte], len(q.shards))
 		}
@@ -370,6 +378,8 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint
 	// into this core's cache before the response encoder needs it.
 	var runBuf [4]shardRun
 	runs := runBuf[:0]
+	g := getGroups()
+	defer groupsPool.Put(g)
 	for si, sub := range q.shards {
 		want := max - (len(envs) - n0)
 		if want <= 0 {
@@ -377,7 +387,8 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint
 		}
 		var got []pq.Item[[]byte]
 		if want > 1 {
-			got = pq.DeleteMinBatch(sub, want)
+			g.took = pq.AppendDeleteMinBatch(g.took[:0], sub, want)
+			got = g.took
 		} else if v, ok := sub.DeleteMin(); ok {
 			one[0].Val = v
 			got = one[:]
@@ -403,6 +414,9 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint
 			// Budget exhausted: the remainder goes back exactly once.
 			q.putBackN(si, got[kept:])
 			cut = true
+		}
+		clear(got)
+		if cut {
 			break
 		}
 	}

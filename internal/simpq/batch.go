@@ -7,7 +7,7 @@ import (
 
 // BatchItem is one element of a batch operation: a value and the
 // priority it carries (or was delivered at). It is core's batch item, so
-// both twins group batches with core.GroupByPri.
+// both twins group batches with core.Batch.GroupByPri.
 type BatchItem = core.Item[uint64]
 
 // BatchQueue is implemented by queues with native batch fast paths: one

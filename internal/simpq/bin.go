@@ -1,6 +1,10 @@
 package simpq
 
-import "pq/internal/sim"
+import (
+	"slices"
+
+	"pq/internal/sim"
+)
 
 // Bin is the lock-based bag of Figure 1 of the paper: an MCS-locked array
 // holding arbitrary elements, supporting insertion, removal of an
@@ -117,19 +121,21 @@ func (b *Bin) Pop(p *sim.Proc) (e uint64, ok bool) {
 	return e, ok
 }
 
-// PopN removes and returns up to k elements under one lock hold, in the
-// order k consecutive Pops would return them; a short result means the
-// bin ran dry.
-func (b *Bin) PopN(p *sim.Proc, k int) []uint64 {
+// PopN removes up to k elements under one lock hold and appends them to
+// dst, in the order k consecutive Pops would return them; a short result
+// means the bin ran dry.
+func (b *Bin) PopN(p *sim.Proc, dst []uint64, k int) []uint64 {
 	if k < 1 {
-		return nil
+		return dst
 	}
 	b.lock.Acquire(p)
 	n := int(p.Read(b.size))
-	out := make([]uint64, min(k, n))
-	b.takeLocked(p, n, len(out), func(i int, v uint64) { out[i] = v })
+	n0, k := len(dst), min(k, n)
+	dst = slices.Grow(dst, k)[:n0+k]
+	out := dst[n0:]
+	b.takeLocked(p, n, k, func(i int, v uint64) { out[i] = v })
 	b.lock.Release(p)
-	return out
+	return dst
 }
 
 // takeLocked removes k of the n held elements, handing the i-th to

@@ -58,7 +58,7 @@ func TestBinCapacity(t *testing.T) {
 			if b.dropped != 3 {
 				t.Errorf("pushes beyond capacity dropped %d, want 3", b.dropped)
 			}
-			if got := b.PopN(p, 3); len(got) != 2 || got[0] != 2 || got[1] != 1 {
+			if got := b.PopN(p, nil, 3); len(got) != 2 || got[0] != 2 || got[1] != 1 {
 				t.Errorf("PopN after overflow = %v, want [2 1]", got)
 			}
 		})

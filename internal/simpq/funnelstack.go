@@ -93,14 +93,14 @@ func (l stackLeaf) PushTree(p *sim.Proc, members []*funnelRec) {
 }
 
 func (l stackLeaf) PopOne(p *sim.Proc) (uint64, bool) {
-	items := l.s.bin.PopN(p, 1)
+	items := l.s.bin.PopN(p, nil, 1)
 	if len(items) == 0 {
 		return 0, false
 	}
 	return items[0], true
 }
 
-func (l stackLeaf) PopN(p *sim.Proc, k int) []uint64 { return l.s.bin.PopN(p, k) }
+func (l stackLeaf) PopN(p *sim.Proc, k int) []uint64 { return l.s.bin.PopN(p, nil, k) }
 
 func (l stackLeaf) Count(_ *sim.Proc, e funnel.Event, n int) {
 	l.count(e)
@@ -150,17 +150,18 @@ func (s *FunnelStack) PushN(p *sim.Proc, items []uint64) {
 	s.bin.PushN(p, items)
 }
 
-// PopN removes up to k items under one lock hold, in the same order k
-// consecutive Pops would deliver them; a short result means the central
-// storage ran dry.
-func (s *FunnelStack) PopN(p *sim.Proc, k int) []uint64 {
+// PopN removes up to k items under one lock hold and appends them to
+// dst, in the same order k consecutive Pops would deliver them; a short
+// result means the central storage ran dry.
+func (s *FunnelStack) PopN(p *sim.Proc, dst []uint64, k int) []uint64 {
 	if k < 1 {
-		return nil
+		return dst
 	}
 	s.stats.pops += int64(k)
 	s.stats.centralBatches++
 	s.stats.centralOps += int64(k)
-	items := s.bin.PopN(p, k)
-	s.stats.failedPops += int64(k - len(items))
-	return items
+	n0 := len(dst)
+	dst = s.bin.PopN(p, dst, k)
+	s.stats.failedPops += int64(k - (len(dst) - n0))
+	return dst
 }

@@ -22,7 +22,7 @@
 // queues (SingleLock, HuntEtAl, SkipList) are written here. The twins
 // also share core's vocabulary: Algorithm and the AlgX names are aliases
 // of core's registry, BatchItem is core.Item, batches are grouped by
-// core.GroupByPri, and the MultiQueue's rank-error distribution is a
+// core.Batch.GroupByPri, and the MultiQueue's rank-error distribution is a
 // core.RelaxStats.
 //
 // The paper's benchmark runs through one per-processor loop

@@ -91,15 +91,24 @@ func DeleteMinBatch[V any](q Queue[V], k int) []Item[V] {
 	if bq, ok := q.(BatchQueue[V]); ok {
 		return bq.DeleteMinBatch(k)
 	}
-	var out []Item[V]
-	for len(out) < k {
+	return AppendDeleteMinBatch(nil, q, k)
+}
+
+// AppendDeleteMinBatch is DeleteMinBatch appending the items to dst, so
+// a caller that recycles dst takes batches from a queue built by New
+// without allocating.
+func AppendDeleteMinBatch[V any](dst []Item[V], q Queue[V], k int) []Item[V] {
+	if bq, ok := q.(BatchQueue[V]); ok {
+		return bq.AppendDeleteMinBatch(dst, k)
+	}
+	for ; k > 0; k-- {
 		v, ok := q.DeleteMin()
 		if !ok {
 			break
 		}
-		out = append(out, Item[V]{Pri: -1, Val: v})
+		dst = append(dst, Item[V]{Pri: -1, Val: v})
 	}
-	return out
+	return dst
 }
 
 // Drain removes and returns every item in q in priority order. It

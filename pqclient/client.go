@@ -10,22 +10,28 @@
 // caller that finds no round in flight takes every call queued on the
 // connection and writes them, concurrent Inserts to one queue as one
 // INSERT_BATCH and concurrent DeleteMins to one queue as one
-// DELETE_MIN_BATCH. A caller whose context can end starts a goroutine
+// DELETE_MIN_BATCH, whose items go one per caller, each caller getting a
+// copy of its value. A caller whose context can end starts a goroutine
 // to lead instead, so a blocked write never outlives its context. The
 // leader flushes once per round of callers: when the queue runs dry it
 // yields once, so the callers just woken by a response batch can queue
-// their next requests into the same write. Calls allocate nothing in steady state (DeleteMin allocates only the
-// value it returns): call records are pooled, and a record abandoned on
-// its context is never reused, because its connection may still finish
-// it. Admission-control sheds
-// (RETRY_AFTER) are retried with jittered backoff up to Config.MaxRetries
-// before surfacing as ErrOverload; retries only ever happen on an
-// explicit reject from the server, so a retried insert can never be
-// applied twice.
+// their next requests into the same write. It keeps its groups open
+// until that flush, so each flush carries one frame per kind and queue;
+// a group is written sooner only when it is full (Config.MaxCoalesce
+// members, or the frame limit), or, when the queue keeps refilling,
+// after four passes of the leader over it. Timeouts are counted in
+// ticks of a per-connection sweeper that runs every quarter of
+// Config.RequestTimeout, so no call reads the clock. Calls allocate
+// nothing in steady state (DeleteMin allocates only the value it
+// returns): call records are pooled, and a record abandoned on its
+// context is never reused, because its connection may still finish it.
+// Admission-control sheds (RETRY_AFTER) are retried with jittered
+// backoff up to Config.MaxRetries before surfacing as ErrOverload;
+// retries only ever happen on an explicit reject from the server, so a
+// retried insert can never be applied twice.
 package pqclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,7 +62,9 @@ type Config struct {
 	DialTimeout time.Duration
 	// RequestTimeout applies to requests whose context carries no
 	// deadline, and closes a connection whose write has made no
-	// progress for that long. Default 5s; negative disables.
+	// progress for that long. It is counted in sweeps a quarter of it
+	// apart, so a call expires between RequestTimeout and 1.25 times
+	// it. Default 5s; negative disables.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times an Insert shed with RETRY_AFTER is
 	// retried before ErrOverload. Default 8; negative disables retry.
@@ -227,23 +235,25 @@ func (c *Client) conn() (*conn, error) {
 
 // do sends one call, waits for its resolution and recycles cl. On
 // success resp is the caller's: return its payload with wire.PutBuf
-// once decoded. RequestTimeout becomes the record's deadline, which the
-// conn's sweeper enforces as context.DeadlineExceeded, as a context
-// deadline would.
-func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) {
+// once decoded. A DeleteMin answered with an item gets it as it, its
+// value the caller's own, and resp.Type TItem with no payload.
+// RequestTimeout becomes the record's due tick, which the conn's
+// sweeper enforces as context.DeadlineExceeded, as a context deadline
+// would.
+func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, it wire.Item, err error) {
 	if len(cl.queue) > wire.MaxName {
 		err = fmt.Errorf("pqclient: queue name of %d bytes exceeds the %d-byte limit", len(cl.queue), wire.MaxName)
 		cl.recycle()
-		return resp, err
+		return resp, it, err
 	}
 	cn, err := c.conn()
 	if err != nil {
 		cl.recycle()
-		return resp, err
+		return resp, it, err
 	}
 	defer cn.calls.Add(-1)
 	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
-		cl.deadline = time.Now().Add(c.cfg.RequestTimeout)
+		cl.due = cn.tick.Load() + expiryTicks
 	}
 	// A caller whose context can end never leads on its own goroutine
 	// (see conn): a stalled write must not outlive its context.
@@ -257,12 +267,12 @@ func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, err error) 
 		case <-done:
 			// An abandoned record stays with the conn, which finishes it
 			// when the response arrives; nobody is listening by then.
-			return resp, ctx.Err()
+			return resp, it, ctx.Err()
 		}
 	}
-	resp, err = cl.resp, cl.err
+	resp, it, err = cl.resp, cl.item, cl.err
 	cl.recycle()
-	return resp, err
+	return resp, it, err
 }
 
 // checkPri refuses a priority the wire's uint32 cannot carry.
@@ -302,7 +312,7 @@ func (c *Client) Insert(ctx context.Context, queue string, pri int, value []byte
 	for attempt := 0; ; attempt++ {
 		cl := newCall(wire.TInsert, queue)
 		cl.item = wire.Item{Pri: uint32(pri), Value: value}
-		_, err := c.do(ctx, cl)
+		_, _, err := c.do(ctx, cl)
 		if err == nil {
 			return nil
 		}
@@ -344,7 +354,7 @@ func (c *Client) InsertBatch(ctx context.Context, queue string, items []Item) (a
 	}
 	cl := newCall(wire.TInsertBatch, queue)
 	cl.payload = m.Append(nil)
-	f, err := c.do(ctx, cl)
+	f, _, err := c.do(ctx, cl)
 	if err != nil {
 		return 0, err
 	}
@@ -362,21 +372,17 @@ func (c *Client) InsertBatch(ctx context.Context, queue string, items []Item) (a
 // DeleteMin removes and returns the most urgent item, or ok=false if
 // the queue appeared empty.
 func (c *Client) DeleteMin(ctx context.Context, queue string) (it Item, ok bool, err error) {
-	f, err := c.do(ctx, newCall(wire.TDeleteMin, queue))
-	if err != nil {
+	f, w, err := c.do(ctx, newCall(wire.TDeleteMin, queue))
+	switch {
+	case err != nil:
 		return Item{}, false, err
-	}
-	if f.Type == wire.TEmpty {
+	case f.Type == wire.TItem:
+		return Item{Pri: int(w.Pri), Value: w.Value}, true, nil
+	case f.Type == wire.TEmpty:
 		return Item{}, false, nil
 	}
-	// Copy the value out so the pooled payload can go back at once.
-	w, err := wire.DecodeItem(f.Payload)
-	it = Item{Pri: int(w.Pri), Value: bytes.Clone(w.Value)}
 	wire.PutBuf(f.Payload)
-	if err != nil {
-		return Item{}, false, fmt.Errorf("pqclient: bad ITEM: %w", err)
-	}
-	return it, true, nil
+	return Item{}, false, &ServerError{Msg: "unexpected " + f.Type.String() + " response to DELETE_MIN"}
 }
 
 // DeleteMinBatch removes up to max items in one round trip. Only an
@@ -392,7 +398,7 @@ func (c *Client) DeleteMinBatch(ctx context.Context, queue string, max int) ([]I
 	}
 	cl := newCall(wire.TDeleteMinBatch, queue)
 	cl.max = uint32(max)
-	f, err := c.do(ctx, cl)
+	f, _, err := c.do(ctx, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +416,7 @@ func (c *Client) DeleteMinBatch(ctx context.Context, queue string, max int) ([]I
 
 // Stats fetches the server's counters for one queue.
 func (c *Client) Stats(ctx context.Context, queue string) (QueueStats, error) {
-	f, err := c.do(ctx, newCall(wire.TStats, queue))
+	f, _, err := c.do(ctx, newCall(wire.TStats, queue))
 	if err != nil {
 		return QueueStats{}, err
 	}
@@ -426,7 +432,7 @@ func (c *Client) Stats(ctx context.Context, queue string) (QueueStats, error) {
 // Drain tells the server to stop admitting inserts to the queue and
 // returns how many items remained to be deleted when draining began.
 func (c *Client) Drain(ctx context.Context, queue string) (remaining uint64, err error) {
-	f, err := c.do(ctx, newCall(wire.TDrain, queue))
+	f, _, err := c.do(ctx, newCall(wire.TDrain, queue))
 	if err != nil {
 		return 0, err
 	}

@@ -24,9 +24,10 @@ import (
 // DeleteMin on a queue that never runs empty. A pair may allocate once,
 // the value DeleteMin returns, so Insert allocates nothing. The count is
 // process-wide, so it includes the server. Against the real in-process
-// server coalescing is off: the server's single INSERT path is held at
-// zero by TestServeLoopbackZeroAlloc, its INSERT_BATCH path is not.
-// Against zeroAllocStub coalescing is on. The race detector makes
+// server it runs with coalescing off (the single INSERT and DELETE_MIN
+// paths) and on at the default MaxCoalesce (INSERT_BATCH and
+// DELETE_MIN_BATCH on a FunnelTree); against zeroAllocStub, which
+// allocates nothing itself, with coalescing on. The race detector makes
 // sync.Pool drop records at random, so the count only means something
 // without it.
 func TestClientZeroAlloc(t *testing.T) {
@@ -62,6 +63,7 @@ func TestClientZeroAlloc(t *testing.T) {
 		cfg  Config
 	}{
 		{"server", Config{Addr: srv.Addr().String(), Conns: 1, MaxCoalesce: 1}},
+		{"server_coalescing", Config{Addr: srv.Addr().String(), Conns: 1}},
 		{"stub_coalescing", Config{Addr: zeroAllocStub(t), Conns: 1}},
 	} {
 		c, err := Dial(tc.cfg)

@@ -2,6 +2,7 @@ package pqclient
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -18,16 +19,18 @@ import (
 // Its frame is encoded at write time from its fields; only an
 // InsertBatch arrives with its payload pre-encoded. The conn finishes
 // it exactly once by setting err (and, for a non-insert kind answered
-// without error, resp) and sending on done.
+// without error, resp) and sending on done. A DeleteMin answered with
+// an item gets resp.Type TItem and the item itself in item, its value
+// the caller's own copy.
 type call struct {
-	kind     wire.Type
-	queue    string
-	item     wire.Item // TInsert only
-	max      uint32    // TDeleteMinBatch only
-	payload  []byte    // TInsertBatch only
-	solo     bool      // never coalesce (set when resent after a batch TError)
-	deadline time.Time // RequestTimeout's; zero when ctx bounds the call
-	next     *call     // next call on the pending list, then next member of its group in wire order
+	kind    wire.Type
+	queue   string
+	item    wire.Item // TInsert's operand; a DeleteMin's answer
+	max     uint32    // TDeleteMinBatch only
+	payload []byte    // TInsertBatch only
+	solo    bool      // never coalesce (set when resent after a batch TError)
+	due     uint64    // the sweep tick RequestTimeout expires it on; zero when ctx bounds the call
+	next    *call     // next call on the pending list, then next member of its group in wire order
 
 	resp wire.Frame
 	err  error
@@ -63,12 +66,36 @@ func finishGroup(head *call, err error) {
 	}
 }
 
-// group is one open group of a round: coalesced calls of one kind to
-// one queue, linked from head in wire order.
+// group is one open group: coalesced calls of one kind to one queue,
+// linked from head in wire order, gathered since the leader's pass
+// number pass.
 type group struct {
 	head, tail *call
 	n, bytes   int // members, and the INSERT_BATCH payload they encode to
+	pass       int
 }
+
+// groupPasses bounds how long a group stays open under a pending list
+// that keeps refilling, so that no flush comes: a group opened in pass p
+// is written by the end of pass p+groupPasses-1. Frames reach the socket
+// only at a flush or when the 64 KiB writer fills, so writing a group
+// sooner would not send it sooner; the bound only keeps a group that
+// never fills (a lone DeleteMin among inserts) from waiting forever.
+// Under serve_pipelined's load (32 callers on one connection, 2.5 passes
+// per flush) a bound of 2 passes wrote 60 % of all frames early, 2.4
+// frames per flush, and this one under 3 %, 2.0 frames per flush.
+const groupPasses = 4
+
+// The sweeper runs every RequestTimeout/sweepsPerTimeout while work is
+// pending, and each run is one tick. A call expires expiryTicks ticks
+// after the tick it was sent on, so between RequestTimeout and
+// 1.25 × RequestTimeout after it began; the conn closes as stalled when
+// stallSweeps runs in a row find a round in flight and no progress.
+const (
+	sweepsPerTimeout = 4
+	expiryTicks      = sweepsPerTimeout + 1
+	stallSweeps      = sweepsPerTimeout
+)
 
 // conn is one pooled connection, written by leader/follower rounds and
 // read by a reader goroutine that matches response frames to pending
@@ -76,31 +103,39 @@ type group struct {
 //
 // Rounds: a caller links its call onto the pending list, and if no
 // round is in flight it leads one, as a combining funnel's carrier
-// does: it takes the whole list and writes it, coalescing
-// the Inserts and the DeleteMins to one queue into one INSERT_BATCH and
-// one DELETE_MIN_BATCH each (see writeRound). It repeats while the list
-// has refilled, and flushes only when the list stays empty across one
+// does: it takes the whole list, writes the calls that never coalesce,
+// and sorts the Inserts and the DeleteMins into one open group per kind
+// and queue (see writeRound). It repeats while the list has refilled,
+// and flushes only when the list stays empty across one
 // runtime.Gosched: one response read wakes up to a whole pipeline of
 // callers, and the yield lets them link their next requests into the
-// same write instead of each paying a syscall of its own. Followers
-// just wait for their answer. Once the leader's own call is answered it
-// hands a refilled list to a goroutine instead of leading on. Only a
-// caller whose context cannot end leads on its own goroutine: a write
-// may block on a peer that stopped reading, and a call bounded by its
-// context must still return when the context ends, so such a caller
-// starts a leader goroutine and waits for its answer or its context.
-// readLoop never writes either: what it puts back on the list (a short
-// delete group's tail, a rejected batch's members) starts a leader
-// goroutine when no round is in flight.
+// same write instead of each paying a syscall of its own. The open
+// groups are written just before the flush, so each flush carries one
+// INSERT_BATCH and one DELETE_MIN_BATCH per queue. A group is written
+// sooner only when it fills (MaxCoalesce members or wire.MaxPayload
+// bytes) or, under a list that keeps refilling, after groupPasses
+// passes. Followers just wait for their answer. Once the leader's own
+// call is answered it writes its open groups and hands a refilled list
+// to a goroutine instead of leading on; no leader steps down with a
+// group open. Only a caller whose context cannot end leads on its own
+// goroutine: a write may block on a peer that stopped reading, and a
+// call bounded by its context must still return when the context ends,
+// so such a caller starts a leader goroutine and waits for its answer
+// or its context. readLoop never writes either: what it puts back on
+// the list (a short delete group's tail, a rejected batch's members)
+// starts a leader goroutine when no round is in flight.
 //
-// Timeouts: one sweeper timer, re-armed every RequestTimeout/4 while
-// work is pending, finishes the written groups whose calls are all past
-// their deadline and the expired calls still on the list, and closes
-// the conn when the leader's write has made no progress for a whole
-// RequestTimeout. The sweeper stands in for a
-// per-round SetWriteDeadline: it is needed for the expiries anyway, it
-// costs the write path one clock read per frame instead of a poller
-// timer update per round, and it tells a slow write from a stalled one.
+// Timeouts are counted in sweeper ticks, so no call reads the clock:
+// one sweeper timer, re-armed every RequestTimeout/4 while work is
+// pending, advances the tick, finishes the written groups whose calls
+// are all past their due tick and the expired calls still on the list,
+// and closes the conn when four sweeps in a row find a round in flight
+// that has made no progress (taken no list, written no frame, flushed
+// nothing). Calls in open groups are neither, so the sweeper does not
+// see them; groupPasses is what bounds them. The sweeper stands in for
+// a per-round SetWriteDeadline: it is needed for the expiries anyway, it
+// costs the write path a counter bump instead of a poller timer update
+// per round, and it tells a slow write from a stalled one.
 //
 // Ownership: the conn owns a call record from send until finish, and
 // the caller owns it after receiving on done. A record abandoned on a
@@ -113,18 +148,23 @@ type conn struct {
 	nc  net.Conn
 
 	// Owned by the round's leader: the buffered writer, the encode
-	// scratch (frames are built in enc, coalesced inserts borrow items)
-	// and the round's open groups, so a round allocates nothing.
+	// scratch (frames are built in enc, coalesced inserts borrow items),
+	// the open groups and the pass count that ages them, so a round
+	// allocates nothing.
 	bw     *bufio.Writer
 	enc    []byte
 	items  []wire.Item
 	groups []group
+	pass   int
 
+	tick       atomic.Uint64 // sweeps so far: the clock RequestTimeout is counted in
 	mu         sync.Mutex
 	calls      atomic.Int32 // calls outstanding: counted by Client.conn, until their Client.do returns
 	head, tail *call        // pending list: calls no round has taken yet
 	busy       bool         // a round is in flight
-	ioAt       time.Time    // last round start, list take, frame or flush: the stall check's progress mark
+	progress   uint64       // round starts, list takes, frames and flushes: the stall check's mark
+	seen       uint64       // progress as the last sweep found it
+	idle       int          // sweeps in a row that found a round in flight and no progress
 	sweeper    *time.Timer
 	armed      bool
 	pend       map[uint32]*call // written group heads by request id
@@ -215,14 +255,14 @@ func (c *conn) link(list *call) (lead bool) {
 	if t := c.cfg.RequestTimeout; t > 0 && !c.armed {
 		c.armed = true
 		if c.sweeper == nil {
-			c.sweeper = time.AfterFunc(t/4, c.sweep)
+			c.sweeper = time.AfterFunc(t/sweepsPerTimeout, c.sweep)
 		} else {
-			c.sweeper.Reset(t / 4)
+			c.sweeper.Reset(t / sweepsPerTimeout)
 		}
 	}
 	if lead, c.busy = !c.busy, true; lead {
-		// A stale ioAt would read as a stall before the leader starts.
-		c.ioAt = time.Now()
+		// An old mark would read as a stall before the leader starts.
+		c.progress++
 	}
 	return lead
 }
@@ -233,17 +273,20 @@ func (c *conn) link(list *call) (lead bool) {
 // list goes to a new leader goroutine. Called by whoever link told to
 // lead, without mu.
 func (c *conn) lead(own *call) {
-	wrote := false
+	// A handed-off round may have left frames in bw, so a new leader
+	// flushes before it steps down.
+	wrote := true
 	c.mu.Lock()
 	for {
 		if list := c.head; list != nil {
 			if own != nil && len(own.done) > 0 {
 				c.mu.Unlock()
+				c.writeGroups(c.pass + 1)
 				go c.lead(nil)
 				return
 			}
 			c.head, c.tail = nil, nil
-			c.ioAt = time.Now()
+			c.progress++
 			c.mu.Unlock()
 			c.writeRound(list)
 			wrote = true
@@ -258,8 +301,9 @@ func (c *conn) lead(own *call) {
 			if c.head != nil {
 				continue
 			}
-			c.ioAt = time.Now()
+			c.progress++
 			c.mu.Unlock()
+			c.writeGroups(c.pass + 1)
 			if err := c.bw.Flush(); err != nil {
 				c.close(err)
 			}
@@ -269,29 +313,34 @@ func (c *conn) lead(own *call) {
 	}
 }
 
-// sweep is the RequestTimeout sweeper. It closes the conn when the
-// leader's write has made no progress for a whole RequestTimeout, since
-// a peer that stopped reading must not hold the calls queued behind it.
-// Otherwise it finishes every written group whose calls are all past
-// their deadline with context.DeadlineExceeded; the answer, if it ever
-// comes, finds no pending id. Expired calls still on the pending list go
-// too, so a slow round ahead of them cannot hold them past their bound.
+// sweep is the RequestTimeout sweeper; each run is one tick. It closes
+// the conn when stallSweeps runs in a row find a round in flight that
+// has made no progress, since a peer that stopped reading must not hold
+// the calls queued behind it. Otherwise it finishes every written group
+// whose calls are all due with context.DeadlineExceeded; the answer, if
+// it ever comes, finds no pending id. Due calls still on the pending
+// list go too, so a slow round ahead of them cannot hold them past their
+// bound.
 func (c *conn) sweep() {
-	now := time.Now()
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
 		return
 	}
-	if c.busy && now.Sub(c.ioAt) >= c.cfg.RequestTimeout {
-		c.mu.Unlock()
-		c.close(errStalled)
-		return
+	tick := c.tick.Add(1)
+	if c.busy && c.progress == c.seen {
+		if c.idle++; c.idle >= stallSweeps {
+			c.mu.Unlock()
+			c.close(errStalled)
+			return
+		}
+	} else {
+		c.idle, c.seen = 0, c.progress
 	}
 	// finish never blocks (done has room for the one signal), so the
 	// expired groups are finished under mu.
 	for id, head := range c.pend {
-		if groupExpired(head, now) {
+		if groupExpired(head, tick) {
 			delete(c.pend, id)
 			finishGroup(head, context.DeadlineExceeded)
 		}
@@ -299,7 +348,7 @@ func (c *conn) sweep() {
 	var prev *call
 	for cl := c.head; cl != nil; {
 		next := cl.next
-		if !cl.expired(now) {
+		if !cl.expired(tick) {
 			prev = cl
 		} else {
 			if prev == nil {
@@ -316,21 +365,21 @@ func (c *conn) sweep() {
 		cl = next
 	}
 	if c.armed = c.busy || len(c.pend) > 0; c.armed {
-		c.sweeper.Reset(c.cfg.RequestTimeout / 4)
+		c.sweeper.Reset(c.cfg.RequestTimeout / sweepsPerTimeout)
 	}
 	c.mu.Unlock()
 }
 
-// expired reports whether cl has a deadline, and it has passed.
-func (cl *call) expired(now time.Time) bool {
-	return !cl.deadline.IsZero() && now.After(cl.deadline)
+// expired reports whether cl has a due tick, and tick has reached it.
+func (cl *call) expired(tick uint64) bool {
+	return cl.due != 0 && tick >= cl.due
 }
 
 // groupExpired reports whether every call of the group from head has
 // expired: no call expires before its own bound.
-func groupExpired(head *call, now time.Time) bool {
+func groupExpired(head *call, tick uint64) bool {
 	for cl := head; cl != nil; cl = cl.next {
-		if !cl.expired(now) {
+		if !cl.expired(tick) {
 			return false
 		}
 	}
@@ -338,7 +387,7 @@ func groupExpired(head *call, now time.Time) bool {
 }
 
 // errStalled closes a conn whose write made no progress for a whole
-// RequestTimeout.
+// RequestTimeout: stallSweeps sweeps.
 var errStalled = fmt.Errorf("pqclient: connection write stalled for a whole request timeout: %w", context.DeadlineExceeded)
 
 // register assigns a request id to a group of calls about to be
@@ -352,7 +401,7 @@ func (c *conn) register(head *call) (uint32, bool) {
 		finishGroup(head, err)
 		return 0, false
 	}
-	c.ioAt = time.Now()
+	c.progress++
 	c.nextID++
 	id := c.nextID
 	c.pend[id] = head
@@ -368,13 +417,14 @@ func (c *conn) take(id uint32) *call {
 	return head
 }
 
-// writeRound writes the calls of one round, taken from the pending list.
-// Inserts and DeleteMins not marked solo are sorted into one group per
-// kind and queue, each capped at MaxCoalesce members and, for inserts,
-// at wire.MaxPayload encoded bytes; every other call is its own frame.
-// The calls of one round are concurrent, so their order on the wire is
-// free.
+// writeRound takes one pass over calls from the pending list. Inserts
+// and DeleteMins not marked solo join the open group for their kind and
+// queue; every other call is written as its own frame. Groups that have
+// been open for groupPasses passes are then written; the rest wait for
+// the flush. The calls of one round are concurrent, so their order on
+// the wire is free.
 func (c *conn) writeRound(list *call) {
+	c.pass++
 	for cl := list; cl != nil; {
 		next := cl.next
 		cl.next = nil
@@ -385,27 +435,39 @@ func (c *conn) writeRound(list *call) {
 		}
 		cl = next
 	}
-	for i, g := range c.groups {
-		c.write(g.head, g.n)
-		c.groups[i] = group{}
-	}
-	c.groups = c.groups[:0]
+	c.writeGroups(c.pass - groupPasses + 2)
 }
 
-// join adds cl to the round's open group for its kind and queue,
-// writing that group first when cl would overflow it. Calls bounded by
-// RequestTimeout and calls bounded by their context group apart, so
-// that the sweeper can expire a group whole without expiring anyone
-// before their own bound.
+// writeGroups writes every open group opened before pass before, and
+// keeps the rest open in the order they opened; before = c.pass+1 writes
+// them all.
+func (c *conn) writeGroups(before int) {
+	open := c.groups[:0]
+	for _, g := range c.groups {
+		if g.pass < before {
+			c.write(g.head, g.n)
+		} else {
+			open = append(open, g)
+		}
+	}
+	clear(c.groups[len(open):])
+	c.groups = open
+}
+
+// join adds cl to the open group for its kind and queue, writing that
+// group first when cl would overflow it. Calls bounded by RequestTimeout
+// and calls bounded by their context group apart, so that the sweeper
+// can expire a group whole without expiring anyone before their own
+// bound.
 func (c *conn) join(cl *call) {
 	size := 0
 	if cl.kind == wire.TInsert {
 		size = 8 + len(cl.item.Value)
 	}
-	fresh := group{cl, cl, 1, 2 + len(cl.queue) + 4 + size}
+	fresh := group{cl, cl, 1, 2 + len(cl.queue) + 4 + size, c.pass}
 	for i := range c.groups {
 		g := &c.groups[i]
-		if g.head.kind != cl.kind || g.head.queue != cl.queue || g.head.deadline.IsZero() != cl.deadline.IsZero() {
+		if g.head.kind != cl.kind || g.head.queue != cl.queue || (g.head.due == 0) != (cl.due == 0) {
 			continue
 		}
 		if g.n == c.cfg.MaxCoalesce || g.bytes+size > wire.MaxPayload {
@@ -519,6 +581,9 @@ func (c *conn) deliver(head *call, f wire.Frame) bool {
 			c.deliverItems(head, f.Payload)
 			return false
 		}
+	} else if head.kind == wire.TDeleteMin && f.Type == wire.TItem {
+		finishItem(head, f.Payload)
+		return false
 	}
 	err := respErr(f)
 	if head.kind != wire.TInsert {
@@ -555,13 +620,12 @@ func (c *conn) deliver(head *call, f wire.Frame) bool {
 }
 
 // deliverItems resolves a delete group from its ITEMS answer. The i-th
-// item goes to the i-th member in wire order, copied into a pooled TItem
-// payload of its own (an ITEMS element is encoded as one), so DeleteMin
-// reads it as the answer to a DELETE_MIN. An empty answer resolves
-// every member EMPTY: the server always keeps a batch's first pop, so
-// no byte budget cut it and the queue was empty. A short non-empty
-// answer may be such a cut, so the unserved members go back on the
-// list, still coalescable; each retry serves one or ends EMPTY.
+// item goes to the i-th member in wire order, as the answer to its
+// DELETE_MIN (an ITEMS element is encoded as a TItem payload). An empty
+// answer resolves every member EMPTY: the server always keeps a batch's
+// first pop, so no byte budget cut it and the queue was empty. A short
+// non-empty answer may be such a cut, so the unserved members go back
+// on the list, still coalescable; each retry serves one or ends EMPTY.
 func (c *conn) deliverItems(head *call, p []byte) {
 	v, err := wire.DecodeItemsView(p)
 	cl := head
@@ -569,7 +633,7 @@ func (c *conn) deliverItems(head *call, p []byte) {
 		var elem []byte
 		if elem, err = v.Next(); err == nil {
 			next := cl.next
-			cl.finish(wire.Frame{Type: wire.TItem, Payload: append(wire.GetBuf(len(elem)), elem...)}, nil)
+			finishItem(cl, elem)
 			cl = next
 		}
 	}
@@ -585,6 +649,19 @@ func (c *conn) deliverItems(head *call, p []byte) {
 	case cl != nil:
 		c.enqueue(cl, true)
 	}
+}
+
+// finishItem resolves a DeleteMin from its answer p, a TItem payload:
+// the caller gets the item with a copy of the value of its own, the one
+// allocation DeleteMin makes.
+func finishItem(cl *call, p []byte) {
+	it, err := wire.DecodeItem(p)
+	if err != nil {
+		cl.finish(wire.Frame{}, fmt.Errorf("pqclient: bad ITEM: %w", err))
+		return
+	}
+	cl.item = wire.Item{Pri: it.Pri, Value: bytes.Clone(it.Value)}
+	cl.finish(wire.Frame{Type: wire.TItem}, nil)
 }
 
 // respErr is the error a TError, WRONG_NODE or RETRY_AFTER response

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -659,11 +660,9 @@ func TestBC5DeleteGroups(t *testing.T) {
 		cn.lead(nil)
 		for i, cl := range calls {
 			<-cl.done
-			it, err := wire.DecodeItem(cl.resp.Payload)
-			if cl.err != nil || cl.resp.Type != wire.TItem || err != nil || it.Pri != uint32(i) {
-				t.Fatalf("member %d: got %s %+v (%v, %v), want item %d", i, cl.resp.Type, it, cl.err, err, i)
+			if cl.err != nil || cl.resp.Type != wire.TItem || cl.item.Pri != uint32(i) {
+				t.Fatalf("member %d: got %s %+v (%v), want item %d", i, cl.resp.Type, cl.item, cl.err, i)
 			}
-			wire.PutBuf(cl.resp.Payload)
 			cl.recycle()
 		}
 		if short.Load() != 1 {
@@ -1049,14 +1048,14 @@ func TestTimeoutGroupsExpireNoneEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Even calls carry RequestTimeout's deadline, odd ones a context's
-	// (a zero deadline), the way do sets them.
+	// Even calls carry RequestTimeout's due tick, odd ones a context's
+	// (no due tick), the way do sets them.
 	var calls [4]*call
 	cn.mu.Lock()
 	for i := range calls {
 		calls[i] = newCall(wire.TDeleteMin, "q")
 		if i%2 == 0 {
-			calls[i].deadline = time.Now().Add(timeout)
+			calls[i].due = cn.tick.Load() + expiryTicks
 		}
 		cn.link(calls[i])
 	}
@@ -1097,13 +1096,12 @@ func TestTimeoutExpiresQueuedCalls(t *testing.T) {
 	cn.mu.Lock()
 	for i := range calls {
 		calls[i] = newCall(wire.TDeleteMin, "q")
-		calls[i].deadline = time.Now().Add(time.Hour)
+		calls[i].due = cn.tick.Load() + expiryTicks
 		if i == 0 || i == 3 {
-			calls[i].deadline = time.Now().Add(-time.Millisecond)
+			calls[i].due = cn.tick.Load() + 1 // due at the next sweep
 		}
 		cn.link(calls[i])
 	}
-	cn.ioAt = time.Now()
 	cn.mu.Unlock()
 	cn.sweep()
 	for _, i := range []int{0, 3} {
@@ -1133,4 +1131,282 @@ func TestTimeoutExpiresQueuedCalls(t *testing.T) {
 		}
 		cl.recycle()
 	}
+}
+
+// frameCounter is a peer that answers like ackServer and counts the
+// request frames it reads by type, with the items each carried (the
+// members of an INSERT_BATCH, max of a DELETE_MIN_BATCH).
+type frameCounter struct {
+	mu     sync.Mutex
+	frames map[wire.Type][]int
+}
+
+func newFrameCounter(t *testing.T) (*frameCounter, string) {
+	fc := &frameCounter{frames: map[wire.Type][]int{}}
+	addr := replyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
+		n := 1
+		switch f.Type {
+		case wire.TInsertBatch:
+			n = len(insertedItems(f))
+		case wire.TDeleteMinBatch:
+			m, _ := wire.DecodeDeleteMinBatchView(f.Payload)
+			n = int(m.Max)
+		}
+		fc.mu.Lock()
+		fc.frames[f.Type] = append(fc.frames[f.Type], n)
+		fc.mu.Unlock()
+		switch f.Type {
+		case wire.TInsert, wire.TInsertBatch:
+			return insertOK(f.ID, n, 0), 0
+		case wire.TDeleteMinBatch:
+			return itemsFrame(f.ID, nil), 0
+		}
+		return wire.Frame{Type: wire.TEmpty, ID: f.ID}, 0
+	})
+	return fc, addr
+}
+
+func (fc *frameCounter) get(typ wire.Type) []int {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return slices.Clone(fc.frames[typ])
+}
+
+// leaderPass links calls onto cn's pending list and runs one leader pass
+// over the list, as lead does between two flushes. The first link of an
+// idle conn makes the test the round's leader.
+func leaderPass(cn *conn, calls ...*call) {
+	cn.mu.Lock()
+	for _, cl := range calls {
+		cn.link(cl)
+	}
+	list := cn.head
+	cn.head, cn.tail = nil, nil
+	cn.mu.Unlock()
+	cn.writeRound(list)
+}
+
+// awaitCalls fails t unless every call is finished without error within
+// a few seconds, and recycles them.
+func awaitCalls(t *testing.T, calls []*call) {
+	t.Helper()
+	for i, cl := range calls {
+		select {
+		case <-cl.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d never finished", i)
+		}
+		if cl.err != nil {
+			t.Fatalf("call %d: %v", i, cl.err)
+		}
+		cl.recycle()
+	}
+}
+
+// registered reports whether cl heads a written group: one whose frame
+// is in the writer and whose id the reader waits for.
+func registered(cn *conn, cl *call) bool {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	for _, head := range cn.pend {
+		if head == cl {
+			return true
+		}
+	}
+	return false
+}
+
+// BC-8: the leader writes one frame per kind and queue per flush. Calls
+// linked across two leader passes before one flush leave as exactly one
+// INSERT_BATCH and one DELETE_MIN_BATCH per queue. Under a list that
+// keeps refilling a group is written no later than the end of its
+// groupPasses-th pass, so a lone DeleteMin among a sustained stream of
+// inserts is not held back.
+func TestBC8OneFramePerKindPerFlush(t *testing.T) {
+	t.Run("TwoPassesOneFlush", func(t *testing.T) {
+		// GIVEN two queues, and two passes of two Inserts and two
+		// DeleteMins to each, all before a flush.
+		fc, addr := newFrameCounter(t)
+		c, err := Dial(Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cn, err := c.conn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []*call
+		mk := func() []*call {
+			var pass []*call
+			for _, q := range []string{"a", "b"} {
+				for range 2 {
+					ins := newCall(wire.TInsert, q)
+					ins.item = wire.Item{Pri: 1, Value: []byte(q)}
+					pass = append(pass, ins, newCall(wire.TDeleteMin, q))
+				}
+			}
+			calls = append(calls, pass...)
+			return pass
+		}
+		leaderPass(cn, mk()...)
+		leaderPass(cn, mk()...)
+		// WHEN a third pass writes a STATS and the leader flushes.
+		stats := newCall(wire.TStats, "a")
+		calls = append(calls, stats)
+		cn.mu.Lock()
+		cn.link(stats)
+		cn.mu.Unlock()
+		cn.lead(nil)
+		awaitCalls(t, calls)
+		// THEN each queue got one INSERT_BATCH of four and one
+		// DELETE_MIN_BATCH of four, and nothing went out singly.
+		if got := fc.get(wire.TInsertBatch); !slices.Equal(got, []int{4, 4}) {
+			t.Errorf("INSERT_BATCH frames carried %v items, want [4 4]: one per queue", got)
+		}
+		if got := fc.get(wire.TDeleteMinBatch); !slices.Equal(got, []int{4, 4}) {
+			t.Errorf("DELETE_MIN_BATCH frames asked for %v items, want [4 4]: one per queue", got)
+		}
+		if n, m := len(fc.get(wire.TInsert)), len(fc.get(wire.TDeleteMin)); n+m != 0 {
+			t.Errorf("%d INSERT and %d DELETE_MIN frames went out singly, want none", n, m)
+		}
+	})
+
+	t.Run("LoneDeleteWrittenWithinBound", func(t *testing.T) {
+		// GIVEN a pass that opens a group for one DeleteMin among
+		// inserts, with no flush to come.
+		fc, addr := newFrameCounter(t)
+		c, err := Dial(Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cn, err := c.conn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []*call
+		inserts := func(n int) []*call {
+			var pass []*call
+			for range n {
+				ins := newCall(wire.TInsert, "q")
+				ins.item = wire.Item{Pri: 1}
+				pass = append(pass, ins)
+			}
+			calls = append(calls, pass...)
+			return pass
+		}
+		lone := newCall(wire.TDeleteMin, "q")
+		calls = append(calls, lone)
+		// WHEN the list keeps refilling with inserts alone.
+		for pass := 1; pass <= groupPasses; pass++ {
+			if pass == 1 {
+				leaderPass(cn, append(inserts(3), lone)...)
+			} else {
+				leaderPass(cn, inserts(3)...)
+			}
+			// THEN the DeleteMin stays open for coalescing until the end
+			// of its groupPasses-th pass, and is written then, before any
+			// flush.
+			if got, want := registered(cn, lone), pass == groupPasses; got != want {
+				t.Fatalf("after pass %d: DeleteMin written = %v, want %v", pass, got, want)
+			}
+		}
+		leaderPass(cn, inserts(3)...)
+		cn.lead(nil)
+		awaitCalls(t, calls)
+		if got := fc.get(wire.TDeleteMin); !slices.Equal(got, []int{1}) {
+			t.Errorf("DELETE_MIN frames: %v, want the one", got)
+		}
+	})
+}
+
+// TestTimeoutTicks pins the sweeper's tick arithmetic, calling sweep
+// directly (RequestTimeout is an hour, so its timer never fires): a call
+// RequestTimeout bounds expires on the fifth sweep after it was sent,
+// never sooner, and a round in flight that makes no progress closes the
+// conn on the fourth sweep that finds it so.
+func TestTimeoutTicks(t *testing.T) {
+	t.Run("CallExpiresOnFifthTick", func(t *testing.T) {
+		// GIVEN a written call that the peer never answers, sent the way
+		// do sends it.
+		c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cn, err := c.conn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := newCall(wire.TDeleteMin, "q")
+		cl.due = cn.tick.Load() + expiryTicks
+		cn.mu.Lock()
+		cn.link(cl)
+		cn.mu.Unlock()
+		cn.lead(nil)
+		// WHEN the sweeper ticks.
+		for tick := 1; tick <= expiryTicks; tick++ {
+			cn.sweep()
+			select {
+			case <-cl.done:
+				// THEN it expired on the fifth tick and not before.
+				if tick < expiryTicks {
+					t.Fatalf("call expired on tick %d, want tick %d", tick, expiryTicks)
+				}
+				if !errors.Is(cl.err, context.DeadlineExceeded) {
+					t.Fatalf("expired call: got %v, want context.DeadlineExceeded", cl.err)
+				}
+			default:
+				if tick == expiryTicks {
+					t.Fatalf("call still pending after tick %d", tick)
+				}
+			}
+		}
+		if cn.dead() {
+			t.Fatal("an idle conn was closed as stalled")
+		}
+	})
+
+	t.Run("StallAfterFourIdleSweeps", func(t *testing.T) {
+		// GIVEN a round in flight that nobody leads, as behind a write
+		// that blocked, and a queued call with no due tick.
+		c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cn, err := c.conn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := newCall(wire.TDeleteMin, "q")
+		cn.mu.Lock()
+		cn.link(cl)
+		cn.mu.Unlock()
+		// The first sweep finds the mark the new round made.
+		cn.sweep()
+		idle := func(n int) {
+			t.Helper()
+			for i := 1; i <= n; i++ {
+				cn.sweep()
+				if dead := cn.dead(); dead != (i == stallSweeps) {
+					t.Fatalf("after %d sweeps without progress: closed = %v, want %v", i, dead, i == stallSweeps)
+				}
+			}
+		}
+		// WHEN three sweeps find no progress, then the round makes some.
+		idle(stallSweeps - 1)
+		cn.mu.Lock()
+		cn.progress++
+		cn.mu.Unlock()
+		cn.sweep()
+		// THEN only the fourth idle sweep after the one that found it
+		// closes the conn, and the queued call fails as stalled.
+		idle(stallSweeps)
+		<-cl.done
+		if !errors.Is(cl.err, errStalled) {
+			t.Fatalf("queued call on a stalled conn: got %v, want %v", cl.err, errStalled)
+		}
+	})
 }
