@@ -242,8 +242,8 @@ func runMetrics(algs []core.Algorithm, procs, pris int, scale float64, batch int
 	if doPlot {
 		fmt.Println()
 		for i, r := range runs {
-			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s insert latency", names[i]), r.InsertHist)
-			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s delete-min latency", names[i]), r.DeleteHist)
+			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s insert latency", names[i]), r.InsertHist, r.InsertSummary)
+			plot.LatencyHistogram(os.Stdout, fmt.Sprintf("%s delete-min latency", names[i]), r.DeleteHist, r.DeleteSummary)
 			fmt.Println()
 		}
 	}

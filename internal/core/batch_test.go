@@ -582,9 +582,9 @@ func BenchmarkBatch(b *testing.B) {
 }
 
 // TestAppendDeleteMinBatchZeroAlloc: on the bin-array and counter-tree
-// queues, lock bins or funnel stacks, an InsertBatch and an
-// AppendDeleteMinBatch into a recycled slice allocate nothing, the batch
-// spread over many priorities or one.
+// queues, lock bins or funnel stacks, and on the skip list, an
+// InsertBatch and an AppendDeleteMinBatch into a recycled slice allocate
+// nothing, the batch spread over many priorities or one.
 func TestAppendDeleteMinBatchZeroAlloc(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -593,7 +593,7 @@ func TestAppendDeleteMinBatchZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for _, alg := range []Algorithm{SimpleLinear, SimpleTree, LinearFunnels, FunnelTree} {
+	for _, alg := range []Algorithm{SimpleLinear, SimpleTree, LinearFunnels, FunnelTree, SkipList} {
 		for _, spread := range []int{1, 16} {
 			q, err := New[uint64](alg, Config{Priorities: 16, Concurrency: 1})
 			if err != nil {

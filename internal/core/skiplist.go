@@ -162,7 +162,9 @@ func (q *skipList[V]) unlockPred(pred int) {
 // thread links the claimed link for key into the list bottom-up.
 func (q *skipList[V]) thread(key int) {
 	l := &q.links[key]
-	update := make([]int, q.maxLevel)
+	// Links are int32-indexed, so Priorities < 2³¹ and maxLevel ≤ 32:
+	// the predecessors fit a stack array.
+	var update [32]int
 	pred := -1
 	for lev := q.maxLevel - 1; lev >= 0; lev-- {
 		for {

@@ -8,14 +8,16 @@ import (
 	"strings"
 
 	"pq/internal/obs"
+	"pq/internal/stats"
 )
 
 // LatencyHistogram renders one latency histogram snapshot as a
-// horizontal bar chart, one row per bucket, with counts and the
-// p50/p95/p99 quantiles in the header.
-func LatencyHistogram(w io.Writer, title string, h obs.HistSnapshot) {
-	fmt.Fprintf(w, "%s  (n=%d  p50=%.0f  p95=%.0f  p99=%.0f cycles)\n",
-		title, h.Count, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
+// horizontal bar chart, one row per bucket, with counts in the rows and
+// the run's exact p50/p95/p99 in the header, taken from the summary of
+// the same samples rather than interpolated inside the buckets.
+func LatencyHistogram(w io.Writer, title string, h obs.HistSnapshot, exact stats.Summary) {
+	fmt.Fprintf(w, "%s  (n=%d  exact p50=%.0f  p95=%.0f  p99=%.0f cycles)\n",
+		title, h.Count, exact.P50, exact.P95, exact.P99)
 	if h.Count == 0 {
 		fmt.Fprintln(w, "  (empty)")
 		return

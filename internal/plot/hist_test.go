@@ -5,18 +5,22 @@ import (
 	"testing"
 
 	"pq/internal/obs"
+	"pq/internal/stats"
 )
 
 func TestLatencyHistogram(t *testing.T) {
 	h := obs.NewHistogram(1, 3, 5) // bounds 8, 16, 32 + overflow
-	for _, v := range []int64{5, 15, 15, 35, 100} {
-		h.Observe(0, v)
+	xs := []float64{5, 15, 15, 35, 100}
+	for _, v := range xs {
+		h.Observe(0, int64(v))
 	}
 	var sb strings.Builder
-	LatencyHistogram(&sb, "insert", h.Snapshot())
-	// One row per bucket (3 bounds + overflow), bars scaled to the
-	// fullest bucket.
-	const want = "insert  (n=5  p50=14  p95=32  p99=32 cycles)\n" +
+	LatencyHistogram(&sb, "insert", h.Snapshot(), stats.Summarize(xs))
+	// The header's quantiles are the sample's exact ones (the buckets
+	// would interpolate p50 = 14 and cap p95 and p99 at their last
+	// bound, 32); one row per bucket (3 bounds + overflow), bars scaled
+	// to the fullest bucket.
+	const want = "insert  (n=5  exact p50=15  p95=87  p99=97 cycles)\n" +
 		"        <      8 |####################                     1\n" +
 		"       8..    16 |######################################## 2\n" +
 		"      16..    32 |                                         0\n" +
@@ -28,7 +32,7 @@ func TestLatencyHistogram(t *testing.T) {
 
 func TestLatencyHistogramEmpty(t *testing.T) {
 	var sb strings.Builder
-	LatencyHistogram(&sb, "none", obs.NewHistogram(1, 1, 2).Snapshot())
+	LatencyHistogram(&sb, "none", obs.NewHistogram(1, 1, 2).Snapshot(), stats.Summary{})
 	if !strings.Contains(sb.String(), "(empty)") {
 		t.Fatalf("empty histogram not flagged:\n%s", sb.String())
 	}

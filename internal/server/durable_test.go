@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -577,6 +578,90 @@ func TestJournalGateWritesRecordsBeforeReplies(t *testing.T) {
 				}
 			}
 			carried("a pipelined INSERT + DELETE_MIN")
+		})
+	}
+}
+
+// TestBatchStagingZeroAllocAndEnvelopeSlack: once the pooled scratch is
+// warm, a 32-item insertN and the popN that takes the items back
+// allocate nothing, on a durable queue (whose journal records are built
+// in that scratch) as on an in-memory one; and every popped envelope is
+// sized to its item, cap ≤ max(64, 2·len).
+func TestBatchStagingZeroAllocAndEnvelopeSlack(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops items at random under the race detector")
+			}
+		}
+	}
+	items := make([]wire.Item, 32)
+	for i := range items {
+		// Values from empty to past a kilobyte, so the envelopes span
+		// several buffer classes.
+		items[i] = wire.Item{Pri: uint32(i % 16), Value: make([]byte, i*i+i)}
+	}
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			q, err := newServedQueue(QueueSpec{Name: "q", Algorithm: pq.FunnelTree, Priorities: 16, Shards: 2}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagLen := 4
+			var l *wal.Log
+			if durable {
+				var rec wal.Recovery
+				if l, rec, err = wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNever}); err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				if err := q.attachWAL(l, rec, 0); err != nil {
+					t.Fatal(err)
+				}
+				tagLen = durTagLen
+			}
+			wait := func(lsn uint64) error {
+				if l == nil {
+					return nil
+				}
+				return l.Wait(lsn)
+			}
+			var envs [][]byte
+			var bad error
+			cycle := func() {
+				n, lsn, err := q.insertN(items)
+				if err == nil {
+					err = wait(lsn)
+				}
+				if err != nil || n != len(items) {
+					bad = fmt.Errorf("insertN: accepted %d of %d, err %v", n, len(items), err)
+					return
+				}
+				envs, lsn, err = q.popN(len(items), wire.MaxPayload, envs[:0])
+				if err == nil {
+					err = wait(lsn)
+				}
+				if err != nil || len(envs) != len(items) {
+					bad = fmt.Errorf("popN: took %d of %d, err %v", len(envs), len(items), err)
+					return
+				}
+				for _, env := range envs {
+					if len(env) < tagLen || cap(env) > max(64, 2*len(env)) {
+						bad = fmt.Errorf("envelope of %d bytes has cap %d, want ≤ max(64, 2·len)", len(env), cap(env))
+					}
+					wire.PutBuf(env)
+				}
+				clear(envs)
+			}
+			cycle() // grow the scratch, the envelopes' classes and the log's round buffers
+			cycle()
+			allocs := testing.AllocsPerRun(100, cycle)
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if allocs != 0 {
+				t.Fatalf("%.1f allocations per 32-item insertN + popN, want 0", allocs)
+			}
 		})
 	}
 }

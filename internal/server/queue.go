@@ -204,12 +204,16 @@ func (q *servedQueue) shardFor(pri int) int {
 type shardRun struct{ shard, n int }
 
 // shardGroups is the reusable scratch of insertN, one item list per
-// shard, and of popN, the items one shard's batch gave; every list is
-// empty between uses. One pool serves all queues: a scratch grows to the
-// widest queue and batch that used it.
+// shard and the journal record's items, and of popN, the items one
+// shard's batch gave and the journal record's ids; every list is empty
+// between uses. One pool serves all queues: a scratch grows to the
+// widest queue and batch that used it, so a batch of any size up to
+// wire.MaxBatchItems stages its record without allocating.
 type shardGroups struct {
 	by   [][]pq.Item[[]byte]
 	took []pq.Item[[]byte]
+	recs []wal.Item
+	ids  []uint64
 }
 
 var groupsPool sync.Pool // *shardGroups
@@ -225,7 +229,8 @@ func getGroups() *shardGroups {
 // global priority (so a pop can report the priority it served — the
 // native queues only return the value), the 8-byte durable id on a
 // queue with a WAL, then the value. The envelope comes from the wire
-// buffer pool — value may alias a request payload that is recycled the
+// buffer pool, whose classes fit it to within max(64, 2·len) bytes of
+// capacity — value may alias a request payload that is recycled the
 // moment the request returns, so the copy here is load-bearing.
 func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
 	env := wire.GetBuf(q.tagLen + len(value))
@@ -246,8 +251,9 @@ func (q *servedQueue) tag(pri uint32, id uint64, value []byte) []byte {
 // that prefix as one record before anything is stored and returns its
 // LSN, for the caller to wal.Wait on before acknowledging. If the stage
 // is refused the reservation is released and the queue is exactly as
-// before the call. No path takes a lock of the server's own, and an
-// in-memory queue allocates nothing for n = 1.
+// before the call. No path takes a lock of the server's own, and none
+// allocates in steady state: the journal record and the shard batches
+// are built in pooled scratch.
 func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) {
 	n = len(items)
 	if n == 0 {
@@ -266,15 +272,21 @@ func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) 
 			return 0, 0, nil
 		}
 	}
+	var g *shardGroups
+	if q.wal != nil || n > 1 {
+		g = getGroups()
+		defer groupsPool.Put(g)
+	}
 	var first uint64 // durable id of items[0]; the rest follow in order
 	if q.wal != nil {
 		first = q.wal.AllocIDs(n)
-		var buf [8]wal.Item
-		recs := buf[:0]
 		for i, it := range items[:n] {
-			recs = append(recs, wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value})
+			g.recs = append(g.recs, wal.Item{ID: first + uint64(i), Pri: it.Pri, Value: it.Value})
 		}
-		if lsn, err = q.wal.StageInsert(recs); err != nil {
+		lsn, err = q.wal.StageInsert(g.recs)
+		clear(g.recs) // the values alias the request payload
+		g.recs = g.recs[:0]
+		if err != nil {
 			q.release(n)
 			return 0, 0, err
 		}
@@ -286,7 +298,6 @@ func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) 
 		q.shardIn[s].Add(1)
 	} else {
 		// Each shard receives its share through the native InsertBatch.
-		g := getGroups()
 		if len(g.by) < len(q.shards) {
 			g.by = make([][]pq.Item[[]byte], len(q.shards))
 		}
@@ -304,7 +315,6 @@ func (q *servedQueue) insertN(items []wire.Item) (n int, lsn uint64, err error) 
 			clear(batch)
 			g.by[s] = batch[:0]
 		}
-		groupsPool.Put(g)
 	}
 	q.maybeSnapshot()
 	return n, lsn, nil
@@ -426,12 +436,12 @@ func (q *servedQueue) popN(max, budget int, envs [][]byte) (_ [][]byte, lsn uint
 		return envs, 0, nil
 	}
 	if q.wal != nil {
-		var buf [8]uint64
-		ids := buf[:0]
 		for _, env := range taken {
-			ids = append(ids, durID(env))
+			g.ids = append(g.ids, durID(env))
 		}
-		if lsn, err = q.wal.StageDelete(ids); err != nil {
+		lsn, err = q.wal.StageDelete(g.ids)
+		g.ids = g.ids[:0]
+		if err != nil {
 			back := make([]pq.Item[[]byte], len(taken))
 			for i, env := range taken {
 				back[i].Val = env

@@ -41,7 +41,7 @@ func TestHistogram(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	plot.LatencyHistogram(&sb, "h", s)
+	plot.LatencyHistogram(&sb, "h", s, sum)
 	out := sb.String()
 	if !strings.Contains(out, "<     16") || !strings.Contains(out, ">=    128") {
 		t.Fatalf("render:\n%s", out)
@@ -55,7 +55,7 @@ func TestHistogramEmpty(t *testing.T) {
 		t.Fatalf("empty snapshot: Count %d Mean %g p50 %g, want all 0", s.Count, s.Mean(), s.Quantile(0.5))
 	}
 	var sb strings.Builder
-	plot.LatencyHistogram(&sb, "none", s)
+	plot.LatencyHistogram(&sb, "none", s, sum)
 	if !strings.Contains(sb.String(), "(empty)") {
 		t.Fatalf("empty render:\n%s", sb.String())
 	}

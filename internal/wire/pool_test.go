@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -42,6 +43,105 @@ func TestBufPoolReuses(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("GetBuf/PutBuf allocated %.1f times per op", allocs)
+	}
+}
+
+// TestBufClassSlack: GetBuf(n) hands out n ≤ cap ≤ max(64, 2n) for every
+// n up to a maximal encoded frame. Up to the largest class each n is
+// asked of the pool itself; above it GetBuf allocates exactly n, which
+// is checked at a stride rather than by allocating a megabyte per n.
+func TestBufClassSlack(t *testing.T) {
+	check := func(n int) {
+		b := GetBuf(n)
+		if c := cap(b); c < n || c > max(64, 2*n) {
+			t.Fatalf("cap(GetBuf(%d)) = %d, want within [%d, %d]", n, c, n, max(64, 2*n))
+		}
+		PutBuf(b)
+	}
+	for n := 0; n <= maxBufClass; n++ {
+		check(n)
+	}
+	for n := maxBufClass + 1; n < MaxFrame+16; n += 4099 {
+		check(n)
+	}
+	check(MaxFrame)
+	check(MaxFrame + 16)
+}
+
+// retained is what the freelist holds: the capacity of its free buffers
+// and the free-list slots that point at them.
+func retained() (bufBytes, slots int) {
+	for i := range bufStripes {
+		st := &bufStripes[i]
+		st.mu.Lock()
+		for _, fl := range st.free {
+			for _, b := range fl {
+				bufBytes += cap(b)
+			}
+			slots += cap(fl)
+		}
+		st.mu.Unlock()
+	}
+	return bufBytes, slots
+}
+
+// TestBufPoolSoak: 10⁶ GetBuf/PutBuf pairs over a fixed live set of 4096
+// buffers, with a burst of 8192 more taken and returned every 50,000
+// pairs, sizes drawn from a seeded mix of envelopes, frames and a few
+// large values. What the freelist retains levels off: it never exceeds
+// the bound pool.go states, and it grows by less than an eighth between
+// the middle of the run and its end.
+func TestBufPoolSoak(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	size := func() int {
+		switch r := rng.Intn(100); {
+		case r < 80:
+			return rng.Intn(128)
+		case r < 98:
+			return rng.Intn(8 << 10)
+		default:
+			return rng.Intn(2 * maxBufClass)
+		}
+	}
+	const pairs, burstEvery, burstLen = 1_000_000, 50_000, 8192
+	maxSlots := 0
+	for ci := 0; ci < numBufClasses; ci++ {
+		maxSlots += numBufStripes * bufClassCap(ci)
+	}
+	live := make([][]byte, 4096)
+	for i := range live {
+		live[i] = GetBuf(size())
+	}
+	burst := make([][]byte, burstLen)
+	var samples []int
+	for op := 1; op <= pairs; op++ {
+		i := rng.Intn(len(live))
+		PutBuf(live[i])
+		live[i] = GetBuf(size())
+		if op%burstEvery != 0 {
+			continue
+		}
+		for j := range burst {
+			burst[j] = GetBuf(size())
+		}
+		for j, b := range burst {
+			PutBuf(b)
+			burst[j] = nil
+		}
+		b, slots := retained()
+		if b > maxRetainedBytes || slots > maxSlots {
+			t.Fatalf("after %d pairs the freelist holds %d bytes in %d slots, over its bound of %d bytes in %d slots",
+				op, b, slots, maxRetainedBytes, maxSlots)
+		}
+		samples = append(samples, b)
+	}
+	for _, b := range live {
+		PutBuf(b)
+	}
+	mid, end := samples[len(samples)/2-1], samples[len(samples)-1]
+	t.Logf("retained after each burst: %v bytes (bound %d)", samples, maxRetainedBytes)
+	if end-mid > mid/8 {
+		t.Fatalf("retained bytes still growing: %d at mid-run, %d at the end", mid, end)
 	}
 }
 

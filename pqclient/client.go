@@ -39,6 +39,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pq/internal/wire"
@@ -157,6 +158,10 @@ func (e *WrongNodeError) Error() string {
 type Client struct {
 	cfg Config
 
+	// first is conns[0] while it may take calls (nil once the client is
+	// closed): the connection most calls land on, picked without mu.
+	first atomic.Pointer[conn]
+
 	mu     sync.Mutex
 	conns  []*conn
 	closed bool
@@ -175,6 +180,7 @@ func Dial(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c.conns[0] = cn
+	c.first.Store(cn)
 	return c, nil
 }
 
@@ -183,6 +189,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
+	c.first.Store(nil)
 	for _, cn := range c.conns {
 		if cn != nil {
 			cn.close(ErrClosed)
@@ -197,7 +204,17 @@ func (c *Client) Close() error {
 // connection splits them. When every live connection is at that bound
 // the call dials the first empty or dead slot, and when the pool is
 // full (or that dial fails) it takes the least-loaded live connection.
+//
+// Slot 0 is first in that order, so a call that finds it live with room
+// takes it without the pool mutex: one CAS on its count, the common
+// case. Only a call that finds it full, dead or gone scans under mu.
 func (c *Client) conn() (*conn, error) {
+	if cn := c.first.Load(); cn != nil && cn.reserve(c.cfg.MaxCoalesce) {
+		if !cn.dead() {
+			return cn, nil
+		}
+		cn.calls.Add(-1)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -212,12 +229,10 @@ func (c *Client) conn() (*conn, error) {
 			}
 			continue
 		}
-		n := cn.calls.Load()
-		if n < int32(c.cfg.MaxCoalesce) {
-			cn.calls.Add(1)
+		if cn.reserve(c.cfg.MaxCoalesce) {
 			return cn, nil
 		}
-		if least == nil || n < least.calls.Load() {
+		if least == nil || cn.calls.Load() < least.calls.Load() {
 			least = cn
 		}
 	}
@@ -225,6 +240,9 @@ func (c *Client) conn() (*conn, error) {
 		cn, err := dialConn(c.cfg)
 		if err == nil {
 			c.conns[free], least = cn, cn
+			if free == 0 {
+				c.first.Store(cn)
+			}
 		} else if least == nil {
 			return nil, err
 		}

@@ -190,6 +190,16 @@ func dialConn(cfg Config) (*conn, error) {
 	return c, nil
 }
 
+// reserve counts one more call on c if fewer than max are outstanding.
+func (c *conn) reserve(max int) bool {
+	for n := c.calls.Load(); n < int32(max); n = c.calls.Load() {
+		if c.calls.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *conn) dead() bool {
 	select {
 	case <-c.closed:

@@ -417,6 +417,44 @@ func TestBC4AbandonedCallsNeverLeak(t *testing.T) {
 	}
 }
 
+// TestCloseRacingSlotZeroYieldsErrClosed: callers take slot 0 without
+// the pool mutex, so Close can land between a caller's pick and its
+// enqueue. Every call racing Close finishes with nil or ErrClosed, and
+// every call that starts after Close has returned gets ErrClosed.
+func TestCloseRacingSlotZeroYieldsErrClosed(t *testing.T) {
+	addr := ackServer(t)
+	ctx := context.Background()
+	for round := 0; round < 20; round++ {
+		c, err := Dial(Config{Addr: addr, Conns: 2, RequestTimeout: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var closed atomic.Bool
+		go func() {
+			time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
+			c.Close()
+			closed.Store(true)
+		}()
+		err = callers(8, func(i int) error {
+			for {
+				after := closed.Load()
+				err := c.Insert(ctx, "q", i, nil)
+				switch {
+				case after && !errors.Is(err, ErrClosed):
+					return fmt.Errorf("a call after Close returned %v, want ErrClosed", err)
+				case err != nil && !errors.Is(err, ErrClosed):
+					return fmt.Errorf("a call racing Close returned %v, want nil or ErrClosed", err)
+				case after:
+					return nil
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
 // TestCloseFinishesEveryCall is the connection's close contract: every
 // call handed to a conn is finished exactly once, with the close error
 // when the conn dies first, and promptly — with no request timeout to
