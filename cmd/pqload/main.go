@@ -45,7 +45,6 @@ type options struct {
 	cluster    string
 	queue      string
 	workers    int
-	conns      int
 	duration   time.Duration
 	mix        float64
 	rate       float64
@@ -62,7 +61,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.cluster, "cluster", "", "comma-separated pqd node addresses: run cluster-mode load through the routing client (overrides -addr); the map is fetched from the first reachable node")
 	fs.StringVar(&o.queue, "queue", "default", "queue name")
 	fs.IntVar(&o.workers, "workers", 8, "concurrent workers")
-	fs.IntVar(&o.conns, "conns", 2, "most connections per client: calls fill the first live one and spill to the next only at 32 (MaxCoalesce) calls outstanding")
 	fs.DurationVar(&o.duration, "duration", 5*time.Second, "timed run length")
 	fs.Float64Var(&o.mix, "mix", 0.5, "insert fraction of the op mix (0..1)")
 	fs.Float64Var(&o.rate, "rate", 0, "target ops/sec across all workers (0 = closed loop)")
@@ -75,9 +73,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.workers < 1 {
 		return o, fmt.Errorf("-workers must be >= 1, got %d", o.workers)
-	}
-	if o.conns < 1 {
-		return o, fmt.Errorf("-conns must be >= 1, got %d", o.conns)
 	}
 	if o.duration <= 0 {
 		return o, fmt.Errorf("-duration must be positive, got %v", o.duration)
@@ -161,7 +156,7 @@ func run(args []string, out *os.File) error {
 			seeds[i] = strings.TrimSpace(seeds[i])
 		}
 		cc, err := pqclient.DialCluster(pqclient.ClusterConfig{
-			Seeds: seeds, BootstrapQueue: o.queue, Conns: o.conns,
+			Seeds: seeds, BootstrapQueue: o.queue,
 		})
 		if err != nil {
 			return err
@@ -169,7 +164,7 @@ func run(args []string, out *os.File) error {
 		cluster = cc
 		client = cc
 	} else {
-		c, err := pqclient.Dial(pqclient.Config{Addr: o.addr, Conns: o.conns})
+		c, err := pqclient.Dial(pqclient.Config{Addr: o.addr})
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ import (
 func TestParseFlagsValidation(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-workers", "0"},
-		{"-conns", "0"},
 		{"-duration", "0s"},
 		{"-mix", "1.5"},
 		{"-mix", "-0.1"},
@@ -70,7 +69,7 @@ func TestLoadAgainstLoopbackServer(t *testing.T) {
 	}
 	defer report.Close()
 	if err := run([]string{
-		"-addr", addr, "-workers", "4", "-conns", "2", "-duration", "500ms",
+		"-addr", addr, "-workers", "4", "-duration", "500ms",
 	}, report); err != nil {
 		t.Fatalf("run = %v, want a clean drain", err)
 	}
@@ -101,7 +100,7 @@ func TestLoadAgainstLoopbackServer(t *testing.T) {
 	}
 	defer open.Close()
 	if err := run([]string{
-		"-addr", addr, "-workers", "4", "-conns", "2", "-duration", "300ms", "-rate", "200000",
+		"-addr", addr, "-workers", "4", "-duration", "300ms", "-rate", "200000",
 	}, open); err != nil {
 		t.Fatalf("open-loop run = %v, want a clean drain", err)
 	}

@@ -55,7 +55,6 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		c := dialClient(t, addr, func(cfg *pqclient.Config) {
-			cfg.Conns = 2
 			cfg.MaxRetries = 3
 			cfg.RetryBase = time.Millisecond
 		})
@@ -165,10 +164,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 // nothing was lost or duplicated.
 func TestPipelinedCoalescing(t *testing.T) {
 	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleTree, Priorities: 32})
-	c := dialClient(t, addr, func(cfg *pqclient.Config) {
-		cfg.Conns = 1
-		cfg.MaxCoalesce = 16
-	})
+	c := dialClient(t, addr)
 	ctx := context.Background()
 
 	const n = 400

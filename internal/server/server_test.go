@@ -523,10 +523,7 @@ func TestClientRejectsOversizedRequests(t *testing.T) {
 func TestCoalescedErrorNotFateShared(t *testing.T) {
 	const pris = 8
 	_, addr := startServer(t, QueueSpec{Name: "jobs", Algorithm: pq.SimpleLinear, Priorities: pris})
-	c := dialClient(t, addr, func(cfg *pqclient.Config) {
-		cfg.Conns = 1
-		cfg.MaxCoalesce = 16
-	})
+	c := dialClient(t, addr)
 	ctx := context.Background()
 
 	const n = 240

@@ -1,30 +1,31 @@
 // Package pqclient is the client library for pqd, the priority-queue
 // daemon (see internal/server and cmd/pqd).
 //
-// A Client owns a small pool of TCP connections and fills them one at
-// a time: a call uses the first live connection with fewer than
-// Config.MaxCoalesce calls outstanding, and only when every live one is
-// that full does it spill onto the next, so concurrent calls meet on as
-// few connections as fill whole frames. It pipelines requests on each
-// connection, written in rounds led by the callers themselves: the
-// caller that finds no round in flight takes every call queued on the
-// connection and writes them, concurrent Inserts to one queue as one
-// INSERT_BATCH and concurrent DeleteMins to one queue as one
-// DELETE_MIN_BATCH, whose items go one per caller, each caller getting a
-// copy of its value. A caller whose context can end starts a goroutine
-// to lead instead, so a blocked write never outlives its context. The
-// leader flushes once per round of callers: when the queue runs dry it
-// yields once, so the callers just woken by a response batch can queue
-// their next requests into the same write. It keeps its groups open
-// until that flush, so each flush carries one frame per kind and queue;
-// a group is written sooner only when it is full (Config.MaxCoalesce
-// members, or the frame limit), or, when the queue keeps refilling,
-// after four passes of the leader over it. Timeouts are counted in
-// ticks of a per-connection sweeper that runs every quarter of
-// Config.RequestTimeout, so no call reads the clock. Calls allocate
-// nothing in steady state (DeleteMin allocates only the value it
-// returns): call records are pooled, and a record abandoned on its
-// context is never reused, because its connection may still finish it.
+// A Client holds one TCP connection, redialed by the next call once it
+// dies, and pqd serves each connection on one goroutine, so one Client
+// is one sequential stream at the server: a caller who wants the
+// server to run its queue on more goroutines opens more Clients. The
+// Client pipelines requests on its connection, written in rounds led
+// by the callers themselves, as a combining funnel gathers concurrent
+// operations at one point: the caller that finds no round in flight
+// takes every call queued on the connection and writes them,
+// concurrent Inserts to one queue as one INSERT_BATCH and concurrent
+// DeleteMins to one queue as one DELETE_MIN_BATCH, whose items go one
+// per caller, each caller getting a copy of its value. A caller whose
+// context can end starts a goroutine to lead instead, so a blocked
+// write never outlives its context. The leader flushes once per round
+// of callers: when the queue runs dry it yields once, so the callers
+// just woken by a response batch can queue their next requests into
+// the same write. It keeps its groups open until that flush, so each
+// flush carries one frame per kind and queue; a group is written
+// sooner only when it is full (32 members, or the frame limit), or,
+// when the queue keeps refilling, after four passes of the leader over
+// it. Timeouts are counted in ticks of a per-connection sweeper that
+// runs every quarter of Config.RequestTimeout, so no call reads the
+// clock. Calls allocate nothing in steady state (DeleteMin allocates
+// only the value it returns): call records are pooled, and a record
+// abandoned on its context is never reused, because its connection may
+// still finish it.
 // Admission-control sheds (RETRY_AFTER) are retried with jittered
 // backoff up to Config.MaxRetries before surfacing as ErrOverload;
 // retries only ever happen on an explicit reject from the server, so a
@@ -50,15 +51,6 @@ import (
 type Config struct {
 	// Addr is the pqd host:port. Required.
 	Addr string
-	// Conns is the most connections the pool opens. Calls fill the
-	// first live connection and spill to the next only when every live
-	// one has MaxCoalesce calls outstanding. Default 2.
-	Conns int
-	// MaxCoalesce caps how many concurrent Inserts to one queue merge
-	// into a single INSERT_BATCH frame, and how many concurrent
-	// DeleteMins to one queue into a single DELETE_MIN_BATCH. Default
-	// 32; 1 disables coalescing.
-	MaxCoalesce int
 	// DialTimeout bounds connection establishment. Default 5s.
 	DialTimeout time.Duration
 	// RequestTimeout applies to requests whose context carries no
@@ -74,20 +66,17 @@ type Config struct {
 	// Default 2ms. Each attempt sleeps the hint (or base) plus up to
 	// 100% random jitter.
 	RetryBase time.Duration
+
+	// Conns is ignored: a Client holds one connection.
+	//
+	// Deprecated: kept only because bench/ still sets it; goes when
+	// bench/ next opens (ROADMAP item 1(b)).
+	Conns int
 }
 
 func (c *Config) normalize() error {
 	if c.Addr == "" {
 		return errors.New("pqclient: Config.Addr is required")
-	}
-	if c.Conns <= 0 {
-		c.Conns = 2
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 32
-	}
-	if c.MaxCoalesce > wire.MaxBatchItems {
-		c.MaxCoalesce = wire.MaxBatchItems
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 5 * time.Second
@@ -153,102 +142,63 @@ func (e *WrongNodeError) Error() string {
 	return fmt.Sprintf("pqclient: wrong node: priority owned by %q (cluster map version %d)", e.Owner, e.MapVersion)
 }
 
-// Client is a pooled, pipelining pqd client. All methods are safe for
-// concurrent use.
+// Client is a pipelining pqd client over one connection. All methods
+// are safe for concurrent use.
 type Client struct {
 	cfg Config
 
-	// first is conns[0] while it may take calls (nil once the client is
-	// closed): the connection most calls land on, picked without mu.
-	first atomic.Pointer[conn]
-
-	mu     sync.Mutex
-	conns  []*conn
-	closed bool
+	// cn is the connection calls go to, nil once the client is closed.
+	// After Dial it is stored only under mu: by the call that redials
+	// it and by Close.
+	cn atomic.Pointer[conn]
+	mu sync.Mutex
 }
 
-// Dial validates cfg and connects the first pooled connection (so a
-// bad address fails fast); the rest are dialed when calls first spill
-// onto them.
+// Dial validates cfg and connects, so a bad address fails fast.
 func Dial(cfg Config) (*Client, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, conns: make([]*conn, cfg.Conns)}
 	cn, err := dialConn(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.conns[0] = cn
-	c.first.Store(cn)
+	c := &Client{cfg: cfg}
+	c.cn.Store(cn)
 	return c, nil
 }
 
-// Close severs every pooled connection; in-flight requests fail.
+// Close severs the connection; in-flight requests fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	c.first.Store(nil)
-	for _, cn := range c.conns {
-		if cn != nil {
-			cn.close(ErrClosed)
-		}
+	if cn := c.cn.Swap(nil); cn != nil {
+		cn.close(ErrClosed)
 	}
 	return nil
 }
 
-// conn picks the connection for one call and counts the call on it:
-// the first live connection with fewer than MaxCoalesce calls
-// outstanding, whose rounds then fill whole frames before a second
-// connection splits them. When every live connection is at that bound
-// the call dials the first empty or dead slot, and when the pool is
-// full (or that dial fails) it takes the least-loaded live connection.
-//
-// Slot 0 is first in that order, so a call that finds it live with room
-// takes it without the pool mutex: one CAS on its count, the common
-// case. Only a call that finds it full, dead or gone scans under mu.
+// conn returns the live connection, with one atomic load in the common
+// case. A call that finds it dead redials it under mu, where the calls
+// behind it find the new one, so one death costs one dial.
 func (c *Client) conn() (*conn, error) {
-	if cn := c.first.Load(); cn != nil && cn.reserve(c.cfg.MaxCoalesce) {
-		if !cn.dead() {
-			return cn, nil
-		}
-		cn.calls.Add(-1)
+	if cn := c.cn.Load(); cn != nil && !cn.dead() {
+		return cn, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	switch cn := c.cn.Load(); {
+	case cn == nil:
 		return nil, ErrClosed
+	case !cn.dead():
+		return cn, nil
 	}
-	free := -1
-	var least *conn
-	for i, cn := range c.conns {
-		if cn == nil || cn.dead() {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if cn.reserve(c.cfg.MaxCoalesce) {
-			return cn, nil
-		}
-		if least == nil || cn.calls.Load() < least.calls.Load() {
-			least = cn
-		}
+	cn, err := dialConn(c.cfg)
+	if err != nil {
+		return nil, err
 	}
-	if free >= 0 {
-		cn, err := dialConn(c.cfg)
-		if err == nil {
-			c.conns[free], least = cn, cn
-			if free == 0 {
-				c.first.Store(cn)
-			}
-		} else if least == nil {
-			return nil, err
-		}
-	}
-	least.calls.Add(1)
-	return least, nil
+	c.cn.Store(cn)
+	return cn, nil
 }
 
 // do sends one call, waits for its resolution and recycles cl. On
@@ -269,7 +219,6 @@ func (c *Client) do(ctx context.Context, cl *call) (resp wire.Frame, it wire.Ite
 		cl.recycle()
 		return resp, it, err
 	}
-	defer cn.calls.Add(-1)
 	if _, has := ctx.Deadline(); !has && c.cfg.RequestTimeout > 0 {
 		cl.due = cn.tick.Load() + expiryTicks
 	}

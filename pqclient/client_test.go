@@ -16,20 +16,22 @@ import (
 
 	"pq"
 	"pq/internal/server"
+	"pq/internal/wal"
 	"pq/internal/wire"
 )
 
-// TestClientZeroAlloc is the call path's allocation budget: sixteen
-// callers pipelined on one connection, each alternating Insert and
-// DeleteMin on a queue that never runs empty. A pair may allocate once,
-// the value DeleteMin returns, so Insert allocates nothing. The count is
+// TestClientZeroAlloc is the call path's allocation budget: callers
+// pipelined on one connection, each alternating Insert and DeleteMin on
+// a queue that never runs empty. A pair may allocate once, the value
+// DeleteMin returns, so Insert allocates nothing. The count is
 // process-wide, so it includes the server. Against the real in-process
-// server it runs with coalescing off (the single INSERT and DELETE_MIN
-// paths) and on at the default MaxCoalesce (INSERT_BATCH and
-// DELETE_MIN_BATCH on a FunnelTree); against zeroAllocStub, which
-// allocates nothing itself, with coalescing on. The race detector makes
-// sync.Pool drop records at random, so the count only means something
-// without it.
+// server it runs with one caller, whose rounds hold one call each (the
+// solo INSERT and DELETE_MIN paths), and with sixteen (INSERT_BATCH and
+// DELETE_MIN_BATCH on a FunnelTree), in memory and durable (interval
+// fsync, no snapshots: the request path through the journal); against
+// zeroAllocStub, which allocates nothing itself, with sixteen. The race
+// detector makes sync.Pool drop records at random, so the count only
+// means something without it.
 func TestClientZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed benchmark run")
@@ -41,37 +43,28 @@ func TestClientZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	srv := server.New(server.Config{Concurrency: 8})
-	if err := srv.AddQueue(server.QueueSpec{Name: "q", Algorithm: pq.FunnelTree, Priorities: 64, Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	defer func() { srv.Close(); <-done }()
-	for srv.Addr() == nil {
-		select {
-		case err := <-done:
-			t.Fatalf("server: %v", err)
-		case <-time.After(time.Millisecond):
-		}
-	}
+	mem := serveQueue(t, server.Config{Concurrency: 8})
+	durable := serveQueue(t, server.Config{Concurrency: 8,
+		DataDir: t.TempDir(), Fsync: wal.SyncInterval, SnapshotEvery: -1})
 	benchtime := flag.Lookup("test.benchtime").Value
 	defer benchtime.Set(benchtime.String())
 	benchtime.Set("300ms")
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		addr string
+		n    int
 	}{
-		{"server", Config{Addr: srv.Addr().String(), Conns: 1, MaxCoalesce: 1}},
-		{"server_coalescing", Config{Addr: srv.Addr().String(), Conns: 1}},
-		{"stub_coalescing", Config{Addr: zeroAllocStub(t), Conns: 1}},
+		{"server_solo", mem, 1},
+		{"server_coalescing", mem, 16},
+		{"durable_coalescing", durable, 16},
+		{"stub_coalescing", zeroAllocStub(t), 16},
 	} {
-		c, err := Dial(tc.cfg)
+		c, err := Dial(Config{Addr: tc.addr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		const n = 16
+		n := tc.n
 		ctx := context.Background()
 		value := make([]byte, 16)
 		var empty atomic.Int64
@@ -117,6 +110,28 @@ func TestClientZeroAlloc(t *testing.T) {
 				tc.name, r.AllocsPerOp(), r.MemAllocs, r.N)
 		}
 	}
+}
+
+// serveQueue starts an in-process server with cfg, serving queue "q"
+// (FunnelTree, 64 priorities, 4 shards), and returns its address. The
+// server closes when the test ends.
+func serveQueue(t *testing.T, cfg server.Config) string {
+	t.Helper()
+	srv := server.New(cfg)
+	if err := srv.AddQueue(server.QueueSpec{Name: "q", Algorithm: pq.FunnelTree, Priorities: 64, Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
+	t.Cleanup(func() { srv.Close(); <-done })
+	for srv.Addr() == nil {
+		select {
+		case err := <-done:
+			t.Fatalf("server: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return srv.Addr().String()
 }
 
 // zeroAllocStub acks every insert frame, answers a DELETE_MIN_BATCH
@@ -199,7 +214,7 @@ func TestRejectsQueueNameAboveWireLimit(t *testing.T) {
 		frames.Add(1)
 		return insertOK(f.ID, len(insertedItems(f)), 0), 0
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1})
+	c, err := Dial(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +244,7 @@ func TestInsertRejectsPriorityAbove32Bits(t *testing.T) {
 		frames.Add(1)
 		return insertOK(f.ID, len(insertedItems(f)), 0), 0
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1})
+	c, err := Dial(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,14 +49,18 @@ type ClusterConfig struct {
 	// fetch (STATS is per-queue). Required when Map is nil.
 	BootstrapQueue string
 
-	// Per-node connection tuning, applied to every node's Client pool;
+	// Per-node connection tuning, applied to every node's Client;
 	// zero values take the Config defaults.
-	Conns          int
-	MaxCoalesce    int
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 	MaxRetries     int
 	RetryBase      time.Duration
+
+	// Conns is ignored: each node's Client holds one connection.
+	//
+	// Deprecated: kept only because bench/ still sets it; goes when
+	// bench/ next opens (ROADMAP item 1(b)).
+	Conns int
 
 	// Rand is ignored: no operation samples nodes.
 	//
@@ -68,8 +72,6 @@ type ClusterConfig struct {
 func (c *ClusterConfig) nodeConfig(addr string) Config {
 	return Config{
 		Addr:           addr,
-		Conns:          c.Conns,
-		MaxCoalesce:    c.MaxCoalesce,
 		DialTimeout:    c.DialTimeout,
 		RequestTimeout: c.RequestTimeout,
 		MaxRetries:     c.MaxRetries,
@@ -150,7 +152,7 @@ func (cc *ClusterClient) Map() *wire.ClusterMap { return cc.r.Load().m }
 // MapVersion returns the active map's version.
 func (cc *ClusterClient) MapVersion() uint64 { return cc.Map().Version }
 
-// Close severs every node's connection pool.
+// Close severs every node's connection.
 func (cc *ClusterClient) Close() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -167,7 +169,7 @@ func (cc *ClusterClient) Close() error {
 // next opens (ROADMAP item 1(b)).
 func (cc *ClusterClient) Stashed() int { return 0 }
 
-// node returns (dialing if needed) the pooled client for addr.
+// node returns (dialing if needed) the client for addr.
 func (cc *ClusterClient) node(addr string) (*Client, error) {
 	cc.mu.Lock()
 	if cc.closed {

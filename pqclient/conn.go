@@ -86,6 +86,11 @@ type group struct {
 // frames per flush, and this one under 3 %, 2.0 frames per flush.
 const groupPasses = 4
 
+// maxCoalesce caps a group: how many concurrent Inserts to one queue
+// merge into one INSERT_BATCH, and how many DeleteMins into one
+// DELETE_MIN_BATCH. Coalescing off (a cap of 1) measured slower.
+const maxCoalesce = 32
+
 // The sweeper runs every RequestTimeout/sweepsPerTimeout while work is
 // pending, and each run is one tick. A call expires expiryTicks ticks
 // after the tick it was sent on, so between RequestTimeout and
@@ -97,7 +102,7 @@ const (
 	stallSweeps      = sweepsPerTimeout
 )
 
-// conn is one pooled connection, written by leader/follower rounds and
+// conn is a Client's connection, written by leader/follower rounds and
 // read by a reader goroutine that matches response frames to pending
 // requests by id.
 //
@@ -112,7 +117,7 @@ const (
 // same write instead of each paying a syscall of its own. The open
 // groups are written just before the flush, so each flush carries one
 // INSERT_BATCH and one DELETE_MIN_BATCH per queue. A group is written
-// sooner only when it fills (MaxCoalesce members or wire.MaxPayload
+// sooner only when it fills (maxCoalesce members or wire.MaxPayload
 // bytes) or, under a list that keeps refilling, after groupPasses
 // passes. Followers just wait for their answer. Once the leader's own
 // call is answered it writes its open groups and hands a refilled list
@@ -159,12 +164,11 @@ type conn struct {
 
 	tick       atomic.Uint64 // sweeps so far: the clock RequestTimeout is counted in
 	mu         sync.Mutex
-	calls      atomic.Int32 // calls outstanding: counted by Client.conn, until their Client.do returns
-	head, tail *call        // pending list: calls no round has taken yet
-	busy       bool         // a round is in flight
-	progress   uint64       // round starts, list takes, frames and flushes: the stall check's mark
-	seen       uint64       // progress as the last sweep found it
-	idle       int          // sweeps in a row that found a round in flight and no progress
+	head, tail *call  // pending list: calls no round has taken yet
+	busy       bool   // a round is in flight
+	progress   uint64 // round starts, list takes, frames and flushes: the stall check's mark
+	seen       uint64 // progress as the last sweep found it
+	idle       int    // sweeps in a row that found a round in flight and no progress
 	sweeper    *time.Timer
 	armed      bool
 	pend       map[uint32]*call // written group heads by request id
@@ -188,16 +192,6 @@ func dialConn(cfg Config) (*conn, error) {
 	}
 	go c.readLoop()
 	return c, nil
-}
-
-// reserve counts one more call on c if fewer than max are outstanding.
-func (c *conn) reserve(max int) bool {
-	for n := c.calls.Load(); n < int32(max); n = c.calls.Load() {
-		if c.calls.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *conn) dead() bool {
@@ -438,7 +432,7 @@ func (c *conn) writeRound(list *call) {
 	for cl := list; cl != nil; {
 		next := cl.next
 		cl.next = nil
-		if !cl.solo && c.cfg.MaxCoalesce > 1 && (cl.kind == wire.TInsert || cl.kind == wire.TDeleteMin) {
+		if !cl.solo && (cl.kind == wire.TInsert || cl.kind == wire.TDeleteMin) {
 			c.join(cl)
 		} else {
 			c.write(cl, 1)
@@ -480,7 +474,7 @@ func (c *conn) join(cl *call) {
 		if g.head.kind != cl.kind || g.head.queue != cl.queue || (g.head.due == 0) != (cl.due == 0) {
 			continue
 		}
-		if g.n == c.cfg.MaxCoalesce || g.bytes+size > wire.MaxPayload {
+		if g.n == maxCoalesce || g.bytes+size > wire.MaxPayload {
 			c.write(g.head, g.n)
 			*g = fresh
 			return

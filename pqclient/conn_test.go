@@ -176,7 +176,7 @@ func TestBC1PipelinedCallersGetOwnResults(t *testing.T) {
 		}
 		return insertOK(f.ID, len(items), 0), 0
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1})
+	c, err := Dial(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestBC2PartialBatchAcceptsPrefixRetriesTail(t *testing.T) {
 		}
 		return insertOK(f.ID, k, len(items)-k), 0
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1})
+	c, err := Dial(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestBC3BatchRejectResolvesMembersSingly(t *testing.T) {
 		admitted[string(it.Value)]++
 		return insertOK(f.ID, 1, 0), 0
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1})
+	c, err := Dial(Config{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestBC4AbandonedCallsNeverLeak(t *testing.T) {
 		}
 		return insertOK(f.ID, len(insertedItems(f)), 0), delay
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1, RequestTimeout: timeout})
+	c, err := Dial(Config{Addr: addr, RequestTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,15 +417,15 @@ func TestBC4AbandonedCallsNeverLeak(t *testing.T) {
 	}
 }
 
-// TestCloseRacingSlotZeroYieldsErrClosed: callers take slot 0 without
-// the pool mutex, so Close can land between a caller's pick and its
-// enqueue. Every call racing Close finishes with nil or ErrClosed, and
+// TestCloseRacingSlotZeroYieldsErrClosed: callers take the connection
+// with one atomic load, without the client's mutex, so Close can land
+// between a caller's pick and its enqueue. Every call racing Close finishes with nil or ErrClosed, and
 // every call that starts after Close has returned gets ErrClosed.
 func TestCloseRacingSlotZeroYieldsErrClosed(t *testing.T) {
 	addr := ackServer(t)
 	ctx := context.Background()
 	for round := 0; round < 20; round++ {
-		c, err := Dial(Config{Addr: addr, Conns: 2, RequestTimeout: -1})
+		c, err := Dial(Config{Addr: addr, RequestTimeout: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +465,7 @@ func TestCloseFinishesEveryCall(t *testing.T) {
 		producers = 8
 		kills     = 50
 	)
-	c, err := Dial(Config{Addr: ackServer(t), Conns: 1, RequestTimeout: -1})
+	c, err := Dial(Config{Addr: ackServer(t), RequestTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,10 +503,7 @@ func TestCloseFinishesEveryCall(t *testing.T) {
 	}
 	for k := 0; k < kills; k++ {
 		time.Sleep(2 * time.Millisecond)
-		c.mu.Lock()
-		cn := c.conns[0]
-		c.mu.Unlock()
-		if cn != nil {
+		if cn := c.cn.Load(); cn != nil {
 			cn.close(errKilled)
 		}
 	}
@@ -635,7 +632,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 			asked.Add(1)
 			return wire.Frame{Type: wire.TEmpty, ID: f.ID}, 0
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 1})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -674,7 +671,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 			}
 			return itemsFrame(f.ID, items), 0
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 1})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -723,7 +720,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 			}
 			return src.answer(f), 0
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 1})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -748,7 +745,7 @@ func TestBC5DeleteGroups(t *testing.T) {
 		for srv.Addr() == nil {
 			time.Sleep(time.Millisecond)
 		}
-		c, err := Dial(Config{Addr: srv.Addr().String(), Conns: 1})
+		c, err := Dial(Config{Addr: srv.Addr().String()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -795,20 +792,18 @@ func TestBC5DeleteGroups(t *testing.T) {
 	})
 }
 
-// BC-6: the pool fills its first live connection before it opens
-// another. Fewer than MaxCoalesce concurrent callers share one
-// connection however large the pool; a call that finds MaxCoalesce
-// calls outstanding on every live connection dials the next slot; and
-// a call that finds slot 0 dead redials it.
-func TestBC6PoolFillsFirst(t *testing.T) {
+// BC-6: a Client holds one connection. Concurrent callers share it,
+// however many of them are outstanding, and a call that finds it dead
+// redials it once for every caller behind it.
+func TestBC6OneConnection(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("FewCallersShareOneConnection", func(t *testing.T) {
-		// GIVEN a pool of four and 16 callers, half the default MaxCoalesce.
+		// GIVEN 16 callers.
 		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
 			return insertOK(f.ID, len(insertedItems(f)), 0), 0
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 4})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -831,14 +826,13 @@ func TestBC6PoolFillsFirst(t *testing.T) {
 		}
 	})
 
-	t.Run("FullConnectionSpills", func(t *testing.T) {
-		// GIVEN a peer that holds every answer for a while, and
-		// MaxCoalesce calls outstanding on the first connection.
-		const maxCoalesce, hold = 4, 200 * time.Millisecond
+	t.Run("ManyOutstandingCallsShareOneConnection", func(t *testing.T) {
+		// GIVEN a peer that holds every answer for a while, and twice as
+		// many callers as one group holds.
+		const n, hold = 2 * maxCoalesce, 200 * time.Millisecond
 		var (
 			mu   sync.Mutex
 			seen = map[string]int{}
-			got  atomic.Int32
 		)
 		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
 			items := insertedItems(f)
@@ -847,70 +841,59 @@ func TestBC6PoolFillsFirst(t *testing.T) {
 				seen[string(it.Value)]++
 			}
 			mu.Unlock()
-			got.Add(int32(len(items)))
 			return insertOK(f.ID, len(items), 0), hold
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 4, MaxCoalesce: maxCoalesce})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		errs := make(chan error, maxCoalesce+1)
-		insert := func(i int) {
-			errs <- c.Insert(ctx, "q", i, []byte(fmt.Sprint(i)))
+		// WHEN they all insert at once, so every call is outstanding
+		// while the first answers are held.
+		err = callers(n, func(i int) error {
+			return c.Insert(ctx, "q", i, []byte(fmt.Sprint(i)))
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < maxCoalesce; i++ {
-			go insert(i)
+		// THEN the peer accepted exactly one connection, and every call
+		// reached it exactly once.
+		if got := accepted.Load(); got != 1 {
+			t.Fatalf("the peer accepted %d connections, want 1", got)
 		}
-		for got.Load() < maxCoalesce {
-			time.Sleep(time.Millisecond)
-		}
-		// WHEN one more call comes while their answers are held.
-		go insert(maxCoalesce)
-		for i := 0; i <= maxCoalesce; i++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		}
-		// THEN it opened a second connection, and every call completed
-		// exactly once.
-		if got := accepted.Load(); got != 2 {
-			t.Fatalf("the peer accepted %d connections, want 2", got)
-		}
-		for i := 0; i <= maxCoalesce; i++ {
-			if n := seen[fmt.Sprint(i)]; n != 1 {
-				t.Fatalf("call %d reached the peer %d times, want once", i, n)
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < n; i++ {
+			if got := seen[fmt.Sprint(i)]; got != 1 {
+				t.Fatalf("call %d reached the peer %d times, want once", i, got)
 			}
 		}
 	})
 
-	t.Run("DeadSlotZeroIsRedialed", func(t *testing.T) {
-		// GIVEN a pool of four whose only connection has died.
+	t.Run("DeadConnectionIsRedialedOnce", func(t *testing.T) {
+		// GIVEN a client whose connection has died.
 		addr, accepted := countingReplyServer(t, func(f wire.Frame) (wire.Frame, time.Duration) {
 			return insertOK(f.ID, len(insertedItems(f)), 0), 0
 		})
-		c, err := Dial(Config{Addr: addr, Conns: 4})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		old := c.conns[0]
+		old := c.cn.Load()
 		old.nc.Close()
 		<-old.closed
-		// WHEN the next call comes.
-		if err := c.Insert(ctx, "q", 1, nil); err != nil {
+		// WHEN the next calls come, concurrently.
+		err = callers(8, func(i int) error {
+			return c.Insert(ctx, "q", i, nil)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		// THEN it redialed slot 0 and left the others empty.
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if cn := c.conns[0]; cn == old || cn == nil || cn.dead() {
-			t.Fatal("slot 0 was not redialed")
-		}
-		for i, cn := range c.conns[1:] {
-			if cn != nil {
-				t.Fatalf("slot %d was dialed, want only slot 0", i+1)
-			}
+		// THEN one of them redialed, once, and the rest used its
+		// connection.
+		if cn := c.cn.Load(); cn == old || cn == nil || cn.dead() {
+			t.Fatal("the dead connection was not redialed")
 		}
 		if got := accepted.Load(); got != 2 {
 			t.Fatalf("the peer accepted %d connections, want 2", got)
@@ -973,7 +956,7 @@ func closeWithin(t *testing.T, c *Client, d time.Duration) {
 // call returns an error within 4 × RequestTimeout, and Close returns.
 func TestTimeoutStuckWriter(t *testing.T) {
 	const timeout = 50 * time.Millisecond
-	c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: timeout})
+	c, err := Dial(Config{Addr: silentPeer(t), RequestTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1016,7 +999,7 @@ func TestTimeoutStuckWriter(t *testing.T) {
 // reads: no caller with a deadline is the one stuck in that write.
 func TestTimeoutContextBoundsLeader(t *testing.T) {
 	const bound = 50 * time.Millisecond
-	c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: -1})
+	c, err := Dial(Config{Addr: silentPeer(t), RequestTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1077,7 +1060,7 @@ func TestTimeoutGroupsExpireNoneEarly(t *testing.T) {
 		}
 		return wire.Frame{Type: wire.TEmpty, ID: f.ID}, delay
 	})
-	c, err := Dial(Config{Addr: addr, Conns: 1, RequestTimeout: timeout})
+	c, err := Dial(Config{Addr: addr, RequestTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1119,7 +1102,7 @@ func TestTimeoutGroupsExpireNoneEarly(t *testing.T) {
 // a round that is slow but still moving, expires at its deadline as a
 // written one does, and the calls around it stay queued in order.
 func TestTimeoutExpiresQueuedCalls(t *testing.T) {
-	c, err := Dial(Config{Addr: ackServer(t), Conns: 1, RequestTimeout: time.Hour})
+	c, err := Dial(Config{Addr: ackServer(t), RequestTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1265,7 +1248,7 @@ func TestBC8OneFramePerKindPerFlush(t *testing.T) {
 		// GIVEN two queues, and two passes of two Inserts and two
 		// DeleteMins to each, all before a flush.
 		fc, addr := newFrameCounter(t)
-		c, err := Dial(Config{Addr: addr, Conns: 1})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1314,7 +1297,7 @@ func TestBC8OneFramePerKindPerFlush(t *testing.T) {
 		// GIVEN a pass that opens a group for one DeleteMin among
 		// inserts, with no flush to come.
 		fc, addr := newFrameCounter(t)
-		c, err := Dial(Config{Addr: addr, Conns: 1})
+		c, err := Dial(Config{Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1368,7 +1351,7 @@ func TestTimeoutTicks(t *testing.T) {
 	t.Run("CallExpiresOnFifthTick", func(t *testing.T) {
 		// GIVEN a written call that the peer never answers, sent the way
 		// do sends it.
-		c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: time.Hour})
+		c, err := Dial(Config{Addr: silentPeer(t), RequestTimeout: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1409,7 +1392,7 @@ func TestTimeoutTicks(t *testing.T) {
 	t.Run("StallAfterFourIdleSweeps", func(t *testing.T) {
 		// GIVEN a round in flight that nobody leads, as behind a write
 		// that blocked, and a queued call with no due tick.
-		c, err := Dial(Config{Addr: silentPeer(t), Conns: 1, RequestTimeout: time.Hour})
+		c, err := Dial(Config{Addr: silentPeer(t), RequestTimeout: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
